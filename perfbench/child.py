@@ -19,6 +19,7 @@ import statistics
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -26,16 +27,20 @@ import numpy as np
 from plcd import dataspace
 
 import layers
+from hostspeed import HostSpeed
 from tracer import Tracer
 from workloads import WORKLOADS, Tally, timed
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "plcd"
-SETUP_REPEATS = 7
+SETUP_REPEATS = 11  # at least this many set-ups in an untraced run
+SETUP_SHARE = 0.05  # and after each pass, set-ups up to this share of pass time
+HOST_SHARE = 0.3  # calibration time after each timed step, as a share of it
 
-# setup_s: median of SETUP_REPEATS set-ups; chain_s: median wall time of the
-# timed passes; peak_rss_mb: this process's peak resident set; pass_ratio:
-# operations and output checks that passed, over those attempted.
+# setup_s: median of the set-ups; chain_s: median wall time of the timed
+# passes; both scaled by the run's host speed factor (see hostspeed.py).
+# peak_rss_mb: this process's peak resident set after the passes;
+# pass_ratio: operations and output checks that passed, over those attempted.
 END_TO_END = [
     {"name": "setup_s", "unit": "s", "better": "lower"},
     {"name": "chain_s", "unit": "s", "better": "lower"},
@@ -87,60 +92,85 @@ def run_record(workload: str, seed: int, seconds: int, trace: bool) -> dict:
     }
 
 
-def run(workload: str, seed: int, seconds: int, trace: bool, workdir: Path,
-        src_sha256: str) -> tuple[dict, dict]:
+def run(workload: str, seed: int, seconds: int, trace: bool,
+        workdir: Path) -> tuple[dict, dict]:
     """Returns the result object, and the retrieval quality of the last pass
-    with every timing sample taken, for the run record."""
+    with every raw timing sample and the host speed factor, for the run
+    record."""
     wl = WORKLOADS[workload](seed, workdir)
-    setup_times = [timed(wl.setup)[1] for _ in range(SETUP_REPEATS)]
-
     tally = Tally()
-    # A traced run measures its overhead against the last untraced run of
-    # this workload and source in this checkout (the pass's work hardly
-    # depends on the seed), or else against an untraced pass it makes first;
-    # that second pass would take cli-chain close to the time limit.
-    reference = ROOT / ".bench_work" / "untraced" / f"{workload}.json"
+    host = HostSpeed(HOST_SHARE)
+
+    def setup() -> float:
+        setup_s = timed(wl.setup)[1]
+        if not trace:
+            host.after_step(setup_s)
+        return setup_s
+
+    setup_times = [setup()]
     if trace:
-        try:
-            ref = json.loads(reference.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            ref = {}
-        if ref.get("src_sha256") == src_sha256:
-            untraced_s = ref["chain_s"]
-        else:
-            untraced_s = wl.run_pass(tally)
+        # The overhead reference is an untraced set-up and cycle made in this
+        # process, each pass just before its traced twin, so that both halves
+        # see the same host. An untimed pass first takes the process's cold
+        # start, which would otherwise fall on the untraced half.
+        wl.run_pass(tally)
         tracer = Tracer(run_id=f"{workload}-seed{seed}")
-        layers.install(tracer, dataspace.infer_visible_facet, wl.cfg.num_sections)
-        try:
-            traced_s = wl.run_pass(tally, tracer)
-        finally:
-            tracer.unwrap()
+
+        @contextmanager
+        def tracing():
+            layers.install(tracer, dataspace.infer_visible_facet, wl.cfg.num_sections)
+            try:
+                yield
+            finally:
+                tracer.unwrap()
+
+        untraced_s = timed(wl.setup)[1]
+        with tracing():
+            traced_s = timed(wl.setup)[1]
+        for _ in range(wl.cycle):
+            untraced_s += wl.run_pass(tally)
+            with tracing():
+                traced_s += wl.run_pass(tally, tracer)
+        passes = [traced_s]
         trace_dir = ROOT / ".bench_work" / "traces"
         trace_dir.mkdir(parents=True, exist_ok=True)
         tracer.write(trace_dir / f"{workload}-seed{seed}.json")
     else:
+        # Passes run until ``seconds`` are used, at least one cycle, and none
+        # starts that the median pass so far says would end past ``seconds``.
+        # The host is calibrated after every timed step, set-ups included.
+        wl.after_step = host.after_step
         passes = []
         start = time.perf_counter()
-        while not passes or time.perf_counter() - start < seconds:
+        while (len(passes) < wl.cycle or time.perf_counter() - start
+               + statistics.median(passes) <= seconds):
             passes.append(wl.run_pass(tally))
+            # Set-ups are spread over the run like the passes, so that
+            # setup_s and chain_s are taken on the same host conditions.
+            while sum(setup_times) < SETUP_SHARE * sum(passes):
+                setup_times.append(setup())
+        while len(setup_times) < SETUP_REPEATS:
+            setup_times.append(setup())
+    # Read before the checks, which re-rank and would add their own peak.
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     quality = wl.check(tally)
     if trace:
         metrics = layers.per_layer_metrics(tracer, untraced_s, traced_s, quality)
     else:
-        values = {"setup_s": statistics.median(setup_times),
-                  "chain_s": statistics.median(passes)}
-        reference.parent.mkdir(parents=True, exist_ok=True)
-        reference.write_text(json.dumps({"src_sha256": src_sha256,
-                                         "chain_s": values["chain_s"]}), encoding="utf-8")
-        values["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        values["pass_ratio"] = (tally.attempted - tally.failed) / tally.attempted
+        values = {"setup_s": statistics.median(setup_times) * host.factor,
+                  "chain_s": statistics.median(passes) * host.factor,
+                  "peak_rss_mb": peak_rss_mb,
+                  "pass_ratio": (tally.attempted - tally.failed) / tally.attempted}
         units = {spec["name"]: spec["unit"] for spec in END_TO_END}
         metrics = {name: {"value": values[name], "unit": units[name]} for name in units}
     for problem in tally.problems[:20]:
         print(f"check failed: {problem}", file=sys.stderr)
     result = {"correct": tally.failed == 0, "attempted": tally.attempted,
               "failed": tally.failed, "metrics": metrics}
-    samples = {"setup_s": setup_times, "chain_s": [traced_s] if trace else passes}
+    samples = {"setup_s": setup_times, "chain_s": passes}
+    if not trace:
+        samples.update(host_factor=host.factor, calibration_chunks=host.chunks,
+                       calibration_s=host.busy_s)
     return result, {"quality": quality, "samples": samples}
 
 
@@ -157,7 +187,7 @@ def main(argv=None) -> int:
     workdir = Path(tempfile.mkdtemp(prefix=f"{args.workload}-", dir=work_root))
     try:
         result, extra = run(args.workload, args.seed, args.seconds, bool(args.trace),
-                            workdir, record["src_sha256"])
+                            workdir)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     print(json.dumps({"record": record, **extra}))

@@ -6,7 +6,8 @@ Expected effects, per layer:
 
 * ``cli.*.s``, text I/O, checkpoint I/O, training and the loss functions
   move ``chain_s`` on cli-chain and nothing on the other two workloads;
-  ``dataspace.generate_synthetic`` moves ``setup_s`` on all three.
+  ``dataspace.generate_synthetic`` moves ``setup_s`` on all three (the
+  traced run traces one set-up before its pass).
 * ``peerlearn.miner_hit_ratio`` (mined positives in the anchor's visible
   facet, over all miner calls) guards ``quality.gs_cmc1`` and
   ``quality.gd_map`` on cli-chain.

@@ -5,18 +5,20 @@
 Run from the repository root. The workload (see ``workloads.py``) runs in
 one fresh child interpreter with BLAS pinned to ``BLAS_THREADS`` threads,
 ``src`` on its import path and one caller issuing one call at a time. Its
-inputs come from ``--seed`` only. Timed passes repeat until ``--seconds``
-have passed (at least one pass) and report medians; the outputs of the last
-pass are then checked.
+inputs come from ``--seed`` only. Timed passes repeat for about
+``--seconds`` (at least one cycle of passes that covers every query) and
+report medians, scaled by the run's host speed factor (``hostspeed.py``) so
+that swings in the shared host's speed cancel out; the outputs of the last
+cycle are then checked.
 
 Standard output ends with two JSON lines: the run record (thread count,
 nproc, numpy and OpenBLAS versions, commit, seed, ``src/plcd`` line count,
-retrieval quality and every timing sample) and the result,
-``{"correct", "attempted", "failed", "metrics"}``. With
+retrieval quality, every raw timing sample and the host speed factor) and
+the result, ``{"correct", "attempted", "failed", "metrics"}``. With
 ``--trace 0`` the metrics are the end-to-end ones; with ``--trace 1`` they
-are the per-layer ones from a traced pass, plus its overhead over an
-untraced pass. Scratch files, untraced reference times and span files go
-under ``.bench_work/``.
+are the per-layer ones from a traced set-up and cycle, plus its overhead
+over an untraced set-up and cycle made just before in the same process.
+Scratch files and span files go under ``.bench_work/``.
 """
 
 from __future__ import annotations

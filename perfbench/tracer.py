@@ -99,7 +99,8 @@ class Tracer:
         else:
             original = None if owner is None else getattr(owner, method, None)
         if original is None:
-            self.absent.append(target)
+            if target not in self.absent:
+                self.absent.append(target)
             return
         wrapped = self._wrapper(target, original, on_result)
         if owner_name:
