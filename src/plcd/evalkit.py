@@ -214,9 +214,11 @@ def run_ablation(suite: str, cfg, split=None, models=None) -> AblationResult:
             rows.append((f"two-branch:{task}",
                          pipeline.evaluate_task(cfg, split, models, task)))
     elif suite == "alpha-sweep":
+        # alpha enters only the walk, so every alpha shares one graph
+        index = pipeline.build_diffusion_index(cfg, split, models)
         for alpha in cfg.alpha_sweep:
             rows.append((f"alpha={alpha}", pipeline.evaluate_mode(
-                cfg, split, models, "diffusion", alpha=alpha)))
+                cfg, split, models, "diffusion", alpha=alpha, index=index)))
     elif suite == "tau-sweep":
         rows = pipeline.tau_sweep(cfg, split)
 

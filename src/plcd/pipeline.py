@@ -176,9 +176,9 @@ def ground_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
     if mode == "diffusion":
         if index is None:
             index = build_diffusion_index(cfg, split, models, use_drones=use_drones)
-        return [diff.query(index, r.id, enc.forward(models.junior_ground, r),
-                           alpha=alpha)
-                for r in grounds]
+        return diff.query(index, [r.id for r in grounds],
+                          [enc.forward(models.junior_ground, r) for r in grounds],
+                          alpha=alpha)
     if mode == "direct-cosine":
         gallery = _normalized_embs(patchmodel.satellite_branch(models.shared), sats)
         return [rank_gallery(r.id, [s.id for s in sats],
@@ -260,8 +260,10 @@ def evaluate_ground_drone(cfg: RunConfig, split: DatasetSplit, ground_params,
 
 
 def evaluate_mode(cfg: RunConfig, split: DatasetSplit, models: TrainedModels,
-                  mode: str, alpha: float | None = None):
-    rankings = ground_satellite_rankings(cfg, split, models, mode, alpha=alpha)
+                  mode: str, alpha: float | None = None,
+                  index: diff.DiffusionIndex | None = None):
+    rankings = ground_satellite_rankings(cfg, split, models, mode, alpha=alpha,
+                                         index=index)
     return _report(cfg, split, rankings, "ground-satellite")
 
 

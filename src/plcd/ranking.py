@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,13 +30,21 @@ class RankingList:
 
 def rank_gallery(query_id: int, gallery_ids: Sequence[int],
                  scores: Sequence[float], degenerate: bool = False) -> RankingList:
-    """Sort descending by score; equal scores break on the lowest gallery id."""
+    """Sort descending by score; equal scores break on the lowest gallery id.
+
+    A NaN or infinite score has no place in that order and is rejected.
+    """
+    values = [float(s) for s in scores]
+    for gid, v in zip(gallery_ids, values):
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite score {v} for gallery id {gid} "
+                             f"in ranking for query {query_id}")
     order = sorted(range(len(gallery_ids)),
-                   key=lambda i: (-float(scores[i]), int(gallery_ids[i])))
+                   key=lambda i: (-values[i], int(gallery_ids[i])))
     return RankingList(
         query_id=query_id,
         gallery_ids=[int(gallery_ids[i]) for i in order],
-        scores=[float(scores[i]) for i in order],
+        scores=[values[i] for i in order],
         degenerate=degenerate,
     )
 

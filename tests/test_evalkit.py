@@ -26,6 +26,13 @@ def test_rank_gallery_sorts_desc_with_id_ties():
     assert r.scores == [0.9, 0.3, 0.3, 0.1]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rank_gallery_rejects_non_finite_scores(bad):
+    # a NaN once sorted as if it were a score: [0.2, nan, 0.9] ranked 0.9 last
+    with pytest.raises(ValueError, match="non-finite score .* gallery id 11 .* query 1"):
+        rank_gallery(1, [10, 11, 12], [0.2, bad, 0.9])
+
+
 def test_ranking_rejects_duplicates_and_disorder():
     with pytest.raises(ValueError, match="duplicate"):
         RankingList(1, [2, 2], [0.5, 0.4])

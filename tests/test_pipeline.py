@@ -109,6 +109,20 @@ def test_alpha_sweep_rows(tiny):
         [f"alpha={a}" for a in cfg.alpha_sweep]
 
 
+def test_alpha_sweep_shares_one_index(tiny, monkeypatch):
+    cfg, split, models = tiny
+    fresh = [(f"alpha={a}", pipeline.evaluate_mode(cfg, split, models, "diffusion",
+                                                   alpha=a).to_json_dict())
+             for a in cfg.alpha_sweep]
+    builds = []
+    build = pipeline.build_diffusion_index
+    monkeypatch.setattr(pipeline, "build_diffusion_index",
+                        lambda *args, **kw: builds.append(1) or build(*args, **kw))
+    result = evalkit.run_ablation("alpha-sweep", cfg, split=split, models=models)
+    assert len(builds) == 1
+    assert [(name, report.to_json_dict()) for name, report in result.rows] == fresh
+
+
 def test_tau_sweep_values(tiny):
     cfg, split, _ = tiny
     result = evalkit.run_ablation("tau-sweep", cfg, split=split)
