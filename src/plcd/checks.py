@@ -1,13 +1,17 @@
-"""Self-check harnesses: finite-difference gradient suite and the
+"""Self-check harnesses: finite-difference gradient suite (every loss wrt
+its inputs, plus the region path wrt encoder parameters) and the
 iterative-vs-closed-form agreement oracle for the random walk."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import losses
+from . import losses, rmac
 from .diffusion import diffuse_closed_form, diffuse_iterative
-from .encoder import check_gradients
+from .encoder import (check_gradients, init_params, new_grads, region_backward,
+                      region_embed)
+from .peerlearn import (_PooledCache, _similarity_from_rows, aggregate_backward,
+                        aggregate_feature)
 from .seeds import substream
 
 
@@ -58,11 +62,11 @@ def _loss_cases(rng: np.random.Generator, dim: int = 5):
     senior_entries = rng.standard_normal((n_entries, dim))
     junior_anchor = rng.standard_normal(dim)
     junior_entries = rng.standard_normal((n_entries, dim))
-    senior_vec = _vec_from_rows(senior_anchor, senior_entries, tau=0.1)
+    senior_vec = _similarity_from_rows(senior_anchor, senior_entries, n_entries, tau=0.1)
 
     def soft_fn(params):
         a, entries = params
-        junior_vec = _vec_from_rows(a, entries, tau=1.0)
+        junior_vec = _similarity_from_rows(a, entries, n_entries, tau=1.0)
         value, g_dots = losses.soft_loss(senior_vec, junior_vec)
         g_anchor, g_entries = losses.similarity_input_grads(junior_vec, g_dots)
         return value, [g_anchor, g_entries]
@@ -76,7 +80,7 @@ def _loss_cases(rng: np.random.Generator, dim: int = 5):
         a, p, *rest = params
         negs, lg, entries = rest[:-2], rest[-2], rest[-1]
         hard_value, hard_grads = losses.hard_loss(a, p, negs, lg, target)
-        junior_vec = _vec_from_rows(a, entries, tau=1.0)
+        junior_vec = _similarity_from_rows(a, entries, n_entries, tau=1.0)
         soft_value, g_dots = losses.soft_loss(senior_vec, junior_vec)
         g_anchor_soft, g_entries = losses.similarity_input_grads(junior_vec, g_dots)
         value = losses.joint_gd_loss(hard_value, soft_value, lambda1)
@@ -132,12 +136,47 @@ def _loss_cases(rng: np.random.Generator, dim: int = 5):
                   [*[a.copy() for a in t_anchors], *[p.copy() for p in t_pos],
                    *[n.copy() for n in t_pool], *[s.copy() for s in student]]))
 
+    cases += _region_cases(rng)
     return cases
 
 
-def _vec_from_rows(anchor, entries, tau):
-    positives = [losses.DoubletEntry(whole=entries[0], patches=list(entries[1:]))]
-    return losses.similarity_softmax(anchor, positives, tau)
+def _region_cases(rng: np.random.Generator):
+    """Parameter-level cases: ``weight`` and ``bias`` of a tiny tanh encoder
+    through the batched region path, as the trainers chain it."""
+    map_shape, n, dim = (2, 3, 3), 3, 4
+    grid = rmac.region_grid(3, (1, 2), width_table={1: 3, 2: 2}, reference_side=3)
+    avg = _PooledCache(grid, map_shape).avg
+    pooled = rng.standard_normal((n, len(grid) + 1, map_shape[0]))
+    params = init_params("drone", dim, int(np.prod(map_shape)), 2, rng, tanh=True)
+    params.bias[:] = 0.5 * rng.standard_normal(dim)
+    target = rng.standard_normal((n, dim))
+    teacher = rng.standard_normal((n, len(grid), dim))
+
+    def with_params(arrays):
+        p = params.copy()
+        p.weight, p.bias = arrays
+        return p, new_grads(p)
+
+    def aggregate_fn(arrays):
+        # region_embed -> per-row L2 normalization -> region mean
+        p, grads = with_params(arrays)
+        descs = region_embed(p, avg, pooled)
+        diff = aggregate_feature(descs) - target
+        region_backward(p, avg, pooled, aggregate_backward(descs, 2.0 * diff), grads)
+        return float(np.sum(diff * diff)), [grads.weight, grads.bias]
+
+    def patch_fn(arrays):
+        p, grads = with_params(arrays)
+        descs = region_embed(p, avg, pooled)
+        value, g_patches = losses.patch_mse_loss(list(teacher), list(descs[:, 1:]))
+        g_descs = np.zeros_like(descs)
+        g_descs[:, 1:] = g_patches
+        region_backward(p, avg, pooled, g_descs, grads)
+        return value, [grads.weight, grads.bias]
+
+    return [(name, fn, [params.weight.copy(), params.bias.copy()])
+            for name, fn in (("region-aggregate-params", aggregate_fn),
+                             ("region-patch-params", patch_fn))]
 
 
 LOSS_NAMES = [name for name, _, _ in _loss_cases(substream(0, "checks.names"))]

@@ -237,13 +237,6 @@ def infer_visible_facet(record: ImageRecord, num_sections: int) -> int:
     return int(np.argmax(energies)) + 1
 
 
-def by_view(records: list[ImageRecord]) -> dict[str, list[ImageRecord]]:
-    out: dict[str, list[ImageRecord]] = {v: [] for v in VIEWS}
-    for r in records:
-        out[r.view].append(r)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # serialization (text, line-oriented; part of the CLI contract)
 # ---------------------------------------------------------------------------
@@ -282,6 +275,8 @@ def read_records(path) -> tuple[list[ImageRecord], int, int]:
         values = np.array([float(t) for t in tok[7 : 7 + c * h * w]])
         if values.size != c * h * w:
             raise ValueError(f"{path}: record {rid} has {values.size} values, needs {c * h * w}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: record {rid} has a non-finite value")
         featmap = values.reshape(c, h, w)
         featmap.setflags(write=False)
         records.append(ImageRecord(rid, view, landmark, section, featmap))

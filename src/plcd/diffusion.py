@@ -67,9 +67,6 @@ class TransitionGraph:
     def satellite_indices(self) -> list[int]:
         return [i for i, v in enumerate(self.node_views) if v == SATELLITE]
 
-    def drone_indices(self) -> list[int]:
-        return [i for i, v in enumerate(self.node_views) if v == DRONE]
-
 
 @dataclass
 class DiffusionResult:
@@ -110,7 +107,8 @@ def build_graph(drone_embs: Sequence[np.ndarray], sat_embs: Sequence[np.ndarray]
                 k_graph: int) -> TransitionGraph:
     """Top-k cosine graph over drones + satellites, symmetrized, column-stochastic.
 
-    Equal similarities keep the lower node index first. Negative
+    Equal similarities keep the lower node index first, also between
+    byte-identical nodes, whose similarities are made exactly equal. Negative
     similarities are clamped to zero after neighbor selection; a column left
     all-zero falls back to uniform 1/k over that node's k nearest neighbors
     regardless of sign, so every column sums to one.
@@ -122,7 +120,12 @@ def build_graph(drone_embs: Sequence[np.ndarray], sat_embs: Sequence[np.ndarray]
     if not 1 <= k_graph < n:
         raise ValueError(f"k_graph must be in [1, {n - 1}] (got {k_graph})")
     emb = _normalized_rows(list(drone_embs) + list(sat_embs), "graph node")
-    sims = emb @ emb.T
+    # The product can round byte-identical nodes differently; every column
+    # is read from the lowest index of its node's identical rows, so copies
+    # tie exactly and the tie rule, not rounding, orders them.
+    _, first, inverse = np.unique(emb.view(np.dtype((np.void, emb.itemsize * emb.shape[1]))),
+                                  return_index=True, return_inverse=True)
+    sims = (emb @ emb.T)[:, first[inverse.ravel()]]
     np.fill_diagonal(sims, -np.inf)
 
     # copied, so that the full n x n sort order is freed at once
@@ -321,5 +324,7 @@ def read_embeddings(path) -> list[tuple[int, str, int, np.ndarray]]:
         vec = np.array([float(t) for t in tok[3:]])
         if vec.size != dim:
             raise ValueError(f"{path}: entry {tok[0]} has {vec.size} dims, needs {dim}")
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{path}: entry {tok[0]} has a non-finite value")
         out.append((int(tok[0]), tok[1], int(tok[2]), vec))
     return out

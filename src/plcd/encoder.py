@@ -2,10 +2,13 @@
 
 An encoder maps the flattened feature map through one affine layer (optional
 tanh) to a ``dim``-dimensional embedding, plus a linear classifier head over
-the training identities. Region descriptors share the same parameters: the
-region-pooled channel vector is broadcast across the spatial grid and sent
-through the identical affine map, which collapses to a (dim, channels)
-projection and keeps the checkpoint format free of extra tensors.
+the training identities. Region descriptors share the same parameters: a
+region's centered pooled channel vector is spread evenly over that region's
+cells and sent through the identical affine map, so the checkpoint format
+holds no extra tensors. A fixed (k, h*w) averaging matrix folds the k
+regions of a grid into the weight, and one batched product embeds an
+(n, k, channels) stack of pooled rows; the backward pass folds the stack's
+(k, dim, channels) gradient back through the same matrix.
 """
 
 from __future__ import annotations
@@ -107,28 +110,6 @@ def forward(params: EncoderParams, record: ImageRecord, normalize: bool = False)
     return embed_vector(params, record.featmap.ravel(), normalize=normalize)
 
 
-def embed_map(params: EncoderParams, record: ImageRecord) -> np.ndarray:
-    """Feature map handed to region pooling (the raw map for this encoder family)."""
-    return record.featmap
-
-
-def region_projection(params: EncoderParams, map_shape: tuple[int, int, int],
-                      cells: np.ndarray) -> np.ndarray:
-    """(dim, channels) projection for a region-pooled vector.
-
-    The pooled vector is treated as sitting on the region's own cells (mean
-    of the weight blocks it covers), so the spatial structure the weights
-    learned from whole images carries over to region descriptors; a region
-    covering the full map reduces to the per-channel mean of all blocks.
-    """
-    c, h, w = map_shape
-    if c * h * w != params.input_dim:
-        raise ValueError(
-            f"map shape {map_shape} does not flatten to input_dim {params.input_dim}"
-        )
-    return params.weight.reshape(params.dim, c, h * w)[:, :, cells].mean(axis=2)
-
-
 def _center(pooled: np.ndarray) -> np.ndarray:
     """Remove the per-vector channel mean from pooled maxima.
 
@@ -140,69 +121,43 @@ def _center(pooled: np.ndarray) -> np.ndarray:
     return pooled - pooled.mean(axis=-1, keepdims=True)
 
 
-def patch_embed(params: EncoderParams, pooled: np.ndarray,
-                map_shape: tuple[int, int, int], cells: np.ndarray,
-                projection: np.ndarray | None = None) -> np.ndarray:
-    """Embedding of one region-pooled channel vector."""
-    proj = region_projection(params, map_shape, cells) if projection is None else projection
-    pre = proj @ _center(pooled) + params.bias
+def region_embed(params: EncoderParams, avg: np.ndarray, pooled: np.ndarray) -> np.ndarray:
+    """Region descriptors (n, k, dim) of an (n, k, channels) pooled stack.
+
+    Row r of ``avg`` (k, h*w) is 1/|cells_r| on region r's cells: the
+    centered pooled vector is spread evenly over the region's cells and sent
+    through the whole-image affine map.
+    """
+    _, k, c = pooled.shape
+    if avg.shape[0] != k or c * avg.shape[1] != params.input_dim:
+        raise ValueError(
+            f"pooled stack of {k} regions x {c} channels and a {avg.shape} averaging "
+            f"matrix do not match encoder input_dim {params.input_dim} (role {params.role})"
+        )
+    # (k, dim, c): each region's weight blocks averaged over its cells
+    blocks = (params.weight.reshape(params.dim * c, -1) @ avg.T) \
+        .reshape(params.dim, c, k).transpose(2, 0, 1)
+    pre = np.matmul(_center(pooled).transpose(1, 0, 2), blocks.transpose(0, 2, 1))
+    pre = pre.transpose(1, 0, 2) + params.bias
     return np.tanh(pre) if params.tanh else pre
 
 
-class RegionProjector:
-    """Per-grid-region projections for one encoder's current weights.
-
-    Rebuilt once per optimization step (the matrices depend on the weights);
-    ``embed``/``backward`` then run over (k, channels) stacks whose rows
-    follow the projector's region order.
-    """
-
-    def __init__(self, params: EncoderParams, map_shape: tuple[int, int, int],
-                 cells_list: list[np.ndarray]):
-        self.params = params
-        self.map_shape = map_shape
-        self.cells_list = cells_list
-        self.matrices = np.stack([
-            region_projection(params, map_shape, cells) for cells in cells_list
-        ])  # (k, dim, channels)
-        self._pending = np.zeros_like(self.matrices)
-        self._dirty = False
-
-    def embed(self, pooled: np.ndarray) -> np.ndarray:
-        pre = np.einsum("kdc,kc->kd", self.matrices, _center(pooled)) + self.params.bias
-        return np.tanh(pre) if self.params.tanh else pre
-
-    def backward(self, pooled: np.ndarray, g_emb: np.ndarray,
-                 grads: "EncoderGrads") -> None:
-        """Accumulate one call's gradients; ``flush`` folds the per-region
-        buffer into the weight gradient (cheap to call once per step)."""
-        centered = _center(pooled)
-        if self.params.tanh:
-            pre = np.einsum("kdc,kc->kd", self.matrices, centered) + self.params.bias
-            g_pre = g_emb * (1.0 - np.tanh(pre) ** 2)
-        else:
-            g_pre = g_emb
-        self._pending += np.einsum("kd,kc->kdc", g_pre, centered)
-        self._dirty = True
-        grads.bias += g_pre.sum(axis=0)
-
-    def flush(self, grads: "EncoderGrads") -> None:
-        if not self._dirty:
-            return
-        c, h, w = self.map_shape
-        weight3 = grads.weight.reshape(grads.weight.shape[0], c, h * w)
-        for row, cells in enumerate(self.cells_list):
-            weight3[:, :, cells] += self._pending[row][:, :, None] / len(cells)
-        self._pending[:] = 0.0
-        self._dirty = False
+def region_backward(params: EncoderParams, avg: np.ndarray, pooled: np.ndarray,
+                    g_desc: np.ndarray, grads: "EncoderGrads") -> None:
+    """Add the gradients of a whole pooled stack's descriptors, given as
+    ``g_desc`` (n, k, dim), into ``grads.weight`` and ``grads.bias``."""
+    if params.tanh:
+        g_desc = g_desc * (1.0 - region_embed(params, avg, pooled) ** 2)
+    k = avg.shape[0]
+    # (k, dim, c): per-region outer products summed over the stack
+    g_blocks = np.matmul(g_desc.transpose(1, 2, 0), _center(pooled).transpose(1, 0, 2))
+    grads.weight += (g_blocks.transpose(1, 2, 0).reshape(-1, k) @ avg) \
+        .reshape(grads.weight.shape)
+    grads.bias += g_desc.sum(axis=(0, 1))
 
 
 def logits_from_embedding(params: EncoderParams, emb: np.ndarray) -> np.ndarray:
     return params.classifier_weight @ emb + params.classifier_bias
-
-
-def logits(params: EncoderParams, record: ImageRecord) -> np.ndarray:
-    return logits_from_embedding(params, forward(params, record))
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +358,10 @@ def load_params(path, tanh: bool = False) -> EncoderParams:
         offset += size
         return out
 
-    return EncoderParams(
-        role=role,
-        weight=take((dim, input_dim)),
-        bias=take((dim,)),
-        classifier_weight=take((classes, dim)),
-        classifier_bias=take((classes,)),
-        tanh=tanh,
-    )
+    arrays = {name: take(shape) for name, shape in (
+        ("weight", (dim, input_dim)), ("bias", (dim,)),
+        ("classifier_weight", (classes, dim)), ("classifier_bias", (classes,)))}
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: non-finite value in {name}")
+    return EncoderParams(role=role, tanh=tanh, **arrays)

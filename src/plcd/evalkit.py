@@ -210,7 +210,7 @@ def run_ablation(suite: str, cfg, split=None, models=None) -> AblationResult:
         one = pipeline.train_one_model(cfg, split)
         for task in ("ground-drone", "drone-satellite", "ground-satellite"):
             rows.append((f"one-model:{task}",
-                         pipeline.evaluate_task(cfg, split, one, task, shared=True)))
+                         pipeline.evaluate_task(cfg, split, one, task)))
             rows.append((f"two-branch:{task}",
                          pipeline.evaluate_task(cfg, split, models, task)))
     elif suite == "alpha-sweep":

@@ -100,7 +100,6 @@ def train_satellite_drone(split: DatasetSplit, teacher: enc.EncoderParams,
     grid = rmac.region_grid((map_shape[1], map_shape[2]), cfg.scales,
                             cfg.width_table, cfg.reference_side)
     cache = _PooledCache(grid, map_shape)
-    teacher_projector = cache.projector(teacher)  # frozen, built once
     sections = sorted({s for by_sec in drones.values() for s in by_sec})
     log: list[str] = []
 
@@ -124,7 +123,7 @@ def train_satellite_drone(split: DatasetSplit, teacher: enc.EncoderParams,
 
             grads = enc.new_grads(params)
             value_triplet, value_patch = _shared_step(
-                params, teacher_projector, drone_recs, drone_owner, sat_recs,
+                params, teacher, drone_recs, drone_owner, sat_recs,
                 chunk, cache, cfg, grads)
             total = losses.joint_sd_loss(value_triplet, value_patch, cfg.lambda2)
             if not np.isfinite(total):
@@ -135,7 +134,7 @@ def train_satellite_drone(split: DatasetSplit, teacher: enc.EncoderParams,
     return params, log
 
 
-def _shared_step(params, teacher_projector, drone_recs, drone_owner, sat_recs,
+def _shared_step(params, teacher, drone_recs, drone_owner, sat_recs,
                  chunk, cache, cfg, grads):
     # Triplets run on unit embeddings (squared distance = 2 - 2cos), the same
     # geometry the cosine-based retrieval is scored in; raw embeddings leave
@@ -161,23 +160,18 @@ def _shared_step(params, teacher_projector, drone_recs, drone_owner, sat_recs,
         for j, g in zip(pool_idx, tgrads["pool"]):
             g_sats[j] += g / n_anchors
 
-    student_projector = cache.projector(params)
-    teacher_patches = []
-    student_patches = []
-    pooled_stack = []
-    for rec in drone_recs:
-        pooled = cache.get(rec)  # row 0 (whole map) + grid rows
-        pooled_stack.append(pooled)
-        teacher_patches.append(teacher_projector.embed(pooled)[1:])
-        student_patches.append(student_projector.embed(pooled)[1:])
-    value_patch, patch_grads = losses.patch_mse_loss(teacher_patches, student_patches)
+    # region descriptors: row 0 (whole map) carries no patch term
+    pooled = cache.stack(drone_recs)
+    teacher_patches = enc.region_embed(teacher, cache.avg, pooled)[:, 1:]
+    student_patches = enc.region_embed(params, cache.avg, pooled)[:, 1:]
+    value_patch, patch_grads = losses.patch_mse_loss(list(teacher_patches),
+                                                     list(student_patches))
 
     for x, g in zip(drone_x, g_anchors):
         enc.embed_backward(params, x, g, grads, normalized=True)
     for x, g in zip(sat_x, g_sats):
         enc.embed_backward(params, x, g, grads, normalized=True)
-    for pooled, g in zip(pooled_stack, patch_grads):
-        padded = np.vstack([np.zeros((1, g.shape[1])), cfg.lambda2 * g])
-        student_projector.backward(pooled, padded, grads)
-    student_projector.flush(grads)
+    g_descs = np.zeros((len(drone_recs), len(cache.grid) + 1, params.dim))
+    g_descs[:, 1:] = cfg.lambda2 * np.array(patch_grads)
+    enc.region_backward(params, cache.avg, pooled, g_descs, grads)
     return value_triplet, value_patch

@@ -118,35 +118,32 @@ def _one_hot(n: int, idx: int) -> np.ndarray:
     return v
 
 
-def aggregate_feature(projector: enc.RegionProjector, pooled: np.ndarray) -> np.ndarray:
-    """Drone-branch image feature: mean of L2-normalized region descriptors.
+def aggregate_feature(descs: np.ndarray) -> np.ndarray:
+    """Drone-branch image features (n, dim) from region descriptors
+    (n, k, dim): the mean of each record's L2-normalized rows.
 
     Aggregating the region descriptors routes every training gradient through
     the region path, so the same descriptors that drive retrieval also back
     the similarity distributions and the best-sub-region representation. All
-    rows of ``pooled`` participate (row 0, the global max pool, duplicates
-    the scale-1 region and mildly emphasizes the global view); the mean keeps
-    the feature on the same scale as a single unit descriptor.
+    k rows participate (row 0, the global max pool, duplicates the scale-1
+    region and mildly emphasizes the global view); the mean keeps the feature
+    on the same scale as a single unit descriptor.
     """
-    descs = projector.embed(pooled)
-    norms = np.maximum(np.linalg.norm(descs, axis=1, keepdims=True), 1e-12)
-    return (descs / norms).mean(axis=0)
+    norms = np.maximum(np.linalg.norm(descs, axis=-1, keepdims=True), 1e-12)
+    return (descs / norms).mean(axis=-2)
 
 
-def aggregate_backward(projector: enc.RegionProjector, pooled: np.ndarray,
-                       g_emb: np.ndarray, grads: enc.EncoderGrads) -> None:
-    """Chain an aggregate-feature gradient back through normalization and the
-    region projections."""
-    descs = projector.embed(pooled)
-    g_scaled = g_emb / descs.shape[0]
-    g_rows = np.zeros_like(descs)
-    for i, desc in enumerate(descs):
-        norm = float(np.linalg.norm(desc))
-        if norm < 1e-12:
-            continue
-        unit = desc / norm
-        g_rows[i] = (g_scaled - float(g_scaled @ unit) * unit) / norm
-    projector.backward(pooled, g_rows, grads)
+def aggregate_backward(descs: np.ndarray, g_feats: np.ndarray) -> np.ndarray:
+    """Chain feature gradients (n, dim) back through the mean and the row
+    normalization; returns the gradient wrt ``descs`` (n, k, dim). A zero
+    row passes no gradient."""
+    norms = np.linalg.norm(descs, axis=-1, keepdims=True)
+    live = norms >= 1e-12
+    norms = np.where(live, norms, 1.0)
+    unit = descs / norms
+    g = g_feats[:, None, :] / descs.shape[1]
+    g_rows = (g - np.sum(g * unit, axis=-1, keepdims=True) * unit) / norms
+    return np.where(live, g_rows, 0.0)
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -203,23 +200,6 @@ def mine_easy_triplet(anchor: ImageRecord, positive_batch: list[ImageRecord],
     )
 
 
-def _mining_feature_fn(ground_params, cache, drone_projector):
-    """Feature hook for the miner: ground params embed through the whole-image
-    path, anything else through the current region-aggregate feature.
-    Memoized per record id (valid for the lifetime of the projector)."""
-    memo: dict[int, np.ndarray] = {}
-
-    def feature_fn(params, record):
-        if params is ground_params:
-            return enc.forward(params, record)
-        emb = memo.get(record.id)
-        if emb is None:
-            emb = aggregate_feature(drone_projector, cache.get(record))
-            memo[record.id] = emb
-        return emb
-    return feature_fn
-
-
 def _sample_positive_batch(ctx: _TrainContext, landmark: int,
                            rng: np.random.Generator) -> list[ImageRecord]:
     by_sec = ctx.drones.get(landmark)
@@ -234,51 +214,20 @@ def _sample_positive_batch(ctx: _TrainContext, landmark: int,
     return batch
 
 
-def _hard_step(ground_params, drone_params, anchor, mined, ctx,
-               g_grads, d_grads, cache, drone_projector):
-    """Consistency + per-branch cross-entropy for one anchor; returns the value.
-
-    The ground anchor embeds through the affine whole-image path; drone
-    records embed through the region-aggregate feature so the hard objective
-    trains the region descriptors directly.
-    """
-    x_a = anchor.featmap.ravel()
-    a = enc.embed_vector(ground_params, x_a)
-    pooled_p = cache.get(mined.positive)
-    p = aggregate_feature(drone_projector, pooled_p)
-    pooled_negs = [cache.get(n) for n in mined.negatives]
-    negs = [aggregate_feature(drone_projector, pn) for pn in pooled_negs]
-
-    value, grads = losses.consistency_loss(a, p, negs)
-    g_a, g_p = grads["anchor"], grads["positive"]
-
-    target = _one_hot(ctx.num_classes, ctx.class_index[anchor.landmark])
-    ce_a, g_log_a = losses.cross_entropy(enc.logits_from_embedding(ground_params, a), target)
-    g_a = g_a + enc.classifier_backward(ground_params, a, g_log_a, g_grads)
-    ce_p, g_log_p = losses.cross_entropy(enc.logits_from_embedding(drone_params, p), target)
-    g_p = g_p + enc.classifier_backward(drone_params, p, g_log_p, d_grads)
-
-    enc.embed_backward(ground_params, x_a, g_a, g_grads)
-    aggregate_backward(drone_projector, pooled_p, g_p, d_grads)
-    for pn, g_n in zip(pooled_negs, grads["negatives"]):
-        aggregate_backward(drone_projector, pn, g_n, d_grads)
-    return value + ce_a + ce_p
-
-
 class _PooledCache:
     """Region-pooled descriptors per record: row 0 is the global max pool,
     the remaining rows follow the grid order. Maps never change, so this is
-    computed once per record."""
+    computed once per record. ``avg`` is the matching (k, h*w) averaging
+    matrix: row r is 1/|cells_r| on region r's cells, row 0 the full map."""
 
     def __init__(self, grid: list[rmac.Region], map_shape: tuple[int, int, int]):
         self.grid = grid
-        self.map_shape = map_shape
-        full = np.arange(map_shape[1] * map_shape[2])
-        self.cells_list = [full] + [rmac.region_cells(r, map_shape) for r in grid]
+        cells = map_shape[1] * map_shape[2]
+        cells_list = [np.arange(cells)] + [rmac.region_cells(r, map_shape) for r in grid]
+        self.avg = np.zeros((len(cells_list), cells))
+        for row, region_cells in enumerate(cells_list):
+            self.avg[row, region_cells] = 1.0 / len(region_cells)
         self._store: dict[int, np.ndarray] = {}
-
-    def projector(self, params: enc.EncoderParams) -> enc.RegionProjector:
-        return enc.RegionProjector(params, self.map_shape, self.cells_list)
 
     def get(self, record: ImageRecord) -> np.ndarray:
         pooled = self._store.get(record.id)
@@ -289,29 +238,98 @@ class _PooledCache:
             self._store[record.id] = pooled
         return pooled
 
+    def stack(self, records: list[ImageRecord]) -> np.ndarray:
+        """(n, k, channels) pooled rows of ``records``, in order."""
+        return np.stack([self.get(r) for r in records])
 
-def _soft_step(senior_ground, junior, anchor, doublet_records, cache,
-               senior_projector, junior_projector, tau, lambda1,
-               jg_grads, jd_grads):
-    """Distillation over whole+region descriptors for one doublet."""
-    jg, jd = junior
+
+class _Step:
+    """One optimization step of a peer pair. Every record the step touches is
+    embedded once with the current drone parameters (and with a frozen
+    senior's, when given): the anchors, read by drone-space mining, then each
+    drone of the batch's positive batches, which also hold every negative.
+    The losses read these rows and add their gradients to ``g_feats`` (image
+    features) and ``g_descs`` (descriptors); ``backward`` chains both through
+    one region_backward."""
+
+    def __init__(self, epoch: int, params_list: list[enc.EncoderParams],
+                 cache: _PooledCache, entries, senior_drone=None):
+        self.epoch = epoch
+        self.ground, self.drone = params_list[0], params_list[-1]
+        self.grads = [enc.new_grads(p) for p in params_list]
+        records = {r.id: r for anchor, positives in entries
+                   for r in (anchor, *positives)}
+        self.row = {rid: i for i, rid in enumerate(records)}
+        self.pooled = cache.stack(list(records.values()))
+        self.descs = enc.region_embed(self.drone, cache.avg, self.pooled)
+        self.senior_descs = (None if senior_drone is None
+                             else enc.region_embed(senior_drone, cache.avg, self.pooled))
+        self.feats = aggregate_feature(self.descs)
+        self.g_feats = np.zeros_like(self.feats)
+        self.g_descs = np.zeros_like(self.descs)
+
+    def rows(self, records: list[ImageRecord]) -> list[int]:
+        return [self.row[r.id] for r in records]
+
+    def feature(self, params: enc.EncoderParams, record: ImageRecord) -> np.ndarray:
+        """Miner feature hook: ground params embed through the whole-image
+        path, anything else reads this step's region-aggregate rows."""
+        if params is self.ground:
+            return enc.forward(params, record)
+        return self.feats[self.row[record.id]]
+
+    def backward(self, avg: np.ndarray) -> None:
+        g_descs = self.g_descs + aggregate_backward(self.descs, self.g_feats)
+        enc.region_backward(self.drone, avg, self.pooled, g_descs, self.grads[-1])
+
+
+def _hard_step(anchor, mined, ctx, step: _Step):
+    """Consistency + per-branch cross-entropy for one anchor; returns the value.
+
+    The ground anchor embeds through the affine whole-image path; drone
+    records read the step's region-aggregate features, so the hard objective
+    trains the region descriptors directly.
+    """
+    g_grads, d_grads = step.grads[0], step.grads[-1]
     x_a = anchor.featmap.ravel()
-    pooled = [cache.get(r) for r in doublet_records]
-    senior_entries = np.vstack([senior_projector.embed(p) for p in pooled])
-    junior_entries = np.vstack([junior_projector.embed(p) for p in pooled])
+    a = enc.embed_vector(step.ground, x_a)
+    p_row = step.row[mined.positive.id]
+    neg_rows = step.rows(mined.negatives)
+    p = step.feats[p_row]
+
+    value, grads = losses.consistency_loss(a, p, list(step.feats[neg_rows]))
+    g_a, g_p = grads["anchor"], grads["positive"]
+
+    target = _one_hot(ctx.num_classes, ctx.class_index[anchor.landmark])
+    ce_a, g_log_a = losses.cross_entropy(enc.logits_from_embedding(step.ground, a), target)
+    g_a = g_a + enc.classifier_backward(step.ground, a, g_log_a, g_grads)
+    ce_p, g_log_p = losses.cross_entropy(enc.logits_from_embedding(step.drone, p), target)
+    g_p = g_p + enc.classifier_backward(step.drone, p, g_log_p, d_grads)
+
+    enc.embed_backward(step.ground, x_a, g_a, g_grads)
+    step.g_feats[p_row] += g_p
+    for row, g_n in zip(neg_rows, grads["negatives"]):
+        step.g_feats[row] += g_n  # a record can sit twice in a negative pool
+    return value + ce_a + ce_p
+
+
+def _soft_step(senior_ground, anchor, doublet_records, step: _Step, tau, lambda1):
+    """Distillation over whole+region descriptors for one doublet."""
+    x_a = anchor.featmap.ravel()
+    rows = step.rows(doublet_records)
+    per_image, dim = step.descs.shape[1:]
+    senior_entries = step.senior_descs[rows].reshape(-1, dim)
+    junior_entries = step.descs[rows].reshape(-1, dim)
 
     a_sp = enc.embed_vector(senior_ground, x_a)
-    a_jp = enc.embed_vector(jg, x_a)
-    per_image = len(cache.grid) + 1
+    a_jp = enc.embed_vector(step.ground, x_a)
     senior_vec = _similarity_from_rows(a_sp, senior_entries, per_image, tau)
     junior_vec = _similarity_from_rows(a_jp, junior_entries, per_image, 1.0)
 
     value, g_dots = losses.soft_loss(senior_vec, junior_vec)
     g_anchor, g_entries = losses.similarity_input_grads(junior_vec, g_dots)
-    enc.embed_backward(jg, x_a, lambda1 * g_anchor, jg_grads)
-    for i, p in enumerate(pooled):
-        junior_projector.backward(
-            p, lambda1 * g_entries[i * per_image : (i + 1) * per_image], jd_grads)
+    enc.embed_backward(step.ground, x_a, lambda1 * g_anchor, step.grads[0])
+    step.g_descs[rows] += lambda1 * g_entries.reshape(len(rows), per_image, dim)
     return value
 
 
@@ -356,6 +374,47 @@ def _init_pair(ctx, cfg, stream_prefix):
     return g, d
 
 
+def _train_pair(ctx, cfg, ground_params, drone_params, rng, epochs: int,
+                rate_scale: float, anchor_step, senior_drone=None) -> list[str]:
+    """The loop both training steps share. Per batch: one ``_Step``,
+    ``anchor_step(step, anchor, positives, negatives)`` per anchor returning
+    its (hard, soft) values, one region backward and one SGD step per
+    parameter set. Returns the log lines."""
+    grid = rmac.region_grid((ctx.map_shape[1], ctx.map_shape[2]), cfg.scales,
+                            cfg.width_table, cfg.reference_side)
+    cache = _PooledCache(grid, ctx.map_shape)
+    shared = drone_params is ground_params
+    params_list = [ground_params] if shared else [ground_params, drone_params]
+    states = [enc.new_sgd_state(p, cfg.lr_head * rate_scale, cfg.lr_body * rate_scale,
+                                cfg.momentum, cfg.decay_epoch, cfg.decay_factor)
+              for p in params_list]
+    log: list[str] = []
+    for epoch in range(epochs):
+        for s in states:
+            s.epoch = epoch
+        for step_idx, entries in enumerate(_epoch_batches(ctx, cfg, rng)):
+            step = _Step(epoch, params_list, cache, entries, senior_drone)
+            values = []
+            for anchor, positives in entries:
+                negatives = _batch_negatives(entries, anchor)
+                if negatives:
+                    values.append(anchor_step(step, anchor, positives, negatives))
+            if not values:
+                continue
+            hard = sum(v[0] for v in values) / len(values)
+            soft = sum(v[1] for v in values) / len(values)
+            total = losses.joint_gd_loss(hard, soft, cfg.lambda1)
+            if not np.isfinite(total):
+                raise TrainingDiverged(
+                    f"non-finite loss {total} at epoch {epoch} step {step_idx}")
+            step.backward(cache.avg)
+            for params, grads, state in zip(params_list, step.grads, states):
+                enc.scale_grads(grads, 1.0 / len(values))
+                enc.sgd_step(params, grads, state)
+            log.append(f"{epoch} {step_idx} {hard:.6f} {soft:.6f} {total:.6f}")
+    return log
+
+
 def train_senior(split: DatasetSplit, cfg: PeerConfig, mining: bool = True,
                  shared_branches: bool = False):
     """Step I. Returns (ground_params, drone_params, log_lines).
@@ -374,53 +433,22 @@ def train_senior(split: DatasetSplit, cfg: PeerConfig, mining: bool = True,
     if shared_branches:
         drone_params = ground_params
     rng = substream(cfg.seed, "peerlearn.senior")
-    grid = rmac.region_grid((ctx.map_shape[1], ctx.map_shape[2]), cfg.scales,
-                            cfg.width_table, cfg.reference_side)
-    cache = _PooledCache(grid, ctx.map_shape)
-    log: list[str] = []
 
-    params_list = [ground_params] if shared_branches else [ground_params, drone_params]
-    states = [enc.new_sgd_state(p, cfg.lr_head, cfg.lr_body, cfg.momentum,
-                                cfg.decay_epoch, cfg.decay_factor) for p in params_list]
+    def anchor_step(step, anchor, positives, negatives):
+        n_neg = min(cfg.num_negatives, len(negatives))
+        if mining and step.epoch >= cfg.warmup_epochs:
+            mined = mine_easy_triplet(anchor, positives, negatives,
+                                      ground_params, drone_params, n_neg,
+                                      space=cfg.mining_space,
+                                      feature_fn=step.feature)
+        else:
+            pos = positives[int(rng.integers(len(positives)))]
+            idx = rng.permutation(len(negatives))[:n_neg]
+            mined = MinedTriplet(pos, [negatives[i] for i in idx])
+        return _hard_step(anchor, mined, ctx, step), 0.0
 
-    for epoch in range(cfg.epochs_senior):
-        for s in states:
-            s.epoch = epoch
-        for step, entries in enumerate(_epoch_batches(ctx, cfg, rng)):
-            grads_list = [enc.new_grads(p) for p in params_list]
-            g_grads, d_grads = grads_list[0], grads_list[-1]
-            projector = cache.projector(drone_params)
-            feature_fn = _mining_feature_fn(ground_params, cache, projector)
-            total = 0.0
-            used = 0
-            for anchor, positives in entries:
-                negatives = _batch_negatives(entries, anchor)
-                if not negatives:
-                    continue
-                n_neg = min(cfg.num_negatives, len(negatives))
-                if mining and epoch >= cfg.warmup_epochs:
-                    mined = mine_easy_triplet(anchor, positives, negatives,
-                                              ground_params, drone_params, n_neg,
-                                              space=cfg.mining_space,
-                                              feature_fn=feature_fn)
-                else:
-                    pos = positives[int(rng.integers(len(positives)))]
-                    idx = rng.permutation(len(negatives))[:n_neg]
-                    mined = MinedTriplet(pos, [negatives[i] for i in idx])
-                total += _hard_step(ground_params, drone_params, anchor, mined,
-                                    ctx, g_grads, d_grads, cache, projector)
-                used += 1
-            if not used:
-                continue
-            total /= used
-            if not np.isfinite(total):
-                raise TrainingDiverged(
-                    f"non-finite loss {total} at epoch {epoch} step {step}")
-            projector.flush(d_grads)
-            for params, grads, state in zip(params_list, grads_list, states):
-                enc.scale_grads(grads, 1.0 / used)
-                enc.sgd_step(params, grads, state)
-            log.append(f"{epoch} {step} {total:.6f} {0.0:.6f} {total:.6f}")
+    log = _train_pair(ctx, cfg, ground_params, drone_params, rng,
+                      cfg.epochs_senior, 1.0, anchor_step)
     return ground_params, drone_params, log
 
 
@@ -436,130 +464,84 @@ def train_junior(split: DatasetSplit, senior: tuple[enc.EncoderParams, enc.Encod
     ctx = build_context(split)
     senior_ground, senior_drone = senior
     if cfg.junior_init == "senior":
-        ground_params = senior_ground.copy()
-        drone_params = ground_params if shared_branches else senior_drone.copy()
+        ground_params, drone_params = senior_ground.copy(), senior_drone.copy()
     else:
         ground_params, drone_params = _init_pair(ctx, cfg, "peerlearn.init.junior")
-        if shared_branches:
-            drone_params = ground_params
+    if shared_branches:
+        drone_params = ground_params
     rng = substream(cfg.seed, f"peerlearn.junior{round_tag}")
-    grid = rmac.region_grid((ctx.map_shape[1], ctx.map_shape[2]), cfg.scales,
-                            cfg.width_table, cfg.reference_side)
-    cache = _PooledCache(grid, ctx.map_shape)
-    senior_projector = cache.projector(senior_drone)  # frozen, built once
-    log: list[str] = []
+
+    def anchor_step(step, anchor, positives, negatives):
+        n_neg = min(cfg.num_negatives, len(negatives))
+        # Step II works the difficult positives: the senior only ever
+        # trained on the easiest one, the junior draws across all
+        # sections while keeping the mined hard negatives.
+        mined = mine_easy_triplet(anchor, positives, negatives,
+                                  ground_params, drone_params, n_neg,
+                                  space=cfg.mining_space,
+                                  feature_fn=step.feature)
+        hard_positive = positives[int(rng.integers(len(positives)))]
+        hard = _hard_step(anchor, MinedTriplet(hard_positive, mined.negatives), ctx, step)
+        doublet = positives
+        if cfg.num_positives and cfg.num_positives < len(positives):
+            idx = sorted(rng.permutation(len(positives))[: cfg.num_positives])
+            doublet = [positives[i] for i in idx]
+        soft = _soft_step(senior_ground, anchor, doublet, step, cfg.tau, cfg.lambda1)
+        return hard, soft
 
     # Step II refines an already-trained model: it continues at the schedule's
     # decayed rate rather than restarting at the step-I rate.
-    params_list = [ground_params] if shared_branches else [ground_params, drone_params]
-    states = [enc.new_sgd_state(p, cfg.lr_head * cfg.junior_lr_scale,
-                                cfg.lr_body * cfg.junior_lr_scale, cfg.momentum,
-                                cfg.decay_epoch, cfg.decay_factor) for p in params_list]
-
-    for epoch in range(cfg.epochs_junior):
-        for s in states:
-            s.epoch = epoch
-        for step, entries in enumerate(_epoch_batches(ctx, cfg, rng)):
-            grads_list = [enc.new_grads(p) for p in params_list]
-            g_grads, d_grads = grads_list[0], grads_list[-1]
-            junior_projector = cache.projector(drone_params)
-            feature_fn = _mining_feature_fn(ground_params, cache, junior_projector)
-            hard_total = 0.0
-            soft_total = 0.0
-            used = 0
-            for anchor, positives in entries:
-                negatives = _batch_negatives(entries, anchor)
-                if not negatives:
-                    continue
-                n_neg = min(cfg.num_negatives, len(negatives))
-                # Step II works the difficult positives: the senior only ever
-                # trained on the easiest one, the junior draws across all
-                # sections while keeping the mined hard negatives.
-                mined = mine_easy_triplet(anchor, positives, negatives,
-                                          ground_params, drone_params, n_neg,
-                                          space=cfg.mining_space,
-                                          feature_fn=feature_fn)
-                hard_positive = positives[int(rng.integers(len(positives)))]
-                mined = MinedTriplet(hard_positive, mined.negatives)
-                hard_total += _hard_step(ground_params, drone_params, anchor, mined,
-                                         ctx, g_grads, d_grads, cache, junior_projector)
-                doublet = positives
-                if cfg.num_positives and cfg.num_positives < len(positives):
-                    idx = sorted(rng.permutation(len(positives))[: cfg.num_positives])
-                    doublet = [positives[i] for i in idx]
-                soft_total += _soft_step(senior_ground,
-                                         (ground_params, drone_params),
-                                         anchor, doublet, cache,
-                                         senior_projector, junior_projector,
-                                         cfg.tau, cfg.lambda1, g_grads, d_grads)
-                used += 1
-            if not used:
-                continue
-            hard_total /= used
-            soft_total /= used
-            total = losses.joint_gd_loss(hard_total, soft_total, cfg.lambda1)
-            if not np.isfinite(total):
-                raise TrainingDiverged(
-                    f"non-finite loss {total} at epoch {epoch} step {step}")
-            junior_projector.flush(d_grads)
-            for params, grads, state in zip(params_list, grads_list, states):
-                enc.scale_grads(grads, 1.0 / used)
-                enc.sgd_step(params, grads, state)
-            log.append(f"{epoch} {step} {hard_total:.6f} {soft_total:.6f} {total:.6f}")
+    log = _train_pair(ctx, cfg, ground_params, drone_params, rng, cfg.epochs_junior,
+                      cfg.junior_lr_scale, anchor_step, senior_drone=senior_drone)
     return ground_params, drone_params, log
 
 
 # ---------------------------------------------------------------------------
-# best-sub-region retrieval representation
+# retrieval-side drone features
 # ---------------------------------------------------------------------------
 
-def gallery_descriptors(params: enc.EncoderParams, record: ImageRecord,
-                        grid: list[rmac.Region],
-                        cache: _PooledCache | None = None,
-                        projector: enc.RegionProjector | None = None) -> np.ndarray:
-    """(m+1, dim) rows: the image-level region-aggregate feature, then one
-    row per grid region, each L2-normalized for cosine scoring."""
+# Records per region forward at retrieval time: bounds the (n, k, dim)
+# descriptor stack and its temporaries for large galleries.
+RETRIEVAL_BLOCK = 32
+
+
+def _descriptor_blocks(params: enc.EncoderParams, grid: list[rmac.Region],
+                       records: list[ImageRecord]):
+    """Region descriptors (b, k, dim) of ``records``, one block at a time.
+    Each block's pooled rows go with it: no record is embedded twice."""
     if not grid:
-        raise ValueError("gallery_descriptors needs a non-empty grid")
-    map_shape = record.featmap.shape
-    if cache is None:
-        cache = _PooledCache(grid, map_shape)
-    if projector is None:
-        projector = cache.projector(params)
-    pooled = cache.get(record)
-    rows = [aggregate_feature(projector, pooled)]
-    rows += list(projector.embed(pooled)[1:])
-    return np.stack([enc.l2_normalize(r) for r in rows])
+        raise ValueError("region descriptors need a non-empty grid")
+    for start in range(0, len(records), RETRIEVAL_BLOCK):
+        block = records[start : start + RETRIEVAL_BLOCK]
+        cache = _PooledCache(grid, block[0].featmap.shape)
+        yield enc.region_embed(params, cache.avg, cache.stack(block))
 
 
-def best_subregion_feature(params: enc.EncoderParams, record: ImageRecord,
-                           grid: list[rmac.Region], query_emb: np.ndarray):
-    """Most query-similar descriptor among whole + regions.
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """``enc.l2_normalize`` over the last axis: near-zero rows stay as they are."""
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    return x / np.where(norms < 1e-12, 1.0, norms)
 
-    Returns (descriptor, score, index) where index 0 is the whole image and
-    index i >= 1 is grid region i-1.
-    """
-    descriptors = gallery_descriptors(params, record, grid)
-    q = enc.l2_normalize(query_emb)
-    scores = descriptors @ q
-    best = min(range(len(scores)), key=lambda i: (-scores[i], i))
-    return descriptors[best], float(scores[best]), best
+
+def drone_features(params: enc.EncoderParams, grid: list[rmac.Region],
+                   records: list[ImageRecord], normalize: bool = False) -> np.ndarray:
+    """(n, dim) drone-branch image features of a non-empty record list: the
+    training path's region-aggregate feature, optionally L2-normalized."""
+    feats = np.concatenate([aggregate_feature(descs) for descs in
+                            _descriptor_blocks(params, grid, records)])
+    return _unit_rows(feats) if normalize else feats
+
+
+def gallery_descriptors(params: enc.EncoderParams, grid: list[rmac.Region],
+                        records: list[ImageRecord]) -> np.ndarray:
+    """(n, m+1, dim) L2-normalized rows per record, for cosine scoring: the
+    image-level region-aggregate feature, then one row per grid region."""
+    return np.concatenate([
+        _unit_rows(np.concatenate([aggregate_feature(descs)[:, None], descs[:, 1:]],
+                                  axis=1))
+        for descs in _descriptor_blocks(params, grid, records)])
 
 
 def max_region_score(query_emb: np.ndarray, descriptors: np.ndarray) -> float:
     """Gallery score under the best-sub-region representation."""
     return float(np.max(descriptors @ enc.l2_normalize(query_emb)))
-
-
-class DroneFeatures:
-    """Batch helper producing the drone branch's image-level features for a
-    fixed parameter set (retrieval-time counterpart of the training path)."""
-
-    def __init__(self, params: enc.EncoderParams, grid: list[rmac.Region],
-                 map_shape: tuple[int, int, int]):
-        self.cache = _PooledCache(grid, map_shape)
-        self.projector = self.cache.projector(params)
-
-    def feature(self, record: ImageRecord, normalize: bool = False) -> np.ndarray:
-        emb = aggregate_feature(self.projector, self.cache.get(record))
-        return enc.l2_normalize(emb) if normalize else emb

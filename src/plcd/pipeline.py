@@ -97,15 +97,23 @@ def _normalized_embs(params: enc.EncoderParams, records) -> list[np.ndarray]:
     return [enc.forward(params, r, normalize=True) for r in records]
 
 
+def _cosine_rankings(query_ids, queries, gallery_ids, gallery) -> list[RankingList]:
+    """One ranking per query: the gallery ordered by dot product with its
+    unit rows."""
+    return [rank_gallery(qid, gallery_ids, [float(g @ q) for g in gallery])
+            for qid, q in zip(query_ids, queries)]
+
+
 def region_grid_for(cfg: RunConfig, map_shape) -> list[rmac.Region]:
     return rmac.region_grid((map_shape[1], map_shape[2]), cfg.scales,
                             cfg.width_table_dict(), cfg.reference_side)
 
 
 def drone_features(cfg: RunConfig, drone_params: enc.EncoderParams,
-                   map_shape) -> peerlearn.DroneFeatures:
-    return peerlearn.DroneFeatures(drone_params, region_grid_for(cfg, map_shape),
-                                   map_shape)
+                   drones: list[ImageRecord], normalize: bool = False) -> np.ndarray:
+    """(n, dim) drone-branch image features of a non-empty drone list."""
+    grid = region_grid_for(cfg, drones[0].featmap.shape)
+    return peerlearn.drone_features(drone_params, grid, drones, normalize=normalize)
 
 
 def ground_drone_rankings(cfg: RunConfig, split: DatasetSplit,
@@ -116,20 +124,17 @@ def ground_drone_rankings(cfg: RunConfig, split: DatasetSplit,
     drones = _view_records(split, DRONE)
     if not grounds or not drones:
         raise ValueError("test split lacks ground or drone records")
-    queries = [(r.id, enc.forward(ground_params, r, normalize=True)) for r in grounds]
-    feats = drone_features(cfg, drone_params, drones[0].featmap.shape)
+    ground_ids, drone_ids = [r.id for r in grounds], [d.id for d in drones]
+    queries = _normalized_embs(ground_params, grounds)
     if best_region:
-        descriptors = [peerlearn.gallery_descriptors(
-            drone_params, r, feats.cache.grid, feats.cache, feats.projector)
-            for r in drones]
-        return [rank_gallery(qid, [d.id for d in drones],
+        descriptors = peerlearn.gallery_descriptors(
+            drone_params, region_grid_for(cfg, drones[0].featmap.shape), drones)
+        return [rank_gallery(qid, drone_ids,
                              [peerlearn.max_region_score(q, desc)
                               for desc in descriptors])
-                for qid, q in queries]
-    gallery = [feats.feature(d, normalize=True) for d in drones]
-    return [rank_gallery(qid, [d.id for d in drones],
-                         [float(g @ q) for g in gallery])
-            for qid, q in queries]
+                for qid, q in zip(ground_ids, queries)]
+    return _cosine_rankings(ground_ids, queries, drone_ids,
+                            drone_features(cfg, drone_params, drones, normalize=True))
 
 
 def drone_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
@@ -139,24 +144,19 @@ def drone_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
     if not drones or not sats:
         raise ValueError("test split lacks drone or satellite records")
     gallery = _normalized_embs(patchmodel.satellite_branch(shared), sats)
-    out = []
-    for r in drones:
-        q = enc.forward(patchmodel.drone_branch(shared), r, normalize=True)
-        out.append(rank_gallery(r.id, [s.id for s in sats],
-                                [float(g @ q) for g in gallery]))
-    return out
+    return _cosine_rankings([r.id for r in drones],
+                            _normalized_embs(patchmodel.drone_branch(shared), drones),
+                            [s.id for s in sats], gallery)
 
 
 def build_diffusion_index(cfg: RunConfig, split: DatasetSplit, models: TrainedModels,
                           use_drones: bool = True) -> diff.DiffusionIndex:
     drones = _view_records(split, DRONE) if use_drones else []
     sats = _view_records(split, SATELLITE)
-    gd_feats = (drone_features(cfg, models.junior_drone, drones[0].featmap.shape)
-                if drones else None)
     return diff.build_index(
         drone_sd_embs=[enc.forward(models.shared, r) for r in drones],
         sat_sd_embs=[enc.forward(models.shared, r) for r in sats],
-        drone_gd_embs=[gd_feats.feature(r) for r in drones],
+        drone_gd_embs=drone_features(cfg, models.junior_drone, drones) if drones else [],
         drone_ids=[r.id for r in drones],
         sat_ids=[r.id for r in sats],
         cfg=cfg.diffusion_config(),
@@ -173,36 +173,29 @@ def ground_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
     sats = _view_records(split, SATELLITE)
     if not grounds or not sats:
         raise ValueError("test split lacks ground or satellite records")
+    ground_ids, sat_ids = [r.id for r in grounds], [s.id for s in sats]
     if mode == "diffusion":
         if index is None:
             index = build_diffusion_index(cfg, split, models, use_drones=use_drones)
-        return diff.query(index, [r.id for r in grounds],
+        return diff.query(index, ground_ids,
                           [enc.forward(models.junior_ground, r) for r in grounds],
                           alpha=alpha)
+    queries = _normalized_embs(models.junior_ground, grounds)
+    gallery = _normalized_embs(patchmodel.satellite_branch(models.shared), sats)
     if mode == "direct-cosine":
-        gallery = _normalized_embs(patchmodel.satellite_branch(models.shared), sats)
-        return [rank_gallery(r.id, [s.id for s in sats],
-                             [float(g @ enc.forward(models.junior_ground, r,
-                                                    normalize=True))
-                              for g in gallery])
-                for r in grounds]
+        return _cosine_rankings(ground_ids, queries, sat_ids, gallery)
     if mode == "chain":
         drones = _view_records(split, DRONE) if use_drones else []
         if not drones:
             raise ValueError("chain mode needs drone reference records")
-        gd_feats = drone_features(cfg, models.junior_drone, drones[0].featmap.shape)
-        drone_gd = [gd_feats.feature(d, normalize=True) for d in drones]
+        drone_gd = drone_features(cfg, models.junior_drone, drones, normalize=True)
         drone_sd = _normalized_embs(patchmodel.drone_branch(models.shared), drones)
-        gallery = _normalized_embs(patchmodel.satellite_branch(models.shared), sats)
-        out = []
-        for r in grounds:
-            q = enc.forward(models.junior_ground, r, normalize=True)
+        hops = []
+        for q in queries:
             sims = [float(d @ q) for d in drone_gd]
             best = min(range(len(drones)), key=lambda i: (-sims[i], drones[i].id))
-            hop = drone_sd[best]
-            out.append(rank_gallery(r.id, [s.id for s in sats],
-                                    [float(g @ hop) for g in gallery]))
-        return out
+            hops.append(drone_sd[best])
+        return _cosine_rankings(ground_ids, hops, sat_ids, gallery)
     raise ValueError(f"unknown ground-satellite mode {mode!r}; "
                      f"valid: diffusion, chain, direct-cosine")
 
@@ -268,7 +261,7 @@ def evaluate_mode(cfg: RunConfig, split: DatasetSplit, models: TrainedModels,
 
 
 def evaluate_task(cfg: RunConfig, split: DatasetSplit, models: TrainedModels,
-                  task: str, shared: bool = False):
+                  task: str):
     if task == "ground-drone":
         return evaluate_ground_drone(cfg, split, models.junior_ground,
                                      models.junior_drone)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -98,14 +98,9 @@ def global_max_pool(featmap: np.ndarray) -> np.ndarray:
     return featmap.max(axis=(1, 2))
 
 
-def extract_patch_features(featmap: np.ndarray, grid: Sequence[Region],
-                           project: Callable[[np.ndarray], np.ndarray] | None = None,
-                           ) -> list[np.ndarray]:
-    """Pooled vector per region, in grid order; optionally projected."""
-    pooled = [region_max_pool(featmap, region) for region in grid]
-    if project is None:
-        return pooled
-    return [project(v) for v in pooled]
+def extract_patch_features(featmap: np.ndarray, grid: Sequence[Region]) -> list[np.ndarray]:
+    """Pooled vector per region, in grid order."""
+    return [region_max_pool(featmap, region) for region in grid]
 
 
 def region_cells(region: Region, map_shape: tuple[int, int, int]) -> np.ndarray:

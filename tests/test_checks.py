@@ -8,7 +8,8 @@ def test_gradient_suite_covers_every_objective():
     worst = checks.gradient_suite(num_seeds=3)
     assert set(worst) == {"consistency", "cross-entropy", "hard",
                           "similarity-soft", "joint-ground-drone", "patch-mse",
-                          "semi-hard-triplet", "joint-satellite-drone"}
+                          "semi-hard-triplet", "joint-satellite-drone",
+                          "region-aggregate-params", "region-patch-params"}
     assert max(worst.values()) < 1e-4
 
 

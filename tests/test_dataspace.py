@@ -155,6 +155,20 @@ def test_read_rejects_bad_header(tmp_path):
         ds.read_records(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "-inf"])
+def test_read_rejects_non_finite_values(tmp_path, bad):
+    split = ds.generate_synthetic(tiny_cfg())
+    path = tmp_path / "data.txt"
+    ds.write_records(path, split.train, split.num_landmarks, split.num_sections)
+    lines = path.read_text().splitlines()
+    tok = lines[2].split()
+    tok[9] = bad
+    lines[2] = " ".join(tok)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"data\.txt: record {tok[0]} has a non-finite"):
+        ds.read_records(path)
+
+
 def test_infer_facet_with_noise():
     split = ds.generate_synthetic(tiny_cfg(noise_sigma=0.3, num_landmarks=6))
     zones = ds.facet_zones(6, 6)

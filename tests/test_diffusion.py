@@ -77,6 +77,23 @@ def test_build_graph_exact_ties_match_brute_force():
         assert np.allclose(graph.matrix, expected), k
 
 
+def test_byte_identical_nodes_tie_exactly_in_gemm_tail_columns():
+    # Four copies of a hub row that every node leans toward, one of them in
+    # the last column: with k_graph=2 each other node must pick the two
+    # lowest copies. The raw similarity product rounds the copies apart.
+    rng = substream(9, "diff.copies")
+    hub = rng.standard_normal(128)
+    emb = hub + 0.9 * rng.standard_normal((950, 128))
+    copies = [0, 317, 633, 949]
+    emb[copies] = hub
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    graph = diff.build_graph(list(emb[:900]), list(emb[900:]), list(range(900)),
+                             list(range(900, 950)), k_graph=2)
+    others = [i for i in range(950) if i not in copies]
+    assert not graph.matrix[np.ix_(others, [633, 949])].any()
+    assert (graph.matrix[others, 0] > 0.0).all()
+
+
 def test_build_graph_rejects_zero_norm():
     with pytest.raises(ValueError, match="zero-norm"):
         diff.build_graph([np.zeros(3)], [np.ones(3)], [1], [2], 1)
@@ -404,6 +421,15 @@ def test_embedding_exchange_round_trip(tmp_path):
     for (rid, view, lm, vec), (rid2, view2, lm2, vec2) in zip(entries, loaded):
         assert (rid, view, lm) == (rid2, view2, lm2)
         assert np.array_equal(vec, vec2)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_embedding_file_rejects_non_finite_values(tmp_path, bad):
+    path = tmp_path / "emb.txt"
+    diff.write_embeddings(path, [(1, "G", 4, np.ones(3)), (7, "S", 4, np.ones(3))])
+    path.write_text(path.read_text().replace("7 S 4 1.0", f"7 S 4 {bad}"))
+    with pytest.raises(ValueError, match=r"emb\.txt: entry 7 has a non-finite value"):
+        diff.read_embeddings(path)
 
 
 def test_config_validation():

@@ -48,12 +48,6 @@ def test_forward_dim_mismatch():
         enc.forward(params, make_record(rng))
 
 
-def test_embed_map_returns_featmap():
-    rng = substream(5, "t")
-    rec = make_record(rng)
-    assert enc.embed_map(make_params(), rec) is rec.featmap
-
-
 def test_sgd_zero_momentum_unit_rate_zeroes_params():
     params = make_params(seed=6)
     state = enc.new_sgd_state(params, lr_head=1.0, lr_body=1.0, momentum=0.0)
@@ -152,6 +146,18 @@ def test_checkpoint_round_trip(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_checkpoint_rejects_non_finite_values(tmp_path, bad):
+    params = make_params(dim=2, input_dim=3, classes=2)
+    path = tmp_path / "enc.txt"
+    enc.save_params(path, params)
+    lines = path.read_text().splitlines()
+    lines[2] = f"{bad} " + lines[2].split(" ", 1)[1]  # first bias value
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"enc\.txt: non-finite value in bias"):
+        enc.load_params(path)
+
+
 def test_checkpoint_header_format(tmp_path):
     params = make_params(dim=5, input_dim=12, classes=4)
     path = tmp_path / "enc.txt"
@@ -168,25 +174,93 @@ def test_params_digest_tracks_content():
     assert enc.params_digest(params) != before
 
 
-def test_region_projection_full_map_is_block_mean():
-    params = make_params(dim=4, input_dim=18)
-    cells = np.arange(9)
-    proj = enc.region_projection(params, (2, 3, 3), cells)
-    manual = params.weight.reshape(4, 2, 9).mean(axis=2)
-    assert np.allclose(proj, manual)
+# ---------------------------------------------------------------------------
+# region path against the per-region reference
+# ---------------------------------------------------------------------------
+
+def reference_projection(weight, map_shape, cells):
+    """(dim, channels) projection of one region: the mean of the weight
+    blocks over the region's cells."""
+    c, h, w = map_shape
+    return weight.reshape(weight.shape[0], c, h * w)[:, :, cells].mean(axis=2)
 
 
-def test_patch_embed_matches_projector_row():
-    rng = substream(13, "t")
-    params = make_params(dim=4, input_dim=18, tanh=True)
-    grid = rmac.region_grid(3, (1, 2), width_table={1: 3, 2: 2}, reference_side=3)
-    cells_list = [rmac.region_cells(r, (2, 3, 3)) for r in grid]
-    projector = enc.RegionProjector(params, (2, 3, 3), cells_list)
-    pooled = rng.standard_normal((len(grid), 2))
-    batch = projector.embed(pooled)
-    for i, cells in enumerate(cells_list):
-        single = enc.patch_embed(params, pooled[i], (2, 3, 3), cells)
-        assert np.allclose(single, batch[i])
+def reference_embed(params, map_shape, cells_list, pooled):
+    """Descriptors (k, dim) of one record, one region at a time."""
+    rows = []
+    for cells, v in zip(cells_list, pooled):
+        pre = reference_projection(params.weight, map_shape, cells) @ (v - v.mean()) \
+            + params.bias
+        rows.append(np.tanh(pre) if params.tanh else pre)
+    return np.stack(rows)
+
+
+def reference_backward(params, map_shape, cells_list, pooled, g_rows, grads):
+    """Add one record's descriptor gradients, one region at a time: each
+    region's outer product spread evenly over its cells' weight blocks."""
+    c, h, w = map_shape
+    weight3 = grads.weight.reshape(params.dim, c, h * w)
+    for cells, v, g in zip(cells_list, pooled, g_rows):
+        centered = v - v.mean()
+        pre = reference_projection(params.weight, map_shape, cells) @ centered + params.bias
+        g_pre = g * (1.0 - np.tanh(pre) ** 2) if params.tanh else g
+        weight3[:, :, cells] += np.outer(g_pre, centered)[:, :, None] / len(cells)
+        grads.bias += g_pre
+
+
+def _region_fixture(tanh, n=7, map_shape=(4, 6, 6), dim=5):
+    from plcd.peerlearn import _PooledCache
+
+    rng = substream(13, "t.region")
+    grid = rmac.region_grid(6, (1, 2, 3), width_table={1: 6, 2: 4, 3: 3},
+                            reference_side=6)
+    cache = _PooledCache(grid, map_shape)
+    cells_list = [np.arange(36)] + [rmac.region_cells(r, map_shape) for r in grid]
+    records = [make_record(rng, map_shape, rid=i) for i in range(n)]
+    params = make_params(dim=dim, input_dim=144, tanh=tanh, seed=14)
+    params.bias[:] = rng.standard_normal(dim)
+    return cache, cells_list, cache.stack(records), params, rng
+
+
+def test_averaging_matrix_rows_cover_each_region_evenly():
+    cache, cells_list, _, _, _ = _region_fixture(tanh=False)
+    assert cache.avg.shape == (len(cells_list), 36)
+    for row, cells in zip(cache.avg, cells_list):
+        assert np.array_equal(np.flatnonzero(row), np.sort(cells))
+        assert np.allclose(row[cells], 1.0 / len(cells))
+    assert np.allclose(cache.avg[0], 1.0 / 36)  # row 0: the full map
+
+
+@pytest.mark.parametrize("tanh", [False, True])
+def test_region_embed_matches_per_region_reference(tanh):
+    cache, cells_list, pooled, params, _ = _region_fixture(tanh)
+    batch = enc.region_embed(params, cache.avg, pooled)
+    assert batch.shape == (len(pooled), len(cells_list), params.dim)
+    for one, descs in zip(pooled, batch):
+        ref = reference_embed(params, (4, 6, 6), cells_list, one)
+        assert np.max(np.abs(descs - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("tanh", [False, True])
+def test_batched_region_backward_matches_per_record_gradients(tanh):
+    cache, cells_list, pooled, params, rng = _region_fixture(tanh)
+    g_desc = rng.standard_normal((len(pooled), len(cells_list), params.dim))
+    batched = enc.new_grads(params)
+    enc.region_backward(params, cache.avg, pooled, g_desc, batched)
+    per_record = enc.new_grads(params)
+    for one, g in zip(pooled, g_desc):
+        reference_backward(params, (4, 6, 6), cells_list, one, g, per_record)
+    assert np.max(np.abs(batched.weight - per_record.weight)) <= 1e-10
+    assert np.max(np.abs(batched.bias - per_record.bias)) <= 1e-10
+    assert not batched.classifier_weight.any()
+
+
+def test_region_embed_rejects_mismatched_shapes():
+    cache, _, pooled, params, _ = _region_fixture(tanh=False)
+    with pytest.raises(ValueError, match="input_dim"):
+        enc.region_embed(params, cache.avg, pooled[:, :, :3])
+    with pytest.raises(ValueError, match="input_dim"):
+        enc.region_embed(params, cache.avg[1:], pooled)
 
 
 def test_normalized_embed_backward_matches_fd():

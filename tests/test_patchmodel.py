@@ -88,21 +88,19 @@ def test_patch_loss_decreases_when_trained_alone():
     grid = rmac.region_grid(map_shape[1], (1, 2), width_table={1: 6, 2: 4},
                             reference_side=6)
     cache = peerlearn._PooledCache(grid, map_shape)
-    teacher_proj = cache.projector(teacher)
-    teacher_patches = [teacher_proj.embed(cache.get(r))[1:] for r in drones]
+    pooled = cache.stack(drones)
+    teacher_patches = list(enc.region_embed(teacher, cache.avg, pooled)[:, 1:])
     state = enc.new_sgd_state(student, lr_head=0.0, lr_body=1e-3, momentum=0.0,
                               decay_epoch=10_000)
     values = []
     for _ in range(20):
-        projector = cache.projector(student)
-        student_patches = [projector.embed(cache.get(r))[1:] for r in drones]
+        student_patches = list(enc.region_embed(student, cache.avg, pooled)[:, 1:])
         value, grads = losses.patch_mse_loss(teacher_patches, student_patches)
         values.append(value)
         acc = enc.new_grads(student)
-        for rec, g in zip(drones, grads):
-            padded = np.vstack([np.zeros((1, g.shape[1])), g])
-            projector.backward(cache.get(rec), padded, acc)
-        projector.flush(acc)
+        g_descs = np.zeros((len(drones), len(grid) + 1, student.dim))
+        g_descs[:, 1:] = grads
+        enc.region_backward(student, cache.avg, pooled, g_descs, acc)
         enc.sgd_step(student, acc, state)
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] < values[0]

@@ -194,19 +194,7 @@ def test_best_subregion_needs_grid():
     split = tiny_split()
     _, params = _grid_and_params(split)
     with pytest.raises(ValueError, match="grid"):
-        peerlearn.gallery_descriptors(params, split.train[0], [])
-
-
-def test_best_subregion_picks_matching_descriptor():
-    split = tiny_split()
-    grid, params = _grid_and_params(split)
-    rec = next(r for r in split.train if r.view == ds.DRONE)
-    descriptors = peerlearn.gallery_descriptors(params, rec, grid)
-    for idx in (0, 1, len(descriptors) - 1):
-        desc, score, best = peerlearn.best_subregion_feature(
-            params, rec, grid, descriptors[idx])
-        assert best == idx
-        assert score == pytest.approx(1.0)
+        peerlearn.gallery_descriptors(params, [], [split.train[0]])
 
 
 def test_constant_map_descriptors_agree():
@@ -215,9 +203,9 @@ def test_constant_map_descriptors_agree():
     rec = split.train[0]
     const = ds.ImageRecord(999, ds.DRONE, rec.landmark, 1,
                            np.full_like(rec.featmap, 1.7))
-    descriptors = peerlearn.gallery_descriptors(params, const, grid)
+    descriptors = peerlearn.gallery_descriptors(params, grid, [const])[0]
     # every pooled vector is the same constant vector; centered it is zero, so
-    # all rows collapse to the (normalized) bias image of the projector
+    # all rows collapse to the (normalized) bias image of the encoder
     sims = descriptors @ descriptors[0]
     assert np.allclose(np.abs(sims), 1.0, atol=1e-9) or np.allclose(sims, 0.0)
 
@@ -227,22 +215,62 @@ def test_max_score_dominates_whole_image_score():
     grid, params = _grid_and_params(split)
     rng = substream(4, "best")
     records = [r for r in split.train if r.view == ds.DRONE][:10]
-    for rec in records:
-        descriptors = peerlearn.gallery_descriptors(params, rec, grid)
+    for descriptors in peerlearn.gallery_descriptors(params, grid, records):
         for _ in range(5):
             q = rng.standard_normal(8)
             whole = float(descriptors[0] @ enc.l2_normalize(q))
             assert peerlearn.max_region_score(q, descriptors) >= whole - 1e-12
 
 
-def test_drone_features_match_training_aggregate():
+def test_drone_features_match_training_aggregate(monkeypatch):
+    # retrieval forwards in fixed blocks; a small block makes several of them
+    monkeypatch.setattr(peerlearn, "RETRIEVAL_BLOCK", 4)
     split = tiny_split(noise=0.2)
     grid, params = _grid_and_params(split)
-    rec = next(r for r in split.train if r.view == ds.DRONE)
-    feats = peerlearn.DroneFeatures(params, grid, rec.featmap.shape)
-    cache = peerlearn._PooledCache(grid, rec.featmap.shape)
-    manual = peerlearn.aggregate_feature(cache.projector(params), cache.get(rec))
-    assert np.allclose(feats.feature(rec), manual)
+    drones = [r for r in split.train if r.view == ds.DRONE]
+    feats = peerlearn.drone_features(params, grid, drones)
+    cache = peerlearn._PooledCache(grid, drones[0].featmap.shape)
+    step = peerlearn._Step(0, [params], cache, [(drones[0], drones[1:])])
+    assert np.allclose(feats, step.feats[step.rows(drones)], rtol=0.0, atol=1e-12)
+    for rec, feat in zip(drones, feats):
+        alone = peerlearn.aggregate_feature(
+            enc.region_embed(params, cache.avg, cache.stack([rec])))[0]
+        assert np.allclose(feat, alone, rtol=0.0, atol=1e-12)
+    unit = peerlearn.drone_features(params, grid, drones, normalize=True)
+    assert np.allclose(unit, [enc.l2_normalize(f) for f in feats])
+
+
+def test_aggregate_backward_matches_per_row_chain():
+    rng = substream(6, "agg")
+    descs = rng.standard_normal((3, 5, 4))
+    descs[1, 2] = 0.0  # a zero row passes no gradient
+    g_feats = rng.standard_normal((3, 4))
+    batched = peerlearn.aggregate_backward(descs, g_feats)
+    for d, g, out in zip(descs, g_feats, batched):
+        g_scaled = g / d.shape[0]
+        for row, got in zip(d, out):
+            norm = float(np.linalg.norm(row))
+            if norm < 1e-12:
+                assert not got.any()
+                continue
+            unit = row / norm
+            expected = (g_scaled - float(g_scaled @ unit) * unit) / norm
+            assert np.max(np.abs(got - expected)) <= 1e-15
+
+
+def test_identical_records_tie_exactly_in_a_step():
+    # the miner's lowest-id tie rule needs copies of a map to embed to the
+    # same bits wherever they sit in the step's stack
+    split = tiny_split()
+    grid, params = _grid_and_params(split)
+    drones = [r for r in split.train if r.view == ds.DRONE]
+    copies = [ds.ImageRecord(1000 + i, ds.DRONE, 1, 1, drones[3].featmap)
+              for i in range(3)]
+    cache = peerlearn._PooledCache(grid, drones[0].featmap.shape)
+    step = peerlearn._Step(0, [params], cache,
+                           [(drones[0], drones[1:] + copies)])
+    rows = step.feats[step.rows([drones[3], *copies])]
+    assert all(np.array_equal(rows[0], r) for r in rows[1:])
 
 
 def test_trained_senior_beats_untrained_noise_free_retrieval():
