@@ -1,17 +1,21 @@
 """Self-check harnesses: finite-difference gradient suite (every loss wrt
-its inputs, plus the region path wrt encoder parameters) and the
-iterative-vs-closed-form agreement oracle for the random walk."""
+its inputs, plus the region path and whole training steps wrt encoder
+parameters) and the iterative-vs-closed-form agreement oracle for the
+random walk."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from . import losses, rmac
+from .dataspace import DRONE, GROUND, SATELLITE, DatasetSplit, ImageRecord
 from .diffusion import diffuse_closed_form, diffuse_iterative
 from .encoder import (check_gradients, init_params, new_grads, region_backward,
                       region_embed)
-from .peerlearn import (_PooledCache, _similarity_from_rows, aggregate_backward,
-                        aggregate_feature)
+from .patchmodel import PatchModelConfig, _shared_step
+from .peerlearn import (MinedTriplet, _batch_negatives, _hard_step, _PooledCache,
+                        _similarity_from_rows, _soft_step, _Step, aggregate_backward,
+                        aggregate_feature, build_context)
 from .seeds import substream
 
 
@@ -137,6 +141,7 @@ def _loss_cases(rng: np.random.Generator, dim: int = 5):
                    *[n.copy() for n in t_pool], *[s.copy() for s in student]]))
 
     cases += _region_cases(rng)
+    cases += _step_cases(rng)
     return cases
 
 
@@ -162,7 +167,8 @@ def _region_cases(rng: np.random.Generator):
         p, grads = with_params(arrays)
         descs = region_embed(p, avg, pooled)
         diff = aggregate_feature(descs) - target
-        region_backward(p, avg, pooled, aggregate_backward(descs, 2.0 * diff), grads)
+        region_backward(p, avg, pooled, descs, aggregate_backward(descs, 2.0 * diff),
+                        grads)
         return float(np.sum(diff * diff)), [grads.weight, grads.bias]
 
     def patch_fn(arrays):
@@ -171,12 +177,81 @@ def _region_cases(rng: np.random.Generator):
         value, g_patches = losses.patch_mse_loss(list(teacher), list(descs[:, 1:]))
         g_descs = np.zeros_like(descs)
         g_descs[:, 1:] = g_patches
-        region_backward(p, avg, pooled, g_descs, grads)
+        region_backward(p, avg, pooled, descs, g_descs, grads)
         return value, [grads.weight, grads.bias]
 
     return [(name, fn, [params.weight.copy(), params.bias.copy()])
             for name, fn in (("region-aggregate-params", aggregate_fn),
                              ("region-patch-params", patch_fn))]
+
+
+PARAM_FIELDS = ("weight", "bias", "classifier_weight", "classifier_bias")
+
+
+def _step_cases(rng: np.random.Generator):
+    """Whole training steps on a tiny tanh config, as functions of every
+    parameter array they train: one peer step (two anchors, each with its
+    hard objectives and the junior's soft objective against a frozen senior)
+    of both branches, and one satellite-drone ``_shared_step`` of the shared
+    encoder. Mining is a discrete choice, so the mined triplets are fixed."""
+    map_shape, dim, classes = (2, 3, 3), 3, 2
+    input_dim = int(np.prod(map_shape))
+    grid = rmac.region_grid(3, (1, 2), width_table={1: 3, 2: 2}, reference_side=3)
+    cache = _PooledCache(grid, map_shape)
+
+    def record(rid, view, landmark, section=0):
+        return ImageRecord(rid, view, landmark, section, rng.standard_normal(map_shape))
+
+    def encoder(role):
+        p = init_params(role, dim, input_dim, classes, rng, tanh=True)
+        p.bias[:] = 0.5 * rng.standard_normal(dim)
+        p.classifier_bias[:] = 0.5 * rng.standard_normal(classes)
+        return p
+
+    def with_arrays(template, arrays):
+        p = template.copy()
+        for name, arr in zip(PARAM_FIELDS, arrays):
+            setattr(p, name, arr)
+        return p
+
+    def flat(params_list):
+        return [getattr(p, name).copy() for p in params_list for name in PARAM_FIELDS]
+
+    entries = [(record(10 * lm, GROUND, lm),
+                [record(10 * lm + sec, DRONE, lm, sec) for sec in (1, 2)])
+               for lm in (1, 2)]
+    ctx = build_context(DatasetSplit(
+        train=[r for anchor, positives in entries for r in (anchor, *positives)], test=[]))
+    ground, drone = encoder("ground"), encoder("drone")
+    senior = (encoder("ground"), encoder("drone"))
+
+    def peer_fn(arrays):
+        params_list = [with_arrays(ground, arrays[:4]), with_arrays(drone, arrays[4:])]
+        step = _Step(params_list, cache, entries, "drone", senior)
+        value = 0.0
+        for anchor, positives in entries:
+            mined = MinedTriplet(positives[0], _batch_negatives(entries, anchor))
+            value += _hard_step(anchor, mined, ctx, step)
+            value += _soft_step(anchor, positives, step, tau=0.1, lambda1=1.0)
+        step.backward(cache.avg)
+        return value, [getattr(g, name) for g in step.grads for name in PARAM_FIELDS]
+
+    chunk = [1, 2, 3]
+    drone_recs = [record(10 * lm + sec, DRONE, lm, sec) for lm in chunk for sec in (1, 2)]
+    sat_recs = [record(10 * lm + 9, SATELLITE, lm) for lm in chunk]
+    shared, teacher = encoder("satdrone"), encoder("drone")
+    patch_cfg = PatchModelConfig(margin=0.5, lambda2=1.0)
+
+    def shared_fn(arrays):
+        params = with_arrays(shared, arrays)
+        grads = new_grads(params)
+        triplet, patch = _shared_step(params, teacher, drone_recs,
+                                      [r.landmark for r in drone_recs], sat_recs,
+                                      chunk, cache, patch_cfg, grads)
+        return triplet + patch, [getattr(grads, name) for name in PARAM_FIELDS]
+
+    return [("peer-step-params", peer_fn, flat([ground, drone])),
+            ("shared-step-params", shared_fn, flat([shared]))]
 
 
 LOSS_NAMES = [name for name, _, _ in _loss_cases(substream(0, "checks.names"))]

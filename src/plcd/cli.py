@@ -61,12 +61,26 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
-def _read_split(data_dir: Path) -> dataspace.DatasetSplit:
-    train, num_landmarks, num_sections = dataspace.read_records(
-        _require(data_dir / TRAIN_DATA, "train data"))
-    test, _, _ = dataspace.read_records(_require(data_dir / TEST_DATA, "test data"))
-    return dataspace.DatasetSplit(train=train, test=test,
-                                  num_landmarks=num_landmarks,
+def _parse(path: Path, what: str, reader, **kwargs):
+    """``reader(path, **kwargs)`` on an input file; a missing or malformed
+    file exits with a message naming the path instead of a traceback."""
+    _require(path, what)
+    try:
+        return reader(path, **kwargs)
+    except ValueError as err:
+        msg = str(err)
+        raise SystemExit(msg if str(path) in msg else f"{path}: {msg}")
+
+
+def _read_split(data_dir: Path, part: str) -> dataspace.DatasetSplit:
+    """The split with only its ``part`` ("train" or "test") read; the other
+    part stays empty. ``gen-data`` writes the same landmark and section
+    counts into both files' headers."""
+    fname = TRAIN_DATA if part == "train" else TEST_DATA
+    records, num_landmarks, num_sections = _parse(data_dir / fname, f"{part} data",
+                                                  dataspace.read_records)
+    parts = {"train": [], "test": [], part: records}
+    return dataspace.DatasetSplit(**parts, num_landmarks=num_landmarks,
                                   num_sections=num_sections)
 
 
@@ -92,7 +106,7 @@ def cmd_train_gd(args) -> int:
     cfg = _load_cfg(args)
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    split = _read_split(_out_path(args.data))
+    split = _read_split(_out_path(args.data), "train")
     senior, junior, logs = pipeline.train_ground_drone(cfg, split)
     enc.save_params(out / CHECKPOINTS["senior_ground"], senior[0])
     enc.save_params(out / CHECKPOINTS["senior_drone"], senior[1])
@@ -109,10 +123,9 @@ def cmd_train_sd(args) -> int:
     cfg = _load_cfg(args)
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    split = _read_split(_out_path(args.data))
-    teacher_path = _require(_out_path(args.models) / CHECKPOINTS["junior_drone"],
-                            "teacher checkpoint")
-    teacher = enc.load_params(teacher_path, tanh=cfg.encoder_tanh)
+    split = _read_split(_out_path(args.data), "train")
+    teacher = _parse(_out_path(args.models) / CHECKPOINTS["junior_drone"],
+                     "teacher checkpoint", enc.load_params, tanh=cfg.encoder_tanh)
     shared, log = patchmodel.train_satellite_drone(split, teacher, cfg.patch_config())
     enc.save_params(out / CHECKPOINTS["shared"], shared)
     _write_log(out / "train-sd.log", log)
@@ -126,7 +139,7 @@ def _load_models(models_dir: Path, cfg: RunConfig,
     loaded = {}
     for attr, fname in CHECKPOINTS.items():
         path = models_dir / fname
-        loaded[attr] = (enc.load_params(path, tanh=cfg.encoder_tanh)
+        loaded[attr] = (_parse(path, "checkpoint", enc.load_params, tanh=cfg.encoder_tanh)
                         if path.exists() else None)
     required = ["junior_ground", "junior_drone"]
     if require_shared:
@@ -148,7 +161,7 @@ def cmd_retrieve(args) -> int:
     cfg = _load_cfg(args)
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    split = _read_split(_out_path(args.data))
+    split = _read_split(_out_path(args.data), "test")
     models = _load_models(_out_path(args.models), cfg,
                           require_shared=args.mode != "ground-drone")
     if args.mode in ("diffusion", "chain", "direct-cosine"):
@@ -192,9 +205,9 @@ def cmd_evaluate(args) -> int:
     files = sorted(rankings_dir.glob("ranking-*.txt")) if rankings_dir.exists() else []
     if not files:
         raise SystemExit(f"no ranking files found in {rankings_dir}")
-    rankings = [read_ranking(f) for f in files]
-    records, _, num_sections = dataspace.read_records(
-        _require(_out_path(args.data), "data file"))
+    rankings = [_parse(f, "ranking file", read_ranking) for f in files]
+    records, _, num_sections = _parse(_out_path(args.data), "data file",
+                                      dataspace.read_records)
     relevance = pipeline.relevance_for(records, args.task, cfg, num_sections)
     gallery_view = dataspace.DRONE if args.task == "ground-drone" else dataspace.SATELLITE
     gallery_size = sum(1 for r in records if r.view == gallery_view)

@@ -264,12 +264,16 @@ def read_records(path) -> tuple[list[ImageRecord], int, int]:
     if not lines or not lines[0].startswith(DATA_MAGIC):
         raise ValueError(f"{path}: missing '{DATA_MAGIC}' header")
     head = lines[0].split()
+    if len(head) != 5:
+        raise ValueError(f"{path}: header needs a record, landmark and section count")
     count, num_landmarks, num_sections = int(head[2]), int(head[3]), int(head[4])
     if len(lines) - 1 != count:
         raise ValueError(f"{path}: header promises {count} records, found {len(lines) - 1}")
     records = []
     for ln in lines[1:]:
         tok = ln.split()
+        if len(tok) < 7:
+            raise ValueError(f"{path}: record line {ln!r} is truncated")
         rid, view, landmark, section = int(tok[0]), tok[1], int(tok[2]), int(tok[3])
         c, h, w = int(tok[4]), int(tok[5]), int(tok[6])
         values = np.array([float(t) for t in tok[7 : 7 + c * h * w]])

@@ -8,7 +8,10 @@ cells and sent through the identical affine map, so the checkpoint format
 holds no extra tensors. A fixed (k, h*w) averaging matrix folds the k
 regions of a grid into the weight, and one batched product embeds an
 (n, k, channels) stack of pooled rows; the backward pass folds the stack's
-(k, dim, channels) gradient back through the same matrix.
+(k, dim, channels) gradient back through the same matrix. Training embeds
+whole images as (n, input_dim) stacks too (``whole_embed`` /
+``whole_backward``), and both backward passes take the forward's output
+rather than recomputing it.
 """
 
 from __future__ import annotations
@@ -94,20 +97,36 @@ def l2_normalize(v: np.ndarray, eps: float = 1e-12) -> np.ndarray:
 # forward paths
 # ---------------------------------------------------------------------------
 
-def embed_vector(params: EncoderParams, x: np.ndarray, normalize: bool = False) -> np.ndarray:
-    if x.shape[0] != params.input_dim:
+def _check_input(params: EncoderParams, size: int) -> None:
+    if size != params.input_dim:
         raise ValueError(
-            f"input of size {x.shape[0]} does not match encoder input_dim "
+            f"input of size {size} does not match encoder input_dim "
             f"{params.input_dim} (role {params.role})"
         )
+
+
+def forward(params: EncoderParams, record: ImageRecord, normalize: bool = False) -> np.ndarray:
+    """Whole-image embedding of one record from its flattened feature map."""
+    x = record.featmap.ravel()
+    _check_input(params, x.shape[0])
     pre = params.weight @ x + params.bias
     emb = np.tanh(pre) if params.tanh else pre
     return l2_normalize(emb) if normalize else emb
 
 
-def forward(params: EncoderParams, record: ImageRecord, normalize: bool = False) -> np.ndarray:
-    """Whole-image embedding from the flattened feature map."""
-    return embed_vector(params, record.featmap.ravel(), normalize=normalize)
+def whole_embed(params: EncoderParams, x: np.ndarray) -> np.ndarray:
+    """Whole-image embeddings (n, dim) of an (n, input_dim) stack of
+    flattened feature maps, in one product; ``whole_backward`` is its
+    backward pass."""
+    _check_input(params, x.shape[1])
+    pre = x @ params.weight.T + params.bias
+    return np.tanh(pre) if params.tanh else pre
+
+
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """``l2_normalize`` over the last axis: near-zero rows stay as they are."""
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    return x / np.where(norms < 1e-12, 1.0, norms)
 
 
 def _center(pooled: np.ndarray) -> np.ndarray:
@@ -143,11 +162,12 @@ def region_embed(params: EncoderParams, avg: np.ndarray, pooled: np.ndarray) -> 
 
 
 def region_backward(params: EncoderParams, avg: np.ndarray, pooled: np.ndarray,
-                    g_desc: np.ndarray, grads: "EncoderGrads") -> None:
-    """Add the gradients of a whole pooled stack's descriptors, given as
-    ``g_desc`` (n, k, dim), into ``grads.weight`` and ``grads.bias``."""
+                    descs: np.ndarray, g_desc: np.ndarray, grads: "EncoderGrads") -> None:
+    """Add the gradients of a whole pooled stack's descriptors
+    ``descs = region_embed(params, avg, pooled)``, given as ``g_desc``
+    (n, k, dim), into ``grads.weight`` and ``grads.bias``."""
     if params.tanh:
-        g_desc = g_desc * (1.0 - region_embed(params, avg, pooled) ** 2)
+        g_desc = g_desc * (1.0 - descs ** 2)
     k = avg.shape[0]
     # (k, dim, c): per-region outer products summed over the stack
     g_blocks = np.matmul(g_desc.transpose(1, 2, 0), _center(pooled).transpose(1, 0, 2))
@@ -191,37 +211,36 @@ def new_grads(params: EncoderParams) -> EncoderGrads:
     )
 
 
-def _pre_grad(params: EncoderParams, pre: np.ndarray, g_emb: np.ndarray) -> np.ndarray:
-    if params.tanh:
-        return g_emb * (1.0 - np.tanh(pre) ** 2)
-    return g_emb
-
-
-def embed_backward(params: EncoderParams, x: np.ndarray, g_emb: np.ndarray,
-                   grads: EncoderGrads, normalized: bool = False) -> None:
-    """Accumulate parameter gradients for one whole-image embedding.
+def whole_backward(params: EncoderParams, x: np.ndarray, emb: np.ndarray,
+                   g_emb: np.ndarray, grads: EncoderGrads, normalized: bool = False) -> None:
+    """Add the gradients of a stack's whole-image embeddings
+    ``emb = whole_embed(params, x)``, given as ``g_emb`` (n, dim), into
+    ``grads.weight`` and ``grads.bias``.
 
     With ``normalized`` the incoming gradient is taken wrt the L2-normalized
-    embedding and chained through the normalization.
+    rows and chained through the normalization; a near-zero row, which
+    ``unit_rows`` leaves as it is, passes its gradient through unchanged.
     """
-    pre = params.weight @ x + params.bias
     if normalized:
-        emb = np.tanh(pre) if params.tanh else pre
-        norm = float(np.linalg.norm(emb))
-        if norm > 1e-12:
-            unit = emb / norm
-            g_emb = (g_emb - float(g_emb @ unit) * unit) / norm
-    g_pre = _pre_grad(params, pre, g_emb)
-    grads.weight += np.outer(g_pre, x)
-    grads.bias += g_pre
+        norms = np.linalg.norm(emb, axis=1, keepdims=True)
+        live = norms > 1e-12
+        norms = np.where(live, norms, 1.0)
+        unit = emb / norms
+        chained = (g_emb - np.sum(g_emb * unit, axis=1, keepdims=True) * unit) / norms
+        g_emb = np.where(live, chained, g_emb)
+    if params.tanh:
+        g_emb = g_emb * (1.0 - emb ** 2)
+    grads.weight += g_emb.T @ x
+    grads.bias += g_emb.sum(axis=0)
 
 
 def classifier_backward(params: EncoderParams, emb: np.ndarray, g_logits: np.ndarray,
                         grads: EncoderGrads) -> np.ndarray:
-    """Accumulates head gradients; returns the gradient wrt the embedding."""
-    grads.classifier_weight += np.outer(g_logits, emb)
-    grads.classifier_bias += g_logits
-    return params.classifier_weight.T @ g_logits
+    """Add the head gradients of a stack of embeddings (n, dim) with logit
+    gradients (n, classes); returns the gradients wrt the embeddings."""
+    grads.classifier_weight += g_logits.T @ emb
+    grads.classifier_bias += g_logits.sum(axis=0)
+    return g_logits @ params.classifier_weight
 
 
 def scale_grads(grads: EncoderGrads, factor: float) -> None:

@@ -6,7 +6,9 @@ their weight sharing cannot drift. Each step samples a few identities, takes
 their satellite record plus one drone per section, runs a semi-hard triplet
 loss from drone anchors to satellite positives/negatives, and aligns the
 student's region descriptors with the teacher's through a mean-squared
-penalty.
+penalty. A step embeds its drones and satellites in one whole-image product
+and its drones in one region product, and ends with one backward through
+each.
 """
 
 from __future__ import annotations
@@ -139,16 +141,16 @@ def _shared_step(params, teacher, drone_recs, drone_owner, sat_recs,
     # Triplets run on unit embeddings (squared distance = 2 - 2cos), the same
     # geometry the cosine-based retrieval is scored in; raw embeddings leave
     # the hinge dominated by norm differences between the views.
-    drone_x = [r.featmap.ravel() for r in drone_recs]
-    sat_x = [r.featmap.ravel() for r in sat_recs]
-    anchors = [enc.embed_vector(params, x, normalize=True) for x in drone_x]
-    sat_embs = [enc.embed_vector(params, x, normalize=True) for x in sat_x]
+    x = np.stack([r.featmap.ravel() for r in drone_recs + sat_recs])
+    embs = enc.whole_embed(params, x)
+    units = enc.unit_rows(embs)
+    n_anchors = len(drone_recs)
+    anchors, sat_embs = units[:n_anchors], units[n_anchors:]
     sat_slot = {lm: i for i, lm in enumerate(chunk)}
 
     value_triplet = 0.0
-    n_anchors = len(anchors)
-    g_anchors = [np.zeros_like(a) for a in anchors]
-    g_sats = [np.zeros_like(s) for s in sat_embs]
+    g_units = np.zeros_like(units)
+    g_anchors, g_sats = g_units[:n_anchors], g_units[n_anchors:]
     for i, (a, lm) in enumerate(zip(anchors, drone_owner)):
         pos_idx = sat_slot[lm]
         pool_idx = [j for j in range(len(sat_embs)) if j != pos_idx]
@@ -163,15 +165,12 @@ def _shared_step(params, teacher, drone_recs, drone_owner, sat_recs,
     # region descriptors: row 0 (whole map) carries no patch term
     pooled = cache.stack(drone_recs)
     teacher_patches = enc.region_embed(teacher, cache.avg, pooled)[:, 1:]
-    student_patches = enc.region_embed(params, cache.avg, pooled)[:, 1:]
+    descs = enc.region_embed(params, cache.avg, pooled)
     value_patch, patch_grads = losses.patch_mse_loss(list(teacher_patches),
-                                                     list(student_patches))
+                                                     list(descs[:, 1:]))
 
-    for x, g in zip(drone_x, g_anchors):
-        enc.embed_backward(params, x, g, grads, normalized=True)
-    for x, g in zip(sat_x, g_sats):
-        enc.embed_backward(params, x, g, grads, normalized=True)
-    g_descs = np.zeros((len(drone_recs), len(cache.grid) + 1, params.dim))
+    enc.whole_backward(params, x, embs, g_units, grads, normalized=True)
+    g_descs = np.zeros_like(descs)
     g_descs[:, 1:] = cfg.lambda2 * np.array(patch_grads)
-    enc.region_backward(params, cache.avg, pooled, g_descs, grads)
+    enc.region_backward(params, cache.avg, pooled, descs, g_descs, grads)
     return value_triplet, value_patch

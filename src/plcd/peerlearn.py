@@ -7,6 +7,11 @@ drones. Step II freezes the senior and trains the junior on doublets: the
 hard objective is kept, and the senior's sharp similarity distribution over
 whole-image and region descriptors supervises the junior's distribution at
 temperature 1.
+
+Each optimization step is batched across its anchors (``_Step``): one
+whole-image product embeds the ground anchors, one region product the
+batch's drones, and one backward per path and classifier head ends it. The
+miner and the per-anchor losses read rows of those stacks.
 """
 
 from __future__ import annotations
@@ -146,8 +151,8 @@ def aggregate_backward(descs: np.ndarray, g_feats: np.ndarray) -> np.ndarray:
     return np.where(live, g_rows, 0.0)
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    return float(enc.l2_normalize(a) @ enc.l2_normalize(b))
+def _record_forward(params: enc.EncoderParams, records: list[ImageRecord]) -> np.ndarray:
+    return np.stack([enc.forward(params, r) for r in records])
 
 
 def mine_easy_triplet(anchor: ImageRecord, positive_batch: list[ImageRecord],
@@ -162,11 +167,13 @@ def mine_easy_triplet(anchor: ImageRecord, positive_batch: list[ImageRecord],
     the anchor with the drone branch too (one map, so raw-geometry survives
     any single projection and mining is informative before the branches have
     aligned); ``"ground"`` ranks across the two branches. ``feature_fn``
-    overrides how (params, record) turn into an embedding; trainers pass the
-    current-step region-aggregate feature. The positive batch
-    must hold one drone per direction section of the anchor's landmark;
-    negatives must come from other identities. Ties break on the lowest
-    record id.
+    overrides how (params, records) turn into an (n, dim) feature stack;
+    trainers pass the current step's rows. The positive batch must hold one
+    drone per direction section of the anchor's landmark; negatives must come
+    from other identities. Every candidate row is normalized and scored
+    against the anchor by one row-wise ``einsum``, so byte-identical
+    candidates score the same bits wherever they sit, and ties break on the
+    lowest record id.
     """
     if not negative_batch:
         raise ValueError("mine_easy_triplet got an empty negative batch")
@@ -185,13 +192,14 @@ def mine_easy_triplet(anchor: ImageRecord, positive_batch: list[ImageRecord],
         raise ValueError("negatives must be identity-disjoint from the anchor")
 
     if feature_fn is None:
-        feature_fn = enc.forward
+        feature_fn = _record_forward
     anchor_params = drone_params if space == "drone" else ground_params
-    a = feature_fn(anchor_params, anchor)
-    pos_sims = [_cosine(a, feature_fn(drone_params, r)) for r in positive_batch]
+    a = enc.unit_rows(feature_fn(anchor_params, [anchor]))[0]
+    candidates = enc.unit_rows(feature_fn(drone_params, positive_batch + negative_batch))
+    sims = np.einsum("ij,j->i", candidates, a)
+    pos_sims, neg_sims = sims[: len(positive_batch)], sims[len(positive_batch):]
     best = min(range(len(positive_batch)),
                key=lambda i: (-pos_sims[i], positive_batch[i].id))
-    neg_sims = [_cosine(a, feature_fn(drone_params, r)) for r in negative_batch]
     order = sorted(range(len(negative_batch)),
                    key=lambda i: (-neg_sims[i], negative_batch[i].id))
     return MinedTriplet(
@@ -244,91 +252,123 @@ class _PooledCache:
 
 
 class _Step:
-    """One optimization step of a peer pair. Every record the step touches is
-    embedded once with the current drone parameters (and with a frozen
-    senior's, when given): the anchors, read by drone-space mining, then each
-    drone of the batch's positive batches, which also hold every negative.
-    The losses read these rows and add their gradients to ``g_feats`` (image
-    features) and ``g_descs`` (descriptors); ``backward`` chains both through
-    one region_backward."""
+    """One optimization step of a peer pair, batched across its anchors.
 
-    def __init__(self, epoch: int, params_list: list[enc.EncoderParams],
-                 cache: _PooledCache, entries, senior_drone=None):
-        self.epoch = epoch
+    Drone records go through the region path: each drone of the batch's
+    positive batches (which also hold every negative) is embedded once with
+    the current drone parameters, and with the frozen senior's in Step II;
+    the anchors join that stack only when drone-space mining reads them.
+    The anchors go through the whole-image path in one product with the
+    current ground parameters (and the frozen senior ground's). With shared
+    branches the miner ranks every candidate by its whole-image embedding
+    too, so then the drones join that product instead.
+
+    The losses read these rows and add into one gradient array per path
+    (``g_whole``, ``g_feats`` for image features, ``g_descs`` for region
+    descriptors) and one logit-gradient array per classifier head;
+    ``backward`` chains them all through one backward per path and head.
+    """
+
+    def __init__(self, params_list: list[enc.EncoderParams], cache: _PooledCache,
+                 entries, mining_space: str | None = None,
+                 senior: tuple[enc.EncoderParams, enc.EncoderParams] | None = None):
+        self.mining_space = mining_space  # None: this step does not mine
         self.ground, self.drone = params_list[0], params_list[-1]
         self.grads = [enc.new_grads(p) for p in params_list]
-        records = {r.id: r for anchor, positives in entries
-                   for r in (anchor, *positives)}
-        self.row = {rid: i for i, rid in enumerate(records)}
-        self.pooled = cache.stack(list(records.values()))
+        shared = self.ground is self.drone
+        anchors = [anchor for anchor, _ in entries]
+        drones = list({r.id: r for _, positives in entries for r in positives}.values())
+        region = anchors + drones if mining_space == "drone" and not shared else drones
+        whole = anchors + drones if mining_space and shared else anchors
+
+        self.row = {r.id: i for i, r in enumerate(region)}
+        self.pooled = cache.stack(region)
         self.descs = enc.region_embed(self.drone, cache.avg, self.pooled)
-        self.senior_descs = (None if senior_drone is None
-                             else enc.region_embed(senior_drone, cache.avg, self.pooled))
         self.feats = aggregate_feature(self.descs)
         self.g_feats = np.zeros_like(self.feats)
         self.g_descs = np.zeros_like(self.descs)
 
+        self.whole_row = {r.id: i for i, r in enumerate(whole)}
+        self.x = np.stack([r.featmap.ravel() for r in whole])
+        self.whole = enc.whole_embed(self.ground, self.x)
+        self.g_whole = np.zeros_like(self.whole)
+
+        self.senior_descs = self.senior_whole = None
+        if senior is not None:
+            self.senior_whole = enc.whole_embed(senior[0], self.x)
+            self.senior_descs = enc.region_embed(senior[1], cache.avg, self.pooled)
+
+        # per anchor: ground-head logit gradients on its whole-image row,
+        # drone-head ones on its positive's feature row
+        self.g_logits_ground = np.zeros((len(anchors), self.ground.classes))
+        self.g_logits_drone = np.zeros((len(anchors), self.drone.classes))
+        self.positive_rows = np.zeros(len(anchors), dtype=int)
+
     def rows(self, records: list[ImageRecord]) -> list[int]:
         return [self.row[r.id] for r in records]
 
-    def feature(self, params: enc.EncoderParams, record: ImageRecord) -> np.ndarray:
-        """Miner feature hook: ground params embed through the whole-image
-        path, anything else reads this step's region-aggregate rows."""
+    def feature(self, params: enc.EncoderParams, records: list[ImageRecord]) -> np.ndarray:
+        """Miner feature hook: ground params read the whole-image rows,
+        anything else this step's region-aggregate rows."""
         if params is self.ground:
-            return enc.forward(params, record)
-        return self.feats[self.row[record.id]]
+            return self.whole[[self.whole_row[r.id] for r in records]]
+        return self.feats[self.rows(records)]
 
     def backward(self, avg: np.ndarray) -> None:
+        g_grads, d_grads = self.grads[0], self.grads[-1]
+        anchors = slice(0, len(self.g_logits_ground))
+        self.g_whole[anchors] += enc.classifier_backward(
+            self.ground, self.whole[anchors], self.g_logits_ground, g_grads)
+        # two anchors can share a positive: unbuffered add
+        np.add.at(self.g_feats, self.positive_rows, enc.classifier_backward(
+            self.drone, self.feats[self.positive_rows], self.g_logits_drone, d_grads))
+        enc.whole_backward(self.ground, self.x, self.whole, self.g_whole, g_grads)
         g_descs = self.g_descs + aggregate_backward(self.descs, self.g_feats)
-        enc.region_backward(self.drone, avg, self.pooled, g_descs, self.grads[-1])
+        enc.region_backward(self.drone, avg, self.pooled, self.descs, g_descs, d_grads)
 
 
 def _hard_step(anchor, mined, ctx, step: _Step):
     """Consistency + per-branch cross-entropy for one anchor; returns the value.
 
-    The ground anchor embeds through the affine whole-image path; drone
-    records read the step's region-aggregate features, so the hard objective
-    trains the region descriptors directly.
+    The ground anchor reads its whole-image row; drone records read the
+    step's region-aggregate features, so the hard objective trains the
+    region descriptors directly.
     """
-    g_grads, d_grads = step.grads[0], step.grads[-1]
-    x_a = anchor.featmap.ravel()
-    a = enc.embed_vector(step.ground, x_a)
+    i = step.whole_row[anchor.id]
+    a = step.whole[i]
     p_row = step.row[mined.positive.id]
     neg_rows = step.rows(mined.negatives)
     p = step.feats[p_row]
 
     value, grads = losses.consistency_loss(a, p, list(step.feats[neg_rows]))
-    g_a, g_p = grads["anchor"], grads["positive"]
-
     target = _one_hot(ctx.num_classes, ctx.class_index[anchor.landmark])
-    ce_a, g_log_a = losses.cross_entropy(enc.logits_from_embedding(step.ground, a), target)
-    g_a = g_a + enc.classifier_backward(step.ground, a, g_log_a, g_grads)
-    ce_p, g_log_p = losses.cross_entropy(enc.logits_from_embedding(step.drone, p), target)
-    g_p = g_p + enc.classifier_backward(step.drone, p, g_log_p, d_grads)
+    ce_a, step.g_logits_ground[i] = losses.cross_entropy(
+        enc.logits_from_embedding(step.ground, a), target)
+    ce_p, step.g_logits_drone[i] = losses.cross_entropy(
+        enc.logits_from_embedding(step.drone, p), target)
+    step.positive_rows[i] = p_row
 
-    enc.embed_backward(step.ground, x_a, g_a, g_grads)
-    step.g_feats[p_row] += g_p
+    step.g_whole[i] += grads["anchor"]
+    step.g_feats[p_row] += grads["positive"]
     for row, g_n in zip(neg_rows, grads["negatives"]):
         step.g_feats[row] += g_n  # a record can sit twice in a negative pool
     return value + ce_a + ce_p
 
 
-def _soft_step(senior_ground, anchor, doublet_records, step: _Step, tau, lambda1):
+def _soft_step(anchor, doublet_records, step: _Step, tau, lambda1):
     """Distillation over whole+region descriptors for one doublet."""
-    x_a = anchor.featmap.ravel()
+    i = step.whole_row[anchor.id]
     rows = step.rows(doublet_records)
     per_image, dim = step.descs.shape[1:]
     senior_entries = step.senior_descs[rows].reshape(-1, dim)
     junior_entries = step.descs[rows].reshape(-1, dim)
 
-    a_sp = enc.embed_vector(senior_ground, x_a)
-    a_jp = enc.embed_vector(step.ground, x_a)
-    senior_vec = _similarity_from_rows(a_sp, senior_entries, per_image, tau)
-    junior_vec = _similarity_from_rows(a_jp, junior_entries, per_image, 1.0)
+    senior_vec = _similarity_from_rows(step.senior_whole[i], senior_entries, per_image, tau)
+    junior_vec = _similarity_from_rows(step.whole[i], junior_entries, per_image, 1.0)
 
     value, g_dots = losses.soft_loss(senior_vec, junior_vec)
     g_anchor, g_entries = losses.similarity_input_grads(junior_vec, g_dots)
-    enc.embed_backward(step.ground, x_a, lambda1 * g_anchor, step.grads[0])
+    step.g_whole[i] += lambda1 * g_anchor
     step.g_descs[rows] += lambda1 * g_entries.reshape(len(rows), per_image, dim)
     return value
 
@@ -375,10 +415,12 @@ def _init_pair(ctx, cfg, stream_prefix):
 
 
 def _train_pair(ctx, cfg, ground_params, drone_params, rng, epochs: int,
-                rate_scale: float, anchor_step, senior_drone=None) -> list[str]:
-    """The loop both training steps share. Per batch: one ``_Step``,
+                rate_scale: float, anchor_step, mining_from: int | None,
+                senior=None) -> list[str]:
+    """The loop both training steps share. Per batch: one ``_Step``, which
+    mines from epoch ``mining_from`` on (never when None),
     ``anchor_step(step, anchor, positives, negatives)`` per anchor returning
-    its (hard, soft) values, one region backward and one SGD step per
+    its (hard, soft) values, one step backward and one SGD step per
     parameter set. Returns the log lines."""
     grid = rmac.region_grid((ctx.map_shape[1], ctx.map_shape[2]), cfg.scales,
                             cfg.width_table, cfg.reference_side)
@@ -392,8 +434,10 @@ def _train_pair(ctx, cfg, ground_params, drone_params, rng, epochs: int,
     for epoch in range(epochs):
         for s in states:
             s.epoch = epoch
+        mining_space = (cfg.mining_space if mining_from is not None
+                        and epoch >= mining_from else None)
         for step_idx, entries in enumerate(_epoch_batches(ctx, cfg, rng)):
-            step = _Step(epoch, params_list, cache, entries, senior_drone)
+            step = _Step(params_list, cache, entries, mining_space, senior)
             values = []
             for anchor, positives in entries:
                 negatives = _batch_negatives(entries, anchor)
@@ -436,10 +480,10 @@ def train_senior(split: DatasetSplit, cfg: PeerConfig, mining: bool = True,
 
     def anchor_step(step, anchor, positives, negatives):
         n_neg = min(cfg.num_negatives, len(negatives))
-        if mining and step.epoch >= cfg.warmup_epochs:
+        if step.mining_space is not None:
             mined = mine_easy_triplet(anchor, positives, negatives,
                                       ground_params, drone_params, n_neg,
-                                      space=cfg.mining_space,
+                                      space=step.mining_space,
                                       feature_fn=step.feature)
         else:
             pos = positives[int(rng.integers(len(positives)))]
@@ -448,7 +492,8 @@ def train_senior(split: DatasetSplit, cfg: PeerConfig, mining: bool = True,
         return _hard_step(anchor, mined, ctx, step), 0.0
 
     log = _train_pair(ctx, cfg, ground_params, drone_params, rng,
-                      cfg.epochs_senior, 1.0, anchor_step)
+                      cfg.epochs_senior, 1.0, anchor_step,
+                      mining_from=cfg.warmup_epochs if mining else None)
     return ground_params, drone_params, log
 
 
@@ -478,7 +523,7 @@ def train_junior(split: DatasetSplit, senior: tuple[enc.EncoderParams, enc.Encod
         # sections while keeping the mined hard negatives.
         mined = mine_easy_triplet(anchor, positives, negatives,
                                   ground_params, drone_params, n_neg,
-                                  space=cfg.mining_space,
+                                  space=step.mining_space,
                                   feature_fn=step.feature)
         hard_positive = positives[int(rng.integers(len(positives)))]
         hard = _hard_step(anchor, MinedTriplet(hard_positive, mined.negatives), ctx, step)
@@ -486,13 +531,14 @@ def train_junior(split: DatasetSplit, senior: tuple[enc.EncoderParams, enc.Encod
         if cfg.num_positives and cfg.num_positives < len(positives):
             idx = sorted(rng.permutation(len(positives))[: cfg.num_positives])
             doublet = [positives[i] for i in idx]
-        soft = _soft_step(senior_ground, anchor, doublet, step, cfg.tau, cfg.lambda1)
+        soft = _soft_step(anchor, doublet, step, cfg.tau, cfg.lambda1)
         return hard, soft
 
     # Step II refines an already-trained model: it continues at the schedule's
     # decayed rate rather than restarting at the step-I rate.
     log = _train_pair(ctx, cfg, ground_params, drone_params, rng, cfg.epochs_junior,
-                      cfg.junior_lr_scale, anchor_step, senior_drone=senior_drone)
+                      cfg.junior_lr_scale, anchor_step, mining_from=0,
+                      senior=(senior_ground, senior_drone))
     return ground_params, drone_params, log
 
 
@@ -517,19 +563,13 @@ def _descriptor_blocks(params: enc.EncoderParams, grid: list[rmac.Region],
         yield enc.region_embed(params, cache.avg, cache.stack(block))
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    """``enc.l2_normalize`` over the last axis: near-zero rows stay as they are."""
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    return x / np.where(norms < 1e-12, 1.0, norms)
-
-
 def drone_features(params: enc.EncoderParams, grid: list[rmac.Region],
                    records: list[ImageRecord], normalize: bool = False) -> np.ndarray:
     """(n, dim) drone-branch image features of a non-empty record list: the
     training path's region-aggregate feature, optionally L2-normalized."""
     feats = np.concatenate([aggregate_feature(descs) for descs in
                             _descriptor_blocks(params, grid, records)])
-    return _unit_rows(feats) if normalize else feats
+    return enc.unit_rows(feats) if normalize else feats
 
 
 def gallery_descriptors(params: enc.EncoderParams, grid: list[rmac.Region],
@@ -537,8 +577,8 @@ def gallery_descriptors(params: enc.EncoderParams, grid: list[rmac.Region],
     """(n, m+1, dim) L2-normalized rows per record, for cosine scoring: the
     image-level region-aggregate feature, then one row per grid region."""
     return np.concatenate([
-        _unit_rows(np.concatenate([aggregate_feature(descs)[:, None], descs[:, 1:]],
-                                  axis=1))
+        enc.unit_rows(np.concatenate([aggregate_feature(descs)[:, None], descs[:, 1:]],
+                                     axis=1))
         for descs in _descriptor_blocks(params, grid, records)])
 
 

@@ -9,7 +9,8 @@ def test_gradient_suite_covers_every_objective():
     assert set(worst) == {"consistency", "cross-entropy", "hard",
                           "similarity-soft", "joint-ground-drone", "patch-mse",
                           "semi-hard-triplet", "joint-satellite-drone",
-                          "region-aggregate-params", "region-patch-params"}
+                          "region-aggregate-params", "region-patch-params",
+                          "peer-step-params", "shared-step-params"}
     assert max(worst.values()) < 1e-4
 
 

@@ -93,6 +93,58 @@ def test_missing_dataset_path_in_message(workspace, tmp_path):
     assert str(missing) in str(err.value)
 
 
+def _copy_with_nan(src: Path, dst: Path, line_no: int) -> Path:
+    """``src`` copied to ``dst`` with the last value of line ``line_no`` set to nan."""
+    lines = src.read_text().splitlines()
+    tokens = lines[line_no].split()
+    tokens[-1] = "nan"
+    lines[line_no] = " ".join(tokens)
+    dst.parent.mkdir(parents=True, exist_ok=True)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+def test_non_finite_inputs_exit_naming_the_path(workspace, tmp_path):
+    root, cfg = workspace
+    models = tmp_path / "nan-models"
+    bad = _copy_with_nan(root / "models" / "junior-drone.txt",
+                         models / "junior-drone.txt", 1)
+    with pytest.raises(SystemExit) as err:
+        run(["train-sd", "--config", cfg, "--data", root / "data",
+             "--models", models, "--out", tmp_path / "sd"])
+    assert str(bad) in str(err.value) and "non-finite" in str(err.value)
+
+    data = tmp_path / "nan-data"
+    bad = _copy_with_nan(root / "data" / "test-data.txt", data / "test-data.txt", 1)
+    with pytest.raises(SystemExit) as err:
+        run(["retrieve", "--config", cfg, "--data", data, "--models", root / "models",
+             "--mode", "diffusion", "--out", tmp_path / "r"])
+    assert str(bad) in str(err.value) and "non-finite" in str(err.value)
+    rankings = tmp_path / "good"
+    assert run(["retrieve", "--config", cfg, "--data", root / "data",
+                "--models", root / "models", "--mode", "chain", "--out", rankings]) == 0
+    with pytest.raises(SystemExit) as err:
+        run(["evaluate", "--config", cfg, "--rankings", rankings,
+             "--data", bad, "--task", "ground-satellite"])
+    assert str(bad) in str(err.value) and "non-finite" in str(err.value)
+
+
+def test_subcommands_read_only_the_split_they_use(workspace, tmp_path):
+    # train-gd reads only the train file, retrieve only the test file
+    root, cfg = workspace
+    train_only, test_only = tmp_path / "train-only", tmp_path / "test-only"
+    for path, name in ((train_only, "train-data.txt"), (test_only, "test-data.txt")):
+        path.mkdir()
+        (path / name).write_bytes((root / "data" / name).read_bytes())
+    assert run(["train-gd", "--config", cfg, "--set", "epochs_senior=0",
+                "--set", "epochs_junior=0", "--data", train_only,
+                "--out", tmp_path / "m"]) == 0
+    out = tmp_path / "r"
+    assert run(["retrieve", "--config", cfg, "--data", test_only,
+                "--models", root / "models", "--mode", "chain", "--out", out]) == 0
+    assert list(out.glob("ranking-*.txt"))
+
+
 def test_retrieve_and_evaluate_all_modes(workspace, tmp_path):
     root, cfg = workspace
     for mode, task in (("diffusion", "ground-satellite"),

@@ -153,6 +153,12 @@ def test_read_rejects_bad_header(tmp_path):
     path.write_text("not a header\n")
     with pytest.raises(ValueError, match="plcd-data"):
         ds.read_records(path)
+    path.write_text("#plcd-data v1 3\n")
+    with pytest.raises(ValueError, match="header needs"):
+        ds.read_records(path)
+    path.write_text("#plcd-data v1 1 2 6\n5 D 1\n")
+    with pytest.raises(ValueError, match="truncated"):
+        ds.read_records(path)
 
 
 @pytest.mark.parametrize("bad", ["nan", "-inf"])

@@ -246,7 +246,8 @@ def test_batched_region_backward_matches_per_record_gradients(tanh):
     cache, cells_list, pooled, params, rng = _region_fixture(tanh)
     g_desc = rng.standard_normal((len(pooled), len(cells_list), params.dim))
     batched = enc.new_grads(params)
-    enc.region_backward(params, cache.avg, pooled, g_desc, batched)
+    descs = enc.region_embed(params, cache.avg, pooled)
+    enc.region_backward(params, cache.avg, pooled, descs, g_desc, batched)
     per_record = enc.new_grads(params)
     for one, g in zip(pooled, g_desc):
         reference_backward(params, (4, 6, 6), cells_list, one, g, per_record)
@@ -263,20 +264,70 @@ def test_region_embed_rejects_mismatched_shapes():
         enc.region_embed(params, cache.avg[1:], pooled)
 
 
+def reference_whole_backward(params, x, g_emb, grads, normalized=False):
+    """Add one record's whole-image gradients, re-running its forward."""
+    pre = params.weight @ x + params.bias
+    if normalized:
+        emb = np.tanh(pre) if params.tanh else pre
+        norm = float(np.linalg.norm(emb))
+        if norm > 1e-12:
+            unit = emb / norm
+            g_emb = (g_emb - float(g_emb @ unit) * unit) / norm
+    g_pre = g_emb * (1.0 - np.tanh(pre) ** 2) if params.tanh else g_emb
+    grads.weight += np.outer(g_pre, x)
+    grads.bias += g_pre
+
+
+@pytest.mark.parametrize("tanh", [False, True])
+@pytest.mark.parametrize("normalized", [False, True])
+def test_whole_embed_and_backward_match_per_record_reference(tanh, normalized):
+    rng = substream(15, "t.whole")
+    params = make_params(tanh=tanh, seed=16)
+    params.bias[:] = rng.standard_normal(params.dim)
+    records = [make_record(rng, rid=i) for i in range(5)]
+    x = np.stack([r.featmap.ravel() for r in records])
+    embs = enc.whole_embed(params, x)
+    for rec, emb in zip(records, embs):
+        assert np.max(np.abs(emb - enc.forward(params, rec))) <= 1e-12
+    g_emb = rng.standard_normal(embs.shape)
+    batched, per_record = enc.new_grads(params), enc.new_grads(params)
+    enc.whole_backward(params, x, embs, g_emb, batched, normalized=normalized)
+    for row, g in zip(x, g_emb):
+        reference_whole_backward(params, row, g, per_record, normalized=normalized)
+    assert np.max(np.abs(batched.weight - per_record.weight)) <= 1e-10
+    assert np.max(np.abs(batched.bias - per_record.bias)) <= 1e-10
+    with pytest.raises(ValueError, match="input_dim"):
+        enc.whole_embed(params, x[:, :10])
+
+
+def test_classifier_backward_matches_per_row_outer_products():
+    rng = substream(17, "t.head")
+    params = make_params(seed=18)
+    embs = rng.standard_normal((4, params.dim))
+    g_logits = rng.standard_normal((4, params.classes))
+    grads = enc.new_grads(params)
+    g_embs = enc.classifier_backward(params, embs, g_logits, grads)
+    expected = sum(np.outer(g, e) for g, e in zip(g_logits, embs))
+    assert np.max(np.abs(grads.classifier_weight - expected)) <= 1e-12
+    assert np.allclose(grads.classifier_bias, g_logits.sum(axis=0), rtol=0, atol=1e-12)
+    for g_emb, g in zip(g_embs, g_logits):
+        assert np.max(np.abs(g_emb - params.classifier_weight.T @ g)) <= 1e-12
+
+
 def test_normalized_embed_backward_matches_fd():
     rng = substream(14, "t")
-    x = rng.standard_normal(18)
-    target = rng.standard_normal(4)
+    x = rng.standard_normal((3, 18))
+    target = rng.standard_normal((3, 4))
 
     def loss_fn(arrs):
         params = enc.EncoderParams("d", arrs[0], arrs[1],
                                    np.zeros((3, 4)), np.zeros(3), tanh=True)
         grads = enc.new_grads(params)
-        e = enc.embed_vector(params, x, normalize=True)
-        diff = e - target
-        enc.embed_backward(params, x, 2.0 * diff, grads, normalized=True)
-        return float(diff @ diff), [grads.weight, grads.bias,
-                                    grads.classifier_weight, grads.classifier_bias]
+        embs = enc.whole_embed(params, x)
+        diff = enc.unit_rows(embs) - target
+        enc.whole_backward(params, x, embs, 2.0 * diff, grads, normalized=True)
+        return float(np.sum(diff * diff)), [grads.weight, grads.bias,
+                                            grads.classifier_weight, grads.classifier_bias]
 
     p = make_params(tanh=True)
     err = enc.check_gradients(

@@ -94,13 +94,13 @@ def test_patch_loss_decreases_when_trained_alone():
                               decay_epoch=10_000)
     values = []
     for _ in range(20):
-        student_patches = list(enc.region_embed(student, cache.avg, pooled)[:, 1:])
-        value, grads = losses.patch_mse_loss(teacher_patches, student_patches)
+        descs = enc.region_embed(student, cache.avg, pooled)
+        value, grads = losses.patch_mse_loss(teacher_patches, list(descs[:, 1:]))
         values.append(value)
         acc = enc.new_grads(student)
         g_descs = np.zeros((len(drones), len(grid) + 1, student.dim))
         g_descs[:, 1:] = grads
-        enc.region_backward(student, cache.avg, pooled, g_descs, acc)
+        enc.region_backward(student, cache.avg, pooled, descs, g_descs, acc)
         enc.sgd_step(student, acc, state)
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] < values[0]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plcd import dataspace as ds
 from plcd import encoder as enc
-from plcd import peerlearn, rmac
+from plcd import losses, peerlearn, rmac
 from plcd.seeds import substream
 
 
@@ -90,6 +92,92 @@ def test_mining_validates_inputs():
     with pytest.raises(ValueError, match="one record per section"):
         peerlearn.mine_easy_triplet(anchor, positives[:1] * 2, negatives,
                                     params, params, 1)
+
+
+def _cosine(a, b):
+    return float(enc.l2_normalize(a) @ enc.l2_normalize(b))
+
+
+@st.composite
+def mining_case(draw):
+    """An anchor, one positive per section and a negative pool with features
+    from a coarse integer grid, some rows scaled: byte-identical and
+    equal-cosine candidates are common. Record ids are shuffled, so a row's
+    place in the batch says nothing about its id."""
+    dim = draw(st.integers(2, 16))  # from about 8 up, BLAS rounds copies apart
+    vec = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    scale = st.sampled_from([1.0, 1.0, 0.5, 3.0])
+    n_pos, n_neg = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    ids = draw(st.permutations(range(1, n_pos + n_neg + 2)))
+    feats = {}
+
+    def record(rid, landmark, section):
+        feats[rid] = np.array(draw(vec), dtype=float) * draw(scale)
+        return ds.ImageRecord(rid, ds.DRONE, landmark, section, np.zeros((1, 1, 1)))
+
+    anchor = record(ids[0], 1, 1)
+    positives = [record(ids[1 + i], 1, 1 + i) for i in range(n_pos)]
+    negatives = [record(ids[1 + n_pos + i], 2 + i % 3, 1) for i in range(n_neg)]
+    # a few byte-identical copies of an earlier candidate's features
+    candidates = positives + negatives
+    for i in draw(st.lists(st.integers(0, len(candidates) - 1), max_size=4)):
+        feats[candidates[i].id] = feats[candidates[draw(st.integers(0, i))].id].copy()
+    num_negatives = draw(st.integers(1, n_neg))
+    return anchor, positives, negatives, feats, num_negatives
+
+
+@settings(max_examples=200, deadline=None)
+@given(mining_case())
+def test_stacked_miner_matches_per_pair_brute_force(case):
+    anchor, positives, negatives, feats, n = case
+    params = identity_params(1)
+    mined = peerlearn.mine_easy_triplet(
+        anchor, positives, negatives, params, params, n,
+        feature_fn=lambda _, records: np.stack([feats[r.id] for r in records]))
+    a = feats[anchor.id]
+    pos_score = {r.id: _cosine(a, feats[r.id]) for r in positives}
+    neg_score = {r.id: _cosine(a, feats[r.id]) for r in negatives}
+    best = min(positives, key=lambda r: (-pos_score[r.id], r.id))
+    top = sorted(negatives, key=lambda r: (-neg_score[r.id], r.id))[:n]
+    # the same picks, except among scores within 1e-12 of each other
+    assert abs(pos_score[mined.positive.id] - pos_score[best.id]) <= 1e-12
+    assert len(mined.negatives) == n
+    for got, want in zip(mined.negatives, top):
+        assert abs(neg_score[got.id] - neg_score[want.id]) <= 1e-12
+    # byte-identical candidates tie exactly: the lowest id wins
+    same = [r.id for r in positives
+            if feats[r.id].tobytes() == feats[mined.positive.id].tobytes()]
+    assert mined.positive.id == min(same)
+    picked = {r.id for r in mined.negatives}
+    for r in mined.negatives:
+        assert all(o.id in picked for o in negatives
+                   if o.id < r.id and feats[o.id].tobytes() == feats[r.id].tobytes())
+
+
+def test_byte_identical_candidates_tie_anywhere_in_the_batch():
+    # wide rows: a BLAS product rounds copies in different rows apart
+    rng = substream(9, "test.copies")
+    for trial in range(40):
+        ids = rng.permutation(np.arange(1, 20))
+        dim = 32
+        best = rng.standard_normal(dim)
+        close = best + 0.3 * rng.standard_normal(dim)  # beats every random row
+        anchor = ds.ImageRecord(int(ids[0]), ds.DRONE, 1, 1, np.zeros((1, 1, 1)))
+        positives = [ds.ImageRecord(int(i), ds.DRONE, 1, s + 1, np.zeros((1, 1, 1)))
+                     for s, i in enumerate(ids[1:7])]
+        negatives = [ds.ImageRecord(int(i), ds.DRONE, 2, 1, np.zeros((1, 1, 1)))
+                     for i in ids[7:]]
+        feats = {anchor.id: best + 0.1 * rng.standard_normal(dim)}
+        feats.update({r.id: best.copy() for r in positives})
+        feats.update({r.id: (close if k % 2 else rng.standard_normal(dim))
+                      for k, r in enumerate(negatives)})
+        params = identity_params(1)
+        mined = peerlearn.mine_easy_triplet(
+            anchor, positives, negatives, params, params, 6,
+            feature_fn=lambda _, records: np.stack([feats[r.id] for r in records]))
+        assert mined.positive.id == min(r.id for r in positives)
+        copies = sorted(r.id for k, r in enumerate(negatives) if k % 2)
+        assert [r.id for r in mined.negatives] == copies
 
 
 def test_mining_oracle_after_warmup():
@@ -230,7 +318,8 @@ def test_drone_features_match_training_aggregate(monkeypatch):
     drones = [r for r in split.train if r.view == ds.DRONE]
     feats = peerlearn.drone_features(params, grid, drones)
     cache = peerlearn._PooledCache(grid, drones[0].featmap.shape)
-    step = peerlearn._Step(0, [params], cache, [(drones[0], drones[1:])])
+    anchor = next(r for r in split.train if r.view == ds.GROUND)
+    step = peerlearn._Step([params], cache, [(anchor, drones)])
     assert np.allclose(feats, step.feats[step.rows(drones)], rtol=0.0, atol=1e-12)
     for rec, feat in zip(drones, feats):
         alone = peerlearn.aggregate_feature(
@@ -267,10 +356,135 @@ def test_identical_records_tie_exactly_in_a_step():
     copies = [ds.ImageRecord(1000 + i, ds.DRONE, 1, 1, drones[3].featmap)
               for i in range(3)]
     cache = peerlearn._PooledCache(grid, drones[0].featmap.shape)
-    step = peerlearn._Step(0, [params], cache,
+    step = peerlearn._Step([params], cache,
                            [(drones[0], drones[1:] + copies)])
     rows = step.feats[step.rows([drones[3], *copies])]
     assert all(np.array_equal(rows[0], r) for r in rows[1:])
+
+
+def reference_step(params_list, cache, entries, mined_for, ctx, senior=None,
+                   tau=0.1, lambda1=1.0):
+    """The per-anchor step: each anchor embeds, backs through its classifier
+    heads and backs through the whole-image path on its own (the backward
+    re-running the forward); the drones share one region forward/backward."""
+    ground, drone = params_list[0], params_list[-1]
+    grads = [enc.new_grads(p) for p in params_list]
+    g_grads, d_grads = grads[0], grads[-1]
+    drones = list({r.id: r for _, positives in entries for r in positives}.values())
+    row = {r.id: i for i, r in enumerate(drones)}
+    pooled = cache.stack(drones)
+    descs = enc.region_embed(drone, cache.avg, pooled)
+    feats = peerlearn.aggregate_feature(descs)
+    g_feats, g_descs = np.zeros_like(feats), np.zeros_like(descs)
+    per_image, dim = descs.shape[1:]
+    for anchor, positives in entries:
+        mined = mined_for[anchor.id]
+        x = anchor.featmap.ravel()
+        a = enc.forward(ground, anchor)
+        p_row, neg_rows = row[mined.positive.id], [row[r.id] for r in mined.negatives]
+        p = feats[p_row]
+        _, g = losses.consistency_loss(a, p, list(feats[neg_rows]))
+        target = np.zeros(ctx.num_classes)
+        target[ctx.class_index[anchor.landmark]] = 1.0
+        g_a, g_p = g["anchor"], g["positive"]
+        for params, acc, emb in ((ground, g_grads, a), (drone, d_grads, p)):
+            _, g_log = losses.cross_entropy(
+                params.classifier_weight @ emb + params.classifier_bias, target)
+            acc.classifier_weight += np.outer(g_log, emb)
+            acc.classifier_bias += g_log
+            if emb is a:
+                g_a = g_a + params.classifier_weight.T @ g_log
+            else:
+                g_p = g_p + params.classifier_weight.T @ g_log
+        g_feats[p_row] += g_p
+        for r, g_n in zip(neg_rows, g["negatives"]):
+            g_feats[r] += g_n
+        if senior is not None:
+            rows = [row[r.id] for r in positives]
+            senior_descs = enc.region_embed(senior[1], cache.avg, pooled)
+            senior_vec = peerlearn._similarity_from_rows(
+                enc.forward(senior[0], anchor), senior_descs[rows].reshape(-1, dim),
+                per_image, tau)
+            junior_vec = peerlearn._similarity_from_rows(
+                a, descs[rows].reshape(-1, dim), per_image, 1.0)
+            _, g_dots = losses.soft_loss(senior_vec, junior_vec)
+            g_anchor, g_entries = losses.similarity_input_grads(junior_vec, g_dots)
+            g_a = g_a + lambda1 * g_anchor
+            g_descs[rows] += lambda1 * g_entries.reshape(len(rows), per_image, dim)
+        pre = ground.weight @ x + ground.bias
+        g_pre = g_a * (1.0 - np.tanh(pre) ** 2) if ground.tanh else g_a
+        g_grads.weight += np.outer(g_pre, x)
+        g_grads.bias += g_pre
+    g_descs += peerlearn.aggregate_backward(descs, g_feats)
+    enc.region_backward(drone, cache.avg, pooled, descs, g_descs, d_grads)
+    return grads
+
+
+@pytest.mark.parametrize("tanh", [False, True])
+@pytest.mark.parametrize("kind", ["senior", "junior", "shared", "shared-junior"])
+def test_batched_step_matches_per_anchor_reference(tanh, kind):
+    split = tiny_split(noise=0.2)
+    cfg = tiny_cfg(encoder_tanh=tanh)
+    ctx = peerlearn.build_context(split)
+    ground, drone = peerlearn._init_pair(ctx, cfg, "test.step")
+    if kind.startswith("shared"):
+        drone = ground
+    params_list = [ground] if drone is ground else [ground, drone]
+    senior = None
+    if kind.endswith("junior"):
+        sg, sd = peerlearn._init_pair(ctx, cfg, "test.step.senior")
+        senior = (sg, sg) if kind.startswith("shared") else (sg, sd)
+    grid = rmac.region_grid((ctx.map_shape[1], ctx.map_shape[2]), cfg.scales,
+                            cfg.width_table, cfg.reference_side)
+    cache = peerlearn._PooledCache(grid, ctx.map_shape)
+    rng = substream(8, "test.step.batch")
+    entries = []
+    for anchor in ctx.grounds:
+        same = [positives for other, positives in entries if other.landmark == anchor.landmark]
+        # anchors of one landmark share a positive batch: positives repeat
+        entries.append((anchor, same[0] if same else
+                        peerlearn._sample_positive_batch(ctx, anchor.landmark, rng)))
+    mined_for = {}
+    for anchor, positives in entries:
+        negatives = peerlearn._batch_negatives(entries, anchor)
+        mined_for[anchor.id] = peerlearn.MinedTriplet(
+            positives[0], [negatives[i] for i in rng.permutation(len(negatives))[:3]])
+    # anchors of one landmark share their positive: the drone head's
+    # gradient must reach that row once per anchor
+    assert len({m.positive.id for m in mined_for.values()}) < len(mined_for)
+
+    step = peerlearn._Step(params_list, cache, entries, "drone", senior)
+    for anchor, positives in entries:
+        peerlearn._hard_step(anchor, mined_for[anchor.id], ctx, step)
+        if senior is not None:
+            peerlearn._soft_step(anchor, positives, step, 0.1, 1.0)
+    step.backward(cache.avg)
+    expected = reference_step(params_list, cache, entries, mined_for, ctx, senior)
+    for got, want in zip(step.grads, expected):
+        for name, arr in got.arrays().items():
+            assert np.max(np.abs(arr - want.arrays()[name])) <= 1e-10, name
+
+
+def test_anchors_join_the_region_stack_only_for_drone_space_mining():
+    split = tiny_split()
+    cfg = tiny_cfg()
+    ctx = peerlearn.build_context(split)
+    ground, drone = peerlearn._init_pair(ctx, cfg, "test.stack")
+    grid = rmac.region_grid((ctx.map_shape[1], ctx.map_shape[2]), cfg.scales,
+                            cfg.width_table, cfg.reference_side)
+    cache = peerlearn._PooledCache(grid, ctx.map_shape)
+    entries = [(a, peerlearn._sample_positive_batch(ctx, a.landmark, substream(1, "s")))
+               for a in ctx.grounds]
+    anchor_ids = {a.id for a, _ in entries}
+    drone_ids = {r.id for _, positives in entries for r in positives}
+    for params_list, space, region, whole in (
+            ([ground, drone], "drone", anchor_ids | drone_ids, anchor_ids),
+            ([ground, drone], "ground", drone_ids, anchor_ids),
+            ([ground, drone], None, drone_ids, anchor_ids),
+            ([ground], "drone", drone_ids, anchor_ids | drone_ids),
+            ([ground], None, drone_ids, anchor_ids)):
+        step = peerlearn._Step(params_list, cache, entries, space)
+        assert set(step.row) == region and set(step.whole_row) == whole
 
 
 def test_trained_senior_beats_untrained_noise_free_retrieval():
