@@ -134,25 +134,27 @@ def cmd_train_sd(args) -> int:
     return 0
 
 
-def _load_models(models_dir: Path, cfg: RunConfig,
-                 require_shared: bool) -> pipeline.TrainedModels:
+def _load_models(models_dir: Path, cfg: RunConfig, require_shared: bool,
+                 read_shared: bool = False) -> pipeline.TrainedModels:
+    """The checkpoints retrieval reads: the junior pair, and the shared
+    satellite-drone encoder when ``require_shared`` (or, with ``read_shared``,
+    when its file exists). No retrieval mode reads the seniors; the junior
+    pair and the junior drone stand in for every field left unread."""
+    wanted = ["junior_ground", "junior_drone"]
+    if require_shared or (read_shared and (models_dir / CHECKPOINTS["shared"]).exists()):
+        wanted.append("shared")
     loaded = {}
-    for attr, fname in CHECKPOINTS.items():
-        path = models_dir / fname
-        loaded[attr] = (_parse(path, "checkpoint", enc.load_params, tanh=cfg.encoder_tanh)
-                        if path.exists() else None)
-    required = ["junior_ground", "junior_drone"]
-    if require_shared:
-        required.append("shared")
-    for attr in required:
-        if loaded[attr] is None:
-            raise SystemExit(f"checkpoint not found: {models_dir / CHECKPOINTS[attr]}")
+    for attr in wanted:
+        path = models_dir / CHECKPOINTS[attr]
+        if not path.exists():
+            raise SystemExit(f"checkpoint not found: {path}")
+        loaded[attr] = _parse(path, "checkpoint", enc.load_params, tanh=cfg.encoder_tanh)
     return pipeline.TrainedModels(
-        senior_ground=loaded["senior_ground"] or loaded["junior_ground"],
-        senior_drone=loaded["senior_drone"] or loaded["junior_drone"],
+        senior_ground=loaded["junior_ground"],
+        senior_drone=loaded["junior_drone"],
         junior_ground=loaded["junior_ground"],
         junior_drone=loaded["junior_drone"],
-        shared=loaded["shared"] or loaded["junior_drone"],
+        shared=loaded.get("shared", loaded["junior_drone"]),
         logs={},
     )
 
@@ -163,7 +165,8 @@ def cmd_retrieve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     split = _read_split(_out_path(args.data), "test")
     models = _load_models(_out_path(args.models), cfg,
-                          require_shared=args.mode != "ground-drone")
+                          require_shared=args.mode != "ground-drone",
+                          read_shared=bool(args.dump_embeddings))
     if args.mode in ("diffusion", "chain", "direct-cosine"):
         rankings = pipeline.ground_satellite_rankings(
             cfg, split, models, args.mode, use_drones=not args.no_drones)

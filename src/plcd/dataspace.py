@@ -246,7 +246,7 @@ def format_records(records: list[ImageRecord], num_landmarks: int,
     lines = [f"{DATA_MAGIC} {len(records)} {num_landmarks} {num_sections}"]
     for r in records:
         c, h, w = r.featmap.shape
-        values = " ".join(repr(float(v)) for v in r.featmap.ravel())
+        values = " ".join(map(repr, r.featmap.ravel().tolist()))
         lines.append(f"{r.id} {r.view} {r.landmark} {r.section} {c} {h} {w} {values}")
     return "\n".join(lines) + "\n"
 
@@ -276,7 +276,7 @@ def read_records(path) -> tuple[list[ImageRecord], int, int]:
             raise ValueError(f"{path}: record line {ln!r} is truncated")
         rid, view, landmark, section = int(tok[0]), tok[1], int(tok[2]), int(tok[3])
         c, h, w = int(tok[4]), int(tok[5]), int(tok[6])
-        values = np.array([float(t) for t in tok[7 : 7 + c * h * w]])
+        values = np.array(tok[7 : 7 + c * h * w], dtype=float)
         if values.size != c * h * w:
             raise ValueError(f"{path}: record {rid} has {values.size} values, needs {c * h * w}")
         if not np.isfinite(values).all():

@@ -7,13 +7,16 @@ nodes, measured in the ground-drone space; after the walk converges the
 satellite-node weights give the ranking. The walk solves
 f <- alpha * S @ f + (1 - alpha) * f0, either by iteration or via the linear
 system (I - alpha * S) x = f0, which shares its fixed point up to scale.
-Queries come in batches: f0 holds one column per query, and one solve (or
-one walk over the whole matrix) ranks them all.
+Ranking reads only the satellite rows of x, so the closed form solves once
+per graph and alpha for those rows of (I - alpha * S)^-1 and scores every
+later query with one product. Queries come in batches: f0 holds one column
+per query, and one product (or one walk over the whole matrix) ranks them
+all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -102,6 +105,21 @@ def _normalized_rows(embs: Sequence[np.ndarray], what: str) -> np.ndarray:
     return rows / norms[:, None]
 
 
+def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
+    """Column indices (n, k) of each row's k largest entries, ascending. A
+    tie at the k-th largest value goes to the lowest indices, so each row
+    holds the set the first k of a stable descending sort would, found by
+    one partition instead of a full sort."""
+    n = sims.shape[1]
+    kth = np.partition(sims, n - k, axis=1)[:, [n - k]]
+    above = sims > kth
+    ties = sims == kth
+    room = k - np.count_nonzero(above, axis=1)[:, None]
+    # int32: the n x n running count of ties at half the int64 size
+    chosen = above | (ties & (np.cumsum(ties, axis=1, dtype=np.int32) <= room))
+    return np.nonzero(chosen)[1].reshape(len(sims), k)
+
+
 def build_graph(drone_embs: Sequence[np.ndarray], sat_embs: Sequence[np.ndarray],
                 drone_ids: Sequence[int], sat_ids: Sequence[int],
                 k_graph: int) -> TransitionGraph:
@@ -128,8 +146,7 @@ def build_graph(drone_embs: Sequence[np.ndarray], sat_embs: Sequence[np.ndarray]
     sims = (emb @ emb.T)[:, first[inverse.ravel()]]
     np.fill_diagonal(sims, -np.inf)
 
-    # copied, so that the full n x n sort order is freed at once
-    neighbors = np.argsort(-sims, axis=1, kind="stable")[:, :k_graph].copy()
+    neighbors = _top_k(sims, k_graph)
     rows = np.arange(n)[:, None]
     affinity = np.zeros((n, n))
     affinity[rows, neighbors] = np.maximum(sims[rows, neighbors], 0.0)
@@ -201,27 +218,38 @@ def diffuse_iterative(matrix: np.ndarray, f0: np.ndarray, alpha: float,
                            column_converged=converged)
 
 
-def diffuse_closed_form(matrix: np.ndarray, f0: np.ndarray, alpha: float,
-                        cap: int = 2000) -> np.ndarray:
-    """Solve (I - alpha * S) x = f0 for every column of ``f0`` in one call;
-    x is the walk's limit up to scale."""
+def closed_form_operator(matrix: np.ndarray, rows: Sequence[int], alpha: float,
+                         cap: int = 2000) -> np.ndarray:
+    """Rows ``rows`` of (I - alpha * S)^-1, shape (len(rows), n), from one
+    solve of the transposed system with one right-hand side per row; the
+    solution x of (I - alpha * S) x = f0 at those rows is then
+    ``apply_operator(operator, f0)``. Graphs above ``cap`` nodes raise."""
     n = matrix.shape[0]
     if n > cap:
         raise ValueError(f"graph size {n} exceeds the direct-solve cap {cap}")
-    return np.linalg.solve(np.eye(n) - alpha * matrix, f0)
+    picks = np.zeros((n, len(rows)))
+    picks[rows, np.arange(len(rows))] = 1.0
+    return np.ascontiguousarray(np.linalg.solve((np.eye(n) - alpha * matrix).T, picks).T)
 
 
-def rank_satellites(states: np.ndarray, graph: TransitionGraph,
+def apply_operator(operator: np.ndarray, f0: np.ndarray) -> np.ndarray:
+    """``operator @ f0`` for an (n, q) ``f0``. An einsum over node-contiguous
+    rows, not a BLAS product: each column's scores are then summed the same
+    way in a batch as alone, as ``init_state``'s start vectors are."""
+    return np.einsum("sn,qn->sq", operator, np.ascontiguousarray(f0.T))
+
+
+def rank_satellites(sat_scores: np.ndarray, graph: TransitionGraph,
                     query_ids: Sequence[int]) -> list[RankingList]:
-    """Restrict each state column to the satellite nodes and sort it
-    descending; column j ranks for ``query_ids[j]``."""
+    """Sort each column of ``sat_scores`` (the satellite rows of a state, in
+    ``graph.satellite_indices()`` order) descending; column j ranks for
+    ``query_ids[j]``."""
     sat_idx = graph.satellite_indices()
     if not sat_idx:
         raise ValueError("graph contains no satellite nodes")
     ids = [graph.node_ids[i] for i in sat_idx]
-    weights = states[sat_idx].T
     return [rank_gallery(qid, ids, w.tolist(), degenerate=not w.any())
-            for qid, w in zip(query_ids, weights)]
+            for qid, w in zip(query_ids, sat_scores.T)]
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +260,14 @@ def rank_satellites(states: np.ndarray, graph: TransitionGraph,
 class DiffusionIndex:
     """One-time gallery artifacts shared by every query: the sd-space graph
     and the unit-normalized gd-space drone rows used for walk initialization
-    (empty when there is no graph)."""
+    (empty when there is no graph). ``operators`` memoizes the closed form's
+    satellite-row operator per alpha; the graph never changes once built."""
 
     graph: TransitionGraph | None
     drone_gd: np.ndarray
     sat_ids: list[int]
     cfg: DiffusionConfig
+    operators: dict[float, np.ndarray] = field(default_factory=dict)
 
 
 def build_index(drone_sd_embs: Sequence[np.ndarray], sat_sd_embs: Sequence[np.ndarray],
@@ -276,17 +306,23 @@ def query(index: DiffusionIndex, query_ids: Sequence[int],
         return [rank_gallery(qid, index.sat_ids, [0.0] * len(index.sat_ids),
                              degenerate=True)
                 for qid in query_ids]
-    f0 = init_state(query_embs, index.drone_gd, cfg, index.graph.size)
+    graph = index.graph
+    f0 = init_state(query_embs, index.drone_gd, cfg, graph.size)
+    sat_idx = graph.satellite_indices()
     if cfg.closed_form:
-        states = diffuse_closed_form(index.graph.matrix, f0, a, cfg.closed_form_cap)
+        operator = index.operators.get(a)
+        if operator is None:
+            operator = closed_form_operator(graph.matrix, sat_idx, a, cfg.closed_form_cap)
+            index.operators[a] = operator
+        scores = apply_operator(operator, f0)
     else:
-        walk = diffuse_iterative(index.graph.matrix, f0, a, cfg.max_iters, cfg.tol)
+        walk = diffuse_iterative(graph.matrix, f0, a, cfg.max_iters, cfg.tol)
         if not walk.converged:
             stuck = [int(q) for q, ok in zip(query_ids, walk.column_converged) if not ok]
             raise ValueError(f"walk did not converge within max_iters={cfg.max_iters} "
                              f"for queries {stuck}")
-        states = walk.state
-    return rank_satellites(states, index.graph, query_ids)
+        scores = walk.state[sat_idx]
+    return rank_satellites(scores, graph, query_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +336,7 @@ def format_embeddings(entries: Sequence[tuple[int, str, int, np.ndarray]]) -> st
     dim = len(entries[0][3])
     lines = [f"{EMB_MAGIC} {len(entries)} {dim}"]
     for rid, view, landmark, vec in entries:
-        values = " ".join(repr(float(v)) for v in vec)
+        values = " ".join(map(repr, np.asarray(vec, dtype=float).tolist()))
         lines.append(f"{rid} {view} {landmark} {values}")
     return "\n".join(lines) + "\n"
 
@@ -321,7 +357,7 @@ def read_embeddings(path) -> list[tuple[int, str, int, np.ndarray]]:
     out = []
     for ln in lines[1:]:
         tok = ln.split()
-        vec = np.array([float(t) for t in tok[3:]])
+        vec = np.array(tok[3:], dtype=float)
         if vec.size != dim:
             raise ValueError(f"{path}: entry {tok[0]} has {vec.size} dims, needs {dim}")
         if not np.isfinite(vec).all():

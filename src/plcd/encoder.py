@@ -347,7 +347,7 @@ def format_params(params: EncoderParams) -> str:
     lines = [f"{ENC_MAGIC} {params.role} {params.dim} {params.input_dim} {params.classes}"]
     for arr in (params.weight, params.bias, params.classifier_weight,
                 params.classifier_bias):
-        lines.append(" ".join(repr(float(v)) for v in arr.ravel()))
+        lines.append(" ".join(map(repr, arr.ravel().tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -363,11 +363,10 @@ def load_params(path, tanh: bool = False) -> EncoderParams:
         raise ValueError(f"{path}: missing '{ENC_MAGIC}' header")
     _, _, role, dim, input_dim, classes = lines[0].split()
     dim, input_dim, classes = int(dim), int(input_dim), int(classes)
-    values = [float(t) for ln in lines[1:] for t in ln.split()]
+    flat = np.array(" ".join(lines[1:]).split(), dtype=float)
     expected = dim * input_dim + dim + classes * dim + classes
-    if len(values) != expected:
-        raise ValueError(f"{path}: expected {expected} values, found {len(values)}")
-    flat = np.array(values)
+    if flat.size != expected:
+        raise ValueError(f"{path}: expected {expected} values, found {flat.size}")
     offset = 0
 
     def take(shape):

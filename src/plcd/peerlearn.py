@@ -223,8 +223,8 @@ def _sample_positive_batch(ctx: _TrainContext, landmark: int,
 
 
 class _PooledCache:
-    """Region-pooled descriptors per record: row 0 is the global max pool,
-    the remaining rows follow the grid order. Maps never change, so this is
+    """Region-pooled descriptors per record (``rmac.pool_regions`` rows: the
+    global max pool, then the grid order). Maps never change, so this is
     computed once per record. ``avg`` is the matching (k, h*w) averaging
     matrix: row r is 1/|cells_r| on region r's cells, row 0 the full map."""
 
@@ -237,18 +237,15 @@ class _PooledCache:
             self.avg[row, region_cells] = 1.0 / len(region_cells)
         self._store: dict[int, np.ndarray] = {}
 
-    def get(self, record: ImageRecord) -> np.ndarray:
-        pooled = self._store.get(record.id)
-        if pooled is None:
-            rows = [rmac.global_max_pool(record.featmap)]
-            rows += rmac.extract_patch_features(record.featmap, self.grid)
-            pooled = np.stack(rows)
-            self._store[record.id] = pooled
-        return pooled
-
     def stack(self, records: list[ImageRecord]) -> np.ndarray:
-        """(n, k, channels) pooled rows of ``records``, in order."""
-        return np.stack([self.get(r) for r in records])
+        """(n, k, channels) pooled rows of ``records``, in order. Records not
+        seen yet are pooled in one call, each once."""
+        fresh = {r.id: r for r in records if r.id not in self._store}
+        if fresh:
+            pooled = rmac.pool_regions(np.stack([r.featmap for r in fresh.values()]),
+                                       self.grid)
+            self._store.update(zip(fresh, pooled))
+        return np.stack([self._store[r.id] for r in records])
 
 
 class _Step:
@@ -257,11 +254,12 @@ class _Step:
     Drone records go through the region path: each drone of the batch's
     positive batches (which also hold every negative) is embedded once with
     the current drone parameters, and with the frozen senior's in Step II;
-    the anchors join that stack only when drone-space mining reads them.
-    The anchors go through the whole-image path in one product with the
-    current ground parameters (and the frozen senior ground's). With shared
-    branches the miner ranks every candidate by its whole-image embedding
-    too, so then the drones join that product instead.
+    the anchors join that stack, ahead of the drones, only when drone-space
+    mining reads them, and never for the senior, whose rows only the soft
+    loss reads. The anchors go through the whole-image path in one product
+    with the current ground parameters (and the frozen senior ground's).
+    With shared branches the miner ranks every candidate by its whole-image
+    embedding too, so then the drones join that product instead.
 
     The losses read these rows and add into one gradient array per path
     (``g_whole``, ``g_feats`` for image features, ``g_descs`` for region
@@ -282,6 +280,7 @@ class _Step:
         whole = anchors + drones if mining_space and shared else anchors
 
         self.row = {r.id: i for i, r in enumerate(region)}
+        self.drone_start = len(region) - len(drones)  # drones close the stack
         self.pooled = cache.stack(region)
         self.descs = enc.region_embed(self.drone, cache.avg, self.pooled)
         self.feats = aggregate_feature(self.descs)
@@ -295,8 +294,9 @@ class _Step:
 
         self.senior_descs = self.senior_whole = None
         if senior is not None:
-            self.senior_whole = enc.whole_embed(senior[0], self.x)
-            self.senior_descs = enc.region_embed(senior[1], cache.avg, self.pooled)
+            self.senior_whole = enc.whole_embed(senior[0], self.x[: len(anchors)])
+            self.senior_descs = enc.region_embed(senior[1], cache.avg,
+                                                 self.pooled[self.drone_start:])
 
         # per anchor: ground-head logit gradients on its whole-image row,
         # drone-head ones on its positive's feature row
@@ -360,7 +360,8 @@ def _soft_step(anchor, doublet_records, step: _Step, tau, lambda1):
     i = step.whole_row[anchor.id]
     rows = step.rows(doublet_records)
     per_image, dim = step.descs.shape[1:]
-    senior_entries = step.senior_descs[rows].reshape(-1, dim)
+    senior_rows = np.subtract(rows, step.drone_start)
+    senior_entries = step.senior_descs[senior_rows].reshape(-1, dim)
     junior_entries = step.descs[rows].reshape(-1, dim)
 
     senior_vec = _similarity_from_rows(step.senior_whole[i], senior_entries, per_image, tau)

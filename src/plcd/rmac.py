@@ -83,32 +83,32 @@ def region_grid(map_shape: int | tuple[int, int], scales: Iterable[int],
     return regions
 
 
-def region_max_pool(featmap: np.ndarray, region: Region) -> np.ndarray:
-    """Per-channel maximum over the region window."""
-    _, height, width = featmap.shape
-    if region.x0 < 0 or region.y0 < 0 or region.x0 + region.width > width \
-            or region.y0 + region.height > height:
-        raise ValueError(f"region {region} out of bounds for map {featmap.shape}")
-    window = featmap[:, region.y0 : region.y0 + region.height,
-                     region.x0 : region.x0 + region.width]
-    return window.max(axis=(1, 2))
-
-
-def global_max_pool(featmap: np.ndarray) -> np.ndarray:
-    return featmap.max(axis=(1, 2))
-
-
-def extract_patch_features(featmap: np.ndarray, grid: Sequence[Region]) -> list[np.ndarray]:
-    """Pooled vector per region, in grid order."""
-    return [region_max_pool(featmap, region) for region in grid]
-
-
-def region_cells(region: Region, map_shape: tuple[int, int, int]) -> np.ndarray:
-    """Flat spatial indices (row-major over height x width) the region covers."""
+def _check_bounds(region: Region, map_shape: tuple[int, int, int]) -> None:
     _, height, width = map_shape
     if region.x0 < 0 or region.y0 < 0 or region.x0 + region.width > width \
             or region.y0 + region.height > height:
         raise ValueError(f"region {region} out of bounds for map shape {map_shape}")
+
+
+def pool_regions(featmaps: np.ndarray, grid: Sequence[Region]) -> np.ndarray:
+    """Max-pooled rows (n, 1 + len(grid), c) of an (n, c, h, w) map stack:
+    row 0 is the global max pool, the rest follow the grid order. One
+    reduction per region covers the whole stack; max is exact, so each row
+    equals the per-map, per-region pool bit for bit."""
+    n, c = featmaps.shape[:2]
+    out = np.empty((n, 1 + len(grid), c))
+    out[:, 0] = featmaps.max(axis=(2, 3))
+    for row, region in enumerate(grid, start=1):
+        _check_bounds(region, featmaps.shape[1:])
+        out[:, row] = featmaps[:, :, region.y0 : region.y0 + region.height,
+                               region.x0 : region.x0 + region.width].max(axis=(2, 3))
+    return out
+
+
+def region_cells(region: Region, map_shape: tuple[int, int, int]) -> np.ndarray:
+    """Flat spatial indices (row-major over height x width) the region covers."""
+    _check_bounds(region, map_shape)
+    width = map_shape[2]
     rows = np.arange(region.y0, region.y0 + region.height)
     cols = np.arange(region.x0, region.x0 + region.width)
     return (rows[:, None] * width + cols[None, :]).ravel()

@@ -65,7 +65,8 @@ def test_criterion_2_diffusion_oracle():
 def test_criterion_3_hand_checkable_instance():
     matrix = np.array([[0.0, 1.0], [1.0, 0.0]])
     f0 = np.array([1.0, 0.0])
-    solved = diffusion.diffuse_closed_form(matrix, f0, alpha=0.5)
+    operator = diffusion.closed_form_operator(matrix, [0, 1], alpha=0.5)
+    solved = diffusion.apply_operator(operator, f0[:, None])[:, 0]
     err = float(np.max(np.abs(solved - np.array([4.0 / 3.0, 2.0 / 3.0]))))
     iterated = diffusion.diffuse_iterative(matrix, f0, 0.5, max_iters=5000,
                                            tol=1e-15)
@@ -138,8 +139,7 @@ def test_criterion_5_rmac_geometry():
     pooled_ok = True
     for _ in range(5):
         fm = rng.standard_normal((6, 12, 12))
-        for region in grid:
-            pooled = rmac.region_max_pool(fm, region)
+        for region, pooled in zip(grid, rmac.pool_regions(fm[None], grid)[0, 1:]):
             brute = np.array([
                 max(fm[ch, y, x]
                     for y in range(region.y0, region.y0 + region.height)

@@ -226,6 +226,12 @@ def test_dump_embeddings_exchange_file(workspace, tmp_path):
     # drone reference entries carry no identity label
     assert all(lm == 0 for _, view, lm, _ in entries if view == "D")
     assert all(lm > 0 for _, view, lm, _ in entries if view != "D")
+    # ground-drone mode reads no satdrone.txt for ranking, but its dump does
+    gd_emb = tmp_path / "gd-embeddings.txt"
+    assert run(["retrieve", "--config", cfg, "--data", root / "data",
+                "--models", root / "models", "--mode", "ground-drone",
+                "--dump-embeddings", gd_emb, "--out", tmp_path / "gd"]) == 0
+    assert gd_emb.read_bytes() == emb.read_bytes()
 
 
 def test_evaluate_empty_rankings_dir_fails(workspace, tmp_path):
@@ -255,6 +261,38 @@ def test_missing_checkpoint_reports_path(workspace, tmp_path):
         run(["retrieve", "--config", cfg, "--data", root / "data",
              "--models", empty, "--mode", "diffusion", "--out", tmp_path / "r"])
     assert "junior-ground.txt" in str(err.value)
+
+
+def test_ground_drone_retrieve_reads_only_the_junior_checkpoints(workspace, tmp_path):
+    root, cfg = workspace
+    juniors = tmp_path / "juniors"
+    juniors.mkdir()
+    for name in ("junior-ground.txt", "junior-drone.txt"):
+        (juniors / name).write_bytes((root / "models" / name).read_bytes())
+    full, only = tmp_path / "full", tmp_path / "only"
+    for models, out in ((root / "models", full), (juniors, only)):
+        assert run(["retrieve", "--config", cfg, "--data", root / "data",
+                    "--models", models, "--mode", "ground-drone", "--out", out]) == 0
+    names = sorted(p.name for p in full.glob("ranking-*.txt"))
+    assert names and names == sorted(p.name for p in only.glob("ranking-*.txt"))
+    for name in names:
+        assert (only / name).read_bytes() == (full / name).read_bytes()
+    with pytest.raises(SystemExit) as err:
+        run(["retrieve", "--config", cfg, "--data", root / "data",
+             "--models", juniors, "--mode", "diffusion", "--out", tmp_path / "gs"])
+    assert "satdrone.txt" in str(err.value)
+
+
+def test_non_finite_junior_ground_exits_naming_the_path(workspace, tmp_path):
+    root, cfg = workspace
+    bad = _copy_with_nan(root / "models" / "junior-ground.txt",
+                         tmp_path / "nan" / "junior-ground.txt", 1)
+    (bad.parent / "junior-drone.txt").write_bytes(
+        (root / "models" / "junior-drone.txt").read_bytes())
+    with pytest.raises(SystemExit) as err:
+        run(["retrieve", "--config", cfg, "--data", root / "data",
+             "--models", bad.parent, "--mode", "ground-drone", "--out", tmp_path / "r"])
+    assert str(bad) in str(err.value) and "non-finite" in str(err.value)
 
 
 def test_ablate_unknown_suite_lists_valid_names(workspace):

@@ -197,3 +197,48 @@ def test_record_section_rules():
         ds.ImageRecord(1, ds.GROUND, 1, 2, np.zeros((1, 2, 2)))
     with pytest.raises(ValueError, match="section"):
         ds.ImageRecord(1, ds.DRONE, 1, 0, np.zeros((1, 2, 2)))
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e16, 0.1, -2.5e-308, 1.0 / 3.0]
+
+
+def test_text_formats_keep_per_value_repr_and_read_back_bit_exact(tmp_path):
+    from plcd import diffusion, encoder
+
+    def per_value(arr):  # the per-value formatting the bulk join replaced
+        return " ".join(repr(float(v)) for v in np.ravel(arr))
+
+    fm = np.array(EDGE_VALUES).reshape(1, 2, 3)
+    record = ds.ImageRecord(4, "D", 1, 2, fm)
+    text = ds.format_records([record], 1, 6)
+    assert text.splitlines()[1] == f"4 D 1 2 1 2 3 {per_value(fm)}"
+    ds.write_records(tmp_path / "data.txt", [record], 1, 6)
+    [back], _, _ = ds.read_records(tmp_path / "data.txt")
+    assert back.featmap.tobytes() == fm.tobytes()
+
+    params = encoder.EncoderParams("drone", weight=fm.reshape(1, 6), bias=np.array([-0.0]),
+                                   classifier_weight=np.array([[5e-324], [1e16]]),
+                                   classifier_bias=np.array([0.1, -0.0]))
+    arrays = (params.weight, params.bias, params.classifier_weight, params.classifier_bias)
+    assert encoder.format_params(params).splitlines()[1:] == [per_value(a) for a in arrays]
+    encoder.save_params(tmp_path / "enc.txt", params)
+    loaded = encoder.load_params(tmp_path / "enc.txt")
+    assert [a.tobytes() for a in (loaded.weight, loaded.bias, loaded.classifier_weight,
+                                  loaded.classifier_bias)] == [a.tobytes() for a in arrays]
+
+    vec = np.array(EDGE_VALUES)
+    text = diffusion.format_embeddings([(3, "S", 2, vec)])
+    assert text.splitlines()[1] == f"3 S 2 {per_value(vec)}"
+    diffusion.write_embeddings(tmp_path / "emb.txt", [(3, "S", 2, vec)])
+    [(_, _, _, loaded_vec)] = diffusion.read_embeddings(tmp_path / "emb.txt")
+    assert loaded_vec.tobytes() == vec.tobytes()
+
+
+@pytest.mark.parametrize("token", ["1.0x", "0x10", ""])
+def test_read_rejects_unparsable_values(tmp_path, token):
+    fm = np.ones((1, 1, 2))
+    path = tmp_path / "data.txt"
+    ds.write_records(path, [ds.ImageRecord(4, "D", 1, 2, fm)], 1, 6)
+    path.write_text(path.read_text().replace("1.0 1.0", f"1.0 {token}".rstrip()))
+    with pytest.raises(ValueError):
+        ds.read_records(path)

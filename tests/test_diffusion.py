@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,13 @@ from plcd.seeds import substream
 
 def unit(v):
     return v / np.linalg.norm(v)
+
+
+def closed_form(matrix, f0, alpha, cap=2000):
+    """The closed-form limit at every node for an (n,) seed: all rows of the
+    operator applied to it."""
+    operator = diff.closed_form_operator(matrix, range(len(matrix)), alpha, cap)
+    return diff.apply_operator(operator, f0[:, None])[:, 0]
 
 
 def test_two_identical_nodes_are_mutual_neighbors():
@@ -94,6 +103,22 @@ def test_byte_identical_nodes_tie_exactly_in_gemm_tail_columns():
     assert (graph.matrix[others, 0] > 0.0).all()
 
 
+def test_top_k_picks_the_first_k_of_a_stable_descending_sort():
+    # coarse levels make ties at the k-th value common; -0.0 equals 0.0
+    rng = substream(10, "diff.topk")
+    for trial in range(500):
+        n = int(rng.integers(2, 30))
+        k = int(rng.integers(1, n))
+        levels = int(rng.integers(1, 5))
+        sims = rng.integers(-levels, levels + 1, size=(n, n)) / levels
+        if trial % 3 == 0:
+            sims = rng.standard_normal((n, n))
+        sims[(sims == 0.0) & (rng.random((n, n)) < 0.5)] = -0.0
+        np.fill_diagonal(sims, -np.inf)
+        stable = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(diff._top_k(sims, k), np.sort(stable, axis=1))
+
+
 def test_build_graph_rejects_zero_norm():
     with pytest.raises(ValueError, match="zero-norm"):
         diff.build_graph([np.zeros(3)], [np.ones(3)], [1], [2], 1)
@@ -166,7 +191,7 @@ def test_iterative_identity_matrix_fixed_point():
 def test_hand_checkable_two_node_instance():
     matrix = np.array([[0.0, 1.0], [1.0, 0.0]])
     f0 = np.array([1.0, 0.0])
-    closed = diff.diffuse_closed_form(matrix, f0, alpha=0.5)
+    closed = closed_form(matrix, f0, alpha=0.5)
     assert np.allclose(closed, [4.0 / 3.0, 2.0 / 3.0], atol=1e-9)
     iterative = diff.diffuse_iterative(matrix, f0, 0.5, max_iters=2000, tol=1e-15)
     assert iterative.converged
@@ -193,7 +218,7 @@ def test_iterative_vs_closed_form_random_graphs():
         f0 = rng.uniform(0, 1, size=n)
         it = diff.diffuse_iterative(matrix, f0, alpha, max_iters=100000,
                                     tol=1e-13 * float(f0.max()))
-        cf = diff.diffuse_closed_form(matrix, f0, alpha)
+        cf = closed_form(matrix, f0, alpha)
         gap = float(np.max(np.abs(it.state / it.state.sum() - cf / cf.sum())))
         worst = max(worst, gap)
     assert worst < 1e-6
@@ -202,17 +227,17 @@ def test_iterative_vs_closed_form_random_graphs():
 def test_closed_form_zero_seed_and_linearity():
     rng = substream(9, "diff.linear")
     matrix = random_stochastic_matrix(8, rng)
-    assert np.allclose(diff.diffuse_closed_form(matrix, np.zeros(8), 0.7), 0.0)
+    assert np.allclose(closed_form(matrix, np.zeros(8), 0.7), 0.0)
     f0 = rng.uniform(0, 1, size=8)
-    once = diff.diffuse_closed_form(matrix, f0, 0.7)
-    scaled = diff.diffuse_closed_form(matrix, 3.5 * f0, 0.7)
+    once = closed_form(matrix, f0, 0.7)
+    scaled = closed_form(matrix, 3.5 * f0, 0.7)
     assert np.allclose(scaled, 3.5 * once)
 
 
 def test_closed_form_cap():
     matrix = random_stochastic_matrix(5, substream(10, "diff.cap"))
     with pytest.raises(ValueError, match="cap"):
-        diff.diffuse_closed_form(matrix, np.ones(5), 0.5, cap=4)
+        diff.closed_form_operator(matrix, [3, 4], 0.5, cap=4)
 
 
 def test_nonconverged_flag():
@@ -263,7 +288,7 @@ def test_rank_satellites_orders_and_flags():
     graph = diff.TransitionGraph(matrix=np.zeros((4, 4)), node_ids=[7, 3, 9, 5],
                                  node_views=["D", "D", "S", "S"])
     states = np.array([[0.5, 0.0], [0.1, 0.0], [0.2, 0.0], [0.9, 0.0]])
-    ranking, degenerate = diff.rank_satellites(states, graph, query_ids=[1, 2])
+    ranking, degenerate = diff.rank_satellites(states[2:], graph, query_ids=[1, 2])
     assert (ranking.query_id, ranking.gallery_ids) == (1, [5, 9])
     assert not ranking.degenerate
     assert degenerate.query_id == 2
@@ -275,7 +300,7 @@ def test_rank_satellites_requires_satellite_nodes():
     graph = diff.TransitionGraph(matrix=np.zeros((2, 2)), node_ids=[1, 2],
                                  node_views=["D", "D"])
     with pytest.raises(ValueError, match="satellite"):
-        diff.rank_satellites(np.zeros((2, 1)), graph, [1])
+        diff.rank_satellites(np.zeros((0, 1)), graph, [1])
 
 
 def test_node_relabeling_leaves_ranking_unchanged():
@@ -324,6 +349,82 @@ def test_query_cache_reuse_is_pure():
                                                 [6, 7, 8], cfg), [qid], [q])
         assert cached.gallery_ids == rebuilt.gallery_ids
         assert np.allclose(cached.scores, rebuilt.scores)
+
+
+def retrieval_case(seed, n_drone=120, n_sat=40, n_query=25, dim=6, **cfg_kw):
+    rng = substream(seed, "diff.operator")
+    drones = rng.standard_normal((n_drone, dim))
+    drones[7] = drones[3]  # a duplicated drone and satellite: exact ties
+    sats = rng.standard_normal((n_sat, dim))
+    sats[5] = sats[2]
+    gd = rng.standard_normal((n_drone, dim))
+    cfg = diff.DiffusionConfig(**{"k_graph": 8, "k_init": 6, **cfg_kw})
+    index = diff.build_index(list(drones), list(sats), list(gd), list(range(n_drone)),
+                             list(range(1000, 1000 + n_sat)), cfg)
+    return index, list(rng.standard_normal((n_query, dim)))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
+def test_operator_scores_match_a_full_solve(alpha):
+    index, queries = retrieval_case(21, alpha=alpha)
+    graph = index.graph
+    f0 = diff.init_state(queries, index.drone_gd, index.cfg, graph.size)
+    full = np.linalg.solve(np.eye(graph.size) - alpha * graph.matrix, f0)
+    sat_idx = graph.satellite_indices()
+    rankings = diff.query(index, list(range(len(queries))), queries)
+    for j, ranking in enumerate(rankings):
+        tol = 1e-12 * float(f0[:, j].max()) / (1.0 - alpha)
+        reference = dict(zip([graph.node_ids[i] for i in sat_idx], full[sat_idx, j]))
+        expected = [reference[g] for g in ranking.gallery_ids]
+        assert np.allclose(ranking.scores, expected, rtol=0.0, atol=tol)
+        # the same order as the solve's, except among scores tied within tol
+        assert all(a >= b - tol for a, b in zip(expected, expected[1:]))
+
+
+def test_operator_scores_are_bit_identical_batched_and_alone():
+    index, queries = retrieval_case(22)
+    batched = diff.query(index, list(range(len(queries))), queries)
+    for qid, (q, ranking) in enumerate(zip(queries, batched)):
+        [alone] = diff.query(index, [qid], [q])
+        assert alone.gallery_ids == ranking.gallery_ids
+        assert alone.scores == ranking.scores
+
+
+def test_operator_is_solved_once_per_index_and_alpha(monkeypatch):
+    index, queries = retrieval_case(23)
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: solves.append(b.shape) or solve(a, b))
+    first = diff.query(index, [0, 1], queries[:2])
+    diff.query(index, [2, 3, 4], queries[2:5])
+    assert solves == [(index.graph.size, len(index.sat_ids))]
+    diff.query(index, [0], queries[:1], alpha=0.5)
+    diff.query(index, [0], queries[:1], alpha=0.5)
+    again = diff.query(index, [0, 1], queries[:2])
+    assert len(solves) == 2 and sorted(index.operators) == [0.5, index.cfg.alpha]
+    assert [r.scores for r in again] == [r.scores for r in first]
+    walk = replace(index, cfg=replace(index.cfg, closed_form=False), operators={})
+    diff.query(walk, [0], queries[:1])
+    assert len(solves) == 2 and not walk.operators
+
+
+def test_alpha_sweep_on_a_shared_index_equals_fresh_indexes():
+    shared, queries = retrieval_case(24)
+    ids = list(range(len(queries)))
+    for alpha in (0.5, 0.7, 0.9):
+        fresh, _ = retrieval_case(24, alpha=alpha)
+        swept = diff.query(shared, ids, queries, alpha=alpha)
+        alone = diff.query(fresh, ids, queries)
+        assert [(r.gallery_ids, r.scores) for r in swept] == \
+            [(r.gallery_ids, r.scores) for r in alone]
+
+
+def test_query_above_the_cap_raises():
+    index, queries = retrieval_case(25, n_drone=30, n_sat=10, closed_form_cap=39)
+    with pytest.raises(ValueError, match="graph size 40 exceeds the direct-solve cap 39"):
+        diff.query(index, [0], queries[:1])
+    assert not index.operators
 
 
 @st.composite
@@ -391,7 +492,7 @@ def test_satellite_weight_iff_reachable():
                                  list(range(10, 10 + n_s)), cfg)
         query = rng.standard_normal(4)
         f0 = diff.init_state([query], index.drone_gd, cfg, index.graph.size)[:, 0]
-        state = diff.diffuse_closed_form(index.graph.matrix, f0, cfg.alpha)
+        state = closed_form(index.graph.matrix, f0, cfg.alpha)
         adjacency = index.graph.matrix > 0
         frontier = set(np.nonzero(f0 > 0)[0])
         seen = set(frontier)

@@ -56,36 +56,91 @@ def test_rectangular_maps_apply_rule_per_axis():
         assert r.x0 + r.width <= 12 and r.y0 + r.height <= 6
 
 
+def reference_pool(fm, region):
+    """Per-map, per-region max pool: the loop the batched pooling replaced."""
+    _, height, width = fm.shape
+    if region.x0 < 0 or region.y0 < 0 or region.x0 + region.width > width \
+            or region.y0 + region.height > height:
+        raise ValueError(f"region {region} out of bounds")
+    return fm[:, region.y0:region.y0 + region.height,
+              region.x0:region.x0 + region.width].max(axis=(1, 2))
+
+
+def pooled_regions(fm, grid):
+    """The grid rows of one map's pooled stack."""
+    return rmac.pool_regions(fm[None], grid)[0, 1:]
+
+
 def test_max_pool_constant_map():
     fm = np.full((3, 4, 4), 2.5)
-    (region,) = rmac.region_grid(4, (1,))
-    assert np.array_equal(rmac.region_max_pool(fm, region), [2.5, 2.5, 2.5])
+    grid = rmac.region_grid(4, (1,))
+    assert np.array_equal(rmac.pool_regions(fm[None], grid), np.full((1, 2, 3), 2.5))
 
 
 def test_max_pool_full_map_is_global_max():
     rng = np.random.default_rng(0)
     fm = rng.standard_normal((5, 6, 6))
-    (region,) = rmac.region_grid(6, (1,))
-    assert np.array_equal(rmac.region_max_pool(fm, region), fm.max(axis=(1, 2)))
+    (glob, full), = rmac.pool_regions(fm[None], rmac.region_grid(6, (1,)))
+    assert np.array_equal(full, fm.max(axis=(1, 2)))
+    assert np.array_equal(glob, full)
 
 
 def test_max_pool_hand_case():
     fm = np.array([[[1.0, 2.0], [3.0, 4.0]]])
     region = rmac.Region(scale=1, x0=0, y0=0, width=2, height=1)
-    assert np.array_equal(rmac.region_max_pool(fm, region), [2.0])
+    assert np.array_equal(pooled_regions(fm, [region]), [[2.0]])
 
 
 def test_max_pool_out_of_bounds():
-    fm = np.zeros((1, 2, 2))
-    with pytest.raises(ValueError, match="bounds"):
-        rmac.region_max_pool(fm, rmac.Region(1, 1, 1, 2, 2))
+    maps = np.zeros((3, 1, 2, 2))
+    inside, outside = rmac.Region(1, 0, 0, 2, 2), rmac.Region(1, 1, 1, 2, 2)
+    with pytest.raises(ValueError, match=r"bounds") as err:
+        rmac.pool_regions(maps, [inside, outside])
+    assert str(outside) in str(err.value)
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (6, 12), (9, 5)])
+def test_pool_regions_matches_per_region_reference(shape):
+    rng = np.random.default_rng(6)
+    maps = rng.standard_normal((7, 4, *shape))
+    maps[3] = maps[1]  # a duplicated map pools to the same rows
+    grid = rmac.region_grid(shape, (1, 2, 3, 4))
+    pooled = rmac.pool_regions(maps, grid)
+    assert pooled.shape == (7, 1 + len(grid), 4)
+    for fm, rows in zip(maps, pooled):
+        assert np.array_equal(rows[0], fm.max(axis=(1, 2)))
+        assert np.array_equal(rows[1:], np.stack([reference_pool(fm, r) for r in grid]))
+    assert np.array_equal(pooled[3], pooled[1])
+
+
+def test_pooled_cache_pools_new_records_once(monkeypatch):
+    from plcd.dataspace import ImageRecord
+    from plcd.peerlearn import _PooledCache
+
+    rng = np.random.default_rng(7)
+    records = [ImageRecord(i, "D", 1, 1, rng.standard_normal((3, 6, 6))) for i in range(5)]
+    grid = rmac.region_grid(6, (1, 2))
+    calls = []
+    pool = rmac.pool_regions
+    monkeypatch.setattr(rmac, "pool_regions",
+                        lambda maps, g: calls.append(len(maps)) or pool(maps, g))
+    cache = _PooledCache(grid, (3, 6, 6))
+    order = [records[i] for i in (2, 0, 2, 4, 0)]
+    stack = cache.stack(order)
+    assert calls == [3]  # three distinct records, one call
+    for rec, rows in zip(order, stack):
+        assert np.array_equal(rows, np.stack([rec.featmap.max(axis=(1, 2))]
+                                             + [reference_pool(rec.featmap, r) for r in grid]))
+    again = cache.stack(records)
+    assert calls == [3, 2]  # only the two records not seen yet
+    assert np.array_equal(again[[2, 0, 4]], stack[[0, 1, 3]])
 
 
 def test_pooled_values_attained_and_bound():
     rng = np.random.default_rng(1)
     fm = rng.standard_normal((4, 12, 12))
-    for region in rmac.region_grid(12, (1, 2, 3, 4)):
-        pooled = rmac.region_max_pool(fm, region)
+    grid = rmac.region_grid(12, (1, 2, 3, 4))
+    for region, pooled in zip(grid, pooled_regions(fm, grid)):
         window = fm[:, region.y0:region.y0 + region.height,
                     region.x0:region.x0 + region.width]
         for ch in range(fm.shape[0]):
@@ -97,13 +152,13 @@ def test_monotone_in_cell_values():
     rng = np.random.default_rng(2)
     fm = rng.standard_normal((3, 8, 8))
     grid = rmac.region_grid(8, (1, 2, 3))
-    before = np.stack(rmac.extract_patch_features(fm, grid))
+    before = pooled_regions(fm, grid)
     for trial in range(20):
         bumped = fm.copy()
         ch = trial % 3
         y, x = rng.integers(8), rng.integers(8)
         bumped[ch, y, x] += abs(rng.standard_normal()) + 0.1
-        after = np.stack(rmac.extract_patch_features(bumped, grid))
+        after = pooled_regions(bumped, grid)
         assert np.all(after >= before - 1e-12)
 
 
@@ -111,10 +166,10 @@ def test_extract_order_stable_and_counts():
     rng = np.random.default_rng(3)
     fm = rng.standard_normal((2, 12, 12))
     grid = rmac.region_grid(12, (1, 2, 3, 4))
-    first = rmac.extract_patch_features(fm, grid)
-    second = rmac.extract_patch_features(fm, grid)
+    first = pooled_regions(fm, grid)
+    second = pooled_regions(fm, grid)
     assert len(first) == len(grid)
-    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    assert np.array_equal(first, second)
     # ascending scale then row-major centers
     order = [(r.scale, r.y0, r.x0) for r in grid]
     assert order == sorted(order)
@@ -124,20 +179,18 @@ def test_identical_maps_identical_features():
     rng = np.random.default_rng(4)
     fm = rng.standard_normal((2, 6, 6))
     grid = rmac.region_grid(6, (1, 2))
-    a = rmac.extract_patch_features(fm, grid)
-    b = rmac.extract_patch_features(fm.copy(), grid)
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert np.array_equal(pooled_regions(fm, grid), pooled_regions(fm.copy(), grid))
 
 
 def test_local_change_only_affects_covering_regions():
     rng = np.random.default_rng(5)
     fm = rng.standard_normal((2, 12, 12))
     grid = rmac.region_grid(12, (1, 2, 3, 4))
-    before = rmac.extract_patch_features(fm, grid)
+    before = pooled_regions(fm, grid)
     y, x = 1, 10
     bumped = fm.copy()
     bumped[:, y, x] = fm.max() + 1.0  # above every max: covering regions must change
-    after = rmac.extract_patch_features(bumped, grid)
+    after = pooled_regions(bumped, grid)
     for region, b, a in zip(grid, before, after):
         covers = (region.x0 <= x < region.x0 + region.width
                   and region.y0 <= y < region.y0 + region.height)
