@@ -187,19 +187,18 @@ def cmd_retrieve(args) -> int:
 
 
 def _dump_embeddings(path: Path, cfg, split, models, use_drones: bool) -> None:
-    """Exchange file: ground and satellite entries keep labels; drone
-    reference entries are written with landmark 0 (unlabeled at query time)."""
-    entries = []
-    for r in split.test:
-        if r.view == dataspace.GROUND:
-            entries.append((r.id, r.view, r.landmark,
-                            enc.forward(models.junior_ground, r)))
-        elif r.view == dataspace.SATELLITE:
-            entries.append((r.id, r.view, r.landmark,
-                            enc.forward(models.shared, r)))
-        elif use_drones:
-            entries.append((r.id, r.view, 0, enc.forward(models.shared, r)))
-    diffusion.write_embeddings(path, entries)
+    """Exchange file, in test-split order: ground and satellite entries keep
+    labels; drone reference entries are written with landmark 0 (unlabeled at
+    query time). Each view is embedded as one stack, as retrieval embeds it."""
+    rows = {}
+    for view, params in ((dataspace.GROUND, models.junior_ground),
+                         (dataspace.SATELLITE, models.shared), (dataspace.DRONE, models.shared)):
+        records = [r for r in split.test if r.view == view]
+        if records and (use_drones or view != dataspace.DRONE):
+            rows.update(zip([r.id for r in records], enc.embed_records(params, records)))
+    diffusion.write_embeddings(path, [
+        (r.id, r.view, 0 if r.view == dataspace.DRONE else r.landmark, rows[r.id])
+        for r in split.test if r.id in rows])
 
 
 def cmd_evaluate(args) -> int:

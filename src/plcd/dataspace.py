@@ -276,7 +276,7 @@ def read_records(path) -> tuple[list[ImageRecord], int, int]:
             raise ValueError(f"{path}: record line {ln!r} is truncated")
         rid, view, landmark, section = int(tok[0]), tok[1], int(tok[2]), int(tok[3])
         c, h, w = int(tok[4]), int(tok[5]), int(tok[6])
-        values = np.array(tok[7 : 7 + c * h * w], dtype=float)
+        values = np.array(tok[7:], dtype=float)
         if values.size != c * h * w:
             raise ValueError(f"{path}: record {rid} has {values.size} values, needs {c * h * w}")
         if not np.isfinite(values).all():

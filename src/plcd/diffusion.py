@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataspace import DRONE, SATELLITE
-from .ranking import RankingList, rank_gallery
+from .ranking import RankingList, rank_rows
 
 EMB_MAGIC = "#plcd-emb v1"
 
@@ -241,15 +241,13 @@ def apply_operator(operator: np.ndarray, f0: np.ndarray) -> np.ndarray:
 
 def rank_satellites(sat_scores: np.ndarray, graph: TransitionGraph,
                     query_ids: Sequence[int]) -> list[RankingList]:
-    """Sort each column of ``sat_scores`` (the satellite rows of a state, in
-    ``graph.satellite_indices()`` order) descending; column j ranks for
-    ``query_ids[j]``."""
+    """``rank_rows`` of each column of ``sat_scores`` (satellite rows, in
+    ``graph.satellite_indices()`` order); an all-zero column is degenerate."""
     sat_idx = graph.satellite_indices()
     if not sat_idx:
         raise ValueError("graph contains no satellite nodes")
-    ids = [graph.node_ids[i] for i in sat_idx]
-    return [rank_gallery(qid, ids, w.tolist(), degenerate=not w.any())
-            for qid, w in zip(query_ids, sat_scores.T)]
+    return rank_rows(query_ids, [graph.node_ids[i] for i in sat_idx], sat_scores.T,
+                     degenerate=~sat_scores.any(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +301,8 @@ def query(index: DiffusionIndex, query_ids: Sequence[int],
     cfg = index.cfg
     a = cfg.alpha if alpha is None else alpha
     if index.graph is None:
-        return [rank_gallery(qid, index.sat_ids, [0.0] * len(index.sat_ids),
-                             degenerate=True)
-                for qid in query_ids]
+        return rank_rows(query_ids, index.sat_ids,
+                         np.zeros((len(query_ids), len(index.sat_ids))), degenerate=True)
     graph = index.graph
     f0 = init_state(query_embs, index.drone_gd, cfg, graph.size)
     sat_idx = graph.satellite_indices()

@@ -2,15 +2,16 @@
 
 An encoder maps the flattened feature map through one affine layer (optional
 tanh) to a ``dim``-dimensional embedding, plus a linear classifier head over
-the training identities. Region descriptors share the same parameters: a
-region's centered pooled channel vector is spread evenly over that region's
-cells and sent through the identical affine map, so the checkpoint format
-holds no extra tensors. A fixed (k, h*w) averaging matrix folds the k
-regions of a grid into the weight, and one batched product embeds an
-(n, k, channels) stack of pooled rows; the backward pass folds the stack's
-(k, dim, channels) gradient back through the same matrix. Training embeds
-whole images as (n, input_dim) stacks too (``whole_embed`` /
-``whole_backward``), and both backward passes take the forward's output
+the training identities. Training and retrieval embed whole images as
+stacks: one product maps an (n, input_dim) stack of flattened maps
+(``whole_embed``; ``embed_records`` stacks a record list). Region
+descriptors share the same parameters: a region's centered pooled channel
+vector is spread evenly over that region's cells and sent through the
+identical affine map, so the checkpoint format holds no extra tensors. A
+fixed (k, h*w) averaging matrix folds the k regions of a grid into the
+weight, and one batched product embeds an (n, k, channels) stack of pooled
+rows; the backward pass folds the stack's (k, dim, channels) gradient back
+through the same matrix. Both backward passes take the forward's output
 rather than recomputing it.
 """
 
@@ -88,43 +89,29 @@ def params_digest(params: EncoderParams) -> str:
     return h.hexdigest()
 
 
-def l2_normalize(v: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    return v if n < eps else v / n
-
-
 # ---------------------------------------------------------------------------
 # forward paths
 # ---------------------------------------------------------------------------
-
-def _check_input(params: EncoderParams, size: int) -> None:
-    if size != params.input_dim:
-        raise ValueError(
-            f"input of size {size} does not match encoder input_dim "
-            f"{params.input_dim} (role {params.role})"
-        )
-
-
-def forward(params: EncoderParams, record: ImageRecord, normalize: bool = False) -> np.ndarray:
-    """Whole-image embedding of one record from its flattened feature map."""
-    x = record.featmap.ravel()
-    _check_input(params, x.shape[0])
-    pre = params.weight @ x + params.bias
-    emb = np.tanh(pre) if params.tanh else pre
-    return l2_normalize(emb) if normalize else emb
-
 
 def whole_embed(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     """Whole-image embeddings (n, dim) of an (n, input_dim) stack of
     flattened feature maps, in one product; ``whole_backward`` is its
     backward pass."""
-    _check_input(params, x.shape[1])
+    if x.shape[1] != params.input_dim:
+        raise ValueError(f"input of size {x.shape[1]} does not match encoder input_dim "
+                         f"{params.input_dim} (role {params.role})")
     pre = x @ params.weight.T + params.bias
     return np.tanh(pre) if params.tanh else pre
 
 
+def embed_records(params: EncoderParams, records: list[ImageRecord]) -> np.ndarray:
+    """``whole_embed`` of a non-empty record list's flattened maps, in order."""
+    return whole_embed(params, np.stack([r.featmap.ravel() for r in records]))
+
+
 def unit_rows(x: np.ndarray) -> np.ndarray:
-    """``l2_normalize`` over the last axis: near-zero rows stay as they are."""
+    """Rows scaled to unit L2 norm over the last axis; rows with norm below
+    1e-12 stay as they are."""
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
     return x / np.where(norms < 1e-12, 1.0, norms)
 

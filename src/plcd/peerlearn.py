@@ -151,10 +151,6 @@ def aggregate_backward(descs: np.ndarray, g_feats: np.ndarray) -> np.ndarray:
     return np.where(live, g_rows, 0.0)
 
 
-def _record_forward(params: enc.EncoderParams, records: list[ImageRecord]) -> np.ndarray:
-    return np.stack([enc.forward(params, r) for r in records])
-
-
 def mine_easy_triplet(anchor: ImageRecord, positive_batch: list[ImageRecord],
                       negative_batch: list[ImageRecord],
                       ground_params: enc.EncoderParams,
@@ -167,13 +163,13 @@ def mine_easy_triplet(anchor: ImageRecord, positive_batch: list[ImageRecord],
     the anchor with the drone branch too (one map, so raw-geometry survives
     any single projection and mining is informative before the branches have
     aligned); ``"ground"`` ranks across the two branches. ``feature_fn``
-    overrides how (params, records) turn into an (n, dim) feature stack;
-    trainers pass the current step's rows. The positive batch must hold one
-    drone per direction section of the anchor's landmark; negatives must come
-    from other identities. Every candidate row is normalized and scored
-    against the anchor by one row-wise ``einsum``, so byte-identical
-    candidates score the same bits wherever they sit, and ties break on the
-    lowest record id.
+    turns (params, records) into an (n, dim) feature stack, by default
+    ``enc.embed_records``; trainers pass the current step's rows. The
+    positive batch must hold one drone per direction section of the anchor's
+    landmark; negatives must come from other identities. Every candidate row
+    is normalized and scored against the anchor by one row-wise ``einsum``,
+    so byte-identical candidates score the same bits wherever they sit, and
+    ties break on the lowest record id.
     """
     if not negative_batch:
         raise ValueError("mine_easy_triplet got an empty negative batch")
@@ -192,7 +188,7 @@ def mine_easy_triplet(anchor: ImageRecord, positive_batch: list[ImageRecord],
         raise ValueError("negatives must be identity-disjoint from the anchor")
 
     if feature_fn is None:
-        feature_fn = _record_forward
+        feature_fn = enc.embed_records
     anchor_params = drone_params if space == "drone" else ground_params
     a = enc.unit_rows(feature_fn(anchor_params, [anchor]))[0]
     candidates = enc.unit_rows(feature_fn(drone_params, positive_batch + negative_batch))
@@ -229,7 +225,7 @@ class _PooledCache:
     matrix: row r is 1/|cells_r| on region r's cells, row 0 the full map."""
 
     def __init__(self, grid: list[rmac.Region], map_shape: tuple[int, int, int]):
-        self.grid = grid
+        self.grid, self.map_shape = grid, tuple(map_shape)
         cells = map_shape[1] * map_shape[2]
         cells_list = [np.arange(cells)] + [rmac.region_cells(r, map_shape) for r in grid]
         self.avg = np.zeros((len(cells_list), cells))
@@ -242,8 +238,11 @@ class _PooledCache:
         seen yet are pooled in one call, each once."""
         fresh = {r.id: r for r in records if r.id not in self._store}
         if fresh:
-            pooled = rmac.pool_regions(np.stack([r.featmap for r in fresh.values()]),
-                                       self.grid)
+            # stacked position-major, (h, w, n, c): pool_regions copies nothing
+            maps = np.empty(self.map_shape[1:] + (len(fresh), self.map_shape[0]))
+            for i, r in enumerate(fresh.values()):
+                maps[:, :, i] = r.featmap.transpose(1, 2, 0)
+            pooled = rmac.pool_regions(maps.transpose(2, 3, 0, 1), self.grid)
             self._store.update(zip(fresh, pooled))
         return np.stack([self._store[r.id] for r in records])
 
@@ -549,40 +548,35 @@ def train_junior(split: DatasetSplit, senior: tuple[enc.EncoderParams, enc.Encod
 
 # Records per region forward at retrieval time: bounds the (n, k, dim)
 # descriptor stack and its temporaries for large galleries.
-RETRIEVAL_BLOCK = 32
+RETRIEVAL_BLOCK = 128
 
 
 def _descriptor_blocks(params: enc.EncoderParams, grid: list[rmac.Region],
                        records: list[ImageRecord]):
-    """Region descriptors (b, k, dim) of ``records``, one block at a time.
-    Each block's pooled rows go with it: no record is embedded twice."""
+    """Region descriptors (b, k, dim) of ``records``, one block at a time,
+    from the pooled rows of the whole list, pooled as one stack."""
     if not grid:
         raise ValueError("region descriptors need a non-empty grid")
+    cache = _PooledCache(grid, records[0].featmap.shape)
+    pooled = cache.stack(records)
     for start in range(0, len(records), RETRIEVAL_BLOCK):
-        block = records[start : start + RETRIEVAL_BLOCK]
-        cache = _PooledCache(grid, block[0].featmap.shape)
-        yield enc.region_embed(params, cache.avg, cache.stack(block))
+        yield enc.region_embed(params, cache.avg, pooled[start : start + RETRIEVAL_BLOCK])
 
 
 def drone_features(params: enc.EncoderParams, grid: list[rmac.Region],
-                   records: list[ImageRecord], normalize: bool = False) -> np.ndarray:
+                   records: list[ImageRecord]) -> np.ndarray:
     """(n, dim) drone-branch image features of a non-empty record list: the
-    training path's region-aggregate feature, optionally L2-normalized."""
-    feats = np.concatenate([aggregate_feature(descs) for descs in
-                            _descriptor_blocks(params, grid, records)])
-    return enc.unit_rows(feats) if normalize else feats
+    training path's region-aggregate feature."""
+    return np.concatenate([aggregate_feature(descs) for descs in
+                           _descriptor_blocks(params, grid, records)])
 
 
 def gallery_descriptors(params: enc.EncoderParams, grid: list[rmac.Region],
                         records: list[ImageRecord]) -> np.ndarray:
-    """(n, m+1, dim) L2-normalized rows per record, for cosine scoring: the
-    image-level region-aggregate feature, then one row per grid region."""
+    """(n, m+1, dim) L2-normalized rows per record, for best-sub-region
+    scoring: the image-level region-aggregate feature, then one row per grid
+    region."""
     return np.concatenate([
         enc.unit_rows(np.concatenate([aggregate_feature(descs)[:, None], descs[:, 1:]],
                                      axis=1))
         for descs in _descriptor_blocks(params, grid, records)])
-
-
-def max_region_score(query_emb: np.ndarray, descriptors: np.ndarray) -> float:
-    """Gallery score under the best-sub-region representation."""
-    return float(np.max(descriptors @ enc.l2_normalize(query_emb)))

@@ -11,6 +11,8 @@ ground->satellite task:
                      ignoring drone references entirely.
 
 ``ground-drone`` and ``drone-satellite`` rank within one trained space.
+Each view is embedded as one stack, every non-diffusion mode scores as one
+(queries, gallery) einsum of unit rows, and ``ranking.rank_rows`` ranks all.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import evalkit, patchmodel, peerlearn, rmac
 from .config import RunConfig
 from .dataspace import (DRONE, GROUND, SATELLITE, DatasetSplit, ImageRecord,
                         generate_synthetic, infer_visible_facet)
-from .ranking import RankingList, rank_gallery
+from .ranking import RankingList, rank_rows, row_order
 
 MODES = ("diffusion", "chain", "direct-cosine", "ground-drone", "drone-satellite")
 
@@ -93,15 +95,21 @@ def _view_records(split: DatasetSplit, view: str) -> list[ImageRecord]:
     return [r for r in split.test if r.view == view]
 
 
-def _normalized_embs(params: enc.EncoderParams, records) -> list[np.ndarray]:
-    return [enc.forward(params, r, normalize=True) for r in records]
+def _ids(records: list[ImageRecord]) -> list[int]:
+    return [r.id for r in records]
 
 
-def _cosine_rankings(query_ids, queries, gallery_ids, gallery) -> list[RankingList]:
-    """One ranking per query: the gallery ordered by dot product with its
-    unit rows."""
-    return [rank_gallery(qid, gallery_ids, [float(g @ q) for g in gallery])
-            for qid, q in zip(query_ids, queries)]
+def _unit_embs(params: enc.EncoderParams, records: list[ImageRecord]) -> np.ndarray:
+    return enc.unit_rows(enc.embed_records(params, records))
+
+
+def cosine_scores(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
+    """(q, g) scores of unit query rows against unit gallery rows (g, dim) in
+    one einsum, which sums each score the same way in any batch; a
+    (g, m+1, dim) gallery scores each item by its best row."""
+    if gallery.ndim == 3:
+        return np.einsum("qd,gkd->qgk", queries, gallery).max(axis=2)
+    return np.einsum("qd,gd->qg", queries, gallery)
 
 
 def region_grid_for(cfg: RunConfig, map_shape) -> list[rmac.Region]:
@@ -110,10 +118,10 @@ def region_grid_for(cfg: RunConfig, map_shape) -> list[rmac.Region]:
 
 
 def drone_features(cfg: RunConfig, drone_params: enc.EncoderParams,
-                   drones: list[ImageRecord], normalize: bool = False) -> np.ndarray:
+                   drones: list[ImageRecord]) -> np.ndarray:
     """(n, dim) drone-branch image features of a non-empty drone list."""
     grid = region_grid_for(cfg, drones[0].featmap.shape)
-    return peerlearn.drone_features(drone_params, grid, drones, normalize=normalize)
+    return peerlearn.drone_features(drone_params, grid, drones)
 
 
 def ground_drone_rankings(cfg: RunConfig, split: DatasetSplit,
@@ -124,17 +132,13 @@ def ground_drone_rankings(cfg: RunConfig, split: DatasetSplit,
     drones = _view_records(split, DRONE)
     if not grounds or not drones:
         raise ValueError("test split lacks ground or drone records")
-    ground_ids, drone_ids = [r.id for r in grounds], [d.id for d in drones]
-    queries = _normalized_embs(ground_params, grounds)
     if best_region:
-        descriptors = peerlearn.gallery_descriptors(
+        gallery = peerlearn.gallery_descriptors(
             drone_params, region_grid_for(cfg, drones[0].featmap.shape), drones)
-        return [rank_gallery(qid, drone_ids,
-                             [peerlearn.max_region_score(q, desc)
-                              for desc in descriptors])
-                for qid, q in zip(ground_ids, queries)]
-    return _cosine_rankings(ground_ids, queries, drone_ids,
-                            drone_features(cfg, drone_params, drones, normalize=True))
+    else:
+        gallery = enc.unit_rows(drone_features(cfg, drone_params, drones))
+    return rank_rows(_ids(grounds), _ids(drones),
+                     cosine_scores(_unit_embs(ground_params, grounds), gallery))
 
 
 def drone_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
@@ -143,10 +147,9 @@ def drone_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
     sats = _view_records(split, SATELLITE)
     if not drones or not sats:
         raise ValueError("test split lacks drone or satellite records")
-    gallery = _normalized_embs(patchmodel.satellite_branch(shared), sats)
-    return _cosine_rankings([r.id for r in drones],
-                            _normalized_embs(patchmodel.drone_branch(shared), drones),
-                            [s.id for s in sats], gallery)
+    scores = cosine_scores(_unit_embs(patchmodel.drone_branch(shared), drones),
+                           _unit_embs(patchmodel.satellite_branch(shared), sats))
+    return rank_rows(_ids(drones), _ids(sats), scores)
 
 
 def build_diffusion_index(cfg: RunConfig, split: DatasetSplit, models: TrainedModels,
@@ -154,11 +157,11 @@ def build_diffusion_index(cfg: RunConfig, split: DatasetSplit, models: TrainedMo
     drones = _view_records(split, DRONE) if use_drones else []
     sats = _view_records(split, SATELLITE)
     return diff.build_index(
-        drone_sd_embs=[enc.forward(models.shared, r) for r in drones],
-        sat_sd_embs=[enc.forward(models.shared, r) for r in sats],
+        drone_sd_embs=enc.embed_records(models.shared, drones) if drones else [],
+        sat_sd_embs=enc.embed_records(models.shared, sats),
         drone_gd_embs=drone_features(cfg, models.junior_drone, drones) if drones else [],
-        drone_ids=[r.id for r in drones],
-        sat_ids=[r.id for r in sats],
+        drone_ids=_ids(drones),
+        sat_ids=_ids(sats),
         cfg=cfg.diffusion_config(),
     )
 
@@ -173,31 +176,26 @@ def ground_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
     sats = _view_records(split, SATELLITE)
     if not grounds or not sats:
         raise ValueError("test split lacks ground or satellite records")
-    ground_ids, sat_ids = [r.id for r in grounds], [s.id for s in sats]
     if mode == "diffusion":
         if index is None:
             index = build_diffusion_index(cfg, split, models, use_drones=use_drones)
-        return diff.query(index, ground_ids,
-                          [enc.forward(models.junior_ground, r) for r in grounds],
-                          alpha=alpha)
-    queries = _normalized_embs(models.junior_ground, grounds)
-    gallery = _normalized_embs(patchmodel.satellite_branch(models.shared), sats)
-    if mode == "direct-cosine":
-        return _cosine_rankings(ground_ids, queries, sat_ids, gallery)
+        return diff.query(index, _ids(grounds),
+                          enc.embed_records(models.junior_ground, grounds), alpha=alpha)
+    if mode not in ("chain", "direct-cosine"):
+        raise ValueError(f"unknown ground-satellite mode {mode!r}; "
+                         f"valid: diffusion, chain, direct-cosine")
+    queries = _unit_embs(models.junior_ground, grounds)
     if mode == "chain":
+        # each query hops to its most similar drone (lowest id on a tie) and
+        # ranks by that drone's satellite-drone embedding
         drones = _view_records(split, DRONE) if use_drones else []
         if not drones:
             raise ValueError("chain mode needs drone reference records")
-        drone_gd = drone_features(cfg, models.junior_drone, drones, normalize=True)
-        drone_sd = _normalized_embs(patchmodel.drone_branch(models.shared), drones)
-        hops = []
-        for q in queries:
-            sims = [float(d @ q) for d in drone_gd]
-            best = min(range(len(drones)), key=lambda i: (-sims[i], drones[i].id))
-            hops.append(drone_sd[best])
-        return _cosine_rankings(ground_ids, hops, sat_ids, gallery)
-    raise ValueError(f"unknown ground-satellite mode {mode!r}; "
-                     f"valid: diffusion, chain, direct-cosine")
+        drone_gd = enc.unit_rows(drone_features(cfg, models.junior_drone, drones))
+        hops = row_order(cosine_scores(queries, drone_gd), _ids(drones))[:, 0]
+        queries = _unit_embs(patchmodel.drone_branch(models.shared), drones)[hops]
+    gallery = _unit_embs(patchmodel.satellite_branch(models.shared), sats)
+    return rank_rows(_ids(grounds), _ids(sats), cosine_scores(queries, gallery))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
+
 @dataclass
 class RankingList:
     """Gallery ids ordered by non-increasing score for one query.
@@ -28,25 +31,37 @@ class RankingList:
             raise ValueError(f"scores not non-increasing for query {self.query_id}")
 
 
+def row_order(scores: np.ndarray, ids: Sequence[int]) -> np.ndarray:
+    """Per-row order of a (rows, n) score matrix: columns by descending score,
+    ties (``-0.0`` equals ``0.0``) on the lowest of ``ids``, one per column."""
+    keys = np.broadcast_to(np.asarray(ids, dtype=np.int64), scores.shape)
+    return np.lexsort((keys, -scores), axis=-1)
+
+
+def rank_rows(query_ids: Sequence[int], gallery_ids: Sequence[int], scores,
+              degenerate=False) -> list[RankingList]:
+    """One ranking per row of a (queries, gallery) score matrix, in
+    ``row_order``; ``degenerate`` is one flag for all rows or one per row. A
+    NaN or infinite score has no place in that order and is rejected, naming
+    its query and gallery id."""
+    scores = np.asarray(scores, dtype=float).reshape(len(query_ids), len(gallery_ids))
+    bad = np.argwhere(~np.isfinite(scores))
+    if bad.size:
+        q, g = bad[0]
+        raise ValueError(f"non-finite score {scores[q, g]} for gallery id "
+                         f"{gallery_ids[g]} in ranking for query {query_ids[q]}")
+    ids = np.array([int(i) for i in gallery_ids], dtype=object)  # rows share these ints
+    flags = np.broadcast_to(np.asarray(degenerate, dtype=bool), len(query_ids)).tolist()
+    return [RankingList(query_id=qid, gallery_ids=ids[order].tolist(),
+                        scores=row[order].tolist(), degenerate=flag)
+            for qid, row, order, flag in zip(query_ids, scores,
+                                             row_order(scores, ids), flags)]
+
+
 def rank_gallery(query_id: int, gallery_ids: Sequence[int],
                  scores: Sequence[float], degenerate: bool = False) -> RankingList:
-    """Sort descending by score; equal scores break on the lowest gallery id.
-
-    A NaN or infinite score has no place in that order and is rejected.
-    """
-    values = [float(s) for s in scores]
-    for gid, v in zip(gallery_ids, values):
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite score {v} for gallery id {gid} "
-                             f"in ranking for query {query_id}")
-    order = sorted(range(len(gallery_ids)),
-                   key=lambda i: (-values[i], int(gallery_ids[i])))
-    return RankingList(
-        query_id=query_id,
-        gallery_ids=[int(gallery_ids[i]) for i in order],
-        scores=[values[i] for i in order],
-        degenerate=degenerate,
-    )
+    """``rank_rows`` for one query."""
+    return rank_rows([query_id], gallery_ids, [scores], degenerate)[0]
 
 
 def format_ranking(ranking: RankingList) -> str:
@@ -82,6 +97,8 @@ def read_ranking(path) -> RankingList:
                 raise ValueError(f"{path}: mixed query ids {query_id} and {qid}")
             if int(rank) != len(gallery_ids) + 1:
                 raise ValueError(f"{path}: rank column out of order at {rank}")
+            if not math.isfinite(float(score)):
+                raise ValueError(f"{path}: non-finite score {score} at rank {rank}")
             gallery_ids.append(int(gid))
             scores.append(float(score))
     if query_id is None:

@@ -83,35 +83,42 @@ def region_grid(map_shape: int | tuple[int, int], scales: Iterable[int],
     return regions
 
 
-def _check_bounds(region: Region, map_shape: tuple[int, int, int]) -> None:
+def _window(region: Region, map_shape: tuple[int, int, int]) -> tuple[slice, slice]:
+    """The region's (rows, columns) slices; raises if it leaves the map."""
     _, height, width = map_shape
     if region.x0 < 0 or region.y0 < 0 or region.x0 + region.width > width \
             or region.y0 + region.height > height:
         raise ValueError(f"region {region} out of bounds for map shape {map_shape}")
+    return (slice(region.y0, region.y0 + region.height),
+            slice(region.x0, region.x0 + region.width))
 
 
 def pool_regions(featmaps: np.ndarray, grid: Sequence[Region]) -> np.ndarray:
     """Max-pooled rows (n, 1 + len(grid), c) of an (n, c, h, w) map stack:
-    row 0 is the global max pool, the rest follow the grid order. One
-    reduction per region covers the whole stack; max is exact, so each row
-    equals the per-map, per-region pool bit for bit."""
+    row 0 is the global max pool, the rest follow the grid order. The stack
+    is read position-major, (h, w, n, c), copied if not laid out so, and each
+    region's max runs over its contiguous (n, c) planes; every row equals the
+    per-map, per-region pool of a record's map bit for bit."""
     n, c = featmaps.shape[:2]
-    out = np.empty((n, 1 + len(grid), c))
-    out[:, 0] = featmaps.max(axis=(2, 3))
-    for row, region in enumerate(grid, start=1):
-        _check_bounds(region, featmaps.shape[1:])
-        out[:, row] = featmaps[:, :, region.y0 : region.y0 + region.height,
-                               region.x0 : region.x0 + region.width].max(axis=(2, 3))
+    windows = [(slice(None), slice(None))] + [_window(r, featmaps.shape[1:]) for r in grid]
+    planes = np.ascontiguousarray(featmaps.transpose(2, 3, 0, 1))
+    out = np.empty((n, len(windows), c))
+    for row, (ys, xs) in enumerate(windows):
+        out[:, row] = planes[ys, xs].max(axis=(0, 1))
+    # Tied -0.0/+0.0 cells leave a zero maximum's sign to the reduction order:
+    # maps with a zero maximum are pooled again map-major, in per-map order.
+    redo = np.flatnonzero((out == 0).any(axis=(1, 2)))
+    if redo.size:
+        maps = np.ascontiguousarray(featmaps[redo])
+        for row, (ys, xs) in enumerate(windows):
+            out[redo, row] = maps[:, :, ys, xs].max(axis=(2, 3))
     return out
 
 
 def region_cells(region: Region, map_shape: tuple[int, int, int]) -> np.ndarray:
     """Flat spatial indices (row-major over height x width) the region covers."""
-    _check_bounds(region, map_shape)
-    width = map_shape[2]
-    rows = np.arange(region.y0, region.y0 + region.height)
-    cols = np.arange(region.x0, region.x0 + region.width)
-    return (rows[:, None] * width + cols[None, :]).ravel()
+    ys, xs = _window(region, map_shape)
+    return np.arange(map_shape[1] * map_shape[2]).reshape(map_shape[1:])[ys, xs].ravel()
 
 
 def grid_to_csv(grid: Sequence[Region]) -> str:

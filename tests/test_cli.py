@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from plcd import cli
@@ -232,6 +233,35 @@ def test_dump_embeddings_exchange_file(workspace, tmp_path):
                 "--models", root / "models", "--mode", "ground-drone",
                 "--dump-embeddings", gd_emb, "--out", tmp_path / "gd"]) == 0
     assert gd_emb.read_bytes() == emb.read_bytes()
+
+
+def test_dump_holds_the_rows_retrieval_ranked(workspace, tmp_path, monkeypatch):
+    from plcd import diffusion
+    root, cfg = workspace
+    seen = {}
+    build, query = diffusion.build_index, diffusion.query
+
+    def capture_build(*args, **kwargs):
+        seen["sats"] = dict(zip(kwargs["sat_ids"], kwargs["sat_sd_embs"]))
+        seen["drones"] = dict(zip(kwargs["drone_ids"], kwargs["drone_sd_embs"]))
+        return build(*args, **kwargs)
+
+    def capture_query(index, query_ids, query_embs, **kwargs):
+        seen["grounds"] = dict(zip(query_ids, query_embs))
+        return query(index, query_ids, query_embs, **kwargs)
+
+    monkeypatch.setattr(diffusion, "build_index", capture_build)
+    monkeypatch.setattr(diffusion, "query", capture_query)
+    emb = tmp_path / "embeddings.txt"
+    assert run(["retrieve", "--config", cfg, "--data", root / "data",
+                "--models", root / "models", "--mode", "diffusion",
+                "--dump-embeddings", emb, "--out", tmp_path / "gs"]) == 0
+    dumped = {view: {rid: vec for rid, v, _, vec in diffusion.read_embeddings(emb) if v == view}
+              for view in ("G", "S", "D")}
+    for view, rows in (("G", seen["grounds"]), ("S", seen["sats"]), ("D", seen["drones"])):
+        assert sorted(dumped[view]) == sorted(rows)
+        for rid, row in rows.items():
+            assert dumped[view][rid].tobytes() == np.asarray(row, dtype=float).tobytes()
 
 
 def test_evaluate_empty_rankings_dir_fails(workspace, tmp_path):

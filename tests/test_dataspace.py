@@ -234,6 +234,14 @@ def test_text_formats_keep_per_value_repr_and_read_back_bit_exact(tmp_path):
     assert loaded_vec.tobytes() == vec.tobytes()
 
 
+def test_read_rejects_extra_values(tmp_path):
+    # a 1x1x2 record carrying four values once loaded as its first two
+    path = tmp_path / "data.txt"
+    path.write_text("#plcd-data v1 1 1 6\n4 D 1 2 1 1 2 0.5 0.25 0.125 1.0\n")
+    with pytest.raises(ValueError, match=r"data\.txt: record 4 has 4 values, needs 2"):
+        ds.read_records(path)
+
+
 @pytest.mark.parametrize("token", ["1.0x", "0x10", ""])
 def test_read_rejects_unparsable_values(tmp_path, token):
     fm = np.ones((1, 1, 2))

@@ -16,13 +16,24 @@ def make_params(dim=4, input_dim=18, classes=3, seed=0, tanh=False):
                            substream(seed, "test.params"), tanh=tanh)
 
 
+def reference_forward(params, record):
+    """Whole-image embedding of one record: the per-record forward the
+    stacked ``whole_embed`` replaced."""
+    pre = params.weight @ record.featmap.ravel() + params.bias
+    return np.tanh(pre) if params.tanh else pre
+
+
+def embed_one(params, record):
+    return enc.embed_records(params, [record])[0]
+
+
 def test_forward_zero_params_zero_embedding():
     rng = substream(1, "t")
     params = make_params()
     params.weight[:] = 0.0
     params.bias[:] = 0.0
     rec = make_record(rng)
-    assert np.array_equal(enc.forward(params, rec), np.zeros(4))
+    assert np.array_equal(embed_one(params, rec), np.zeros(4))
 
 
 def test_forward_identity_weight_returns_flat_map():
@@ -31,21 +42,24 @@ def test_forward_identity_weight_returns_flat_map():
     params = enc.EncoderParams(
         role="drone", weight=np.eye(18), bias=np.zeros(18),
         classifier_weight=np.zeros((3, 18)), classifier_bias=np.zeros(3))
-    assert np.allclose(enc.forward(params, rec), rec.featmap.ravel())
+    assert np.allclose(embed_one(params, rec), rec.featmap.ravel())
 
 
 def test_forward_deterministic():
     rng = substream(3, "t")
     params = make_params(seed=5)
-    rec = make_record(rng)
-    assert np.array_equal(enc.forward(params, rec), enc.forward(params, rec))
+    records = [make_record(rng, rid=i) for i in range(3)]
+    stack = enc.embed_records(params, records)
+    assert np.array_equal(stack, enc.embed_records(params, records))
+    assert np.allclose(stack, [reference_forward(params, r) for r in records],
+                       rtol=0.0, atol=1e-12)
 
 
 def test_forward_dim_mismatch():
     rng = substream(4, "t")
     params = make_params(input_dim=10)
     with pytest.raises(ValueError, match="input_dim"):
-        enc.forward(params, make_record(rng))
+        enc.embed_records(params, [make_record(rng)])
 
 
 def test_sgd_zero_momentum_unit_rate_zeroes_params():
@@ -288,7 +302,7 @@ def test_whole_embed_and_backward_match_per_record_reference(tanh, normalized):
     x = np.stack([r.featmap.ravel() for r in records])
     embs = enc.whole_embed(params, x)
     for rec, emb in zip(records, embs):
-        assert np.max(np.abs(emb - enc.forward(params, rec))) <= 1e-12
+        assert np.max(np.abs(emb - reference_forward(params, rec))) <= 1e-12
     g_emb = rng.standard_normal(embs.shape)
     batched, per_record = enc.new_grads(params), enc.new_grads(params)
     enc.whole_backward(params, x, embs, g_emb, batched, normalized=normalized)

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plcd import evalkit
-from plcd.ranking import (RankingList, format_ranking, rank_gallery,
+from plcd.ranking import (RankingList, format_ranking, rank_gallery, rank_rows,
                           read_ranking, write_ranking)
 from plcd.seeds import substream
 
@@ -33,6 +35,47 @@ def test_rank_gallery_rejects_non_finite_scores(bad):
         rank_gallery(1, [10, 11, 12], [0.2, bad, 0.9])
 
 
+@st.composite
+def score_matrix(draw):
+    """Scores on a coarse integer grid (exact ties are common, ``-0.0``
+    among them) for one gallery of distinct, shuffled ids; rows can repeat
+    each other and query ids can repeat."""
+    n_gallery, n_rows = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    ids = draw(st.permutations(range(100, 100 + 3 * n_gallery)))[:n_gallery]
+    grid = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+    rows = [draw(st.lists(grid, min_size=n_gallery, max_size=n_gallery))
+            for _ in range(n_rows)]
+    rows = [rows[draw(st.integers(0, i))] for i in range(n_rows)]  # repeats
+    qids = [draw(st.integers(1, 3)) for _ in range(n_rows)]
+    return qids, ids, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(score_matrix(), st.booleans())
+def test_rank_rows_matches_per_row_sort(case, flag):
+    qids, ids, rows = case
+    rankings = rank_rows(qids, ids, np.array(rows), degenerate=flag)
+    assert len(rankings) == len(rows)
+    for qid, row, ranking in zip(qids, rows, rankings):
+        expected = sorted(zip(ids, row), key=lambda p: (-p[1], p[0]))
+        assert ranking.query_id == qid and ranking.degenerate == flag
+        assert ranking.gallery_ids == [i for i, _ in expected]
+        # repr tells -0.0 from 0.0: each score travels with its own id
+        assert [repr(s) for s in ranking.scores] == [repr(s) for _, s in expected]
+        alone = rank_gallery(qid, ids, row, degenerate=flag)
+        assert (alone.gallery_ids, alone.scores) == (ranking.gallery_ids, ranking.scores)
+
+
+def test_rank_rows_flags_per_row_and_names_the_bad_query():
+    scores = np.array([[0.0, 0.0], [0.5, 0.25], [1.0, 2.0]])
+    rankings = rank_rows([1, 2, 3], [8, 9], scores, degenerate=~scores.any(axis=1))
+    assert [r.degenerate for r in rankings] == [True, False, False]
+    assert [r.gallery_ids for r in rankings] == [[8, 9], [8, 9], [9, 8]]
+    scores[2, 0] = math.nan
+    with pytest.raises(ValueError, match="non-finite score nan for gallery id 8 .* query 3"):
+        rank_rows([1, 2, 3], [8, 9], scores)
+
+
 def test_ranking_rejects_duplicates_and_disorder():
     with pytest.raises(ValueError, match="duplicate"):
         RankingList(1, [2, 2], [0.5, 0.4])
@@ -52,6 +95,15 @@ def test_ranking_file_round_trip(tmp_path):
     assert loaded.gallery_ids == r.gallery_ids
     assert loaded.scores == r.scores
     assert loaded.degenerate
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_read_ranking_rejects_non_finite_scores(tmp_path, bad):
+    # such a file once parsed, and evaluation scored an order that meant nothing
+    path = tmp_path / "ranking-5.txt"
+    path.write_text(f"5 1 10 0.5\n5 2 11 {bad}\n")
+    with pytest.raises(ValueError, match=rf"ranking-5\.txt: non-finite score {bad} at rank 2"):
+        read_ranking(path)
 
 
 def test_ranking_format_lines():

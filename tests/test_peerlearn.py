@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from plcd import dataspace as ds
 from plcd import encoder as enc
-from plcd import losses, peerlearn, rmac
+from plcd import losses, peerlearn, pipeline, rmac
 from plcd.seeds import substream
 
 
@@ -95,7 +95,7 @@ def test_mining_validates_inputs():
 
 
 def _cosine(a, b):
-    return float(enc.l2_normalize(a) @ enc.l2_normalize(b))
+    return float(enc.unit_rows(a) @ enc.unit_rows(b))
 
 
 @st.composite
@@ -303,11 +303,13 @@ def test_max_score_dominates_whole_image_score():
     grid, params = _grid_and_params(split)
     rng = substream(4, "best")
     records = [r for r in split.train if r.view == ds.DRONE][:10]
-    for descriptors in peerlearn.gallery_descriptors(params, grid, records):
-        for _ in range(5):
-            q = rng.standard_normal(8)
-            whole = float(descriptors[0] @ enc.l2_normalize(q))
-            assert peerlearn.max_region_score(q, descriptors) >= whole - 1e-12
+    descriptors = peerlearn.gallery_descriptors(params, grid, records)
+    queries = enc.unit_rows(rng.standard_normal((5, 8)))
+    best = pipeline.cosine_scores(queries, descriptors)
+    for q, row in zip(queries, best):
+        for desc, score in zip(descriptors, row):
+            assert score == pytest.approx(max(float(d @ q) for d in desc), abs=1e-12)
+            assert score >= float(desc[0] @ q) - 1e-12
 
 
 def test_drone_features_match_training_aggregate(monkeypatch):
@@ -325,8 +327,6 @@ def test_drone_features_match_training_aggregate(monkeypatch):
         alone = peerlearn.aggregate_feature(
             enc.region_embed(params, cache.avg, cache.stack([rec])))[0]
         assert np.allclose(feat, alone, rtol=0.0, atol=1e-12)
-    unit = peerlearn.drone_features(params, grid, drones, normalize=True)
-    assert np.allclose(unit, [enc.l2_normalize(f) for f in feats])
 
 
 def test_aggregate_backward_matches_per_row_chain():
@@ -362,6 +362,11 @@ def test_identical_records_tie_exactly_in_a_step():
     assert all(np.array_equal(rows[0], r) for r in rows[1:])
 
 
+def _forward(params, record):
+    pre = params.weight @ record.featmap.ravel() + params.bias
+    return np.tanh(pre) if params.tanh else pre
+
+
 def reference_step(params_list, cache, entries, mined_for, ctx, senior=None,
                    tau=0.1, lambda1=1.0):
     """The per-anchor step: each anchor embeds, backs through its classifier
@@ -380,7 +385,7 @@ def reference_step(params_list, cache, entries, mined_for, ctx, senior=None,
     for anchor, positives in entries:
         mined = mined_for[anchor.id]
         x = anchor.featmap.ravel()
-        a = enc.forward(ground, anchor)
+        a = _forward(ground, anchor)
         p_row, neg_rows = row[mined.positive.id], [row[r.id] for r in mined.negatives]
         p = feats[p_row]
         _, g = losses.consistency_loss(a, p, list(feats[neg_rows]))
@@ -403,7 +408,7 @@ def reference_step(params_list, cache, entries, mined_for, ctx, senior=None,
             rows = [row[r.id] for r in positives]
             senior_descs = enc.region_embed(senior[1], cache.avg, pooled)
             senior_vec = peerlearn._similarity_from_rows(
-                enc.forward(senior[0], anchor), senior_descs[rows].reshape(-1, dim),
+                _forward(senior[0], anchor), senior_descs[rows].reshape(-1, dim),
                 per_image, tau)
             junior_vec = peerlearn._similarity_from_rows(
                 a, descs[rows].reshape(-1, dim), per_image, 1.0)

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from plcd import evalkit, pipeline
+from plcd import diffusion as diff
+from plcd import encoder as enc
+from plcd import evalkit, peerlearn, pipeline, rmac
 from plcd.config import RunConfig
 
 
@@ -57,6 +61,138 @@ def test_query_path_never_reads_drone_landmarks(tiny):
     for a, b in zip(base, other):
         assert a.gallery_ids == b.gallery_ids
         assert np.allclose(a.scores, b.scores)
+
+
+# ---------------------------------------------------------------------------
+# per-record reference retrieval: one forward, pooling and score per record
+# or pair, the way retrieval ran before it was stacked
+# ---------------------------------------------------------------------------
+
+def _forward(params, record):
+    pre = params.weight @ record.featmap.ravel() + params.bias
+    return np.tanh(pre) if params.tanh else pre
+
+
+def _unit(v):
+    norm = float(np.linalg.norm(v))
+    return v if norm < 1e-12 else v / norm
+
+
+def _region_descs(cfg, params, record):
+    grid = pipeline.region_grid_for(cfg, record.featmap.shape)
+    cache = peerlearn._PooledCache(grid, record.featmap.shape)
+    return enc.region_embed(params, cache.avg, rmac.pool_regions(record.featmap[None], grid))
+
+
+def _drone_feature(cfg, params, record):
+    return peerlearn.aggregate_feature(_region_descs(cfg, params, record))[0]
+
+
+def _best_region_rows(cfg, params, record):
+    descs = _region_descs(cfg, params, record)
+    rows = [peerlearn.aggregate_feature(descs)[0]] + list(descs[0, 1:])
+    return [_unit(r) for r in rows]
+
+
+def _views(split, view):
+    return [r for r in split.test if r.view == view]
+
+
+def reference_scores(cfg, split, models, mode):
+    """{query id: {gallery id: score}} of one mode, record by record."""
+    grounds, drones, sats = (_views(split, v) for v in ("G", "D", "S"))
+    jg, jd, shared = models.junior_ground, models.junior_drone, models.shared
+    if mode.startswith("diffusion"):
+        index = diff.build_index(
+            [_forward(shared, d) for d in drones], [_forward(shared, s) for s in sats],
+            [_drone_feature(cfg, jd, d) for d in drones], [d.id for d in drones],
+            [s.id for s in sats], replace(cfg, closed_form=mode == "diffusion-closed")
+            .diffusion_config())
+        out = {}
+        for g in grounds:
+            (r,) = diff.query(index, [g.id], [_forward(jg, g)])
+            out[g.id] = dict(zip(r.gallery_ids, r.scores))
+        return out
+    if mode == "drone-satellite":
+        queries = [(d.id, _unit(_forward(shared, d))) for d in drones]
+    else:
+        queries = [(g.id, _unit(_forward(jg, g))) for g in grounds]
+    if mode.startswith("ground-drone"):
+        if mode == "ground-drone-best-region":
+            gallery = [(d.id, _best_region_rows(cfg, jd, d)) for d in drones]
+            return {qid: {gid: max(float(row @ q) for row in rows) for gid, rows in gallery}
+                    for qid, q in queries}
+        gallery = [(d.id, _unit(_drone_feature(cfg, jd, d))) for d in drones]
+    else:
+        gallery = [(s.id, _unit(_forward(shared, s))) for s in sats]
+    if mode == "chain":
+        drone_gd = [_unit(_drone_feature(cfg, jd, d)) for d in drones]
+        hopped = []
+        for qid, q in queries:
+            sims = [float(d @ q) for d in drone_gd]
+            best = min(range(len(drones)), key=lambda i: (-sims[i], drones[i].id))
+            hopped.append((qid, _unit(_forward(shared, drones[best]))))
+        queries = hopped
+    return {qid: {gid: float(g @ q) for gid, g in gallery} for qid, q in queries}
+
+
+def stacked_rankings(cfg, split, models, mode):
+    if mode.startswith("diffusion"):
+        return pipeline.ground_satellite_rankings(
+            replace(cfg, closed_form=mode == "diffusion-closed"), split, models, "diffusion")
+    if mode.startswith("ground-drone"):
+        return pipeline.ground_drone_rankings(cfg, split, models.junior_ground,
+                                              models.junior_drone,
+                                              best_region=mode.endswith("best-region"))
+    if mode == "drone-satellite":
+        return pipeline.drone_satellite_rankings(cfg, split, models.shared)
+    return pipeline.ground_satellite_rankings(cfg, split, models, mode)
+
+
+def assert_orders_match(rankings, reference, rel=1e-12):
+    """Every stacked order sorts the reference scores, except among scores
+    within ``rel`` of the row's largest magnitude; the scores agree to that
+    tolerance too."""
+    assert sorted(r.query_id for r in rankings) == sorted(reference)
+    for r in rankings:
+        ref = reference[r.query_id]
+        tol = rel * max(abs(v) for v in ref.values())
+        assert sorted(r.gallery_ids) == sorted(ref)
+        for gid, score in zip(r.gallery_ids, r.scores):
+            assert abs(score - ref[gid]) <= tol
+        for a, b in zip(r.gallery_ids, r.gallery_ids[1:]):
+            assert ref[b] < ref[a] + tol or (ref[b] == ref[a] and b > a)
+
+
+@pytest.fixture(scope="module")
+def untrained():
+    """A larger test split on seeded, untrained encoders, with one drone
+    copied under a new id: exact ties between records."""
+    cfg = RunConfig(seed=9, num_landmarks=16, drones_per_landmark=6,
+                    grounds_per_landmark=3, channels=6, map_side=6, latent_rank=8,
+                    noise_sigma=0.3, embed_dim=16, scales=(1, 2, 3), k_graph=5, k_init=5)
+    split = pipeline.make_split(cfg)
+    drone = next(r for r in split.test if r.view == "D")
+    copy = type(drone)(max(r.id for r in split.test) + 1, drone.view, drone.landmark,
+                       drone.section, drone.featmap)
+    split = replace(split, test=split.test + [copy])
+    rng = np.random.default_rng(3)
+    ground, drone_p, shared = (enc.init_params(role, cfg.embed_dim, drone.featmap.size, 8,
+                                               rng) for role in ("ground", "drone", "satdrone"))
+    models = pipeline.TrainedModels(senior_ground=ground, senior_drone=drone_p,
+                                    junior_ground=ground, junior_drone=drone_p,
+                                    shared=shared, logs={})
+    return cfg, split, models
+
+
+@pytest.mark.parametrize("mode", ["diffusion-closed", "diffusion-iterative", "chain",
+                                  "direct-cosine", "ground-drone",
+                                  "ground-drone-best-region", "drone-satellite"])
+@pytest.mark.parametrize("case", ["tiny", "untrained"])
+def test_stacked_modes_match_per_record_reference(request, case, mode):
+    cfg, split, models = request.getfixturevalue(case)
+    rankings = stacked_rankings(cfg, split, models, mode)
+    assert_orders_match(rankings, reference_scores(cfg, split, models, mode))
 
 
 def test_chain_requires_drones(tiny):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plcd import rmac
 
@@ -111,6 +113,31 @@ def test_pool_regions_matches_per_region_reference(shape):
         assert np.array_equal(rows[0], fm.max(axis=(1, 2)))
         assert np.array_equal(rows[1:], np.stack([reference_pool(fm, r) for r in grid]))
     assert np.array_equal(pooled[3], pooled[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 5), st.integers(1, 6),
+       st.sampled_from(["contiguous", "strided", "position-major"]),
+       st.integers(0, 2**32 - 1))
+def test_pool_regions_bit_identical_on_any_stack(height, width, n, channels, layout, seed):
+    # square and non-square maps, stacks of one and more, strided and
+    # position-major views, and tied -0.0/+0.0 cells: pooling must not
+    # change a single bit of the per-map pool
+    rng = np.random.default_rng(seed)
+    maps = rng.integers(-3, 4, (n, 2 * channels, height, width)) * 0.5
+    maps[rng.random(maps.shape) < 0.1] = -0.0
+    if layout == "strided":
+        maps = maps[:, ::2]
+    elif layout == "position-major":
+        maps = np.ascontiguousarray(maps[:, :channels].transpose(2, 3, 0, 1)) \
+            .transpose(2, 3, 0, 1)
+    else:
+        maps = maps[:, :channels].copy()
+    grid = rmac.region_grid((height, width), (1, 2, 3), width_table={})
+    pooled = rmac.pool_regions(maps, grid)
+    for fm, rows in zip(np.ascontiguousarray(maps), pooled):  # a record's map
+        expected = np.stack([fm.max(axis=(1, 2))] + [reference_pool(fm, r) for r in grid])
+        assert rows.tobytes() == expected.tobytes()
 
 
 def test_pooled_cache_pools_new_records_once(monkeypatch):
