@@ -4,7 +4,8 @@ At scale ``l`` the grid places ``l x l`` square regions whose top-left
 corners sit on a uniform lattice. Region widths come from a configurable
 table (defaults reproduce the 12/9/7/5 progression on a 12-cell map, scaled
 proportionally for other sides); scales without a table entry fall back to
-``round(2 * side / (l + 1))``.
+``round(2 * side / (l + 1))``. Pooling reads a whole map stack
+position-major, one max reduction per region over contiguous (n, c) planes.
 """
 
 from __future__ import annotations
@@ -96,9 +97,8 @@ def _window(region: Region, map_shape: tuple[int, int, int]) -> tuple[slice, sli
 def pool_regions(featmaps: np.ndarray, grid: Sequence[Region]) -> np.ndarray:
     """Max-pooled rows (n, 1 + len(grid), c) of an (n, c, h, w) map stack:
     row 0 is the global max pool, the rest follow the grid order. The stack
-    is read position-major, (h, w, n, c), copied if not laid out so, and each
-    region's max runs over its contiguous (n, c) planes; every row equals the
-    per-map, per-region pool of a record's map bit for bit."""
+    is read position-major, (h, w, n, c), copied if not laid out so; every
+    row equals the per-map, per-region pool of a record's map bit for bit."""
     n, c = featmaps.shape[:2]
     windows = [(slice(None), slice(None))] + [_window(r, featmaps.shape[1:]) for r in grid]
     planes = np.ascontiguousarray(featmaps.transpose(2, 3, 0, 1))
