@@ -13,132 +13,114 @@ from .diffusion import apply_operator, closed_form_operator, diffuse_iterative
 from .encoder import (check_gradients, init_params, new_grads, region_backward,
                       region_embed)
 from .patchmodel import PatchModelConfig, _shared_step
-from .peerlearn import (MinedTriplet, _batch_negatives, _hard_step, _PooledCache,
-                        _similarity_from_rows, _soft_step, _Step, aggregate_backward,
-                        aggregate_feature, build_context)
+from .peerlearn import (MinedTriplet, _batch_negatives, _hard_terms, _PooledCache,
+                        _soft_terms, _Step, aggregate_backward, aggregate_feature,
+                        build_context)
 from .seeds import substream
 
 
 def _loss_cases(rng: np.random.Generator, dim: int = 5):
     """(name, loss_fn, params) triples covering every training objective.
 
-    Each loss_fn matches the check_gradients contract; discrete choices
-    (semi-hard picks, hinge activity) are measure-zero kink sets that random
-    inputs avoid.
+    Each loss_fn matches the check_gradients contract, with the value the
+    sum of the objective's per-row values over a small stack of rows (the
+    consistency stack holds fewer live negatives in its last row); discrete
+    choices (semi-hard picks, hinge activity) are measure-zero kink sets
+    that random inputs avoid.
     """
-    n_neg, n_classes, n_entries, n_img, m = 3, 4, 6, 2, 3
+    n, n_neg, n_classes, n_entries, n_img, m = 2, 3, 4, 6, 2, 3
     cases = []
 
-    anchor = rng.standard_normal(dim)
-    positive = rng.standard_normal(dim)
-    negatives = [rng.standard_normal(dim) for _ in range(n_neg)]
+    anchors = rng.standard_normal((n, dim))
+    positives = rng.standard_normal((n, dim))
+    negatives = rng.standard_normal((n, n_neg, dim))
+    live = np.arange(n_neg) < np.array([n_neg, n_neg - 1])[:, None]
 
     def consistency_fn(params):
-        a, p, *negs = params
-        value, grads = losses.consistency_loss(a, p, negs)
-        return value, [grads["anchor"], grads["positive"], *grads["negatives"]]
+        values, grads = losses.consistency_loss(*params, live)
+        return values.sum(), [grads["anchors"], grads["positives"], grads["negatives"]]
 
     cases.append(("consistency", consistency_fn,
-                  [anchor.copy(), positive.copy(), *[n.copy() for n in negatives]]))
+                  [anchors.copy(), positives.copy(), negatives.copy()]))
 
-    target = np.zeros(n_classes)
-    target[int(rng.integers(n_classes))] = 1.0
-    logits = rng.standard_normal(n_classes)
+    labels = rng.integers(n_classes, size=n)
+    logits = rng.standard_normal((n, n_classes))
 
     def ce_fn(params):
-        value, grad = losses.cross_entropy(params[0], target)
-        return value, [grad]
+        values, grad = losses.cross_entropy(params[0], labels)
+        return values.sum(), [grad]
 
     cases.append(("cross-entropy", ce_fn, [logits.copy()]))
 
-    def hard_fn(params):
-        a, p, *rest = params
-        negs, lg = rest[:-1], rest[-1]
-        value, grads = losses.hard_loss(a, p, negs, lg, target)
-        return value, [grads["anchor"], grads["positive"], *grads["negatives"],
-                       grads["logits"]]
+    def hard(a, p, negs, lg):
+        cons, grads = losses.consistency_loss(a, p, negs, live)
+        ce, g_logits = losses.cross_entropy(lg, labels)
+        return (cons + ce).sum(), [grads["anchors"], grads["positives"],
+                                   grads["negatives"], g_logits]
 
-    cases.append(("hard", hard_fn,
-                  [anchor.copy(), positive.copy(),
-                   *[n.copy() for n in negatives], logits.copy()]))
+    cases.append(("hard", lambda params: hard(*params),
+                  [anchors.copy(), positives.copy(), negatives.copy(), logits.copy()]))
 
-    senior_anchor = rng.standard_normal(dim)
-    senior_entries = rng.standard_normal((n_entries, dim))
-    junior_anchor = rng.standard_normal(dim)
-    junior_entries = rng.standard_normal((n_entries, dim))
-    senior_vec = _similarity_from_rows(senior_anchor, senior_entries, n_entries, tau=0.1)
+    senior = losses.similarity_log_probs(rng.standard_normal((n, dim)),
+                                         rng.standard_normal((n, n_entries, dim)), tau=0.1)
+    junior_anchors = rng.standard_normal((n, dim))
+    junior_entries = rng.standard_normal((n, n_entries, dim))
 
-    def soft_fn(params):
-        a, entries = params
-        junior_vec = _similarity_from_rows(a, entries, n_entries, tau=1.0)
-        value, g_dots = losses.soft_loss(senior_vec, junior_vec)
-        g_anchor, g_entries = losses.similarity_input_grads(junior_vec, g_dots)
-        return value, [g_anchor, g_entries]
+    def soft(a, entries):
+        values, g_dots = losses.soft_loss(
+            senior, losses.similarity_log_probs(a, entries, tau=1.0))
+        return values.sum(), [np.einsum("nk,nkd->nd", g_dots, entries),
+                              g_dots[:, :, None] * a[:, None, :]]
 
-    cases.append(("similarity-soft", soft_fn,
-                  [junior_anchor.copy(), junior_entries.copy()]))
+    cases.append(("similarity-soft", lambda params: soft(*params),
+                  [junior_anchors.copy(), junior_entries.copy()]))
 
     lambda1 = 1.0
 
     def joint_gd_fn(params):
-        a, p, *rest = params
-        negs, lg, entries = rest[:-2], rest[-2], rest[-1]
-        hard_value, hard_grads = losses.hard_loss(a, p, negs, lg, target)
-        junior_vec = _similarity_from_rows(a, entries, n_entries, tau=1.0)
-        soft_value, g_dots = losses.soft_loss(senior_vec, junior_vec)
-        g_anchor_soft, g_entries = losses.similarity_input_grads(junior_vec, g_dots)
+        a, p, negs, lg, entries = params
+        hard_value, hard_grads = hard(a, p, negs, lg)
+        soft_value, (g_anchors_soft, g_entries) = soft(a, entries)
         value = losses.joint_gd_loss(hard_value, soft_value, lambda1)
-        return value, [hard_grads["anchor"] + lambda1 * g_anchor_soft,
-                       hard_grads["positive"], *hard_grads["negatives"],
-                       hard_grads["logits"], lambda1 * g_entries]
+        return value, [hard_grads[0] + lambda1 * g_anchors_soft, *hard_grads[1:],
+                       lambda1 * g_entries]
 
     cases.append(("joint-ground-drone", joint_gd_fn,
-                  [anchor.copy(), positive.copy(),
-                   *[n.copy() for n in negatives], logits.copy(),
+                  [anchors.copy(), positives.copy(), negatives.copy(), logits.copy(),
                    junior_entries.copy()]))
 
-    teacher = [rng.standard_normal((m, dim)) for _ in range(n_img)]
-    student = [rng.standard_normal((m, dim)) for _ in range(n_img)]
+    teacher = rng.standard_normal((n_img, m, dim))
+    student = rng.standard_normal((n_img, m, dim))
 
     def patch_fn(params):
-        value, grads = losses.patch_mse_loss(teacher, list(params))
-        return value, grads
+        values, grad = losses.patch_mse_loss(teacher, params[0])
+        return values.sum(), [grad]
 
-    cases.append(("patch-mse", patch_fn, [s.copy() for s in student]))
+    cases.append(("patch-mse", patch_fn, [student.copy()]))
 
-    n_a, n_pool = 2, 3
-    t_anchors = [rng.standard_normal(dim) for _ in range(n_a)]
-    t_pos = [rng.standard_normal(dim) for _ in range(n_a)]
-    t_pool = [rng.standard_normal(dim) for _ in range(n_pool)]
+    t_anchors = rng.standard_normal((3, dim))
+    t_gallery = rng.standard_normal((4, dim))
+    positive_idx = np.array([0, 2, 0])
     margin = 0.4
 
-    def triplet_fn(params):
-        anchors = params[:n_a]
-        pos = params[n_a : 2 * n_a]
-        pool = params[2 * n_a :]
-        value, grads = losses.semi_hard_triplet_loss(anchors, pos, pool, margin)
-        return value, [*grads["anchors"], *grads["positives"], *grads["pool"]]
+    def triplet(a, gallery):
+        values, grads = losses.semi_hard_triplet_loss(a, positive_idx, gallery, margin)
+        return values.sum(), [grads["anchors"], grads["gallery"]]
 
-    cases.append(("semi-hard-triplet", triplet_fn,
-                  [*[a.copy() for a in t_anchors], *[p.copy() for p in t_pos],
-                   *[n.copy() for n in t_pool]]))
+    cases.append(("semi-hard-triplet", lambda params: triplet(*params),
+                  [t_anchors.copy(), t_gallery.copy()]))
 
     lambda2 = 1.0
 
     def joint_sd_fn(params):
-        anchors = params[:n_a]
-        pos = params[n_a : 2 * n_a]
-        pool = params[2 * n_a : 2 * n_a + n_pool]
-        student_p = params[2 * n_a + n_pool :]
-        t_value, t_grads = losses.semi_hard_triplet_loss(anchors, pos, pool, margin)
-        p_value, p_grads = losses.patch_mse_loss(teacher, list(student_p))
-        value = losses.joint_sd_loss(t_value, p_value, lambda2)
-        return value, [*t_grads["anchors"], *t_grads["positives"], *t_grads["pool"],
-                       *[lambda2 * g for g in p_grads]]
+        a, gallery, student_p = params
+        t_value, t_grads = triplet(a, gallery)
+        p_values, p_grad = losses.patch_mse_loss(teacher, student_p)
+        value = losses.joint_sd_loss(t_value, p_values.sum(), lambda2)
+        return value, [*t_grads, lambda2 * p_grad]
 
     cases.append(("joint-satellite-drone", joint_sd_fn,
-                  [*[a.copy() for a in t_anchors], *[p.copy() for p in t_pos],
-                   *[n.copy() for n in t_pool], *[s.copy() for s in student]]))
+                  [t_anchors.copy(), t_gallery.copy(), student.copy()]))
 
     cases += _region_cases(rng)
     cases += _step_cases(rng)
@@ -174,11 +156,11 @@ def _region_cases(rng: np.random.Generator):
     def patch_fn(arrays):
         p, grads = with_params(arrays)
         descs = region_embed(p, avg, pooled)
-        value, g_patches = losses.patch_mse_loss(list(teacher), list(descs[:, 1:]))
+        values, g_patches = losses.patch_mse_loss(teacher, descs[:, 1:])
         g_descs = np.zeros_like(descs)
         g_descs[:, 1:] = g_patches
         region_backward(p, avg, pooled, descs, g_descs, grads)
-        return value, [grads.weight, grads.bias]
+        return values.sum(), [grads.weight, grads.bias]
 
     return [(name, fn, [params.weight.copy(), params.bias.copy()])
             for name, fn in (("region-aggregate-params", aggregate_fn),
@@ -190,8 +172,9 @@ PARAM_FIELDS = ("weight", "bias", "classifier_weight", "classifier_bias")
 
 def _step_cases(rng: np.random.Generator):
     """Whole training steps on a tiny tanh config, as functions of every
-    parameter array they train: one peer step (two anchors, each with its
-    hard objectives and the junior's soft objective against a frozen senior)
+    parameter array they train: one peer step (three anchors, two of them
+    sharing their drones, each with its hard objectives and the junior's
+    soft objective against a frozen senior)
     of both branches, and one satellite-drone ``_shared_step`` of the shared
     encoder. Mining is a discrete choice, so the mined triplets are fixed."""
     map_shape, dim, classes = (2, 3, 3), 3, 2
@@ -217,22 +200,25 @@ def _step_cases(rng: np.random.Generator):
     def flat(params_list):
         return [getattr(p, name).copy() for p in params_list for name in PARAM_FIELDS]
 
-    entries = [(record(10 * lm, GROUND, lm),
-                [record(10 * lm + sec, DRONE, lm, sec) for sec in (1, 2)])
-               for lm in (1, 2)]
-    ctx = build_context(DatasetSplit(
-        train=[r for anchor, positives in entries for r in (anchor, *positives)], test=[]))
+    drones = {lm: [record(10 * lm + sec, DRONE, lm, sec) for sec in (1, 2)]
+              for lm in (1, 2)}
+    # two anchors of landmark 1 share its drones, so the other anchor's
+    # negative pool holds each of them twice
+    entries = [(record(10 * lm + k, GROUND, lm), drones[lm])
+               for lm, k in ((1, 0), (1, 5), (2, 0))]
+    anchors = [anchor for anchor, _ in entries]
+    mined = [MinedTriplet(positives[0], _batch_negatives(entries, anchor))
+             for anchor, positives in entries]
+    class_index = build_context(DatasetSplit(
+        train=anchors + drones[1] + drones[2], test=[])).class_index
     ground, drone = encoder("ground"), encoder("drone")
     senior = (encoder("ground"), encoder("drone"))
 
     def peer_fn(arrays):
         params_list = [with_arrays(ground, arrays[:4]), with_arrays(drone, arrays[4:])]
         step = _Step(params_list, cache, entries, "drone", senior)
-        value = 0.0
-        for anchor, positives in entries:
-            mined = MinedTriplet(positives[0], _batch_negatives(entries, anchor))
-            value += _hard_step(anchor, mined, ctx, step)
-            value += _soft_step(anchor, positives, step, tau=0.1, lambda1=1.0)
+        value = (_hard_terms(step, anchors, mined, class_index).sum()
+                 + _soft_terms(step, anchors, [p for _, p in entries], 0.1, 1.0).sum())
         step.backward(cache.avg)
         return value, [getattr(g, name) for g in step.grads for name in PARAM_FIELDS]
 
@@ -252,9 +238,6 @@ def _step_cases(rng: np.random.Generator):
 
     return [("peer-step-params", peer_fn, flat([ground, drone])),
             ("shared-step-params", shared_fn, flat([shared]))]
-
-
-LOSS_NAMES = [name for name, _, _ in _loss_cases(substream(0, "checks.names"))]
 
 
 def gradient_suite(num_seeds: int = 20, seed: int = 0,

@@ -321,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("check", help="run the gradient and diffusion oracles")
-    common(p)
     p.add_argument("--grad-seeds", type=int, default=5)
     p.add_argument("--graphs", type=int, default=20)
     p.set_defaults(func=cmd_check)

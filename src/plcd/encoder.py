@@ -164,7 +164,8 @@ def region_backward(params: EncoderParams, avg: np.ndarray, pooled: np.ndarray,
 
 
 def logits_from_embedding(params: EncoderParams, emb: np.ndarray) -> np.ndarray:
-    return params.classifier_weight @ emb + params.classifier_bias
+    """(n, classes) classifier logits of an (n, dim) embedding stack."""
+    return emb @ params.classifier_weight.T + params.classifier_bias
 
 
 # ---------------------------------------------------------------------------

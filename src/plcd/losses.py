@@ -1,154 +1,109 @@
-"""Training objectives as pure value-and-gradient functions.
+"""Training objectives as pure value-and-gradient functions on stacked rows.
 
-Each function returns the scalar loss together with analytic gradients with
-respect to its direct inputs (embeddings or logits); trainers chain those
-into parameter gradients. Softmax-style terms are computed through
-log-sum-exp so large squared distances or sharp temperatures cannot
-overflow.
+Each function takes a training step's rows as arrays, one row per anchor
+(or image), and returns the per-row loss values together with analytic
+gradients of their sum with respect to its direct inputs (embeddings,
+logits or scores); trainers scale those by their own averaging and chain
+them into parameter gradients. Softmax-style terms are computed through a
+row-wise log-sum-exp so large squared distances or sharp temperatures
+cannot overflow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 
-def _logsumexp(x: np.ndarray) -> float:
-    m = float(np.max(x))
-    return m + float(np.log(np.sum(np.exp(x - m))))
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    """Log-sum-exp over the last axis; every row needs one finite entry."""
+    m = np.max(x, axis=-1, keepdims=True)
+    return m[..., 0] + np.log(np.sum(np.exp(x - m), axis=-1))
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    z = x - np.max(x)
-    e = np.exp(z)
-    return e / e.sum()
+def _row_squared_distances(a: np.ndarray, b: np.ndarray):
+    """(squared distances over the last axis, differences a - b)."""
+    diffs = a - b
+    return np.einsum("...d,...d->...", diffs, diffs), diffs
 
 
 # ---------------------------------------------------------------------------
 # ground-drone consistency + classification
 # ---------------------------------------------------------------------------
 
-def consistency_loss(anchor: np.ndarray, positive: np.ndarray,
-                     negatives: Sequence[np.ndarray]):
-    """Negative log-probability of the positive under exp(-squared distance).
+def consistency_loss(anchors: np.ndarray, positives: np.ndarray,
+                     negatives: np.ndarray, live: np.ndarray):
+    """Negative log-probability of each positive under exp(-squared distance).
 
-    value = -log[ exp(-|a-p|^2) / (exp(-|a-p|^2) + sum_j exp(-|a-n_j|^2)) ]
+    value_i = -log[ exp(-|a_i-p_i|^2) / (exp(-|a_i-p_i|^2)
+                                         + sum_j live_ij exp(-|a_i-n_ij|^2)) ]
 
-    Returns (value, grads) with grads keys ``anchor``, ``positive`` and
-    ``negatives`` (list aligned with the input order).
+    ``anchors`` and ``positives`` are (n, d), ``negatives`` (n, N, d) and
+    ``live`` an (n, N) mask: anchors may hold fewer than N negatives, and
+    entries off the mask score -inf. Returns (values (n,), grads) with grads
+    keys ``anchors``, ``positives`` and ``negatives`` (zero off the mask).
     """
-    if len(negatives) < 1:
-        raise ValueError("consistency_loss needs at least one negative")
-    diffs_pos = anchor - positive
-    diffs_neg = [anchor - n for n in negatives]
-    scores = np.array([-float(diffs_pos @ diffs_pos)]
-                      + [-float(d @ d) for d in diffs_neg])
+    if negatives.shape[1] < 1 or not np.all(live.any(axis=1)):
+        raise ValueError("consistency_loss needs at least one negative per anchor")
+    d_pos, diffs_pos = _row_squared_distances(anchors, positives)
+    d_neg, diffs_neg = _row_squared_distances(anchors[:, None, :], negatives)
+    scores = np.concatenate([-d_pos[:, None], np.where(live, -d_neg, -np.inf)], axis=1)
     lse = _logsumexp(scores)
-    value = lse - scores[0]
-    sigma = np.exp(scores - lse)
+    sigma = np.exp(scores - lse[:, None])  # exactly 0 off the mask
 
-    g_anchor = -2.0 * (sigma[0] - 1.0) * diffs_pos
-    g_positive = 2.0 * (sigma[0] - 1.0) * diffs_pos
-    g_negatives = []
-    for j, d in enumerate(diffs_neg):
-        g_anchor += -2.0 * sigma[j + 1] * d
-        g_negatives.append(2.0 * sigma[j + 1] * d)
-    return value, {"anchor": g_anchor, "positive": g_positive,
-                   "negatives": g_negatives}
+    g_positives = 2.0 * (sigma[:, :1] - 1.0) * diffs_pos
+    g_negatives = 2.0 * sigma[:, 1:, None] * diffs_neg
+    g_anchors = -g_positives - g_negatives.sum(axis=1)
+    return lse - scores[:, 0], {"anchors": g_anchors, "positives": g_positives,
+                                "negatives": g_negatives}
 
 
-def cross_entropy(logits: np.ndarray, target: np.ndarray):
-    """Softmax cross-entropy; gradient wrt logits is softmax(logits) - target."""
+def cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Softmax cross-entropy of (n, classes) logits against integer labels (n,).
+
+    Returns (values (n,), grad wrt logits = softmax(logits) - one_hot(labels)).
+    """
     if not np.all(np.isfinite(logits)):
         raise ValueError("cross_entropy got non-finite logits")
-    value = _logsumexp(logits) - float(logits @ target)
-    return value, _softmax(logits) - target
-
-
-def hard_loss(anchor: np.ndarray, positive: np.ndarray,
-              negatives: Sequence[np.ndarray],
-              logits: np.ndarray, target: np.ndarray):
-    """Consistency plus cross-entropy, unit weights."""
-    cons_value, cons_grads = consistency_loss(anchor, positive, negatives)
-    ce_value, g_logits = cross_entropy(logits, target)
-    grads = dict(cons_grads)
-    grads["logits"] = g_logits
-    return cons_value + ce_value, grads
+    rows = np.arange(len(logits))
+    lse = _logsumexp(logits)
+    grad = np.exp(logits - lse[:, None])
+    grad[rows, labels] -= 1.0
+    return lse - logits[rows, labels], grad
 
 
 # ---------------------------------------------------------------------------
 # doublet similarity distributions and distillation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DoubletEntry:
-    """Descriptors of one positive gallery image: whole map plus its regions."""
+def similarity_log_probs(anchors: np.ndarray, entries: np.ndarray,
+                         tau: float) -> np.ndarray:
+    """(n, K) row-wise log-softmax of anchor-entry dot products over ``tau``.
 
-    whole: np.ndarray
-    patches: list[np.ndarray]
-
-
-@dataclass
-class SimilarityVector:
-    """Temperature softmax over anchor-descriptor dot products.
-
-    Entry order: for each positive image, its whole descriptor then its
-    region descriptors. ``dots`` are the raw inner products (before the
-    temperature), kept so gradients can be chained back to the inputs.
+    ``anchors`` is (n, d) and ``entries`` (n, K, d): row i holds, for each
+    positive image of anchor i, its whole descriptor then its region
+    descriptors.
     """
-
-    probs: np.ndarray
-    log_probs: np.ndarray
-    dots: np.ndarray
-    tau: float
-    anchor: np.ndarray
-    entries: np.ndarray  # (K, dim), same order as probs
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-
-def similarity_softmax(anchor: np.ndarray, positives: Sequence[DoubletEntry],
-                       tau: float) -> SimilarityVector:
     if tau <= 0:
         raise ValueError(f"temperature must be positive (got {tau})")
-    if not positives:
-        raise ValueError("similarity_softmax needs at least one positive entry")
-    rows = []
-    for entry in positives:
-        rows.append(entry.whole)
-        rows.extend(entry.patches)
-    entries = np.stack(rows)
-    dots = entries @ anchor
-    scaled = dots / tau
-    lse = _logsumexp(scaled)
-    log_probs = scaled - lse
-    return SimilarityVector(probs=np.exp(log_probs), log_probs=log_probs,
-                            dots=dots, tau=tau, anchor=anchor, entries=entries)
+    if entries.shape[1] < 1:
+        raise ValueError("similarity_log_probs needs at least one entry per anchor")
+    scaled = np.einsum("nkd,nd->nk", entries, anchors) / tau
+    return scaled - _logsumexp(scaled)[:, None]
 
 
-def soft_loss(senior: SimilarityVector, junior: SimilarityVector):
-    """Cross-entropy from the (frozen) senior distribution to the junior one.
+def soft_loss(senior: np.ndarray, junior: np.ndarray):
+    """Cross-entropy from the (frozen) senior distributions to the junior ones.
 
-    Returns (value, grad wrt the junior's raw dot products); with the junior
-    at temperature 1 the gradient is exactly junior.probs - senior.probs.
+    Both are (n, K) log-probabilities from ``similarity_log_probs``. Returns
+    (values (n,), grad wrt the junior's scaled dot products); with the junior
+    at temperature 1 that is the gradient wrt its raw dot products, exactly
+    junior probs - senior probs.
     """
-    if len(senior) != len(junior):
+    if senior.shape != junior.shape:
         raise ValueError(
-            f"similarity vectors disagree in length ({len(senior)} vs {len(junior)})"
-        )
-    value = -float(senior.probs @ junior.log_probs)
-    grad_dots = (junior.probs - senior.probs) / junior.tau
-    return value, grad_dots
-
-
-def similarity_input_grads(vec: SimilarityVector, grad_dots: np.ndarray):
-    """Chain a dot-product gradient to the anchor and entry embeddings."""
-    g_anchor = vec.entries.T @ grad_dots
-    g_entries = np.outer(grad_dots, vec.anchor)
-    return g_anchor, g_entries
+            f"similarity distributions disagree in length ({senior.shape} vs {junior.shape})")
+    senior_probs = np.exp(senior)
+    return -np.sum(senior_probs * junior, axis=1), np.exp(junior) - senior_probs
 
 
 def joint_gd_loss(hard_value: float, soft_value: float, lambda1: float) -> float:
@@ -161,70 +116,55 @@ def joint_gd_loss(hard_value: float, soft_value: float, lambda1: float) -> float
 # satellite-drone objectives
 # ---------------------------------------------------------------------------
 
-def patch_mse_loss(teacher: Sequence[np.ndarray], student: Sequence[np.ndarray],
-                   mean_over_images: bool = False):
+def patch_mse_loss(teacher: np.ndarray, student: np.ndarray):
     """Region-descriptor alignment between a frozen teacher and a student.
 
-    ``teacher`` and ``student`` are (m, dim) arrays per image. Per image the
-    per-region mean squared errors are summed, the total is divided by m
-    (and optionally by the image count). Gradients flow to the student only.
+    ``teacher`` and ``student`` are (n, m, dim) region descriptors. Per image
+    the per-region mean squared errors are summed and divided by m.
+    Returns (values (n,), grad wrt ``student``); the teacher gets none.
     """
-    if len(teacher) != len(student):
-        raise ValueError("teacher/student image counts differ")
-    m = teacher[0].shape[0]
-    total = 0.0
-    grads = []
-    for t, s in zip(teacher, student):
-        if t.shape != s.shape:
-            raise ValueError(f"patch shape mismatch: {t.shape} vs {s.shape}")
-        diff = s - t
-        total += float(np.sum(diff * diff)) / diff.shape[1]
-        grads.append(2.0 * diff / diff.shape[1])
-    scale = 1.0 / m
-    if mean_over_images:
-        scale /= len(teacher)
-    return total * scale, [g * scale for g in grads]
+    if teacher.shape != student.shape:
+        raise ValueError(f"patch shape mismatch: {teacher.shape} vs {student.shape}")
+    m, dim = student.shape[1:]
+    diff = student - teacher
+    return np.sum(diff * diff, axis=(1, 2)) / dim / m, 2.0 * diff / dim / m
 
 
-def semi_hard_triplet_loss(anchors: Sequence[np.ndarray],
-                           positives: Sequence[np.ndarray],
-                           negatives_pool: Sequence[np.ndarray],
-                           margin: float):
+def semi_hard_triplet_loss(anchors: np.ndarray, positive_idx: np.ndarray,
+                           gallery: np.ndarray, margin: float):
     """Hinge over squared distances with per-anchor semi-hard negatives.
 
-    The negative for an anchor is the closest pool entry farther than its
-    positive; if none exists, the hardest (closest) entry is used. Ties break
-    on the lowest pool index. Loss is the mean hinge over anchors.
+    Anchor i's positive is ``gallery[positive_idx[i]]`` and every other
+    gallery row is a candidate negative. The negative is the closest
+    candidate farther than the positive; if none exists, the hardest
+    (closest) candidate is used. Ties break on the lowest gallery index.
 
-    Returns (value, grads) with grads keys ``anchors``, ``positives`` and
-    ``pool`` (aligned with the inputs; pool gradients accumulate).
+    Returns (values (n,), grads) with grads keys ``anchors`` (n, d) and
+    ``gallery`` (g, d); gallery gradients accumulate over anchors.
     """
     if margin <= 0:
         raise ValueError(f"margin must be positive (got {margin})")
-    if len(negatives_pool) == 0:
+    if len(gallery) < 2:
         raise ValueError("semi_hard_triplet_loss needs a non-empty negative pool")
-    if len(anchors) != len(positives):
+    if len(anchors) != len(positive_idx):
         raise ValueError("anchors and positives must align")
-    g_anchors = [np.zeros_like(a) for a in anchors]
-    g_positives = [np.zeros_like(p) for p in positives]
-    g_pool = [np.zeros_like(n) for n in negatives_pool]
-    count = len(anchors)
-    total = 0.0
-    for i, (a, p) in enumerate(zip(anchors, positives)):
-        d_pos = float((a - p) @ (a - p))
-        d_negs = [float((a - n) @ (a - n)) for n in negatives_pool]
-        semi = [j for j, d in enumerate(d_negs) if d > d_pos]
-        pick = min(semi, key=lambda j: (d_negs[j], j)) if semi \
-            else min(range(len(d_negs)), key=lambda j: (d_negs[j], j))
-        hinge = d_pos - d_negs[pick] + margin
-        if hinge > 0:
-            total += hinge
-            n = negatives_pool[pick]
-            g_anchors[i] += 2.0 * (n - p) / count
-            g_positives[i] += -2.0 * (a - p) / count
-            g_pool[pick] += 2.0 * (a - n) / count
-    return total / count, {"anchors": g_anchors, "positives": g_positives,
-                           "pool": g_pool}
+    rows = np.arange(len(anchors))
+    dists, diffs = _row_squared_distances(anchors[:, None, :], gallery[None])
+    d_pos = dists[rows, positive_idx]
+    pool = np.ones_like(dists, dtype=bool)
+    pool[rows, positive_idx] = False
+    semi = pool & (dists > d_pos[:, None])
+    pick_from = np.where(semi.any(axis=1)[:, None], semi, pool)
+    pick = np.argmin(np.where(pick_from, dists, np.inf), axis=1)  # lowest index on a tie
+    hinge = d_pos - dists[rows, pick] + margin
+    active = (hinge > 0)[:, None]
+
+    p, n = gallery[positive_idx], gallery[pick]
+    g_gallery = np.zeros_like(gallery)
+    np.add.at(g_gallery, positive_idx, np.where(active, -2.0 * diffs[rows, positive_idx], 0.0))
+    np.add.at(g_gallery, pick, np.where(active, 2.0 * diffs[rows, pick], 0.0))
+    return np.maximum(hinge, 0.0), {"anchors": np.where(active, 2.0 * (n - p), 0.0),
+                                    "gallery": g_gallery}
 
 
 def joint_sd_loss(triplet_value: float, patch_value: float, lambda2: float) -> float:

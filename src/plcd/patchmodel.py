@@ -7,8 +7,9 @@ their satellite record plus one drone per section, runs a semi-hard triplet
 loss from drone anchors to satellite positives/negatives, and aligns the
 student's region descriptors with the teacher's through a mean-squared
 penalty. A step embeds its drones and satellites in one whole-image product
-and its drones in one region product, and ends with one backward through
-each.
+and its drones in one region product, scores every drone against the
+step's satellites in one triplet call and every drone's regions in one
+patch call, and ends with one backward through each product.
 """
 
 from __future__ import annotations
@@ -145,32 +146,20 @@ def _shared_step(params, teacher, drone_recs, drone_owner, sat_recs,
     embs = enc.whole_embed(params, x)
     units = enc.unit_rows(embs)
     n_anchors = len(drone_recs)
-    anchors, sat_embs = units[:n_anchors], units[n_anchors:]
     sat_slot = {lm: i for i, lm in enumerate(chunk)}
-
-    value_triplet = 0.0
-    g_units = np.zeros_like(units)
-    g_anchors, g_sats = g_units[:n_anchors], g_units[n_anchors:]
-    for i, (a, lm) in enumerate(zip(anchors, drone_owner)):
-        pos_idx = sat_slot[lm]
-        pool_idx = [j for j in range(len(sat_embs)) if j != pos_idx]
-        value, tgrads = losses.semi_hard_triplet_loss(
-            [a], [sat_embs[pos_idx]], [sat_embs[j] for j in pool_idx], cfg.margin)
-        value_triplet += value / n_anchors
-        g_anchors[i] += tgrads["anchors"][0] / n_anchors
-        g_sats[pos_idx] += tgrads["positives"][0] / n_anchors
-        for j, g in zip(pool_idx, tgrads["pool"]):
-            g_sats[j] += g / n_anchors
+    triplet_values, tgrads = losses.semi_hard_triplet_loss(
+        units[:n_anchors], np.array([sat_slot[lm] for lm in drone_owner]),
+        units[n_anchors:], cfg.margin)
+    g_units = np.concatenate([tgrads["anchors"], tgrads["gallery"]]) / n_anchors
 
     # region descriptors: row 0 (whole map) carries no patch term
     pooled = cache.stack(drone_recs)
     teacher_patches = enc.region_embed(teacher, cache.avg, pooled)[:, 1:]
     descs = enc.region_embed(params, cache.avg, pooled)
-    value_patch, patch_grads = losses.patch_mse_loss(list(teacher_patches),
-                                                     list(descs[:, 1:]))
+    patch_values, g_patches = losses.patch_mse_loss(teacher_patches, descs[:, 1:])
 
     enc.whole_backward(params, x, embs, g_units, grads, normalized=True)
     g_descs = np.zeros_like(descs)
-    g_descs[:, 1:] = cfg.lambda2 * np.array(patch_grads)
+    g_descs[:, 1:] = cfg.lambda2 * g_patches
     enc.region_backward(params, cache.avg, pooled, descs, g_descs, grads)
-    return value_triplet, value_patch
+    return triplet_values.mean(), patch_values.sum()

@@ -10,8 +10,10 @@ temperature 1.
 
 Each optimization step is batched across its anchors (``_Step``): one
 whole-image product embeds the ground anchors, one region product the
-batch's drones, and one backward per path and classifier head ends it. The
-miner and the per-anchor losses read rows of those stacks.
+batch's drones. The miner reads rows of those stacks per anchor; the hard
+and soft losses then read all anchors' rows at once, one stacked call per
+objective (``_hard_terms``, ``_soft_terms``), and one backward per path ends
+the step.
 """
 
 from __future__ import annotations
@@ -115,12 +117,6 @@ def build_context(split: DatasetSplit) -> _TrainContext:
         map_shape=grounds[0].featmap.shape,
         sections=sections,
     )
-
-
-def _one_hot(n: int, idx: int) -> np.ndarray:
-    v = np.zeros(n)
-    v[idx] = 1.0
-    return v
 
 
 def aggregate_feature(descs: np.ndarray) -> np.ndarray:
@@ -260,10 +256,10 @@ class _Step:
     With shared branches the miner ranks every candidate by its whole-image
     embedding too, so then the drones join that product instead.
 
-    The losses read these rows and add into one gradient array per path
-    (``g_whole``, ``g_feats`` for image features, ``g_descs`` for region
-    descriptors) and one logit-gradient array per classifier head;
-    ``backward`` chains them all through one backward per path and head.
+    The losses read these rows, back their logit gradients through the
+    classifier heads, and add into one gradient array per path (``g_whole``,
+    ``g_feats`` for image features, ``g_descs`` for region descriptors);
+    ``backward`` chains those through one backward per path.
     """
 
     def __init__(self, params_list: list[enc.EncoderParams], cache: _PooledCache,
@@ -297,12 +293,6 @@ class _Step:
             self.senior_descs = enc.region_embed(senior[1], cache.avg,
                                                  self.pooled[self.drone_start:])
 
-        # per anchor: ground-head logit gradients on its whole-image row,
-        # drone-head ones on its positive's feature row
-        self.g_logits_ground = np.zeros((len(anchors), self.ground.classes))
-        self.g_logits_drone = np.zeros((len(anchors), self.drone.classes))
-        self.positive_rows = np.zeros(len(anchors), dtype=int)
-
     def rows(self, records: list[ImageRecord]) -> list[int]:
         return [self.row[r.id] for r in records]
 
@@ -314,72 +304,64 @@ class _Step:
         return self.feats[self.rows(records)]
 
     def backward(self, avg: np.ndarray) -> None:
-        g_grads, d_grads = self.grads[0], self.grads[-1]
-        anchors = slice(0, len(self.g_logits_ground))
-        self.g_whole[anchors] += enc.classifier_backward(
-            self.ground, self.whole[anchors], self.g_logits_ground, g_grads)
-        # two anchors can share a positive: unbuffered add
-        np.add.at(self.g_feats, self.positive_rows, enc.classifier_backward(
-            self.drone, self.feats[self.positive_rows], self.g_logits_drone, d_grads))
-        enc.whole_backward(self.ground, self.x, self.whole, self.g_whole, g_grads)
+        enc.whole_backward(self.ground, self.x, self.whole, self.g_whole, self.grads[0])
         g_descs = self.g_descs + aggregate_backward(self.descs, self.g_feats)
-        enc.region_backward(self.drone, avg, self.pooled, self.descs, g_descs, d_grads)
+        enc.region_backward(self.drone, avg, self.pooled, self.descs, g_descs,
+                            self.grads[-1])
 
 
-def _hard_step(anchor, mined, ctx, step: _Step):
-    """Consistency + per-branch cross-entropy for one anchor; returns the value.
+def _hard_terms(step: _Step, anchors: list[ImageRecord], mined: list[MinedTriplet],
+                class_index: dict[int, int]) -> np.ndarray:
+    """Consistency + per-branch cross-entropy for the step's anchors, one
+    stacked call per objective; returns the per-anchor values.
 
-    The ground anchor reads its whole-image row; drone records read the
+    The ground anchors read their whole-image rows; drone records read the
     step's region-aggregate features, so the hard objective trains the
-    region descriptors directly.
+    region descriptors directly. Anchors can hold fewer negatives than
+    others (a ``live`` mask pads them), two anchors can share a positive and
+    a record can sit twice in a negative pool, so drone rows scatter-add.
     """
-    i = step.whole_row[anchor.id]
-    a = step.whole[i]
-    p_row = step.row[mined.positive.id]
-    neg_rows = step.rows(mined.negatives)
-    p = step.feats[p_row]
+    i = np.array([step.whole_row[r.id] for r in anchors])
+    p_rows = np.array(step.rows([m.positive for m in mined]))
+    width = max(len(m.negatives) for m in mined)
+    neg_rows = np.array([step.rows(m.negatives) + [0] * (width - len(m.negatives))
+                         for m in mined])
+    live = np.arange(width) < np.array([len(m.negatives) for m in mined])[:, None]
+    a, p = step.whole[i], step.feats[p_rows]
 
-    value, grads = losses.consistency_loss(a, p, list(step.feats[neg_rows]))
-    target = _one_hot(ctx.num_classes, ctx.class_index[anchor.landmark])
-    ce_a, step.g_logits_ground[i] = losses.cross_entropy(
-        enc.logits_from_embedding(step.ground, a), target)
-    ce_p, step.g_logits_drone[i] = losses.cross_entropy(
-        enc.logits_from_embedding(step.drone, p), target)
-    step.positive_rows[i] = p_row
+    values, grads = losses.consistency_loss(a, p, step.feats[neg_rows], live)
+    labels = np.array([class_index[r.landmark] for r in anchors])
+    ce_a, g_logits_a = losses.cross_entropy(enc.logits_from_embedding(step.ground, a), labels)
+    ce_p, g_logits_p = losses.cross_entropy(enc.logits_from_embedding(step.drone, p), labels)
 
-    step.g_whole[i] += grads["anchor"]
-    step.g_feats[p_row] += grads["positive"]
-    for row, g_n in zip(neg_rows, grads["negatives"]):
-        step.g_feats[row] += g_n  # a record can sit twice in a negative pool
-    return value + ce_a + ce_p
-
-
-def _soft_step(anchor, doublet_records, step: _Step, tau, lambda1):
-    """Distillation over whole+region descriptors for one doublet."""
-    i = step.whole_row[anchor.id]
-    rows = step.rows(doublet_records)
-    per_image, dim = step.descs.shape[1:]
-    senior_rows = np.subtract(rows, step.drone_start)
-    senior_entries = step.senior_descs[senior_rows].reshape(-1, dim)
-    junior_entries = step.descs[rows].reshape(-1, dim)
-
-    senior_vec = _similarity_from_rows(step.senior_whole[i], senior_entries, per_image, tau)
-    junior_vec = _similarity_from_rows(step.whole[i], junior_entries, per_image, 1.0)
-
-    value, g_dots = losses.soft_loss(senior_vec, junior_vec)
-    g_anchor, g_entries = losses.similarity_input_grads(junior_vec, g_dots)
-    step.g_whole[i] += lambda1 * g_anchor
-    step.g_descs[rows] += lambda1 * g_entries.reshape(len(rows), per_image, dim)
-    return value
+    step.g_whole[i] += grads["anchors"] + enc.classifier_backward(
+        step.ground, a, g_logits_a, step.grads[0])
+    np.add.at(step.g_feats, p_rows, grads["positives"] + enc.classifier_backward(
+        step.drone, p, g_logits_p, step.grads[-1]))
+    np.add.at(step.g_feats, neg_rows[live], grads["negatives"][live])
+    return values + ce_a + ce_p
 
 
-def _similarity_from_rows(anchor: np.ndarray, entry_rows: np.ndarray,
-                          per_image: int, tau: float) -> losses.SimilarityVector:
-    positives = []
-    for start in range(0, entry_rows.shape[0], per_image):
-        block = entry_rows[start : start + per_image]
-        positives.append(losses.DoubletEntry(whole=block[0], patches=list(block[1:])))
-    return losses.similarity_softmax(anchor, positives, tau)
+def _soft_terms(step: _Step, anchors: list[ImageRecord],
+                doublets: list[list[ImageRecord]], tau: float, lambda1: float) -> np.ndarray:
+    """Distillation over whole+region descriptors for the step's doublets,
+    one (anchors, P*k) similarity matrix per peer; returns the per-anchor
+    values. Anchors of one landmark can share drones: their region rows
+    scatter-add."""
+    i = np.array([step.whole_row[r.id] for r in anchors])
+    rows = np.array([step.rows(d) for d in doublets])  # (n, P)
+    n, (per_image, dim) = len(anchors), step.descs.shape[1:]
+    senior = losses.similarity_log_probs(
+        step.senior_whole[i],
+        step.senior_descs[rows - step.drone_start].reshape(n, -1, dim), tau)
+    entries = step.descs[rows].reshape(n, -1, dim)
+    junior = losses.similarity_log_probs(step.whole[i], entries, 1.0)
+
+    values, g_dots = losses.soft_loss(senior, junior)
+    step.g_whole[i] += lambda1 * np.einsum("nk,nkd->nd", g_dots, entries)
+    g_entries = g_dots[:, :, None] * step.whole[i][:, None, :]
+    np.add.at(step.g_descs, rows, lambda1 * g_entries.reshape(rows.shape + (per_image, dim)))
+    return values
 
 
 def _epoch_batches(ctx, cfg, rng):
@@ -418,10 +400,12 @@ def _train_pair(ctx, cfg, ground_params, drone_params, rng, epochs: int,
                 rate_scale: float, anchor_step, mining_from: int | None,
                 senior=None) -> list[str]:
     """The loop both training steps share. Per batch: one ``_Step``, which
-    mines from epoch ``mining_from`` on (never when None),
-    ``anchor_step(step, anchor, positives, negatives)`` per anchor returning
-    its (hard, soft) values, one step backward and one SGD step per
-    parameter set. Returns the log lines."""
+    mines from epoch ``mining_from`` on (never when None);
+    ``anchor_step(step, anchor, positives, negatives)`` per anchor, in batch
+    order, mining or drawing its triplet and returning it with the doublet
+    the soft loss reads (Step II only); one stacked call per objective; one
+    step backward and one SGD step per parameter set. Returns the log
+    lines."""
     grid = rmac.region_grid((ctx.map_shape[1], ctx.map_shape[2]), cfg.scales,
                             cfg.width_table, cfg.reference_side)
     cache = _PooledCache(grid, ctx.map_shape)
@@ -438,22 +422,26 @@ def _train_pair(ctx, cfg, ground_params, drone_params, rng, epochs: int,
                         and epoch >= mining_from else None)
         for step_idx, entries in enumerate(_epoch_batches(ctx, cfg, rng)):
             step = _Step(params_list, cache, entries, mining_space, senior)
-            values = []
+            anchors, drawn = [], []
             for anchor, positives in entries:
                 negatives = _batch_negatives(entries, anchor)
                 if negatives:
-                    values.append(anchor_step(step, anchor, positives, negatives))
-            if not values:
+                    anchors.append(anchor)
+                    drawn.append(anchor_step(step, anchor, positives, negatives))
+            if not anchors:
                 continue
-            hard = sum(v[0] for v in values) / len(values)
-            soft = sum(v[1] for v in values) / len(values)
+            mined, doublets = zip(*drawn)
+            hard = _hard_terms(step, anchors, mined, ctx.class_index).mean()
+            soft = 0.0
+            if senior is not None:
+                soft = _soft_terms(step, anchors, doublets, cfg.tau, cfg.lambda1).mean()
             total = losses.joint_gd_loss(hard, soft, cfg.lambda1)
             if not np.isfinite(total):
                 raise TrainingDiverged(
                     f"non-finite loss {total} at epoch {epoch} step {step_idx}")
             step.backward(cache.avg)
             for params, grads, state in zip(params_list, step.grads, states):
-                enc.scale_grads(grads, 1.0 / len(values))
+                enc.scale_grads(grads, 1.0 / len(anchors))
                 enc.sgd_step(params, grads, state)
             log.append(f"{epoch} {step_idx} {hard:.6f} {soft:.6f} {total:.6f}")
     return log
@@ -489,7 +477,7 @@ def train_senior(split: DatasetSplit, cfg: PeerConfig, mining: bool = True,
             pos = positives[int(rng.integers(len(positives)))]
             idx = rng.permutation(len(negatives))[:n_neg]
             mined = MinedTriplet(pos, [negatives[i] for i in idx])
-        return _hard_step(anchor, mined, ctx, step), 0.0
+        return mined, None
 
     log = _train_pair(ctx, cfg, ground_params, drone_params, rng,
                       cfg.epochs_senior, 1.0, anchor_step,
@@ -526,13 +514,11 @@ def train_junior(split: DatasetSplit, senior: tuple[enc.EncoderParams, enc.Encod
                                   space=step.mining_space,
                                   feature_fn=step.feature)
         hard_positive = positives[int(rng.integers(len(positives)))]
-        hard = _hard_step(anchor, MinedTriplet(hard_positive, mined.negatives), ctx, step)
         doublet = positives
         if cfg.num_positives and cfg.num_positives < len(positives):
             idx = sorted(rng.permutation(len(positives))[: cfg.num_positives])
             doublet = [positives[i] for i in idx]
-        soft = _soft_step(anchor, doublet, step, cfg.tau, cfg.lambda1)
-        return hard, soft
+        return MinedTriplet(hard_positive, mined.negatives), doublet
 
     # Step II refines an already-trained model: it continues at the schedule's
     # decayed rate rather than restarting at the step-I rate.

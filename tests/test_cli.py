@@ -345,6 +345,16 @@ def test_check_subcommand_passes(capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
+@pytest.mark.parametrize("flag", [["--config", "/nonexistent/cfg.txt"],
+                                  ["--set", "no_such_key=1"]], ids=["config", "set"])
+def test_check_takes_no_config(flag, capsys):
+    # the oracles read no run config: argparse rejects the flags
+    with pytest.raises(SystemExit) as exc:
+        run(["check", *flag, "--grad-seeds", "1", "--graphs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_ablate_writes_tables(workspace, tmp_path):
     _, cfg = workspace
     out = tmp_path / "ablate"

@@ -388,13 +388,15 @@ def reference_step(params_list, cache, entries, mined_for, ctx, senior=None,
         a = _forward(ground, anchor)
         p_row, neg_rows = row[mined.positive.id], [row[r.id] for r in mined.negatives]
         p = feats[p_row]
-        _, g = losses.consistency_loss(a, p, list(feats[neg_rows]))
-        target = np.zeros(ctx.num_classes)
-        target[ctx.class_index[anchor.landmark]] = 1.0
-        g_a, g_p = g["anchor"], g["positive"]
+        # each loss scores a stack of one row: this anchor's
+        _, g = losses.consistency_loss(a[None], p[None], feats[neg_rows][None],
+                                       np.ones((1, len(neg_rows)), dtype=bool))
+        label = np.array([ctx.class_index[anchor.landmark]])
+        g_a, g_p = g["anchors"][0], g["positives"][0]
         for params, acc, emb in ((ground, g_grads, a), (drone, d_grads, p)):
             _, g_log = losses.cross_entropy(
-                params.classifier_weight @ emb + params.classifier_bias, target)
+                (params.classifier_weight @ emb + params.classifier_bias)[None], label)
+            g_log = g_log[0]
             acc.classifier_weight += np.outer(g_log, emb)
             acc.classifier_bias += g_log
             if emb is a:
@@ -402,20 +404,19 @@ def reference_step(params_list, cache, entries, mined_for, ctx, senior=None,
             else:
                 g_p = g_p + params.classifier_weight.T @ g_log
         g_feats[p_row] += g_p
-        for r, g_n in zip(neg_rows, g["negatives"]):
+        for r, g_n in zip(neg_rows, g["negatives"][0]):
             g_feats[r] += g_n
         if senior is not None:
             rows = [row[r.id] for r in positives]
             senior_descs = enc.region_embed(senior[1], cache.avg, pooled)
-            senior_vec = peerlearn._similarity_from_rows(
-                _forward(senior[0], anchor), senior_descs[rows].reshape(-1, dim),
-                per_image, tau)
-            junior_vec = peerlearn._similarity_from_rows(
-                a, descs[rows].reshape(-1, dim), per_image, 1.0)
-            _, g_dots = losses.soft_loss(senior_vec, junior_vec)
-            g_anchor, g_entries = losses.similarity_input_grads(junior_vec, g_dots)
-            g_a = g_a + lambda1 * g_anchor
-            g_descs[rows] += lambda1 * g_entries.reshape(len(rows), per_image, dim)
+            senior_log_probs = losses.similarity_log_probs(
+                _forward(senior[0], anchor)[None],
+                senior_descs[rows].reshape(1, -1, dim), tau)
+            entries = descs[rows].reshape(-1, dim)
+            junior_log_probs = losses.similarity_log_probs(a[None], entries[None], 1.0)
+            _, g_dots = losses.soft_loss(senior_log_probs, junior_log_probs)
+            g_a = g_a + lambda1 * entries.T @ g_dots[0]
+            g_descs[rows] += lambda1 * np.outer(g_dots[0], a).reshape(len(rows), per_image, dim)
         pre = ground.weight @ x + ground.bias
         g_pre = g_a * (1.0 - np.tanh(pre) ** 2) if ground.tanh else g_a
         g_grads.weight += np.outer(g_pre, x)
@@ -426,7 +427,8 @@ def reference_step(params_list, cache, entries, mined_for, ctx, senior=None,
 
 
 @pytest.mark.parametrize("tanh", [False, True])
-@pytest.mark.parametrize("kind", ["senior", "junior", "shared", "shared-junior"])
+@pytest.mark.parametrize("kind", ["senior", "junior", "shared", "shared-junior",
+                                  "junior-shared-drone", "junior-ragged"])
 def test_batched_step_matches_per_anchor_reference(tanh, kind):
     split = tiny_split(noise=0.2)
     cfg = tiny_cfg(encoder_tanh=tanh)
@@ -436,7 +438,7 @@ def test_batched_step_matches_per_anchor_reference(tanh, kind):
         drone = ground
     params_list = [ground] if drone is ground else [ground, drone]
     senior = None
-    if kind.endswith("junior"):
+    if "junior" in kind:
         sg, sd = peerlearn._init_pair(ctx, cfg, "test.step.senior")
         senior = (sg, sg) if kind.startswith("shared") else (sg, sd)
     grid = rmac.region_grid((ctx.map_shape[1], ctx.map_shape[2]), cfg.scales,
@@ -444,25 +446,40 @@ def test_batched_step_matches_per_anchor_reference(tanh, kind):
     cache = peerlearn._PooledCache(grid, ctx.map_shape)
     rng = substream(8, "test.step.batch")
     entries = []
-    for anchor in ctx.grounds:
+    if kind in ("junior-shared-drone", "junior-ragged"):
+        # two anchors of one landmark and one other: the third anchor's
+        # negative pool holds every drone of the first two twice, theirs
+        # only the third's drones
+        first = ctx.grounds[0]
+        twin = next(a for a in ctx.grounds[1:] if a.landmark == first.landmark)
+        other = next(a for a in ctx.grounds if a.landmark != first.landmark)
+        anchors = [first, twin, other]
+    else:
+        anchors = ctx.grounds
+    for anchor in anchors:
         same = [positives for other, positives in entries if other.landmark == anchor.landmark]
         # anchors of one landmark share a positive batch: positives repeat
         entries.append((anchor, same[0] if same else
                         peerlearn._sample_positive_batch(ctx, anchor.landmark, rng)))
+    # as in training, an anchor takes all of a pool smaller than num_negatives
+    num_negatives = 8 if kind == "junior-ragged" else 3
     mined_for = {}
     for anchor, positives in entries:
         negatives = peerlearn._batch_negatives(entries, anchor)
         mined_for[anchor.id] = peerlearn.MinedTriplet(
-            positives[0], [negatives[i] for i in rng.permutation(len(negatives))[:3]])
+            positives[0],
+            [negatives[i] for i in rng.permutation(len(negatives))[:num_negatives]])
     # anchors of one landmark share their positive: the drone head's
     # gradient must reach that row once per anchor
     assert len({m.positive.id for m in mined_for.values()}) < len(mined_for)
+    if kind == "junior-ragged":
+        assert sorted(len(m.negatives) for m in mined_for.values()) == [6, 6, 8]
 
     step = peerlearn._Step(params_list, cache, entries, "drone", senior)
-    for anchor, positives in entries:
-        peerlearn._hard_step(anchor, mined_for[anchor.id], ctx, step)
-        if senior is not None:
-            peerlearn._soft_step(anchor, positives, step, 0.1, 1.0)
+    peerlearn._hard_terms(step, anchors, [mined_for[a.id] for a in anchors],
+                          ctx.class_index)
+    if senior is not None:
+        peerlearn._soft_terms(step, anchors, [p for _, p in entries], 0.1, 1.0)
     step.backward(cache.avg)
     expected = reference_step(params_list, cache, entries, mined_for, ctx, senior)
     for got, want in zip(step.grads, expected):
