@@ -4,8 +4,10 @@ Subcommands: gen-data, train-gd, train-sd, retrieve, evaluate, ablate, check.
 Every tunable lives in a flat ``key = value`` config file; any key can also
 be overridden on the command line via ``--set key=value`` (flags win). Each
 run echoes its effective config next to its outputs, and rerunning from that
-file reproduces the outputs byte for byte. Relative output paths resolve
-under ``$PLCD_OUTPUT_ROOT`` when it is set.
+file reproduces the outputs byte for byte. Dataset splits and encoder
+checkpoints are ``.npz`` archives (``np.load`` opens them); rankings,
+metrics, logs, configs and the embedding dump are line-oriented text.
+Relative output paths resolve under ``$PLCD_OUTPUT_ROOT`` when it is set.
 """
 
 from __future__ import annotations
@@ -22,15 +24,15 @@ from . import encoder as enc
 from .config import RunConfig, load_config, write_config
 from .ranking import read_ranking, write_ranking
 
-TRAIN_DATA = "train-data.txt"
-TEST_DATA = "test-data.txt"
+TRAIN_DATA = "train-data.npz"
+TEST_DATA = "test-data.npz"
 EFFECTIVE_CONFIG = "effective-config.txt"
 CHECKPOINTS = {
-    "senior_ground": "senior-ground.txt",
-    "senior_drone": "senior-drone.txt",
-    "junior_ground": "junior-ground.txt",
-    "junior_drone": "junior-drone.txt",
-    "shared": "satdrone.txt",
+    "senior_ground": "senior-ground.npz",
+    "senior_drone": "senior-drone.npz",
+    "junior_ground": "junior-ground.npz",
+    "junior_drone": "junior-drone.npz",
+    "shared": "satdrone.npz",
 }
 
 
@@ -55,16 +57,11 @@ def _load_cfg(args) -> RunConfig:
         raise SystemExit(str(err))
 
 
-def _require(path: Path, what: str) -> Path:
-    if not path.exists():
-        raise SystemExit(f"{what} not found: {path}")
-    return path
-
-
 def _parse(path: Path, what: str, reader, **kwargs):
     """``reader(path, **kwargs)`` on an input file; a missing or malformed
     file exits with a message naming the path instead of a traceback."""
-    _require(path, what)
+    if not path.exists():
+        raise SystemExit(f"{what} not found: {path}")
     try:
         return reader(path, **kwargs)
     except ValueError as err:
@@ -75,7 +72,7 @@ def _parse(path: Path, what: str, reader, **kwargs):
 def _read_split(data_dir: Path, part: str) -> dataspace.DatasetSplit:
     """The split with only its ``part`` ("train" or "test") read; the other
     part stays empty. ``gen-data`` writes the same landmark and section
-    counts into both files' headers."""
+    counts into both files."""
     fname = TRAIN_DATA if part == "train" else TEST_DATA
     records, num_landmarks, num_sections = _parse(data_dir / fname, f"{part} data",
                                                   dataspace.read_records)
@@ -145,10 +142,8 @@ def _load_models(models_dir: Path, cfg: RunConfig, require_shared: bool,
         wanted.append("shared")
     loaded = {}
     for attr in wanted:
-        path = models_dir / CHECKPOINTS[attr]
-        if not path.exists():
-            raise SystemExit(f"checkpoint not found: {path}")
-        loaded[attr] = _parse(path, "checkpoint", enc.load_params, tanh=cfg.encoder_tanh)
+        loaded[attr] = _parse(models_dir / CHECKPOINTS[attr], "checkpoint", enc.load_params,
+                              tanh=cfg.encoder_tanh)
     return pipeline.TrainedModels(
         senior_ground=loaded["junior_ground"],
         senior_drone=loaded["junior_drone"],

@@ -21,6 +21,7 @@ miner has to rediscover.
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ DRONE = "D"
 SATELLITE = "S"
 VIEWS = (GROUND, DRONE, SATELLITE)
 
-DATA_MAGIC = "#plcd-data v1"
+DATA_FORMAT = "plcd-data v2"
 
 
 @dataclass(frozen=True)
@@ -238,50 +239,81 @@ def infer_visible_facet(record: ImageRecord, num_sections: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# serialization (text, line-oriented; part of the CLI contract)
+# serialization (uncompressed .npz archives that np.load opens; part of the
+# CLI contract)
 # ---------------------------------------------------------------------------
 
-def format_records(records: list[ImageRecord], num_landmarks: int,
-                   num_sections: int) -> str:
-    lines = [f"{DATA_MAGIC} {len(records)} {num_landmarks} {num_sections}"]
-    for r in records:
-        c, h, w = r.featmap.shape
-        values = " ".join(map(repr, r.featmap.ravel().tolist()))
-        lines.append(f"{r.id} {r.view} {r.landmark} {r.section} {c} {h} {w} {values}")
-    return "\n".join(lines) + "\n"
+def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` as an uncompressed .npz. Members carry a fixed
+    timestamp (``np.savez`` stamps the wall clock), so equal content gives
+    equal bytes."""
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, arr in arrays.items():
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            with archive.open(info, "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.asarray(arr), allow_pickle=False)
+
+
+def read_arrays(path, tag: str, members: dict[str, tuple[str, int]]) -> dict[str, np.ndarray]:
+    """The ``members`` of a .npz with format ``tag``, each of a dtype kind in
+    its entry's first item and as many dimensions as its second. A file that
+    is not such an archive or fails a check raises ValueError naming ``path``."""
+    with open(path, "rb") as fh:
+        try:
+            if fh.read(4) != b"PK\x03\x04":
+                raise ValueError("not a zip archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as archive:
+                found = str(archive["format"]) if "format" in archive.files else None
+                if found != tag:
+                    raise ValueError(f"format tag is {found!r}")
+                missing = sorted(set(members) - set(archive.files))
+                if missing:
+                    raise ValueError(f"no member {', '.join(missing)}")
+                arrays = {name: archive[name] for name in members}
+        except Exception as err:  # corrupt bytes raise many types in zipfile and numpy
+            raise ValueError(f"{path}: not a readable '{tag}' file: {err}") from err
+    for name, (kinds, ndim) in members.items():
+        if arrays[name].dtype.kind not in kinds or arrays[name].ndim != ndim:
+            raise ValueError(f"{path}: member {name} is {arrays[name].dtype} of shape "
+                             f"{arrays[name].shape}, needs {ndim} dimensions of kind {kinds!r}")
+    return arrays
 
 
 def write_records(path, records: list[ImageRecord], num_landmarks: int,
                   num_sections: int) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_records(records, num_landmarks, num_sections))
+    """A split as record columns, one (n, c, h, w) ``values`` stack,
+    ``counts`` = (num_landmarks, num_sections) and a ``format`` tag."""
+    write_arrays(path, {
+        "format": np.array(DATA_FORMAT),
+        "counts": np.array([num_landmarks, num_sections], dtype=np.int64),
+        "ids": np.array([r.id for r in records], dtype=np.int64),
+        "views": np.array([r.view for r in records], dtype="<U1"),
+        "landmarks": np.array([r.landmark for r in records], dtype=np.int64),
+        "sections": np.array([r.section for r in records], dtype=np.int64),
+        "values": np.stack([r.featmap for r in records]),
+    })
 
 
 def read_records(path) -> tuple[list[ImageRecord], int, int]:
-    """Parse a dataset file; returns (records, num_landmarks, num_sections)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(DATA_MAGIC):
-        raise ValueError(f"{path}: missing '{DATA_MAGIC}' header")
-    head = lines[0].split()
-    if len(head) != 5:
-        raise ValueError(f"{path}: header needs a record, landmark and section count")
-    count, num_landmarks, num_sections = int(head[2]), int(head[3]), int(head[4])
-    if len(lines) - 1 != count:
-        raise ValueError(f"{path}: header promises {count} records, found {len(lines) - 1}")
-    records = []
-    for ln in lines[1:]:
-        tok = ln.split()
-        if len(tok) < 7:
-            raise ValueError(f"{path}: record line {ln!r} is truncated")
-        rid, view, landmark, section = int(tok[0]), tok[1], int(tok[2]), int(tok[3])
-        c, h, w = int(tok[4]), int(tok[5]), int(tok[6])
-        values = np.array(tok[7:], dtype=float)
-        if values.size != c * h * w:
-            raise ValueError(f"{path}: record {rid} has {values.size} values, needs {c * h * w}")
-        if not np.isfinite(values).all():
-            raise ValueError(f"{path}: record {rid} has a non-finite value")
-        featmap = values.reshape(c, h, w)
-        featmap.setflags(write=False)
-        records.append(ImageRecord(rid, view, landmark, section, featmap))
+    """Read a dataset file; returns (records, num_landmarks, num_sections)."""
+    cols = read_arrays(path, DATA_FORMAT, {
+        "counts": ("iu", 1), "ids": ("iu", 1), "views": ("U", 1),
+        "landmarks": ("iu", 1), "sections": ("iu", 1), "values": ("f", 4)})
+    if cols["counts"].shape != (2,):
+        raise ValueError(f"{path}: counts needs a landmark and a section count "
+                         f"(got {cols['counts'].shape[0]} values)")
+    values = cols.pop("values")
+    lengths = [len(cols[name]) for name in ("ids", "views", "landmarks", "sections")]
+    if set(lengths) != {len(values)}:
+        raise ValueError(f"{path}: columns ids, views, landmarks, sections hold "
+                         f"{', '.join(map(str, lengths))} entries for {len(values)} value maps")
+    bad = ~np.isfinite(values).all(axis=(1, 2, 3))
+    if bad.any():
+        raise ValueError(f"{path}: record {cols['ids'][np.argmax(bad)]} has a non-finite value")
+    values.setflags(write=False)
+    records = [ImageRecord(int(rid), str(view), int(landmark), int(section), featmap)
+               for rid, view, landmark, section, featmap in zip(
+                   cols["ids"], cols["views"], cols["landmarks"], cols["sections"], values)]
+    num_landmarks, num_sections = map(int, cols["counts"])
     return records, num_landmarks, num_sections

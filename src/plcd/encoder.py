@@ -7,12 +7,12 @@ stacks: one product maps an (n, input_dim) stack of flattened maps
 (``whole_embed``; ``embed_records`` stacks a record list). Region
 descriptors share the same parameters: a region's centered pooled channel
 vector is spread evenly over that region's cells and sent through the
-identical affine map, so the checkpoint format holds no extra tensors. A
-fixed (k, h*w) averaging matrix folds the k regions of a grid into the
-weight, and one batched product embeds an (n, k, channels) stack of pooled
-rows; the backward pass folds the stack's (k, dim, channels) gradient back
-through the same matrix. Both backward passes take the forward's output
-rather than recomputing it.
+identical affine map, so a checkpoint (an ``.npz``, see ``save_params``)
+holds no extra tensors. A fixed (k, h*w) averaging matrix folds the k
+regions of a grid into the weight, and one batched product embeds an
+(n, k, channels) stack of pooled rows; the backward pass folds the stack's
+(k, dim, channels) gradient back through the same matrix. Both backward
+passes take the forward's output rather than recomputing it.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataspace import ImageRecord
+from .dataspace import ImageRecord, read_arrays, write_arrays
 
-ENC_MAGIC = "#plcd-enc v1"
+ENC_FORMAT = "plcd-enc v2"
+PARAM_NAMES = ("weight", "bias", "classifier_weight", "classifier_bias")
 
 ROLE_GROUND = "ground"
 ROLE_DRONE = "drone"
@@ -83,9 +84,8 @@ def init_params(role: str, dim: int, input_dim: int, classes: int,
 def params_digest(params: EncoderParams) -> str:
     """Stable content hash, used by freeze-invariant checks."""
     h = hashlib.sha256()
-    for arr in (params.weight, params.bias, params.classifier_weight,
-                params.classifier_bias):
-        h.update(np.ascontiguousarray(arr).tobytes())
+    for name in PARAM_NAMES:
+        h.update(np.ascontiguousarray(getattr(params, name)).tobytes())
     return h.hexdigest()
 
 
@@ -182,21 +182,11 @@ class EncoderGrads:
     classifier_bias: np.ndarray
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "weight": self.weight,
-            "bias": self.bias,
-            "classifier_weight": self.classifier_weight,
-            "classifier_bias": self.classifier_bias,
-        }
+        return {name: getattr(self, name) for name in PARAM_NAMES}
 
 
 def new_grads(params: EncoderParams) -> EncoderGrads:
-    return EncoderGrads(
-        weight=np.zeros_like(params.weight),
-        bias=np.zeros_like(params.bias),
-        classifier_weight=np.zeros_like(params.classifier_weight),
-        classifier_bias=np.zeros_like(params.classifier_bias),
-    )
+    return EncoderGrads(**{name: np.zeros_like(getattr(params, name)) for name in PARAM_NAMES})
 
 
 def whole_backward(params: EncoderParams, x: np.ndarray, emb: np.ndarray,
@@ -272,12 +262,7 @@ def new_sgd_state(params: EncoderParams, lr_head: float, lr_body: float,
         raise ValueError(f"momentum must be in [0, 1) (got {momentum})")
     state = SgdState(lr_head=lr_head, lr_body=lr_body, momentum=momentum,
                      decay_epoch=decay_epoch, decay_factor=decay_factor)
-    state.velocity = {
-        "weight": np.zeros_like(params.weight),
-        "bias": np.zeros_like(params.bias),
-        "classifier_weight": np.zeros_like(params.classifier_weight),
-        "classifier_bias": np.zeros_like(params.classifier_bias),
-    }
+    state.velocity = new_grads(params).arrays()
     return state
 
 
@@ -328,45 +313,25 @@ def check_gradients(loss_fn, params: list[np.ndarray], epsilon: float = 1e-6) ->
 
 
 # ---------------------------------------------------------------------------
-# checkpoint serialization
+# checkpoint serialization: an .npz of the four arrays, ``role`` and a
+# ``format`` tag, written and checked by ``dataspace.write_arrays`` and
+# ``read_arrays``
 # ---------------------------------------------------------------------------
 
-def format_params(params: EncoderParams) -> str:
-    lines = [f"{ENC_MAGIC} {params.role} {params.dim} {params.input_dim} {params.classes}"]
-    for arr in (params.weight, params.bias, params.classifier_weight,
-                params.classifier_bias):
-        lines.append(" ".join(map(repr, arr.ravel().tolist())))
-    return "\n".join(lines) + "\n"
-
-
 def save_params(path, params: EncoderParams) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_params(params))
+    write_arrays(path, {"format": np.array(ENC_FORMAT), "role": np.array(params.role),
+                        **{name: getattr(params, name) for name in PARAM_NAMES}})
 
 
 def load_params(path, tanh: bool = False) -> EncoderParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(ENC_MAGIC):
-        raise ValueError(f"{path}: missing '{ENC_MAGIC}' header")
-    _, _, role, dim, input_dim, classes = lines[0].split()
-    dim, input_dim, classes = int(dim), int(input_dim), int(classes)
-    flat = np.array(" ".join(lines[1:]).split(), dtype=float)
-    expected = dim * input_dim + dim + classes * dim + classes
-    if flat.size != expected:
-        raise ValueError(f"{path}: expected {expected} values, found {flat.size}")
-    offset = 0
-
-    def take(shape):
-        nonlocal offset
-        size = int(np.prod(shape))
-        out = flat[offset : offset + size].reshape(shape)
-        offset += size
-        return out
-
-    arrays = {name: take(shape) for name, shape in (
-        ("weight", (dim, input_dim)), ("bias", (dim,)),
-        ("classifier_weight", (classes, dim)), ("classifier_bias", (classes,)))}
+    arrays = read_arrays(path, ENC_FORMAT, {"role": ("U", 0), "weight": ("f", 2),
+                                            "bias": ("f", 1), "classifier_weight": ("f", 2),
+                                            "classifier_bias": ("f", 1)})
+    role = str(arrays.pop("role"))
+    (dim, _), classes = arrays["weight"].shape, len(arrays["classifier_weight"])
+    for name, shape in zip(PARAM_NAMES[1:], ((dim,), (classes, dim), (classes,))):
+        if arrays[name].shape != shape:
+            raise ValueError(f"{path}: {name} has shape {arrays[name].shape}, needs {shape}")
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():
             raise ValueError(f"{path}: non-finite value in {name}")

@@ -285,7 +285,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
                          "--models", str(run_dir / "models"),
                          "--mode", "diffusion", "--out", str(run_dir / "rank")]) == 0
         assert cli.main(["evaluate", *args, "--rankings", str(run_dir / "rank"),
-                         "--data", str(run_dir / "data" / "test-data.txt"),
+                         "--data", str(run_dir / "data" / cli.TEST_DATA),
                          "--task", "ground-satellite",
                          "--out", str(run_dir / "metrics")]) == 0
         blob = {}

@@ -49,9 +49,9 @@ def workspace(tmp_path_factory):
 
 def test_gen_data_outputs(workspace):
     root, _ = workspace
-    train = (root / "data" / "train-data.txt").read_text()
-    assert train.startswith("#plcd-data v1 ")
-    assert (root / "data" / "test-data.txt").exists()
+    with np.load(root / "data" / "train-data.npz") as train:
+        assert str(train["format"]) == "plcd-data v2"
+    assert (root / "data" / "test-data.npz").exists()
     assert (root / "data" / "effective-config.txt").exists()
 
 
@@ -65,14 +65,14 @@ def test_gen_data_rejects_unknown_key(tmp_path, capsys):
 
 def test_train_outputs_and_rerun_identical(workspace, tmp_path):
     root, cfg = workspace
-    for name in ("senior-ground.txt", "senior-drone.txt", "junior-ground.txt",
-                 "junior-drone.txt", "satdrone.txt", "train-senior.log",
+    for name in ("senior-ground.npz", "senior-drone.npz", "junior-ground.npz",
+                 "junior-drone.npz", "satdrone.npz", "train-senior.log",
                  "train-junior.log", "train-sd.log"):
         assert (root / "models" / name).exists(), name
     again = tmp_path / "models2"
     assert run(["train-gd", "--config", cfg, "--data", root / "data",
                 "--out", again]) == 0
-    for name in ("senior-ground.txt", "junior-drone.txt", "train-junior.log"):
+    for name in ("senior-ground.npz", "junior-drone.npz", "train-junior.log"):
         assert (again / name).read_bytes() == (root / "models" / name).read_bytes()
 
 
@@ -82,7 +82,7 @@ def test_zero_epochs_emits_untrained_checkpoint(workspace, tmp_path):
     assert run(["train-gd", "--config", cfg, "--set", "epochs_senior=0",
                 "--set", "epochs_junior=0", "--data", root / "data",
                 "--out", out]) == 0
-    assert (out / "senior-ground.txt").exists()
+    assert (out / "senior-ground.npz").exists()
     assert (out / "train-senior.log").read_text() == ""
 
 
@@ -94,29 +94,28 @@ def test_missing_dataset_path_in_message(workspace, tmp_path):
     assert str(missing) in str(err.value)
 
 
-def _copy_with_nan(src: Path, dst: Path, line_no: int) -> Path:
-    """``src`` copied to ``dst`` with the last value of line ``line_no`` set to nan."""
-    lines = src.read_text().splitlines()
-    tokens = lines[line_no].split()
-    tokens[-1] = "nan"
-    lines[line_no] = " ".join(tokens)
+def _copy_with_nan(src: Path, dst: Path, member: str) -> Path:
+    """``src`` copied to ``dst`` with the last value of array ``member`` set to nan."""
+    with np.load(src) as archive:
+        arrays = dict(archive)
+    arrays[member].reshape(-1)[-1] = np.nan
     dst.parent.mkdir(parents=True, exist_ok=True)
-    dst.write_text("\n".join(lines) + "\n")
+    np.savez(dst, **arrays)
     return dst
 
 
 def test_non_finite_inputs_exit_naming_the_path(workspace, tmp_path):
     root, cfg = workspace
     models = tmp_path / "nan-models"
-    bad = _copy_with_nan(root / "models" / "junior-drone.txt",
-                         models / "junior-drone.txt", 1)
+    bad = _copy_with_nan(root / "models" / "junior-drone.npz",
+                         models / "junior-drone.npz", "weight")
     with pytest.raises(SystemExit) as err:
         run(["train-sd", "--config", cfg, "--data", root / "data",
              "--models", models, "--out", tmp_path / "sd"])
     assert str(bad) in str(err.value) and "non-finite" in str(err.value)
 
     data = tmp_path / "nan-data"
-    bad = _copy_with_nan(root / "data" / "test-data.txt", data / "test-data.txt", 1)
+    bad = _copy_with_nan(root / "data" / "test-data.npz", data / "test-data.npz", "values")
     with pytest.raises(SystemExit) as err:
         run(["retrieve", "--config", cfg, "--data", data, "--models", root / "models",
              "--mode", "diffusion", "--out", tmp_path / "r"])
@@ -130,11 +129,46 @@ def test_non_finite_inputs_exit_naming_the_path(workspace, tmp_path):
     assert str(bad) in str(err.value) and "non-finite" in str(err.value)
 
 
+def test_corrupt_inputs_exit_naming_the_path(workspace, tmp_path):
+    # a truncated split, a checkpoint missing a member and a file in the
+    # retired text format each end in an exit naming the file, not a traceback
+    root, cfg = workspace
+    data = tmp_path / "cut-data"
+    data.mkdir()
+    bad = data / "test-data.npz"
+    bad.write_bytes((root / "data" / "test-data.npz").read_bytes()[:-100])
+    with pytest.raises(SystemExit) as err:
+        run(["retrieve", "--config", cfg, "--data", data, "--models", root / "models",
+             "--mode", "diffusion", "--out", tmp_path / "r"])
+    assert str(bad) in str(err.value) and "not a readable" in str(err.value)
+
+    models = tmp_path / "partial-models"
+    models.mkdir()
+    with np.load(root / "models" / "junior-drone.npz") as archive:
+        np.savez(models / "junior-drone.npz", **{k: v for k, v in archive.items()
+                                                 if k != "bias"})
+    with pytest.raises(SystemExit) as err:
+        run(["train-sd", "--config", cfg, "--data", root / "data",
+             "--models", models, "--out", tmp_path / "sd"])
+    assert str(models / "junior-drone.npz") in str(err.value)
+    assert "no member bias" in str(err.value)
+
+    rankings = tmp_path / "good"
+    assert run(["retrieve", "--config", cfg, "--data", root / "data",
+                "--models", root / "models", "--mode", "chain", "--out", rankings]) == 0
+    old = tmp_path / "test-data.txt"
+    old.write_text("#plcd-data v1 1 4 6\n1 S 1 0 1 1 1 0.5\n")
+    with pytest.raises(SystemExit) as err:
+        run(["evaluate", "--config", cfg, "--rankings", rankings,
+             "--data", old, "--task", "ground-satellite"])
+    assert str(old) in str(err.value) and "not a zip archive" in str(err.value)
+
+
 def test_subcommands_read_only_the_split_they_use(workspace, tmp_path):
     # train-gd reads only the train file, retrieve only the test file
     root, cfg = workspace
     train_only, test_only = tmp_path / "train-only", tmp_path / "test-only"
-    for path, name in ((train_only, "train-data.txt"), (test_only, "test-data.txt")):
+    for path, name in ((train_only, "train-data.npz"), (test_only, "test-data.npz")):
         path.mkdir()
         (path / name).write_bytes((root / "data" / name).read_bytes())
     assert run(["train-gd", "--config", cfg, "--set", "epochs_senior=0",
@@ -161,7 +195,7 @@ def test_retrieve_and_evaluate_all_modes(workspace, tmp_path):
         assert files
         metrics_dir = tmp_path / f"metrics-{mode}"
         assert run(["evaluate", "--config", cfg, "--rankings", out,
-                    "--data", root / "data" / "test-data.txt",
+                    "--data", root / "data" / "test-data.npz",
                     "--task", task, "--out", metrics_dir]) == 0
         payload = json.loads((metrics_dir / "metrics.json").read_text())
         assert set(payload) == {"cmc1", "cmc5", "cmc10", "cmc1pct", "map",
@@ -227,7 +261,7 @@ def test_dump_embeddings_exchange_file(workspace, tmp_path):
     # drone reference entries carry no identity label
     assert all(lm == 0 for _, view, lm, _ in entries if view == "D")
     assert all(lm > 0 for _, view, lm, _ in entries if view != "D")
-    # ground-drone mode reads no satdrone.txt for ranking, but its dump does
+    # ground-drone mode reads no satdrone.npz for ranking, but its dump does
     gd_emb = tmp_path / "gd-embeddings.txt"
     assert run(["retrieve", "--config", cfg, "--data", root / "data",
                 "--models", root / "models", "--mode", "ground-drone",
@@ -270,7 +304,7 @@ def test_evaluate_empty_rankings_dir_fails(workspace, tmp_path):
     empty.mkdir()
     with pytest.raises(SystemExit, match="no ranking files"):
         run(["evaluate", "--config", cfg, "--rankings", empty,
-             "--data", root / "data" / "test-data.txt",
+             "--data", root / "data" / "test-data.npz",
              "--task", "ground-satellite"])
 
 
@@ -279,8 +313,8 @@ def test_config_echo_reproduces_run(workspace, tmp_path):
     echoed = root / "data" / "effective-config.txt"
     out = tmp_path / "data-from-echo"
     assert run(["gen-data", "--config", echoed, "--out", out]) == 0
-    assert (out / "train-data.txt").read_bytes() == \
-        (root / "data" / "train-data.txt").read_bytes()
+    assert (out / "train-data.npz").read_bytes() == \
+        (root / "data" / "train-data.npz").read_bytes()
 
 
 def test_missing_checkpoint_reports_path(workspace, tmp_path):
@@ -290,14 +324,14 @@ def test_missing_checkpoint_reports_path(workspace, tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["retrieve", "--config", cfg, "--data", root / "data",
              "--models", empty, "--mode", "diffusion", "--out", tmp_path / "r"])
-    assert "junior-ground.txt" in str(err.value)
+    assert "junior-ground.npz" in str(err.value)
 
 
 def test_ground_drone_retrieve_reads_only_the_junior_checkpoints(workspace, tmp_path):
     root, cfg = workspace
     juniors = tmp_path / "juniors"
     juniors.mkdir()
-    for name in ("junior-ground.txt", "junior-drone.txt"):
+    for name in ("junior-ground.npz", "junior-drone.npz"):
         (juniors / name).write_bytes((root / "models" / name).read_bytes())
     full, only = tmp_path / "full", tmp_path / "only"
     for models, out in ((root / "models", full), (juniors, only)):
@@ -310,15 +344,15 @@ def test_ground_drone_retrieve_reads_only_the_junior_checkpoints(workspace, tmp_
     with pytest.raises(SystemExit) as err:
         run(["retrieve", "--config", cfg, "--data", root / "data",
              "--models", juniors, "--mode", "diffusion", "--out", tmp_path / "gs"])
-    assert "satdrone.txt" in str(err.value)
+    assert "satdrone.npz" in str(err.value)
 
 
 def test_non_finite_junior_ground_exits_naming_the_path(workspace, tmp_path):
     root, cfg = workspace
-    bad = _copy_with_nan(root / "models" / "junior-ground.txt",
-                         tmp_path / "nan" / "junior-ground.txt", 1)
-    (bad.parent / "junior-drone.txt").write_bytes(
-        (root / "models" / "junior-drone.txt").read_bytes())
+    bad = _copy_with_nan(root / "models" / "junior-ground.npz",
+                         tmp_path / "nan" / "junior-ground.npz", "weight")
+    (bad.parent / "junior-drone.npz").write_bytes(
+        (root / "models" / "junior-drone.npz").read_bytes())
     with pytest.raises(SystemExit) as err:
         run(["retrieve", "--config", cfg, "--data", root / "data",
              "--models", bad.parent, "--mode", "ground-drone", "--out", tmp_path / "r"])
@@ -336,7 +370,7 @@ def test_output_root_env(tmp_path, monkeypatch):
     monkeypatch.setenv("PLCD_OUTPUT_ROOT", str(tmp_path))
     cfg = write_tiny_config(tmp_path / "run.cfg")
     assert run(["gen-data", "--config", cfg, "--out", "nested/data"]) == 0
-    assert (tmp_path / "nested" / "data" / "train-data.txt").exists()
+    assert (tmp_path / "nested" / "data" / "train-data.npz").exists()
 
 
 def test_check_subcommand_passes(capsys):

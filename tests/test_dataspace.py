@@ -1,5 +1,12 @@
+import tempfile
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from plcd import dataspace as ds
 
@@ -50,13 +57,13 @@ def test_noise_free_ground_nearest_drone_shares_facet():
         assert best.section == ds.infer_visible_facet(g, 6)
 
 
-def test_same_seed_byte_identical():
+def test_same_seed_byte_identical(tmp_path):
     cfg = tiny_cfg(noise_sigma=0.3)
     a = ds.generate_synthetic(cfg)
     b = ds.generate_synthetic(cfg)
-    text_a = ds.format_records(all_records(a), a.num_landmarks, a.num_sections)
-    text_b = ds.format_records(all_records(b), b.num_landmarks, b.num_sections)
-    assert text_a == text_b
+    ds.write_records(tmp_path / "a.npz", all_records(a), a.num_landmarks, a.num_sections)
+    ds.write_records(tmp_path / "b.npz", all_records(b), b.num_landmarks, b.num_sections)
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
 
 def test_satellite_exposes_center_only():
@@ -131,9 +138,9 @@ def test_split_needs_two_identities():
         ds.split_by_identity(one, 0.5, 0)
 
 
-def test_serialization_round_trip(tmp_path):
+def test_serialization_round_trip(tmp_path, monkeypatch):
     split = ds.generate_synthetic(tiny_cfg(noise_sigma=0.4))
-    path = tmp_path / "data.txt"
+    path = tmp_path / "data.npz"
     ds.write_records(path, split.train, split.num_landmarks, split.num_sections)
     records, num_landmarks, num_sections = ds.read_records(path)
     assert num_landmarks == split.num_landmarks
@@ -142,36 +149,91 @@ def test_serialization_round_trip(tmp_path):
     for a, b in zip(records, split.train):
         assert (a.id, a.view, a.landmark, a.section) == (b.id, b.view, b.landmark, b.section)
         assert np.array_equal(a.featmap, b.featmap)
-    # byte identity after a save/load/save cycle
-    second = tmp_path / "again.txt"
+    # byte identity after a save/load/save cycle, even a day later
+    second = tmp_path / "again.npz"
+    later = time.time() + 86400
+    monkeypatch.setattr(time, "time", lambda: later)
     ds.write_records(second, records, num_landmarks, num_sections)
+    monkeypatch.undo()
     assert path.read_bytes() == second.read_bytes()
+    # the archive opens with plain numpy
+    with np.load(path) as archive:
+        assert sorted(archive.files) == ["counts", "format", "ids", "landmarks",
+                                         "sections", "values", "views"]
+        assert str(archive["format"]) == ds.DATA_FORMAT
+        assert archive["values"].shape == (len(split.train), 4, 6, 6)
+
+
+def write_members(path, **changes):
+    """A tiny one-record split written to ``path`` with members replaced
+    (or, given None, dropped) by ``np.savez``."""
+    ds.write_records(path, [ds.ImageRecord(4, "D", 1, 2, np.ones((1, 1, 2)))], 1, 6)
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    arrays.update(changes)
+    np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
+    return path
 
 
 def test_read_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("not a header\n")
-    with pytest.raises(ValueError, match="plcd-data"):
+    path = tmp_path / "bad.npz"
+    path.write_text("#plcd-data v1 1 2 6\n5 D 1\n")  # the retired text format
+    with pytest.raises(ValueError, match=r"bad\.npz: not a readable 'plcd-data v2' file"):
         ds.read_records(path)
-    path.write_text("#plcd-data v1 3\n")
-    with pytest.raises(ValueError, match="header needs"):
+    write_members(path, format=np.array("plcd-enc v2"))
+    with pytest.raises(ValueError, match=r"bad\.npz: .*format tag is 'plcd-enc v2'"):
         ds.read_records(path)
-    path.write_text("#plcd-data v1 1 2 6\n5 D 1\n")
-    with pytest.raises(ValueError, match="truncated"):
+    write_members(path, format=None)
+    with pytest.raises(ValueError, match=r"bad\.npz: .*format tag is None"):
+        ds.read_records(path)
+    write_members(path, counts=np.array([1, 6, 3]))
+    with pytest.raises(ValueError, match=r"bad\.npz: counts needs a landmark and a section"):
+        ds.read_records(path)
+
+
+@pytest.mark.parametrize("case, changes, message", [
+    ("missing-member", {"sections": None}, "no member sections"),
+    ("object-array", {"views": np.array(["D"], dtype=object)}, "Object arrays cannot"),
+    ("short-column", {"landmarks": np.array([], dtype=np.int64)},
+     "hold 1, 1, 0, 1 entries for 1 value maps"),
+    ("flat-values", {"values": np.ones(2)}, "member values is float64 of shape"),
+    ("integer-ids", {"ids": np.array([4.0])}, "member ids is float64 of shape"),
+])
+def test_read_rejects_malformed_members(tmp_path, case, changes, message):
+    path = write_members(tmp_path / f"{case}.npz", **changes)
+    with pytest.raises(ValueError, match=rf"{case}\.npz: .*{message}"):
+        ds.read_records(path)
+
+
+@pytest.mark.parametrize("cut", ["empty", "header", "member", "method", "directory"])
+def test_read_rejects_truncated_and_damaged_files(tmp_path, cut):
+    path = tmp_path / "data.npz"
+    ds.write_records(path, [ds.ImageRecord(4, "D", 1, 2, np.ones((1, 1, 2)))], 1, 6)
+    blob = bytearray(path.read_bytes())
+    if cut == "member":  # flip one byte of the last value; only the CRC notices
+        at = blob.rindex(np.float64(1.0).tobytes())
+        blob[at] ^= 1
+    elif cut == "method":  # an unknown compression method (zipfile raises NotImplementedError)
+        at = blob.index(b"PK\x01\x02") + 10
+        blob[at:at + 2] = (99).to_bytes(2, "little")
+    else:
+        blob = blob[:{"empty": 0, "header": 2, "directory": len(blob) - 30}[cut]]
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=r"data\.npz: not a readable 'plcd-data v2' file"):
         ds.read_records(path)
 
 
 @pytest.mark.parametrize("bad", ["nan", "-inf"])
 def test_read_rejects_non_finite_values(tmp_path, bad):
     split = ds.generate_synthetic(tiny_cfg())
-    path = tmp_path / "data.txt"
+    path = tmp_path / "data.npz"
     ds.write_records(path, split.train, split.num_landmarks, split.num_sections)
-    lines = path.read_text().splitlines()
-    tok = lines[2].split()
-    tok[9] = bad
-    lines[2] = " ".join(tok)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=rf"data\.txt: record {tok[0]} has a non-finite"):
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    arrays["values"][1, 0, 1, 2] = float(bad)
+    np.savez(path, **arrays)
+    rid = arrays["ids"][1]
+    with pytest.raises(ValueError, match=rf"data\.npz: record {rid} has a non-finite"):
         ds.read_records(path)
 
 
@@ -201,30 +263,47 @@ def test_record_section_rules():
 
 EDGE_VALUES = [-0.0, 5e-324, 1e16, 0.1, -2.5e-308, 1.0 / 3.0]
 
+# finite float64 values, weighted towards the ones a lossy encoding would bend
+edge_floats = st.one_of(
+    st.sampled_from(EDGE_VALUES + [1e308, -1e308, 2.2250738585072014e-308]),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
 
-def test_text_formats_keep_per_value_repr_and_read_back_bit_exact(tmp_path):
-    from plcd import diffusion, encoder
+
+@st.composite
+def record_sets(draw):
+    n, c, h, w = (draw(st.integers(1, 4)) for _ in range(4))
+    values = draw(hnp.arrays(np.float64, (n, c, h, w), elements=edge_floats))
+    records = []
+    for i in range(n):
+        view = draw(st.sampled_from(ds.VIEWS))
+        section = draw(st.integers(1, 6)) if view == ds.DRONE else 0
+        records.append(ds.ImageRecord(draw(st.integers(1, 10**12)), view,
+                                      draw(st.integers(1, 99)), section, values[i]))
+    return records, draw(st.integers(1, 99)), draw(st.integers(2, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(record_sets())
+def test_records_round_trip_bit_exact_and_rewrite_byte_identical(case):
+    records, num_landmarks, num_sections = case
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.npz", Path(tmp) / "b.npz"
+        ds.write_records(first, records, num_landmarks, num_sections)
+        back, landmarks, sections = ds.read_records(first)
+        assert (landmarks, sections) == (num_landmarks, num_sections)
+        assert [(r.id, r.view, r.landmark, r.section) for r in back] == \
+            [(r.id, r.view, r.landmark, r.section) for r in records]
+        for a, b in zip(back, records):
+            assert a.featmap.tobytes() == b.featmap.tobytes()
+        ds.write_records(second, back, landmarks, sections)
+        assert first.read_bytes() == second.read_bytes()
+
+
+def test_embedding_text_keeps_per_value_repr_and_reads_back_bit_exact(tmp_path):
+    from plcd import diffusion
 
     def per_value(arr):  # the per-value formatting the bulk join replaced
         return " ".join(repr(float(v)) for v in np.ravel(arr))
-
-    fm = np.array(EDGE_VALUES).reshape(1, 2, 3)
-    record = ds.ImageRecord(4, "D", 1, 2, fm)
-    text = ds.format_records([record], 1, 6)
-    assert text.splitlines()[1] == f"4 D 1 2 1 2 3 {per_value(fm)}"
-    ds.write_records(tmp_path / "data.txt", [record], 1, 6)
-    [back], _, _ = ds.read_records(tmp_path / "data.txt")
-    assert back.featmap.tobytes() == fm.tobytes()
-
-    params = encoder.EncoderParams("drone", weight=fm.reshape(1, 6), bias=np.array([-0.0]),
-                                   classifier_weight=np.array([[5e-324], [1e16]]),
-                                   classifier_bias=np.array([0.1, -0.0]))
-    arrays = (params.weight, params.bias, params.classifier_weight, params.classifier_bias)
-    assert encoder.format_params(params).splitlines()[1:] == [per_value(a) for a in arrays]
-    encoder.save_params(tmp_path / "enc.txt", params)
-    loaded = encoder.load_params(tmp_path / "enc.txt")
-    assert [a.tobytes() for a in (loaded.weight, loaded.bias, loaded.classifier_weight,
-                                  loaded.classifier_bias)] == [a.tobytes() for a in arrays]
 
     vec = np.array(EDGE_VALUES)
     text = diffusion.format_embeddings([(3, "S", 2, vec)])
@@ -235,18 +314,17 @@ def test_text_formats_keep_per_value_repr_and_read_back_bit_exact(tmp_path):
 
 
 def test_read_rejects_extra_values(tmp_path):
-    # a 1x1x2 record carrying four values once loaded as its first two
-    path = tmp_path / "data.txt"
-    path.write_text("#plcd-data v1 1 1 6\n4 D 1 2 1 1 2 0.5 0.25 0.125 1.0\n")
-    with pytest.raises(ValueError, match=r"data\.txt: record 4 has 4 values, needs 2"):
+    # a one-record split whose value stack carries a second map
+    path = write_members(tmp_path / "data.npz", values=np.ones((2, 1, 1, 2)))
+    with pytest.raises(ValueError, match=r"data\.npz: columns ids, views, landmarks, "
+                                         r"sections hold 1, 1, 1, 1 entries for 2 value maps"):
         ds.read_records(path)
 
 
 @pytest.mark.parametrize("token", ["1.0x", "0x10", ""])
 def test_read_rejects_unparsable_values(tmp_path, token):
-    fm = np.ones((1, 1, 2))
-    path = tmp_path / "data.txt"
-    ds.write_records(path, [ds.ImageRecord(4, "D", 1, 2, fm)], 1, 6)
-    path.write_text(path.read_text().replace("1.0 1.0", f"1.0 {token}".rstrip()))
-    with pytest.raises(ValueError):
+    # values stored as text rather than float64
+    path = write_members(tmp_path / "data.npz", values=np.full((1, 1, 1, 2), token))
+    with pytest.raises(ValueError, match=r"data\.npz: member values is <U\d of shape "
+                                         r"\(1, 1, 1, 2\), needs 4 dimensions of kind 'f'"):
         ds.read_records(path)

@@ -1,5 +1,12 @@
+import tempfile
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from plcd import encoder as enc
 from plcd import rmac
@@ -146,38 +153,109 @@ def test_check_gradients_rejects_bad_epsilon():
         enc.check_gradients(lambda p: (0.0, [np.zeros(1)]), [np.zeros(1)], epsilon=0.0)
 
 
-def test_checkpoint_round_trip(tmp_path):
+def test_checkpoint_round_trip(tmp_path, monkeypatch):
     params = make_params(dim=5, input_dim=12, classes=4, seed=11, tanh=True)
-    path = tmp_path / "enc.txt"
+    path = tmp_path / "enc.npz"
     enc.save_params(path, params)
     loaded = enc.load_params(path, tanh=True)
     assert loaded.role == params.role
     for name in ("weight", "bias", "classifier_weight", "classifier_bias"):
         assert np.array_equal(getattr(loaded, name), getattr(params, name))
-    # byte identity across a load/save cycle
-    second = tmp_path / "enc2.txt"
+    # byte identity across a load/save cycle, even a day later
+    second = tmp_path / "enc2.npz"
+    later = time.time() + 86400
+    monkeypatch.setattr(time, "time", lambda: later)
     enc.save_params(second, loaded)
+    monkeypatch.undo()
     assert path.read_bytes() == second.read_bytes()
+
+
+def rewrite(path, **changes):
+    """The checkpoint at ``path`` rewritten by ``np.savez`` with members
+    replaced (or, given None, dropped)."""
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    arrays.update(changes)
+    np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_checkpoint_rejects_non_finite_values(tmp_path, bad):
     params = make_params(dim=2, input_dim=3, classes=2)
-    path = tmp_path / "enc.txt"
+    path = tmp_path / "enc.npz"
     enc.save_params(path, params)
-    lines = path.read_text().splitlines()
-    lines[2] = f"{bad} " + lines[2].split(" ", 1)[1]  # first bias value
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=r"enc\.txt: non-finite value in bias"):
+    bias = params.bias.copy()
+    bias[0] = float(bad)  # first bias value
+    rewrite(path, bias=bias)
+    with pytest.raises(ValueError, match=r"enc\.npz: non-finite value in bias"):
         enc.load_params(path)
 
 
 def test_checkpoint_header_format(tmp_path):
     params = make_params(dim=5, input_dim=12, classes=4)
-    path = tmp_path / "enc.txt"
+    path = tmp_path / "enc.npz"
     enc.save_params(path, params)
-    header = path.read_text().splitlines()[0]
-    assert header == "#plcd-enc v1 drone 5 12 4"
+    with np.load(path) as archive:
+        assert sorted(archive.files) == ["bias", "classifier_bias", "classifier_weight",
+                                         "format", "role", "weight"]
+        assert str(archive["format"]) == "plcd-enc v2"
+        assert str(archive["role"]) == "drone"
+        assert [archive[name].shape for name in enc.PARAM_NAMES] == \
+            [(5, 12), (5,), (4, 5), (4,)]
+
+
+@pytest.mark.parametrize("case, changes, message", [
+    ("text", None, "not a readable 'plcd-enc v2' file: not a zip archive"),
+    ("truncated", None, "not a readable 'plcd-enc v2' file"),
+    ("data-file", {"format": np.array("plcd-data v2")}, "format tag is 'plcd-data v2'"),
+    ("missing-member", {"classifier_bias": None}, "no member classifier_bias"),
+    ("object-role", {"role": np.array("drone", dtype=object)}, "Object arrays cannot"),
+    ("bias-shape", {"bias": np.zeros(4)}, r"bias has shape \(4,\), needs \(5,\)"),
+    ("head-shape", {"classifier_weight": np.zeros((4, 6))},
+     r"classifier_weight has shape \(4, 6\), needs \(4, 5\)"),
+    ("flat-weight", {"weight": np.zeros(60)}, "member weight is float64 of shape"),
+])
+def test_checkpoint_rejects_malformed_files(tmp_path, case, changes, message):
+    path = tmp_path / f"{case}.npz"
+    enc.save_params(path, make_params(dim=5, input_dim=12, classes=4))
+    if case == "text":  # the retired text format
+        path.write_text("#plcd-enc v1 drone 1 1 1\n0.5\n0.5\n0.5\n0.5\n")
+    elif case == "truncated":
+        path.write_bytes(path.read_bytes()[:-25])
+    else:
+        rewrite(path, **changes)
+    with pytest.raises(ValueError, match=rf"{case}\.npz: .*{message}"):
+        enc.load_params(path)
+
+
+# finite float64 values, weighted towards the ones a lossy encoding would bend
+edge_floats = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -2.5e-308, 1e16, 1e308, -1e308, 0.1, 1.0 / 3.0]),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+
+
+@st.composite
+def encoder_params(draw):
+    dim, input_dim, classes = (draw(st.integers(1, 5)) for _ in range(3))
+    shapes = ((dim, input_dim), (dim,), (classes, dim), (classes,))
+    arrays = [draw(hnp.arrays(np.float64, shape, elements=edge_floats)) for shape in shapes]
+    role = draw(st.sampled_from([enc.ROLE_GROUND, enc.ROLE_DRONE, enc.ROLE_SHARED]))
+    return enc.EncoderParams(role, *arrays)
+
+
+@settings(max_examples=60, deadline=None)
+@given(encoder_params())
+def test_checkpoint_round_trip_bit_exact_and_rewrite_byte_identical(params):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.npz", Path(tmp) / "b.npz"
+        enc.save_params(first, params)
+        loaded = enc.load_params(first)
+        assert loaded.role == params.role
+        for name in enc.PARAM_NAMES:
+            assert getattr(loaded, name).tobytes() == getattr(params, name).tobytes()
+            assert getattr(loaded, name).shape == getattr(params, name).shape
+        enc.save_params(second, loaded)
+        assert first.read_bytes() == second.read_bytes()
 
 
 def test_params_digest_tracks_content():
