@@ -10,8 +10,8 @@ system (I - alpha * S) x = f0, which shares its fixed point up to scale.
 Ranking reads only the satellite rows of x, so the closed form solves once
 per graph and alpha for those rows of (I - alpha * S)^-1 and scores every
 later query with one product. Queries come in batches: f0 holds one column
-per query, and one product (or one walk over the whole matrix) ranks them
-all.
+per query, and one product ranks them all. The iterative walk multiplies a
+block of the columns still walking, which shrinks as columns converge.
 """
 
 from __future__ import annotations
@@ -185,9 +185,13 @@ def init_state(query_embs: Sequence[np.ndarray], drone_gd: np.ndarray,
     # same way wherever its rows sit, so duplicated drones tie exactly and a
     # query's start vector does not depend on the other queries in its batch.
     sims = np.einsum("dk,qk->dq", drone_gd, queries)
-    nearest = np.argsort(-sims, axis=0, kind="stable")[: cfg.k_init]
-    cols = np.arange(sims.shape[1])
-    f0 = np.zeros((total_nodes, sims.shape[1]))
+    n_drone, n_query = sims.shape
+    if cfg.k_init < n_drone:
+        nearest = _top_k(np.ascontiguousarray(sims.T), cfg.k_init).T
+    else:
+        nearest = np.arange(n_drone)[:, None]
+    cols = np.arange(n_query)
+    f0 = np.zeros((total_nodes, n_query))
     f0[nearest, cols] = np.maximum(sims[nearest, cols], 0.0) ** cfg.gamma
     return f0
 
@@ -197,22 +201,30 @@ def diffuse_iterative(matrix: np.ndarray, f0: np.ndarray, alpha: float,
     """Fixed-point iteration of the restarted walk on every column of ``f0``
     at once. Each column stops at its own first iteration whose sup-norm
     change is below ``tol``, so its state and count are those of a walk on
-    that column alone."""
+    that column alone. The columns still walking form one contiguous block
+    with their restart terms; a column leaves it, and is written back, when
+    it stops or at ``max_iters``."""
     f = np.array(f0, dtype=float).reshape(len(f0), -1)
-    restart = (1.0 - alpha) * f
+    cur, restart = f, (1.0 - alpha) * f
     m = f.shape[1]
     iterations = np.full(m, max_iters)
     converged = np.zeros(m, dtype=bool)
     active = np.arange(m)
     for it in range(1, max_iters + 1):
-        nxt = alpha * (matrix @ f[:, active]) + restart[:, active]
-        done = np.max(np.abs(nxt - f[:, active]), axis=0) < tol
-        f[:, active] = nxt
-        iterations[active[done]] = it
-        converged[active[done]] = True
-        active = active[~done]
-        if not active.size:
-            break
+        nxt = matrix @ cur
+        nxt *= alpha
+        nxt += restart
+        step = nxt - cur
+        done = np.abs(step, out=step).max(axis=0) < tol
+        cur = nxt
+        if done.any():
+            f[:, active[done]] = cur[:, done]
+            iterations[active[done]] = it
+            converged[active[done]] = True
+            active, cur, restart = active[~done], cur[:, ~done], restart[:, ~done]
+            if not active.size:
+                break
+    f[:, active] = cur
     state = f[:, 0] if f0.ndim == 1 else f
     return DiffusionResult(state=state, column_iterations=iterations,
                            column_converged=converged)

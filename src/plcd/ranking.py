@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import Sequence
 
 import numpy as np
@@ -65,11 +66,10 @@ def rank_gallery(query_id: int, gallery_ids: Sequence[int],
 
 
 def format_ranking(ranking: RankingList) -> str:
-    lines = []
-    if ranking.degenerate:
-        lines.append("# degenerate")
-    for rank, (gid, score) in enumerate(zip(ranking.gallery_ids, ranking.scores), start=1):
-        lines.append(f"{ranking.query_id} {rank} {gid} {repr(float(score))}")
+    prefix = f"{ranking.query_id} "
+    lines = ["# degenerate"] if ranking.degenerate else []
+    lines += [f"{prefix}{rank} {gid} {score!r}" for rank, gid, score
+              in zip(count(1), ranking.gallery_ids, map(float, ranking.scores))]
     return "\n".join(lines) + "\n"
 
 
@@ -79,29 +79,28 @@ def write_ranking(path, ranking: RankingList) -> None:
 
 
 def read_ranking(path) -> RankingList:
-    query_id = None
-    gallery_ids: list[int] = []
-    scores: list[float] = []
-    degenerate = False
+    """Parses the lines of a ``format_ranking`` file column by column. The
+    first faulty line (not exactly 4 fields, another query id, a rank out of
+    order, a non-finite score) raises a ``ValueError``."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh.read().splitlines():
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                degenerate = degenerate or "degenerate" in line
-                continue
-            qid, rank, gid, score = line.split()
-            if query_id is None:
-                query_id = int(qid)
-            elif int(qid) != query_id:
-                raise ValueError(f"{path}: mixed query ids {query_id} and {qid}")
-            if int(rank) != len(gallery_ids) + 1:
-                raise ValueError(f"{path}: rank column out of order at {rank}")
-            if not math.isfinite(float(score)):
-                raise ValueError(f"{path}: non-finite score {score} at rank {rank}")
-            gallery_ids.append(int(gid))
-            scores.append(float(score))
-    if query_id is None:
+        lines = fh.read().splitlines()
+    degenerate = any("degenerate" in ln for ln in lines if ln[:1] == "#")
+    rows = [row for row in (ln.split() for ln in lines if ln[:1] != "#") if row]
+    n = next((i for i, row in enumerate(rows) if len(row) != 4), len(rows))
+    qtok, rtok, gtok, stok = zip(*rows[:n]) if n else ((),) * 4
+    qids = list(map(int, qtok)) if len(set(qtok)) != 1 else [int(qtok[0])] * n
+    ranks, scores = list(map(int, rtok)), list(map(float, stok))
+    if len(set(qids)) > 1 or ranks != list(range(1, n + 1)) or not all(map(math.isfinite, scores)):
+        for i, (qid, rank, score) in enumerate(zip(qids, ranks, scores)):
+            if qid != qids[0]:
+                raise ValueError(f"{path}: mixed query ids {qids[0]} and {qtok[i]}")
+            if rank != i + 1:
+                raise ValueError(f"{path}: rank column out of order at {rtok[i]}")
+            if not math.isfinite(score):
+                raise ValueError(f"{path}: non-finite score {stok[i]} at rank {rtok[i]}")
+    if n < len(rows):
+        _, _, _, _ = rows[n]  # raises the unpacking error for a line without 4 fields
+    if not n:
         raise ValueError(f"{path}: empty ranking file")
-    return RankingList(query_id=query_id, gallery_ids=gallery_ids,
+    return RankingList(query_id=qids[0], gallery_ids=list(map(int, gtok)),
                        scores=scores, degenerate=degenerate)

@@ -175,6 +175,51 @@ def test_init_state_matches_per_query_loop():
         assert np.allclose(f0[:, j], expected, rtol=1e-12, atol=0.0)
 
 
+def reference_init_state(query_embs, drone_gd, cfg, total_nodes):
+    """``init_state`` as it was before neighbour selection by partition: the
+    first ``k_init`` drones of a stable descending sort of each column."""
+    queries = np.array(query_embs, dtype=float, ndmin=2)
+    norms = np.linalg.norm(queries, axis=1)
+    queries = queries / np.where(norms < 1e-12, 1.0, norms)[:, None]
+    sims = np.einsum("dk,qk->dq", drone_gd, queries)
+    nearest = np.argsort(-sims, axis=0, kind="stable")[: cfg.k_init]
+    cols = np.arange(sims.shape[1])
+    f0 = np.zeros((total_nodes, sims.shape[1]))
+    f0[nearest, cols] = np.maximum(sims[nearest, cols], 0.0) ** cfg.gamma
+    return f0
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def grid_rows(draw, count, dim):
+    """Rows from a coarse integer grid, some zeros negated to -0.0, so that
+    rows repeat and similarities tie exactly."""
+    rows = np.array(draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+                                  min_size=count, max_size=count)), dtype=float)
+    flips = np.array(draw(st.lists(st.booleans(), min_size=rows.size, max_size=rows.size)))
+    rows[(rows == 0.0) & flips.reshape(rows.shape)] = -0.0
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_init_state_selects_like_a_stable_argsort(data):
+    draw = data.draw
+    dim, n_d = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    drones = grid_rows(draw, n_d, dim)
+    drones[~drones.any(axis=1), 0] = 1.0  # drone rows are unit-normalized
+    drone_gd = diff._normalized_rows(drones, "drone(gd)")
+    queries = grid_rows(draw, draw(st.integers(1, 6)), dim)
+    # k_init below, equal to and above the drone count
+    cfg = diff.DiffusionConfig(gamma=draw(st.sampled_from([1.0, 3.0])),
+                               k_init=draw(st.integers(1, n_d + 2)))
+    total = n_d + draw(st.integers(0, 3))
+    f0 = diff.init_state(queries, drone_gd, cfg, total)
+    assert same_bits(f0, reference_init_state(queries, drone_gd, cfg, total))
+
+
 def test_init_state_requires_drones():
     with pytest.raises(ValueError, match="drone"):
         diff.init_state(np.ones(2), [], diff.DiffusionConfig(), 3)
@@ -262,6 +307,62 @@ def test_columns_stop_at_their_own_iteration():
     assert result.iterations == alone.iterations + 2
     assert isinstance(result.iterations, int) and isinstance(result.converged, bool)
     assert result.converged
+
+
+def reference_walk(matrix, f0, alpha, max_iters, tol):
+    """The restarted walk, each column with its own state, stopping
+    iteration and flag. The product is taken on the block of columns still
+    walking, the same block ``diffuse_iterative`` multiplies, so BLAS sums
+    every entry in the same order."""
+    f = np.array(f0, dtype=float).reshape(len(f0), -1)
+    restart = [(1.0 - alpha) * f[:, j] for j in range(f.shape[1])]
+    iterations, converged = [max_iters] * f.shape[1], [False] * f.shape[1]
+    walking = list(range(f.shape[1]))
+    for it in range(1, max_iters + 1):
+        if not walking:
+            break
+        product = matrix @ f[:, walking]
+        still = []
+        for j, column in zip(walking, product.T):
+            nxt = alpha * column + restart[j]
+            if np.max(np.abs(nxt - f[:, j])) < tol:
+                iterations[j], converged[j] = it, True
+            else:
+                still.append(j)
+            f[:, j] = nxt
+        walking = still
+    return f[:, 0] if f0.ndim == 1 else f, iterations, converged
+
+
+@st.composite
+def walk_case(draw):
+    """A small column-stochastic matrix and start columns from an integer
+    grid. One column is repeated, so two columns stop on the same
+    iteration; a zero column stops at once; a tight ``tol`` with a small
+    ``max_iters`` leaves columns walking to the end."""
+    n = draw(st.integers(2, 6))
+    weights = np.array(draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                                     min_size=n, max_size=n)), dtype=float)
+    weights[:, ~weights.any(axis=0)] = 1.0
+    matrix = weights / weights.sum(axis=0)
+    columns = draw(st.lists(st.lists(st.integers(0, 9), min_size=n, max_size=n),
+                            min_size=1, max_size=5))
+    f0 = np.array(columns + [columns[0], [0] * n], dtype=float).T
+    if draw(st.integers(0, 3)) == 0:
+        f0 = f0[:, 0]
+    return (matrix, f0, draw(st.sampled_from([0.3, 0.5, 0.9])),
+            draw(st.integers(1, 60)), draw(st.sampled_from([1e-2, 1e-6, 1e-12])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_case())
+def test_walk_matches_a_per_column_reference(case):
+    matrix, f0, alpha, max_iters, tol = case
+    result = diff.diffuse_iterative(matrix, f0, alpha, max_iters, tol)
+    state, iterations, converged = reference_walk(matrix, f0, alpha, max_iters, tol)
+    assert same_bits(result.state, state)
+    assert result.column_iterations.tolist() == iterations
+    assert result.column_converged.tolist() == converged
 
 
 def test_query_reports_unconverged_walks():

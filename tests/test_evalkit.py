@@ -112,6 +112,73 @@ def test_ranking_format_lines():
     assert lines == ["4 1 10 1.0", "4 2 11 0.5"]
 
 
+def reference_format_ranking(ranking):
+    """``format_ranking`` as it was before it joined the rows in one pass:
+    one line built per gallery entry."""
+    lines = []
+    if ranking.degenerate:
+        lines.append("# degenerate")
+    for rank, (gid, score) in enumerate(zip(ranking.gallery_ids, ranking.scores), start=1):
+        lines.append(f"{ranking.query_id} {rank} {gid} {repr(float(score))}")
+    return "\n".join(lines) + "\n"
+
+
+EDGE_SCORES = [1e308, 0.1, 2.2250738585072014e-308, 5e-324, 0.0, -0.0, -5e-324, -1e308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=0, max_size=12),
+       st.booleans())
+def test_format_ranking_matches_the_reference_formatter(extra, degenerate):
+    scores = sorted(EDGE_SCORES + extra, reverse=True)
+    ids = list(range(500, 500 + len(scores)))
+    r = RankingList(7, ids, scores, degenerate)
+    text = format_ranking(r)
+    assert text == reference_format_ranking(r)
+    assert format_ranking(RankingList(7, ids, [np.float64(s) for s in scores], degenerate)) == text
+    assert format_ranking(RankingList(7, [], [], degenerate)) == reference_format_ranking(
+        RankingList(7, [], [], degenerate))
+
+
+def test_read_ranking_keeps_edge_scores_bit_exact(tmp_path):
+    path = tmp_path / "ranking-3.txt"
+    write_ranking(path, RankingList(3, list(range(len(EDGE_SCORES))), EDGE_SCORES))
+    loaded = read_ranking(path)
+    assert np.array(loaded.scores).tobytes() == np.array(EDGE_SCORES).tobytes()
+    assert loaded.gallery_ids == list(range(len(EDGE_SCORES)))
+    assert all(type(g) is int for g in loaded.gallery_ids)
+    assert not loaded.degenerate
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty ranking file"),
+    ("# degenerate\n\n", "empty ranking file"),
+    ("5 1 10 0.5\n6 2 11 0.4\n", "mixed query ids 5 and 6"),
+    ("5 1 10 0.5\n5 3 11 0.4\n", "rank column out of order at 3"),
+    ("5 1 10 0.5\n5 2 11 nan\n5 3 12 0.1\n", "non-finite score nan at rank 2"),
+    ("5 1 10 0.5\n5 2 11\n", r"not enough values to unpack \(expected 4, got 3\)"),
+    ("5 1 10 0.5 x\n", r"too many values to unpack \(expected 4\)"),
+    # the first faulty line is reported, with the checks of a line in order
+    ("5 1 10 0.5\n5 3 11 0.4\n6 3 12 inf\n", "rank column out of order at 3"),
+    ("5 1 10 0.5\n6 3 11 inf\n", "mixed query ids 5 and 6"),
+    ("5 1 10 0.5\n5 02 11 inf\n", "non-finite score inf at rank 02"),
+    ("5 1 10 0.5\n5 5 11 0.4\n5 3\n", "rank column out of order at 5"),
+])
+def test_read_ranking_reports_the_first_faulty_line(tmp_path, text, message):
+    path = tmp_path / "ranking-5.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_ranking(path)
+
+
+def test_read_ranking_compares_ids_and_ranks_as_integers(tmp_path):
+    path = tmp_path / "ranking-5.txt"
+    path.write_text("# note\n5 1 10 0.5\n\n05 2 +11 0.25\n# degenerate\n")
+    loaded = read_ranking(path)
+    assert (loaded.query_id, loaded.gallery_ids, loaded.scores) == (5, [10, 11], [0.5, 0.25])
+    assert loaded.degenerate
+
+
 # ---------------------------------------------------------------------------
 # CMC
 # ---------------------------------------------------------------------------
