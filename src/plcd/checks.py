@@ -10,8 +10,8 @@ import numpy as np
 from . import losses, rmac
 from .dataspace import DRONE, GROUND, SATELLITE, DatasetSplit, ImageRecord
 from .diffusion import apply_operator, closed_form_operator, diffuse_iterative
-from .encoder import (check_gradients, init_params, new_grads, region_backward,
-                      region_embed)
+from .encoder import (PARAM_NAMES, EncoderParams, check_gradients, init_params, new_grads,
+                      region_backward, region_blocks, region_embed)
 from .patchmodel import PatchModelConfig, _shared_step
 from .peerlearn import (MinedTriplet, _batch_negatives, _hard_terms, _PooledCache,
                         _soft_terms, _Step, aggregate_backward, aggregate_feature,
@@ -134,6 +134,7 @@ def _region_cases(rng: np.random.Generator):
     grid = rmac.region_grid(3, (1, 2), width_table={1: 3, 2: 2}, reference_side=3)
     avg = _PooledCache(grid, map_shape).avg
     pooled = rng.standard_normal((n, len(grid) + 1, map_shape[0]))
+    rows = np.ascontiguousarray((pooled - pooled.mean(axis=-1, keepdims=True)).transpose(1, 0, 2))
     params = init_params("drone", dim, int(np.prod(map_shape)), 2, rng, tanh=True)
     params.bias[:] = 0.5 * rng.standard_normal(dim)
     target = rng.standard_normal((n, dim))
@@ -147,27 +148,25 @@ def _region_cases(rng: np.random.Generator):
     def aggregate_fn(arrays):
         # region_embed -> per-row L2 normalization -> region mean
         p, grads = with_params(arrays)
-        descs = region_embed(p, avg, pooled)
-        diff = aggregate_feature(descs) - target
-        region_backward(p, avg, pooled, descs, aggregate_backward(descs, 2.0 * diff),
-                        grads)
+        descs = region_embed(p, region_blocks(p, avg), rows)
+        feats, norms = aggregate_feature(descs)
+        diff, g_descs = feats - target, np.zeros_like(descs)
+        aggregate_backward(descs, norms, 2.0 * diff, g_descs)
+        region_backward(p, avg, rows, descs, g_descs, grads)
         return float(np.sum(diff * diff)), [grads.weight, grads.bias]
 
     def patch_fn(arrays):
         p, grads = with_params(arrays)
-        descs = region_embed(p, avg, pooled)
+        descs = region_embed(p, region_blocks(p, avg), rows)
         values, g_patches = losses.patch_mse_loss(teacher, descs[:, 1:])
         g_descs = np.zeros_like(descs)
         g_descs[:, 1:] = g_patches
-        region_backward(p, avg, pooled, descs, g_descs, grads)
+        region_backward(p, avg, rows, descs, g_descs, grads)
         return values.sum(), [grads.weight, grads.bias]
 
     return [(name, fn, [params.weight.copy(), params.bias.copy()])
             for name, fn in (("region-aggregate-params", aggregate_fn),
                              ("region-patch-params", patch_fn))]
-
-
-PARAM_FIELDS = ("weight", "bias", "classifier_weight", "classifier_bias")
 
 
 def _step_cases(rng: np.random.Generator):
@@ -192,13 +191,10 @@ def _step_cases(rng: np.random.Generator):
         return p
 
     def with_arrays(template, arrays):
-        p = template.copy()
-        for name, arr in zip(PARAM_FIELDS, arrays):
-            setattr(p, name, arr)
-        return p
+        return EncoderParams(template.role, *arrays, tanh=template.tanh)
 
     def flat(params_list):
-        return [getattr(p, name).copy() for p in params_list for name in PARAM_FIELDS]
+        return [getattr(p, name).copy() for p in params_list for name in PARAM_NAMES]
 
     drones = {lm: [record(10 * lm + sec, DRONE, lm, sec) for sec in (1, 2)]
               for lm in (1, 2)}
@@ -212,7 +208,8 @@ def _step_cases(rng: np.random.Generator):
     class_index = build_context(DatasetSplit(
         train=anchors + drones[1] + drones[2], test=[])).class_index
     ground, drone = encoder("ground"), encoder("drone")
-    senior = (encoder("ground"), encoder("drone"))
+    senior_ground, senior_drone = encoder("ground"), encoder("drone")
+    senior = (senior_ground, senior_drone, region_blocks(senior_drone, cache.avg))
 
     def peer_fn(arrays):
         params_list = [with_arrays(ground, arrays[:4]), with_arrays(drone, arrays[4:])]
@@ -220,21 +217,22 @@ def _step_cases(rng: np.random.Generator):
         value = (_hard_terms(step, anchors, mined, class_index).sum()
                  + _soft_terms(step, anchors, [p for _, p in entries], 0.1, 1.0).sum())
         step.backward(cache.avg)
-        return value, [getattr(g, name) for g in step.grads for name in PARAM_FIELDS]
+        return value, [getattr(g, name) for g in step.grads for name in PARAM_NAMES]
 
     chunk = [1, 2, 3]
     drone_recs = [record(10 * lm + sec, DRONE, lm, sec) for lm in chunk for sec in (1, 2)]
     sat_recs = [record(10 * lm + 9, SATELLITE, lm) for lm in chunk]
     shared, teacher = encoder("satdrone"), encoder("drone")
+    frozen = (teacher, region_blocks(teacher, cache.avg))
     patch_cfg = PatchModelConfig(margin=0.5, lambda2=1.0)
 
     def shared_fn(arrays):
         params = with_arrays(shared, arrays)
         grads = new_grads(params)
-        triplet, patch = _shared_step(params, teacher, drone_recs,
+        triplet, patch = _shared_step(params, frozen, drone_recs,
                                       [r.landmark for r in drone_recs], sat_recs,
                                       chunk, cache, patch_cfg, grads)
-        return triplet + patch, [getattr(grads, name) for name in PARAM_FIELDS]
+        return triplet + patch, [getattr(grads, name) for name in PARAM_NAMES]
 
     return [("peer-step-params", peer_fn, flat([ground, drone])),
             ("shared-step-params", shared_fn, flat([shared]))]

@@ -9,16 +9,18 @@ descriptors share the same parameters: a region's centered pooled channel
 vector is spread evenly over that region's cells and sent through the
 identical affine map, so a checkpoint (an ``.npz``, see ``save_params``)
 holds no extra tensors. A fixed (k, h*w) averaging matrix folds the k
-regions of a grid into the weight, and one batched product embeds an
-(n, k, channels) stack of pooled rows; the backward pass folds the stack's
-(k, dim, channels) gradient back through the same matrix. Both backward
-passes take the forward's output rather than recomputing it.
+regions of a grid into (k, channels, dim) weight blocks, built once per
+step for a trained encoder and once per run for a frozen one, and one
+batched product over contiguous operands embeds a position-major
+(k, n, channels) stack of centered pooled rows; the backward pass folds the
+stack's (k, dim, channels) gradient back through the same matrix. Both
+backward passes take the forward's output rather than recomputing it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,14 +56,8 @@ class EncoderParams:
         return self.classifier_weight.shape[0]
 
     def copy(self, role: str | None = None) -> "EncoderParams":
-        return EncoderParams(
-            role=self.role if role is None else role,
-            weight=self.weight.copy(),
-            bias=self.bias.copy(),
-            classifier_weight=self.classifier_weight.copy(),
-            classifier_bias=self.classifier_bias.copy(),
-            tanh=self.tanh,
-        )
+        return replace(self, role=self.role if role is None else role,
+                       **{name: getattr(self, name).copy() for name in PARAM_NAMES})
 
 
 # Keeps typical squared distances between fresh embeddings O(1); larger
@@ -116,51 +112,48 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.where(norms < 1e-12, 1.0, norms)
 
 
-def _center(pooled: np.ndarray) -> np.ndarray:
-    """Remove the per-vector channel mean from pooled maxima.
-
-    Channel maxima share a large positive offset; without centering every
-    region descriptor contains the same dominant direction and cosine scores
-    measure alignment with that offset instead of content (the job PCA
-    whitening does for full-scale region descriptors).
-    """
-    return pooled - pooled.mean(axis=-1, keepdims=True)
-
-
-def region_embed(params: EncoderParams, avg: np.ndarray, pooled: np.ndarray) -> np.ndarray:
-    """Region descriptors (n, k, dim) of an (n, k, channels) pooled stack.
-
-    Row r of ``avg`` (k, h*w) is 1/|cells_r| on region r's cells: the
-    centered pooled vector is spread evenly over the region's cells and sent
-    through the whole-image affine map.
-    """
-    _, k, c = pooled.shape
-    if avg.shape[0] != k or c * avg.shape[1] != params.input_dim:
-        raise ValueError(
-            f"pooled stack of {k} regions x {c} channels and a {avg.shape} averaging "
-            f"matrix do not match encoder input_dim {params.input_dim} (role {params.role})"
-        )
-    # (k, dim, c): each region's weight blocks averaged over its cells
-    blocks = (params.weight.reshape(params.dim * c, -1) @ avg.T) \
-        .reshape(params.dim, c, k).transpose(2, 0, 1)
-    pre = np.matmul(_center(pooled).transpose(1, 0, 2), blocks.transpose(0, 2, 1))
-    pre = pre.transpose(1, 0, 2) + params.bias
-    return np.tanh(pre) if params.tanh else pre
+def region_blocks(params: EncoderParams, avg: np.ndarray) -> np.ndarray:
+    """Contiguous (k, channels, dim) weight blocks of a (k, h*w) averaging
+    matrix: block r is the weight averaged over region r's cells. They
+    change with the weight only, so a frozen encoder's serve a whole run."""
+    k, cells = avg.shape
+    channels = params.input_dim // cells
+    if channels * cells != params.input_dim:
+        raise ValueError(f"a {avg.shape} averaging matrix does not match encoder "
+                         f"input_dim {params.input_dim} (role {params.role})")
+    blocks = params.weight.reshape(params.dim * channels, cells) @ avg.T
+    return np.ascontiguousarray(blocks.reshape(params.dim, channels, k).transpose(2, 1, 0))
 
 
-def region_backward(params: EncoderParams, avg: np.ndarray, pooled: np.ndarray,
-                    descs: np.ndarray, g_desc: np.ndarray, grads: "EncoderGrads") -> None:
-    """Add the gradients of a whole pooled stack's descriptors
-    ``descs = region_embed(params, avg, pooled)``, given as ``g_desc``
-    (n, k, dim), into ``grads.weight`` and ``grads.bias``."""
+def region_embed(params: EncoderParams, blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Region descriptors of a position-major (k, n, channels) stack of
+    centered pooled rows, ``blocks`` from ``region_blocks``: one batched
+    product, read as an (n, k, dim) view of a contiguous (k, n, dim) array."""
+    if rows.ndim != 3 or rows.shape[::2] != blocks.shape[:2]:
+        raise ValueError(f"a {rows.shape} row stack does not match the {blocks.shape} blocks "
+                         f"of encoder input_dim {params.input_dim} (role {params.role})")
+    out = np.matmul(rows, blocks)
+    out += params.bias
     if params.tanh:
-        g_desc = g_desc * (1.0 - descs ** 2)
-    k = avg.shape[0]
+        np.tanh(out, out=out)
+    return out.transpose(1, 0, 2)
+
+
+def region_backward(params: EncoderParams, avg: np.ndarray, rows: np.ndarray,
+                    descs: np.ndarray, g_descs: np.ndarray, grads: "EncoderGrads") -> None:
+    """Add the gradients of a row stack's descriptors ``descs`` from
+    ``region_embed``, given as ``g_descs`` (n, k, dim) laid out like them,
+    into ``grads.weight`` and ``grads.bias``; ``g_descs`` takes the tanh
+    slope in place and its (k, dim, n) transpose feeds the product."""
+    if params.tanh:
+        slope = descs * descs
+        np.subtract(1.0, slope, out=slope)
+        g_descs *= slope
     # (k, dim, c): per-region outer products summed over the stack
-    g_blocks = np.matmul(g_desc.transpose(1, 2, 0), _center(pooled).transpose(1, 0, 2))
-    grads.weight += (g_blocks.transpose(1, 2, 0).reshape(-1, k) @ avg) \
+    g_blocks = np.matmul(g_descs.transpose(1, 2, 0), rows)
+    grads.weight += (g_blocks.transpose(1, 2, 0).reshape(-1, avg.shape[0]) @ avg) \
         .reshape(grads.weight.shape)
-    grads.bias += g_desc.sum(axis=(0, 1))
+    grads.bias += g_descs.sum(axis=(0, 1))
 
 
 def logits_from_embedding(params: EncoderParams, emb: np.ndarray) -> np.ndarray:
@@ -222,10 +215,8 @@ def classifier_backward(params: EncoderParams, emb: np.ndarray, g_logits: np.nda
 
 
 def scale_grads(grads: EncoderGrads, factor: float) -> None:
-    grads.weight *= factor
-    grads.bias *= factor
-    grads.classifier_weight *= factor
-    grads.classifier_bias *= factor
+    for g in grads.arrays().values():
+        g *= factor
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +258,20 @@ def new_sgd_state(params: EncoderParams, lr_head: float, lr_body: float,
 
 
 def sgd_step(params: EncoderParams, grads: EncoderGrads, state: SgdState) -> None:
-    """One in-place momentum update; rejects non-finite gradients."""
+    """One in-place momentum update (the gradients are scaled in place);
+    rejects non-finite gradients before any array changes."""
     arrays = grads.arrays()
     for name, g in arrays.items():
-        if not np.all(np.isfinite(g)):
+        # min and max carry any NaN or infinity, with no boolean temporary
+        if not (np.isfinite(g.min()) and np.isfinite(g.max())):
             raise ValueError(
                 f"non-finite gradient in '{name}' of encoder role {params.role}; step rejected"
             )
     for name, g in arrays.items():
         v = state.velocity[name]
         v *= state.momentum
-        v -= state.rate(name) * g
+        g *= state.rate(name)
+        v -= g
         getattr(params, name)[...] += v
 
 

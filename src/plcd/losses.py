@@ -26,6 +26,21 @@ def _row_squared_distances(a: np.ndarray, b: np.ndarray):
     return np.einsum("...d,...d->...", diffs, diffs), diffs
 
 
+def scatter_add(target: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(target, index, values)`` with the same bits: repeated
+    indices add one layer of distinct indices at a time, in input order,
+    each layer with one fancy ``+=``."""
+    index = np.asarray(index).ravel()
+    values = values.reshape(index.shape + target.shape[1:])
+    order, ranks = np.argsort(index, kind="stable"), np.arange(len(index))
+    starts = np.where(np.diff(index[order], prepend=-1) != 0, ranks, 0)
+    depth = np.empty_like(ranks)  # earlier entries with the same index
+    depth[order] = ranks - np.maximum.accumulate(starts)
+    for layer in range(depth.max(initial=-1) + 1):
+        pick = depth == layer
+        target[index[pick]] += values[pick]
+
+
 # ---------------------------------------------------------------------------
 # ground-drone consistency + classification
 # ---------------------------------------------------------------------------
@@ -161,8 +176,8 @@ def semi_hard_triplet_loss(anchors: np.ndarray, positive_idx: np.ndarray,
 
     p, n = gallery[positive_idx], gallery[pick]
     g_gallery = np.zeros_like(gallery)
-    np.add.at(g_gallery, positive_idx, np.where(active, -2.0 * diffs[rows, positive_idx], 0.0))
-    np.add.at(g_gallery, pick, np.where(active, 2.0 * diffs[rows, pick], 0.0))
+    scatter_add(g_gallery, positive_idx, np.where(active, -2.0 * diffs[rows, positive_idx], 0.0))
+    scatter_add(g_gallery, pick, np.where(active, 2.0 * diffs[rows, pick], 0.0))
     return np.maximum(hinge, 0.0), {"anchors": np.where(active, 2.0 * (n - p), 0.0),
                                     "gallery": g_gallery}
 

@@ -7,9 +7,10 @@ their satellite record plus one drone per section, runs a semi-hard triplet
 loss from drone anchors to satellite positives/negatives, and aligns the
 student's region descriptors with the teacher's through a mean-squared
 penalty. A step embeds its drones and satellites in one whole-image product
-and its drones in one region product, scores every drone against the
-step's satellites in one triplet call and every drone's regions in one
-patch call, and ends with one backward through each product.
+and its drones in one region product (the teacher's weight blocks built
+once per run), scores every drone against the step's satellites in one
+triplet call and every drone's regions in one patch call, and ends with one
+backward through each product.
 """
 
 from __future__ import annotations
@@ -103,6 +104,7 @@ def train_satellite_drone(split: DatasetSplit, teacher: enc.EncoderParams,
     grid = rmac.region_grid((map_shape[1], map_shape[2]), cfg.scales,
                             cfg.width_table, cfg.reference_side)
     cache = _PooledCache(grid, map_shape)
+    frozen = (teacher, enc.region_blocks(teacher, cache.avg))  # blocks once per run
     sections = sorted({s for by_sec in drones.values() for s in by_sec})
     log: list[str] = []
 
@@ -126,7 +128,7 @@ def train_satellite_drone(split: DatasetSplit, teacher: enc.EncoderParams,
 
             grads = enc.new_grads(params)
             value_triplet, value_patch = _shared_step(
-                params, teacher, drone_recs, drone_owner, sat_recs,
+                params, frozen, drone_recs, drone_owner, sat_recs,
                 chunk, cache, cfg, grads)
             total = losses.joint_sd_loss(value_triplet, value_patch, cfg.lambda2)
             if not np.isfinite(total):
@@ -139,6 +141,7 @@ def train_satellite_drone(split: DatasetSplit, teacher: enc.EncoderParams,
 
 def _shared_step(params, teacher, drone_recs, drone_owner, sat_recs,
                  chunk, cache, cfg, grads):
+    """One step's losses, gradients added into ``grads``; ``teacher`` is (params, blocks)."""
     # Triplets run on unit embeddings (squared distance = 2 - 2cos), the same
     # geometry the cosine-based retrieval is scored in; raw embeddings leave
     # the hinge dominated by norm differences between the views.
@@ -154,12 +157,12 @@ def _shared_step(params, teacher, drone_recs, drone_owner, sat_recs,
 
     # region descriptors: row 0 (whole map) carries no patch term
     pooled = cache.stack(drone_recs)
-    teacher_patches = enc.region_embed(teacher, cache.avg, pooled)[:, 1:]
-    descs = enc.region_embed(params, cache.avg, pooled)
+    teacher_patches = enc.region_embed(*teacher, pooled)[:, 1:]
+    descs = enc.region_embed(params, enc.region_blocks(params, cache.avg), pooled)
     patch_values, g_patches = losses.patch_mse_loss(teacher_patches, descs[:, 1:])
 
     enc.whole_backward(params, x, embs, g_units, grads, normalized=True)
-    g_descs = np.zeros_like(descs)
+    g_descs = np.zeros_like(descs)  # keeps the (k, n, dim) layout
     g_descs[:, 1:] = cfg.lambda2 * g_patches
     enc.region_backward(params, cache.avg, pooled, descs, g_descs, grads)
     return triplet_values.mean(), patch_values.sum()

@@ -10,10 +10,12 @@ temperature 1.
 
 Each optimization step is batched across its anchors (``_Step``): one
 whole-image product embeds the ground anchors, one region product the
-batch's drones. The miner reads rows of those stacks per anchor; the hard
-and soft losses then read all anchors' rows at once, one stacked call per
-objective (``_hard_terms``, ``_soft_terms``), and one backward per path ends
-the step.
+batch's drones, from a position-major stack of centered pooled rows and
+weight blocks built once per step (once per run for the frozen senior). The
+miner reads rows of those stacks per anchor; the hard and soft losses then
+read all anchors' rows at once, one stacked call per objective
+(``_hard_terms``, ``_soft_terms``), shared rows scatter-add with the bits of
+``np.add.at``, and one backward per path ends the step.
 """
 
 from __future__ import annotations
@@ -119,9 +121,10 @@ def build_context(split: DatasetSplit) -> _TrainContext:
     )
 
 
-def aggregate_feature(descs: np.ndarray) -> np.ndarray:
+def aggregate_feature(descs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drone-branch image features (n, dim) from region descriptors
-    (n, k, dim): the mean of each record's L2-normalized rows.
+    (n, k, dim): the mean of each record's L2-normalized rows, returned with
+    the row norms (n, k, 1) that ``aggregate_backward`` reuses.
 
     Aggregating the region descriptors routes every training gradient through
     the region path, so the same descriptors that drive retrieval also back
@@ -130,21 +133,25 @@ def aggregate_feature(descs: np.ndarray) -> np.ndarray:
     region and mildly emphasizes the global view); the mean keeps the feature
     on the same scale as a single unit descriptor.
     """
-    norms = np.maximum(np.linalg.norm(descs, axis=-1, keepdims=True), 1e-12)
-    return (descs / norms).mean(axis=-2)
-
-
-def aggregate_backward(descs: np.ndarray, g_feats: np.ndarray) -> np.ndarray:
-    """Chain feature gradients (n, dim) back through the mean and the row
-    normalization; returns the gradient wrt ``descs`` (n, k, dim). A zero
-    row passes no gradient."""
     norms = np.linalg.norm(descs, axis=-1, keepdims=True)
-    live = norms >= 1e-12
-    norms = np.where(live, norms, 1.0)
-    unit = descs / norms
+    return (descs / np.maximum(norms, 1e-12)).mean(axis=-2), norms
+
+
+def aggregate_backward(descs: np.ndarray, norms: np.ndarray, g_feats: np.ndarray,
+                       g_descs: np.ndarray) -> None:
+    """Add feature gradients (n, dim), chained back through the mean and the
+    row normalization (``norms`` from ``aggregate_feature``), into ``g_descs``
+    (n, k, dim). A row with norm below 1e-12 passes no gradient."""
+    floored = np.maximum(norms, 1e-12)
+    unit = descs / floored  # the forward's unit rows, bit for bit
     g = g_feats[:, None, :] / descs.shape[1]
-    g_rows = (g - np.sum(g * unit, axis=-1, keepdims=True) * unit) / norms
-    return np.where(live, g_rows, 0.0)
+    rows = g * unit
+    dots = np.sum(rows, axis=-1, keepdims=True)
+    np.multiply(dots, unit, out=rows)
+    np.subtract(g, rows, out=rows)
+    rows /= floored
+    rows[~(norms[..., 0] >= 1e-12)] = 0.0
+    g_descs += rows
 
 
 def mine_easy_triplet(anchor: ImageRecord, positive_batch: list[ImageRecord],
@@ -188,15 +195,14 @@ def mine_easy_triplet(anchor: ImageRecord, positive_batch: list[ImageRecord],
     anchor_params = drone_params if space == "drone" else ground_params
     a = enc.unit_rows(feature_fn(anchor_params, [anchor]))[0]
     candidates = enc.unit_rows(feature_fn(drone_params, positive_batch + negative_batch))
-    sims = np.einsum("ij,j->i", candidates, a)
-    pos_sims, neg_sims = sims[: len(positive_batch)], sims[len(positive_batch):]
-    best = min(range(len(positive_batch)),
-               key=lambda i: (-pos_sims[i], positive_batch[i].id))
-    order = sorted(range(len(negative_batch)),
-                   key=lambda i: (-neg_sims[i], negative_batch[i].id))
+    sims = -np.einsum("ij,j->i", candidates, a)
+    ids = np.array([r.id for r in positive_batch + negative_batch])
+    split = len(positive_batch)
+    best = np.lexsort((ids[:split], sims[:split]))[0]
+    order = np.lexsort((ids[split:], sims[split:]))[:num_negatives]
     return MinedTriplet(
         positive=positive_batch[best],
-        negatives=[negative_batch[i] for i in order[:num_negatives]],
+        negatives=[negative_batch[i] for i in order],
     )
 
 
@@ -215,9 +221,9 @@ def _sample_positive_batch(ctx: _TrainContext, landmark: int,
 
 
 class _PooledCache:
-    """Region-pooled descriptors per record (``rmac.pool_regions`` rows: the
-    global max pool, then the grid order). Maps never change, so this is
-    computed once per record. ``avg`` is the matching (k, h*w) averaging
+    """Centered region-pooled rows per record (``rmac.pool_regions`` rows:
+    the global max pool, then the grid order). Maps never change, so this
+    is computed once per record. ``avg`` is the matching (k, h*w) averaging
     matrix: row r is 1/|cells_r| on region r's cells, row 0 the full map."""
 
     def __init__(self, grid: list[rmac.Region], map_shape: tuple[int, int, int]):
@@ -230,8 +236,8 @@ class _PooledCache:
         self._store: dict[int, np.ndarray] = {}
 
     def stack(self, records: list[ImageRecord]) -> np.ndarray:
-        """(n, k, channels) pooled rows of ``records``, in order. Records not
-        seen yet are pooled in one call, each once."""
+        """Position-major (k, n, channels) stack of ``records``' centered
+        pooled rows, in order. Records not seen yet are pooled in one call."""
         fresh = {r.id: r for r in records if r.id not in self._store}
         if fresh:
             # stacked position-major, (h, w, n, c): pool_regions copies nothing
@@ -239,8 +245,11 @@ class _PooledCache:
             for i, r in enumerate(fresh.values()):
                 maps[:, :, i] = r.featmap.transpose(1, 2, 0)
             pooled = rmac.pool_regions(maps.transpose(2, 3, 0, 1), self.grid)
-            self._store.update(zip(fresh, pooled))
-        return np.stack([self._store[r.id] for r in records])
+            # Centered: channel maxima share a large positive offset, which
+            # would give every descriptor the same dominant direction (the
+            # job PCA whitening does for full-scale region descriptors).
+            self._store.update(zip(fresh, pooled - pooled.mean(axis=-1, keepdims=True)))
+        return np.stack([self._store[r.id] for r in records], axis=1)
 
 
 class _Step:
@@ -254,7 +263,8 @@ class _Step:
     loss reads. The anchors go through the whole-image path in one product
     with the current ground parameters (and the frozen senior ground's).
     With shared branches the miner ranks every candidate by its whole-image
-    embedding too, so then the drones join that product instead.
+    embedding too, so then the drones join that product instead. ``senior``
+    is (ground, drone, the drone's weight blocks, built once per run).
 
     The losses read these rows, back their logit gradients through the
     classifier heads, and add into one gradient array per path (``g_whole``,
@@ -264,7 +274,7 @@ class _Step:
 
     def __init__(self, params_list: list[enc.EncoderParams], cache: _PooledCache,
                  entries, mining_space: str | None = None,
-                 senior: tuple[enc.EncoderParams, enc.EncoderParams] | None = None):
+                 senior: tuple[enc.EncoderParams, enc.EncoderParams, np.ndarray] | None = None):
         self.mining_space = mining_space  # None: this step does not mine
         self.ground, self.drone = params_list[0], params_list[-1]
         self.grads = [enc.new_grads(p) for p in params_list]
@@ -277,10 +287,11 @@ class _Step:
         self.row = {r.id: i for i, r in enumerate(region)}
         self.drone_start = len(region) - len(drones)  # drones close the stack
         self.pooled = cache.stack(region)
-        self.descs = enc.region_embed(self.drone, cache.avg, self.pooled)
-        self.feats = aggregate_feature(self.descs)
+        self.descs = enc.region_embed(self.drone, enc.region_blocks(self.drone, cache.avg),
+                                      self.pooled)
+        self.feats, self.norms = aggregate_feature(self.descs)
         self.g_feats = np.zeros_like(self.feats)
-        self.g_descs = np.zeros_like(self.descs)
+        self.g_descs = np.zeros_like(self.descs)  # laid out like descs
 
         self.whole_row = {r.id: i for i, r in enumerate(whole)}
         self.x = np.stack([r.featmap.ravel() for r in whole])
@@ -290,8 +301,7 @@ class _Step:
         self.senior_descs = self.senior_whole = None
         if senior is not None:
             self.senior_whole = enc.whole_embed(senior[0], self.x[: len(anchors)])
-            self.senior_descs = enc.region_embed(senior[1], cache.avg,
-                                                 self.pooled[self.drone_start:])
+            self.senior_descs = enc.region_embed(*senior[1:], self.pooled[:, self.drone_start:])
 
     def rows(self, records: list[ImageRecord]) -> list[int]:
         return [self.row[r.id] for r in records]
@@ -305,8 +315,8 @@ class _Step:
 
     def backward(self, avg: np.ndarray) -> None:
         enc.whole_backward(self.ground, self.x, self.whole, self.g_whole, self.grads[0])
-        g_descs = self.g_descs + aggregate_backward(self.descs, self.g_feats)
-        enc.region_backward(self.drone, avg, self.pooled, self.descs, g_descs,
+        aggregate_backward(self.descs, self.norms, self.g_feats, self.g_descs)
+        enc.region_backward(self.drone, avg, self.pooled, self.descs, self.g_descs,
                             self.grads[-1])
 
 
@@ -336,9 +346,9 @@ def _hard_terms(step: _Step, anchors: list[ImageRecord], mined: list[MinedTriple
 
     step.g_whole[i] += grads["anchors"] + enc.classifier_backward(
         step.ground, a, g_logits_a, step.grads[0])
-    np.add.at(step.g_feats, p_rows, grads["positives"] + enc.classifier_backward(
+    losses.scatter_add(step.g_feats, p_rows, grads["positives"] + enc.classifier_backward(
         step.drone, p, g_logits_p, step.grads[-1]))
-    np.add.at(step.g_feats, neg_rows[live], grads["negatives"][live])
+    losses.scatter_add(step.g_feats, neg_rows[live], grads["negatives"][live])
     return values + ce_a + ce_p
 
 
@@ -360,7 +370,8 @@ def _soft_terms(step: _Step, anchors: list[ImageRecord],
     values, g_dots = losses.soft_loss(senior, junior)
     step.g_whole[i] += lambda1 * np.einsum("nk,nkd->nd", g_dots, entries)
     g_entries = g_dots[:, :, None] * step.whole[i][:, None, :]
-    np.add.at(step.g_descs, rows, lambda1 * g_entries.reshape(rows.shape + (per_image, dim)))
+    losses.scatter_add(step.g_descs, rows,
+                       lambda1 * g_entries.reshape(rows.shape + (per_image, dim)))
     return values
 
 
@@ -409,6 +420,8 @@ def _train_pair(ctx, cfg, ground_params, drone_params, rng, epochs: int,
     grid = rmac.region_grid((ctx.map_shape[1], ctx.map_shape[2]), cfg.scales,
                             cfg.width_table, cfg.reference_side)
     cache = _PooledCache(grid, ctx.map_shape)
+    if senior is not None:  # frozen, so its weight blocks serve every step
+        senior = (*senior, enc.region_blocks(senior[1], cache.avg))
     shared = drone_params is ground_params
     params_list = [ground_params] if shared else [ground_params, drone_params]
     states = [enc.new_sgd_state(p, cfg.lr_head * rate_scale, cfg.lr_body * rate_scale,
@@ -544,16 +557,16 @@ def _descriptor_blocks(params: enc.EncoderParams, grid: list[rmac.Region],
     if not grid:
         raise ValueError("region descriptors need a non-empty grid")
     cache = _PooledCache(grid, records[0].featmap.shape)
-    pooled = cache.stack(records)
+    rows, blocks = cache.stack(records), enc.region_blocks(params, cache.avg)
     for start in range(0, len(records), RETRIEVAL_BLOCK):
-        yield enc.region_embed(params, cache.avg, pooled[start : start + RETRIEVAL_BLOCK])
+        yield enc.region_embed(params, blocks, rows[:, start : start + RETRIEVAL_BLOCK])
 
 
 def drone_features(params: enc.EncoderParams, grid: list[rmac.Region],
                    records: list[ImageRecord]) -> np.ndarray:
     """(n, dim) drone-branch image features of a non-empty record list: the
     training path's region-aggregate feature."""
-    return np.concatenate([aggregate_feature(descs) for descs in
+    return np.concatenate([aggregate_feature(descs)[0] for descs in
                            _descriptor_blocks(params, grid, records)])
 
 
@@ -563,6 +576,6 @@ def gallery_descriptors(params: enc.EncoderParams, grid: list[rmac.Region],
     scoring: the image-level region-aggregate feature, then one row per grid
     region."""
     return np.concatenate([
-        enc.unit_rows(np.concatenate([aggregate_feature(descs)[:, None], descs[:, 1:]],
+        enc.unit_rows(np.concatenate([aggregate_feature(descs)[0][:, None], descs[:, 1:]],
                                      axis=1))
         for descs in _descriptor_blocks(params, grid, records)])

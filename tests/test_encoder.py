@@ -128,13 +128,47 @@ def test_sgd_matches_plain_gd_when_momentum_zero():
     assert np.allclose(params.weight, reference)
 
 
-def test_sgd_rejects_non_finite_gradient():
-    params = make_params()
-    state = enc.new_sgd_state(params, 0.01, 0.001)
+def _random_grads(params, rng):
     grads = enc.new_grads(params)
-    grads.weight[0, 0] = np.nan
-    with pytest.raises(ValueError, match="weight"):
+    for g in grads.arrays().values():
+        g += rng.standard_normal(g.shape)
+    return grads
+
+
+def test_sgd_rejects_non_finite_gradient():
+    rng = substream(19, "t.sgd")
+    for name in enc.PARAM_NAMES:
+        for bad in (np.nan, np.inf, -np.inf):
+            params = make_params(seed=20)
+            state = enc.new_sgd_state(params, lr_head=0.01, lr_body=0.001, momentum=0.9)
+            enc.sgd_step(params, _random_grads(params, rng), state)  # a non-zero velocity
+            arrays = [getattr(params, n) for n in enc.PARAM_NAMES] + list(state.velocity.values())
+            before = [arr.copy() for arr in arrays]
+            grads = _random_grads(params, rng)
+            # the bad value sits last, so every other array has been read first
+            getattr(grads, name).flat[-1] = bad
+            with pytest.raises(ValueError, match=f"'{name}'"):
+                enc.sgd_step(params, grads, state)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(before, arrays)), (name, bad)
+
+
+def test_sgd_step_matches_the_momentum_formula_bit_for_bit():
+    rng = substream(21, "t.sgd")
+    params = make_params(seed=22)
+    state = enc.new_sgd_state(params, lr_head=0.03, lr_body=0.007, momentum=0.9,
+                              decay_epoch=2, decay_factor=0.1)
+    p = {name: getattr(params, name).copy() for name in enc.PARAM_NAMES}
+    v = {name: np.zeros_like(arr) for name, arr in p.items()}
+    for epoch in range(4):
+        state.epoch = epoch
+        grads = _random_grads(params, rng)
+        g = {name: arr.copy() for name, arr in grads.arrays().items()}
         enc.sgd_step(params, grads, state)
+        for name in enc.PARAM_NAMES:
+            v[name] = 0.9 * v[name] - state.rate(name) * g[name]
+            p[name] += v[name]
+            assert getattr(params, name).tobytes() == p[name].tobytes(), name
+            assert state.velocity[name].tobytes() == v[name].tobytes(), name
 
 
 def test_check_gradients_quadratic():
@@ -300,7 +334,35 @@ def reference_backward(params, map_shape, cells_list, pooled, g_rows, grads):
         grads.bias += g_pre
 
 
+def record_major_region_embed(params, avg, pooled):
+    """The region forward on a record-major (n, k, c) stack of raw pooled
+    rows, blocks and centering computed inline and both product operands
+    strided: the bit reference for ``region_blocks`` + ``region_embed``."""
+    _, k, c = pooled.shape
+    blocks = (params.weight.reshape(params.dim * c, -1) @ avg.T) \
+        .reshape(params.dim, c, k).transpose(2, 0, 1)
+    centered = pooled - pooled.mean(axis=-1, keepdims=True)
+    pre = np.matmul(centered.transpose(1, 0, 2), blocks.transpose(0, 2, 1))
+    pre = pre.transpose(1, 0, 2) + params.bias
+    return np.tanh(pre) if params.tanh else pre
+
+
+def record_major_region_backward(params, avg, pooled, descs, g_desc, grads):
+    """The matching record-major backward, with an out-of-place tanh slope:
+    the bit reference for ``region_backward``."""
+    if params.tanh:
+        g_desc = g_desc * (1.0 - descs ** 2)
+    k = avg.shape[0]
+    centered = pooled - pooled.mean(axis=-1, keepdims=True)
+    g_blocks = np.matmul(g_desc.transpose(1, 2, 0), centered.transpose(1, 0, 2))
+    grads.weight += (g_blocks.transpose(1, 2, 0).reshape(-1, k) @ avg) \
+        .reshape(grads.weight.shape)
+    grads.bias += g_desc.sum(axis=(0, 1))
+
+
 def _region_fixture(tanh, n=7, map_shape=(4, 6, 6), dim=5):
+    """(cache, cells per region, raw pooled (n, k, c), the cache's centered
+    (k, n, c) rows, params, rng) for ``n`` random records."""
     from plcd.peerlearn import _PooledCache
 
     rng = substream(13, "t.region")
@@ -309,13 +371,14 @@ def _region_fixture(tanh, n=7, map_shape=(4, 6, 6), dim=5):
     cache = _PooledCache(grid, map_shape)
     cells_list = [np.arange(36)] + [rmac.region_cells(r, map_shape) for r in grid]
     records = [make_record(rng, map_shape, rid=i) for i in range(n)]
-    params = make_params(dim=dim, input_dim=144, tanh=tanh, seed=14)
+    params = make_params(dim=dim, input_dim=int(np.prod(map_shape)), tanh=tanh, seed=14)
     params.bias[:] = rng.standard_normal(dim)
-    return cache, cells_list, cache.stack(records), params, rng
+    pooled = rmac.pool_regions(np.stack([r.featmap for r in records]), grid)
+    return cache, cells_list, pooled, cache.stack(records), params, rng
 
 
 def test_averaging_matrix_rows_cover_each_region_evenly():
-    cache, cells_list, _, _, _ = _region_fixture(tanh=False)
+    cache, cells_list, _, _, _, _ = _region_fixture(tanh=False)
     assert cache.avg.shape == (len(cells_list), 36)
     for row, cells in zip(cache.avg, cells_list):
         assert np.array_equal(np.flatnonzero(row), np.sort(cells))
@@ -325,8 +388,8 @@ def test_averaging_matrix_rows_cover_each_region_evenly():
 
 @pytest.mark.parametrize("tanh", [False, True])
 def test_region_embed_matches_per_region_reference(tanh):
-    cache, cells_list, pooled, params, _ = _region_fixture(tanh)
-    batch = enc.region_embed(params, cache.avg, pooled)
+    cache, cells_list, pooled, rows, params, _ = _region_fixture(tanh)
+    batch = enc.region_embed(params, enc.region_blocks(params, cache.avg), rows)
     assert batch.shape == (len(pooled), len(cells_list), params.dim)
     for one, descs in zip(pooled, batch):
         ref = reference_embed(params, (4, 6, 6), cells_list, one)
@@ -335,11 +398,11 @@ def test_region_embed_matches_per_region_reference(tanh):
 
 @pytest.mark.parametrize("tanh", [False, True])
 def test_batched_region_backward_matches_per_record_gradients(tanh):
-    cache, cells_list, pooled, params, rng = _region_fixture(tanh)
+    cache, cells_list, pooled, rows, params, rng = _region_fixture(tanh)
     g_desc = rng.standard_normal((len(pooled), len(cells_list), params.dim))
     batched = enc.new_grads(params)
-    descs = enc.region_embed(params, cache.avg, pooled)
-    enc.region_backward(params, cache.avg, pooled, descs, g_desc, batched)
+    descs = enc.region_embed(params, enc.region_blocks(params, cache.avg), rows)
+    enc.region_backward(params, cache.avg, rows, descs, g_desc.copy(), batched)
     per_record = enc.new_grads(params)
     for one, g in zip(pooled, g_desc):
         reference_backward(params, (4, 6, 6), cells_list, one, g, per_record)
@@ -348,12 +411,51 @@ def test_batched_region_backward_matches_per_record_gradients(tanh):
     assert not batched.classifier_weight.any()
 
 
+def _bits(arr):
+    return np.ascontiguousarray(arr).tobytes()
+
+
+@pytest.mark.parametrize("tanh", [False, True])
+@pytest.mark.parametrize("n", [1, 5, 56])
+def test_region_path_matches_the_record_major_formulas_bit_for_bit(tanh, n):
+    # training's sizes: 32 channels, 15 regions, dim 128
+    cache, _, pooled, rows, params, rng = _region_fixture(tanh, n=n, map_shape=(32, 6, 6),
+                                                          dim=128)
+    assert rows.flags.c_contiguous and rows.shape == (15, n, 32)
+    descs = enc.region_embed(params, enc.region_blocks(params, cache.avg), rows)
+    assert descs.transpose(1, 0, 2).flags.c_contiguous
+    want = record_major_region_embed(params, cache.avg, pooled)
+    if n >= 10:
+        assert _bits(descs) == _bits(want)
+    else:
+        # OpenBLAS rounds products of fewer than 10 rows on the contiguous
+        # blocks differently from the strided ones (and a one-row strided
+        # stack never reaches BLAS): last bits only
+        assert np.max(np.abs(descs - want)) <= 1e-13 * np.max(np.abs(want))
+
+    # a gradient laid out as the trainers lay it out: like the descriptors
+    g_desc = rng.standard_normal((15, n, params.dim)).transpose(1, 0, 2)
+    got, expected = enc.new_grads(params), enc.new_grads(params)
+    for grads in (got, expected):
+        grads.weight += 1.0 / 3.0  # sums land on a non-zero start
+    record_major_region_backward(params, cache.avg, pooled, want, g_desc.copy(order="K"), expected)
+    # both backward passes read the same descriptors
+    enc.region_backward(params, cache.avg, rows, want, g_desc.copy(order="K"), got)
+    assert _bits(got.weight) == _bits(expected.weight)
+    assert _bits(got.bias) == _bits(expected.bias)
+
+
 def test_region_embed_rejects_mismatched_shapes():
-    cache, _, pooled, params, _ = _region_fixture(tanh=False)
+    cache, _, _, rows, params, _ = _region_fixture(tanh=False)
+    blocks = enc.region_blocks(params, cache.avg)
     with pytest.raises(ValueError, match="input_dim"):
-        enc.region_embed(params, cache.avg, pooled[:, :, :3])
+        enc.region_embed(params, blocks, rows[:, :, :3])
     with pytest.raises(ValueError, match="input_dim"):
-        enc.region_embed(params, cache.avg[1:], pooled)
+        enc.region_embed(params, blocks, rows[1:])
+    with pytest.raises(ValueError, match="input_dim"):
+        enc.region_embed(params, blocks, rows[0])
+    with pytest.raises(ValueError, match="input_dim"):
+        enc.region_blocks(params, cache.avg[:, :35])
 
 
 def reference_whole_backward(params, x, g_emb, grads, normalized=False):

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from plcd import losses
 from plcd.encoder import check_gradients
@@ -494,3 +495,40 @@ def test_losses_nonnegative_on_random_inputs():
             a, np.array([0, 1]), np.concatenate([p, negs[0]]),
             margin=float(rng.uniform(0.1, 1.0)))
         assert np.all(values >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# exact scatter-add
+# ---------------------------------------------------------------------------
+
+# wide magnitudes, so the order of repeated additions shows in the bits
+_SCATTER_ELEMENTS = st.one_of(st.floats(-1e3, 1e3, allow_nan=False),
+                              st.sampled_from([0.0, -0.0, 0.1, 1e16, -1e16, 5e-324]))
+
+
+@st.composite
+def scatter_case(draw):
+    """A target with 1-3 axes, an index hitting each row 0-4 times in
+    shuffled order (flat or as pairs) and matching values."""
+    ndim = draw(st.integers(1, 3))
+    tail = tuple(draw(st.lists(st.integers(1, 3), min_size=ndim - 1, max_size=ndim - 1)))
+    counts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    index = np.array(draw(st.permutations([row for row, c in enumerate(counts)
+                                           for _ in range(c)])), dtype=np.intp)
+    if len(index) % 2 == 0 and draw(st.booleans()):
+        index = index.reshape(-1, 2)  # the soft loss scatters an (anchors, P) index
+    target = draw(hnp.arrays(float, (len(counts),) + tail, elements=_SCATTER_ELEMENTS))
+    values = draw(hnp.arrays(float, index.shape + tail, elements=_SCATTER_ELEMENTS))
+    return target, index, values
+
+
+@settings(max_examples=300, deadline=None)
+@example((np.array([-0.0, 1.0]), np.zeros(0, dtype=np.intp), np.zeros(0)))
+@example((np.zeros((2, 2)), np.array([1, 1, 1]), np.array([[1e16, 1.0]] * 2 + [[-1e16, 1.0]])))
+@given(scatter_case())
+def test_scatter_add_matches_np_add_at_bit_for_bit(case):
+    target, index, values = case
+    expected = target.copy()
+    np.add.at(expected, index, values)
+    losses.scatter_add(target, index, values)
+    assert target.tobytes() == expected.tobytes()

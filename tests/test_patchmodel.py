@@ -89,12 +89,13 @@ def test_patch_loss_decreases_when_trained_alone():
                             reference_side=6)
     cache = peerlearn._PooledCache(grid, map_shape)
     pooled = cache.stack(drones)
-    teacher_patches = enc.region_embed(teacher, cache.avg, pooled)[:, 1:]
+    teacher_patches = enc.region_embed(teacher, enc.region_blocks(teacher, cache.avg),
+                                       pooled)[:, 1:]
     state = enc.new_sgd_state(student, lr_head=0.0, lr_body=1e-3, momentum=0.0,
                               decay_epoch=10_000)
     values = []
     for _ in range(20):
-        descs = enc.region_embed(student, cache.avg, pooled)
+        descs = enc.region_embed(student, enc.region_blocks(student, cache.avg), pooled)
         patch_values, grads = losses.patch_mse_loss(teacher_patches, descs[:, 1:])
         values.append(patch_values.sum())
         acc = enc.new_grads(student)

@@ -144,6 +144,14 @@ def test_stacked_miner_matches_per_pair_brute_force(case):
     assert len(mined.negatives) == n
     for got, want in zip(mined.negatives, top):
         assert abs(neg_score[got.id] - neg_score[want.id]) <= 1e-12
+    # the same picks as Python's min/sorted on (-score, id) over the miner's
+    # own scores (a -0.0 score ties a 0.0 one)
+    rows = enc.unit_rows(np.stack([feats[r.id] for r in positives + negatives]))
+    sims = np.einsum("ij,j->i", rows, enc.unit_rows(a[None])[0])
+    key = dict(zip([r.id for r in positives + negatives], sims))
+    assert mined.positive is min(positives, key=lambda r: (-key[r.id], r.id))
+    assert [r.id for r in mined.negatives] == [
+        r.id for r in sorted(negatives, key=lambda r: (-key[r.id], r.id))[:n]]
     # byte-identical candidates tie exactly: the lowest id wins
     same = [r.id for r in positives
             if feats[r.id].tobytes() == feats[mined.positive.id].tobytes()]
@@ -324,9 +332,27 @@ def test_drone_features_match_training_aggregate(monkeypatch):
     step = peerlearn._Step([params], cache, [(anchor, drones)])
     assert np.allclose(feats, step.feats[step.rows(drones)], rtol=0.0, atol=1e-12)
     for rec, feat in zip(drones, feats):
-        alone = peerlearn.aggregate_feature(
-            enc.region_embed(params, cache.avg, cache.stack([rec])))[0]
+        alone = peerlearn.aggregate_feature(enc.region_embed(
+            params, enc.region_blocks(params, cache.avg), cache.stack([rec])))[0][0]
         assert np.allclose(feat, alone, rtol=0.0, atol=1e-12)
+
+
+def recomputing_aggregate_backward(descs, g_feats):
+    """The aggregate backward that recomputes the norms and returns a fresh
+    array: the bit reference for ``aggregate_backward``."""
+    norms = np.linalg.norm(descs, axis=-1, keepdims=True)
+    live = norms >= 1e-12
+    norms = np.where(live, norms, 1.0)
+    unit = descs / norms
+    g = g_feats[:, None, :] / descs.shape[1]
+    g_rows = (g - np.sum(g * unit, axis=-1, keepdims=True) * unit) / norms
+    return np.where(live, g_rows, 0.0)
+
+
+def _aggregate_backward(descs, g_feats, g_descs=None):
+    g_descs = np.zeros_like(descs) if g_descs is None else g_descs
+    peerlearn.aggregate_backward(descs, peerlearn.aggregate_feature(descs)[1], g_feats, g_descs)
+    return g_descs
 
 
 def test_aggregate_backward_matches_per_row_chain():
@@ -334,7 +360,7 @@ def test_aggregate_backward_matches_per_row_chain():
     descs = rng.standard_normal((3, 5, 4))
     descs[1, 2] = 0.0  # a zero row passes no gradient
     g_feats = rng.standard_normal((3, 4))
-    batched = peerlearn.aggregate_backward(descs, g_feats)
+    batched = _aggregate_backward(descs, g_feats)
     for d, g, out in zip(descs, g_feats, batched):
         g_scaled = g / d.shape[0]
         for row, got in zip(d, out):
@@ -345,6 +371,25 @@ def test_aggregate_backward_matches_per_row_chain():
             unit = row / norm
             expected = (g_scaled - float(g_scaled @ unit) * unit) / norm
             assert np.max(np.abs(got - expected)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 5, 56])
+def test_aggregate_backward_matches_the_recomputing_formula_bit_for_bit(n):
+    # training's layout: (n, k, dim) views of contiguous (k, n, dim) arrays
+    rng = substream(7, "agg.bits")
+    descs = rng.standard_normal((15, n, 128)).transpose(1, 0, 2)
+    descs[0, 3] = 0.0
+    descs[-1, 4] *= 1e-15  # below the 1e-12 floor: passes no gradient
+    feats = peerlearn.aggregate_feature(descs)[0]
+    assert feats.tobytes() == (descs / np.maximum(np.linalg.norm(
+        descs, axis=-1, keepdims=True), 1e-12)).mean(axis=-2).tobytes()
+    g_feats = rng.standard_normal((n, 128))
+    start = rng.standard_normal((15, n, 128)).transpose(1, 0, 2)
+    start[0, 3, :2] = -0.0
+    expected = start + recomputing_aggregate_backward(descs, g_feats)
+    got = _aggregate_backward(descs, g_feats, start.copy(order="K"))
+    assert got.tobytes() == expected.tobytes()
+    assert got[-1, 4].tobytes() == start[-1, 4].tobytes()
 
 
 def test_identical_records_tie_exactly_in_a_step():
@@ -378,8 +423,8 @@ def reference_step(params_list, cache, entries, mined_for, ctx, senior=None,
     drones = list({r.id: r for _, positives in entries for r in positives}.values())
     row = {r.id: i for i, r in enumerate(drones)}
     pooled = cache.stack(drones)
-    descs = enc.region_embed(drone, cache.avg, pooled)
-    feats = peerlearn.aggregate_feature(descs)
+    descs = enc.region_embed(drone, enc.region_blocks(drone, cache.avg), pooled)
+    feats = peerlearn.aggregate_feature(descs)[0]
     g_feats, g_descs = np.zeros_like(feats), np.zeros_like(descs)
     per_image, dim = descs.shape[1:]
     for anchor, positives in entries:
@@ -408,7 +453,8 @@ def reference_step(params_list, cache, entries, mined_for, ctx, senior=None,
             g_feats[r] += g_n
         if senior is not None:
             rows = [row[r.id] for r in positives]
-            senior_descs = enc.region_embed(senior[1], cache.avg, pooled)
+            senior_descs = enc.region_embed(senior[1], enc.region_blocks(senior[1], cache.avg),
+                                            pooled)
             senior_log_probs = losses.similarity_log_probs(
                 _forward(senior[0], anchor)[None],
                 senior_descs[rows].reshape(1, -1, dim), tau)
@@ -421,7 +467,7 @@ def reference_step(params_list, cache, entries, mined_for, ctx, senior=None,
         g_pre = g_a * (1.0 - np.tanh(pre) ** 2) if ground.tanh else g_a
         g_grads.weight += np.outer(g_pre, x)
         g_grads.bias += g_pre
-    g_descs += peerlearn.aggregate_backward(descs, g_feats)
+    g_descs += _aggregate_backward(descs, g_feats)
     enc.region_backward(drone, cache.avg, pooled, descs, g_descs, d_grads)
     return grads
 
@@ -475,7 +521,8 @@ def test_batched_step_matches_per_anchor_reference(tanh, kind):
     if kind == "junior-ragged":
         assert sorted(len(m.negatives) for m in mined_for.values()) == [6, 6, 8]
 
-    step = peerlearn._Step(params_list, cache, entries, "drone", senior)
+    frozen = None if senior is None else (*senior, enc.region_blocks(senior[1], cache.avg))
+    step = peerlearn._Step(params_list, cache, entries, "drone", frozen)
     peerlearn._hard_terms(step, anchors, [mined_for[a.id] for a in anchors],
                           ctx.class_index)
     if senior is not None:
@@ -485,6 +532,33 @@ def test_batched_step_matches_per_anchor_reference(tanh, kind):
     for got, want in zip(step.grads, expected):
         for name, arr in got.arrays().items():
             assert np.max(np.abs(arr - want.arrays()[name])) <= 1e-10, name
+
+
+def test_cached_senior_blocks_match_blocks_rebuilt_every_step(monkeypatch):
+    # Step II builds the frozen senior's region weight blocks once per run;
+    # steps that rebuild them from the senior must train to the same bits
+    split = tiny_split(noise=0.2)
+    cfg = tiny_cfg(epochs_junior=3)
+    sg, sd, _ = peerlearn.train_senior(split, cfg)
+    built = []
+    region_blocks = enc.region_blocks
+    monkeypatch.setattr(enc, "region_blocks",
+                        lambda params, avg: built.append(params) or region_blocks(params, avg))
+    cached = peerlearn.train_junior(split, (sg, sd), cfg)
+    assert sum(params is sd for params in built) == 1
+    assert len(built) > 2  # the trained junior's blocks, once per step
+
+    step_init = peerlearn._Step.__init__
+
+    def rebuilding(self, params_list, cache, entries, mining_space=None, senior=None):
+        senior = (*senior[:2], region_blocks(senior[1], cache.avg))
+        step_init(self, params_list, cache, entries, mining_space, senior)
+
+    monkeypatch.setattr(peerlearn._Step, "__init__", rebuilding)
+    rebuilt = peerlearn.train_junior(split, (sg, sd), cfg)
+    assert cached[2] == rebuilt[2]
+    for got, want in zip(cached[:2], rebuilt[:2]):
+        assert enc.params_digest(got) == enc.params_digest(want)
 
 
 def test_anchors_join_the_region_stack_only_for_drone_space_mining():

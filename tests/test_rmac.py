@@ -155,12 +155,15 @@ def test_pooled_cache_pools_new_records_once(monkeypatch):
     order = [records[i] for i in (2, 0, 2, 4, 0)]
     stack = cache.stack(order)
     assert calls == [3]  # three distinct records, one call
-    for rec, rows in zip(order, stack):
-        assert np.array_equal(rows, np.stack([rec.featmap.max(axis=(1, 2))]
-                                             + [reference_pool(rec.featmap, r) for r in grid]))
+    # position-major (k, n, c), each record's rows centered
+    assert stack.shape == (len(grid) + 1, len(order), 3) and stack.flags.c_contiguous
+    for i, rec in enumerate(order):
+        pooled = np.stack([rec.featmap.max(axis=(1, 2))]
+                          + [reference_pool(rec.featmap, r) for r in grid])
+        assert np.array_equal(stack[:, i], pooled - pooled.mean(axis=-1, keepdims=True))
     again = cache.stack(records)
     assert calls == [3, 2]  # only the two records not seen yet
-    assert np.array_equal(again[[2, 0, 4]], stack[[0, 1, 3]])
+    assert np.array_equal(again[:, [2, 0, 4]], stack[:, [0, 1, 3]])
 
 
 def test_pooled_values_attained_and_bound():
