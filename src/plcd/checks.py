@@ -10,12 +10,11 @@ import numpy as np
 from . import losses, rmac
 from .dataspace import DRONE, GROUND, SATELLITE, DatasetSplit, ImageRecord
 from .diffusion import apply_operator, closed_form_operator, diffuse_iterative
-from .encoder import (PARAM_NAMES, EncoderParams, check_gradients, init_params, new_grads,
-                      region_backward, region_blocks, region_embed)
+from .encoder import PARAM_NAMES, EncoderParams, check_gradients, init_params, new_grads
 from .patchmodel import PatchModelConfig, _shared_step
-from .peerlearn import (MinedTriplet, _batch_negatives, _hard_terms, _PooledCache,
-                        _soft_terms, _Step, aggregate_backward, aggregate_feature,
+from .peerlearn import (MinedTriplet, _batch_negatives, _hard_terms, _soft_terms, _Step,
                         build_context)
+from .rmac import PooledCache, aggregate_backward, aggregate_feature, region_embed
 from .seeds import substream
 
 
@@ -132,7 +131,7 @@ def _region_cases(rng: np.random.Generator):
     through the batched region path, as the trainers chain it."""
     map_shape, n, dim = (2, 3, 3), 3, 4
     grid = rmac.region_grid(3, (1, 2), width_table={1: 3, 2: 2}, reference_side=3)
-    avg = _PooledCache(grid, map_shape).avg
+    cache = PooledCache(grid, map_shape)
     pooled = rng.standard_normal((n, len(grid) + 1, map_shape[0]))
     rows = np.ascontiguousarray((pooled - pooled.mean(axis=-1, keepdims=True)).transpose(1, 0, 2))
     params = init_params("drone", dim, int(np.prod(map_shape)), 2, rng, tanh=True)
@@ -148,20 +147,20 @@ def _region_cases(rng: np.random.Generator):
     def aggregate_fn(arrays):
         # region_embed -> per-row L2 normalization -> region mean
         p, grads = with_params(arrays)
-        descs = region_embed(p, region_blocks(p, avg), rows)
+        descs = region_embed(p, cache.blocks(p), rows)
         feats, norms = aggregate_feature(descs)
         diff, g_descs = feats - target, np.zeros_like(descs)
         aggregate_backward(descs, norms, 2.0 * diff, g_descs)
-        region_backward(p, avg, rows, descs, g_descs, grads)
+        cache.backward(p, rows, descs, g_descs, grads)
         return float(np.sum(diff * diff)), [grads.weight, grads.bias]
 
     def patch_fn(arrays):
         p, grads = with_params(arrays)
-        descs = region_embed(p, region_blocks(p, avg), rows)
+        descs = region_embed(p, cache.blocks(p), rows)
         values, g_patches = losses.patch_mse_loss(teacher, descs[:, 1:])
         g_descs = np.zeros_like(descs)
         g_descs[:, 1:] = g_patches
-        region_backward(p, avg, rows, descs, g_descs, grads)
+        cache.backward(p, rows, descs, g_descs, grads)
         return values.sum(), [grads.weight, grads.bias]
 
     return [(name, fn, [params.weight.copy(), params.bias.copy()])
@@ -179,7 +178,7 @@ def _step_cases(rng: np.random.Generator):
     map_shape, dim, classes = (2, 3, 3), 3, 2
     input_dim = int(np.prod(map_shape))
     grid = rmac.region_grid(3, (1, 2), width_table={1: 3, 2: 2}, reference_side=3)
-    cache = _PooledCache(grid, map_shape)
+    cache = PooledCache(grid, map_shape)
 
     def record(rid, view, landmark, section=0):
         return ImageRecord(rid, view, landmark, section, rng.standard_normal(map_shape))
@@ -209,29 +208,28 @@ def _step_cases(rng: np.random.Generator):
         train=anchors + drones[1] + drones[2], test=[])).class_index
     ground, drone = encoder("ground"), encoder("drone")
     senior_ground, senior_drone = encoder("ground"), encoder("drone")
-    senior = (senior_ground, senior_drone, region_blocks(senior_drone, cache.avg))
+    senior = (senior_ground, senior_drone, cache.blocks(senior_drone))
 
     def peer_fn(arrays):
         params_list = [with_arrays(ground, arrays[:4]), with_arrays(drone, arrays[4:])]
         step = _Step(params_list, cache, entries, "drone", senior)
         value = (_hard_terms(step, anchors, mined, class_index).sum()
                  + _soft_terms(step, anchors, [p for _, p in entries], 0.1, 1.0).sum())
-        step.backward(cache.avg)
+        step.backward()
         return value, [getattr(g, name) for g in step.grads for name in PARAM_NAMES]
 
     chunk = [1, 2, 3]
     drone_recs = [record(10 * lm + sec, DRONE, lm, sec) for lm in chunk for sec in (1, 2)]
     sat_recs = [record(10 * lm + 9, SATELLITE, lm) for lm in chunk]
     shared, teacher = encoder("satdrone"), encoder("drone")
-    frozen = (teacher, region_blocks(teacher, cache.avg))
+    frozen = (teacher, cache.blocks(teacher))
     patch_cfg = PatchModelConfig(margin=0.5, lambda2=1.0)
 
     def shared_fn(arrays):
         params = with_arrays(shared, arrays)
         grads = new_grads(params)
-        triplet, patch = _shared_step(params, frozen, drone_recs,
-                                      [r.landmark for r in drone_recs], sat_recs,
-                                      chunk, cache, patch_cfg, grads)
+        triplet, patch = _shared_step(params, frozen, drone_recs, sat_recs, cache,
+                                      patch_cfg, grads)
         return triplet + patch, [getattr(grads, name) for name in PARAM_NAMES]
 
     return [("peer-step-params", peer_fn, flat([ground, drone])),

@@ -19,7 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import checks, dataspace, diffusion, evalkit, patchmodel, pipeline
+from . import checks, dataspace, evalkit, patchmodel, pipeline
 from . import encoder as enc
 from .config import RunConfig, load_config, write_config
 from .ranking import read_ranking, write_ranking
@@ -191,7 +191,7 @@ def _dump_embeddings(path: Path, cfg, split, models, use_drones: bool) -> None:
         records = [r for r in split.test if r.view == view]
         if records and (use_drones or view != dataspace.DRONE):
             rows.update(zip([r.id for r in records], enc.embed_records(params, records)))
-    diffusion.write_embeddings(path, [
+    dataspace.write_embeddings(path, [
         (r.id, r.view, 0 if r.view == dataspace.DRONE else r.landmark, rows[r.id])
         for r in split.test if r.id in rows])
 

@@ -94,7 +94,7 @@ class RunConfig:
             seed=self.seed,
         )
 
-    def peer_config(self, seed: int | None = None) -> PeerConfig:
+    def peer_config(self) -> PeerConfig:
         return PeerConfig(
             embed_dim=self.embed_dim,
             epochs_senior=self.epochs_senior,
@@ -117,10 +117,10 @@ class RunConfig:
             width_table=self.width_table_dict(),
             reference_side=self.reference_side,
             junior_init=self.junior_init,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
         )
 
-    def patch_config(self, seed: int | None = None) -> PatchModelConfig:
+    def patch_config(self) -> PatchModelConfig:
         return PatchModelConfig(
             embed_dim=self.embed_dim,
             epochs=self.epochs_patch,
@@ -137,7 +137,7 @@ class RunConfig:
             width_table=self.width_table_dict(),
             reference_side=self.reference_side,
             student_init=self.student_init,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
         )
 
     def diffusion_config(self) -> DiffusionConfig:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import zipfile
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +35,7 @@ SATELLITE = "S"
 VIEWS = (GROUND, DRONE, SATELLITE)
 
 DATA_FORMAT = "plcd-data v2"
+EMB_MAGIC = "#plcd-emb v1"
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,35 @@ class DatasetSplit:
     test: list[ImageRecord]
     num_landmarks: int = 0
     num_sections: int = 0
+
+
+# landmark -> section -> drone records, in record order
+DroneIndex = dict[int, dict[int, list[ImageRecord]]]
+
+
+def drones_by_section(records: list[ImageRecord]) -> tuple[DroneIndex, list[int]]:
+    """The drone records' index and the sorted sections any drone covers."""
+    drones: DroneIndex = {}
+    for r in records:
+        if r.view == DRONE:
+            drones.setdefault(r.landmark, {}).setdefault(r.section, []).append(r)
+    return drones, sorted({s for by_sec in drones.values() for s in by_sec})
+
+
+def draw_per_section(drones: DroneIndex, sections: list[int], landmark: int,
+                     rng: np.random.Generator) -> list[ImageRecord]:
+    """One drone of ``landmark`` per section of ``sections``, in that order,
+    each drawn uniformly from its section's records."""
+    by_sec = drones.get(landmark)
+    if by_sec is None:
+        raise ValueError(f"landmark {landmark} has no drone records")
+    batch = []
+    for sec in sections:
+        pool = by_sec.get(sec)
+        if not pool:
+            raise ValueError(f"landmark {landmark} has no drone in section {sec}")
+        batch.append(pool[int(rng.integers(len(pool)))])
+    return batch
 
 
 def center_zone(map_side: int) -> np.ndarray:
@@ -317,3 +348,41 @@ def read_records(path) -> tuple[list[ImageRecord], int, int]:
                    cols["ids"], cols["views"], cols["landmarks"], cols["sections"], values)]
     num_landmarks, num_sections = map(int, cols["counts"])
     return records, num_landmarks, num_sections
+
+
+# ---------------------------------------------------------------------------
+# embedding exchange files (line-oriented text)
+# ---------------------------------------------------------------------------
+
+def write_embeddings(path, entries: Sequence[tuple[int, str, int, np.ndarray]]) -> None:
+    """An ``EMB_MAGIC count dim`` header, then one ``id view landmark values``
+    line per entry; entries are (record id, view, landmark-or-0, vector)."""
+    if not entries:
+        raise ValueError("no embeddings to write")
+    dim = len(entries[0][3])
+    lines = [f"{EMB_MAGIC} {len(entries)} {dim}"]
+    for rid, view, landmark, vec in entries:
+        values = " ".join(map(repr, np.asarray(vec, dtype=float).tolist()))
+        lines.append(f"{rid} {view} {landmark} {values}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_embeddings(path) -> list[tuple[int, str, int, np.ndarray]]:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith(EMB_MAGIC):
+        raise ValueError(f"{path}: missing '{EMB_MAGIC}' header")
+    count, dim = int(lines[0].split()[2]), int(lines[0].split()[3])
+    if len(lines) - 1 != count:
+        raise ValueError(f"{path}: header promises {count} entries, found {len(lines) - 1}")
+    out = []
+    for ln in lines[1:]:
+        tok = ln.split()
+        vec = np.array(tok[3:], dtype=float)
+        if vec.size != dim:
+            raise ValueError(f"{path}: entry {tok[0]} has {vec.size} dims, needs {dim}")
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{path}: entry {tok[0]} has a non-finite value")
+        out.append((int(tok[0]), tok[1], int(tok[2]), vec))
+    return out

@@ -24,9 +24,6 @@ import numpy as np
 from .dataspace import DRONE, SATELLITE
 from .ranking import RankingList, rank_rows
 
-EMB_MAGIC = "#plcd-emb v1"
-
-
 @dataclass(frozen=True)
 class DiffusionConfig:
     alpha: float = 0.9
@@ -332,44 +329,3 @@ def query(index: DiffusionIndex, query_ids: Sequence[int],
                              f"for queries {stuck}")
         scores = walk.state[sat_idx]
     return rank_satellites(scores, graph, query_ids)
-
-
-# ---------------------------------------------------------------------------
-# embedding exchange files
-# ---------------------------------------------------------------------------
-
-def format_embeddings(entries: Sequence[tuple[int, str, int, np.ndarray]]) -> str:
-    """Entries are (record id, view, landmark-or-0, vector)."""
-    if not entries:
-        raise ValueError("no embeddings to write")
-    dim = len(entries[0][3])
-    lines = [f"{EMB_MAGIC} {len(entries)} {dim}"]
-    for rid, view, landmark, vec in entries:
-        values = " ".join(map(repr, np.asarray(vec, dtype=float).tolist()))
-        lines.append(f"{rid} {view} {landmark} {values}")
-    return "\n".join(lines) + "\n"
-
-
-def write_embeddings(path, entries) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_embeddings(entries))
-
-
-def read_embeddings(path) -> list[tuple[int, str, int, np.ndarray]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(EMB_MAGIC):
-        raise ValueError(f"{path}: missing '{EMB_MAGIC}' header")
-    count, dim = int(lines[0].split()[2]), int(lines[0].split()[3])
-    if len(lines) - 1 != count:
-        raise ValueError(f"{path}: header promises {count} entries, found {len(lines) - 1}")
-    out = []
-    for ln in lines[1:]:
-        tok = ln.split()
-        vec = np.array(tok[3:], dtype=float)
-        if vec.size != dim:
-            raise ValueError(f"{path}: entry {tok[0]} has {vec.size} dims, needs {dim}")
-        if not np.isfinite(vec).all():
-            raise ValueError(f"{path}: entry {tok[0]} has a non-finite value")
-        out.append((int(tok[0]), tok[1], int(tok[2]), vec))
-    return out

@@ -4,17 +4,10 @@ An encoder maps the flattened feature map through one affine layer (optional
 tanh) to a ``dim``-dimensional embedding, plus a linear classifier head over
 the training identities. Training and retrieval embed whole images as
 stacks: one product maps an (n, input_dim) stack of flattened maps
-(``whole_embed``; ``embed_records`` stacks a record list). Region
-descriptors share the same parameters: a region's centered pooled channel
-vector is spread evenly over that region's cells and sent through the
-identical affine map, so a checkpoint (an ``.npz``, see ``save_params``)
-holds no extra tensors. A fixed (k, h*w) averaging matrix folds the k
-regions of a grid into (k, channels, dim) weight blocks, built once per
-step for a trained encoder and once per run for a frozen one, and one
-batched product over contiguous operands embeds a position-major
-(k, n, channels) stack of centered pooled rows; the backward pass folds the
-stack's (k, dim, channels) gradient back through the same matrix. Both
-backward passes take the forward's output rather than recomputing it.
+(``whole_embed``; ``embed_records`` stacks a record list), and its backward
+takes the forward's output rather than recomputing it. Region descriptors
+(``rmac``) use the same parameters; a checkpoint is an ``.npz`` (see
+``save_params``).
 """
 
 from __future__ import annotations
@@ -110,50 +103,6 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
     1e-12 stay as they are."""
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
     return x / np.where(norms < 1e-12, 1.0, norms)
-
-
-def region_blocks(params: EncoderParams, avg: np.ndarray) -> np.ndarray:
-    """Contiguous (k, channels, dim) weight blocks of a (k, h*w) averaging
-    matrix: block r is the weight averaged over region r's cells. They
-    change with the weight only, so a frozen encoder's serve a whole run."""
-    k, cells = avg.shape
-    channels = params.input_dim // cells
-    if channels * cells != params.input_dim:
-        raise ValueError(f"a {avg.shape} averaging matrix does not match encoder "
-                         f"input_dim {params.input_dim} (role {params.role})")
-    blocks = params.weight.reshape(params.dim * channels, cells) @ avg.T
-    return np.ascontiguousarray(blocks.reshape(params.dim, channels, k).transpose(2, 1, 0))
-
-
-def region_embed(params: EncoderParams, blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Region descriptors of a position-major (k, n, channels) stack of
-    centered pooled rows, ``blocks`` from ``region_blocks``: one batched
-    product, read as an (n, k, dim) view of a contiguous (k, n, dim) array."""
-    if rows.ndim != 3 or rows.shape[::2] != blocks.shape[:2]:
-        raise ValueError(f"a {rows.shape} row stack does not match the {blocks.shape} blocks "
-                         f"of encoder input_dim {params.input_dim} (role {params.role})")
-    out = np.matmul(rows, blocks)
-    out += params.bias
-    if params.tanh:
-        np.tanh(out, out=out)
-    return out.transpose(1, 0, 2)
-
-
-def region_backward(params: EncoderParams, avg: np.ndarray, rows: np.ndarray,
-                    descs: np.ndarray, g_descs: np.ndarray, grads: "EncoderGrads") -> None:
-    """Add the gradients of a row stack's descriptors ``descs`` from
-    ``region_embed``, given as ``g_descs`` (n, k, dim) laid out like them,
-    into ``grads.weight`` and ``grads.bias``; ``g_descs`` takes the tanh
-    slope in place and its (k, dim, n) transpose feeds the product."""
-    if params.tanh:
-        slope = descs * descs
-        np.subtract(1.0, slope, out=slope)
-        g_descs *= slope
-    # (k, dim, c): per-region outer products summed over the stack
-    g_blocks = np.matmul(g_descs.transpose(1, 2, 0), rows)
-    grads.weight += (g_blocks.transpose(1, 2, 0).reshape(-1, avg.shape[0]) @ avg) \
-        .reshape(grads.weight.shape)
-    grads.bias += g_descs.sum(axis=(0, 1))
 
 
 def logits_from_embedding(params: EncoderParams, emb: np.ndarray) -> np.ndarray:

@@ -14,6 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 
+class TrainingDiverged(RuntimeError):
+    """A trainer's step loss is not finite."""
+
+
 def _logsumexp(x: np.ndarray) -> np.ndarray:
     """Log-sum-exp over the last axis; every row needs one finite entry."""
     m = np.max(x, axis=-1, keepdims=True)

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import encoder as enc
 from . import losses, rmac
-from .dataspace import DRONE, SATELLITE, DatasetSplit, ImageRecord
-from .peerlearn import TrainingDiverged, _PooledCache
+from .dataspace import SATELLITE, DatasetSplit, draw_per_section, drones_by_section
 from .seeds import substream
 
 
@@ -75,13 +74,8 @@ def train_satellite_drone(split: DatasetSplit, teacher: enc.EncoderParams,
     ``epoch step loss_triplet loss_patch total``.
     """
     cfg.validate()
-    drones: dict[int, dict[int, list[ImageRecord]]] = {}
-    satellites: dict[int, ImageRecord] = {}
-    for r in split.train:
-        if r.view == DRONE:
-            drones.setdefault(r.landmark, {}).setdefault(r.section, []).append(r)
-        elif r.view == SATELLITE:
-            satellites[r.landmark] = r
+    drones, sections = drones_by_section(split.train)
+    satellites = {r.landmark: r for r in split.train if r.view == SATELLITE}
     landmarks = sorted(drones)
     if len(landmarks) < 2:
         raise ValueError("satellite-drone training needs at least 2 identities")
@@ -103,9 +97,8 @@ def train_satellite_drone(split: DatasetSplit, teacher: enc.EncoderParams,
                               cfg.decay_epoch, cfg.decay_factor)
     grid = rmac.region_grid((map_shape[1], map_shape[2]), cfg.scales,
                             cfg.width_table, cfg.reference_side)
-    cache = _PooledCache(grid, map_shape)
-    frozen = (teacher, enc.region_blocks(teacher, cache.avg))  # blocks once per run
-    sections = sorted({s for by_sec in drones.values() for s in by_sec})
+    cache = rmac.PooledCache(grid, map_shape)
+    frozen = (teacher, cache.blocks(teacher))  # blocks once per run
     log: list[str] = []
 
     for epoch in range(cfg.epochs):
@@ -115,32 +108,22 @@ def train_satellite_drone(split: DatasetSplit, teacher: enc.EncoderParams,
             chunk = [landmarks[i] for i in order[start : start + cfg.batch_pairs]]
             if len(chunk) < 2:
                 continue
-            drone_recs: list[ImageRecord] = []
-            drone_owner: list[int] = []
-            for lm in chunk:
-                for sec in sections:
-                    pool = drones[lm].get(sec)
-                    if not pool:
-                        raise ValueError(f"landmark {lm} has no drone in section {sec}")
-                    drone_recs.append(pool[int(rng.integers(len(pool)))])
-                    drone_owner.append(lm)
+            drone_recs = [r for lm in chunk for r in draw_per_section(drones, sections, lm, rng)]
             sat_recs = [satellites[lm] for lm in chunk]
 
             grads = enc.new_grads(params)
             value_triplet, value_patch = _shared_step(
-                params, frozen, drone_recs, drone_owner, sat_recs,
-                chunk, cache, cfg, grads)
+                params, frozen, drone_recs, sat_recs, cache, cfg, grads)
             total = losses.joint_sd_loss(value_triplet, value_patch, cfg.lambda2)
             if not np.isfinite(total):
-                raise TrainingDiverged(
+                raise losses.TrainingDiverged(
                     f"non-finite loss {total} at epoch {epoch} step {step}")
             enc.sgd_step(params, grads, state)
             log.append(f"{epoch} {step} {value_triplet:.6f} {value_patch:.6f} {total:.6f}")
     return params, log
 
 
-def _shared_step(params, teacher, drone_recs, drone_owner, sat_recs,
-                 chunk, cache, cfg, grads):
+def _shared_step(params, teacher, drone_recs, sat_recs, cache, cfg, grads):
     """One step's losses, gradients added into ``grads``; ``teacher`` is (params, blocks)."""
     # Triplets run on unit embeddings (squared distance = 2 - 2cos), the same
     # geometry the cosine-based retrieval is scored in; raw embeddings leave
@@ -149,20 +132,20 @@ def _shared_step(params, teacher, drone_recs, drone_owner, sat_recs,
     embs = enc.whole_embed(params, x)
     units = enc.unit_rows(embs)
     n_anchors = len(drone_recs)
-    sat_slot = {lm: i for i, lm in enumerate(chunk)}
+    sat_slot = {r.landmark: i for i, r in enumerate(sat_recs)}
     triplet_values, tgrads = losses.semi_hard_triplet_loss(
-        units[:n_anchors], np.array([sat_slot[lm] for lm in drone_owner]),
+        units[:n_anchors], np.array([sat_slot[r.landmark] for r in drone_recs]),
         units[n_anchors:], cfg.margin)
     g_units = np.concatenate([tgrads["anchors"], tgrads["gallery"]]) / n_anchors
 
     # region descriptors: row 0 (whole map) carries no patch term
     pooled = cache.stack(drone_recs)
-    teacher_patches = enc.region_embed(*teacher, pooled)[:, 1:]
-    descs = enc.region_embed(params, enc.region_blocks(params, cache.avg), pooled)
+    teacher_patches = rmac.region_embed(*teacher, pooled)[:, 1:]
+    descs = rmac.region_embed(params, cache.blocks(params), pooled)
     patch_values, g_patches = losses.patch_mse_loss(teacher_patches, descs[:, 1:])
 
     enc.whole_backward(params, x, embs, g_units, grads, normalized=True)
     g_descs = np.zeros_like(descs)  # keeps the (k, n, dim) layout
     g_descs[:, 1:] = cfg.lambda2 * g_patches
-    enc.region_backward(params, cache.avg, pooled, descs, g_descs, grads)
+    cache.backward(params, pooled, descs, g_descs, grads)
     return triplet_values.mean(), patch_values.sum()

@@ -9,11 +9,10 @@ whole-image and region descriptors supervises the junior's distribution at
 temperature 1.
 
 Each optimization step is batched across its anchors (``_Step``): one
-whole-image product embeds the ground anchors, one region product the
-batch's drones, from a position-major stack of centered pooled rows and
-weight blocks built once per step (once per run for the frozen senior). The
-miner reads rows of those stacks per anchor; the hard and soft losses then
-read all anchors' rows at once, one stacked call per objective
+whole-image product embeds the ground anchors and one ``rmac`` region
+product the batch's drones (the frozen senior's weight blocks built once per
+run). The miner reads rows of those stacks per anchor; the hard and soft
+losses then read all anchors' rows at once, one stacked call per objective
 (``_hard_terms``, ``_soft_terms``), shared rows scatter-add with the bits of
 ``np.add.at``, and one backward per path ends the step.
 """
@@ -26,12 +25,9 @@ import numpy as np
 
 from . import encoder as enc
 from . import losses, rmac
-from .dataspace import DRONE, GROUND, DatasetSplit, ImageRecord
+from .dataspace import (GROUND, DatasetSplit, DroneIndex, ImageRecord, draw_per_section,
+                        drones_by_section)
 from .seeds import substream
-
-
-class TrainingDiverged(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,7 @@ class _TrainContext:
     """Indexes over the train split shared by both training steps."""
 
     grounds: list[ImageRecord]
-    drones: dict[int, dict[int, list[ImageRecord]]]  # landmark -> section -> records
+    drones: DroneIndex
     class_index: dict[int, int]
     map_shape: tuple[int, int, int]
     sections: list[int]
@@ -104,14 +100,10 @@ def build_context(split: DatasetSplit) -> _TrainContext:
     grounds = [r for r in split.train if r.view == GROUND]
     if not grounds:
         raise ValueError("train split has no ground records")
-    drones: dict[int, dict[int, list[ImageRecord]]] = {}
-    for r in split.train:
-        if r.view == DRONE:
-            drones.setdefault(r.landmark, {}).setdefault(r.section, []).append(r)
+    drones, sections = drones_by_section(split.train)
     if not drones:
         raise ValueError("train split has no drone records")
     landmarks = sorted({r.landmark for r in split.train})
-    sections = sorted({s for by_sec in drones.values() for s in by_sec})
     return _TrainContext(
         grounds=grounds,
         drones=drones,
@@ -119,39 +111,6 @@ def build_context(split: DatasetSplit) -> _TrainContext:
         map_shape=grounds[0].featmap.shape,
         sections=sections,
     )
-
-
-def aggregate_feature(descs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drone-branch image features (n, dim) from region descriptors
-    (n, k, dim): the mean of each record's L2-normalized rows, returned with
-    the row norms (n, k, 1) that ``aggregate_backward`` reuses.
-
-    Aggregating the region descriptors routes every training gradient through
-    the region path, so the same descriptors that drive retrieval also back
-    the similarity distributions and the best-sub-region representation. All
-    k rows participate (row 0, the global max pool, duplicates the scale-1
-    region and mildly emphasizes the global view); the mean keeps the feature
-    on the same scale as a single unit descriptor.
-    """
-    norms = np.linalg.norm(descs, axis=-1, keepdims=True)
-    return (descs / np.maximum(norms, 1e-12)).mean(axis=-2), norms
-
-
-def aggregate_backward(descs: np.ndarray, norms: np.ndarray, g_feats: np.ndarray,
-                       g_descs: np.ndarray) -> None:
-    """Add feature gradients (n, dim), chained back through the mean and the
-    row normalization (``norms`` from ``aggregate_feature``), into ``g_descs``
-    (n, k, dim). A row with norm below 1e-12 passes no gradient."""
-    floored = np.maximum(norms, 1e-12)
-    unit = descs / floored  # the forward's unit rows, bit for bit
-    g = g_feats[:, None, :] / descs.shape[1]
-    rows = g * unit
-    dots = np.sum(rows, axis=-1, keepdims=True)
-    np.multiply(dots, unit, out=rows)
-    np.subtract(g, rows, out=rows)
-    rows /= floored
-    rows[~(norms[..., 0] >= 1e-12)] = 0.0
-    g_descs += rows
 
 
 def mine_easy_triplet(anchor: ImageRecord, positive_batch: list[ImageRecord],
@@ -206,52 +165,6 @@ def mine_easy_triplet(anchor: ImageRecord, positive_batch: list[ImageRecord],
     )
 
 
-def _sample_positive_batch(ctx: _TrainContext, landmark: int,
-                           rng: np.random.Generator) -> list[ImageRecord]:
-    by_sec = ctx.drones.get(landmark)
-    if by_sec is None:
-        raise ValueError(f"landmark {landmark} has no drone records")
-    batch = []
-    for sec in ctx.sections:
-        pool = by_sec.get(sec)
-        if not pool:
-            raise ValueError(f"landmark {landmark} has no drone in section {sec}")
-        batch.append(pool[int(rng.integers(len(pool)))])
-    return batch
-
-
-class _PooledCache:
-    """Centered region-pooled rows per record (``rmac.pool_regions`` rows:
-    the global max pool, then the grid order). Maps never change, so this
-    is computed once per record. ``avg`` is the matching (k, h*w) averaging
-    matrix: row r is 1/|cells_r| on region r's cells, row 0 the full map."""
-
-    def __init__(self, grid: list[rmac.Region], map_shape: tuple[int, int, int]):
-        self.grid, self.map_shape = grid, tuple(map_shape)
-        cells = map_shape[1] * map_shape[2]
-        cells_list = [np.arange(cells)] + [rmac.region_cells(r, map_shape) for r in grid]
-        self.avg = np.zeros((len(cells_list), cells))
-        for row, region_cells in enumerate(cells_list):
-            self.avg[row, region_cells] = 1.0 / len(region_cells)
-        self._store: dict[int, np.ndarray] = {}
-
-    def stack(self, records: list[ImageRecord]) -> np.ndarray:
-        """Position-major (k, n, channels) stack of ``records``' centered
-        pooled rows, in order. Records not seen yet are pooled in one call."""
-        fresh = {r.id: r for r in records if r.id not in self._store}
-        if fresh:
-            # stacked position-major, (h, w, n, c): pool_regions copies nothing
-            maps = np.empty(self.map_shape[1:] + (len(fresh), self.map_shape[0]))
-            for i, r in enumerate(fresh.values()):
-                maps[:, :, i] = r.featmap.transpose(1, 2, 0)
-            pooled = rmac.pool_regions(maps.transpose(2, 3, 0, 1), self.grid)
-            # Centered: channel maxima share a large positive offset, which
-            # would give every descriptor the same dominant direction (the
-            # job PCA whitening does for full-scale region descriptors).
-            self._store.update(zip(fresh, pooled - pooled.mean(axis=-1, keepdims=True)))
-        return np.stack([self._store[r.id] for r in records], axis=1)
-
-
 class _Step:
     """One optimization step of a peer pair, batched across its anchors.
 
@@ -272,7 +185,7 @@ class _Step:
     ``backward`` chains those through one backward per path.
     """
 
-    def __init__(self, params_list: list[enc.EncoderParams], cache: _PooledCache,
+    def __init__(self, params_list: list[enc.EncoderParams], cache: rmac.PooledCache,
                  entries, mining_space: str | None = None,
                  senior: tuple[enc.EncoderParams, enc.EncoderParams, np.ndarray] | None = None):
         self.mining_space = mining_space  # None: this step does not mine
@@ -286,10 +199,9 @@ class _Step:
 
         self.row = {r.id: i for i, r in enumerate(region)}
         self.drone_start = len(region) - len(drones)  # drones close the stack
-        self.pooled = cache.stack(region)
-        self.descs = enc.region_embed(self.drone, enc.region_blocks(self.drone, cache.avg),
-                                      self.pooled)
-        self.feats, self.norms = aggregate_feature(self.descs)
+        self.cache, self.pooled = cache, cache.stack(region)
+        self.descs = rmac.region_embed(self.drone, cache.blocks(self.drone), self.pooled)
+        self.feats, self.norms = rmac.aggregate_feature(self.descs)
         self.g_feats = np.zeros_like(self.feats)
         self.g_descs = np.zeros_like(self.descs)  # laid out like descs
 
@@ -301,7 +213,7 @@ class _Step:
         self.senior_descs = self.senior_whole = None
         if senior is not None:
             self.senior_whole = enc.whole_embed(senior[0], self.x[: len(anchors)])
-            self.senior_descs = enc.region_embed(*senior[1:], self.pooled[:, self.drone_start:])
+            self.senior_descs = rmac.region_embed(*senior[1:], self.pooled[:, self.drone_start:])
 
     def rows(self, records: list[ImageRecord]) -> list[int]:
         return [self.row[r.id] for r in records]
@@ -313,11 +225,10 @@ class _Step:
             return self.whole[[self.whole_row[r.id] for r in records]]
         return self.feats[self.rows(records)]
 
-    def backward(self, avg: np.ndarray) -> None:
+    def backward(self) -> None:
         enc.whole_backward(self.ground, self.x, self.whole, self.g_whole, self.grads[0])
-        aggregate_backward(self.descs, self.norms, self.g_feats, self.g_descs)
-        enc.region_backward(self.drone, avg, self.pooled, self.descs, self.g_descs,
-                            self.grads[-1])
+        rmac.aggregate_backward(self.descs, self.norms, self.g_feats, self.g_descs)
+        self.cache.backward(self.drone, self.pooled, self.descs, self.g_descs, self.grads[-1])
 
 
 def _hard_terms(step: _Step, anchors: list[ImageRecord], mined: list[MinedTriplet],
@@ -382,7 +293,7 @@ def _epoch_batches(ctx, cfg, rng):
         chunk = [ctx.grounds[i] for i in order[start : start + cfg.batch_streets]]
         if len(chunk) < 2:
             continue  # a lone anchor has no in-batch negatives
-        entries = [(anchor, _sample_positive_batch(ctx, anchor.landmark, rng))
+        entries = [(anchor, draw_per_section(ctx.drones, ctx.sections, anchor.landmark, rng))
                    for anchor in chunk]
         yield entries
 
@@ -419,9 +330,9 @@ def _train_pair(ctx, cfg, ground_params, drone_params, rng, epochs: int,
     lines."""
     grid = rmac.region_grid((ctx.map_shape[1], ctx.map_shape[2]), cfg.scales,
                             cfg.width_table, cfg.reference_side)
-    cache = _PooledCache(grid, ctx.map_shape)
+    cache = rmac.PooledCache(grid, ctx.map_shape)
     if senior is not None:  # frozen, so its weight blocks serve every step
-        senior = (*senior, enc.region_blocks(senior[1], cache.avg))
+        senior = (*senior, cache.blocks(senior[1]))
     shared = drone_params is ground_params
     params_list = [ground_params] if shared else [ground_params, drone_params]
     states = [enc.new_sgd_state(p, cfg.lr_head * rate_scale, cfg.lr_body * rate_scale,
@@ -450,9 +361,9 @@ def _train_pair(ctx, cfg, ground_params, drone_params, rng, epochs: int,
                 soft = _soft_terms(step, anchors, doublets, cfg.tau, cfg.lambda1).mean()
             total = losses.joint_gd_loss(hard, soft, cfg.lambda1)
             if not np.isfinite(total):
-                raise TrainingDiverged(
+                raise losses.TrainingDiverged(
                     f"non-finite loss {total} at epoch {epoch} step {step_idx}")
-            step.backward(cache.avg)
+            step.backward()
             for params, grads, state in zip(params_list, step.grads, states):
                 enc.scale_grads(grads, 1.0 / len(anchors))
                 enc.sgd_step(params, grads, state)
@@ -539,43 +450,3 @@ def train_junior(split: DatasetSplit, senior: tuple[enc.EncoderParams, enc.Encod
                       cfg.junior_lr_scale, anchor_step, mining_from=0,
                       senior=(senior_ground, senior_drone))
     return ground_params, drone_params, log
-
-
-# ---------------------------------------------------------------------------
-# retrieval-side drone features
-# ---------------------------------------------------------------------------
-
-# Records per region forward at retrieval time: bounds the (n, k, dim)
-# descriptor stack and its temporaries for large galleries.
-RETRIEVAL_BLOCK = 128
-
-
-def _descriptor_blocks(params: enc.EncoderParams, grid: list[rmac.Region],
-                       records: list[ImageRecord]):
-    """Region descriptors (b, k, dim) of ``records``, one block at a time,
-    from the pooled rows of the whole list, pooled as one stack."""
-    if not grid:
-        raise ValueError("region descriptors need a non-empty grid")
-    cache = _PooledCache(grid, records[0].featmap.shape)
-    rows, blocks = cache.stack(records), enc.region_blocks(params, cache.avg)
-    for start in range(0, len(records), RETRIEVAL_BLOCK):
-        yield enc.region_embed(params, blocks, rows[:, start : start + RETRIEVAL_BLOCK])
-
-
-def drone_features(params: enc.EncoderParams, grid: list[rmac.Region],
-                   records: list[ImageRecord]) -> np.ndarray:
-    """(n, dim) drone-branch image features of a non-empty record list: the
-    training path's region-aggregate feature."""
-    return np.concatenate([aggregate_feature(descs)[0] for descs in
-                           _descriptor_blocks(params, grid, records)])
-
-
-def gallery_descriptors(params: enc.EncoderParams, grid: list[rmac.Region],
-                        records: list[ImageRecord]) -> np.ndarray:
-    """(n, m+1, dim) L2-normalized rows per record, for best-sub-region
-    scoring: the image-level region-aggregate feature, then one row per grid
-    region."""
-    return np.concatenate([
-        enc.unit_rows(np.concatenate([aggregate_feature(descs)[0][:, None], descs[:, 1:]],
-                                     axis=1))
-        for descs in _descriptor_blocks(params, grid, records)])

@@ -121,7 +121,7 @@ def drone_features(cfg: RunConfig, drone_params: enc.EncoderParams,
                    drones: list[ImageRecord]) -> np.ndarray:
     """(n, dim) drone-branch image features of a non-empty drone list."""
     grid = region_grid_for(cfg, drones[0].featmap.shape)
-    return peerlearn.drone_features(drone_params, grid, drones)
+    return rmac.drone_features(drone_params, grid, drones)
 
 
 def ground_drone_rankings(cfg: RunConfig, split: DatasetSplit,
@@ -133,7 +133,7 @@ def ground_drone_rankings(cfg: RunConfig, split: DatasetSplit,
     if not grounds or not drones:
         raise ValueError("test split lacks ground or drone records")
     if best_region:
-        gallery = peerlearn.gallery_descriptors(
+        gallery = rmac.gallery_descriptors(
             drone_params, region_grid_for(cfg, drones[0].featmap.shape), drones)
     else:
         gallery = enc.unit_rows(drone_features(cfg, drone_params, drones))

@@ -1,4 +1,5 @@
-"""Multi-scale rigid-grid region generation and per-region max pooling.
+"""Multi-scale rigid-grid regions, per-region max pooling, and the region
+descriptor path built on them.
 
 At scale ``l`` the grid places ``l x l`` square regions whose top-left
 corners sit on a uniform lattice. Region widths come from a configurable
@@ -6,6 +7,22 @@ table (defaults reproduce the 12/9/7/5 progression on a 12-cell map, scaled
 proportionally for other sides); scales without a table entry fall back to
 ``round(2 * side / (l + 1))``. Pooling reads a whole map stack
 position-major, one max reduction per region over contiguous (n, c) planes.
+
+Region descriptors share an encoder's whole-image parameters: a region's
+centered pooled channel vector is spread evenly over that region's cells and
+sent through the identical affine map, so a checkpoint holds no extra
+tensors. ``PooledCache`` owns that layout. It pools and centers each
+record's rows once (maps never change) and stacks them position-major,
+(k, n, channels). Its fixed (k, h*w) averaging matrix folds the encoder
+weight into contiguous (k, channels, dim) blocks (``PooledCache.blocks``,
+built once per step for a trained encoder and once per run for a frozen
+one) and folds the stack's (k, dim, channels) gradient back
+(``PooledCache.backward``); ``region_embed`` is one batched product over
+those operands. A drone-branch image feature is the mean of a record's unit
+region descriptors (``aggregate_feature``). Step II's soft loss, the
+satellite-drone patch loss and retrieval (``drone_features``,
+``gallery_descriptors``) all read this one path. Both backward passes take
+the forward's output rather than recomputing it.
 """
 
 from __future__ import annotations
@@ -15,6 +32,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .dataspace import ImageRecord
+from .encoder import EncoderGrads, EncoderParams, unit_rows
 
 DEFAULT_WIDTH_TABLE: dict[int, int] = {1: 12, 2: 9, 3: 7, 4: 5}
 REFERENCE_SIDE = 12
@@ -121,8 +141,151 @@ def region_cells(region: Region, map_shape: tuple[int, int, int]) -> np.ndarray:
     return np.arange(map_shape[1] * map_shape[2]).reshape(map_shape[1:])[ys, xs].ravel()
 
 
-def grid_to_csv(grid: Sequence[Region]) -> str:
-    """Debug dump, one ``scale,x0,y0,w,h`` line per region."""
-    lines = ["scale,x0,y0,w,h"]
-    lines += [f"{r.scale},{r.x0},{r.y0},{r.width},{r.height}" for r in grid]
-    return "\n".join(lines) + "\n"
+# ---------------------------------------------------------------------------
+# region descriptors
+# ---------------------------------------------------------------------------
+
+class PooledCache:
+    """Centered region-pooled rows per record (``pool_regions`` rows: the
+    global max pool, then the grid order), computed once per record, and the
+    matching (k, h*w) averaging matrix: row r is 1/|cells_r| on region r's
+    cells, row 0 the full map."""
+
+    def __init__(self, grid: list[Region], map_shape: tuple[int, int, int]):
+        self.grid, self.map_shape = grid, tuple(map_shape)
+        cells = map_shape[1] * map_shape[2]
+        cells_list = [np.arange(cells)] + [region_cells(r, map_shape) for r in grid]
+        self.avg = np.zeros((len(cells_list), cells))
+        for row, covered in enumerate(cells_list):
+            self.avg[row, covered] = 1.0 / len(covered)
+        self._store: dict[int, np.ndarray] = {}
+
+    def stack(self, records: list[ImageRecord]) -> np.ndarray:
+        """Position-major (k, n, channels) stack of ``records``' centered
+        pooled rows, in order. Records not seen yet are pooled in one call."""
+        fresh = {r.id: r for r in records if r.id not in self._store}
+        if fresh:
+            # stacked position-major, (h, w, n, c): pool_regions copies nothing
+            maps = np.empty(self.map_shape[1:] + (len(fresh), self.map_shape[0]))
+            for i, r in enumerate(fresh.values()):
+                maps[:, :, i] = r.featmap.transpose(1, 2, 0)
+            pooled = pool_regions(maps.transpose(2, 3, 0, 1), self.grid)
+            # Centered: channel maxima share a large positive offset, which
+            # would give every descriptor the same dominant direction (the
+            # job PCA whitening does for full-scale region descriptors).
+            self._store.update(zip(fresh, pooled - pooled.mean(axis=-1, keepdims=True)))
+        return np.stack([self._store[r.id] for r in records], axis=1)
+
+    def blocks(self, params: EncoderParams) -> np.ndarray:
+        """Contiguous (k, channels, dim) weight blocks: block r is the weight
+        averaged over region r's cells. They change with the weight only, so
+        a frozen encoder's serve a whole run."""
+        k, cells = self.avg.shape
+        channels = params.input_dim // cells
+        if channels * cells != params.input_dim:
+            raise ValueError(f"a {self.avg.shape} averaging matrix does not match encoder "
+                             f"input_dim {params.input_dim} (role {params.role})")
+        blocks = params.weight.reshape(params.dim * channels, cells) @ self.avg.T
+        return np.ascontiguousarray(blocks.reshape(params.dim, channels, k).transpose(2, 1, 0))
+
+    def backward(self, params: EncoderParams, rows: np.ndarray, descs: np.ndarray,
+                 g_descs: np.ndarray, grads: EncoderGrads) -> None:
+        """Add the gradients of a row stack's descriptors ``descs`` from
+        ``region_embed``, given as ``g_descs`` (n, k, dim) laid out like them,
+        into ``grads.weight`` and ``grads.bias``; ``g_descs`` takes the tanh
+        slope in place and its (k, dim, n) transpose feeds the product."""
+        if params.tanh:
+            slope = descs * descs
+            np.subtract(1.0, slope, out=slope)
+            g_descs *= slope
+        # (k, dim, c): per-region outer products summed over the stack
+        g_blocks = np.matmul(g_descs.transpose(1, 2, 0), rows)
+        grads.weight += (g_blocks.transpose(1, 2, 0).reshape(-1, self.avg.shape[0])
+                         @ self.avg).reshape(grads.weight.shape)
+        grads.bias += g_descs.sum(axis=(0, 1))
+
+
+def region_embed(params: EncoderParams, blocks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Region descriptors of a position-major (k, n, channels) stack of
+    centered pooled rows, ``blocks`` from ``PooledCache.blocks``: one batched
+    product, read as an (n, k, dim) view of a contiguous (k, n, dim) array."""
+    if rows.ndim != 3 or rows.shape[::2] != blocks.shape[:2]:
+        raise ValueError(f"a {rows.shape} row stack does not match the {blocks.shape} blocks "
+                         f"of encoder input_dim {params.input_dim} (role {params.role})")
+    out = np.matmul(rows, blocks)
+    out += params.bias
+    if params.tanh:
+        np.tanh(out, out=out)
+    return out.transpose(1, 0, 2)
+
+
+def aggregate_feature(descs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drone-branch image features (n, dim) from region descriptors
+    (n, k, dim): the mean of each record's L2-normalized rows, returned with
+    the row norms (n, k, 1) that ``aggregate_backward`` reuses.
+
+    Aggregating the region descriptors routes every training gradient through
+    the region path, so the same descriptors that drive retrieval also back
+    the similarity distributions and the best-sub-region representation. All
+    k rows participate (row 0, the global max pool, duplicates the scale-1
+    region and mildly emphasizes the global view); the mean keeps the feature
+    on the same scale as a single unit descriptor.
+    """
+    norms = np.linalg.norm(descs, axis=-1, keepdims=True)
+    return (descs / np.maximum(norms, 1e-12)).mean(axis=-2), norms
+
+
+def aggregate_backward(descs: np.ndarray, norms: np.ndarray, g_feats: np.ndarray,
+                       g_descs: np.ndarray) -> None:
+    """Add feature gradients (n, dim), chained back through the mean and the
+    row normalization (``norms`` from ``aggregate_feature``), into ``g_descs``
+    (n, k, dim). A row with norm below 1e-12 passes no gradient."""
+    floored = np.maximum(norms, 1e-12)
+    unit = descs / floored  # the forward's unit rows, bit for bit
+    g = g_feats[:, None, :] / descs.shape[1]
+    rows = g * unit
+    dots = np.sum(rows, axis=-1, keepdims=True)
+    np.multiply(dots, unit, out=rows)
+    np.subtract(g, rows, out=rows)
+    rows /= floored
+    rows[~(norms[..., 0] >= 1e-12)] = 0.0
+    g_descs += rows
+
+
+# Records per region forward at retrieval time: bounds the (n, k, dim)
+# descriptor stack and its temporaries for large galleries.
+RETRIEVAL_BLOCK = 128
+
+
+def _descriptor_blocks(params: EncoderParams, grid: list[Region], records: list[ImageRecord]):
+    """Region descriptors (b, k, dim) of ``records``, one block at a time,
+    from the pooled rows of the whole list, pooled as one stack. A lone
+    trailing record joins the block before it: a one-row product takes
+    numpy's vector path, whose low bits differ from every stacked one."""
+    if not grid:
+        raise ValueError("region descriptors need a non-empty grid")
+    cache = PooledCache(grid, records[0].featmap.shape)
+    rows, blocks = cache.stack(records), cache.blocks(params)
+    starts = list(range(0, len(records), RETRIEVAL_BLOCK))
+    if len(starts) > 1 and starts[-1] == len(records) - 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [len(records)]):
+        yield region_embed(params, blocks, rows[:, start:stop])
+
+
+def drone_features(params: EncoderParams, grid: list[Region],
+                   records: list[ImageRecord]) -> np.ndarray:
+    """(n, dim) drone-branch image features of a non-empty record list: the
+    training path's region-aggregate feature."""
+    return np.concatenate([aggregate_feature(descs)[0] for descs in
+                           _descriptor_blocks(params, grid, records)])
+
+
+def gallery_descriptors(params: EncoderParams, grid: list[Region],
+                        records: list[ImageRecord]) -> np.ndarray:
+    """(n, m+1, dim) L2-normalized rows per record, for best-sub-region
+    scoring: the image-level region-aggregate feature, then one row per grid
+    region."""
+    return np.concatenate([
+        unit_rows(np.concatenate([aggregate_feature(descs)[0][:, None], descs[:, 1:]], axis=1))
+        for descs in _descriptor_blocks(params, grid, records)])

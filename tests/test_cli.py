@@ -254,7 +254,7 @@ def test_dump_embeddings_exchange_file(workspace, tmp_path):
     assert run(["retrieve", "--config", cfg, "--data", root / "data",
                 "--models", root / "models", "--mode", "diffusion",
                 "--dump-embeddings", emb, "--out", out]) == 0
-    from plcd.diffusion import read_embeddings
+    from plcd.dataspace import read_embeddings
     entries = read_embeddings(emb)
     views = {view for _, view, _, _ in entries}
     assert views == {"G", "D", "S"}
@@ -270,7 +270,7 @@ def test_dump_embeddings_exchange_file(workspace, tmp_path):
 
 
 def test_dump_holds_the_rows_retrieval_ranked(workspace, tmp_path, monkeypatch):
-    from plcd import diffusion
+    from plcd import dataspace, diffusion
     root, cfg = workspace
     seen = {}
     build, query = diffusion.build_index, diffusion.query
@@ -290,7 +290,7 @@ def test_dump_holds_the_rows_retrieval_ranked(workspace, tmp_path, monkeypatch):
     assert run(["retrieve", "--config", cfg, "--data", root / "data",
                 "--models", root / "models", "--mode", "diffusion",
                 "--dump-embeddings", emb, "--out", tmp_path / "gs"]) == 0
-    dumped = {view: {rid: vec for rid, v, _, vec in diffusion.read_embeddings(emb) if v == view}
+    dumped = {view: {rid: vec for rid, v, _, vec in dataspace.read_embeddings(emb) if v == view}
               for view in ("G", "S", "D")}
     for view, rows in (("G", seen["grounds"]), ("S", seen["sats"]), ("D", seen["drones"])):
         assert sorted(dumped[view]) == sorted(rows)

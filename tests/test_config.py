@@ -53,8 +53,8 @@ def test_module_config_builders():
     cfg = RunConfig(tau=0.2, lambda1=0.5, margin=0.7, alpha=0.8, seed=3)
     peer = cfg.peer_config()
     assert peer.tau == 0.2 and peer.lambda1 == 0.5 and peer.seed == 3
-    patch = cfg.patch_config(seed=9)
-    assert patch.margin == 0.7 and patch.seed == 9
+    patch = cfg.patch_config()
+    assert patch.margin == 0.7 and patch.seed == 3
     dcfg = cfg.diffusion_config()
     assert dcfg.alpha == 0.8
 

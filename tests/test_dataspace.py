@@ -299,17 +299,31 @@ def test_records_round_trip_bit_exact_and_rewrite_byte_identical(case):
         assert first.read_bytes() == second.read_bytes()
 
 
-def test_embedding_text_keeps_per_value_repr_and_reads_back_bit_exact(tmp_path):
-    from plcd import diffusion
+def test_draw_per_section_takes_one_drone_per_section_in_order():
+    records = [ds.ImageRecord(i, ds.DRONE, 1 + i % 2, 1 + i % 3, np.zeros((1, 1, 1)))
+               for i in range(12)] + [ds.ImageRecord(12, ds.GROUND, 3, 0, np.zeros((1, 1, 1)))]
+    drones, sections = ds.drones_by_section(records)
+    assert sorted(drones) == [1, 2] and sections == [1, 2, 3]
+    assert [r.id for r in drones[2][3]] == [5, 11]  # record order
+    batch = ds.draw_per_section(drones, sections, 2, np.random.default_rng(5))
+    assert [r.section for r in batch] == sections and {r.landmark for r in batch} == {2}
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="landmark 3 has no drone records"):
+        ds.draw_per_section(drones, sections, 3, rng)
+    del drones[1][2]
+    with pytest.raises(ValueError, match="landmark 1 has no drone in section 2"):
+        ds.draw_per_section(drones, sections, 1, rng)
 
+
+def test_embedding_text_keeps_per_value_repr_and_reads_back_bit_exact(tmp_path):
     def per_value(arr):  # the per-value formatting the bulk join replaced
         return " ".join(repr(float(v)) for v in np.ravel(arr))
 
     vec = np.array(EDGE_VALUES)
-    text = diffusion.format_embeddings([(3, "S", 2, vec)])
+    ds.write_embeddings(tmp_path / "emb.txt", [(3, "S", 2, vec)])
+    text = (tmp_path / "emb.txt").read_text(encoding="utf-8")
     assert text.splitlines()[1] == f"3 S 2 {per_value(vec)}"
-    diffusion.write_embeddings(tmp_path / "emb.txt", [(3, "S", 2, vec)])
-    [(_, _, _, loaded_vec)] = diffusion.read_embeddings(tmp_path / "emb.txt")
+    [(_, _, _, loaded_vec)] = ds.read_embeddings(tmp_path / "emb.txt")
     assert loaded_vec.tobytes() == vec.tobytes()
 
 

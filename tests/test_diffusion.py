@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plcd import dataspace as ds
 from plcd import diffusion as diff
 from plcd.checks import random_stochastic_matrix
 from plcd.seeds import substream
@@ -616,10 +617,10 @@ def test_embedding_exchange_round_trip(tmp_path):
                (2, "D", 0, rng.standard_normal(5)),
                (3, "S", 4, rng.standard_normal(5))]
     path = tmp_path / "emb.txt"
-    diff.write_embeddings(path, entries)
+    ds.write_embeddings(path, entries)
     header = path.read_text().splitlines()[0]
     assert header == "#plcd-emb v1 3 5"
-    loaded = diff.read_embeddings(path)
+    loaded = ds.read_embeddings(path)
     for (rid, view, lm, vec), (rid2, view2, lm2, vec2) in zip(entries, loaded):
         assert (rid, view, lm) == (rid2, view2, lm2)
         assert np.array_equal(vec, vec2)
@@ -628,10 +629,10 @@ def test_embedding_exchange_round_trip(tmp_path):
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_embedding_file_rejects_non_finite_values(tmp_path, bad):
     path = tmp_path / "emb.txt"
-    diff.write_embeddings(path, [(1, "G", 4, np.ones(3)), (7, "S", 4, np.ones(3))])
+    ds.write_embeddings(path, [(1, "G", 4, np.ones(3)), (7, "S", 4, np.ones(3))])
     path.write_text(path.read_text().replace("7 S 4 1.0", f"7 S 4 {bad}"))
     with pytest.raises(ValueError, match=r"emb\.txt: entry 7 has a non-finite value"):
-        diff.read_embeddings(path)
+        ds.read_embeddings(path)
 
 
 def test_config_validation():

@@ -337,7 +337,7 @@ def reference_backward(params, map_shape, cells_list, pooled, g_rows, grads):
 def record_major_region_embed(params, avg, pooled):
     """The region forward on a record-major (n, k, c) stack of raw pooled
     rows, blocks and centering computed inline and both product operands
-    strided: the bit reference for ``region_blocks`` + ``region_embed``."""
+    strided: the bit reference for ``PooledCache.blocks`` + ``region_embed``."""
     _, k, c = pooled.shape
     blocks = (params.weight.reshape(params.dim * c, -1) @ avg.T) \
         .reshape(params.dim, c, k).transpose(2, 0, 1)
@@ -349,7 +349,7 @@ def record_major_region_embed(params, avg, pooled):
 
 def record_major_region_backward(params, avg, pooled, descs, g_desc, grads):
     """The matching record-major backward, with an out-of-place tanh slope:
-    the bit reference for ``region_backward``."""
+    the bit reference for ``PooledCache.backward``."""
     if params.tanh:
         g_desc = g_desc * (1.0 - descs ** 2)
     k = avg.shape[0]
@@ -363,12 +363,10 @@ def record_major_region_backward(params, avg, pooled, descs, g_desc, grads):
 def _region_fixture(tanh, n=7, map_shape=(4, 6, 6), dim=5):
     """(cache, cells per region, raw pooled (n, k, c), the cache's centered
     (k, n, c) rows, params, rng) for ``n`` random records."""
-    from plcd.peerlearn import _PooledCache
-
     rng = substream(13, "t.region")
     grid = rmac.region_grid(6, (1, 2, 3), width_table={1: 6, 2: 4, 3: 3},
                             reference_side=6)
-    cache = _PooledCache(grid, map_shape)
+    cache = rmac.PooledCache(grid, map_shape)
     cells_list = [np.arange(36)] + [rmac.region_cells(r, map_shape) for r in grid]
     records = [make_record(rng, map_shape, rid=i) for i in range(n)]
     params = make_params(dim=dim, input_dim=int(np.prod(map_shape)), tanh=tanh, seed=14)
@@ -389,7 +387,7 @@ def test_averaging_matrix_rows_cover_each_region_evenly():
 @pytest.mark.parametrize("tanh", [False, True])
 def test_region_embed_matches_per_region_reference(tanh):
     cache, cells_list, pooled, rows, params, _ = _region_fixture(tanh)
-    batch = enc.region_embed(params, enc.region_blocks(params, cache.avg), rows)
+    batch = rmac.region_embed(params, cache.blocks(params), rows)
     assert batch.shape == (len(pooled), len(cells_list), params.dim)
     for one, descs in zip(pooled, batch):
         ref = reference_embed(params, (4, 6, 6), cells_list, one)
@@ -401,8 +399,8 @@ def test_batched_region_backward_matches_per_record_gradients(tanh):
     cache, cells_list, pooled, rows, params, rng = _region_fixture(tanh)
     g_desc = rng.standard_normal((len(pooled), len(cells_list), params.dim))
     batched = enc.new_grads(params)
-    descs = enc.region_embed(params, enc.region_blocks(params, cache.avg), rows)
-    enc.region_backward(params, cache.avg, rows, descs, g_desc.copy(), batched)
+    descs = rmac.region_embed(params, cache.blocks(params), rows)
+    cache.backward(params, rows, descs, g_desc.copy(), batched)
     per_record = enc.new_grads(params)
     for one, g in zip(pooled, g_desc):
         reference_backward(params, (4, 6, 6), cells_list, one, g, per_record)
@@ -422,7 +420,7 @@ def test_region_path_matches_the_record_major_formulas_bit_for_bit(tanh, n):
     cache, _, pooled, rows, params, rng = _region_fixture(tanh, n=n, map_shape=(32, 6, 6),
                                                           dim=128)
     assert rows.flags.c_contiguous and rows.shape == (15, n, 32)
-    descs = enc.region_embed(params, enc.region_blocks(params, cache.avg), rows)
+    descs = rmac.region_embed(params, cache.blocks(params), rows)
     assert descs.transpose(1, 0, 2).flags.c_contiguous
     want = record_major_region_embed(params, cache.avg, pooled)
     if n >= 10:
@@ -440,22 +438,22 @@ def test_region_path_matches_the_record_major_formulas_bit_for_bit(tanh, n):
         grads.weight += 1.0 / 3.0  # sums land on a non-zero start
     record_major_region_backward(params, cache.avg, pooled, want, g_desc.copy(order="K"), expected)
     # both backward passes read the same descriptors
-    enc.region_backward(params, cache.avg, rows, want, g_desc.copy(order="K"), got)
+    cache.backward(params, rows, want, g_desc.copy(order="K"), got)
     assert _bits(got.weight) == _bits(expected.weight)
     assert _bits(got.bias) == _bits(expected.bias)
 
 
 def test_region_embed_rejects_mismatched_shapes():
     cache, _, _, rows, params, _ = _region_fixture(tanh=False)
-    blocks = enc.region_blocks(params, cache.avg)
+    blocks = cache.blocks(params)
     with pytest.raises(ValueError, match="input_dim"):
-        enc.region_embed(params, blocks, rows[:, :, :3])
+        rmac.region_embed(params, blocks, rows[:, :, :3])
     with pytest.raises(ValueError, match="input_dim"):
-        enc.region_embed(params, blocks, rows[1:])
+        rmac.region_embed(params, blocks, rows[1:])
     with pytest.raises(ValueError, match="input_dim"):
-        enc.region_embed(params, blocks, rows[0])
+        rmac.region_embed(params, blocks, rows[0])
     with pytest.raises(ValueError, match="input_dim"):
-        enc.region_blocks(params, cache.avg[:, :35])
+        cache.blocks(make_params(dim=5, input_dim=4 * 36 - 1))
 
 
 def reference_whole_backward(params, x, g_emb, grads, normalized=False):

@@ -87,21 +87,20 @@ def test_patch_loss_decreases_when_trained_alone():
     map_shape = drones[0].featmap.shape
     grid = rmac.region_grid(map_shape[1], (1, 2), width_table={1: 6, 2: 4},
                             reference_side=6)
-    cache = peerlearn._PooledCache(grid, map_shape)
+    cache = rmac.PooledCache(grid, map_shape)
     pooled = cache.stack(drones)
-    teacher_patches = enc.region_embed(teacher, enc.region_blocks(teacher, cache.avg),
-                                       pooled)[:, 1:]
+    teacher_patches = rmac.region_embed(teacher, cache.blocks(teacher), pooled)[:, 1:]
     state = enc.new_sgd_state(student, lr_head=0.0, lr_body=1e-3, momentum=0.0,
                               decay_epoch=10_000)
     values = []
     for _ in range(20):
-        descs = enc.region_embed(student, enc.region_blocks(student, cache.avg), pooled)
+        descs = rmac.region_embed(student, cache.blocks(student), pooled)
         patch_values, grads = losses.patch_mse_loss(teacher_patches, descs[:, 1:])
         values.append(patch_values.sum())
         acc = enc.new_grads(student)
         g_descs = np.zeros((len(drones), len(grid) + 1, student.dim))
         g_descs[:, 1:] = grads
-        enc.region_backward(student, cache.avg, pooled, descs, g_descs, acc)
+        cache.backward(student, pooled, descs, g_descs, acc)
         enc.sgd_step(student, acc, state)
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] < values[0]

@@ -197,7 +197,7 @@ def test_mining_oracle_after_warmup():
     rng = substream(0, "test.orcl")
     hits = total = 0
     for anchor in ctx.grounds:
-        positives = peerlearn._sample_positive_batch(ctx, anchor.landmark, rng)
+        positives = ds.draw_per_section(ctx.drones, ctx.sections, anchor.landmark, rng)
         negatives = [d for lm, by in ctx.drones.items() if lm != anchor.landmark
                      for pool in by.values() for d in pool]
         mined = peerlearn.mine_easy_triplet(anchor, positives, negatives,
@@ -290,7 +290,7 @@ def test_best_subregion_needs_grid():
     split = tiny_split()
     _, params = _grid_and_params(split)
     with pytest.raises(ValueError, match="grid"):
-        peerlearn.gallery_descriptors(params, [], [split.train[0]])
+        rmac.gallery_descriptors(params, [], [split.train[0]])
 
 
 def test_constant_map_descriptors_agree():
@@ -299,7 +299,7 @@ def test_constant_map_descriptors_agree():
     rec = split.train[0]
     const = ds.ImageRecord(999, ds.DRONE, rec.landmark, 1,
                            np.full_like(rec.featmap, 1.7))
-    descriptors = peerlearn.gallery_descriptors(params, grid, [const])[0]
+    descriptors = rmac.gallery_descriptors(params, grid, [const])[0]
     # every pooled vector is the same constant vector; centered it is zero, so
     # all rows collapse to the (normalized) bias image of the encoder
     sims = descriptors @ descriptors[0]
@@ -311,7 +311,7 @@ def test_max_score_dominates_whole_image_score():
     grid, params = _grid_and_params(split)
     rng = substream(4, "best")
     records = [r for r in split.train if r.view == ds.DRONE][:10]
-    descriptors = peerlearn.gallery_descriptors(params, grid, records)
+    descriptors = rmac.gallery_descriptors(params, grid, records)
     queries = enc.unit_rows(rng.standard_normal((5, 8)))
     best = pipeline.cosine_scores(queries, descriptors)
     for q, row in zip(queries, best):
@@ -320,20 +320,24 @@ def test_max_score_dominates_whole_image_score():
             assert score >= float(desc[0] @ q) - 1e-12
 
 
-def test_drone_features_match_training_aggregate(monkeypatch):
-    # retrieval forwards in fixed blocks; a small block makes several of them
-    monkeypatch.setattr(peerlearn, "RETRIEVAL_BLOCK", 4)
+@pytest.mark.parametrize("size", [8, 9, 10])
+def test_drone_features_match_training_aggregate(monkeypatch, size):
+    # retrieval forwards in fixed blocks; a small block makes several of
+    # them, and the sizes end on a full block, a lone record and a pair
+    monkeypatch.setattr(rmac, "RETRIEVAL_BLOCK", 4)
     split = tiny_split(noise=0.2)
     grid, params = _grid_and_params(split)
-    drones = [r for r in split.train if r.view == ds.DRONE]
-    feats = peerlearn.drone_features(params, grid, drones)
-    cache = peerlearn._PooledCache(grid, drones[0].featmap.shape)
+    drones = [r for r in split.train if r.view == ds.DRONE][:size]
+    assert len(drones) == size
+    feats = rmac.drone_features(params, grid, drones)
+    cache = rmac.PooledCache(grid, drones[0].featmap.shape)
     anchor = next(r for r in split.train if r.view == ds.GROUND)
     step = peerlearn._Step([params], cache, [(anchor, drones)])
-    assert np.allclose(feats, step.feats[step.rows(drones)], rtol=0.0, atol=1e-12)
+    assert feats.tobytes() == step.feats[step.rows(drones)].tobytes()
     for rec, feat in zip(drones, feats):
-        alone = peerlearn.aggregate_feature(enc.region_embed(
-            params, enc.region_blocks(params, cache.avg), cache.stack([rec])))[0][0]
+        # a one-record stack takes numpy's vector path: last bits only
+        alone = rmac.aggregate_feature(rmac.region_embed(
+            params, cache.blocks(params), cache.stack([rec])))[0][0]
         assert np.allclose(feat, alone, rtol=0.0, atol=1e-12)
 
 
@@ -351,7 +355,7 @@ def recomputing_aggregate_backward(descs, g_feats):
 
 def _aggregate_backward(descs, g_feats, g_descs=None):
     g_descs = np.zeros_like(descs) if g_descs is None else g_descs
-    peerlearn.aggregate_backward(descs, peerlearn.aggregate_feature(descs)[1], g_feats, g_descs)
+    rmac.aggregate_backward(descs, rmac.aggregate_feature(descs)[1], g_feats, g_descs)
     return g_descs
 
 
@@ -380,7 +384,7 @@ def test_aggregate_backward_matches_the_recomputing_formula_bit_for_bit(n):
     descs = rng.standard_normal((15, n, 128)).transpose(1, 0, 2)
     descs[0, 3] = 0.0
     descs[-1, 4] *= 1e-15  # below the 1e-12 floor: passes no gradient
-    feats = peerlearn.aggregate_feature(descs)[0]
+    feats = rmac.aggregate_feature(descs)[0]
     assert feats.tobytes() == (descs / np.maximum(np.linalg.norm(
         descs, axis=-1, keepdims=True), 1e-12)).mean(axis=-2).tobytes()
     g_feats = rng.standard_normal((n, 128))
@@ -400,7 +404,7 @@ def test_identical_records_tie_exactly_in_a_step():
     drones = [r for r in split.train if r.view == ds.DRONE]
     copies = [ds.ImageRecord(1000 + i, ds.DRONE, 1, 1, drones[3].featmap)
               for i in range(3)]
-    cache = peerlearn._PooledCache(grid, drones[0].featmap.shape)
+    cache = rmac.PooledCache(grid, drones[0].featmap.shape)
     step = peerlearn._Step([params], cache,
                            [(drones[0], drones[1:] + copies)])
     rows = step.feats[step.rows([drones[3], *copies])]
@@ -423,8 +427,8 @@ def reference_step(params_list, cache, entries, mined_for, ctx, senior=None,
     drones = list({r.id: r for _, positives in entries for r in positives}.values())
     row = {r.id: i for i, r in enumerate(drones)}
     pooled = cache.stack(drones)
-    descs = enc.region_embed(drone, enc.region_blocks(drone, cache.avg), pooled)
-    feats = peerlearn.aggregate_feature(descs)[0]
+    descs = rmac.region_embed(drone, cache.blocks(drone), pooled)
+    feats = rmac.aggregate_feature(descs)[0]
     g_feats, g_descs = np.zeros_like(feats), np.zeros_like(descs)
     per_image, dim = descs.shape[1:]
     for anchor, positives in entries:
@@ -453,8 +457,7 @@ def reference_step(params_list, cache, entries, mined_for, ctx, senior=None,
             g_feats[r] += g_n
         if senior is not None:
             rows = [row[r.id] for r in positives]
-            senior_descs = enc.region_embed(senior[1], enc.region_blocks(senior[1], cache.avg),
-                                            pooled)
+            senior_descs = rmac.region_embed(senior[1], cache.blocks(senior[1]), pooled)
             senior_log_probs = losses.similarity_log_probs(
                 _forward(senior[0], anchor)[None],
                 senior_descs[rows].reshape(1, -1, dim), tau)
@@ -468,7 +471,7 @@ def reference_step(params_list, cache, entries, mined_for, ctx, senior=None,
         g_grads.weight += np.outer(g_pre, x)
         g_grads.bias += g_pre
     g_descs += _aggregate_backward(descs, g_feats)
-    enc.region_backward(drone, cache.avg, pooled, descs, g_descs, d_grads)
+    cache.backward(drone, pooled, descs, g_descs, d_grads)
     return grads
 
 
@@ -489,7 +492,7 @@ def test_batched_step_matches_per_anchor_reference(tanh, kind):
         senior = (sg, sg) if kind.startswith("shared") else (sg, sd)
     grid = rmac.region_grid((ctx.map_shape[1], ctx.map_shape[2]), cfg.scales,
                             cfg.width_table, cfg.reference_side)
-    cache = peerlearn._PooledCache(grid, ctx.map_shape)
+    cache = rmac.PooledCache(grid, ctx.map_shape)
     rng = substream(8, "test.step.batch")
     entries = []
     if kind in ("junior-shared-drone", "junior-ragged"):
@@ -506,7 +509,7 @@ def test_batched_step_matches_per_anchor_reference(tanh, kind):
         same = [positives for other, positives in entries if other.landmark == anchor.landmark]
         # anchors of one landmark share a positive batch: positives repeat
         entries.append((anchor, same[0] if same else
-                        peerlearn._sample_positive_batch(ctx, anchor.landmark, rng)))
+                        ds.draw_per_section(ctx.drones, ctx.sections, anchor.landmark, rng)))
     # as in training, an anchor takes all of a pool smaller than num_negatives
     num_negatives = 8 if kind == "junior-ragged" else 3
     mined_for = {}
@@ -521,13 +524,13 @@ def test_batched_step_matches_per_anchor_reference(tanh, kind):
     if kind == "junior-ragged":
         assert sorted(len(m.negatives) for m in mined_for.values()) == [6, 6, 8]
 
-    frozen = None if senior is None else (*senior, enc.region_blocks(senior[1], cache.avg))
+    frozen = None if senior is None else (*senior, cache.blocks(senior[1]))
     step = peerlearn._Step(params_list, cache, entries, "drone", frozen)
     peerlearn._hard_terms(step, anchors, [mined_for[a.id] for a in anchors],
                           ctx.class_index)
     if senior is not None:
         peerlearn._soft_terms(step, anchors, [p for _, p in entries], 0.1, 1.0)
-    step.backward(cache.avg)
+    step.backward()
     expected = reference_step(params_list, cache, entries, mined_for, ctx, senior)
     for got, want in zip(step.grads, expected):
         for name, arr in got.arrays().items():
@@ -541,9 +544,9 @@ def test_cached_senior_blocks_match_blocks_rebuilt_every_step(monkeypatch):
     cfg = tiny_cfg(epochs_junior=3)
     sg, sd, _ = peerlearn.train_senior(split, cfg)
     built = []
-    region_blocks = enc.region_blocks
-    monkeypatch.setattr(enc, "region_blocks",
-                        lambda params, avg: built.append(params) or region_blocks(params, avg))
+    blocks = rmac.PooledCache.blocks
+    monkeypatch.setattr(rmac.PooledCache, "blocks",
+                        lambda cache, params: built.append(params) or blocks(cache, params))
     cached = peerlearn.train_junior(split, (sg, sd), cfg)
     assert sum(params is sd for params in built) == 1
     assert len(built) > 2  # the trained junior's blocks, once per step
@@ -551,7 +554,7 @@ def test_cached_senior_blocks_match_blocks_rebuilt_every_step(monkeypatch):
     step_init = peerlearn._Step.__init__
 
     def rebuilding(self, params_list, cache, entries, mining_space=None, senior=None):
-        senior = (*senior[:2], region_blocks(senior[1], cache.avg))
+        senior = (*senior[:2], blocks(cache, senior[1]))
         step_init(self, params_list, cache, entries, mining_space, senior)
 
     monkeypatch.setattr(peerlearn._Step, "__init__", rebuilding)
@@ -568,8 +571,9 @@ def test_anchors_join_the_region_stack_only_for_drone_space_mining():
     ground, drone = peerlearn._init_pair(ctx, cfg, "test.stack")
     grid = rmac.region_grid((ctx.map_shape[1], ctx.map_shape[2]), cfg.scales,
                             cfg.width_table, cfg.reference_side)
-    cache = peerlearn._PooledCache(grid, ctx.map_shape)
-    entries = [(a, peerlearn._sample_positive_batch(ctx, a.landmark, substream(1, "s")))
+    cache = rmac.PooledCache(grid, ctx.map_shape)
+    entries = [(a, ds.draw_per_section(ctx.drones, ctx.sections, a.landmark,
+                                           substream(1, "s")))
                for a in ctx.grounds]
     anchor_ids = {a.id for a, _ in entries}
     drone_ids = {r.id for _, positives in entries for r in positives}

@@ -5,7 +5,7 @@ import pytest
 
 from plcd import diffusion as diff
 from plcd import encoder as enc
-from plcd import evalkit, peerlearn, pipeline
+from plcd import evalkit, pipeline, rmac
 from plcd.config import RunConfig
 
 
@@ -80,17 +80,17 @@ def _unit(v):
 
 def _region_descs(cfg, params, record):
     grid = pipeline.region_grid_for(cfg, record.featmap.shape)
-    cache = peerlearn._PooledCache(grid, record.featmap.shape)
-    return enc.region_embed(params, enc.region_blocks(params, cache.avg), cache.stack([record]))
+    cache = rmac.PooledCache(grid, record.featmap.shape)
+    return rmac.region_embed(params, cache.blocks(params), cache.stack([record]))
 
 
 def _drone_feature(cfg, params, record):
-    return peerlearn.aggregate_feature(_region_descs(cfg, params, record))[0][0]
+    return rmac.aggregate_feature(_region_descs(cfg, params, record))[0][0]
 
 
 def _best_region_rows(cfg, params, record):
     descs = _region_descs(cfg, params, record)
-    rows = [peerlearn.aggregate_feature(descs)[0][0]] + list(descs[0, 1:])
+    rows = [rmac.aggregate_feature(descs)[0][0]] + list(descs[0, 1:])
     return [_unit(r) for r in rows]
 
 

@@ -142,7 +142,6 @@ def test_pool_regions_bit_identical_on_any_stack(height, width, n, channels, lay
 
 def test_pooled_cache_pools_new_records_once(monkeypatch):
     from plcd.dataspace import ImageRecord
-    from plcd.peerlearn import _PooledCache
 
     rng = np.random.default_rng(7)
     records = [ImageRecord(i, "D", 1, 1, rng.standard_normal((3, 6, 6))) for i in range(5)]
@@ -151,7 +150,7 @@ def test_pooled_cache_pools_new_records_once(monkeypatch):
     pool = rmac.pool_regions
     monkeypatch.setattr(rmac, "pool_regions",
                         lambda maps, g: calls.append(len(maps)) or pool(maps, g))
-    cache = _PooledCache(grid, (3, 6, 6))
+    cache = rmac.PooledCache(grid, (3, 6, 6))
     order = [records[i] for i in (2, 0, 2, 4, 0)]
     stack = cache.stack(order)
     assert calls == [3]  # three distinct records, one call
@@ -238,15 +237,6 @@ def test_region_cells_match_window():
         ys, xs = np.divmod(cells, 6)
         assert ys.min() == region.y0 and ys.max() == region.y0 + region.height - 1
         assert xs.min() == region.x0 and xs.max() == region.x0 + region.width - 1
-
-
-def test_grid_csv_dump():
-    grid = rmac.region_grid(12, (1, 2))
-    csv = rmac.grid_to_csv(grid)
-    lines = csv.strip().splitlines()
-    assert lines[0] == "scale,x0,y0,w,h"
-    assert len(lines) == 1 + len(grid)
-    assert lines[1] == "1,0,0,12,12"
 
 
 def test_empty_scales_rejected():
