@@ -8,10 +8,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import losses, rmac
+from .config import RunConfig
 from .dataspace import DRONE, GROUND, SATELLITE, DatasetSplit, ImageRecord
 from .diffusion import apply_operator, closed_form_operator, diffuse_iterative
 from .encoder import PARAM_NAMES, EncoderParams, check_gradients, init_params, new_grads
-from .patchmodel import PatchModelConfig, _shared_step
+from .patchmodel import _shared_step
 from .peerlearn import (MinedTriplet, _batch_negatives, _hard_terms, _soft_terms, _Step,
                         build_context)
 from .rmac import PooledCache, aggregate_backward, aggregate_feature, region_embed
@@ -223,7 +224,7 @@ def _step_cases(rng: np.random.Generator):
     sat_recs = [record(10 * lm + 9, SATELLITE, lm) for lm in chunk]
     shared, teacher = encoder("satdrone"), encoder("drone")
     frozen = (teacher, cache.blocks(teacher))
-    patch_cfg = PatchModelConfig(margin=0.5, lambda2=1.0)
+    patch_cfg = RunConfig(margin=0.5, lambda2=1.0)
 
     def shared_fn(arrays):
         params = with_arrays(shared, arrays)

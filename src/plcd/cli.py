@@ -123,7 +123,7 @@ def cmd_train_sd(args) -> int:
     split = _read_split(_out_path(args.data), "train")
     teacher = _parse(_out_path(args.models) / CHECKPOINTS["junior_drone"],
                      "teacher checkpoint", enc.load_params, tanh=cfg.encoder_tanh)
-    shared, log = patchmodel.train_satellite_drone(split, teacher, cfg.patch_config())
+    shared, log = patchmodel.train_satellite_drone(split, teacher, cfg)
     enc.save_params(out / CHECKPOINTS["shared"], shared)
     _write_log(out / "train-sd.log", log)
     write_config(out / EFFECTIVE_CONFIG, cfg)
@@ -205,13 +205,7 @@ def cmd_evaluate(args) -> int:
     rankings = [_parse(f, "ranking file", read_ranking) for f in files]
     records, _, num_sections = _parse(_out_path(args.data), "data file",
                                       dataspace.read_records)
-    relevance = pipeline.relevance_for(records, args.task, cfg, num_sections)
-    gallery_view = dataspace.DRONE if args.task == "ground-drone" else dataspace.SATELLITE
-    gallery_size = sum(1 for r in records if r.view == gallery_view)
-    landmarks = (pipeline.query_landmarks_for(records, args.task)
-                 if cfg.cmc_per_landmark else None)
-    report = evalkit.metrics_report(rankings, relevance, gallery_size,
-                                    query_landmarks=landmarks)
+    report = pipeline.task_report(cfg, records, num_sections, rankings, args.task)
     payload = evalkit.report_to_json(report)
     if args.out:
         out = _out_path(args.out)

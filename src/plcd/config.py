@@ -1,19 +1,17 @@
 """Flat key=value run configuration shared by every subcommand.
 
 A config file holds ``key = value`` lines (``#`` comments allowed); CLI flags
-override file values. Unknown keys are rejected by name. The merged,
-effective config is echoed to each run's output directory and can be fed
-back in to reproduce the run.
+override file values. Unknown keys are rejected by name, and every value is
+checked when the config is built, so a bad value fails before any stage
+runs. The merged, effective config is echoed to each run's output directory
+and can be fed back in to reproduce the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .dataspace import GenConfig
-from .diffusion import DiffusionConfig
-from .patchmodel import PatchModelConfig
-from .peerlearn import PeerConfig
+from .dataspace import facet_zones
 
 
 @dataclass(frozen=True)
@@ -40,7 +38,7 @@ class RunConfig:
     batch_streets: int = 8
     batch_pairs: int = 4
     num_negatives: int = 4
-    num_positives: int = 0
+    num_positives: int = 0  # 0 -> one per section
     warmup_epochs: int = 0
     mining_space: str = "drone"
     tau: float = 0.1
@@ -54,8 +52,8 @@ class RunConfig:
     decay_factor: float = 0.1
     junior_lr_scale: float = 0.1
     peer_iterations: int = 1
-    junior_init: str = "senior"
-    student_init: str = "fresh"
+    junior_init: str = "senior"  # or "fresh"
+    student_init: str = "fresh"  # or "teacher"
     # region grid
     scales: tuple[int, ...] = (1, 2, 3)
     width_table: tuple[tuple[int, int], ...] = ((1, 12), (2, 9), (3, 7), (4, 5))
@@ -79,78 +77,82 @@ class RunConfig:
     def width_table_dict(self) -> dict[int, int]:
         return dict(self.width_table)
 
-    def gen_config(self) -> GenConfig:
-        return GenConfig(
-            num_landmarks=self.num_landmarks,
-            num_sections=self.num_sections,
-            drones_per_landmark=self.drones_per_landmark,
-            grounds_per_landmark=self.grounds_per_landmark,
-            channels=self.channels,
-            map_side=self.map_side,
-            latent_rank=self.latent_rank,
-            basis_density=self.basis_density,
-            noise_sigma=self.noise_sigma,
-            train_fraction=self.train_fraction,
-            seed=self.seed,
-        )
-
-    def peer_config(self) -> PeerConfig:
-        return PeerConfig(
-            embed_dim=self.embed_dim,
-            epochs_senior=self.epochs_senior,
-            epochs_junior=self.epochs_junior,
-            batch_streets=self.batch_streets,
-            num_negatives=self.num_negatives,
-            num_positives=self.num_positives,
-            warmup_epochs=self.warmup_epochs,
-            mining_space=self.mining_space,
-            tau=self.tau,
-            lambda1=self.lambda1,
-            lr_head=self.lr_head,
-            lr_body=self.lr_body,
-            momentum=self.momentum,
-            decay_epoch=self.decay_epoch,
-            decay_factor=self.decay_factor,
-            junior_lr_scale=self.junior_lr_scale,
-            encoder_tanh=self.encoder_tanh,
-            scales=self.scales,
-            width_table=self.width_table_dict(),
-            reference_side=self.reference_side,
-            junior_init=self.junior_init,
-            seed=self.seed,
-        )
-
-    def patch_config(self) -> PatchModelConfig:
-        return PatchModelConfig(
-            embed_dim=self.embed_dim,
-            epochs=self.epochs_patch,
-            batch_pairs=self.batch_pairs,
-            margin=self.margin,
-            lambda2=self.lambda2,
-            lr_head=self.lr_head,
-            lr_body=self.lr_body,
-            momentum=self.momentum,
-            decay_epoch=self.decay_epoch,
-            decay_factor=self.decay_factor,
-            encoder_tanh=self.encoder_tanh,
-            scales=self.scales,
-            width_table=self.width_table_dict(),
-            reference_side=self.reference_side,
-            student_init=self.student_init,
-            seed=self.seed,
-        )
-
-    def diffusion_config(self) -> DiffusionConfig:
-        return DiffusionConfig(
-            alpha=self.alpha,
-            gamma=self.gamma,
-            k_graph=self.k_graph,
-            k_init=self.k_init,
-            max_iters=self.max_iters,
-            tol=self.tol,
-            closed_form=self.closed_form,
-            closed_form_cap=self.closed_form_cap,
-        )
+    def __post_init__(self) -> None:
+        """Every value is checked here, once: a RunConfig that exists is valid."""
+        if self.num_landmarks < 2:
+            raise ValueError(f"num_landmarks must be >= 2 (got {self.num_landmarks})")
+        if self.num_sections < 2:
+            raise ValueError(f"num_sections must be >= 2 (got {self.num_sections})")
+        if self.drones_per_landmark < 1 or self.drones_per_landmark % self.num_sections:
+            raise ValueError(
+                "drones_per_landmark must be a positive multiple of num_sections "
+                f"(got drones_per_landmark={self.drones_per_landmark}, "
+                f"num_sections={self.num_sections})"
+            )
+        if self.grounds_per_landmark < 1:
+            raise ValueError(
+                f"grounds_per_landmark must be >= 1 (got {self.grounds_per_landmark})"
+            )
+        if self.channels < 1:
+            raise ValueError(f"channels must be >= 1 (got {self.channels})")
+        if self.latent_rank < 1:
+            raise ValueError(f"latent_rank must be >= 1 (got {self.latent_rank})")
+        if not 0 < self.basis_density <= 1:
+            raise ValueError(
+                f"basis_density must be in (0, 1] (got {self.basis_density})")
+        if self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be >= 0 (got {self.noise_sigma})")
+        if not 0 < self.train_fraction < 1:
+            raise ValueError(
+                f"train_fraction must be in (0, 1) (got {self.train_fraction})"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0 (got {self.seed})")
+        zones = facet_zones(self.num_sections, self.map_side)
+        if any(not zone.any() for zone in zones):
+            raise ValueError(
+                f"map_side={self.map_side} too small to host {self.num_sections} "
+                "facet wedges (some wedge would be empty)"
+            )
+        # peer learning
+        if self.embed_dim < 1:
+            raise ValueError(f"embed_dim must be >= 1 (got {self.embed_dim})")
+        if self.num_negatives < 1:
+            raise ValueError(f"num_negatives must be >= 1 (got {self.num_negatives})")
+        if self.tau <= 0:
+            raise ValueError(f"tau must be positive (got {self.tau})")
+        if self.lambda1 < 0:
+            raise ValueError(f"lambda1 must be >= 0 (got {self.lambda1})")
+        if self.batch_streets < 2:
+            raise ValueError(f"batch_streets must be >= 2 (got {self.batch_streets})")
+        if self.warmup_epochs < 0:
+            raise ValueError(f"warmup_epochs must be >= 0 (got {self.warmup_epochs})")
+        if self.mining_space not in ("drone", "ground"):
+            raise ValueError(
+                f"mining_space must be 'drone' or 'ground' (got {self.mining_space!r})")
+        if self.junior_init not in ("senior", "fresh"):
+            raise ValueError(f"junior_init must be 'senior' or 'fresh' (got {self.junior_init!r})")
+        # satellite-drone training
+        if self.margin <= 0:
+            raise ValueError(f"margin must be positive (got {self.margin})")
+        if self.lambda2 < 0:
+            raise ValueError(f"lambda2 must be >= 0 (got {self.lambda2})")
+        if self.batch_pairs < 2:
+            raise ValueError(f"batch_pairs must be >= 2 (got {self.batch_pairs})")
+        if self.student_init not in ("teacher", "fresh"):
+            raise ValueError(
+                f"student_init must be 'teacher' or 'fresh' (got {self.student_init!r})")
+        # diffusion
+        if not 0 < self.alpha < 1:
+            raise ValueError(f"alpha must be in (0, 1) (got {self.alpha})")
+        if self.k_graph < 1:
+            raise ValueError(f"k_graph must be >= 1 (got {self.k_graph})")
+        if self.k_init < 1:
+            raise ValueError(f"k_init must be >= 1 (got {self.k_init})")
+        if self.tol <= 0:
+            raise ValueError(f"tol must be positive (got {self.tol})")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1 (got {self.max_iters})")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

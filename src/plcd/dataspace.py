@@ -23,11 +23,14 @@ from __future__ import annotations
 import math
 import zipfile
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .seeds import substream
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 GROUND = "G"
 DRONE = "D"
@@ -36,64 +39,6 @@ VIEWS = (GROUND, DRONE, SATELLITE)
 
 DATA_FORMAT = "plcd-data v2"
 EMB_MAGIC = "#plcd-emb v1"
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    """Knobs of the synthetic generator. ``latent_dim`` is derived."""
-
-    num_landmarks: int = 40
-    num_sections: int = 6
-    drones_per_landmark: int = 18
-    grounds_per_landmark: int = 10
-    channels: int = 32
-    map_side: int = 6
-    latent_rank: int = 16
-    basis_density: float = 0.1
-    noise_sigma: float = 0.7
-    train_fraction: float = 0.5
-    seed: int = 0
-
-    @property
-    def latent_dim(self) -> int:
-        return self.channels * self.map_side * self.map_side
-
-    def validate(self) -> None:
-        if self.num_landmarks < 2:
-            raise ValueError(f"num_landmarks must be >= 2 (got {self.num_landmarks})")
-        if self.num_sections < 2:
-            raise ValueError(f"num_sections must be >= 2 (got {self.num_sections})")
-        if self.drones_per_landmark < 1 or self.drones_per_landmark % self.num_sections:
-            raise ValueError(
-                "drones_per_landmark must be a positive multiple of num_sections "
-                f"(got drones_per_landmark={self.drones_per_landmark}, "
-                f"num_sections={self.num_sections})"
-            )
-        if self.grounds_per_landmark < 1:
-            raise ValueError(
-                f"grounds_per_landmark must be >= 1 (got {self.grounds_per_landmark})"
-            )
-        if self.channels < 1:
-            raise ValueError(f"channels must be >= 1 (got {self.channels})")
-        if self.latent_rank < 1:
-            raise ValueError(f"latent_rank must be >= 1 (got {self.latent_rank})")
-        if not 0 < self.basis_density <= 1:
-            raise ValueError(
-                f"basis_density must be in (0, 1] (got {self.basis_density})")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0 (got {self.noise_sigma})")
-        if not 0 < self.train_fraction < 1:
-            raise ValueError(
-                f"train_fraction must be in (0, 1) (got {self.train_fraction})"
-            )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0 (got {self.seed})")
-        zones = facet_zones(self.num_sections, self.map_side)
-        if any(not zone.any() for zone in zones):
-            raise ValueError(
-                f"map_side={self.map_side} too small to host {self.num_sections} "
-                "facet wedges (some wedge would be empty)"
-            )
 
 
 @dataclass
@@ -176,7 +121,7 @@ def facet_zones(num_sections: int, map_side: int) -> list[np.ndarray]:
     return [(~center) & (sector == s) for s in range(num_sections)]
 
 
-def exposure_mask(cfg: GenConfig, view: str, section: int) -> np.ndarray:
+def exposure_mask(cfg: RunConfig, view: str, section: int) -> np.ndarray:
     """(channels, side, side) 0/1 mask of the latent blocks a view exposes."""
     visible = center_zone(cfg.map_side).copy()
     if view != SATELLITE:
@@ -185,7 +130,7 @@ def exposure_mask(cfg: GenConfig, view: str, section: int) -> np.ndarray:
                                                    cfg.map_side)).copy()
 
 
-def generate_synthetic(cfg: GenConfig) -> DatasetSplit:
+def generate_synthetic(cfg: RunConfig) -> DatasetSplit:
     """Generate the dataset and split it by identity. Deterministic per seed.
 
     Prototypes are drawn from one dataset-wide rank-``latent_rank`` basis
@@ -197,7 +142,6 @@ def generate_synthetic(cfg: GenConfig) -> DatasetSplit:
     identity rather than order statistics of featureless noise. Coordinates
     keep unit marginal variance.
     """
-    cfg.validate()
     rng = substream(cfg.seed, "dataspace.generate")
     per_section = cfg.drones_per_landmark // cfg.num_sections
     shape = (cfg.latent_rank, cfg.channels, cfg.map_side, cfg.map_side)

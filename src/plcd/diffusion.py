@@ -17,35 +17,15 @@ block of the columns still walking, which shrinks as columns converge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .dataspace import DRONE, SATELLITE
 from .ranking import RankingList, rank_rows
 
-@dataclass(frozen=True)
-class DiffusionConfig:
-    alpha: float = 0.9
-    gamma: float = 3.0
-    k_graph: int = 10
-    k_init: int = 10
-    max_iters: int = 1000
-    tol: float = 1e-9
-    closed_form: bool = True
-    closed_form_cap: int = 2000
-
-    def validate(self) -> None:
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must be in (0, 1) (got {self.alpha})")
-        if self.k_graph < 1:
-            raise ValueError(f"k_graph must be >= 1 (got {self.k_graph})")
-        if self.k_init < 1:
-            raise ValueError(f"k_init must be >= 1 (got {self.k_init})")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive (got {self.tol})")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1 (got {self.max_iters})")
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 
 @dataclass
@@ -163,7 +143,7 @@ def build_graph(drone_embs: Sequence[np.ndarray], sat_embs: Sequence[np.ndarray]
 
 
 def init_state(query_embs: Sequence[np.ndarray], drone_gd: np.ndarray,
-               cfg: DiffusionConfig, total_nodes: int) -> np.ndarray:
+               cfg: RunConfig, total_nodes: int) -> np.ndarray:
     """Initial walk weights, one column per query: clamped gd-space
     similarity ** gamma on the query's k_init nearest drone nodes, zero
     elsewhere (satellites included).
@@ -171,7 +151,6 @@ def init_state(query_embs: Sequence[np.ndarray], drone_gd: np.ndarray,
     ``drone_gd`` holds the unit-normalized drone rows, as ``DiffusionIndex``
     stores them. A zero query is left unnormalized and seeds nothing.
     """
-    cfg.validate()
     if len(drone_gd) == 0:
         raise ValueError("init_state needs at least one drone node")
     queries = np.array(query_embs, dtype=float, ndmin=2)
@@ -273,14 +252,13 @@ class DiffusionIndex:
     graph: TransitionGraph | None
     drone_gd: np.ndarray
     sat_ids: list[int]
-    cfg: DiffusionConfig
+    cfg: RunConfig
     operators: dict[float, np.ndarray] = field(default_factory=dict)
 
 
 def build_index(drone_sd_embs: Sequence[np.ndarray], sat_sd_embs: Sequence[np.ndarray],
                 drone_gd_embs: Sequence[np.ndarray], drone_ids: Sequence[int],
-                sat_ids: Sequence[int], cfg: DiffusionConfig) -> DiffusionIndex:
-    cfg.validate()
+                sat_ids: Sequence[int], cfg: RunConfig) -> DiffusionIndex:
     if len(drone_sd_embs) == 0:
         graph = None  # queries degrade to zero-weight satellite rankings
         drone_gd = np.empty((0, 0))

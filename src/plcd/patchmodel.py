@@ -15,7 +15,7 @@ backward through each product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,36 +24,8 @@ from . import losses, rmac
 from .dataspace import SATELLITE, DatasetSplit, draw_per_section, drones_by_section
 from .seeds import substream
 
-
-@dataclass(frozen=True)
-class PatchModelConfig:
-    embed_dim: int = 32
-    epochs: int = 30
-    batch_pairs: int = 4
-    margin: float = 0.3
-    lambda2: float = 1.0
-    lr_head: float = 0.01
-    lr_body: float = 0.001
-    momentum: float = 0.9
-    decay_epoch: int = 40
-    decay_factor: float = 0.1
-    encoder_tanh: bool = False
-    scales: tuple[int, ...] = (1, 2, 3, 4)
-    width_table: dict | None = None
-    reference_side: int = 12
-    student_init: str = "teacher"  # or "fresh"
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.margin <= 0:
-            raise ValueError(f"margin must be positive (got {self.margin})")
-        if self.lambda2 < 0:
-            raise ValueError(f"lambda2 must be >= 0 (got {self.lambda2})")
-        if self.batch_pairs < 2:
-            raise ValueError(f"batch_pairs must be >= 2 (got {self.batch_pairs})")
-        if self.student_init not in ("teacher", "fresh"):
-            raise ValueError(
-                f"student_init must be 'teacher' or 'fresh' (got {self.student_init!r})")
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 
 def drone_branch(params: enc.EncoderParams) -> enc.EncoderParams:
@@ -67,13 +39,12 @@ def satellite_branch(params: enc.EncoderParams) -> enc.EncoderParams:
 
 
 def train_satellite_drone(split: DatasetSplit, teacher: enc.EncoderParams,
-                          cfg: PatchModelConfig):
+                          cfg: RunConfig):
     """Train the shared encoder; the teacher is read-only.
 
     Returns (shared_params, log_lines); the log columns are
     ``epoch step loss_triplet loss_patch total``.
     """
-    cfg.validate()
     drones, sections = drones_by_section(split.train)
     satellites = {r.landmark: r for r in split.train if r.view == SATELLITE}
     landmarks = sorted(drones)
@@ -95,13 +66,11 @@ def train_satellite_drone(split: DatasetSplit, teacher: enc.EncoderParams,
     rng = substream(cfg.seed, "patchmodel.train")
     state = enc.new_sgd_state(params, cfg.lr_head, cfg.lr_body, cfg.momentum,
                               cfg.decay_epoch, cfg.decay_factor)
-    grid = rmac.region_grid((map_shape[1], map_shape[2]), cfg.scales,
-                            cfg.width_table, cfg.reference_side)
-    cache = rmac.PooledCache(grid, map_shape)
+    cache = rmac.PooledCache(rmac.config_grid(cfg, map_shape), map_shape)
     frozen = (teacher, cache.blocks(teacher))  # blocks once per run
     log: list[str] = []
 
-    for epoch in range(cfg.epochs):
+    for epoch in range(cfg.epochs_patch):
         state.epoch = epoch
         order = rng.permutation(len(landmarks))
         for step, start in enumerate(range(0, len(order), cfg.batch_pairs)):

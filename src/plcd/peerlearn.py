@@ -20,6 +20,7 @@ losses then read all anchors' rows at once, one stacked call per objective
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,50 +30,8 @@ from .dataspace import (GROUND, DatasetSplit, DroneIndex, ImageRecord, draw_per_
                         drones_by_section)
 from .seeds import substream
 
-
-@dataclass(frozen=True)
-class PeerConfig:
-    embed_dim: int = 32
-    epochs_senior: int = 30
-    epochs_junior: int = 30
-    batch_streets: int = 8
-    num_negatives: int = 4
-    num_positives: int = 0  # 0 -> one per section
-    warmup_epochs: int = 0
-    mining_space: str = "drone"
-    tau: float = 0.1
-    lambda1: float = 1.0
-    lr_head: float = 0.01
-    lr_body: float = 0.001
-    momentum: float = 0.9
-    decay_epoch: int = 40
-    decay_factor: float = 0.1
-    junior_lr_scale: float = 0.1
-    encoder_tanh: bool = False
-    scales: tuple[int, ...] = (1, 2, 3, 4)
-    width_table: dict | None = None
-    reference_side: int = 12
-    junior_init: str = "senior"  # or "fresh"
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.embed_dim < 1:
-            raise ValueError(f"embed_dim must be >= 1 (got {self.embed_dim})")
-        if self.num_negatives < 1:
-            raise ValueError(f"num_negatives must be >= 1 (got {self.num_negatives})")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive (got {self.tau})")
-        if self.lambda1 < 0:
-            raise ValueError(f"lambda1 must be >= 0 (got {self.lambda1})")
-        if self.batch_streets < 2:
-            raise ValueError(f"batch_streets must be >= 2 (got {self.batch_streets})")
-        if self.warmup_epochs < 0:
-            raise ValueError(f"warmup_epochs must be >= 0 (got {self.warmup_epochs})")
-        if self.mining_space not in ("drone", "ground"):
-            raise ValueError(
-                f"mining_space must be 'drone' or 'ground' (got {self.mining_space!r})")
-        if self.junior_init not in ("senior", "fresh"):
-            raise ValueError(f"junior_init must be 'senior' or 'fresh' (got {self.junior_init!r})")
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 
 @dataclass
@@ -328,9 +287,7 @@ def _train_pair(ctx, cfg, ground_params, drone_params, rng, epochs: int,
     the soft loss reads (Step II only); one stacked call per objective; one
     step backward and one SGD step per parameter set. Returns the log
     lines."""
-    grid = rmac.region_grid((ctx.map_shape[1], ctx.map_shape[2]), cfg.scales,
-                            cfg.width_table, cfg.reference_side)
-    cache = rmac.PooledCache(grid, ctx.map_shape)
+    cache = rmac.PooledCache(rmac.config_grid(cfg, ctx.map_shape), ctx.map_shape)
     if senior is not None:  # frozen, so its weight blocks serve every step
         senior = (*senior, cache.blocks(senior[1]))
     shared = drone_params is ground_params
@@ -371,7 +328,7 @@ def _train_pair(ctx, cfg, ground_params, drone_params, rng, epochs: int,
     return log
 
 
-def train_senior(split: DatasetSplit, cfg: PeerConfig, mining: bool = True,
+def train_senior(split: DatasetSplit, cfg: RunConfig, mining: bool = True,
                  shared_branches: bool = False):
     """Step I. Returns (ground_params, drone_params, log_lines).
 
@@ -383,7 +340,6 @@ def train_senior(split: DatasetSplit, cfg: PeerConfig, mining: bool = True,
     miner should not trust cross-branch similarities before the consistency
     pull has given them structure.
     """
-    cfg.validate()
     ctx = build_context(split)
     ground_params, drone_params = _init_pair(ctx, cfg, "peerlearn.init.senior")
     if shared_branches:
@@ -410,14 +366,13 @@ def train_senior(split: DatasetSplit, cfg: PeerConfig, mining: bool = True,
 
 
 def train_junior(split: DatasetSplit, senior: tuple[enc.EncoderParams, enc.EncoderParams],
-                 cfg: PeerConfig, shared_branches: bool = False,
+                 cfg: RunConfig, shared_branches: bool = False,
                  round_tag: str = ""):
     """Step II. The senior pair is read-only; returns (ground, drone, log).
 
     ``round_tag`` names the RNG substream so repeated senior<-junior swap
     rounds draw fresh batches.
     """
-    cfg.validate()
     ctx = build_context(split)
     senior_ground, senior_drone = senior
     if cfg.junior_init == "senior":

@@ -43,20 +43,19 @@ class TrainedModels:
 
 
 def make_split(cfg: RunConfig) -> DatasetSplit:
-    return generate_synthetic(cfg.gen_config())
+    return generate_synthetic(cfg)
 
 
 def train_ground_drone(cfg: RunConfig, split: DatasetSplit):
     """Step I + Step II, with the optional senior<-junior swap rounds."""
-    peer_cfg = cfg.peer_config()
-    senior = peerlearn.train_senior(split, peer_cfg)
+    senior = peerlearn.train_senior(split, cfg)
     senior_ground, senior_drone, senior_log = senior
     junior_ground, junior_drone, junior_log = peerlearn.train_junior(
-        split, (senior_ground, senior_drone), peer_cfg)
+        split, (senior_ground, senior_drone), cfg)
     for round_idx in range(1, cfg.peer_iterations):
         senior_ground, senior_drone = junior_ground, junior_drone
         junior_ground, junior_drone, junior_log = peerlearn.train_junior(
-            split, (senior_ground, senior_drone), peer_cfg,
+            split, (senior_ground, senior_drone), cfg,
             round_tag=f".round{round_idx}")
     logs = {"senior": senior_log, "junior": junior_log}
     return (senior_ground, senior_drone), (junior_ground, junior_drone), logs
@@ -64,7 +63,7 @@ def train_ground_drone(cfg: RunConfig, split: DatasetSplit):
 
 def train_all(cfg: RunConfig, split: DatasetSplit) -> TrainedModels:
     (sg, sd), (jg, jd), logs = train_ground_drone(cfg, split)
-    shared, sd_log = patchmodel.train_satellite_drone(split, jd, cfg.patch_config())
+    shared, sd_log = patchmodel.train_satellite_drone(split, jd, cfg)
     logs["satdrone"] = sd_log
     return TrainedModels(senior_ground=sg, senior_drone=sd, junior_ground=jg,
                          junior_drone=jd, shared=shared, logs=logs)
@@ -72,17 +71,15 @@ def train_all(cfg: RunConfig, split: DatasetSplit) -> TrainedModels:
 
 def train_base_two_branch(cfg: RunConfig, split: DatasetSplit):
     """Plain two-branch baseline: same budget as Step I, no mining."""
-    g, d, _ = peerlearn.train_senior(split, cfg.peer_config(), mining=False)
+    g, d, _ = peerlearn.train_senior(split, cfg, mining=False)
     return g, d
 
 
 def train_one_model(cfg: RunConfig, split: DatasetSplit) -> TrainedModels:
     """One encoder for every view, trained through the same two stages."""
-    peer_cfg = cfg.peer_config()
-    sg, sdr, _ = peerlearn.train_senior(split, peer_cfg, shared_branches=True)
-    jg, jdr, _ = peerlearn.train_junior(split, (sg, sdr), peer_cfg,
-                                        shared_branches=True)
-    shared, _ = patchmodel.train_satellite_drone(split, jdr, cfg.patch_config())
+    sg, sdr, _ = peerlearn.train_senior(split, cfg, shared_branches=True)
+    jg, jdr, _ = peerlearn.train_junior(split, (sg, sdr), cfg, shared_branches=True)
+    shared, _ = patchmodel.train_satellite_drone(split, jdr, cfg)
     return TrainedModels(senior_ground=sg, senior_drone=sdr, junior_ground=shared,
                          junior_drone=shared, shared=shared, logs={})
 
@@ -112,16 +109,11 @@ def cosine_scores(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     return np.einsum("qd,gd->qg", queries, gallery)
 
 
-def region_grid_for(cfg: RunConfig, map_shape) -> list[rmac.Region]:
-    return rmac.region_grid((map_shape[1], map_shape[2]), cfg.scales,
-                            cfg.width_table_dict(), cfg.reference_side)
-
-
 def drone_features(cfg: RunConfig, drone_params: enc.EncoderParams,
                    drones: list[ImageRecord]) -> np.ndarray:
     """(n, dim) drone-branch image features of a non-empty drone list."""
-    grid = region_grid_for(cfg, drones[0].featmap.shape)
-    return rmac.drone_features(drone_params, grid, drones)
+    return rmac.drone_features(drone_params, rmac.config_grid(cfg, drones[0].featmap.shape),
+                               drones)
 
 
 def ground_drone_rankings(cfg: RunConfig, split: DatasetSplit,
@@ -134,7 +126,7 @@ def ground_drone_rankings(cfg: RunConfig, split: DatasetSplit,
         raise ValueError("test split lacks ground or drone records")
     if best_region:
         gallery = rmac.gallery_descriptors(
-            drone_params, region_grid_for(cfg, drones[0].featmap.shape), drones)
+            drone_params, rmac.config_grid(cfg, drones[0].featmap.shape), drones)
     else:
         gallery = enc.unit_rows(drone_features(cfg, drone_params, drones))
     return rank_rows(_ids(grounds), _ids(drones),
@@ -162,7 +154,7 @@ def build_diffusion_index(cfg: RunConfig, split: DatasetSplit, models: TrainedMo
         drone_gd_embs=drone_features(cfg, models.junior_drone, drones) if drones else [],
         drone_ids=_ids(drones),
         sat_ids=_ids(sats),
-        cfg=cfg.diffusion_config(),
+        cfg=cfg,
     )
 
 
@@ -232,13 +224,14 @@ def query_landmarks_for(records: list[ImageRecord], task: str) -> dict[int, int]
     return {r.id: r.landmark for r in records if r.view == view}
 
 
-def _report(cfg: RunConfig, split: DatasetSplit, rankings: list[RankingList],
-            task: str) -> evalkit.MetricsReport:
-    relevance = relevance_for(split.test, task, cfg, split.num_sections)
+def task_report(cfg: RunConfig, records: list[ImageRecord], num_sections: int,
+                rankings: list[RankingList], task: str) -> evalkit.MetricsReport:
+    """Metrics of one task's rankings, with relevance and the gallery size
+    taken from ``records``."""
+    relevance = relevance_for(records, task, cfg, num_sections)
     gallery_view = DRONE if task == "ground-drone" else SATELLITE
-    gallery_size = len(_view_records(split, gallery_view))
-    landmarks = (query_landmarks_for(split.test, task)
-                 if cfg.cmc_per_landmark else None)
+    gallery_size = sum(1 for r in records if r.view == gallery_view)
+    landmarks = query_landmarks_for(records, task) if cfg.cmc_per_landmark else None
     return evalkit.metrics_report(rankings, relevance, gallery_size,
                                   query_landmarks=landmarks)
 
@@ -247,7 +240,7 @@ def evaluate_ground_drone(cfg: RunConfig, split: DatasetSplit, ground_params,
                           drone_params, best_region: bool = False):
     rankings = ground_drone_rankings(cfg, split, ground_params, drone_params,
                                      best_region=best_region)
-    return _report(cfg, split, rankings, "ground-drone")
+    return task_report(cfg, split.test, split.num_sections, rankings, "ground-drone")
 
 
 def evaluate_mode(cfg: RunConfig, split: DatasetSplit, models: TrainedModels,
@@ -255,7 +248,7 @@ def evaluate_mode(cfg: RunConfig, split: DatasetSplit, models: TrainedModels,
                   index: diff.DiffusionIndex | None = None):
     rankings = ground_satellite_rankings(cfg, split, models, mode, alpha=alpha,
                                          index=index)
-    return _report(cfg, split, rankings, "ground-satellite")
+    return task_report(cfg, split.test, split.num_sections, rankings, "ground-satellite")
 
 
 def evaluate_task(cfg: RunConfig, split: DatasetSplit, models: TrainedModels,
@@ -265,7 +258,8 @@ def evaluate_task(cfg: RunConfig, split: DatasetSplit, models: TrainedModels,
                                      models.junior_drone)
     if task == "drone-satellite":
         rankings = drone_satellite_rankings(cfg, split, models.shared)
-        return _report(cfg, split, rankings, "drone-satellite")
+        return task_report(cfg, split.test, split.num_sections, rankings,
+                           "drone-satellite")
     if task == "ground-satellite":
         return evaluate_mode(cfg, split, models, "diffusion")
     raise ValueError(f"unknown task {task!r}")
@@ -273,11 +267,10 @@ def evaluate_task(cfg: RunConfig, split: DatasetSplit, models: TrainedModels,
 
 def tau_sweep(cfg: RunConfig, split: DatasetSplit):
     """Retrain the junior at each temperature; rows of ground->drone metrics."""
-    peer_cfg = cfg.peer_config()
-    senior_g, senior_d, _ = peerlearn.train_senior(split, peer_cfg)
+    senior_g, senior_d, _ = peerlearn.train_senior(split, cfg)
     rows = []
     for tau in cfg.tau_sweep:
         jg, jd, _ = peerlearn.train_junior(split, (senior_g, senior_d),
-                                           replace(peer_cfg, tau=tau))
+                                           replace(cfg, tau=tau))
         rows.append((f"tau={tau}", evaluate_ground_drone(cfg, split, jg, jd)))
     return rows

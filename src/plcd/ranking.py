@@ -12,7 +12,9 @@ import numpy as np
 
 @dataclass
 class RankingList:
-    """Gallery ids ordered by non-increasing score for one query.
+    """Gallery ids ordered by non-increasing score for one query. The order
+    is checked where a ranking enters from outside (``read_ranking``);
+    ``rank_rows`` builds it in that order.
 
     ``degenerate`` marks rankings where every score was zero (e.g. no graph
     path reached any gallery node) and the order fell back to the id tie rule.
@@ -22,14 +24,6 @@ class RankingList:
     gallery_ids: list[int]
     scores: list[float]
     degenerate: bool = False
-
-    def __post_init__(self) -> None:
-        if len(self.gallery_ids) != len(self.scores):
-            raise ValueError("gallery_ids and scores must align")
-        if len(set(self.gallery_ids)) != len(self.gallery_ids):
-            raise ValueError(f"duplicate gallery ids in ranking for query {self.query_id}")
-        if any(a < b - 1e-12 for a, b in zip(self.scores, self.scores[1:])):
-            raise ValueError(f"scores not non-increasing for query {self.query_id}")
 
 
 def row_order(scores: np.ndarray, ids: Sequence[int]) -> np.ndarray:
@@ -44,14 +38,18 @@ def rank_rows(query_ids: Sequence[int], gallery_ids: Sequence[int], scores,
     """One ranking per row of a (queries, gallery) score matrix, in
     ``row_order``; ``degenerate`` is one flag for all rows or one per row. A
     NaN or infinite score has no place in that order and is rejected, naming
-    its query and gallery id."""
+    its query and gallery id, as is a repeated gallery id."""
+    ints = [int(i) for i in gallery_ids]
+    if len(set(ints)) != len(ints):
+        repeated = sorted({i for i in ints if ints.count(i) > 1})
+        raise ValueError(f"duplicate gallery ids {repeated} in the ranked gallery")
     scores = np.asarray(scores, dtype=float).reshape(len(query_ids), len(gallery_ids))
     bad = np.argwhere(~np.isfinite(scores))
     if bad.size:
         q, g = bad[0]
         raise ValueError(f"non-finite score {scores[q, g]} for gallery id "
                          f"{gallery_ids[g]} in ranking for query {query_ids[q]}")
-    ids = np.array([int(i) for i in gallery_ids], dtype=object)  # rows share these ints
+    ids = np.array(ints, dtype=object)  # rows share these ints
     flags = np.broadcast_to(np.asarray(degenerate, dtype=bool), len(query_ids)).tolist()
     return [RankingList(query_id=qid, gallery_ids=ids[order].tolist(),
                         scores=row[order].tolist(), degenerate=flag)
@@ -81,7 +79,8 @@ def write_ranking(path, ranking: RankingList) -> None:
 def read_ranking(path) -> RankingList:
     """Parses the lines of a ``format_ranking`` file column by column. The
     first faulty line (not exactly 4 fields, another query id, a rank out of
-    order, a non-finite score) raises a ``ValueError``."""
+    order, a non-finite score) raises a ``ValueError``, as does a repeated
+    gallery id or a score above the one before it."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     degenerate = any("degenerate" in ln for ln in lines if ln[:1] == "#")
@@ -102,5 +101,10 @@ def read_ranking(path) -> RankingList:
         _, _, _, _ = rows[n]  # raises the unpacking error for a line without 4 fields
     if not n:
         raise ValueError(f"{path}: empty ranking file")
-    return RankingList(query_id=qids[0], gallery_ids=list(map(int, gtok)),
-                       scores=scores, degenerate=degenerate)
+    gallery_ids = list(map(int, gtok))
+    if len(set(gallery_ids)) != n:
+        raise ValueError(f"{path}: duplicate gallery ids in ranking for query {qids[0]}")
+    if any(a < b - 1e-12 for a, b in zip(scores, scores[1:])):
+        raise ValueError(f"{path}: scores not non-increasing for query {qids[0]}")
+    return RankingList(query_id=qids[0], gallery_ids=gallery_ids, scores=scores,
+                       degenerate=degenerate)

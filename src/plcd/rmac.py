@@ -29,12 +29,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .dataspace import ImageRecord
 from .encoder import EncoderGrads, EncoderParams, unit_rows
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 DEFAULT_WIDTH_TABLE: dict[int, int] = {1: 12, 2: 9, 3: 7, 4: 5}
 REFERENCE_SIDE = 12
@@ -102,6 +105,12 @@ def region_grid(map_shape: int | tuple[int, int], scales: Iterable[int],
             for x0 in _offsets(width, w, scale):
                 regions.append(Region(scale=scale, x0=x0, y0=y0, width=w, height=h))
     return regions
+
+
+def config_grid(cfg: RunConfig, map_shape: tuple[int, int, int]) -> list[Region]:
+    """The grid a run config sets for (channels, height, width) maps."""
+    return region_grid((map_shape[1], map_shape[2]), cfg.scales, cfg.width_table_dict(),
+                       cfg.reference_side)
 
 
 def _window(region: Region, map_shape: tuple[int, int, int]) -> tuple[slice, slice]:

@@ -236,20 +236,19 @@ def test_criterion_9_freeze_and_sharing():
     from plcd import dataspace as ds
     from plcd import patchmodel
 
-    gen = ds.GenConfig(num_landmarks=4, num_sections=6, drones_per_landmark=6,
-                       grounds_per_landmark=2, channels=4, map_side=6,
-                       latent_rank=8, noise_sigma=0.3, train_fraction=0.5, seed=2)
+    gen = RunConfig(num_landmarks=4, num_sections=6, drones_per_landmark=6,
+                    grounds_per_landmark=2, channels=4, map_side=6,
+                    latent_rank=8, noise_sigma=0.3, train_fraction=0.5, seed=2)
     split = ds.generate_synthetic(gen)
-    peer_cfg = peerlearn.PeerConfig(embed_dim=8, epochs_senior=2, epochs_junior=2,
-                                    batch_streets=4, num_negatives=2,
-                                    scales=(1, 2), encoder_tanh=True, seed=4)
+    peer_cfg = replace(gen, embed_dim=8, epochs_senior=2, epochs_junior=2,
+                       batch_streets=4, num_negatives=2, scales=(1, 2),
+                       encoder_tanh=True, lr_body=0.001, seed=4)
     sg, sd, _ = peerlearn.train_senior(split, peer_cfg)
     before = (enc.params_digest(sg), enc.params_digest(sd))
     _, jd, _ = peerlearn.train_junior(split, (sg, sd), peer_cfg)
     frozen_ok = (enc.params_digest(sg), enc.params_digest(sd)) == before
 
-    patch_cfg = patchmodel.PatchModelConfig(embed_dim=8, epochs=2, batch_pairs=2,
-                                            scales=(1, 2), encoder_tanh=True, seed=4)
+    patch_cfg = replace(peer_cfg, epochs_patch=2, batch_pairs=2, student_init="teacher")
     shared, _ = patchmodel.train_satellite_drone(split, jd, patch_cfg)
     shared_ok = patchmodel.drone_branch(shared) is patchmodel.satellite_branch(shared)
     shared_ok &= enc.params_digest(patchmodel.drone_branch(shared)) == \

@@ -63,6 +63,20 @@ def test_gen_data_rejects_unknown_key(tmp_path, capsys):
     assert "foo" in str(err.value)
 
 
+def test_bad_config_value_exits_with_its_message(workspace, tmp_path):
+    # every value is checked when the config loads, before any stage starts
+    root, _ = workspace
+    with pytest.raises(SystemExit) as err:
+        run(["gen-data", "--set", "alpha=1.5", "--out", tmp_path / "data"])
+    assert "alpha must be in (0, 1)" in str(err.value)
+    assert not (tmp_path / "data").exists()
+    with pytest.raises(SystemExit) as err:
+        run(["train-gd", "--set", "tau=0", "--data", root / "data",
+             "--out", tmp_path / "models"])
+    assert "tau must be positive" in str(err.value)
+    assert not (tmp_path / "models").exists()
+
+
 def test_train_outputs_and_rerun_identical(workspace, tmp_path):
     root, cfg = workspace
     for name in ("senior-ground.npz", "senior-drone.npz", "junior-ground.npz",

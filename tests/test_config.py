@@ -49,14 +49,46 @@ def test_width_table_parse_and_format(tmp_path):
     assert load_config(path).width_table == ((1, 6), (2, 4))
 
 
-def test_module_config_builders():
-    cfg = RunConfig(tau=0.2, lambda1=0.5, margin=0.7, alpha=0.8, seed=3)
-    peer = cfg.peer_config()
-    assert peer.tau == 0.2 and peer.lambda1 == 0.5 and peer.seed == 3
-    patch = cfg.patch_config()
-    assert patch.margin == 0.7 and patch.seed == 3
-    dcfg = cfg.diffusion_config()
-    assert dcfg.alpha == 0.8
+# key, bad raw value, the message it is rejected with
+INVALID_VALUES = [
+    ("num_landmarks", "1", "num_landmarks must be >= 2 (got 1)"),
+    ("num_sections", "1", "num_sections must be >= 2 (got 1)"),
+    ("drones_per_landmark", "5", "drones_per_landmark must be a positive multiple of "
+     "num_sections (got drones_per_landmark=5, num_sections=6)"),
+    ("grounds_per_landmark", "0", "grounds_per_landmark must be >= 1 (got 0)"),
+    ("channels", "0", "channels must be >= 1 (got 0)"),
+    ("latent_rank", "0", "latent_rank must be >= 1 (got 0)"),
+    ("basis_density", "0.0", "basis_density must be in (0, 1] (got 0.0)"),
+    ("noise_sigma", "-0.1", "noise_sigma must be >= 0 (got -0.1)"),
+    ("train_fraction", "1.0", "train_fraction must be in (0, 1) (got 1.0)"),
+    ("seed", "-1", "seed must be >= 0 (got -1)"),
+    ("map_side", "2", "map_side=2 too small to host 6 facet wedges (some wedge would be empty)"),
+    ("embed_dim", "0", "embed_dim must be >= 1 (got 0)"),
+    ("num_negatives", "0", "num_negatives must be >= 1 (got 0)"),
+    ("tau", "0.0", "tau must be positive (got 0.0)"),
+    ("lambda1", "-1.0", "lambda1 must be >= 0 (got -1.0)"),
+    ("batch_streets", "1", "batch_streets must be >= 2 (got 1)"),
+    ("warmup_epochs", "-1", "warmup_epochs must be >= 0 (got -1)"),
+    ("mining_space", "nope", "mining_space must be 'drone' or 'ground' (got 'nope')"),
+    ("junior_init", "other", "junior_init must be 'senior' or 'fresh' (got 'other')"),
+    ("margin", "0.0", "margin must be positive (got 0.0)"),
+    ("lambda2", "-1.0", "lambda2 must be >= 0 (got -1.0)"),
+    ("batch_pairs", "1", "batch_pairs must be >= 2 (got 1)"),
+    ("student_init", "x", "student_init must be 'teacher' or 'fresh' (got 'x')"),
+    ("alpha", "1.0", "alpha must be in (0, 1) (got 1.0)"),
+    ("k_graph", "0", "k_graph must be >= 1 (got 0)"),
+    ("k_init", "0", "k_init must be >= 1 (got 0)"),
+    ("tol", "0.0", "tol must be positive (got 0.0)"),
+    ("max_iters", "0", "max_iters must be >= 1 (got 0)"),
+]
+
+
+@pytest.mark.parametrize("key, raw, message", INVALID_VALUES,
+                         ids=[key for key, _, _ in INVALID_VALUES])
+def test_invalid_value_rejected_with_its_message(key, raw, message):
+    with pytest.raises(ValueError) as err:
+        load_config(None, {key: raw})
+    assert str(err.value) == message
 
 
 def test_format_is_flat_key_value():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from plcd import dataspace as ds
+from plcd.config import RunConfig
 
 
 def tiny_cfg(**kw):
@@ -16,7 +17,7 @@ def tiny_cfg(**kw):
                     grounds_per_landmark=2, channels=4, map_side=6,
                     latent_rank=8, noise_sigma=0.0, train_fraction=0.5, seed=7)
     defaults.update(kw)
-    return ds.GenConfig(**defaults)
+    return RunConfig(**defaults)
 
 
 def all_records(split):
@@ -93,19 +94,6 @@ def test_zones_partition_grid():
             for z in ds.facet_zones(sections, side):
                 cover += z.astype(int)
             assert np.all(cover == 1), (side, sections)
-
-
-def test_invalid_config_reports_field():
-    with pytest.raises(ValueError, match="num_landmarks"):
-        tiny_cfg(num_landmarks=1).validate()
-    with pytest.raises(ValueError, match="drones_per_landmark"):
-        tiny_cfg(drones_per_landmark=5).validate()
-    with pytest.raises(ValueError, match="noise_sigma"):
-        tiny_cfg(noise_sigma=-0.1).validate()
-    with pytest.raises(ValueError, match="train_fraction"):
-        tiny_cfg(train_fraction=1.0).validate()
-    with pytest.raises(ValueError, match="basis_density"):
-        tiny_cfg(basis_density=0.0).validate()
 
 
 def test_split_by_identity_fraction_counts():

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from plcd import dataspace as ds
 from plcd import diffusion as diff
 from plcd.checks import random_stochastic_matrix
+from plcd.config import RunConfig
 from plcd.seeds import substream
+
+
+def dcfg(**kw):
+    """A run config with these tests' diffusion defaults (``k_init`` 10)."""
+    return RunConfig(**{"k_init": 10, **kw})
 
 
 def unit(v):
@@ -132,8 +138,8 @@ def test_non_finite_embeddings_are_rejected_with_their_index(bad):
     with pytest.raises(ValueError, match="non-finite embedding at graph node index 3"):
         diff.build_graph(good, poisoned, [1, 2], [3, 4], 1)
     with pytest.raises(ValueError, match=r"non-finite embedding at drone\(gd\) index 1"):
-        diff.build_index(good, good, poisoned, [1, 2], [3, 4], diff.DiffusionConfig(k_graph=1))
-    index = diff.build_index(good, good, good, [1, 2], [3, 4], diff.DiffusionConfig(k_graph=1))
+        diff.build_index(good, good, poisoned, [1, 2], [3, 4], dcfg(k_graph=1))
+    index = diff.build_index(good, good, good, [1, 2], [3, 4], dcfg(k_graph=1))
     with pytest.raises(ValueError, match="non-finite embedding at query index 1"):
         diff.init_state(poisoned, index.drone_gd, index.cfg, index.graph.size)
     with pytest.raises(ValueError, match="non-finite embedding at query index 1"):
@@ -141,7 +147,7 @@ def test_non_finite_embeddings_are_rejected_with_their_index(bad):
 
 
 def test_init_state_weights_and_support():
-    cfg = diff.DiffusionConfig(gamma=3.0, k_init=1)
+    cfg = dcfg(gamma=3.0, k_init=1)
     query = np.array([1.0, 0.0])
     drones = [np.array([0.5, np.sqrt(0.75)]), np.array([-1.0, 0.0])]
     f0 = diff.init_state([query], drones, cfg, total_nodes=4)[:, 0]
@@ -151,7 +157,7 @@ def test_init_state_weights_and_support():
 
 
 def test_init_state_clamps_negative_similarity():
-    cfg = diff.DiffusionConfig(k_init=2)
+    cfg = dcfg(k_init=2)
     query = np.array([1.0, 0.0])
     drones = [np.array([-1.0, 0.0]), np.array([0.0, 1.0])]
     f0 = diff.init_state([query], drones, cfg, total_nodes=3)
@@ -162,7 +168,7 @@ def test_init_state_clamps_negative_similarity():
 def test_init_state_matches_per_query_loop():
     # the per-query sorted loop the batched top-k replaced, as the reference
     rng = substream(19, "diff.init_ref")
-    cfg = diff.DiffusionConfig(gamma=2.0, k_init=4)
+    cfg = dcfg(gamma=2.0, k_init=4)
     drones = [unit(rng.standard_normal(6)) for _ in range(9)]
     queries = [rng.standard_normal(6) for _ in range(5)]
     f0 = diff.init_state(queries, np.stack(drones), cfg, total_nodes=12)
@@ -214,7 +220,7 @@ def test_init_state_selects_like_a_stable_argsort(data):
     drone_gd = diff._normalized_rows(drones, "drone(gd)")
     queries = grid_rows(draw, draw(st.integers(1, 6)), dim)
     # k_init below, equal to and above the drone count
-    cfg = diff.DiffusionConfig(gamma=draw(st.sampled_from([1.0, 3.0])),
+    cfg = dcfg(gamma=draw(st.sampled_from([1.0, 3.0])),
                                k_init=draw(st.integers(1, n_d + 2)))
     total = n_d + draw(st.integers(0, 3))
     f0 = diff.init_state(queries, drone_gd, cfg, total)
@@ -223,7 +229,7 @@ def test_init_state_selects_like_a_stable_argsort(data):
 
 def test_init_state_requires_drones():
     with pytest.raises(ValueError, match="drone"):
-        diff.init_state(np.ones(2), [], diff.DiffusionConfig(), 3)
+        diff.init_state(np.ones(2), [], dcfg(), 3)
 
 
 def test_iterative_identity_matrix_fixed_point():
@@ -370,7 +376,7 @@ def test_query_reports_unconverged_walks():
     rng = substream(17, "diff.stuck")
     drones = [rng.standard_normal(4) for _ in range(6)]
     sats = [rng.standard_normal(4) for _ in range(3)]
-    cfg = diff.DiffusionConfig(k_graph=3, k_init=2, closed_form=False, max_iters=2)
+    cfg = dcfg(k_graph=3, k_init=2, closed_form=False, max_iters=2)
     index = diff.build_index(drones, sats, drones, list(range(6)), [7, 8, 9], cfg)
     with pytest.raises(ValueError, match=r"max_iters=2 for queries \[40, 41\]"):
         diff.query(index, [40, 41], [rng.standard_normal(4) for _ in range(2)])
@@ -411,7 +417,7 @@ def test_node_relabeling_leaves_ranking_unchanged():
     sats = [rng.standard_normal(4) for _ in range(3)]
     gd = [rng.standard_normal(4) for _ in range(6)]
     query = rng.standard_normal(4)
-    cfg = diff.DiffusionConfig(k_graph=4, k_init=3)
+    cfg = dcfg(k_graph=4, k_init=3)
     index = diff.build_index(drones, sats, gd, [1, 2, 3, 4, 5, 6], [7, 8, 9], cfg)
     [base] = diff.query(index, [0], [query])
     perm = [3, 0, 5, 1, 4, 2]
@@ -426,7 +432,7 @@ def test_node_relabeling_leaves_ranking_unchanged():
 def test_query_without_drones_degenerates():
     rng = substream(13, "diff.nodrone")
     sats = [rng.standard_normal(4) for _ in range(3)]
-    cfg = diff.DiffusionConfig()
+    cfg = dcfg()
     index = diff.build_index([], sats, [], [], [7, 8, 9], cfg)
     rankings = diff.query(index, [0, 1], [rng.standard_normal(4) for _ in range(2)])
     assert [r.query_id for r in rankings] == [0, 1]
@@ -441,7 +447,7 @@ def test_query_cache_reuse_is_pure():
     drones = [rng.standard_normal(4) for _ in range(5)]
     sats = [rng.standard_normal(4) for _ in range(3)]
     gd = [rng.standard_normal(4) for _ in range(5)]
-    cfg = diff.DiffusionConfig(k_graph=3, k_init=2)
+    cfg = dcfg(k_graph=3, k_init=2)
     queries = [rng.standard_normal(4) for _ in range(4)]
     shared_index = diff.build_index(drones, sats, gd, [1, 2, 3, 4, 5],
                                     [6, 7, 8], cfg)
@@ -460,7 +466,7 @@ def retrieval_case(seed, n_drone=120, n_sat=40, n_query=25, dim=6, **cfg_kw):
     sats = rng.standard_normal((n_sat, dim))
     sats[5] = sats[2]
     gd = rng.standard_normal((n_drone, dim))
-    cfg = diff.DiffusionConfig(**{"k_graph": 8, "k_init": 6, **cfg_kw})
+    cfg = dcfg(**{"k_graph": 8, "k_init": 6, **cfg_kw})
     index = diff.build_index(list(drones), list(sats), list(gd), list(range(n_drone)),
                              list(range(1000, 1000 + n_sat)), cfg)
     return index, list(rng.standard_normal((n_query, dim)))
@@ -541,7 +547,7 @@ def small_retrieval(draw):
     sats = [np.array(v, dtype=float) for v in draw(st.lists(vec, min_size=n_s, max_size=n_s))]
     gd = [np.array(v, dtype=float) for v in draw(st.lists(vec, min_size=n_d, max_size=n_d))]
     queries = [np.array(v, dtype=float) for v in draw(st.lists(vec, min_size=1, max_size=5))]
-    cfg = diff.DiffusionConfig(
+    cfg = dcfg(
         alpha=draw(st.sampled_from([0.5, 0.9])), k_graph=draw(st.integers(1, n_d + n_s - 1)),
         k_init=draw(st.integers(1, n_d + 1)), closed_form=draw(st.booleans()))
     index = diff.build_index(drones, sats, gd, list(range(n_d)),
@@ -589,7 +595,7 @@ def test_satellite_weight_iff_reachable():
         drones = [rng.standard_normal(4) for _ in range(n_d)]
         sats = [rng.standard_normal(4) for _ in range(n_s)]
         gd = [rng.standard_normal(4) for _ in range(n_d)]
-        cfg = diff.DiffusionConfig(k_graph=2, k_init=2)
+        cfg = dcfg(k_graph=2, k_init=2)
         index = diff.build_index(drones, sats, gd, list(range(n_d)),
                                  list(range(10, 10 + n_s)), cfg)
         query = rng.standard_normal(4)
@@ -633,12 +639,3 @@ def test_embedding_file_rejects_non_finite_values(tmp_path, bad):
     path.write_text(path.read_text().replace("7 S 4 1.0", f"7 S 4 {bad}"))
     with pytest.raises(ValueError, match=r"emb\.txt: entry 7 has a non-finite value"):
         ds.read_embeddings(path)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError, match="alpha"):
-        diff.DiffusionConfig(alpha=1.0).validate()
-    with pytest.raises(ValueError, match="k_graph"):
-        diff.DiffusionConfig(k_graph=0).validate()
-    with pytest.raises(ValueError, match="tol"):
-        diff.DiffusionConfig(tol=0.0).validate()

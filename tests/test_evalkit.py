@@ -76,11 +76,18 @@ def test_rank_rows_flags_per_row_and_names_the_bad_query():
         rank_rows([1, 2, 3], [8, 9], scores)
 
 
-def test_ranking_rejects_duplicates_and_disorder():
-    with pytest.raises(ValueError, match="duplicate"):
-        RankingList(1, [2, 2], [0.5, 0.4])
-    with pytest.raises(ValueError, match="non-increasing"):
-        RankingList(1, [1, 2], [0.1, 0.9])
+def test_ranking_rejects_duplicates_and_disorder(tmp_path):
+    # files enter from outside, so read_ranking checks ids and order
+    path = tmp_path / "ranking-1.txt"
+    path.write_text("1 1 2 0.5\n1 2 2 0.4\n")
+    with pytest.raises(ValueError, match="duplicate gallery ids in ranking for query 1"):
+        read_ranking(path)
+    path.write_text("1 1 1 0.1\n1 2 2 0.9\n")
+    with pytest.raises(ValueError, match="scores not non-increasing for query 1"):
+        read_ranking(path)
+    # rank_rows builds the order itself and checks its gallery once per call
+    with pytest.raises(ValueError, match=r"duplicate gallery ids \[2\]"):
+        rank_rows([1, 3], [2, 5, 2], np.zeros((2, 3)))
 
 
 def test_ranking_file_round_trip(tmp_path):

@@ -4,22 +4,24 @@ import pytest
 from plcd import dataspace as ds
 from plcd import encoder as enc
 from plcd import patchmodel, peerlearn
+from plcd.config import RunConfig
 from plcd.seeds import substream
 
 
 def tiny_split(noise=0.2, seed=11):
-    cfg = ds.GenConfig(num_landmarks=6, num_sections=6, drones_per_landmark=6,
-                       grounds_per_landmark=1, channels=4, map_side=6,
-                       latent_rank=8, noise_sigma=noise, train_fraction=0.5,
-                       seed=seed)
+    cfg = RunConfig(num_landmarks=6, num_sections=6, drones_per_landmark=6,
+                    grounds_per_landmark=1, channels=4, map_side=6,
+                    latent_rank=8, noise_sigma=noise, train_fraction=0.5,
+                    seed=seed)
     return ds.generate_synthetic(cfg)
 
 
 def tiny_cfg(**kw):
-    defaults = dict(embed_dim=8, epochs=2, batch_pairs=2, margin=0.3,
-                    seed=9, scales=(1, 2), encoder_tanh=True)
+    defaults = dict(embed_dim=8, epochs_patch=2, batch_pairs=2, margin=0.3,
+                    seed=9, scales=(1, 2), encoder_tanh=True, lr_body=0.001,
+                    student_init="teacher")
     defaults.update(kw)
-    return patchmodel.PatchModelConfig(**defaults)
+    return RunConfig(**defaults)
 
 
 def make_teacher(split, seed=21):
@@ -50,7 +52,7 @@ def test_student_init_from_teacher_zero_patch_loss_at_step_zero():
     split = tiny_split()
     teacher = make_teacher(split)
     _, log = patchmodel.train_satellite_drone(
-        split, teacher, tiny_cfg(student_init="teacher", epochs=1))
+        split, teacher, tiny_cfg(student_init="teacher", epochs_patch=1))
     first_patch = float(log[0].split()[3])
     assert first_patch == pytest.approx(0.0, abs=1e-18)
 
@@ -59,7 +61,7 @@ def test_lambda_zero_is_pure_triplet():
     split = tiny_split()
     teacher = make_teacher(split)
     shared, log = patchmodel.train_satellite_drone(
-        split, teacher, tiny_cfg(lambda2=0.0, epochs=1))
+        split, teacher, tiny_cfg(lambda2=0.0, epochs_patch=1))
     for line in log:
         _, _, triplet, patch, total = line.split()
         assert float(total) == pytest.approx(float(triplet))
@@ -114,16 +116,8 @@ def test_missing_satellite_is_reported():
         patchmodel.train_satellite_drone(split, teacher, tiny_cfg())
 
 
-def test_config_validation():
-    with pytest.raises(ValueError, match="margin"):
-        tiny_cfg(margin=0.0).validate()
-    with pytest.raises(ValueError, match="student_init"):
-        tiny_cfg(student_init="x").validate()
-
-
 def test_trained_shared_encoder_beats_untrained_retrieval():
     from plcd import pipeline
-    from plcd.config import RunConfig
 
     cfg = RunConfig(seed=3, num_landmarks=10, drones_per_landmark=6,
                     grounds_per_landmark=2, channels=8, map_side=6,
@@ -131,18 +125,17 @@ def test_trained_shared_encoder_beats_untrained_retrieval():
                     epochs_senior=4, epochs_junior=2, epochs_patch=12,
                     scales=(1, 2), k_graph=4, k_init=4)
     split = pipeline.make_split(cfg)
-    peer = cfg.peer_config()
-    sg, sd, _ = peerlearn.train_senior(split, peer)
-    jg, jd, _ = peerlearn.train_junior(split, (sg, sd), peer)
+    sg, sd, _ = peerlearn.train_senior(split, cfg)
+    jg, jd, _ = peerlearn.train_junior(split, (sg, sd), cfg)
     rec = split.train[0]
     ctx = peerlearn.build_context(split)
     shared0 = enc.init_params("satdrone", 12, rec.featmap.size, ctx.num_classes,
-                              substream(cfg.patch_config().seed, "patchmodel.init"),
+                              substream(cfg.seed, "patchmodel.init"),
                               tanh=True)
     untrained_models = pipeline.TrainedModels(sg, sd, jg, jd, shared0, {})
     untrained = pipeline.evaluate_task(cfg, split, untrained_models,
                                        "drone-satellite").cmc[1]
-    shared, _ = patchmodel.train_satellite_drone(split, jd, cfg.patch_config())
+    shared, _ = patchmodel.train_satellite_drone(split, jd, cfg)
     trained_models = pipeline.TrainedModels(sg, sd, jg, jd, shared, {})
     trained = pipeline.evaluate_task(cfg, split, trained_models,
                                      "drone-satellite").cmc[1]

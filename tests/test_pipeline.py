@@ -79,7 +79,7 @@ def _unit(v):
 
 
 def _region_descs(cfg, params, record):
-    grid = pipeline.region_grid_for(cfg, record.featmap.shape)
+    grid = rmac.config_grid(cfg, record.featmap.shape)
     cache = rmac.PooledCache(grid, record.featmap.shape)
     return rmac.region_embed(params, cache.blocks(params), cache.stack([record]))
 
@@ -106,8 +106,7 @@ def reference_scores(cfg, split, models, mode):
         index = diff.build_index(
             [_forward(shared, d) for d in drones], [_forward(shared, s) for s in sats],
             [_drone_feature(cfg, jd, d) for d in drones], [d.id for d in drones],
-            [s.id for s in sats], replace(cfg, closed_form=mode == "diffusion-closed")
-            .diffusion_config())
+            [s.id for s in sats], replace(cfg, closed_form=mode == "diffusion-closed"))
         out = {}
         for g in grounds:
             (r,) = diff.query(index, [g.id], [_forward(jg, g)])
