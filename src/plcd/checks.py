@@ -13,8 +13,7 @@ from .dataspace import DRONE, GROUND, SATELLITE, DatasetSplit, ImageRecord
 from .diffusion import apply_operator, closed_form_operator, diffuse_iterative
 from .encoder import PARAM_NAMES, EncoderParams, check_gradients, init_params, new_grads
 from .patchmodel import _shared_step
-from .peerlearn import (MinedTriplet, _batch_negatives, _hard_terms, _soft_terms, _Step,
-                        build_context)
+from .peerlearn import _hard_terms, _pad, _soft_terms, _Step, build_context
 from .rmac import PooledCache, aggregate_backward, aggregate_feature, region_embed
 from .seeds import substream
 
@@ -203,8 +202,6 @@ def _step_cases(rng: np.random.Generator):
     entries = [(record(10 * lm + k, GROUND, lm), drones[lm])
                for lm, k in ((1, 0), (1, 5), (2, 0))]
     anchors = [anchor for anchor, _ in entries]
-    mined = [MinedTriplet(positives[0], _batch_negatives(entries, anchor))
-             for anchor, positives in entries]
     class_index = build_context(DatasetSplit(
         train=anchors + drones[1] + drones[2], test=[])).class_index
     ground, drone = encoder("ground"), encoder("drone")
@@ -214,8 +211,12 @@ def _step_cases(rng: np.random.Generator):
     def peer_fn(arrays):
         params_list = [with_arrays(ground, arrays[:4]), with_arrays(drone, arrays[4:])]
         step = _Step(params_list, cache, entries, "drone", senior)
-        value = (_hard_terms(step, anchors, mined, class_index).sum()
-                 + _soft_terms(step, anchors, [p for _, p in entries], 0.1, 1.0).sum())
+        # each anchor's first positive and its whole negative pool
+        negatives, live = _pad([np.flatnonzero(pool) for pool in step.pool])
+        rows = step.cand_rows[step.positive.nonzero()[1].reshape(len(anchors), -1)]
+        value = (_hard_terms(step, rows[:, 0], step.cand_rows[negatives], live,
+                             class_index).sum()
+                 + _soft_terms(step, rows, 0.1, 1.0).sum())
         step.backward()
         return value, [getattr(g, name) for g in step.grads for name in PARAM_NAMES]
 

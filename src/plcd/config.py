@@ -117,10 +117,19 @@ class RunConfig:
         # peer learning
         if self.embed_dim < 1:
             raise ValueError(f"embed_dim must be >= 1 (got {self.embed_dim})")
+        for name in ("epochs_senior", "epochs_junior", "epochs_patch", "num_positives"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0 (got {getattr(self, name)})")
         if self.num_negatives < 1:
             raise ValueError(f"num_negatives must be >= 1 (got {self.num_negatives})")
+        if self.peer_iterations < 1:
+            raise ValueError(f"peer_iterations must be >= 1 (got {self.peer_iterations})")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1) (got {self.momentum})")
         if self.tau <= 0:
             raise ValueError(f"tau must be positive (got {self.tau})")
+        if any(t <= 0 for t in self.tau_sweep):
+            raise ValueError(f"tau_sweep values must be positive (got {self.tau_sweep})")
         if self.lambda1 < 0:
             raise ValueError(f"lambda1 must be >= 0 (got {self.lambda1})")
         if self.batch_streets < 2:
@@ -145,6 +154,8 @@ class RunConfig:
         # diffusion
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must be in (0, 1) (got {self.alpha})")
+        if not all(0 < a < 1 for a in self.alpha_sweep):
+            raise ValueError(f"alpha_sweep values must be in (0, 1) (got {self.alpha_sweep})")
         if self.k_graph < 1:
             raise ValueError(f"k_graph must be >= 1 (got {self.k_graph})")
         if self.k_init < 1:
@@ -153,6 +164,10 @@ class RunConfig:
             raise ValueError(f"tol must be positive (got {self.tol})")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1 (got {self.max_iters})")
+        # evaluation
+        if self.ground_drone_relevance not in ("facet", "landmark"):
+            raise ValueError("ground_drone_relevance must be 'facet' or 'landmark' "
+                             f"(got {self.ground_drone_relevance!r})")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

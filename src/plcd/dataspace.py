@@ -121,13 +121,14 @@ def facet_zones(num_sections: int, map_side: int) -> list[np.ndarray]:
     return [(~center) & (sector == s) for s in range(num_sections)]
 
 
-def exposure_mask(cfg: RunConfig, view: str, section: int) -> np.ndarray:
-    """(channels, side, side) 0/1 mask of the latent blocks a view exposes."""
-    visible = center_zone(cfg.map_side).copy()
-    if view != SATELLITE:
-        visible |= facet_zones(cfg.num_sections, cfg.map_side)[section - 1]
-    return np.broadcast_to(visible.astype(float), (cfg.channels, cfg.map_side,
-                                                   cfg.map_side)).copy()
+def exposure_masks(cfg: RunConfig) -> list[np.ndarray]:
+    """(channels, side, side) 0/1 masks of the latent blocks a view exposes:
+    entry 0 the satellite's (the center block), entry ``s`` that of a drone
+    or ground record in section ``s`` (the center plus wedge ``s``)."""
+    center = center_zone(cfg.map_side)
+    zones = [np.zeros_like(center)] + facet_zones(cfg.num_sections, cfg.map_side)
+    shape = (cfg.channels, cfg.map_side, cfg.map_side)
+    return [np.broadcast_to((center | zone).astype(float), shape).copy() for zone in zones]
 
 
 def generate_synthetic(cfg: RunConfig) -> DatasetSplit:
@@ -147,13 +148,18 @@ def generate_synthetic(cfg: RunConfig) -> DatasetSplit:
     shape = (cfg.latent_rank, cfg.channels, cfg.map_side, cfg.map_side)
     basis = rng.standard_normal(shape) * (rng.random(shape) < cfg.basis_density)
     basis /= np.sqrt(cfg.basis_density)
+    masks = exposure_masks(cfg)
+    # every map is a row of one stack, as ``read_records`` returns them
+    featmaps = np.empty((cfg.num_landmarks * (1 + cfg.drones_per_landmark
+                                              + cfg.grounds_per_landmark),) + shape[1:])
     records: list[ImageRecord] = []
     next_id = 1
 
     def emit(view: str, landmark: int, section: int, proto: np.ndarray) -> None:
         nonlocal next_id
         noise = rng.standard_normal(proto.shape)
-        featmap = exposure_mask(cfg, view, section) * proto + cfg.noise_sigma * noise
+        featmap = featmaps[next_id - 1]
+        np.add(masks[section] * proto, cfg.noise_sigma * noise, out=featmap)
         featmap.setflags(write=False)
         records.append(ImageRecord(next_id, view, landmark, section if view == DRONE else 0, featmap))
         next_id += 1

@@ -11,10 +11,12 @@ temperature 1.
 Each optimization step is batched across its anchors (``_Step``): one
 whole-image product embeds the ground anchors and one ``rmac`` region
 product the batch's drones (the frozen senior's weight blocks built once per
-run). The miner reads rows of those stacks per anchor; the hard and soft
-losses then read all anchors' rows at once, one stacked call per objective
-(``_hard_terms``, ``_soft_terms``), shared rows scatter-add with the bits of
-``np.add.at``, and one backward per path ends the step.
+run). One ``mine_rows`` call picks every anchor's triplet from those rows,
+in one masked (anchors, candidates) score matrix; ``_draw`` turns Step I's
+and Step II's rules into row indices. The hard and soft losses then read all
+anchors' rows at once, one stacked call per objective (``_hard_terms``,
+``_soft_terms``), shared rows scatter-add with the bits of ``np.add.at``,
+and one backward per path ends the step.
 """
 
 from __future__ import annotations
@@ -32,12 +34,6 @@ from .seeds import substream
 
 if TYPE_CHECKING:
     from .config import RunConfig
-
-
-@dataclass
-class MinedTriplet:
-    positive: ImageRecord
-    negatives: list[ImageRecord]
 
 
 @dataclass
@@ -72,56 +68,37 @@ def build_context(split: DatasetSplit) -> _TrainContext:
     )
 
 
-def mine_easy_triplet(anchor: ImageRecord, positive_batch: list[ImageRecord],
-                      negative_batch: list[ImageRecord],
-                      ground_params: enc.EncoderParams,
-                      drone_params: enc.EncoderParams,
-                      num_negatives: int, space: str = "drone",
-                      feature_fn=None) -> MinedTriplet:
-    """Pick the easiest positive and the top-N hardest negatives by cosine.
+def mine_rows(anchors: np.ndarray, candidates: np.ndarray, ids: np.ndarray,
+              positive: np.ndarray, pool: np.ndarray, num_negatives: int):
+    """Each anchor row's easiest positive and top-N hardest negatives by cosine.
 
-    ``space`` selects whose features rank the candidates: ``"drone"`` embeds
-    the anchor with the drone branch too (one map, so raw-geometry survives
-    any single projection and mining is informative before the branches have
-    aligned); ``"ground"`` ranks across the two branches. ``feature_fn``
-    turns (params, records) into an (n, dim) feature stack, by default
-    ``enc.embed_records``; trainers pass the current step's rows. The
-    positive batch must hold one drone per direction section of the anchor's
-    landmark; negatives must come from other identities. Every candidate row
-    is normalized and scored against the anchor by one row-wise ``einsum``,
-    so byte-identical candidates score the same bits wherever they sit, and
-    ties break on the lowest record id.
+    ``anchors`` (m, d) and ``candidates`` (n, d) are feature rows, ``ids``
+    the candidates' record ids, ``positive`` and ``pool`` disjoint (m, n)
+    masks of each anchor's positive batch (one drone per direction section
+    of its landmark) and negative pool (drones of other identities; a drone
+    may sit in a pool more than once). Rows are unit-normalized once and
+    scored by one ``einsum``, so byte-identical candidates score the same
+    bits wherever they sit; one ``lexsort`` per pick puts the highest score
+    first, breaks ties on the lowest record id (a -0.0 score ties 0.0) and
+    then on position. Returns candidate indices: the positive (m,), the
+    negatives (m, k) with k = min(num_negatives, largest pool) and the (m, k)
+    ``live`` mask of anchors holding fewer than k.
     """
-    if not negative_batch:
-        raise ValueError("mine_easy_triplet got an empty negative batch")
-    if num_negatives > len(negative_batch):
-        raise ValueError(
-            f"asked for {num_negatives} negatives but the pool holds {len(negative_batch)}"
-        )
-    if space not in ("drone", "ground"):
-        raise ValueError(f"space must be 'drone' or 'ground' (got {space!r})")
-    sections = [r.section for r in positive_batch]
-    if len(set(sections)) != len(sections):
-        raise ValueError("positive batch must hold one record per section")
-    if any(r.landmark != anchor.landmark for r in positive_batch):
-        raise ValueError("positive batch must share the anchor's landmark")
-    if any(r.landmark == anchor.landmark for r in negative_batch):
-        raise ValueError("negatives must be identity-disjoint from the anchor")
-
-    if feature_fn is None:
-        feature_fn = enc.embed_records
-    anchor_params = drone_params if space == "drone" else ground_params
-    a = enc.unit_rows(feature_fn(anchor_params, [anchor]))[0]
-    candidates = enc.unit_rows(feature_fn(drone_params, positive_batch + negative_batch))
-    sims = -np.einsum("ij,j->i", candidates, a)
-    ids = np.array([r.id for r in positive_batch + negative_batch])
-    split = len(positive_batch)
-    best = np.lexsort((ids[:split], sims[:split]))[0]
-    order = np.lexsort((ids[split:], sims[split:]))[:num_negatives]
-    return MinedTriplet(
-        positive=positive_batch[best],
-        negatives=[negative_batch[i] for i in order],
-    )
+    if num_negatives < 1:
+        raise ValueError(f"num_negatives must be >= 1 (got {num_negatives})")
+    if not positive.any(axis=1).all():
+        raise ValueError("every anchor needs a positive candidate")
+    if not pool.any(axis=1).all():
+        raise ValueError("every anchor needs a non-empty negative pool")
+    if (positive & pool).any():
+        raise ValueError("positive and pool masks overlap")
+    scores = -np.einsum("md,nd->mn", enc.unit_rows(anchors), enc.unit_rows(candidates))
+    ids = np.broadcast_to(ids, scores.shape)
+    best = np.lexsort((ids, np.where(positive, scores, np.inf)), axis=-1)[:, 0]
+    sizes = pool.sum(axis=1)
+    width = min(num_negatives, int(sizes.max()))
+    hardest = np.lexsort((ids, np.where(pool, scores, np.inf)), axis=-1)[:, :width]
+    return best, hardest, np.arange(width) < sizes[:, None]
 
 
 class _Step:
@@ -157,6 +134,14 @@ class _Step:
         whole = anchors + drones if mining_space and shared else anchors
 
         self.row = {r.id: i for i, r in enumerate(region)}
+        # the miner's candidates: the positive batches in entry order, repeats
+        # kept; each anchor's own batch is its positives, other landmarks' its pool
+        self.anchors, self.candidates = anchors, [r for _, p in entries for r in p]
+        self.cand_rows = np.array(self.rows(self.candidates))
+        block = np.repeat(np.arange(len(entries)), [len(p) for _, p in entries])
+        self.positive = block == np.arange(len(entries))[:, None]
+        self.pool = (np.array([r.landmark for r in self.candidates])
+                     != np.array([a.landmark for a in anchors])[:, None])
         self.drone_start = len(region) - len(drones)  # drones close the stack
         self.cache, self.pooled = cache, cache.stack(region)
         self.descs = rmac.region_embed(self.drone, cache.blocks(self.drone), self.pooled)
@@ -177,12 +162,16 @@ class _Step:
     def rows(self, records: list[ImageRecord]) -> list[int]:
         return [self.row[r.id] for r in records]
 
-    def feature(self, params: enc.EncoderParams, records: list[ImageRecord]) -> np.ndarray:
-        """Miner feature hook: ground params read the whole-image rows,
-        anything else this step's region-aggregate rows."""
-        if params is self.ground:
-            return self.whole[[self.whole_row[r.id] for r in records]]
-        return self.feats[self.rows(records)]
+    def mine(self, num_negatives: int):
+        """``mine_rows`` on the rows this step holds: whole-image rows with
+        shared branches and for ground-space anchors, region-aggregate rows
+        otherwise (the anchors open each stack that holds them)."""
+        shared = self.ground is self.drone
+        a = self.whole if shared or self.mining_space == "ground" else self.feats
+        c = (self.whole[[self.whole_row[r.id] for r in self.candidates]] if shared
+             else self.feats[self.cand_rows])
+        return mine_rows(a[: len(self.anchors)], c, np.array([r.id for r in self.candidates]),
+                         self.positive, self.pool, num_negatives)
 
     def backward(self) -> None:
         enc.whole_backward(self.ground, self.x, self.whole, self.g_whole, self.grads[0])
@@ -190,27 +179,24 @@ class _Step:
         self.cache.backward(self.drone, self.pooled, self.descs, self.g_descs, self.grads[-1])
 
 
-def _hard_terms(step: _Step, anchors: list[ImageRecord], mined: list[MinedTriplet],
+def _hard_terms(step: _Step, p_rows: np.ndarray, neg_rows: np.ndarray, live: np.ndarray,
                 class_index: dict[int, int]) -> np.ndarray:
     """Consistency + per-branch cross-entropy for the step's anchors, one
     stacked call per objective; returns the per-anchor values.
 
     The ground anchors read their whole-image rows; drone records read the
-    step's region-aggregate features, so the hard objective trains the
-    region descriptors directly. Anchors can hold fewer negatives than
-    others (a ``live`` mask pads them), two anchors can share a positive and
-    a record can sit twice in a negative pool, so drone rows scatter-add.
+    step's region-aggregate features (``p_rows``, ``neg_rows``: rows of
+    ``step.feats``), so the hard objective trains the region descriptors
+    directly. Anchors can hold fewer negatives than others (off the ``live``
+    mask an entry reads row 0), two anchors can share a positive and a
+    record can sit twice in a negative pool, so drone rows scatter-add.
     """
-    i = np.array([step.whole_row[r.id] for r in anchors])
-    p_rows = np.array(step.rows([m.positive for m in mined]))
-    width = max(len(m.negatives) for m in mined)
-    neg_rows = np.array([step.rows(m.negatives) + [0] * (width - len(m.negatives))
-                         for m in mined])
-    live = np.arange(width) < np.array([len(m.negatives) for m in mined])[:, None]
+    i = slice(len(step.anchors))  # the anchors open the whole-image stack
     a, p = step.whole[i], step.feats[p_rows]
 
-    values, grads = losses.consistency_loss(a, p, step.feats[neg_rows], live)
-    labels = np.array([class_index[r.landmark] for r in anchors])
+    negatives = step.feats[np.where(live, neg_rows, 0)]
+    values, grads = losses.consistency_loss(a, p, negatives, live)
+    labels = np.array([class_index[r.landmark] for r in step.anchors])
     ce_a, g_logits_a = losses.cross_entropy(enc.logits_from_embedding(step.ground, a), labels)
     ce_p, g_logits_p = losses.cross_entropy(enc.logits_from_embedding(step.drone, p), labels)
 
@@ -222,15 +208,13 @@ def _hard_terms(step: _Step, anchors: list[ImageRecord], mined: list[MinedTriple
     return values + ce_a + ce_p
 
 
-def _soft_terms(step: _Step, anchors: list[ImageRecord],
-                doublets: list[list[ImageRecord]], tau: float, lambda1: float) -> np.ndarray:
-    """Distillation over whole+region descriptors for the step's doublets,
-    one (anchors, P*k) similarity matrix per peer; returns the per-anchor
-    values. Anchors of one landmark can share drones: their region rows
-    scatter-add."""
-    i = np.array([step.whole_row[r.id] for r in anchors])
-    rows = np.array([step.rows(d) for d in doublets])  # (n, P)
-    n, (per_image, dim) = len(anchors), step.descs.shape[1:]
+def _soft_terms(step: _Step, rows: np.ndarray, tau: float, lambda1: float) -> np.ndarray:
+    """Distillation over whole+region descriptors for the step's doublets
+    (``rows``: (n, P) region rows), one (anchors, P*k) similarity matrix per
+    peer; returns the per-anchor values. Anchors of one landmark can share
+    drones: their region rows scatter-add."""
+    n, (per_image, dim) = len(step.anchors), step.descs.shape[1:]
+    i = slice(n)
     senior = losses.similarity_log_probs(
         step.senior_whole[i],
         step.senior_descs[rows - step.drone_start].reshape(n, -1, dim), tau)
@@ -252,17 +236,8 @@ def _epoch_batches(ctx, cfg, rng):
         chunk = [ctx.grounds[i] for i in order[start : start + cfg.batch_streets]]
         if len(chunk) < 2:
             continue  # a lone anchor has no in-batch negatives
-        entries = [(anchor, draw_per_section(ctx.drones, ctx.sections, anchor.landmark, rng))
-                   for anchor in chunk]
-        yield entries
-
-
-def _batch_negatives(entries, anchor) -> list[ImageRecord]:
-    pool = []
-    for other, positives in entries:
-        if other.landmark != anchor.landmark:
-            pool.extend(positives)
-    return pool
+        yield [(anchor, draw_per_section(ctx.drones, ctx.sections, anchor.landmark, rng))
+               for anchor in chunk]
 
 
 def _init_pair(ctx, cfg, stream_prefix):
@@ -277,14 +252,49 @@ def _init_pair(ctx, cfg, stream_prefix):
     return g, d
 
 
+def _pad(lists: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged index lists as one (n, width) array padded with 0, and its live mask."""
+    sizes = np.array([len(x) for x in lists])
+    live = np.arange(sizes.max()) < sizes[:, None]
+    padded = np.zeros(live.shape, dtype=int)
+    padded[live] = np.concatenate(lists)
+    return padded, live
+
+
+def _draw(step: _Step, cfg: RunConfig, rng, junior: bool):
+    """The step's picks as candidate indices: (positive (n,), negatives
+    (n, k), live (n, k), doublets (n, P) or None).
+
+    Step I takes the miner's picks, or random ones while not mining. Step II
+    works the difficult positives: the senior only ever trained on the
+    easiest one, so the junior keeps the mined negatives and draws its
+    positive across all sections, then the soft loss's doublet. The draws
+    run per anchor in batch order.
+    """
+    mined = step.mine(cfg.num_negatives) if step.mining_space else None
+    if mined is not None and not junior:
+        return (*mined, None)
+    positive, negatives, doublets = [], [], []
+    for own, pool in zip(step.positive, step.pool):
+        own = np.flatnonzero(own)
+        positive.append(own[int(rng.integers(len(own)))])
+        if not junior:
+            pool = np.flatnonzero(pool)
+            negatives.append(pool[rng.permutation(len(pool))[: cfg.num_negatives]])
+        elif cfg.num_positives and cfg.num_positives < len(own):
+            doublets.append(np.sort(own[rng.permutation(len(own))[: cfg.num_positives]]))
+        else:
+            doublets.append(own)
+    if junior:
+        return (np.array(positive), *mined[1:], np.array(doublets))
+    return (np.array(positive), *_pad(negatives), None)
+
+
 def _train_pair(ctx, cfg, ground_params, drone_params, rng, epochs: int,
-                rate_scale: float, anchor_step, mining_from: int | None,
-                senior=None) -> list[str]:
+                rate_scale: float, mining_from: int | None, senior=None) -> list[str]:
     """The loop both training steps share. Per batch: one ``_Step``, which
-    mines from epoch ``mining_from`` on (never when None);
-    ``anchor_step(step, anchor, positives, negatives)`` per anchor, in batch
-    order, mining or drawing its triplet and returning it with the doublet
-    the soft loss reads (Step II only); one stacked call per objective; one
+    mines from epoch ``mining_from`` on (never when None); one ``_draw``
+    (Step II when ``senior`` is given); one stacked call per objective; one
     step backward and one SGD step per parameter set. Returns the log
     lines."""
     cache = rmac.PooledCache(rmac.config_grid(cfg, ctx.map_shape), ctx.map_shape)
@@ -303,26 +313,21 @@ def _train_pair(ctx, cfg, ground_params, drone_params, rng, epochs: int,
                         and epoch >= mining_from else None)
         for step_idx, entries in enumerate(_epoch_batches(ctx, cfg, rng)):
             step = _Step(params_list, cache, entries, mining_space, senior)
-            anchors, drawn = [], []
-            for anchor, positives in entries:
-                negatives = _batch_negatives(entries, anchor)
-                if negatives:
-                    anchors.append(anchor)
-                    drawn.append(anchor_step(step, anchor, positives, negatives))
-            if not anchors:
-                continue
-            mined, doublets = zip(*drawn)
-            hard = _hard_terms(step, anchors, mined, ctx.class_index).mean()
+            if not step.pool.any():
+                continue  # one landmark: no anchor has an in-batch negative
+            positive, negatives, live, doublets = _draw(step, cfg, rng, senior is not None)
+            hard = _hard_terms(step, step.cand_rows[positive], step.cand_rows[negatives],
+                               live, ctx.class_index).mean()
             soft = 0.0
             if senior is not None:
-                soft = _soft_terms(step, anchors, doublets, cfg.tau, cfg.lambda1).mean()
+                soft = _soft_terms(step, step.cand_rows[doublets], cfg.tau, cfg.lambda1).mean()
             total = losses.joint_gd_loss(hard, soft, cfg.lambda1)
             if not np.isfinite(total):
                 raise losses.TrainingDiverged(
                     f"non-finite loss {total} at epoch {epoch} step {step_idx}")
             step.backward()
             for params, grads, state in zip(params_list, step.grads, states):
-                enc.scale_grads(grads, 1.0 / len(anchors))
+                enc.scale_grads(grads, 1.0 / len(step.anchors))
                 enc.sgd_step(params, grads, state)
             log.append(f"{epoch} {step_idx} {hard:.6f} {soft:.6f} {total:.6f}")
     return log
@@ -345,22 +350,7 @@ def train_senior(split: DatasetSplit, cfg: RunConfig, mining: bool = True,
     if shared_branches:
         drone_params = ground_params
     rng = substream(cfg.seed, "peerlearn.senior")
-
-    def anchor_step(step, anchor, positives, negatives):
-        n_neg = min(cfg.num_negatives, len(negatives))
-        if step.mining_space is not None:
-            mined = mine_easy_triplet(anchor, positives, negatives,
-                                      ground_params, drone_params, n_neg,
-                                      space=step.mining_space,
-                                      feature_fn=step.feature)
-        else:
-            pos = positives[int(rng.integers(len(positives)))]
-            idx = rng.permutation(len(negatives))[:n_neg]
-            mined = MinedTriplet(pos, [negatives[i] for i in idx])
-        return mined, None
-
-    log = _train_pair(ctx, cfg, ground_params, drone_params, rng,
-                      cfg.epochs_senior, 1.0, anchor_step,
+    log = _train_pair(ctx, cfg, ground_params, drone_params, rng, cfg.epochs_senior, 1.0,
                       mining_from=cfg.warmup_epochs if mining else None)
     return ground_params, drone_params, log
 
@@ -382,26 +372,9 @@ def train_junior(split: DatasetSplit, senior: tuple[enc.EncoderParams, enc.Encod
     if shared_branches:
         drone_params = ground_params
     rng = substream(cfg.seed, f"peerlearn.junior{round_tag}")
-
-    def anchor_step(step, anchor, positives, negatives):
-        n_neg = min(cfg.num_negatives, len(negatives))
-        # Step II works the difficult positives: the senior only ever
-        # trained on the easiest one, the junior draws across all
-        # sections while keeping the mined hard negatives.
-        mined = mine_easy_triplet(anchor, positives, negatives,
-                                  ground_params, drone_params, n_neg,
-                                  space=step.mining_space,
-                                  feature_fn=step.feature)
-        hard_positive = positives[int(rng.integers(len(positives)))]
-        doublet = positives
-        if cfg.num_positives and cfg.num_positives < len(positives):
-            idx = sorted(rng.permutation(len(positives))[: cfg.num_positives])
-            doublet = [positives[i] for i in idx]
-        return MinedTriplet(hard_positive, mined.negatives), doublet
-
     # Step II refines an already-trained model: it continues at the schedule's
     # decayed rate rather than restarting at the step-I rate.
     log = _train_pair(ctx, cfg, ground_params, drone_params, rng, cfg.epochs_junior,
-                      cfg.junior_lr_scale, anchor_step, mining_from=0,
+                      cfg.junior_lr_scale, mining_from=0,
                       senior=(senior_ground, senior_drone))
     return ground_params, drone_params, log

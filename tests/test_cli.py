@@ -75,6 +75,12 @@ def test_bad_config_value_exits_with_its_message(workspace, tmp_path):
              "--out", tmp_path / "models"])
     assert "tau must be positive" in str(err.value)
     assert not (tmp_path / "models").exists()
+    # rejected when the config loads, before the SGD state or the data
+    with pytest.raises(SystemExit) as err:
+        run(["train-gd", "--set", "momentum=1.0", "--data", root / "data",
+             "--out", tmp_path / "models"])
+    assert "momentum must be in [0, 1)" in str(err.value)
+    assert not (tmp_path / "models").exists()
 
 
 def test_train_outputs_and_rerun_identical(workspace, tmp_path):

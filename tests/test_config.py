@@ -64,8 +64,15 @@ INVALID_VALUES = [
     ("seed", "-1", "seed must be >= 0 (got -1)"),
     ("map_side", "2", "map_side=2 too small to host 6 facet wedges (some wedge would be empty)"),
     ("embed_dim", "0", "embed_dim must be >= 1 (got 0)"),
+    ("epochs_senior", "-3", "epochs_senior must be >= 0 (got -3)"),
+    ("epochs_junior", "-1", "epochs_junior must be >= 0 (got -1)"),
+    ("epochs_patch", "-1", "epochs_patch must be >= 0 (got -1)"),
+    ("num_positives", "-1", "num_positives must be >= 0 (got -1)"),
     ("num_negatives", "0", "num_negatives must be >= 1 (got 0)"),
+    ("peer_iterations", "0", "peer_iterations must be >= 1 (got 0)"),
+    ("momentum", "1.0", "momentum must be in [0, 1) (got 1.0)"),
     ("tau", "0.0", "tau must be positive (got 0.0)"),
+    ("tau_sweep", "2,0", "tau_sweep values must be positive (got (2.0, 0.0))"),
     ("lambda1", "-1.0", "lambda1 must be >= 0 (got -1.0)"),
     ("batch_streets", "1", "batch_streets must be >= 2 (got 1)"),
     ("warmup_epochs", "-1", "warmup_epochs must be >= 0 (got -1)"),
@@ -76,10 +83,13 @@ INVALID_VALUES = [
     ("batch_pairs", "1", "batch_pairs must be >= 2 (got 1)"),
     ("student_init", "x", "student_init must be 'teacher' or 'fresh' (got 'x')"),
     ("alpha", "1.0", "alpha must be in (0, 1) (got 1.0)"),
+    ("alpha_sweep", "0.5,1.5", "alpha_sweep values must be in (0, 1) (got (0.5, 1.5))"),
     ("k_graph", "0", "k_graph must be >= 1 (got 0)"),
     ("k_init", "0", "k_init must be >= 1 (got 0)"),
     ("tol", "0.0", "tol must be positive (got 0.0)"),
     ("max_iters", "0", "max_iters must be >= 1 (got 0)"),
+    ("ground_drone_relevance", "facets",
+     "ground_drone_relevance must be 'facet' or 'landmark' (got 'facets')"),
 ]
 
 

@@ -50,13 +50,49 @@ def _mining_fixture(noise=0.0):
     return anchor, positives, negatives
 
 
+def reference_miner(anchor, positive_batch, negative_batch, ground_params, drone_params,
+                    num_negatives, space="drone", feature_fn=enc.embed_records):
+    """The per-anchor miner ``mine_rows`` replaced, kept as its reference:
+    ``feature_fn(params, records)`` gives each anchor's rows on their own
+    (the anchor by the drone branch in drone space), which are normalized
+    and scored by a row-wise ``einsum``; ties break on the lowest record id.
+    Returns (positive, negatives)."""
+    anchor_params = drone_params if space == "drone" else ground_params
+    a = enc.unit_rows(feature_fn(anchor_params, [anchor]))[0]
+    candidates = enc.unit_rows(feature_fn(drone_params, positive_batch + negative_batch))
+    sims = -np.einsum("ij,j->i", candidates, a)
+    ids = np.array([r.id for r in positive_batch + negative_batch])
+    split = len(positive_batch)
+    best = np.lexsort((ids[:split], sims[:split]))[0]
+    order = np.lexsort((ids[split:], sims[split:]))[:num_negatives]
+    return positive_batch[best], [negative_batch[i] for i in order]
+
+
+def mine_one(anchor_row, positives, negatives, candidate_rows, num_negatives):
+    """``mine_rows`` for one anchor whose candidates are its positive batch
+    followed by its negative pool; returns (positive, negatives)."""
+    candidates = positives + negatives
+    own = np.arange(len(candidates))[None] < len(positives)
+    best, hardest, live = peerlearn.mine_rows(
+        anchor_row[None], candidate_rows, np.array([r.id for r in candidates]),
+        own, ~own, num_negatives)
+    return candidates[best[0]], [candidates[j] for j in hardest[0][live[0]]]
+
+
+def mine_embedded(anchor, positives, negatives, ground, drone, num_negatives, space="drone"):
+    """``mine_one`` on whole-image embeddings, the rows the per-anchor miner
+    embedded by default."""
+    anchor_row = enc.embed_records(drone if space == "drone" else ground, [anchor])[0]
+    return mine_one(anchor_row, positives, negatives,
+                    enc.embed_records(drone, positives + negatives), num_negatives)
+
+
 def test_mining_noise_free_picks_visible_facet_with_identity_encoders():
     anchor, positives, negatives = _mining_fixture(noise=0.0)
     input_dim = anchor.featmap.size
     params = identity_params(input_dim)
-    mined = peerlearn.mine_easy_triplet(anchor, positives, negatives,
-                                        params, params, 2)
-    assert mined.positive.section == ds.infer_visible_facet(anchor, 6)
+    positive, _ = mine_embedded(anchor, positives, negatives, params, params, 2)
+    assert positive.section == ds.infer_visible_facet(anchor, 6)
 
 
 def test_mining_noise_free_exact_for_random_untrained_encoders():
@@ -65,9 +101,8 @@ def test_mining_noise_free_exact_for_random_untrained_encoders():
     input_dim = anchor.featmap.size
     ground = enc.init_params("ground", 8, input_dim, 2, substream(1, "a"))
     drone = enc.init_params("drone", 8, input_dim, 2, substream(2, "b"))
-    mined = peerlearn.mine_easy_triplet(anchor, positives, negatives,
-                                        ground, drone, 2, space="drone")
-    assert mined.positive.section == ds.infer_visible_facet(anchor, 6)
+    positive, _ = mine_embedded(anchor, positives, negatives, ground, drone, 2, space="drone")
+    assert positive.section == ds.infer_visible_facet(anchor, 6)
 
 
 def test_mining_all_ties_selects_lowest_id():
@@ -75,24 +110,24 @@ def test_mining_all_ties_selects_lowest_id():
     input_dim = anchor.featmap.size
     zero = identity_params(input_dim)
     zero.weight = np.zeros_like(zero.weight)
-    mined = peerlearn.mine_easy_triplet(anchor, positives, negatives, zero, zero, 2)
-    assert mined.positive.id == min(p.id for p in positives)
-    assert [n.id for n in mined.negatives] == sorted(n.id for n in negatives)[:2]
+    positive, mined = mine_embedded(anchor, positives, negatives, zero, zero, 2)
+    assert positive.id == min(p.id for p in positives)
+    assert [n.id for n in mined] == sorted(n.id for n in negatives)[:2]
 
 
 def test_mining_validates_inputs():
-    anchor, positives, negatives = _mining_fixture()
-    params = identity_params(anchor.featmap.size)
-    with pytest.raises(ValueError, match="empty negative"):
-        peerlearn.mine_easy_triplet(anchor, positives, [], params, params, 1)
-    with pytest.raises(ValueError, match="pool holds"):
-        peerlearn.mine_easy_triplet(anchor, positives, negatives, params, params,
-                                    len(negatives) + 1)
-    with pytest.raises(ValueError, match="identity-disjoint"):
-        peerlearn.mine_easy_triplet(anchor, positives, positives, params, params, 1)
-    with pytest.raises(ValueError, match="one record per section"):
-        peerlearn.mine_easy_triplet(anchor, positives[:1] * 2, negatives,
-                                    params, params, 1)
+    rows, ids = np.eye(3), np.arange(1, 4)
+    own = np.array([[True, False, False], [False, True, False]])
+    pool = np.array([[False, True, True], [True, False, True]])
+    peerlearn.mine_rows(rows[:2], rows, ids, own, pool, 1)
+    with pytest.raises(ValueError, match="positive candidate"):
+        peerlearn.mine_rows(rows[:2], rows, ids, own & [[True], [False]], pool, 1)
+    with pytest.raises(ValueError, match="non-empty negative pool"):
+        peerlearn.mine_rows(rows[:2], rows, ids, own, pool & [[True], [False]], 1)
+    with pytest.raises(ValueError, match="overlap"):
+        peerlearn.mine_rows(rows[:2], rows, ids, own, pool | own, 1)
+    with pytest.raises(ValueError, match="num_negatives must be >= 1"):
+        peerlearn.mine_rows(rows[:2], rows, ids, own, pool, 0)
 
 
 def _cosine(a, b):
@@ -131,34 +166,32 @@ def mining_case(draw):
 @given(mining_case())
 def test_stacked_miner_matches_per_pair_brute_force(case):
     anchor, positives, negatives, feats, n = case
-    params = identity_params(1)
-    mined = peerlearn.mine_easy_triplet(
-        anchor, positives, negatives, params, params, n,
-        feature_fn=lambda _, records: np.stack([feats[r.id] for r in records]))
+    positive, negs = mine_one(feats[anchor.id], positives, negatives,
+                              np.stack([feats[r.id] for r in positives + negatives]), n)
     a = feats[anchor.id]
     pos_score = {r.id: _cosine(a, feats[r.id]) for r in positives}
     neg_score = {r.id: _cosine(a, feats[r.id]) for r in negatives}
     best = min(positives, key=lambda r: (-pos_score[r.id], r.id))
     top = sorted(negatives, key=lambda r: (-neg_score[r.id], r.id))[:n]
     # the same picks, except among scores within 1e-12 of each other
-    assert abs(pos_score[mined.positive.id] - pos_score[best.id]) <= 1e-12
-    assert len(mined.negatives) == n
-    for got, want in zip(mined.negatives, top):
+    assert abs(pos_score[positive.id] - pos_score[best.id]) <= 1e-12
+    assert len(negs) == n
+    for got, want in zip(negs, top):
         assert abs(neg_score[got.id] - neg_score[want.id]) <= 1e-12
     # the same picks as Python's min/sorted on (-score, id) over the miner's
     # own scores (a -0.0 score ties a 0.0 one)
     rows = enc.unit_rows(np.stack([feats[r.id] for r in positives + negatives]))
     sims = np.einsum("ij,j->i", rows, enc.unit_rows(a[None])[0])
     key = dict(zip([r.id for r in positives + negatives], sims))
-    assert mined.positive is min(positives, key=lambda r: (-key[r.id], r.id))
-    assert [r.id for r in mined.negatives] == [
+    assert positive is min(positives, key=lambda r: (-key[r.id], r.id))
+    assert [r.id for r in negs] == [
         r.id for r in sorted(negatives, key=lambda r: (-key[r.id], r.id))[:n]]
     # byte-identical candidates tie exactly: the lowest id wins
     same = [r.id for r in positives
-            if feats[r.id].tobytes() == feats[mined.positive.id].tobytes()]
-    assert mined.positive.id == min(same)
-    picked = {r.id for r in mined.negatives}
-    for r in mined.negatives:
+            if feats[r.id].tobytes() == feats[positive.id].tobytes()]
+    assert positive.id == min(same)
+    picked = {r.id for r in negs}
+    for r in negs:
         assert all(o.id in picked for o in negatives
                    if o.id < r.id and feats[o.id].tobytes() == feats[r.id].tobytes())
 
@@ -180,13 +213,87 @@ def test_byte_identical_candidates_tie_anywhere_in_the_batch():
         feats.update({r.id: best.copy() for r in positives})
         feats.update({r.id: (close if k % 2 else rng.standard_normal(dim))
                       for k, r in enumerate(negatives)})
-        params = identity_params(1)
-        mined = peerlearn.mine_easy_triplet(
-            anchor, positives, negatives, params, params, 6,
-            feature_fn=lambda _, records: np.stack([feats[r.id] for r in records]))
-        assert mined.positive.id == min(r.id for r in positives)
+        positive, negs = mine_one(feats[anchor.id], positives, negatives,
+                                  np.stack([feats[r.id] for r in positives + negatives]), 6)
+        assert positive.id == min(r.id for r in positives)
         copies = sorted(r.id for k, r in enumerate(negatives) if k % 2)
-        assert [r.id for r in mined.negatives] == copies
+        assert [r.id for r in negs] == copies
+
+
+def step_feature(step):
+    """The feature hook the per-anchor miner read in training: ground params
+    read the step's whole-image rows, anything else its region-aggregate
+    rows."""
+    def feature(params, records):
+        if params is step.ground:
+            return step.whole[[step.whole_row[r.id] for r in records]]
+        return step.feats[step.rows(records)]
+    return feature
+
+
+@pytest.mark.parametrize("space", ["drone", "ground"])
+@pytest.mark.parametrize("shared", [False, True])
+def test_step_miner_matches_the_per_anchor_reference(space, shared):
+    split = tiny_split(noise=0.2, landmarks=6)
+    cfg = tiny_cfg()
+    ctx = peerlearn.build_context(split)
+    ground, drone, _ = peerlearn.train_senior(split, tiny_cfg(epochs_senior=1))
+    if shared:
+        drone = ground
+    cache = rmac.PooledCache(rmac.config_grid(cfg, ctx.map_shape), ctx.map_shape)
+    rng = substream(4, "test.step.miner")
+    # one drone per section: the two anchors of a landmark draw the same
+    # batch, so every pool holds each of its drones twice
+    entries = [(a, ds.draw_per_section(ctx.drones, ctx.sections, a.landmark, rng))
+               for a in ctx.grounds]
+    step = peerlearn._Step([ground] if shared else [ground, drone], cache, entries, space)
+    best, hardest, live = step.mine(cfg.num_negatives)
+    feature = step_feature(step)
+    for i, (anchor, positives) in enumerate(entries):
+        negatives = batch_negatives(entries, anchor)
+        want_positive, want_negatives = reference_miner(
+            anchor, positives, negatives, ground, drone,
+            min(cfg.num_negatives, len(negatives)), space, feature)
+        assert step.candidates[best[i]] is want_positive
+        assert [step.candidates[j].id for j in hardest[i][live[i]]] == [
+            r.id for r in want_negatives]
+    assert len({r.id for r in step.candidates}) < len(step.candidates)
+
+
+@pytest.mark.parametrize("mining_space, junior",
+                         [(None, False), ("drone", False), ("ground", True)])
+def test_draw_follows_each_step_rule_in_batch_order(mining_space, junior):
+    # Step I takes the miner's picks, or draws a positive then a negative
+    # permutation per anchor; Step II keeps the mined negatives and draws a
+    # positive then its doublet's sections
+    split = tiny_split(noise=0.2, landmarks=6)
+    cfg = tiny_cfg(num_positives=2)
+    ctx = peerlearn.build_context(split)
+    ground, drone = peerlearn._init_pair(ctx, cfg, "test.draw")
+    cache = rmac.PooledCache(rmac.config_grid(cfg, ctx.map_shape), ctx.map_shape)
+    rng = substream(3, "test.draw.batch")
+    entries = [(a, ds.draw_per_section(ctx.drones, ctx.sections, a.landmark, rng))
+               for a in ctx.grounds]
+    step = peerlearn._Step([ground, drone], cache, entries, mining_space)
+    drawn, replay = substream(2, "draw"), substream(2, "draw")
+    positive, negatives, live, doublets = peerlearn._draw(step, cfg, drawn, junior)
+    mined = step.mine(cfg.num_negatives) if mining_space else None
+    picks = step.candidates
+    for i, (anchor, positives) in enumerate(entries):
+        got = [picks[j] for j in negatives[i][live[i]]]
+        if mined is not None:
+            assert got == [picks[j] for j in mined[1][i][mined[2][i]]]
+        if mined is not None and not junior:
+            assert positive[i] == mined[0][i] and doublets is None
+            continue
+        assert picks[positive[i]] is positives[int(replay.integers(len(positives)))]
+        if junior:
+            idx = sorted(replay.permutation(len(positives))[: cfg.num_positives])
+            assert [picks[j] for j in doublets[i]] == [positives[k] for k in idx]
+        else:
+            pool = batch_negatives(entries, anchor)
+            assert got == [pool[k] for k in replay.permutation(len(pool))[: cfg.num_negatives]]
+    assert drawn.bit_generator.state == replay.bit_generator.state
 
 
 def test_mining_oracle_after_warmup():
@@ -201,9 +308,8 @@ def test_mining_oracle_after_warmup():
         positives = ds.draw_per_section(ctx.drones, ctx.sections, anchor.landmark, rng)
         negatives = [d for lm, by in ctx.drones.items() if lm != anchor.landmark
                      for pool in by.values() for d in pool]
-        mined = peerlearn.mine_easy_triplet(anchor, positives, negatives,
-                                            ground, drone, 2)
-        hits += mined.positive.section == ds.infer_visible_facet(anchor, 6)
+        positive, _ = mine_embedded(anchor, positives, negatives, ground, drone, 2)
+        hits += positive.section == ds.infer_visible_facet(anchor, 6)
         total += 1
     assert hits / total >= 0.95
 
@@ -408,6 +514,13 @@ def _forward(params, record):
     return np.tanh(pre) if params.tanh else pre
 
 
+def batch_negatives(entries, anchor):
+    """An anchor's negative pool: the other landmarks' positive batches, in
+    entry order, a drone once per batch that holds it."""
+    return [r for other, positives in entries if other.landmark != anchor.landmark
+            for r in positives]
+
+
 def reference_step(params_list, cache, entries, mined_for, ctx, senior=None,
                    tau=0.1, lambda1=1.0):
     """The per-anchor step: each anchor embeds, backs through its classifier
@@ -424,10 +537,10 @@ def reference_step(params_list, cache, entries, mined_for, ctx, senior=None,
     g_feats, g_descs = np.zeros_like(feats), np.zeros_like(descs)
     per_image, dim = descs.shape[1:]
     for anchor, positives in entries:
-        mined = mined_for[anchor.id]
+        positive, negatives = mined_for[anchor.id]
         x = anchor.featmap.ravel()
         a = _forward(ground, anchor)
-        p_row, neg_rows = row[mined.positive.id], [row[r.id] for r in mined.negatives]
+        p_row, neg_rows = row[positive.id], [row[r.id] for r in negatives]
         p = feats[p_row]
         # each loss scores a stack of one row: this anchor's
         _, g = losses.consistency_loss(a[None], p[None], feats[neg_rows][None],
@@ -504,22 +617,24 @@ def test_batched_step_matches_per_anchor_reference(tanh, kind):
     num_negatives = 8 if kind == "junior-ragged" else 3
     mined_for = {}
     for anchor, positives in entries:
-        negatives = peerlearn._batch_negatives(entries, anchor)
-        mined_for[anchor.id] = peerlearn.MinedTriplet(
+        negatives = batch_negatives(entries, anchor)
+        mined_for[anchor.id] = (
             positives[0],
             [negatives[i] for i in rng.permutation(len(negatives))[:num_negatives]])
     # anchors of one landmark share their positive: the drone head's
     # gradient must reach that row once per anchor
-    assert len({m.positive.id for m in mined_for.values()}) < len(mined_for)
+    assert len({p.id for p, _ in mined_for.values()}) < len(mined_for)
     if kind == "junior-ragged":
-        assert sorted(len(m.negatives) for m in mined_for.values()) == [6, 6, 8]
+        assert sorted(len(n) for _, n in mined_for.values()) == [6, 6, 8]
 
     frozen = None if senior is None else (*senior, cache.blocks(senior[1]))
     step = peerlearn._Step(params_list, cache, entries, "drone", frozen)
-    peerlearn._hard_terms(step, anchors, [mined_for[a.id] for a in anchors],
-                          ctx.class_index)
+    neg_rows, live = peerlearn._pad([np.array(step.rows(mined_for[a.id][1]), dtype=int)
+                                     for a in anchors])
+    peerlearn._hard_terms(step, np.array(step.rows([mined_for[a.id][0] for a in anchors])),
+                          neg_rows, live, ctx.class_index)
     if senior is not None:
-        peerlearn._soft_terms(step, anchors, [p for _, p in entries], 0.1, 1.0)
+        peerlearn._soft_terms(step, np.array([step.rows(p) for _, p in entries]), 0.1, 1.0)
     step.backward()
     expected = reference_step(params_list, cache, entries, mined_for, ctx, senior)
     for got, want in zip(step.grads, expected):
