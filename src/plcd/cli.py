@@ -205,7 +205,11 @@ def cmd_evaluate(args) -> int:
     rankings = [_parse(f, "ranking file", read_ranking) for f in files]
     records, _, num_sections = _parse(_out_path(args.data), "data file",
                                       dataspace.read_records)
-    report = pipeline.task_report(cfg, records, num_sections, rankings, args.task)
+    try:
+        report = pipeline.task_report(cfg, records, num_sections, rankings, args.task)
+    except ValueError as err:
+        raise SystemExit(f"rankings in {rankings_dir} do not fit task {args.task} "
+                         f"on {_out_path(args.data)}: {err}")
     payload = evalkit.report_to_json(report)
     if args.out:
         out = _out_path(args.out)

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from . import encoder as enc
 from .dataspace import DRONE, SATELLITE
 from .ranking import RankingList, rank_rows
 
@@ -155,8 +156,7 @@ def init_state(query_embs: Sequence[np.ndarray], drone_gd: np.ndarray,
         raise ValueError("init_state needs at least one drone node")
     queries = np.array(query_embs, dtype=float, ndmin=2)
     _reject_non_finite(queries, "query")
-    norms = np.linalg.norm(queries, axis=1)
-    queries = queries / np.where(norms < 1e-12, 1.0, norms)[:, None]
+    queries = enc.unit_rows(queries)
     # einsum, not a BLAS product: each drone-query sum is then computed the
     # same way wherever its rows sit, so duplicated drones tie exactly and a
     # query's start vector does not depend on the other queries in its batch.

@@ -1,8 +1,9 @@
 """End-to-end orchestration: data, training stages, retrieval modes, metrics.
 
-The CLI subcommands and the ablation suites both route through this module so
-scores are computed one way everywhere. Retrieval modes for the
-ground->satellite task:
+The CLI subcommands and ``evalkit.run_ablation`` both route through this
+module so scores are computed one way everywhere; the ablation suites
+themselves live in ``evalkit``. Retrieval modes for the ground->satellite
+task:
 
 * ``diffusion``    - walk over the satellite-drone graph, seeded from
                      ground-drone similarities (the full pipeline),
@@ -17,7 +18,7 @@ Each view is embedded as one stack, every non-diffusion mode scores as one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,12 +68,6 @@ def train_all(cfg: RunConfig, split: DatasetSplit) -> TrainedModels:
     logs["satdrone"] = sd_log
     return TrainedModels(senior_ground=sg, senior_drone=sd, junior_ground=jg,
                          junior_drone=jd, shared=shared, logs=logs)
-
-
-def train_base_two_branch(cfg: RunConfig, split: DatasetSplit):
-    """Plain two-branch baseline: same budget as Step I, no mining."""
-    g, d, _ = peerlearn.train_senior(split, cfg, mining=False)
-    return g, d
 
 
 def train_one_model(cfg: RunConfig, split: DatasetSplit) -> TrainedModels:
@@ -263,14 +258,3 @@ def evaluate_task(cfg: RunConfig, split: DatasetSplit, models: TrainedModels,
     if task == "ground-satellite":
         return evaluate_mode(cfg, split, models, "diffusion")
     raise ValueError(f"unknown task {task!r}")
-
-
-def tau_sweep(cfg: RunConfig, split: DatasetSplit):
-    """Retrain the junior at each temperature; rows of ground->drone metrics."""
-    senior_g, senior_d, _ = peerlearn.train_senior(split, cfg)
-    rows = []
-    for tau in cfg.tau_sweep:
-        jg, jd, _ = peerlearn.train_junior(split, (senior_g, senior_d),
-                                           replace(cfg, tau=tau))
-        rows.append((f"tau={tau}", evaluate_ground_drone(cfg, split, jg, jd)))
-    return rows

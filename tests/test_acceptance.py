@@ -157,7 +157,9 @@ def test_criterion_5_rmac_geometry():
 
 @pytest.fixture(scope="module")
 def trained_runs():
-    """Default config, seeds 1-3: full training plus every comparison row."""
+    """Default config, seeds 1-3: full training plus the ablation rows the
+    criteria read. The peer-step rows use landmark relevance; training never
+    reads it, so the base model trains as at the default config."""
     runs = {}
     core_elapsed = 0.0
     for seed in SEEDS:
@@ -165,22 +167,14 @@ def trained_runs():
         split = pipeline.make_split(cfg)
         started = time.time()
         models = pipeline.train_all(cfg, split)
-        gs = {mode: pipeline.evaluate_mode(cfg, split, models, mode)
-              for mode in ("diffusion", "chain", "direct-cosine")}
+        mapping = evalkit.run_ablation("mapping-methods", cfg, split, models)
         core_elapsed += time.time() - started
-        table_cfg = replace(cfg, ground_drone_relevance="landmark")
-        base = pipeline.train_base_two_branch(cfg, split)
-        rows = {
-            "base": pipeline.evaluate_ground_drone(table_cfg, split, *base),
-            "senior": pipeline.evaluate_ground_drone(
-                table_cfg, split, models.senior_ground, models.senior_drone),
-            "junior": pipeline.evaluate_ground_drone(
-                table_cfg, split, models.junior_ground, models.junior_drone),
-            "junior+B": pipeline.evaluate_ground_drone(
-                table_cfg, split, models.junior_ground, models.junior_drone,
-                best_region=True),
-        }
-        runs[seed] = {"ground_satellite": gs, "peer_steps": rows}
+        landmark_cfg = replace(cfg, ground_drone_relevance="landmark")
+        peer = evalkit.run_ablation("peer-steps", landmark_cfg, split, models)
+        names = ("base", "senior", "junior", "junior+B")
+        runs[seed] = {"ground_satellite": dict(mapping.rows),
+                      "peer_steps": {name: report for name, (_, report)
+                                     in zip(names, peer.rows, strict=True)}}
     runs["core_elapsed"] = core_elapsed
     return runs
 

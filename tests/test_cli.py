@@ -328,6 +328,25 @@ def test_evaluate_empty_rankings_dir_fails(workspace, tmp_path):
              "--task", "ground-satellite"])
 
 
+@pytest.mark.parametrize("mode,data,task", [
+    ("ground-drone", "test-data.npz", "ground-satellite"),
+    ("diffusion", "train-data.npz", "ground-satellite"),
+    ("diffusion", "test-data.npz", "drone-satellite"),
+], ids=["drone-gallery", "train-data", "drone-queries"])
+def test_evaluate_mismatched_rankings_exit_with_message(workspace, tmp_path, mode, data,
+                                                        task):
+    root, cfg = workspace
+    rankings = tmp_path / "rank"
+    assert run(["retrieve", "--config", cfg, "--data", root / "data",
+                "--models", root / "models", "--mode", mode, "--out", rankings]) == 0
+    with pytest.raises(SystemExit) as err:
+        run(["evaluate", "--config", cfg, "--rankings", rankings,
+             "--data", root / "data" / data, "--task", task])
+    msg = str(err.value)
+    assert str(rankings) in msg and f"task {task}" in msg
+    assert "no relevant gallery item" in msg
+
+
 def test_config_echo_reproduces_run(workspace, tmp_path):
     root, cfg = workspace
     echoed = root / "data" / "effective-config.txt"

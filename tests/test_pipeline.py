@@ -235,6 +235,11 @@ def test_with_without_drone_suite(tiny):
                                   models=models)
     names = [name for name, _ in result.rows]
     assert names == ["diffusion+drones", "chain+drones", "direct-cosine-no-drones"]
+    # the rows are the mapping-methods reports under their suite names
+    mapping = dict(evalkit.run_ablation("mapping-methods", cfg, split=split,
+                                        models=models).rows)
+    for (name, report), mode in zip(result.rows, ("diffusion", "chain", "direct-cosine")):
+        assert report.to_json_dict() == mapping[mode].to_json_dict(), name
 
 
 def test_alpha_sweep_rows(tiny):
