@@ -2,8 +2,10 @@
 
 A column-stochastic transition matrix is built from cosine similarities in
 the satellite-drone embedding space (top-k sparsified, symmetrized, column
-normalized). A query starts the walk by placing weight on its nearest drone
-nodes, measured in the ground-drone space; after the walk converges the
+normalized), all inside the one n x n similarity buffer: the neighbors come
+from one partition per row, and the buffer then takes the affinity in place.
+A query starts the walk by placing weight on its nearest drone nodes,
+measured in the ground-drone space; after the walk converges the
 satellite-node weights give the ranking. The walk solves
 f <- alpha * S @ f + (1 - alpha) * f0, either by iteration or via the linear
 system (I - alpha * S) x = f0, which shares its fixed point up to scale.
@@ -87,18 +89,28 @@ def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
     """Column indices (n, k) of each row's k largest entries, ascending. A
     tie at the k-th largest value goes to the lowest indices, so each row
     holds the set the first k of a stable descending sort would, found by
-    one partition instead of a full sort."""
-    n = sims.shape[1]
-    kth = np.partition(sims, n - k, axis=1)[:, [n - k]]
-    above = sims > kth
-    ties = sims == kth
-    room = k - np.count_nonzero(above, axis=1)[:, None]
-    # int32: the n x n running count of ties at half the int64 size
-    chosen = above | (ties & (np.cumsum(ties, axis=1, dtype=np.int32) <= room))
-    return np.nonzero(chosen)[1].reshape(len(sims), k)
+    one partition instead of a full sort. A row ties there iff an entry
+    left of its partition point equals the k-th value; only those rows run
+    the running-count tie rule."""
+    m, n = sims.shape
+    part = np.partition(sims, n - k, axis=1)
+    kth = part[:, [n - k]]
+    tied = np.flatnonzero(part[:, :n - k].max(axis=1) == kth[:, 0])
+    del part
+    chosen = sims >= kth
+    if tied.size:
+        rows, kth = sims[tied], kth[tied]
+        above = rows > kth
+        ties = rows == kth
+        room = k - np.count_nonzero(above, axis=1)[:, None]
+        # int32: the running count of ties at half the int64 size
+        chosen[tied] = above | (ties & (np.cumsum(ties, axis=1, dtype=np.int32) <= room))
+    cols = np.flatnonzero(chosen).reshape(m, k)
+    cols -= np.arange(0, m * n, n)[:, None]
+    return cols
 
 
-def build_graph(drone_embs: Sequence[np.ndarray], sat_embs: Sequence[np.ndarray],
+def build_graph(drone_embs: np.ndarray, sat_embs: np.ndarray,
                 drone_ids: Sequence[int], sat_ids: Sequence[int],
                 k_graph: int) -> TransitionGraph:
     """Top-k cosine graph over drones + satellites, symmetrized, column-stochastic.
@@ -108,6 +120,12 @@ def build_graph(drone_embs: Sequence[np.ndarray], sat_embs: Sequence[np.ndarray]
     similarities are clamped to zero after neighbor selection; a column left
     all-zero falls back to uniform 1/k over that node's k nearest neighbors
     regardless of sign, so every column sums to one.
+
+    The node rows come in as two stacks, and the graph is built inside the
+    one n x n similarity buffer: once the neighbors are picked, the buffer
+    is zeroed and takes the affinity, each pick added onto zeros in both
+    directions and the sum halved in place, which gives (a + a.T) / 2 bit
+    for bit.
     """
     n_drone, n_sat = len(drone_embs), len(sat_embs)
     n = n_drone + n_sat
@@ -115,21 +133,29 @@ def build_graph(drone_embs: Sequence[np.ndarray], sat_embs: Sequence[np.ndarray]
         raise ValueError(f"graph needs at least 2 nodes (got {n})")
     if not 1 <= k_graph < n:
         raise ValueError(f"k_graph must be in [1, {n - 1}] (got {k_graph})")
-    emb = _normalized_rows(list(drone_embs) + list(sat_embs), "graph node")
+    emb = _normalized_rows(np.concatenate(
+        [np.asarray(part, dtype=float) for part in (drone_embs, sat_embs) if len(part)]),
+        "graph node")
+    sims = emb @ emb.T
     # The product can round byte-identical nodes differently; every column
     # is read from the lowest index of its node's identical rows, so copies
     # tie exactly and the tie rule, not rounding, orders them.
     _, first, inverse = np.unique(emb.view(np.dtype((np.void, emb.itemsize * emb.shape[1]))),
                                   return_index=True, return_inverse=True)
-    sims = (emb @ emb.T)[:, first[inverse.ravel()]]
+    source = first[inverse.ravel()]
+    copies = np.flatnonzero(source != np.arange(n))
+    if copies.size:
+        sims[:, copies] = sims[:, source[copies]]
     np.fill_diagonal(sims, -np.inf)
 
     neighbors = _top_k(sims, k_graph)
     rows = np.arange(n)[:, None]
-    affinity = np.zeros((n, n))
-    affinity[rows, neighbors] = np.maximum(sims[rows, neighbors], 0.0)
-
-    affinity = (affinity + affinity.T) / 2.0
+    weights = np.maximum(sims[rows, neighbors], 0.0)
+    affinity = sims
+    affinity.fill(0.0)
+    affinity[rows, neighbors] += weights
+    affinity[neighbors, rows] += weights
+    affinity /= 2.0
     col_sums = affinity.sum(axis=0)
     empty = np.flatnonzero(col_sums <= 0.0)
     if empty.size:
@@ -217,7 +243,12 @@ def closed_form_operator(matrix: np.ndarray, rows: Sequence[int], alpha: float,
         raise ValueError(f"graph size {n} exceeds the direct-solve cap {cap}")
     picks = np.zeros((n, len(rows)))
     picks[rows, np.arange(len(rows))] = 1.0
-    return np.ascontiguousarray(np.linalg.solve((np.eye(n) - alpha * matrix).T, picks).T)
+    # I - alpha * S in one array, bit for bit np.eye(n) - alpha * matrix:
+    # 0.0 - x keeps a zero's sign where -x would flip it
+    system = np.multiply(matrix, alpha)
+    np.subtract(0.0, system, out=system)
+    np.fill_diagonal(system, 1.0 - alpha * matrix.diagonal())
+    return np.ascontiguousarray(np.linalg.solve(system.T, picks).T)
 
 
 def apply_operator(operator: np.ndarray, f0: np.ndarray) -> np.ndarray:
@@ -256,8 +287,8 @@ class DiffusionIndex:
     operators: dict[float, np.ndarray] = field(default_factory=dict)
 
 
-def build_index(drone_sd_embs: Sequence[np.ndarray], sat_sd_embs: Sequence[np.ndarray],
-                drone_gd_embs: Sequence[np.ndarray], drone_ids: Sequence[int],
+def build_index(drone_sd_embs: np.ndarray, sat_sd_embs: np.ndarray,
+                drone_gd_embs: np.ndarray, drone_ids: Sequence[int],
                 sat_ids: Sequence[int], cfg: RunConfig) -> DiffusionIndex:
     if len(drone_sd_embs) == 0:
         graph = None  # queries degrade to zero-weight satellite rankings

@@ -12,7 +12,6 @@ takes the forward's output rather than recomputing it. Region descriptors
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,14 +67,6 @@ def init_params(role: str, dim: int, input_dim: int, classes: int,
         classifier_bias=np.zeros(classes),
         tanh=tanh,
     )
-
-
-def params_digest(params: EncoderParams) -> str:
-    """Stable content hash, used by freeze-invariant checks."""
-    h = hashlib.sha256()
-    for name in PARAM_NAMES:
-        h.update(np.ascontiguousarray(getattr(params, name)).tobytes())
-    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

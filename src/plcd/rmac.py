@@ -11,14 +11,15 @@ position-major, one max reduction per region over contiguous (n, c) planes.
 Region descriptors share an encoder's whole-image parameters: a region's
 centered pooled channel vector is spread evenly over that region's cells and
 sent through the identical affine map, so a checkpoint holds no extra
-tensors. ``PooledCache`` owns that layout. It pools and centers each
-record's rows once (maps never change) and stacks them position-major,
-(k, n, channels). Its fixed (k, h*w) averaging matrix folds the encoder
-weight into contiguous (k, channels, dim) blocks (``PooledCache.blocks``,
-built once per step for a trained encoder and once per run for a frozen
-one) and folds the stack's (k, dim, channels) gradient back
-(``PooledCache.backward``); ``region_embed`` is one batched product over
-those operands. A drone-branch image feature is the mean of a record's unit
+tensors. ``pooled_stack`` pools and centers a record list straight into
+one position-major (k, n, channels) stack; retrieval pools a whole gallery
+that way. ``PooledCache`` keeps each record's rows from it for training, so
+a record is pooled once (maps never change). Its fixed (k, h*w) averaging
+matrix folds the encoder weight into contiguous (k, channels, dim) blocks
+(``PooledCache.blocks``, built once per step for a trained encoder and once
+per run for a frozen one) and folds the stack's (k, dim, channels) gradient
+back (``PooledCache.backward``); ``region_embed`` is one batched product
+over those operands. A drone-branch image feature is the mean of a record's unit
 region descriptors (``aggregate_feature``). Step II's soft loss, the
 satellite-drone patch loss and retrieval (``drone_features``,
 ``gallery_descriptors``) all read this one path. Both backward passes take
@@ -127,21 +128,23 @@ def pool_regions(featmaps: np.ndarray, grid: Sequence[Region]) -> np.ndarray:
     """Max-pooled rows (n, 1 + len(grid), c) of an (n, c, h, w) map stack:
     row 0 is the global max pool, the rest follow the grid order. The stack
     is read position-major, (h, w, n, c), copied if not laid out so; every
-    row equals the per-map, per-region pool of a record's map bit for bit."""
+    row equals the per-map, per-region pool of a record's map bit for bit.
+    The rows are an (n, k, c) view of a contiguous position-major (k, n, c)
+    array, the layout ``region_embed`` reads."""
     n, c = featmaps.shape[:2]
     windows = [(slice(None), slice(None))] + [_window(r, featmaps.shape[1:]) for r in grid]
     planes = np.ascontiguousarray(featmaps.transpose(2, 3, 0, 1))
-    out = np.empty((n, len(windows), c))
+    out = np.empty((len(windows), n, c))
     for row, (ys, xs) in enumerate(windows):
-        out[:, row] = planes[ys, xs].max(axis=(0, 1))
+        out[row] = planes[ys, xs].max(axis=(0, 1))
     # Tied -0.0/+0.0 cells leave a zero maximum's sign to the reduction order:
     # maps with a zero maximum are pooled again map-major, in per-map order.
-    redo = np.flatnonzero((out == 0).any(axis=(1, 2)))
+    redo = np.flatnonzero((out == 0).any(axis=(0, 2)))
     if redo.size:
         maps = np.ascontiguousarray(featmaps[redo])
         for row, (ys, xs) in enumerate(windows):
-            out[redo, row] = maps[:, :, ys, xs].max(axis=(2, 3))
-    return out
+            out[row, redo] = maps[:, :, ys, xs].max(axis=(2, 3))
+    return out.transpose(1, 0, 2)
 
 
 def region_cells(region: Region, map_shape: tuple[int, int, int]) -> np.ndarray:
@@ -154,6 +157,23 @@ def region_cells(region: Region, map_shape: tuple[int, int, int]) -> np.ndarray:
 # region descriptors
 # ---------------------------------------------------------------------------
 
+def pooled_stack(grid: list[Region], records: list[ImageRecord]) -> np.ndarray:
+    """Position-major (k, n, channels) stack of ``records``' centered pooled
+    rows (``pool_regions`` rows: the global max pool, then the grid order),
+    in order, pooled as one stack."""
+    channels, height, width = records[0].featmap.shape
+    # stacked position-major, (h, w, n, c): pool_regions copies nothing
+    maps = np.empty((height, width, len(records), channels))
+    for i, r in enumerate(records):
+        maps[:, :, i] = r.featmap.transpose(1, 2, 0)
+    rows = pool_regions(maps.transpose(2, 3, 0, 1), grid).transpose(1, 0, 2)
+    # Centered: channel maxima share a large positive offset, which would
+    # give every descriptor the same dominant direction (the job PCA
+    # whitening does for full-scale region descriptors).
+    rows -= rows.mean(axis=-1, keepdims=True)
+    return rows
+
+
 class PooledCache:
     """Centered region-pooled rows per record (``pool_regions`` rows: the
     global max pool, then the grid order), computed once per record, and the
@@ -161,7 +181,7 @@ class PooledCache:
     cells, row 0 the full map."""
 
     def __init__(self, grid: list[Region], map_shape: tuple[int, int, int]):
-        self.grid, self.map_shape = grid, tuple(map_shape)
+        self.grid = grid
         cells = map_shape[1] * map_shape[2]
         cells_list = [np.arange(cells)] + [region_cells(r, map_shape) for r in grid]
         self.avg = np.zeros((len(cells_list), cells))
@@ -171,18 +191,12 @@ class PooledCache:
 
     def stack(self, records: list[ImageRecord]) -> np.ndarray:
         """Position-major (k, n, channels) stack of ``records``' centered
-        pooled rows, in order. Records not seen yet are pooled in one call."""
+        pooled rows, in order. Records not seen yet are pooled in one
+        ``pooled_stack`` call."""
         fresh = {r.id: r for r in records if r.id not in self._store}
         if fresh:
-            # stacked position-major, (h, w, n, c): pool_regions copies nothing
-            maps = np.empty(self.map_shape[1:] + (len(fresh), self.map_shape[0]))
-            for i, r in enumerate(fresh.values()):
-                maps[:, :, i] = r.featmap.transpose(1, 2, 0)
-            pooled = pool_regions(maps.transpose(2, 3, 0, 1), self.grid)
-            # Centered: channel maxima share a large positive offset, which
-            # would give every descriptor the same dominant direction (the
-            # job PCA whitening does for full-scale region descriptors).
-            self._store.update(zip(fresh, pooled - pooled.mean(axis=-1, keepdims=True)))
+            rows = pooled_stack(self.grid, list(fresh.values()))
+            self._store.update(zip(fresh, rows.transpose(1, 0, 2)))
         return np.stack([self._store[r.id] for r in records], axis=1)
 
     def blocks(self, params: EncoderParams) -> np.ndarray:
@@ -268,13 +282,14 @@ RETRIEVAL_BLOCK = 128
 
 def _descriptor_blocks(params: EncoderParams, grid: list[Region], records: list[ImageRecord]):
     """Region descriptors (b, k, dim) of ``records``, one block at a time,
-    from the pooled rows of the whole list, pooled as one stack. A lone
-    trailing record joins the block before it: a one-row product takes
-    numpy's vector path, whose low bits differ from every stacked one."""
+    from the centered pooled rows of the whole list, pooled straight into
+    one position-major stack (``pooled_stack``). A lone trailing record
+    joins the block before it: a one-row product takes numpy's vector path,
+    whose low bits differ from every stacked one."""
     if not grid:
         raise ValueError("region descriptors need a non-empty grid")
-    cache = PooledCache(grid, records[0].featmap.shape)
-    rows, blocks = cache.stack(records), cache.blocks(params)
+    rows = pooled_stack(grid, records)
+    blocks = PooledCache(grid, records[0].featmap.shape).blocks(params)
     starts = list(range(0, len(records), RETRIEVAL_BLOCK))
     if len(starts) > 1 and starts[-1] == len(records) - 1:
         starts.pop()

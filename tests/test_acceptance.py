@@ -19,6 +19,8 @@ from plcd.config import RunConfig
 from plcd.ranking import rank_gallery
 from plcd.seeds import substream
 
+from support import params_digest
+
 SEEDS = (1, 2, 3)
 
 
@@ -238,15 +240,15 @@ def test_criterion_9_freeze_and_sharing():
                        batch_streets=4, num_negatives=2, scales=(1, 2),
                        encoder_tanh=True, lr_body=0.001, seed=4)
     sg, sd, _ = peerlearn.train_senior(split, peer_cfg)
-    before = (enc.params_digest(sg), enc.params_digest(sd))
+    before = (params_digest(sg), params_digest(sd))
     _, jd, _ = peerlearn.train_junior(split, (sg, sd), peer_cfg)
-    frozen_ok = (enc.params_digest(sg), enc.params_digest(sd)) == before
+    frozen_ok = (params_digest(sg), params_digest(sd)) == before
 
     patch_cfg = replace(peer_cfg, epochs_patch=2, batch_pairs=2, student_init="teacher")
     shared, _ = patchmodel.train_satellite_drone(split, jd, patch_cfg)
     shared_ok = patchmodel.drone_branch(shared) is patchmodel.satellite_branch(shared)
-    shared_ok &= enc.params_digest(patchmodel.drone_branch(shared)) == \
-        enc.params_digest(patchmodel.satellite_branch(shared))
+    shared_ok &= params_digest(patchmodel.drone_branch(shared)) == \
+        params_digest(patchmodel.satellite_branch(shared))
     report(9, "senior frozen through step II; drone/satellite branches one object",
            frozen_ok and shared_ok)
 

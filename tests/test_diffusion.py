@@ -1,4 +1,6 @@
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,22 +110,26 @@ def test_byte_identical_nodes_tie_exactly_in_gemm_tail_columns():
     others = [i for i in range(950) if i not in copies]
     assert not graph.matrix[np.ix_(others, [633, 949])].any()
     assert (graph.matrix[others, 0] > 0.0).all()
+    assert same_bits(graph.matrix, dense_graph_matrix(diff._normalized_rows(emb, "graph node"), 2))
 
 
-def test_top_k_picks_the_first_k_of_a_stable_descending_sort():
-    # coarse levels make ties at the k-th value common; -0.0 equals 0.0
-    rng = substream(10, "diff.topk")
-    for trial in range(500):
-        n = int(rng.integers(2, 30))
-        k = int(rng.integers(1, n))
-        levels = int(rng.integers(1, 5))
-        sims = rng.integers(-levels, levels + 1, size=(n, n)) / levels
-        if trial % 3 == 0:
-            sims = rng.standard_normal((n, n))
-        sims[(sims == 0.0) & (rng.random((n, n)) < 0.5)] = -0.0
-        np.fill_diagonal(sims, -np.inf)
-        stable = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-        assert np.array_equal(diff._top_k(sims, k), np.sort(stable, axis=1))
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_top_k_picks_the_first_k_of_a_stable_descending_sort(data):
+    # rows of coarse levels tie at the k-th value, normal rows do not, and one
+    # matrix mixes both; -0.0 equals 0.0, and each row holds one -inf as a
+    # graph's diagonal does
+    draw = data.draw
+    m, n = draw(st.integers(1, 12)), draw(st.integers(2, 30))
+    k = draw(st.integers(1, n - 1))
+    levels = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coarse = rng.integers(-levels, levels + 1, size=(m, n)) / levels
+    coarse[(coarse == 0.0) & (rng.random((m, n)) < 0.5)] = -0.0
+    sims = np.where(rng.random((m, 1)) < 0.5, coarse, rng.standard_normal((m, n)))
+    sims[np.arange(m), rng.integers(0, n, m)] = -np.inf
+    stable = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(diff._top_k(sims, k), np.sort(stable, axis=1))
 
 
 def test_build_graph_rejects_zero_norm():
@@ -230,6 +236,121 @@ def test_init_state_selects_like_a_stable_argsort(data):
 def test_init_state_requires_drones():
     with pytest.raises(ValueError, match="drone"):
         diff.init_state(np.ones(2), [], dcfg(), 3)
+
+
+# ---------------------------------------------------------------------------
+# byte oracles: the dense graph and operator formulas the one-buffer build
+# replaced
+# ---------------------------------------------------------------------------
+
+def dense_top_k(sims, k):
+    """``_top_k`` with the running-count tie rule on every row."""
+    n = sims.shape[1]
+    kth = np.partition(sims, n - k, axis=1)[:, [n - k]]
+    above = sims > kth
+    ties = sims == kth
+    room = k - np.count_nonzero(above, axis=1)[:, None]
+    chosen = above | (ties & (np.cumsum(ties, axis=1) <= room))
+    return np.nonzero(chosen)[1].reshape(len(sims), k)
+
+
+def dense_graph_matrix(emb, k):
+    """Transition matrix of unit node rows ``emb``, built from a gathered
+    copy of the similarities, a separate affinity and its transposed sum."""
+    n = len(emb)
+    _, first, inverse = np.unique(emb.view(np.dtype((np.void, emb.itemsize * emb.shape[1]))),
+                                  return_index=True, return_inverse=True)
+    sims = (emb @ emb.T)[:, first[inverse.ravel()]]
+    np.fill_diagonal(sims, -np.inf)
+    neighbors = dense_top_k(sims, k)
+    rows = np.arange(n)[:, None]
+    affinity = np.zeros((n, n))
+    affinity[rows, neighbors] = np.maximum(sims[rows, neighbors], 0.0)
+    affinity = (affinity + affinity.T) / 2.0
+    col_sums = affinity.sum(axis=0)
+    empty = np.flatnonzero(col_sums <= 0.0)
+    if empty.size:
+        affinity[:, empty] = 0.0
+        affinity[neighbors[empty], empty[:, None]] = 1.0 / k
+        col_sums[empty] = affinity[:, empty].sum(axis=0)
+    return affinity / col_sums
+
+
+def dense_closed_form_operator(matrix, rows, alpha):
+    n = matrix.shape[0]
+    picks = np.zeros((n, len(rows)))
+    picks[rows, np.arange(len(rows))] = 1.0
+    return np.ascontiguousarray(np.linalg.solve((np.eye(n) - alpha * matrix).T, picks).T)
+
+
+GRAPH_CASES = ("random", "ties", "duplicates", "orthogonal", "negative")
+
+
+def graph_nodes(kind, n, dim, rng):
+    if kind == "ties":  # coarse levels: exactly equal similarities, -0.0 zeros
+        rows = rng.integers(-2, 3, (n, dim)).astype(float)
+        rows[~rows.any(axis=1), 0] = 1.0
+        rows[(rows == 0.0) & (rng.random((n, dim)) < 0.5)] = -0.0
+        return rows
+    if kind == "orthogonal":  # signed one-hot rows: exact zero similarities
+        rows = np.zeros((n, max(n, dim)))
+        rows[np.arange(n), rng.permutation(rows.shape[1])[:n]] = rng.choice([-1.0, 1.0], n)
+        return rows
+    rows = rng.standard_normal((n, dim))
+    if kind == "duplicates":  # byte-identical nodes
+        rows[rng.integers(0, n, n // 2)] = rows[rng.integers(0, n, n // 2)]
+    elif kind == "negative":  # a cluster and its opposite: all-negative rows
+        hub = rng.standard_normal(dim)
+        rows = 0.1 * rows + np.where(rng.random((n, 1)) < 0.2, -hub, hub)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(GRAPH_CASES), st.integers(2, 40), st.integers(1, 6),
+       st.integers(0, 2**32 - 1), st.data())
+def test_graph_and_operator_bytes_match_the_dense_formulas(kind, n, dim, seed, data):
+    rng = np.random.default_rng(seed)
+    nodes = graph_nodes(kind, n, dim, rng)
+    n_drone = int(rng.integers(1, n))
+    k = data.draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)), label="k_graph")
+    graph = diff.build_graph(nodes[:n_drone], nodes[n_drone:], range(n_drone),
+                             range(n_drone, n), k)
+    expected = dense_graph_matrix(diff._normalized_rows(nodes, "graph node"), k)
+    assert same_bits(graph.matrix, expected)
+
+    alpha = data.draw(st.sampled_from([0.5, 0.9, 0.99]), label="alpha")
+    sat_rows = graph.satellite_indices()
+    systems = []
+    solve = np.linalg.solve
+    with mock.patch.object(np.linalg, "solve",
+                           side_effect=lambda a, b: systems.append(a) or solve(a, b)):
+        operator = diff.closed_form_operator(graph.matrix, sat_rows, alpha)
+    # I - alpha * S itself, so a flipped zero sign shows even where the
+    # solve would hide it
+    assert same_bits(systems[0], (np.eye(n) - alpha * graph.matrix).T)
+    assert same_bits(operator, dense_closed_form_operator(graph.matrix, sat_rows, alpha))
+
+
+def test_graph_and_operator_stay_within_their_memory_budgets():
+    # in n x n float64 arrays: the graph built in its similarity buffer peaks
+    # near 2.3 (the dense build: 3.3), and the operator adds about 1.2 to the
+    # matrix already held (eye, alpha * S and their difference: 2.05)
+    n = 950
+    nodes = graph_nodes("random", n, 128, substream(17, "diff.memory"))
+    square = 8.0 * n * n
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        graph = diff.build_graph(nodes[:900], nodes[900:], range(900), range(900, n), 10)
+        graph_peak = (tracemalloc.get_traced_memory()[1] - held) / square
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        diff.closed_form_operator(graph.matrix, graph.satellite_indices(), 0.9)
+        operator_peak = (tracemalloc.get_traced_memory()[1] - held) / square
+    finally:
+        tracemalloc.stop()
+    assert graph_peak <= 2.5
+    assert operator_peak <= 1.25
 
 
 def test_iterative_identity_matrix_fixed_point():

@@ -13,6 +13,8 @@ from plcd import rmac
 from plcd.dataspace import DRONE, ImageRecord
 from plcd.seeds import substream
 
+from support import params_digest
+
 
 def make_record(rng, shape=(2, 3, 3), rid=1):
     return ImageRecord(rid, DRONE, 1, 1, rng.standard_normal(shape))
@@ -294,10 +296,10 @@ def test_checkpoint_round_trip_bit_exact_and_rewrite_byte_identical(params):
 
 def test_params_digest_tracks_content():
     params = make_params(seed=12)
-    before = enc.params_digest(params)
-    assert before == enc.params_digest(params.copy())
+    before = params_digest(params)
+    assert before == params_digest(params.copy())
     params.weight[0, 0] += 1.0
-    assert enc.params_digest(params) != before
+    assert params_digest(params) != before
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from plcd import patchmodel, peerlearn
 from plcd.config import RunConfig
 from plcd.seeds import substream
 
+from support import params_digest
+
 
 def tiny_split(noise=0.2, seed=11):
     cfg = RunConfig(num_landmarks=6, num_sections=6, drones_per_landmark=6,
@@ -37,15 +39,15 @@ def test_branches_share_one_parameter_object():
     assert patchmodel.drone_branch(shared) is patchmodel.satellite_branch(shared)
     d = patchmodel.drone_branch(shared)
     s = patchmodel.satellite_branch(shared)
-    assert enc.params_digest(d) == enc.params_digest(s)
+    assert params_digest(d) == params_digest(s)
 
 
 def test_teacher_untouched_by_training():
     split = tiny_split()
     teacher = make_teacher(split)
-    before = enc.params_digest(teacher)
+    before = params_digest(teacher)
     patchmodel.train_satellite_drone(split, teacher, tiny_cfg())
-    assert enc.params_digest(teacher) == before
+    assert params_digest(teacher) == before
 
 
 def test_student_init_from_teacher_zero_patch_loss_at_step_zero():
@@ -72,7 +74,7 @@ def test_training_deterministic():
     teacher = make_teacher(split)
     a = patchmodel.train_satellite_drone(split, teacher, tiny_cfg())
     b = patchmodel.train_satellite_drone(split, teacher, tiny_cfg())
-    assert enc.params_digest(a[0]) == enc.params_digest(b[0])
+    assert params_digest(a[0]) == params_digest(b[0])
     assert a[1] == b[1]
 
 

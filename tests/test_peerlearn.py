@@ -9,6 +9,8 @@ from plcd import losses, peerlearn, pipeline, rmac
 from plcd.config import RunConfig
 from plcd.seeds import substream
 
+from support import params_digest
+
 
 def tiny_split(noise=0.0, seed=3, landmarks=4):
     cfg = RunConfig(num_landmarks=landmarks, num_sections=6,
@@ -324,8 +326,8 @@ def test_zero_epochs_leaves_params_at_init():
     ground, drone, log = peerlearn.train_senior(split, cfg)
     ctx = peerlearn.build_context(split)
     g0, d0 = peerlearn._init_pair(ctx, cfg, "peerlearn.init.senior")
-    assert enc.params_digest(ground) == enc.params_digest(g0)
-    assert enc.params_digest(drone) == enc.params_digest(d0)
+    assert params_digest(ground) == params_digest(g0)
+    assert params_digest(drone) == params_digest(d0)
     assert log == []
 
 
@@ -334,12 +336,12 @@ def test_training_is_deterministic():
     cfg = tiny_cfg()
     a = peerlearn.train_senior(split, cfg)
     b = peerlearn.train_senior(split, cfg)
-    assert enc.params_digest(a[0]) == enc.params_digest(b[0])
-    assert enc.params_digest(a[1]) == enc.params_digest(b[1])
+    assert params_digest(a[0]) == params_digest(b[0])
+    assert params_digest(a[1]) == params_digest(b[1])
     assert a[2] == b[2]
     ja = peerlearn.train_junior(split, (a[0], a[1]), cfg)
     jb = peerlearn.train_junior(split, (b[0], b[1]), cfg)
-    assert enc.params_digest(ja[0]) == enc.params_digest(jb[0])
+    assert params_digest(ja[0]) == params_digest(jb[0])
     assert ja[2] == jb[2]
 
 
@@ -347,9 +349,9 @@ def test_senior_frozen_through_step_two():
     split = tiny_split(noise=0.2)
     cfg = tiny_cfg()
     ground, drone, _ = peerlearn.train_senior(split, cfg)
-    before = (enc.params_digest(ground), enc.params_digest(drone))
+    before = (params_digest(ground), params_digest(drone))
     peerlearn.train_junior(split, (ground, drone), cfg)
-    assert (enc.params_digest(ground), enc.params_digest(drone)) == before
+    assert (params_digest(ground), params_digest(drone)) == before
 
 
 def test_junior_fresh_init_differs_from_senior_init():
@@ -357,7 +359,7 @@ def test_junior_fresh_init_differs_from_senior_init():
     cfg = tiny_cfg(junior_init="fresh", epochs_junior=0)
     ground, drone, _ = peerlearn.train_senior(split, cfg)
     jg, jd, _ = peerlearn.train_junior(split, (ground, drone), cfg)
-    assert enc.params_digest(jg) != enc.params_digest(ground)
+    assert params_digest(jg) != params_digest(ground)
 
 
 def test_training_log_format():
@@ -666,7 +668,7 @@ def test_cached_senior_blocks_match_blocks_rebuilt_every_step(monkeypatch):
     rebuilt = peerlearn.train_junior(split, (sg, sd), cfg)
     assert cached[2] == rebuilt[2]
     for got, want in zip(cached[:2], rebuilt[:2]):
-        assert enc.params_digest(got) == enc.params_digest(want)
+        assert params_digest(got) == params_digest(want)
 
 
 def test_anchors_join_the_region_stack_only_for_drone_space_mining():

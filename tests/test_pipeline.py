@@ -8,6 +8,8 @@ from plcd import encoder as enc
 from plcd import evalkit, pipeline, rmac
 from plcd.config import RunConfig
 
+from support import params_digest
+
 
 @pytest.fixture(scope="module")
 def tiny():
@@ -289,7 +291,6 @@ def test_peer_iteration_hook_swaps_senior():
     split = pipeline.make_split(cfg)
     one_round = pipeline.train_ground_drone(cfg, split)
     two_rounds = pipeline.train_ground_drone(replace(cfg, peer_iterations=2), split)
-    from plcd.encoder import params_digest
     # the swapped round continues from round one's junior, so juniors differ
     assert params_digest(one_round[1][0]) != params_digest(two_rounds[1][0])
     # and the second round's senior is exactly round one's junior

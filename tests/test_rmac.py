@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plcd import encoder as enc
 from plcd import rmac
+from plcd.dataspace import DRONE, ImageRecord
 
 
 def test_default_table_grid_count_and_widths():
@@ -163,6 +165,42 @@ def test_pooled_cache_pools_new_records_once(monkeypatch):
     again = cache.stack(records)
     assert calls == [3, 2]  # only the two records not seen yet
     assert np.array_equal(again[:, [2, 0, 4]], stack[:, [0, 1, 3]])
+
+
+def store_descriptor_blocks(params, grid, records):
+    """Retrieval's region descriptors through a ``PooledCache`` store: one
+    centered (k, c) array per record, restacked position-major, and forwarded
+    in the retrieval blocks (a lone trailing record joins the block before)."""
+    pooled = np.ascontiguousarray(rmac.pool_regions(np.stack([r.featmap for r in records]),
+                                                    grid))
+    store = dict(zip([r.id for r in records], pooled - pooled.mean(axis=-1, keepdims=True)))
+    rows = np.stack([store[r.id] for r in records], axis=1)
+    blocks = rmac.PooledCache(grid, records[0].featmap.shape).blocks(params)
+    starts = list(range(0, len(records), rmac.RETRIEVAL_BLOCK))
+    if len(starts) > 1 and starts[-1] == len(records) - 1:
+        starts.pop()
+    return [rmac.region_embed(params, blocks, rows[:, start:stop])
+            for start, stop in zip(starts, starts[1:] + [len(records)])]
+
+
+@pytest.mark.parametrize("size", [1, 2, 128, 129, 257])
+def test_retrieval_features_match_the_per_record_store(size):
+    # one stack pooled straight into position-major rows gives the bytes of
+    # the per-record store, over block boundaries and a lone trailing record
+    rng = np.random.default_rng(size)
+    maps = rng.standard_normal((size, 4, 6, 6))
+    maps[(maps < -1.5)] = 0.0
+    maps[1::3] = maps[::3][:len(maps[1::3])]  # repeated maps pool alike
+    records = [ImageRecord(i, DRONE, 1, 1, fm) for i, fm in enumerate(maps)]
+    grid = rmac.region_grid(6, (1, 2, 3))
+    params = enc.init_params("drone", 8, maps[0].size, 3, rng, tanh=True)
+    blocks = store_descriptor_blocks(params, grid, records)
+    feats = np.concatenate([rmac.aggregate_feature(descs)[0] for descs in blocks])
+    assert rmac.drone_features(params, grid, records).tobytes() == feats.tobytes()
+    gallery = np.concatenate([
+        enc.unit_rows(np.concatenate([rmac.aggregate_feature(d)[0][:, None], d[:, 1:]], axis=1))
+        for d in blocks])
+    assert rmac.gallery_descriptors(params, grid, records).tobytes() == gallery.tobytes()
 
 
 def test_pooled_values_attained_and_bound():
