@@ -3,15 +3,20 @@
 A config file holds ``key = value`` lines (``#`` comments allowed); CLI flags
 override file values. Unknown keys are rejected by name, and every value is
 checked when the config is built, so a bad value fails before any stage
-runs. The merged, effective config is echoed to each run's output directory
-and can be fed back in to reproduce the run.
+runs: one rule table (``_RULES``) declares each field's check, a few rules
+tie fields together, and ``rmac.region_grid`` checks the region grid. One
+codec table (``_CODECS``) parses and formats each field type. The merged,
+effective config is echoed to each run's output directory and can be fed
+back in to reproduce the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 from .dataspace import facet_zones
+from .rmac import region_grid
 
 
 @dataclass(frozen=True)
@@ -78,154 +83,105 @@ class RunConfig:
         return dict(self.width_table)
 
     def __post_init__(self) -> None:
-        """Every value is checked here, once: a RunConfig that exists is valid."""
-        if self.num_landmarks < 2:
-            raise ValueError(f"num_landmarks must be >= 2 (got {self.num_landmarks})")
-        if self.num_sections < 2:
-            raise ValueError(f"num_sections must be >= 2 (got {self.num_sections})")
+        """Every value is checked here, once: a RunConfig that exists is valid.
+        ``_RULES`` checks each field in field order, then come the rules that
+        tie fields together; ``rmac.region_grid`` owns the grid's rules."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _RULES and not _RULES[f.name][0](value):
+                raise ValueError(f"{f.name} {_RULES[f.name][1]} (got {value!r})")
         if self.drones_per_landmark < 1 or self.drones_per_landmark % self.num_sections:
-            raise ValueError(
-                "drones_per_landmark must be a positive multiple of num_sections "
-                f"(got drones_per_landmark={self.drones_per_landmark}, "
-                f"num_sections={self.num_sections})"
-            )
-        if self.grounds_per_landmark < 1:
-            raise ValueError(
-                f"grounds_per_landmark must be >= 1 (got {self.grounds_per_landmark})"
-            )
-        if self.channels < 1:
-            raise ValueError(f"channels must be >= 1 (got {self.channels})")
-        if self.latent_rank < 1:
-            raise ValueError(f"latent_rank must be >= 1 (got {self.latent_rank})")
-        if not 0 < self.basis_density <= 1:
-            raise ValueError(
-                f"basis_density must be in (0, 1] (got {self.basis_density})")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0 (got {self.noise_sigma})")
-        if not 0 < self.train_fraction < 1:
-            raise ValueError(
-                f"train_fraction must be in (0, 1) (got {self.train_fraction})"
-            )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0 (got {self.seed})")
-        zones = facet_zones(self.num_sections, self.map_side)
-        if any(not zone.any() for zone in zones):
-            raise ValueError(
-                f"map_side={self.map_side} too small to host {self.num_sections} "
-                "facet wedges (some wedge would be empty)"
-            )
-        # peer learning
-        if self.embed_dim < 1:
-            raise ValueError(f"embed_dim must be >= 1 (got {self.embed_dim})")
-        for name in ("epochs_senior", "epochs_junior", "epochs_patch", "num_positives"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0 (got {getattr(self, name)})")
-        if self.num_negatives < 1:
-            raise ValueError(f"num_negatives must be >= 1 (got {self.num_negatives})")
-        if self.peer_iterations < 1:
-            raise ValueError(f"peer_iterations must be >= 1 (got {self.peer_iterations})")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1) (got {self.momentum})")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive (got {self.tau})")
-        if any(t <= 0 for t in self.tau_sweep):
-            raise ValueError(f"tau_sweep values must be positive (got {self.tau_sweep})")
-        if self.lambda1 < 0:
-            raise ValueError(f"lambda1 must be >= 0 (got {self.lambda1})")
-        if self.batch_streets < 2:
-            raise ValueError(f"batch_streets must be >= 2 (got {self.batch_streets})")
-        if self.warmup_epochs < 0:
-            raise ValueError(f"warmup_epochs must be >= 0 (got {self.warmup_epochs})")
-        if self.mining_space not in ("drone", "ground"):
-            raise ValueError(
-                f"mining_space must be 'drone' or 'ground' (got {self.mining_space!r})")
-        if self.junior_init not in ("senior", "fresh"):
-            raise ValueError(f"junior_init must be 'senior' or 'fresh' (got {self.junior_init!r})")
-        # satellite-drone training
-        if self.margin <= 0:
-            raise ValueError(f"margin must be positive (got {self.margin})")
-        if self.lambda2 < 0:
-            raise ValueError(f"lambda2 must be >= 0 (got {self.lambda2})")
-        if self.batch_pairs < 2:
-            raise ValueError(f"batch_pairs must be >= 2 (got {self.batch_pairs})")
-        if self.student_init not in ("teacher", "fresh"):
-            raise ValueError(
-                f"student_init must be 'teacher' or 'fresh' (got {self.student_init!r})")
-        # diffusion
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must be in (0, 1) (got {self.alpha})")
-        if not all(0 < a < 1 for a in self.alpha_sweep):
-            raise ValueError(f"alpha_sweep values must be in (0, 1) (got {self.alpha_sweep})")
-        if self.k_graph < 1:
-            raise ValueError(f"k_graph must be >= 1 (got {self.k_graph})")
-        if self.k_init < 1:
-            raise ValueError(f"k_init must be >= 1 (got {self.k_init})")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive (got {self.tol})")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1 (got {self.max_iters})")
-        # evaluation
-        if self.ground_drone_relevance not in ("facet", "landmark"):
-            raise ValueError("ground_drone_relevance must be 'facet' or 'landmark' "
-                             f"(got {self.ground_drone_relevance!r})")
+            raise ValueError("drones_per_landmark must be a positive multiple of num_sections "
+                             f"(got drones_per_landmark={self.drones_per_landmark}, "
+                             f"num_sections={self.num_sections})")
+        if not all(zone.any() for zone in facet_zones(self.num_sections, self.map_side)):
+            raise ValueError(f"map_side={self.map_side} too small to host {self.num_sections} "
+                             "facet wedges (some wedge would be empty)")
+        region_grid(self.map_side, self.scales, self.width_table_dict(), self.reference_side)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+def _at_least(bound: int):
+    return (lambda v: v >= bound), f"must be >= {bound}"
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"config key '{key}': expected a boolean, got {raw!r}")
+def _either(a: str, b: str):
+    return (lambda v: v in (a, b)), f"must be {a!r} or {b!r}"
+
+
+_POSITIVE = (lambda v: v > 0), "must be positive"
+_IN_UNIT = (lambda v: 0 < v < 1), "must be in (0, 1)"
+
+# field -> (test, text); a value failing its test raises "{field} {text} (got
+# {value!r})". Tests state what is valid, so NaN fails every numeric rule.
+# Bools need no rule; __post_init__ checks the other fields left out here.
+_RULES = {
+    "seed": _at_least(0), "num_landmarks": _at_least(2), "num_sections": _at_least(2),
+    "grounds_per_landmark": _at_least(1), "channels": _at_least(1),
+    "latent_rank": _at_least(1),
+    "basis_density": ((lambda v: 0 < v <= 1), "must be in (0, 1]"),
+    "noise_sigma": _at_least(0), "train_fraction": _IN_UNIT, "embed_dim": _at_least(1),
+    "epochs_senior": _at_least(0), "epochs_junior": _at_least(0),
+    "epochs_patch": _at_least(0), "batch_streets": _at_least(2),
+    "batch_pairs": _at_least(2), "num_negatives": _at_least(1),
+    "num_positives": _at_least(0), "warmup_epochs": _at_least(0),
+    "mining_space": _either("drone", "ground"), "tau": _POSITIVE,
+    "lambda1": _at_least(0), "lambda2": _at_least(0), "margin": _POSITIVE,
+    "lr_head": _at_least(0), "lr_body": _at_least(0),  # a rate of 0 freezes a set
+    "momentum": ((lambda v: 0 <= v < 1), "must be in [0, 1)"),
+    "decay_epoch": _at_least(0), "decay_factor": _at_least(0),
+    "junior_lr_scale": _at_least(0), "peer_iterations": _at_least(1),
+    "junior_init": _either("senior", "fresh"), "student_init": _either("teacher", "fresh"),
+    "reference_side": _at_least(1),  # before the grid divides by it
+    "alpha": _IN_UNIT, "gamma": _at_least(0), "k_graph": _at_least(1),
+    "k_init": _at_least(1), "max_iters": _at_least(1), "tol": _POSITIVE,
+    "closed_form_cap": _at_least(2),  # a graph needs two nodes
+    "ground_drone_relevance": _either("facet", "landmark"),
+    "alpha_sweep": ((lambda vs: all(0 < v < 1 for v in vs)), "values must be in (0, 1)"),
+    "tau_sweep": ((lambda vs: all(v > 0 for v in vs)), "values must be positive"),
+}
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in _BOOLS:
+        raise ValueError("expected a boolean")
+    return _BOOLS[raw.lower()]
+
+
+def _pair(item: str) -> tuple[int, int]:
+    left, right = item.split(":")
+    return int(left), int(right)
+
+
+def _tuple_codec(parse, text):
+    """Comma-separated items, each parsed and formatted by the item codec."""
+    return (lambda raw: tuple(parse(t) for t in raw.split(",") if t.strip()),
+            lambda values: ",".join(text(v) for v in values))
+
+
+_FLOAT = (float, lambda v: repr(float(v)))
+# field type -> (parse a stripped raw value, format a value)
+_CODECS = {
+    "int": (int, str),
+    "float": _FLOAT,
+    "bool": (_parse_bool, lambda v: "true" if v else "false"),
+    "str": (str, str),
+    "tuple[int, ...]": _tuple_codec(int, str),
+    "tuple[float, ...]": _tuple_codec(*_FLOAT),
+    "tuple[tuple[int, int], ...]": _tuple_codec(_pair, lambda p: f"{p[0]}:{p[1]}"),
+}
+_FIELD_CODECS = {f.name: _CODECS[f.type] for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str):
-    if key not in _FIELD_TYPES:
+    if key not in _FIELD_CODECS:
         raise ValueError(f"unknown config key '{key}'")
     raw = raw.strip()
-    kind = _FIELD_TYPES[key]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            return _parse_bool(raw, key)
-        if kind == "str":
-            return raw
-        if kind == "tuple[int, ...]":
-            return tuple(int(t) for t in raw.split(",") if t.strip())
-        if kind == "tuple[float, ...]":
-            return tuple(float(t) for t in raw.split(",") if t.strip())
-        if kind == "tuple[tuple[int, int], ...]":
-            pairs = []
-            for item in raw.split(","):
-                if not item.strip():
-                    continue
-                left, right = item.split(":")
-                pairs.append((int(left), int(right)))
-            return tuple(pairs)
+        return _FIELD_CODECS[key][0](raw)
     except ValueError as err:
         raise ValueError(f"config key '{key}': cannot parse {raw!r} ({err})") from None
-    raise ValueError(f"config key '{key}' has unsupported type {kind}")
-
-
-def _format_value(key: str, value) -> str:
-    kind = _FIELD_TYPES[key]
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "tuple[int, ...]":
-        return ",".join(str(v) for v in value)
-    if kind == "tuple[float, ...]":
-        return ",".join(repr(float(v)) for v in value)
-    if kind == "tuple[tuple[int, int], ...]":
-        return ",".join(f"{a}:{b}" for a, b in value)
-    if kind == "float":
-        return repr(float(value))
-    return str(value)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -243,22 +199,16 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 def load_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig:
     """Defaults, then file values, then overrides; every key validated."""
-    values = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for key, raw in parse_config_text(fh.read(), str(path)).items():
-                values[key] = _parse_value(key, raw)
-    for key, raw in (overrides or {}).items():
-        values[key] = _parse_value(key, raw)
-    return replace(RunConfig(), **values)
+    text = "" if path is None else Path(path).read_text(encoding="utf-8")
+    pairs = [*parse_config_text(text, str(path)).items(), *(overrides or {}).items()]
+    return replace(RunConfig(), **{key: _parse_value(key, raw) for key, raw in pairs})
 
 
 def format_config(cfg: RunConfig) -> str:
-    lines = [f"{f.name} = {_format_value(f.name, getattr(cfg, f.name))}"
-             for f in fields(RunConfig)]
+    lines = [f"{name} = {codec[1](getattr(cfg, name))}"
+             for name, codec in _FIELD_CODECS.items()]
     return "\n".join(lines) + "\n"
 
 
 def write_config(path, cfg: RunConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_config(cfg))
+    Path(path).write_text(format_config(cfg), encoding="utf-8")

@@ -18,7 +18,7 @@ Each view is embedded as one stack, every non-diffusion mode scores as one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,36 +47,34 @@ def make_split(cfg: RunConfig) -> DatasetSplit:
     return generate_synthetic(cfg)
 
 
-def train_ground_drone(cfg: RunConfig, split: DatasetSplit):
-    """Step I + Step II, with the optional senior<-junior swap rounds."""
-    senior = peerlearn.train_senior(split, cfg)
-    senior_ground, senior_drone, senior_log = senior
+def train_ground_drone(cfg: RunConfig, split: DatasetSplit, shared_branches: bool = False):
+    """Step I + Step II, with the optional senior<-junior swap rounds;
+    ``shared_branches`` makes both branches one encoder."""
+    senior_ground, senior_drone, senior_log = peerlearn.train_senior(
+        split, cfg, shared_branches=shared_branches)
     junior_ground, junior_drone, junior_log = peerlearn.train_junior(
-        split, (senior_ground, senior_drone), cfg)
+        split, (senior_ground, senior_drone), cfg, shared_branches=shared_branches)
     for round_idx in range(1, cfg.peer_iterations):
         senior_ground, senior_drone = junior_ground, junior_drone
         junior_ground, junior_drone, junior_log = peerlearn.train_junior(
-            split, (senior_ground, senior_drone), cfg,
+            split, (senior_ground, senior_drone), cfg, shared_branches=shared_branches,
             round_tag=f".round{round_idx}")
     logs = {"senior": senior_log, "junior": junior_log}
     return (senior_ground, senior_drone), (junior_ground, junior_drone), logs
 
 
-def train_all(cfg: RunConfig, split: DatasetSplit) -> TrainedModels:
-    (sg, sd), (jg, jd), logs = train_ground_drone(cfg, split)
-    shared, sd_log = patchmodel.train_satellite_drone(split, jd, cfg)
-    logs["satdrone"] = sd_log
+def train_all(cfg: RunConfig, split: DatasetSplit,
+              shared_branches: bool = False) -> TrainedModels:
+    (sg, sd), (jg, jd), logs = train_ground_drone(cfg, split, shared_branches)
+    shared, logs["satdrone"] = patchmodel.train_satellite_drone(split, jd, cfg)
     return TrainedModels(senior_ground=sg, senior_drone=sd, junior_ground=jg,
                          junior_drone=jd, shared=shared, logs=logs)
 
 
 def train_one_model(cfg: RunConfig, split: DatasetSplit) -> TrainedModels:
-    """One encoder for every view, trained through the same two stages."""
-    sg, sdr, _ = peerlearn.train_senior(split, cfg, shared_branches=True)
-    jg, jdr, _ = peerlearn.train_junior(split, (sg, sdr), cfg, shared_branches=True)
-    shared, _ = patchmodel.train_satellite_drone(split, jdr, cfg)
-    return TrainedModels(senior_ground=sg, senior_drone=sdr, junior_ground=shared,
-                         junior_drone=shared, shared=shared, logs={})
+    """One encoder for every view, trained through ``train_all``'s stages."""
+    models = train_all(cfg, split, shared_branches=True)
+    return replace(models, junior_ground=models.shared, junior_drone=models.shared)
 
 
 # ---------------------------------------------------------------------------

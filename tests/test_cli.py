@@ -83,6 +83,20 @@ def test_bad_config_value_exits_with_its_message(workspace, tmp_path):
     assert not (tmp_path / "models").exists()
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("reference_side=0", "reference_side must be >= 1 (got 0)"),
+    ("scales=0", "scales must be >= 1 (got 0)"),
+    ("width_table=1:0", "width rule gives 0 for scale 1 on side 6"),
+    ("closed_form_cap=0", "closed_form_cap must be >= 2 (got 0)"),
+])
+def test_values_later_stages_cannot_use_exit_at_load(tmp_path, setting, message):
+    # these once passed gen-data and died with a traceback in training or retrieval
+    with pytest.raises(SystemExit) as err:
+        run(["gen-data", "--set", setting, "--out", tmp_path / "data"])
+    assert message in str(err.value)
+    assert not (tmp_path / "data").exists()
+
+
 def test_train_outputs_and_rerun_identical(workspace, tmp_path):
     root, cfg = workspace
     for name in ("senior-ground.npz", "senior-drone.npz", "junior-ground.npz",

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from plcd.config import RunConfig, format_config, load_config, write_config
@@ -71,6 +73,9 @@ INVALID_VALUES = [
     ("num_negatives", "0", "num_negatives must be >= 1 (got 0)"),
     ("peer_iterations", "0", "peer_iterations must be >= 1 (got 0)"),
     ("momentum", "1.0", "momentum must be in [0, 1) (got 1.0)"),
+    ("decay_epoch", "-1", "decay_epoch must be >= 0 (got -1)"),
+    ("decay_factor", "-0.5", "decay_factor must be >= 0 (got -0.5)"),
+    ("junior_lr_scale", "-1.0", "junior_lr_scale must be >= 0 (got -1.0)"),
     ("tau", "0.0", "tau must be positive (got 0.0)"),
     ("tau_sweep", "2,0", "tau_sweep values must be positive (got (2.0, 0.0))"),
     ("lambda1", "-1.0", "lambda1 must be >= 0 (got -1.0)"),
@@ -79,15 +84,22 @@ INVALID_VALUES = [
     ("mining_space", "nope", "mining_space must be 'drone' or 'ground' (got 'nope')"),
     ("junior_init", "other", "junior_init must be 'senior' or 'fresh' (got 'other')"),
     ("margin", "0.0", "margin must be positive (got 0.0)"),
+    ("lr_head", "-0.01", "lr_head must be >= 0 (got -0.01)"),
+    ("lr_body", "-0.01", "lr_body must be >= 0 (got -0.01)"),
     ("lambda2", "-1.0", "lambda2 must be >= 0 (got -1.0)"),
     ("batch_pairs", "1", "batch_pairs must be >= 2 (got 1)"),
     ("student_init", "x", "student_init must be 'teacher' or 'fresh' (got 'x')"),
+    ("scales", "0", "scales must be >= 1 (got 0)"),
+    ("width_table", "1:0", "width rule gives 0 for scale 1 on side 6; must be within [1, 6]"),
+    ("reference_side", "0", "reference_side must be >= 1 (got 0)"),
     ("alpha", "1.0", "alpha must be in (0, 1) (got 1.0)"),
+    ("gamma", "-1.0", "gamma must be >= 0 (got -1.0)"),
     ("alpha_sweep", "0.5,1.5", "alpha_sweep values must be in (0, 1) (got (0.5, 1.5))"),
     ("k_graph", "0", "k_graph must be >= 1 (got 0)"),
     ("k_init", "0", "k_init must be >= 1 (got 0)"),
     ("tol", "0.0", "tol must be positive (got 0.0)"),
     ("max_iters", "0", "max_iters must be >= 1 (got 0)"),
+    ("closed_form_cap", "1", "closed_form_cap must be >= 2 (got 1)"),
     ("ground_drone_relevance", "facets",
      "ground_drone_relevance must be 'facet' or 'landmark' (got 'facets')"),
 ]
@@ -106,3 +118,41 @@ def test_format_is_flat_key_value():
     for line in text.strip().splitlines():
         key, eq, value = line.partition(" = ")
         assert eq and key and value
+
+
+def test_every_checked_field_has_an_invalid_value_row():
+    # a new field without a rule (and a row here) fails this test
+    checked = {f.name for f in fields(RunConfig) if f.type != "bool"}
+    assert {key for key, _, _ in INVALID_VALUES} == checked
+
+
+def test_bool_parse_error_is_reported_once():
+    with pytest.raises(ValueError) as err:
+        load_config(None, {"encoder_tanh": "maybe"})
+    assert str(err.value) == "config key 'encoder_tanh': cannot parse 'maybe' (expected a boolean)"
+
+
+# a valid value other than the default for every field, so every field
+# type goes through the writer and the parser
+NON_DEFAULTS = dict(
+    seed=3, num_landmarks=5, num_sections=4, drones_per_landmark=8, grounds_per_landmark=3,
+    channels=6, map_side=8, latent_rank=5, basis_density=0.25, noise_sigma=0.35,
+    train_fraction=0.6, embed_dim=16, encoder_tanh=False, epochs_senior=2, epochs_junior=3,
+    epochs_patch=4, batch_streets=5, batch_pairs=3, num_negatives=2, num_positives=3,
+    warmup_epochs=1, mining_space="ground", tau=0.1 + 0.2, lambda1=0.5, lambda2=2.5,
+    margin=1 / 3, lr_head=0.02, lr_body=0.0, momentum=0.5, decay_epoch=7, decay_factor=0.5,
+    junior_lr_scale=0.25, peer_iterations=2, junior_init="fresh", student_init="teacher",
+    scales=(1, 2), width_table=((1, 6), (2, 4)), reference_side=8, alpha=0.75, gamma=2.0,
+    k_graph=5, k_init=6, max_iters=50, tol=1e-6, closed_form=False, closed_form_cap=500,
+    ground_drone_relevance="landmark", cmc_per_landmark=True, alpha_sweep=(0.25, 0.8),
+    tau_sweep=(1.0, 0.3),
+)
+
+
+def test_every_field_round_trips_at_a_non_default_value(tmp_path):
+    assert set(NON_DEFAULTS) == {f.name for f in fields(RunConfig)}
+    cfg, default = RunConfig(**NON_DEFAULTS), RunConfig()
+    assert all(getattr(cfg, key) != getattr(default, key) for key in NON_DEFAULTS)
+    path = tmp_path / "run.cfg"
+    write_config(path, cfg)
+    assert load_config(path) == cfg

@@ -362,6 +362,16 @@ def test_junior_fresh_init_differs_from_senior_init():
     assert params_digest(jg) != params_digest(ground)
 
 
+def test_zero_junior_rate_keeps_the_senior_init():
+    split = tiny_split(noise=0.2)
+    cfg = tiny_cfg(junior_lr_scale=0.0, junior_init="senior")
+    ground, drone, _ = peerlearn.train_senior(split, cfg)
+    jg, jd, log = peerlearn.train_junior(split, (ground, drone), cfg)
+    assert log  # the junior took steps, each at rate 0
+    assert params_digest(jg) == params_digest(ground)
+    assert params_digest(jd) == params_digest(drone)
+
+
 def test_training_log_format():
     split = tiny_split(noise=0.2)
     ground, drone, log = peerlearn.train_senior(split, tiny_cfg(epochs_senior=1))

@@ -5,8 +5,10 @@ import pytest
 
 from plcd import diffusion as diff
 from plcd import encoder as enc
-from plcd import evalkit, pipeline, rmac
+from plcd import evalkit, peerlearn, pipeline, rmac
 from plcd.config import RunConfig
+from plcd.dataspace import GROUND, SATELLITE, ImageRecord
+from plcd.ranking import RankingList
 
 from support import params_digest
 
@@ -296,3 +298,41 @@ def test_peer_iteration_hook_swaps_senior():
     # and the second round's senior is exactly round one's junior
     assert params_digest(two_rounds[0][0]) == params_digest(one_round[1][0])
     assert params_digest(two_rounds[0][1]) == params_digest(one_round[1][1])
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+def test_one_model_trains_every_swap_round(monkeypatch, rounds):
+    cfg = RunConfig(seed=5, num_landmarks=4, drones_per_landmark=6,
+                    grounds_per_landmark=2, channels=4, map_side=6,
+                    latent_rank=8, embed_dim=8, epochs_senior=0, epochs_junior=0,
+                    epochs_patch=0, scales=(1, 2), peer_iterations=rounds)
+    calls = []
+    train_junior = peerlearn.train_junior
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["shared_branches"])
+        return train_junior(*args, **kwargs)
+
+    monkeypatch.setattr(peerlearn, "train_junior", counted)
+    pipeline.train_one_model(cfg, pipeline.make_split(cfg))
+    assert calls == [True] * rounds
+
+
+def _record(rid, view, landmark):
+    return ImageRecord(id=rid, view=view, landmark=landmark, section=0,
+                       featmap=np.zeros((1, 1, 1)))
+
+
+def test_cmc_per_landmark_averages_landmark_means():
+    # landmark 0 has three queries (one hit at rank 1), landmark 1 one (a hit)
+    records = ([_record(100, SATELLITE, 0), _record(101, SATELLITE, 1)]
+               + [_record(q, GROUND, 0) for q in (1, 2, 3)] + [_record(4, GROUND, 1)])
+    rankings = [RankingList(1, [100, 101], [0.9, 0.1]),
+                RankingList(2, [101, 100], [0.9, 0.1]),
+                RankingList(3, [101, 100], [0.9, 0.1]),
+                RankingList(4, [101, 100], [0.9, 0.1])]
+    per_query = pipeline.task_report(RunConfig(), records, 6, rankings, "ground-satellite")
+    per_landmark = pipeline.task_report(RunConfig(cmc_per_landmark=True), records, 6,
+                                        rankings, "ground-satellite")
+    assert per_query.cmc[1] == 2 / 4
+    assert per_landmark.cmc[1] == (1 / 3 + 1 / 1) / 2
