@@ -105,10 +105,8 @@ def cmd_train_gd(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     split = _read_split(_out_path(args.data), "train")
     senior, junior, logs = pipeline.train_ground_drone(cfg, split)
-    enc.save_params(out / CHECKPOINTS["senior_ground"], senior[0])
-    enc.save_params(out / CHECKPOINTS["senior_drone"], senior[1])
-    enc.save_params(out / CHECKPOINTS["junior_ground"], junior[0])
-    enc.save_params(out / CHECKPOINTS["junior_drone"], junior[1])
+    for name, params in zip(CHECKPOINTS.values(), (*senior, *junior)):  # shared is train-sd's
+        enc.save_params(out / name, params)
     _write_log(out / "train-senior.log", logs["senior"])
     _write_log(out / "train-junior.log", logs["junior"])
     write_config(out / EFFECTIVE_CONFIG, cfg)
@@ -131,46 +129,39 @@ def cmd_train_sd(args) -> int:
     return 0
 
 
-def _load_models(models_dir: Path, cfg: RunConfig, require_shared: bool,
+def _load_models(models_dir: Path, cfg: RunConfig, task: str,
                  read_shared: bool = False) -> pipeline.TrainedModels:
-    """The checkpoints retrieval reads: the junior pair, and the shared
-    satellite-drone encoder when ``require_shared`` (or, with ``read_shared``,
-    when its file exists). No retrieval mode reads the seniors; the junior
-    pair and the junior drone stand in for every field left unread."""
+    """The junior pair, and the shared satellite-drone encoder when ``task``
+    ranks satellites or ``read_shared`` finds its file; the juniors stand in
+    for the seniors and the junior drone for a shared encoder left unread."""
     wanted = ["junior_ground", "junior_drone"]
-    if require_shared or (read_shared and (models_dir / CHECKPOINTS["shared"]).exists()):
+    if (dataspace.SATELLITE in pipeline.TASKS[task]
+            or (read_shared and (models_dir / CHECKPOINTS["shared"]).exists())):
         wanted.append("shared")
-    loaded = {}
-    for attr in wanted:
-        loaded[attr] = _parse(models_dir / CHECKPOINTS[attr], "checkpoint", enc.load_params,
-                              tanh=cfg.encoder_tanh)
-    return pipeline.TrainedModels(
-        senior_ground=loaded["junior_ground"],
-        senior_drone=loaded["junior_drone"],
-        junior_ground=loaded["junior_ground"],
-        junior_drone=loaded["junior_drone"],
-        shared=loaded.get("shared", loaded["junior_drone"]),
-        logs={},
-    )
+    loaded = {attr: _parse(models_dir / CHECKPOINTS[attr], "checkpoint", enc.load_params,
+                           tanh=cfg.encoder_tanh) for attr in wanted}
+    ground, drone = loaded["junior_ground"], loaded["junior_drone"]
+    return pipeline.TrainedModels(ground, drone, ground, drone,
+                                  shared=loaded.get("shared", drone), logs={})
 
 
 def cmd_retrieve(args) -> int:
+    task = pipeline.MODES[args.mode]
+    if args.best_region and task != "ground-drone":
+        args.error(f"--best-region does not apply to --mode {args.mode}")
+    if args.no_drones and dataspace.DRONE in pipeline.TASKS[task] and not args.dump_embeddings:
+        args.error(f"--no-drones applies to --mode {args.mode} only with --dump-embeddings")
     cfg = _load_cfg(args)
+    split = _read_split(_out_path(args.data), "test")
+    models = _load_models(_out_path(args.models), cfg, task,
+                          read_shared=bool(args.dump_embeddings))
+    try:
+        rankings = pipeline.rankings(cfg, split, models, args.mode, use_drones=not args.no_drones,
+                                     best_region=args.best_region)
+    except ValueError as err:
+        raise SystemExit(f"retrieve --mode {args.mode} on {_out_path(args.data)}: {err}")
     out = _out_path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    split = _read_split(_out_path(args.data), "test")
-    models = _load_models(_out_path(args.models), cfg,
-                          require_shared=args.mode != "ground-drone",
-                          read_shared=bool(args.dump_embeddings))
-    if args.mode in ("diffusion", "chain", "direct-cosine"):
-        rankings = pipeline.ground_satellite_rankings(
-            cfg, split, models, args.mode, use_drones=not args.no_drones)
-    elif args.mode == "ground-drone":
-        rankings = pipeline.ground_drone_rankings(
-            cfg, split, models.junior_ground, models.junior_drone,
-            best_region=args.best_region)
-    else:
-        rankings = pipeline.drone_satellite_rankings(cfg, split, models.shared)
     for ranking in rankings:
         write_ranking(out / f"ranking-{ranking.query_id}.txt", ranking)
     if args.dump_embeddings:
@@ -296,14 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ground-drone only: score galleries by their best sub-region")
     p.add_argument("--dump-embeddings", default=None,
                    help="also write the embedding exchange file here")
-    p.set_defaults(func=cmd_retrieve)
+    p.set_defaults(func=cmd_retrieve, error=p.error)
 
     p = sub.add_parser("evaluate", help="compute CMC/mAP over ranking files")
     common(p)
     p.add_argument("--rankings", required=True, help="directory of ranking files")
     p.add_argument("--data", required=True, help="dataset file defining relevance")
-    p.add_argument("--task", required=True,
-                   choices=("ground-drone", "ground-satellite", "drone-satellite"))
+    p.add_argument("--task", required=True, choices=pipeline.TASKS)
     p.add_argument("--out", default=None, help="directory for metrics.json/csv")
     p.set_defaults(func=cmd_evaluate)
 

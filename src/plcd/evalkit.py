@@ -207,15 +207,15 @@ def run_ablation(suite: str, cfg, split=None, models=None) -> AblationResult:
                 ("two-branch+S", models.senior_ground, models.senior_drone, False),
                 ("two-branch+S+J", models.junior_ground, models.junior_drone, False),
                 ("two-branch+S+J+B", models.junior_ground, models.junior_drone, True)):
-            rows.append((name, pipeline.evaluate_ground_drone(
-                cfg, split, ground, drone, best_region=best_region)))
+            pair = replace(models, junior_ground=ground, junior_drone=drone)
+            rows.append((name, pipeline.evaluate_mode(cfg, split, pair, "ground-drone",
+                                                      best_region=best_region)))
     elif suite == "one-vs-two-branch":
         one = pipeline.train_one_model(cfg, split)
-        for task in ("ground-drone", "drone-satellite", "ground-satellite"):
-            rows.append((f"one-model:{task}",
-                         pipeline.evaluate_task(cfg, split, one, task)))
-            rows.append((f"two-branch:{task}",
-                         pipeline.evaluate_task(cfg, split, models, task)))
+        for mode in ("ground-drone", "drone-satellite", "diffusion"):
+            for name, trained in (("one-model", one), ("two-branch", models)):
+                rows.append((f"{name}:{pipeline.MODES[mode]}",
+                             pipeline.evaluate_mode(cfg, split, trained, mode)))
     elif suite == "alpha-sweep":
         # alpha enters only the walk, so every alpha shares one graph
         index = pipeline.build_diffusion_index(cfg, split, models)
@@ -224,10 +224,11 @@ def run_ablation(suite: str, cfg, split=None, models=None) -> AblationResult:
                 cfg, split, models, "diffusion", alpha=alpha, index=index)))
     elif suite == "tau-sweep":
         # one senior; the junior retrains at each distillation temperature
+        # (its drone fills the shared slot, which ground-drone never reads)
         senior = peerlearn.train_senior(split, cfg)[:2]
         for tau in cfg.tau_sweep:
-            ground, drone, _ = peerlearn.train_junior(split, senior, replace(cfg, tau=tau))
-            rows.append((f"tau={tau}",
-                         pipeline.evaluate_ground_drone(cfg, split, ground, drone)))
+            junior = peerlearn.train_junior(split, senior, replace(cfg, tau=tau))[:2]
+            pair = pipeline.TrainedModels(*senior, *junior, shared=junior[1], logs={})
+            rows.append((f"tau={tau}", pipeline.evaluate_mode(cfg, split, pair, "ground-drone")))
 
     return AblationResult(suite=suite, rows=rows, signs=pairwise_signs(rows))

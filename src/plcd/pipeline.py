@@ -2,8 +2,9 @@
 
 The CLI subcommands and ``evalkit.run_ablation`` both route through this
 module so scores are computed one way everywhere; the ablation suites
-themselves live in ``evalkit``. Retrieval modes for the ground->satellite
-task:
+themselves live in ``evalkit``. ``TASKS`` maps each task to its (query view,
+gallery view) and ``MODES`` each mode to its task; ``rankings`` runs a mode
+and ``evaluate_mode`` scores it. The ground->satellite modes:
 
 * ``diffusion``    - walk over the satellite-drone graph, seeded from
                      ground-drone similarities (the full pipeline),
@@ -30,7 +31,11 @@ from .dataspace import (DRONE, GROUND, SATELLITE, DatasetSplit, ImageRecord,
                         generate_synthetic, infer_visible_facet)
 from .ranking import RankingList, rank_rows, row_order
 
-MODES = ("diffusion", "chain", "direct-cosine", "ground-drone", "drone-satellite")
+TASKS = {"ground-drone": (GROUND, DRONE), "ground-satellite": (GROUND, SATELLITE),
+         "drone-satellite": (DRONE, SATELLITE)}  # task -> (query view, gallery view)
+MODES = {"diffusion": "ground-satellite", "chain": "ground-satellite",
+         "direct-cosine": "ground-satellite", "ground-drone": "ground-drone",
+         "drone-satellite": "drone-satellite"}  # mode -> the task it answers
 
 
 @dataclass
@@ -78,7 +83,7 @@ def train_one_model(cfg: RunConfig, split: DatasetSplit) -> TrainedModels:
 
 
 # ---------------------------------------------------------------------------
-# retrieval
+# retrieval and evaluation
 # ---------------------------------------------------------------------------
 
 def _view_records(split: DatasetSplit, view: str) -> list[ImageRecord]:
@@ -87,6 +92,14 @@ def _view_records(split: DatasetSplit, view: str) -> list[ImageRecord]:
 
 def _ids(records: list[ImageRecord]) -> list[int]:
     return [r.id for r in records]
+
+
+def _task_records(split: DatasetSplit, task: str):
+    """The test split's (query, gallery) records of ``task``, neither empty."""
+    queries, gallery = (_view_records(split, view) for view in TASKS[task])
+    if not queries or not gallery:
+        raise ValueError(f"test split lacks the query or gallery records of {task}")
+    return queries, gallery
 
 
 def _unit_embs(params: enc.EncoderParams, records: list[ImageRecord]) -> np.ndarray:
@@ -113,10 +126,7 @@ def ground_drone_rankings(cfg: RunConfig, split: DatasetSplit,
                           ground_params: enc.EncoderParams,
                           drone_params: enc.EncoderParams,
                           best_region: bool = False) -> list[RankingList]:
-    grounds = _view_records(split, GROUND)
-    drones = _view_records(split, DRONE)
-    if not grounds or not drones:
-        raise ValueError("test split lacks ground or drone records")
+    grounds, drones = _task_records(split, "ground-drone")
     if best_region:
         gallery = rmac.gallery_descriptors(
             drone_params, rmac.config_grid(cfg, drones[0].featmap.shape), drones)
@@ -128,10 +138,7 @@ def ground_drone_rankings(cfg: RunConfig, split: DatasetSplit,
 
 def drone_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
                              shared: enc.EncoderParams) -> list[RankingList]:
-    drones = _view_records(split, DRONE)
-    sats = _view_records(split, SATELLITE)
-    if not drones or not sats:
-        raise ValueError("test split lacks drone or satellite records")
+    drones, sats = _task_records(split, "drone-satellite")
     scores = cosine_scores(_unit_embs(patchmodel.drone_branch(shared), drones),
                            _unit_embs(patchmodel.satellite_branch(shared), sats))
     return rank_rows(_ids(drones), _ids(sats), scores)
@@ -157,18 +164,15 @@ def ground_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
                               use_drones: bool = True,
                               index: diff.DiffusionIndex | None = None,
                               ) -> list[RankingList]:
-    grounds = _view_records(split, GROUND)
-    sats = _view_records(split, SATELLITE)
-    if not grounds or not sats:
-        raise ValueError("test split lacks ground or satellite records")
+    if MODES.get(mode) != "ground-satellite":
+        raise ValueError(f"unknown ground-satellite mode {mode!r}; valid: "
+                         f"{', '.join(m for m, t in MODES.items() if t == 'ground-satellite')}")
+    grounds, sats = _task_records(split, "ground-satellite")
     if mode == "diffusion":
         if index is None:
             index = build_diffusion_index(cfg, split, models, use_drones=use_drones)
         return diff.query(index, _ids(grounds),
                           enc.embed_records(models.junior_ground, grounds), alpha=alpha)
-    if mode not in ("chain", "direct-cosine"):
-        raise ValueError(f"unknown ground-satellite mode {mode!r}; "
-                         f"valid: diffusion, chain, direct-cosine")
     queries = _unit_embs(models.junior_ground, grounds)
     if mode == "chain":
         # each query hops to its most similar drone (lowest id on a tie) and
@@ -183,38 +187,39 @@ def ground_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
     return rank_rows(_ids(grounds), _ids(sats), cosine_scores(queries, gallery))
 
 
-# ---------------------------------------------------------------------------
-# relevance and evaluation
-# ---------------------------------------------------------------------------
+def rankings(cfg: RunConfig, split: DatasetSplit, models: TrainedModels, mode: str,
+             alpha: float | None = None, use_drones: bool = True,
+             index: diff.DiffusionIndex | None = None,
+             best_region: bool = False) -> list[RankingList]:
+    """One mode's rankings of the test split; an option reaches only the modes
+    of the ``*_rankings`` function that takes it."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; valid: {', '.join(MODES)}")
+    if MODES[mode] == "ground-drone":
+        return ground_drone_rankings(cfg, split, models.junior_ground, models.junior_drone,
+                                     best_region=best_region)
+    if MODES[mode] == "drone-satellite":
+        return drone_satellite_rankings(cfg, split, models.shared)
+    return ground_satellite_rankings(cfg, split, models, mode, alpha=alpha,
+                                     use_drones=use_drones, index=index)
+
 
 def relevance_for(records: list[ImageRecord], task: str, cfg: RunConfig,
                   num_sections: int) -> dict[int, set]:
-    """Query id -> relevant gallery ids for one task over a record set."""
-    grounds = [r for r in records if r.view == GROUND]
-    drones = [r for r in records if r.view == DRONE]
-    sats = [r for r in records if r.view == SATELLITE]
-    if task == "ground-drone":
-        rel = {}
-        for g in grounds:
-            if cfg.ground_drone_relevance == "facet":
-                facet = infer_visible_facet(g, num_sections)
-                rel[g.id] = {d.id for d in drones
-                             if d.landmark == g.landmark and d.section == facet}
-            else:
-                rel[g.id] = {d.id for d in drones if d.landmark == g.landmark}
-        return rel
-    if task == "ground-satellite":
-        return {g.id: {s.id for s in sats if s.landmark == g.landmark}
-                for g in grounds}
-    if task == "drone-satellite":
-        return {d.id: {s.id for s in sats if s.landmark == d.landmark}
-                for d in drones}
-    raise ValueError(f"unknown task {task!r}")
-
-
-def query_landmarks_for(records: list[ImageRecord], task: str) -> dict[int, int]:
-    view = DRONE if task == "drone-satellite" else GROUND
-    return {r.id: r.landmark for r in records if r.view == view}
+    """Query id -> the gallery ids of its landmark, for one task over a record
+    set; ``facet`` relevance keeps only a ground query's visible-facet drones."""
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}; valid: {', '.join(TASKS)}")
+    query_view, gallery_view = TASKS[task]
+    gallery = [r for r in records if r.view == gallery_view]
+    facets = task == "ground-drone" and cfg.ground_drone_relevance == "facet"
+    rel = {}
+    for q in records:
+        if q.view == query_view:
+            facet = infer_visible_facet(q, num_sections) if facets else None
+            rel[q.id] = {r.id for r in gallery if r.landmark == q.landmark
+                         and (facet is None or r.section == facet)}
+    return rel
 
 
 def task_report(cfg: RunConfig, records: list[ImageRecord], num_sections: int,
@@ -222,37 +227,16 @@ def task_report(cfg: RunConfig, records: list[ImageRecord], num_sections: int,
     """Metrics of one task's rankings, with relevance and the gallery size
     taken from ``records``."""
     relevance = relevance_for(records, task, cfg, num_sections)
-    gallery_view = DRONE if task == "ground-drone" else SATELLITE
+    query_view, gallery_view = TASKS[task]
     gallery_size = sum(1 for r in records if r.view == gallery_view)
-    landmarks = query_landmarks_for(records, task) if cfg.cmc_per_landmark else None
+    landmarks = ({r.id: r.landmark for r in records if r.view == query_view}
+                 if cfg.cmc_per_landmark else None)
     return evalkit.metrics_report(rankings, relevance, gallery_size,
                                   query_landmarks=landmarks)
 
 
-def evaluate_ground_drone(cfg: RunConfig, split: DatasetSplit, ground_params,
-                          drone_params, best_region: bool = False):
-    rankings = ground_drone_rankings(cfg, split, ground_params, drone_params,
-                                     best_region=best_region)
-    return task_report(cfg, split.test, split.num_sections, rankings, "ground-drone")
-
-
 def evaluate_mode(cfg: RunConfig, split: DatasetSplit, models: TrainedModels,
-                  mode: str, alpha: float | None = None,
-                  index: diff.DiffusionIndex | None = None):
-    rankings = ground_satellite_rankings(cfg, split, models, mode, alpha=alpha,
-                                         index=index)
-    return task_report(cfg, split.test, split.num_sections, rankings, "ground-satellite")
-
-
-def evaluate_task(cfg: RunConfig, split: DatasetSplit, models: TrainedModels,
-                  task: str):
-    if task == "ground-drone":
-        return evaluate_ground_drone(cfg, split, models.junior_ground,
-                                     models.junior_drone)
-    if task == "drone-satellite":
-        rankings = drone_satellite_rankings(cfg, split, models.shared)
-        return task_report(cfg, split.test, split.num_sections, rankings,
-                           "drone-satellite")
-    if task == "ground-satellite":
-        return evaluate_mode(cfg, split, models, "diffusion")
-    raise ValueError(f"unknown task {task!r}")
+                  mode: str, **options) -> evalkit.MetricsReport:
+    """Metrics of ``rankings(cfg, split, models, mode, **options)`` on its task."""
+    return task_report(cfg, split.test, split.num_sections,
+                       rankings(cfg, split, models, mode, **options), MODES[mode])

@@ -57,12 +57,6 @@ def rank_rows(query_ids: Sequence[int], gallery_ids: Sequence[int], scores,
                                              row_order(scores, ids), flags)]
 
 
-def rank_gallery(query_id: int, gallery_ids: Sequence[int],
-                 scores: Sequence[float], degenerate: bool = False) -> RankingList:
-    """``rank_rows`` for one query."""
-    return rank_rows([query_id], gallery_ids, [scores], degenerate)[0]
-
-
 def format_ranking(ranking: RankingList) -> str:
     prefix = f"{ranking.query_id} "
     lines = ["# degenerate"] if ranking.degenerate else []

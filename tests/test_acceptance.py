@@ -16,10 +16,9 @@ import pytest
 from plcd import checks, cli, diffusion, evalkit, peerlearn, pipeline, rmac
 from plcd import encoder as enc
 from plcd.config import RunConfig
-from plcd.ranking import rank_gallery
 from plcd.seeds import substream
 
-from support import params_digest
+from support import params_digest, rank_gallery
 
 SEEDS = (1, 2, 3)
 

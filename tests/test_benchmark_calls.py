@@ -69,6 +69,7 @@ def test_traced_cli_chain_pass_completes(tmp_path):
         "peerlearn.aggregate_backward",
         "peerlearn.aggregate_feature",
         "peerlearn.mine_easy_triplet",
+        "ranking.rank_gallery",
         "rmac.extract_patch_features",
     ]
     metrics = layers.per_layer_metrics(tracer, 0.0, 0.0, wl.check(tally))

@@ -1,10 +1,11 @@
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plcd import cli
+from plcd import cli, dataspace, pipeline
 
 TINY = {
     "seed": "5",
@@ -279,6 +280,83 @@ def test_best_region_mode(workspace, tmp_path):
                 "--models", root / "models", "--mode", "ground-drone",
                 "--best-region", "--out", out]) == 0
     assert list(out.glob("ranking-*.txt"))
+
+
+def _choices(command, dest):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def test_mode_and_task_choices_are_the_tables():
+    assert list(_choices("retrieve", "mode")) == list(pipeline.MODES)
+    assert list(_choices("evaluate", "task")) == list(pipeline.TASKS)
+
+
+@pytest.mark.parametrize("mode, flags", [
+    ("diffusion", ["--best-region"]),
+    ("chain", ["--best-region"]),
+    ("drone-satellite", ["--best-region", "--no-drones"]),
+    ("ground-drone", ["--no-drones"]),
+    ("drone-satellite", ["--no-drones"]),
+])
+def test_retrieve_refuses_flags_its_mode_ignores(workspace, tmp_path, capsys, mode, flags):
+    root, cfg = workspace
+    out = tmp_path / "r"
+    with pytest.raises(SystemExit) as err:
+        run(["retrieve", "--config", cfg, "--data", root / "data", "--models",
+             root / "models", "--mode", mode, "--out", out, *flags])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert flags[0] in stderr and f"--mode {mode}" in stderr
+    assert not out.exists()
+
+
+def test_no_drones_in_a_drone_mode_only_thins_the_dump(workspace, tmp_path):
+    root, cfg = workspace
+    dumps = {}
+    for name, flags in (("full", []), ("thin", ["--no-drones"])):
+        dumps[name] = tmp_path / f"{name}.txt"
+        assert run(["retrieve", "--config", cfg, "--data", root / "data",
+                    "--models", root / "models", "--mode", "ground-drone",
+                    "--dump-embeddings", dumps[name], "--out", tmp_path / name,
+                    *flags]) == 0
+    full = dataspace.read_embeddings(dumps["full"])
+    thin = dataspace.read_embeddings(dumps["thin"])
+    assert {view for _, view, _, _ in full} == {"G", "D", "S"}
+    assert [(i, v) for i, v, _, _ in thin] == [(i, v) for i, v, _, _ in full if v != "D"]
+    names = sorted(p.name for p in (tmp_path / "full").glob("ranking-*.txt"))
+    assert names
+    for name in names:
+        assert (tmp_path / "thin" / name).read_bytes() == \
+            (tmp_path / "full" / name).read_bytes()
+
+
+@pytest.mark.parametrize("mode, flags, dropped", [
+    ("chain", ["--no-drones"], None),
+    ("ground-drone", [], "D"),
+    ("drone-satellite", [], "S"),
+    ("diffusion", [], "G"),
+])
+def test_retrieve_that_cannot_run_exits_naming_mode_and_data(workspace, tmp_path, mode,
+                                                             flags, dropped):
+    root, cfg = workspace
+    data = root / "data"
+    if dropped:
+        data = tmp_path / "data"
+        data.mkdir()
+        records, num_landmarks, num_sections = dataspace.read_records(
+            root / "data" / "test-data.npz")
+        dataspace.write_records(data / "test-data.npz",
+                                [r for r in records if r.view != dropped],
+                                num_landmarks, num_sections)
+    out = tmp_path / "r"
+    with pytest.raises(SystemExit) as err:
+        run(["retrieve", "--config", cfg, "--data", data, "--models", root / "models",
+             "--mode", mode, "--out", out, *flags])
+    msg = str(err.value)
+    assert f"--mode {mode}" in msg and str(data) in msg
+    assert not out.exists()
 
 
 def test_dump_embeddings_exchange_file(workspace, tmp_path):

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plcd import evalkit
-from plcd.ranking import (RankingList, format_ranking, rank_gallery, rank_rows,
+from plcd.ranking import (RankingList, format_ranking, rank_rows,
                           read_ranking, write_ranking)
 from plcd.seeds import substream
+
+from support import rank_gallery
 
 
 def make_ranking(qid, ids_scores):

@@ -135,10 +135,10 @@ def test_trained_shared_encoder_beats_untrained_retrieval():
                               substream(cfg.seed, "patchmodel.init"),
                               tanh=True)
     untrained_models = pipeline.TrainedModels(sg, sd, jg, jd, shared0, {})
-    untrained = pipeline.evaluate_task(cfg, split, untrained_models,
+    untrained = pipeline.evaluate_mode(cfg, split, untrained_models,
                                        "drone-satellite").cmc[1]
     shared, _ = patchmodel.train_satellite_drone(split, jd, cfg)
     trained_models = pipeline.TrainedModels(sg, sd, jg, jd, shared, {})
-    trained = pipeline.evaluate_task(cfg, split, trained_models,
+    trained = pipeline.evaluate_mode(cfg, split, trained_models,
                                      "drone-satellite").cmc[1]
     assert trained > untrained

@@ -715,7 +715,9 @@ def test_trained_senior_beats_untrained_noise_free_retrieval():
     split = pipeline.make_split(cfg)
     ctx = peerlearn.build_context(split)
     g0, d0 = peerlearn._init_pair(ctx, cfg, "peerlearn.init.senior")
-    untrained = pipeline.evaluate_ground_drone(cfg, split, g0, d0).cmc[1]
+    untrained = pipeline.evaluate_mode(cfg, split, pipeline.TrainedModels(
+        g0, d0, g0, d0, d0, {}), "ground-drone").cmc[1]
     sg, sd, _ = peerlearn.train_senior(split, cfg)
-    trained = pipeline.evaluate_ground_drone(cfg, split, sg, sd).cmc[1]
+    trained = pipeline.evaluate_mode(cfg, split, pipeline.TrainedModels(
+        sg, sd, sg, sd, sd, {}), "ground-drone").cmc[1]
     assert trained > untrained

@@ -7,7 +7,7 @@ from plcd import diffusion as diff
 from plcd import encoder as enc
 from plcd import evalkit, peerlearn, pipeline, rmac
 from plcd.config import RunConfig
-from plcd.dataspace import GROUND, SATELLITE, ImageRecord
+from plcd.dataspace import DRONE, GROUND, SATELLITE, ImageRecord
 from plcd.ranking import RankingList
 
 from support import params_digest
@@ -203,6 +203,55 @@ def test_chain_requires_drones(tiny):
     with pytest.raises(ValueError, match="drone"):
         pipeline.ground_satellite_rankings(cfg, split, models, "chain",
                                            use_drones=False)
+
+
+# each mode's direct call and the task it is scored on, spelled out here so
+# that the tables are checked against an independent statement of them
+DIRECT = {
+    "diffusion": ("ground-satellite", lambda cfg, split, m:
+                  pipeline.ground_satellite_rankings(cfg, split, m, "diffusion")),
+    "chain": ("ground-satellite", lambda cfg, split, m:
+              pipeline.ground_satellite_rankings(cfg, split, m, "chain")),
+    "direct-cosine": ("ground-satellite", lambda cfg, split, m:
+                      pipeline.ground_satellite_rankings(cfg, split, m, "direct-cosine")),
+    "ground-drone": ("ground-drone", lambda cfg, split, m:
+                     pipeline.ground_drone_rankings(cfg, split, m.junior_ground,
+                                                    m.junior_drone)),
+    "drone-satellite": ("drone-satellite", lambda cfg, split, m:
+                        pipeline.drone_satellite_rankings(cfg, split, m.shared)),
+}
+
+
+def test_tables_name_every_mode_and_task():
+    assert list(pipeline.MODES) == list(DIRECT)
+    assert pipeline.MODES == {mode: task for mode, (task, _) in DIRECT.items()}
+    assert pipeline.TASKS == {"ground-drone": (GROUND, DRONE),
+                              "ground-satellite": (GROUND, SATELLITE),
+                              "drone-satellite": (DRONE, SATELLITE)}
+
+
+@pytest.mark.parametrize("mode", list(DIRECT))
+def test_evaluate_mode_scores_the_direct_rankings(tiny, mode):
+    cfg, split, models = tiny
+    task, direct = DIRECT[mode]
+    expected = pipeline.task_report(cfg, split.test, split.num_sections,
+                                    direct(cfg, split, models), task)
+    assert (pipeline.evaluate_mode(cfg, split, models, mode).to_json_dict()
+            == expected.to_json_dict())
+
+
+def test_unknown_mode_or_task_names_every_valid_one(tiny):
+    cfg, split, models = tiny
+    for call, valid in (
+            (lambda: pipeline.rankings(cfg, split, models, "bogus"), pipeline.MODES),
+            (lambda: pipeline.evaluate_mode(cfg, split, models, "bogus"), pipeline.MODES),
+            (lambda: pipeline.relevance_for(split.test, "bogus", cfg, split.num_sections),
+             pipeline.TASKS),
+            (lambda: pipeline.task_report(cfg, split.test, split.num_sections, [], "bogus"),
+             pipeline.TASKS)):
+        with pytest.raises(ValueError, match="bogus") as err:
+            call()
+        assert all(name in str(err.value) for name in valid), str(err.value)
 
 
 def test_relevance_builders(tiny):
