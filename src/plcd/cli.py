@@ -2,18 +2,20 @@
 
 Subcommands: gen-data, train-gd, train-sd, retrieve, evaluate, ablate, check.
 Every tunable lives in a flat ``key = value`` config file; any key can also
-be overridden on the command line via ``--set key=value`` (flags win). Each
-run echoes its effective config next to its outputs, and rerunning from that
-file reproduces the outputs byte for byte. Dataset splits and encoder
-checkpoints are ``.npz`` archives (``np.load`` opens them); rankings,
+be overridden on the command line via ``--set key=value`` (flags win).
+``main`` loads that config once for every stage but ``check`` and echoes it
+into the stage's ``--out`` directory, and rerunning from that file
+reproduces the outputs byte for byte. Every path argument resolves under
+``$PLCD_OUTPUT_ROOT`` when it is set and relative. A split whose maps or
+counts contradict the config exits, and ``retrieve`` reads only the
+checkpoints ``pipeline.ENCODERS`` names for its mode. Dataset splits and
+encoder checkpoints are ``.npz`` archives (``np.load`` opens them); rankings,
 metrics, logs, configs and the embedding dump are line-oriented text.
-Relative output paths resolve under ``$PLCD_OUTPUT_ROOT`` when it is set.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -37,6 +39,8 @@ CHECKPOINTS = {
 
 
 def _out_path(raw: str) -> Path:
+    """Every path argument's ``type``: relative paths resolve under
+    ``$PLCD_OUTPUT_ROOT`` when it is set."""
     path = Path(raw)
     root = os.environ.get("PLCD_OUTPUT_ROOT")
     if root and not path.is_absolute():
@@ -69,110 +73,88 @@ def _parse(path: Path, what: str, reader, **kwargs):
         raise SystemExit(msg if str(path) in msg else f"{path}: {msg}")
 
 
-def _read_split(data_dir: Path, part: str) -> dataspace.DatasetSplit:
-    """The split with only its ``part`` ("train" or "test") read; the other
-    part stays empty. ``gen-data`` writes the same landmark and section
-    counts into both files."""
-    fname = TRAIN_DATA if part == "train" else TEST_DATA
-    records, num_landmarks, num_sections = _parse(data_dir / fname, f"{part} data",
-                                                  dataspace.read_records)
-    parts = {"train": [], "test": [], part: records}
-    return dataspace.DatasetSplit(**parts, num_landmarks=num_landmarks,
-                                  num_sections=num_sections)
+def _read_split(path: Path, cfg: RunConfig, part: str) -> dataspace.DatasetSplit:
+    """The split with only its ``part`` ("train" or "test") read from ``path``;
+    the other part stays empty. Data whose maps or counts contradict ``cfg``
+    exits with a message naming the file, the field and both values."""
+    records, num_landmarks, num_sections = _parse(path, f"{part} data", dataspace.read_records)
+    found = {"num_landmarks": num_landmarks, "num_sections": num_sections}
+    if records:
+        channels, side, width = records[0].featmap.shape
+        found.update(channels=channels, map_side=side if side == width else (side, width))
+    for name, value in found.items():
+        if value != getattr(cfg, name):
+            raise SystemExit(f"{path}: {name} is {value} in the data but "
+                             f"{getattr(cfg, name)} in the run config")
+    return dataspace.DatasetSplit(**{"train": [], "test": [], part: records},
+                                  num_landmarks=num_landmarks, num_sections=num_sections)
+
+
+def _load_models(models_dir: Path, cfg: RunConfig, wanted: set[str]) -> pipeline.TrainedModels:
+    """The checkpoints of the ``wanted`` ``TrainedModels`` fields; every other
+    encoder stays unset."""
+    return pipeline.TrainedModels(**{
+        attr: _parse(models_dir / name, "checkpoint", enc.load_params, tanh=cfg.encoder_tanh)
+        for attr, name in CHECKPOINTS.items() if attr in wanted})
 
 
 def _write_log(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def cmd_gen_data(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_gen_data(args, cfg: RunConfig) -> None:
     split = pipeline.make_split(cfg)
-    dataspace.write_records(out / TRAIN_DATA, split.train, split.num_landmarks,
-                            split.num_sections)
-    dataspace.write_records(out / TEST_DATA, split.test, split.num_landmarks,
-                            split.num_sections)
-    write_config(out / EFFECTIVE_CONFIG, cfg)
-    print(f"wrote {len(split.train)} train / {len(split.test)} test records to {out}")
-    return 0
+    args.out.mkdir(parents=True, exist_ok=True)
+    for name, records in ((TRAIN_DATA, split.train), (TEST_DATA, split.test)):
+        dataspace.write_records(args.out / name, records, split.num_landmarks,
+                                split.num_sections)
+    print(f"wrote {len(split.train)} train / {len(split.test)} test records to {args.out}")
 
 
-def cmd_train_gd(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    split = _read_split(_out_path(args.data), "train")
+def cmd_train_gd(args, cfg: RunConfig) -> None:
+    split = _read_split(args.data / TRAIN_DATA, cfg, "train")
     senior, junior, logs = pipeline.train_ground_drone(cfg, split)
+    args.out.mkdir(parents=True, exist_ok=True)
     for name, params in zip(CHECKPOINTS.values(), (*senior, *junior)):  # shared is train-sd's
-        enc.save_params(out / name, params)
-    _write_log(out / "train-senior.log", logs["senior"])
-    _write_log(out / "train-junior.log", logs["junior"])
-    write_config(out / EFFECTIVE_CONFIG, cfg)
-    print(f"wrote ground-drone checkpoints to {out}")
-    return 0
+        enc.save_params(args.out / name, params)
+    for peer in ("senior", "junior"):
+        _write_log(args.out / f"train-{peer}.log", logs[peer])
+    print(f"wrote ground-drone checkpoints to {args.out}")
 
 
-def cmd_train_sd(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    split = _read_split(_out_path(args.data), "train")
-    teacher = _parse(_out_path(args.models) / CHECKPOINTS["junior_drone"],
-                     "teacher checkpoint", enc.load_params, tanh=cfg.encoder_tanh)
+def cmd_train_sd(args, cfg: RunConfig) -> None:
+    split = _read_split(args.data / TRAIN_DATA, cfg, "train")
+    teacher = _load_models(args.models, cfg, {"junior_drone"}).junior_drone
     shared, log = patchmodel.train_satellite_drone(split, teacher, cfg)
-    enc.save_params(out / CHECKPOINTS["shared"], shared)
-    _write_log(out / "train-sd.log", log)
-    write_config(out / EFFECTIVE_CONFIG, cfg)
-    print(f"wrote satellite-drone checkpoint to {out}")
-    return 0
+    args.out.mkdir(parents=True, exist_ok=True)
+    enc.save_params(args.out / CHECKPOINTS["shared"], shared)
+    _write_log(args.out / "train-sd.log", log)
+    print(f"wrote satellite-drone checkpoint to {args.out}")
 
 
-def _load_models(models_dir: Path, cfg: RunConfig, task: str,
-                 read_shared: bool = False) -> pipeline.TrainedModels:
-    """The junior pair, and the shared satellite-drone encoder when ``task``
-    ranks satellites or ``read_shared`` finds its file; the juniors stand in
-    for the seniors and the junior drone for a shared encoder left unread."""
-    wanted = ["junior_ground", "junior_drone"]
-    if (dataspace.SATELLITE in pipeline.TASKS[task]
-            or (read_shared and (models_dir / CHECKPOINTS["shared"]).exists())):
-        wanted.append("shared")
-    loaded = {attr: _parse(models_dir / CHECKPOINTS[attr], "checkpoint", enc.load_params,
-                           tanh=cfg.encoder_tanh) for attr in wanted}
-    ground, drone = loaded["junior_ground"], loaded["junior_drone"]
-    return pipeline.TrainedModels(ground, drone, ground, drone,
-                                  shared=loaded.get("shared", drone), logs={})
-
-
-def cmd_retrieve(args) -> int:
+def cmd_retrieve(args, cfg: RunConfig) -> None:
     task = pipeline.MODES[args.mode]
     if args.best_region and task != "ground-drone":
         args.error(f"--best-region does not apply to --mode {args.mode}")
     if args.no_drones and dataspace.DRONE in pipeline.TASKS[task] and not args.dump_embeddings:
         args.error(f"--no-drones applies to --mode {args.mode} only with --dump-embeddings")
-    cfg = _load_cfg(args)
-    split = _read_split(_out_path(args.data), "test")
-    models = _load_models(_out_path(args.models), cfg, task,
-                          read_shared=bool(args.dump_embeddings))
+    split = _read_split(args.data / TEST_DATA, cfg, "test")
+    dumped = ("junior_ground", "shared") if args.dump_embeddings else ()
+    models = _load_models(args.models, cfg, {*pipeline.ENCODERS[args.mode], *dumped})
     try:
         rankings = pipeline.rankings(cfg, split, models, args.mode, use_drones=not args.no_drones,
                                      best_region=args.best_region)
     except ValueError as err:
-        raise SystemExit(f"retrieve --mode {args.mode} on {_out_path(args.data)}: {err}")
-    out = _out_path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+        raise SystemExit(f"retrieve --mode {args.mode} on {args.data}: {err}")
+    args.out.mkdir(parents=True, exist_ok=True)
     for ranking in rankings:
-        write_ranking(out / f"ranking-{ranking.query_id}.txt", ranking)
+        write_ranking(args.out / f"ranking-{ranking.query_id}.txt", ranking)
     if args.dump_embeddings:
-        _dump_embeddings(_out_path(args.dump_embeddings), cfg, split, models,
-                         use_drones=not args.no_drones)
-    write_config(out / EFFECTIVE_CONFIG, cfg)
-    print(f"wrote {len(rankings)} ranking files to {out}")
-    return 0
+        _dump_embeddings(args.dump_embeddings, split, models, use_drones=not args.no_drones)
+    print(f"wrote {len(rankings)} ranking files to {args.out}")
 
 
-def _dump_embeddings(path: Path, cfg, split, models, use_drones: bool) -> None:
+def _dump_embeddings(path: Path, split, models, use_drones: bool) -> None:
     """Exchange file, in test-split order: ground and satellite entries keep
     labels; drone reference entries are written with landmark 0 (unlabeled at
     query time). Each view is embedded as one stack, as retrieval embeds it."""
@@ -182,50 +164,42 @@ def _dump_embeddings(path: Path, cfg, split, models, use_drones: bool) -> None:
         records = [r for r in split.test if r.view == view]
         if records and (use_drones or view != dataspace.DRONE):
             rows.update(zip([r.id for r in records], enc.embed_records(params, records)))
+    path.parent.mkdir(parents=True, exist_ok=True)
     dataspace.write_embeddings(path, [
         (r.id, r.view, 0 if r.view == dataspace.DRONE else r.landmark, rows[r.id])
         for r in split.test if r.id in rows])
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _load_cfg(args)
-    rankings_dir = _out_path(args.rankings)
-    files = sorted(rankings_dir.glob("ranking-*.txt")) if rankings_dir.exists() else []
+def cmd_evaluate(args, cfg: RunConfig) -> None:
+    files = sorted(args.rankings.glob("ranking-*.txt"))
     if not files:
-        raise SystemExit(f"no ranking files found in {rankings_dir}")
+        raise SystemExit(f"no ranking files found in {args.rankings}")
     rankings = [_parse(f, "ranking file", read_ranking) for f in files]
-    records, _, num_sections = _parse(_out_path(args.data), "data file",
-                                      dataspace.read_records)
+    split = _read_split(args.data, cfg, "test")
     try:
-        report = pipeline.task_report(cfg, records, num_sections, rankings, args.task)
+        report = pipeline.task_report(cfg, split.test, split.num_sections, rankings, args.task)
     except ValueError as err:
-        raise SystemExit(f"rankings in {rankings_dir} do not fit task {args.task} "
-                         f"on {_out_path(args.data)}: {err}")
+        raise SystemExit(f"rankings in {args.rankings} do not fit task {args.task} "
+                         f"on {args.data}: {err}")
     payload = evalkit.report_to_json(report)
     if args.out:
-        out = _out_path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "metrics.json").write_text(payload, encoding="utf-8")
-        (out / "metrics.csv").write_text(
+        args.out.mkdir(parents=True, exist_ok=True)
+        (args.out / "metrics.json").write_text(payload, encoding="utf-8")
+        (args.out / "metrics.csv").write_text(
             evalkit.reports_to_csv([(args.task, report)]), encoding="utf-8")
     sys.stdout.write(payload)
-    return 0
 
 
-def cmd_ablate(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_ablate(args, cfg: RunConfig) -> None:
     try:
         result = evalkit.run_ablation(args.suite, cfg)
     except ValueError as err:
         raise SystemExit(str(err))
     if args.out:
-        out = _out_path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{args.suite}.csv").write_text(result.to_csv(), encoding="utf-8")
-        (out / f"{args.suite}.json").write_text(result.to_json(), encoding="utf-8")
-        write_config(out / EFFECTIVE_CONFIG, cfg)
+        args.out.mkdir(parents=True, exist_ok=True)
+        (args.out / f"{args.suite}.csv").write_text(result.to_csv(), encoding="utf-8")
+        (args.out / f"{args.suite}.json").write_text(result.to_json(), encoding="utf-8")
     sys.stdout.write(result.to_csv())
-    return 0
 
 
 def cmd_check(args) -> int:
@@ -259,61 +233,73 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate the synthetic dataset splits")
     common(p)
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=_out_path, required=True, help="output directory")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train-gd", help="train the ground-drone peers")
     common(p)
-    p.add_argument("--data", required=True, help="directory with the dataset splits")
-    p.add_argument("--out", required=True, help="checkpoint output directory")
+    p.add_argument("--data", type=_out_path, required=True,
+                   help="directory with the dataset splits")
+    p.add_argument("--out", type=_out_path, required=True, help="checkpoint output directory")
     p.set_defaults(func=cmd_train_gd)
 
     p = sub.add_parser("train-sd", help="train the shared satellite-drone encoder")
     common(p)
-    p.add_argument("--data", required=True, help="directory with the dataset splits")
-    p.add_argument("--models", required=True, help="directory with the junior checkpoints")
-    p.add_argument("--out", required=True, help="checkpoint output directory")
+    p.add_argument("--data", type=_out_path, required=True,
+                   help="directory with the dataset splits")
+    p.add_argument("--models", type=_out_path, required=True,
+                   help="directory with the junior checkpoints")
+    p.add_argument("--out", type=_out_path, required=True, help="checkpoint output directory")
     p.set_defaults(func=cmd_train_sd)
 
     p = sub.add_parser("retrieve", help="rank the gallery for every query")
     common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--models", required=True)
+    p.add_argument("--data", type=_out_path, required=True)
+    p.add_argument("--models", type=_out_path, required=True)
     p.add_argument("--mode", required=True, choices=pipeline.MODES)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
     p.add_argument("--no-drones", action="store_true",
                    help="drop the drone reference set (diffusion degenerates)")
     p.add_argument("--best-region", action="store_true",
                    help="ground-drone only: score galleries by their best sub-region")
-    p.add_argument("--dump-embeddings", default=None,
+    p.add_argument("--dump-embeddings", type=_out_path, default=None,
                    help="also write the embedding exchange file here")
     p.set_defaults(func=cmd_retrieve, error=p.error)
 
     p = sub.add_parser("evaluate", help="compute CMC/mAP over ranking files")
     common(p)
-    p.add_argument("--rankings", required=True, help="directory of ranking files")
-    p.add_argument("--data", required=True, help="dataset file defining relevance")
+    p.add_argument("--rankings", type=_out_path, required=True,
+                   help="directory of ranking files")
+    p.add_argument("--data", type=_out_path, required=True,
+                   help="dataset file defining relevance")
     p.add_argument("--task", required=True, choices=pipeline.TASKS)
-    p.add_argument("--out", default=None, help="directory for metrics.json/csv")
+    p.add_argument("--out", type=_out_path, default=None, help="directory for metrics.json/csv")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="run a comparison suite")
     common(p)
     p.add_argument("--suite", required=True)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("check", help="run the gradient and diffusion oracles")
     p.add_argument("--grad-seeds", type=int, default=5)
     p.add_argument("--graphs", type=int, default=20)
-    p.set_defaults(func=cmd_check)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """One subcommand. Every stage but ``check`` gets the run config loaded
+    here, and a stage given ``--out`` finds it echoed there once it returns."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    if args.command == "check":
+        return cmd_check(args)
+    cfg = _load_cfg(args)
+    args.func(args, cfg)
+    if args.out:
+        write_config(args.out / EFFECTIVE_CONFIG, cfg)
+    return 0
 
 
 if __name__ == "__main__":

@@ -202,10 +202,13 @@ def diffuse_iterative(matrix: np.ndarray, f0: np.ndarray, alpha: float,
                       max_iters: int, tol: float) -> DiffusionResult:
     """Fixed-point iteration of the restarted walk on every column of ``f0``
     at once. Each column stops at its own first iteration whose sup-norm
-    change is below ``tol``, so its state and count are those of a walk on
-    that column alone. The columns still walking form one contiguous block
-    with their restart terms; a column leaves it, and is written back, when
-    it stops or at ``max_iters``."""
+    change is below ``tol``. A block product sums in another order than a
+    one-column product, so a column's state can differ in its low bits from
+    a walk on that column alone. Its count and its ranking order can differ
+    only where a change lies within that rounding of ``tol``, or two scores
+    within it of each other. The columns still walking form one contiguous
+    block with their restart terms; a column leaves it, and is written back,
+    when it stops or at ``max_iters``."""
     f = np.array(f0, dtype=float).reshape(len(f0), -1)
     cur, restart = f, (1.0 - alpha) * f
     m = f.shape[1]

@@ -3,8 +3,9 @@
 The CLI subcommands and ``evalkit.run_ablation`` both route through this
 module so scores are computed one way everywhere; the ablation suites
 themselves live in ``evalkit``. ``TASKS`` maps each task to its (query view,
-gallery view) and ``MODES`` each mode to its task; ``rankings`` runs a mode
-and ``evaluate_mode`` scores it. The ground->satellite modes:
+gallery view), ``MODES`` each mode to its task and ``ENCODERS`` each mode to
+the ``TrainedModels`` fields it ranks with; ``rankings`` runs a mode and
+``evaluate_mode`` scores it. The ground->satellite modes:
 
 * ``diffusion``    - walk over the satellite-drone graph, seeded from
                      ground-drone similarities (the full pipeline),
@@ -19,7 +20,7 @@ Each view is embedded as one stack, every non-diffusion mode scores as one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,16 +37,22 @@ TASKS = {"ground-drone": (GROUND, DRONE), "ground-satellite": (GROUND, SATELLITE
 MODES = {"diffusion": "ground-satellite", "chain": "ground-satellite",
          "direct-cosine": "ground-satellite", "ground-drone": "ground-drone",
          "drone-satellite": "drone-satellite"}  # mode -> the task it answers
+_ALL_THREE = ("junior_ground", "junior_drone", "shared")
+ENCODERS = {"diffusion": _ALL_THREE, "chain": _ALL_THREE,
+            "direct-cosine": ("junior_ground", "shared"),
+            "ground-drone": ("junior_ground", "junior_drone"),
+            "drone-satellite": ("shared",)}  # mode -> the TrainedModels fields it ranks with
 
 
 @dataclass
 class TrainedModels:
-    senior_ground: enc.EncoderParams
-    senior_drone: enc.EncoderParams
-    junior_ground: enc.EncoderParams
-    junior_drone: enc.EncoderParams
-    shared: enc.EncoderParams
-    logs: dict[str, list[str]]
+    """The trained encoders; a stage leaves unset (None) each one it never reads."""
+    senior_ground: enc.EncoderParams | None = None
+    senior_drone: enc.EncoderParams | None = None
+    junior_ground: enc.EncoderParams | None = None
+    junior_drone: enc.EncoderParams | None = None
+    shared: enc.EncoderParams | None = None
+    logs: dict[str, list[str]] = field(default_factory=dict)
 
 
 def make_split(cfg: RunConfig) -> DatasetSplit:

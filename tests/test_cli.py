@@ -530,3 +530,90 @@ def test_ablate_writes_tables(workspace, tmp_path):
     payload = json.loads((out / "alpha-sweep.json").read_text())
     assert payload["suite"] == "alpha-sweep"
     assert payload["rows"] and payload["signs"]
+
+
+def _copy_checkpoints(root: Path, dst: Path, attrs) -> Path:
+    dst.mkdir()
+    for attr in attrs:
+        name = cli.CHECKPOINTS[attr]
+        (dst / name).write_bytes((root / "models" / name).read_bytes())
+    return dst
+
+
+@pytest.mark.parametrize("mode", pipeline.MODES)
+def test_each_mode_reads_only_its_table_checkpoints(workspace, tmp_path, mode):
+    root, cfg = workspace
+    only = _copy_checkpoints(root, tmp_path / "only", pipeline.ENCODERS[mode])
+    for models, out in ((root / "models", tmp_path / "full"), (only, tmp_path / "only-r")):
+        assert run(["retrieve", "--config", cfg, "--data", root / "data",
+                    "--models", models, "--mode", mode, "--out", out]) == 0
+    names = sorted(p.name for p in (tmp_path / "full").glob("ranking-*.txt"))
+    assert names and names == sorted(p.name for p in (tmp_path / "only-r").glob("ranking-*.txt"))
+    for name in names:
+        assert (tmp_path / "only-r" / name).read_bytes() == \
+            (tmp_path / "full" / name).read_bytes()
+
+
+def test_ground_drone_dump_needs_the_shared_checkpoint(workspace, tmp_path):
+    # the dump embeds satellites and drones with satdrone.npz, never a junior stand-in
+    root, cfg = workspace
+    juniors = _copy_checkpoints(root, tmp_path / "juniors", ("junior_ground", "junior_drone"))
+    with pytest.raises(SystemExit) as err:
+        run(["retrieve", "--config", cfg, "--data", root / "data", "--models", juniors,
+             "--mode", "ground-drone", "--dump-embeddings", tmp_path / "gd.txt",
+             "--out", tmp_path / "gd"])
+    assert "satdrone.npz" in str(err.value)
+    assert not (tmp_path / "gd.txt").exists()
+
+
+def test_dump_embeddings_makes_its_directory(workspace, tmp_path):
+    root, cfg = workspace
+    emb = tmp_path / "nodir" / "deeper" / "emb.txt"
+    assert run(["retrieve", "--config", cfg, "--data", root / "data",
+                "--models", root / "models", "--mode", "direct-cosine",
+                "--dump-embeddings", emb, "--out", tmp_path / "r"]) == 0
+    assert {view for _, view, _, _ in dataspace.read_embeddings(emb)} == {"G", "D", "S"}
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("map_side=9", "map_side is 6 in the data but 9 in the run config"),
+    ("channels=5", "channels is 4 in the data but 5 in the run config"),
+    ("num_landmarks=6", "num_landmarks is 4 in the data but 6 in the run config"),
+    ("num_sections=3", "num_sections is 6 in the data but 3 in the run config"),
+], ids=["map_side", "channels", "num_landmarks", "num_sections"])
+def test_train_gd_exits_on_data_that_contradicts_the_config(workspace, tmp_path, setting,
+                                                            message):
+    root, cfg = workspace
+    with pytest.raises(SystemExit) as err:
+        run(["train-gd", "--config", cfg, "--set", setting, "--data", root / "data",
+             "--out", tmp_path / "m"])
+    assert str(root / "data" / "train-data.npz") in str(err.value)
+    assert message in str(err.value)
+    assert not (tmp_path / "m").exists()
+
+
+def test_retrieve_exits_on_data_that_contradicts_the_config(workspace, tmp_path):
+    root, cfg = workspace
+    with pytest.raises(SystemExit) as err:
+        run(["retrieve", "--config", cfg, "--set", "map_side=9", "--data", root / "data",
+             "--models", root / "models", "--mode", "diffusion", "--out", tmp_path / "r"])
+    msg = str(err.value)
+    assert str(root / "data" / "test-data.npz") in msg
+    assert "map_side is 6 in the data but 9 in the run config" in msg
+    assert not (tmp_path / "r").exists()
+
+
+def test_evaluate_echoes_a_config_that_reproduces_it(workspace, tmp_path):
+    root, cfg = workspace
+    rankings, first, second = tmp_path / "r", tmp_path / "m1", tmp_path / "m2"
+    assert run(["retrieve", "--config", cfg, "--data", root / "data",
+                "--models", root / "models", "--mode", "ground-drone", "--out", rankings]) == 0
+    test_data = root / "data" / "test-data.npz"
+    assert run(["evaluate", "--config", cfg, "--set", "ground_drone_relevance=landmark",
+                "--rankings", rankings, "--data", test_data, "--task", "ground-drone",
+                "--out", first]) == 0
+    echoed = first / "effective-config.txt"
+    assert "ground_drone_relevance = landmark" in echoed.read_text()
+    assert run(["evaluate", "--config", echoed, "--rankings", rankings,
+                "--data", test_data, "--task", "ground-drone", "--out", second]) == 0
+    assert (second / "metrics.json").read_bytes() == (first / "metrics.json").read_bytes()

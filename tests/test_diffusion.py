@@ -11,6 +11,7 @@ from plcd import dataspace as ds
 from plcd import diffusion as diff
 from plcd.checks import random_stochastic_matrix
 from plcd.config import RunConfig
+from plcd.ranking import row_order
 from plcd.seeds import substream
 
 
@@ -435,6 +436,21 @@ def test_columns_stop_at_their_own_iteration():
     assert result.iterations == alone.iterations + 2
     assert isinstance(result.iterations, int) and isinstance(result.converged, bool)
     assert result.converged
+    # on a retrieval-sized graph a column walked alone takes as many
+    # iterations and orders the satellites the same way, though the block
+    # product leaves other low bits in its state
+    index, queries = retrieval_case(5, n_drone=300, n_sat=80, n_query=200)
+    graph = index.graph
+    f0 = diff.init_state(queries, index.drone_gd, index.cfg, graph.size)
+    sat_idx, sat_ids = graph.satellite_indices(), index.sat_ids
+    for alpha in (0.5, 0.9):
+        batch = diff.diffuse_iterative(graph.matrix, f0, alpha, 1000, 1e-9)
+        assert batch.converged
+        for j in range(0, 200, 10):
+            alone = diff.diffuse_iterative(graph.matrix, f0[:, j], alpha, 1000, 1e-9)
+            assert alone.iterations == batch.column_iterations[j]
+            assert np.array_equal(row_order(alone.state[sat_idx][None], sat_ids),
+                                  row_order(batch.state[sat_idx, j][None], sat_ids))
 
 
 def reference_walk(matrix, f0, alpha, max_iters, tol):
