@@ -210,7 +210,7 @@ def _step_cases(rng: np.random.Generator):
 
     def peer_fn(arrays):
         params_list = [with_arrays(ground, arrays[:4]), with_arrays(drone, arrays[4:])]
-        step = _Step(params_list, cache, entries, "drone", senior)
+        step = _Step(params_list, cache, entries, True, senior)
         # each anchor's first positive and its whole negative pool
         negatives, live = _pad([np.flatnonzero(pool) for pool in step.pool])
         rows = step.cand_rows[step.positive.nonzero()[1].reshape(len(anchors), -1)]

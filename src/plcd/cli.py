@@ -48,6 +48,13 @@ def _out_path(raw: str) -> Path:
     return path
 
 
+def _count(raw: str) -> int:
+    """A ``check`` count's ``type``: an int of at least 1."""
+    if int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1 (got {raw})")
+    return int(raw)
+
+
 def _load_cfg(args) -> RunConfig:
     overrides: dict[str, str] = {}
     for item in args.set or []:
@@ -175,6 +182,11 @@ def cmd_evaluate(args, cfg: RunConfig) -> None:
     if not files:
         raise SystemExit(f"no ranking files found in {args.rankings}")
     rankings = [_parse(f, "ranking file", read_ranking) for f in files]
+    first: dict[int, Path] = {}  # query id -> the file that ranks it
+    for f, ranking in zip(files, rankings):
+        if first.setdefault(ranking.query_id, f) != f:
+            raise SystemExit(f"query {ranking.query_id} is ranked in both "
+                             f"{first[ranking.query_id]} and {f}")
     split = _read_split(args.data, cfg, "test")
     try:
         report = pipeline.task_report(cfg, split.test, split.num_sections, rankings, args.task)
@@ -283,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("check", help="run the gradient and diffusion oracles")
-    p.add_argument("--grad-seeds", type=int, default=5)
-    p.add_argument("--graphs", type=int, default=20)
+    p.add_argument("--grad-seeds", type=_count, default=5)
+    p.add_argument("--graphs", type=_count, default=20)
 
     return parser
 

@@ -43,9 +43,6 @@ class RunConfig:
     batch_streets: int = 8
     batch_pairs: int = 4
     num_negatives: int = 4
-    num_positives: int = 0  # 0 -> one per section
-    warmup_epochs: int = 0
-    mining_space: str = "drone"
     tau: float = 0.1
     lambda1: float = 1.0
     lambda2: float = 1.0
@@ -53,11 +50,7 @@ class RunConfig:
     lr_head: float = 0.01
     lr_body: float = 0.01
     momentum: float = 0.9
-    decay_epoch: int = 40
-    decay_factor: float = 0.1
     junior_lr_scale: float = 0.1
-    peer_iterations: int = 1
-    junior_init: str = "senior"  # or "fresh"
     student_init: str = "fresh"  # or "teacher"
     # region grid
     scales: tuple[int, ...] = (1, 2, 3)
@@ -74,7 +67,6 @@ class RunConfig:
     closed_form_cap: int = 2000
     # evaluation
     ground_drone_relevance: str = "facet"  # or "landmark"
-    cmc_per_landmark: bool = False
     # sweeps
     alpha_sweep: tuple[float, ...] = (0.5, 0.7, 0.9, 0.95, 0.99)
     tau_sweep: tuple[float, ...] = (2.0, 0.5, 0.1, 0.05, 0.01)
@@ -122,15 +114,11 @@ _RULES = {
     "noise_sigma": _at_least(0), "train_fraction": _IN_UNIT, "embed_dim": _at_least(1),
     "epochs_senior": _at_least(0), "epochs_junior": _at_least(0),
     "epochs_patch": _at_least(0), "batch_streets": _at_least(2),
-    "batch_pairs": _at_least(2), "num_negatives": _at_least(1),
-    "num_positives": _at_least(0), "warmup_epochs": _at_least(0),
-    "mining_space": _either("drone", "ground"), "tau": _POSITIVE,
+    "batch_pairs": _at_least(2), "num_negatives": _at_least(1), "tau": _POSITIVE,
     "lambda1": _at_least(0), "lambda2": _at_least(0), "margin": _POSITIVE,
     "lr_head": _at_least(0), "lr_body": _at_least(0),  # a rate of 0 freezes a set
     "momentum": ((lambda v: 0 <= v < 1), "must be in [0, 1)"),
-    "decay_epoch": _at_least(0), "decay_factor": _at_least(0),
-    "junior_lr_scale": _at_least(0), "peer_iterations": _at_least(1),
-    "junior_init": _either("senior", "fresh"), "student_init": _either("teacher", "fresh"),
+    "junior_lr_scale": _at_least(0), "student_init": _either("teacher", "fresh"),
     "reference_side": _at_least(1),  # before the grid divides by it
     "alpha": _IN_UNIT, "gamma": _at_least(0), "k_graph": _at_least(1),
     "k_init": _at_least(1), "max_iters": _at_least(1), "tol": _POSITIVE,
@@ -185,15 +173,19 @@ def _parse_value(key: str, raw: str):
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
+    """A config text's pairs; a malformed line or a repeated key raises."""
     raw: dict[str, str] = {}
+    first: dict[str, int] = {}  # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ValueError(f"{source}:{lineno}: expected 'key = value', got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        raw[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.partition("=")[::2])
+        if key in first:
+            raise ValueError(f"{source}:{lineno}: key '{key}' already set on line {first[key]}")
+        first[key], raw[key] = lineno, value
     return raw
 
 

@@ -167,34 +167,25 @@ def scale_grads(grads: EncoderGrads, factor: float) -> None:
 class SgdState:
     """Classic momentum: v <- mu * v - lr * g; p <- p + v.
 
-    The classifier head trains at ``lr_head``, the affine body at ``lr_body``;
-    both rates are multiplied once by ``decay_factor`` from ``decay_epoch`` on.
+    The classifier head trains at ``lr_head``, the affine body at
+    ``lr_body``; both rates stay constant for the whole run.
     """
 
     lr_head: float
     lr_body: float
     momentum: float = 0.9
-    decay_epoch: int = 40
-    decay_factor: float = 0.1
-    epoch: int = 0
     velocity: dict[str, np.ndarray] = field(default_factory=dict)
 
     def rate(self, name: str) -> float:
-        base = self.lr_head if name.startswith("classifier") else self.lr_body
-        if self.epoch >= self.decay_epoch:
-            base *= self.decay_factor
-        return base
+        return self.lr_head if name.startswith("classifier") else self.lr_body
 
 
 def new_sgd_state(params: EncoderParams, lr_head: float, lr_body: float,
-                  momentum: float = 0.9, decay_epoch: int = 40,
-                  decay_factor: float = 0.1) -> SgdState:
+                  momentum: float = 0.9) -> SgdState:
     if not 0 <= momentum < 1:
         raise ValueError(f"momentum must be in [0, 1) (got {momentum})")
-    state = SgdState(lr_head=lr_head, lr_body=lr_body, momentum=momentum,
-                     decay_epoch=decay_epoch, decay_factor=decay_factor)
-    state.velocity = new_grads(params).arrays()
-    return state
+    return SgdState(lr_head=lr_head, lr_body=lr_body, momentum=momentum,
+                    velocity=new_grads(params).arrays())
 
 
 def sgd_step(params: EncoderParams, grads: EncoderGrads, state: SgdState) -> None:

@@ -44,12 +44,9 @@ def _check_relevance(rankings: Sequence[RankingList],
 
 
 def cmc_at_k(rankings: Sequence[RankingList], relevance: Mapping[int, set],
-             k: int, query_landmarks: Mapping[int, int] | None = None) -> float:
-    """Fraction of queries whose top-k contains a relevant item.
-
-    With ``query_landmarks`` the per-query hits are first averaged within each
-    landmark, then across landmarks.
-    """
+             k: int) -> float:
+    """Fraction of queries whose top-k contains a relevant item, each query
+    counted once whatever its landmark."""
     if k < 1:
         raise ValueError(f"k must be >= 1 (got {k})")
     _check_relevance(rankings, relevance)
@@ -57,23 +54,15 @@ def cmc_at_k(rankings: Sequence[RankingList], relevance: Mapping[int, set],
     for r in rankings:
         relevant = relevance[r.query_id]
         hits.append(1.0 if any(g in relevant for g in r.gallery_ids[:k]) else 0.0)
-    if query_landmarks is None:
-        return sum(hits) / len(hits)
-    groups: dict[int, list[float]] = {}
-    for r, h in zip(rankings, hits):
-        groups.setdefault(query_landmarks[r.query_id], []).append(h)
-    per_landmark = [sum(v) / len(v) for _, v in sorted(groups.items())]
-    return sum(per_landmark) / len(per_landmark)
+    return sum(hits) / len(hits)
 
 
 def cmc_at_1pct(rankings: Sequence[RankingList], relevance: Mapping[int, set],
-                gallery_size: int,
-                query_landmarks: Mapping[int, int] | None = None) -> float:
+                gallery_size: int) -> float:
     """CMC@K with K = ceil(1% of the gallery size), so K is always >= 1."""
     if gallery_size < 1:
         raise ValueError(f"gallery_size must be >= 1 (got {gallery_size})")
-    return cmc_at_k(rankings, relevance, math.ceil(0.01 * gallery_size),
-                    query_landmarks)
+    return cmc_at_k(rankings, relevance, math.ceil(0.01 * gallery_size))
 
 
 def average_precision(ranking: RankingList, relevant: set) -> float:
@@ -96,13 +85,11 @@ def mean_average_precision(rankings: Sequence[RankingList],
 
 
 def metrics_report(rankings: Sequence[RankingList], relevance: Mapping[int, set],
-                   gallery_size: int, ks: Sequence[int] = (1, 5, 10),
-                   query_landmarks: Mapping[int, int] | None = None) -> MetricsReport:
-    cmc = {k: cmc_at_k(rankings, relevance, min(k, gallery_size), query_landmarks)
-           for k in ks}
+                   gallery_size: int, ks: Sequence[int] = (1, 5, 10)) -> MetricsReport:
+    cmc = {k: cmc_at_k(rankings, relevance, min(k, gallery_size)) for k in ks}
     return MetricsReport(
         cmc=cmc,
-        cmc_at_1pct=cmc_at_1pct(rankings, relevance, gallery_size, query_landmarks),
+        cmc_at_1pct=cmc_at_1pct(rankings, relevance, gallery_size),
         mean_ap=mean_average_precision(rankings, relevance),
         num_queries=len(rankings),
     )

@@ -64,14 +64,12 @@ def train_satellite_drone(split: DatasetSplit, teacher: enc.EncoderParams,
                                  substream(cfg.seed, "patchmodel.init"),
                                  cfg.encoder_tanh)
     rng = substream(cfg.seed, "patchmodel.train")
-    state = enc.new_sgd_state(params, cfg.lr_head, cfg.lr_body, cfg.momentum,
-                              cfg.decay_epoch, cfg.decay_factor)
+    state = enc.new_sgd_state(params, cfg.lr_head, cfg.lr_body, cfg.momentum)
     cache = rmac.PooledCache(rmac.config_grid(cfg, map_shape), map_shape)
     frozen = (teacher, cache.blocks(teacher))  # blocks once per run
     log: list[str] = []
 
     for epoch in range(cfg.epochs_patch):
-        state.epoch = epoch
         order = rng.permutation(len(landmarks))
         for step, start in enumerate(range(0, len(order), cfg.batch_pairs)):
             chunk = [landmarks[i] for i in order[start : start + cfg.batch_pairs]]

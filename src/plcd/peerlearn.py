@@ -1,12 +1,14 @@
 """Two-step ground-drone training with a frozen senior guiding a junior.
 
-Step I trains the senior pair on mined triplets: the easiest positive is the
-top-1 drone by current cosine similarity from a batch holding one drone per
-direction section, the negatives are the top-N most similar other-identity
-drones. Step II freezes the senior and trains the junior on doublets: the
-hard objective is kept, and the senior's sharp similarity distribution over
-whole-image and region descriptors supervises the junior's distribution at
-temperature 1.
+Step I trains the senior pair on mined triplets from its first epoch: the
+easiest positive is the top-1 drone by current cosine similarity in drone
+space from a batch holding one drone per direction section, the negatives
+are the top-N most similar other-identity drones. Step II freezes the senior
+and trains the junior, which starts as a copy of it, for one round on
+doublets: the hard objective is kept, and the senior's sharp similarity
+distribution over the whole-image and region descriptors of every section's
+drone supervises the junior's distribution at temperature 1. Both steps
+train at constant rates, Step II's scaled by ``junior_lr_scale``.
 
 Each optimization step is batched across its anchors (``_Step``): one
 whole-image product embeds the ground anchors and one ``rmac`` region
@@ -107,13 +109,13 @@ class _Step:
     Drone records go through the region path: each drone of the batch's
     positive batches (which also hold every negative) is embedded once with
     the current drone parameters, and with the frozen senior's in Step II;
-    the anchors join that stack, ahead of the drones, only when drone-space
-    mining reads them, and never for the senior, whose rows only the soft
-    loss reads. The anchors go through the whole-image path in one product
-    with the current ground parameters (and the frozen senior ground's).
-    With shared branches the miner ranks every candidate by its whole-image
-    embedding too, so then the drones join that product instead. ``senior``
-    is (ground, drone, the drone's weight blocks, built once per run).
+    the anchors join that stack, ahead of the drones, only when the step
+    mines (in drone space), and never for the senior, whose rows only the
+    soft loss reads. The anchors go through the whole-image path in one
+    product with the current ground parameters (and the frozen senior
+    ground's). With shared branches the miner ranks every candidate by its
+    whole-image embedding too, so then the drones join that product instead.
+    ``senior`` is (ground, drone, the drone's weight blocks, built once per run).
 
     The losses read these rows, back their logit gradients through the
     classifier heads, and add into one gradient array per path (``g_whole``,
@@ -122,16 +124,16 @@ class _Step:
     """
 
     def __init__(self, params_list: list[enc.EncoderParams], cache: rmac.PooledCache,
-                 entries, mining_space: str | None = None,
+                 entries, mining: bool = False,
                  senior: tuple[enc.EncoderParams, enc.EncoderParams, np.ndarray] | None = None):
-        self.mining_space = mining_space  # None: this step does not mine
+        self.mining = mining
         self.ground, self.drone = params_list[0], params_list[-1]
         self.grads = [enc.new_grads(p) for p in params_list]
         shared = self.ground is self.drone
         anchors = [anchor for anchor, _ in entries]
         drones = list({r.id: r for _, positives in entries for r in positives}.values())
-        region = anchors + drones if mining_space == "drone" and not shared else drones
-        whole = anchors + drones if mining_space and shared else anchors
+        region = anchors + drones if mining and not shared else drones
+        whole = anchors + drones if mining and shared else anchors
 
         self.row = {r.id: i for i, r in enumerate(region)}
         # the miner's candidates: the positive batches in entry order, repeats
@@ -164,12 +166,12 @@ class _Step:
 
     def mine(self, num_negatives: int):
         """``mine_rows`` on the rows this step holds: whole-image rows with
-        shared branches and for ground-space anchors, region-aggregate rows
-        otherwise (the anchors open each stack that holds them)."""
-        shared = self.ground is self.drone
-        a = self.whole if shared or self.mining_space == "ground" else self.feats
-        c = (self.whole[[self.whole_row[r.id] for r in self.candidates]] if shared
-             else self.feats[self.cand_rows])
+        shared branches, region-aggregate rows otherwise (the anchors open
+        each stack that holds them)."""
+        if self.ground is self.drone:
+            a, c = self.whole, self.whole[[self.whole_row[r.id] for r in self.candidates]]
+        else:
+            a, c = self.feats, self.feats[self.cand_rows]
         return mine_rows(a[: len(self.anchors)], c, np.array([r.id for r in self.candidates]),
                          self.positive, self.pool, num_negatives)
 
@@ -265,59 +267,50 @@ def _draw(step: _Step, cfg: RunConfig, rng, junior: bool):
     """The step's picks as candidate indices: (positive (n,), negatives
     (n, k), live (n, k), doublets (n, P) or None).
 
-    Step I takes the miner's picks, or random ones while not mining. Step II
+    Step I takes the miner's picks, or random ones when not mining. Step II
     works the difficult positives: the senior only ever trained on the
     easiest one, so the junior keeps the mined negatives and draws its
-    positive across all sections, then the soft loss's doublet. The draws
-    run per anchor in batch order.
+    positive across all sections; the soft loss's doublet is every section.
+    The draws run per anchor in batch order.
     """
-    mined = step.mine(cfg.num_negatives) if step.mining_space else None
+    mined = step.mine(cfg.num_negatives) if step.mining else None
     if mined is not None and not junior:
         return (*mined, None)
     positive, negatives, doublets = [], [], []
     for own, pool in zip(step.positive, step.pool):
         own = np.flatnonzero(own)
         positive.append(own[int(rng.integers(len(own)))])
+        doublets.append(own)
         if not junior:
             pool = np.flatnonzero(pool)
             negatives.append(pool[rng.permutation(len(pool))[: cfg.num_negatives]])
-        elif cfg.num_positives and cfg.num_positives < len(own):
-            doublets.append(np.sort(own[rng.permutation(len(own))[: cfg.num_positives]]))
-        else:
-            doublets.append(own)
     if junior:
         return (np.array(positive), *mined[1:], np.array(doublets))
     return (np.array(positive), *_pad(negatives), None)
 
 
 def _train_pair(ctx, cfg, ground_params, drone_params, rng, epochs: int,
-                rate_scale: float, mining_from: int | None, senior=None) -> list[str]:
+                rate_scale: float, mining: bool, senior=None) -> list[str]:
     """The loop both training steps share. Per batch: one ``_Step``, which
-    mines from epoch ``mining_from`` on (never when None); one ``_draw``
-    (Step II when ``senior`` is given); one stacked call per objective; one
-    step backward and one SGD step per parameter set. Returns the log
-    lines."""
+    mines when ``mining``; one ``_draw`` (Step II when ``senior`` is given);
+    one stacked call per objective; one step backward and one SGD step per
+    parameter set, at a constant rate. Returns the log lines."""
     cache = rmac.PooledCache(rmac.config_grid(cfg, ctx.map_shape), ctx.map_shape)
     if senior is not None:  # frozen, so its weight blocks serve every step
         senior = (*senior, cache.blocks(senior[1]))
     shared = drone_params is ground_params
     params_list = [ground_params] if shared else [ground_params, drone_params]
     states = [enc.new_sgd_state(p, cfg.lr_head * rate_scale, cfg.lr_body * rate_scale,
-                                cfg.momentum, cfg.decay_epoch, cfg.decay_factor)
-              for p in params_list]
+                                cfg.momentum) for p in params_list]
     log: list[str] = []
     for epoch in range(epochs):
-        for s in states:
-            s.epoch = epoch
-        mining_space = (cfg.mining_space if mining_from is not None
-                        and epoch >= mining_from else None)
         for step_idx, entries in enumerate(_epoch_batches(ctx, cfg, rng)):
             # ``step`` holds the previous step until this one is built, so its
             # buffers are freed only after the new ones are allocated. Freeing
             # each step at its end lets glibc trim the heap top: a default
             # 5-epoch train_all (seed 201, one BLAS thread) then took 10x the
             # minor page faults and about 40% longer, with the same outputs.
-            step = _Step(params_list, cache, entries, mining_space, senior)
+            step = _Step(params_list, cache, entries, mining, senior)
             if not step.pool.any():
                 continue  # one landmark: no anchor has an in-batch negative
             positive, negatives, live, doublets = _draw(step, cfg, rng, senior is not None)
@@ -342,13 +335,12 @@ def train_senior(split: DatasetSplit, cfg: RunConfig, mining: bool = True,
                  shared_branches: bool = False):
     """Step I. Returns (ground_params, drone_params, log_lines).
 
+    The miner picks every step's triplets in drone space from the first
+    epoch on, at the constant rates ``lr_head`` and ``lr_body``.
     ``mining=False`` trains the same two-branch architecture with a random
-    positive and random negatives instead of mined ones (the plain baseline);
-    ``shared_branches=True`` makes both branches one parameter set (the
-    one-common-model baseline). With mining on, the first ``warmup_epochs``
-    epochs still use random positives: the branches start unaligned, and the
-    miner should not trust cross-branch similarities before the consistency
-    pull has given them structure.
+    positive and random negatives instead of mined ones (the plain
+    baseline); ``shared_branches=True`` makes both branches one parameter
+    set (the one-common-model baseline).
     """
     ctx = build_context(split)
     ground_params, drone_params = _init_pair(ctx, cfg, "peerlearn.init.senior")
@@ -356,30 +348,20 @@ def train_senior(split: DatasetSplit, cfg: RunConfig, mining: bool = True,
         drone_params = ground_params
     rng = substream(cfg.seed, "peerlearn.senior")
     log = _train_pair(ctx, cfg, ground_params, drone_params, rng, cfg.epochs_senior, 1.0,
-                      mining_from=cfg.warmup_epochs if mining else None)
+                      mining)
     return ground_params, drone_params, log
 
 
 def train_junior(split: DatasetSplit, senior: tuple[enc.EncoderParams, enc.EncoderParams],
-                 cfg: RunConfig, shared_branches: bool = False,
-                 round_tag: str = ""):
-    """Step II. The senior pair is read-only; returns (ground, drone, log).
-
-    ``round_tag`` names the RNG substream so repeated senior<-junior swap
-    rounds draw fresh batches.
-    """
+                 cfg: RunConfig, shared_branches: bool = False):
+    """Step II, one round: the junior starts from copies of the read-only
+    senior pair and trains at Step I's rates times ``junior_lr_scale``.
+    Returns (ground, drone, log)."""
     ctx = build_context(split)
     senior_ground, senior_drone = senior
-    if cfg.junior_init == "senior":
-        ground_params, drone_params = senior_ground.copy(), senior_drone.copy()
-    else:
-        ground_params, drone_params = _init_pair(ctx, cfg, "peerlearn.init.junior")
-    if shared_branches:
-        drone_params = ground_params
-    rng = substream(cfg.seed, f"peerlearn.junior{round_tag}")
-    # Step II refines an already-trained model: it continues at the schedule's
-    # decayed rate rather than restarting at the step-I rate.
-    log = _train_pair(ctx, cfg, ground_params, drone_params, rng, cfg.epochs_junior,
-                      cfg.junior_lr_scale, mining_from=0,
-                      senior=(senior_ground, senior_drone))
+    ground_params = senior_ground.copy()
+    drone_params = ground_params if shared_branches else senior_drone.copy()
+    log = _train_pair(ctx, cfg, ground_params, drone_params,
+                      substream(cfg.seed, "peerlearn.junior"), cfg.epochs_junior,
+                      cfg.junior_lr_scale, mining=True, senior=(senior_ground, senior_drone))
     return ground_params, drone_params, log

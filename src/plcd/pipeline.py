@@ -60,17 +60,12 @@ def make_split(cfg: RunConfig) -> DatasetSplit:
 
 
 def train_ground_drone(cfg: RunConfig, split: DatasetSplit, shared_branches: bool = False):
-    """Step I + Step II, with the optional senior<-junior swap rounds;
-    ``shared_branches`` makes both branches one encoder."""
+    """Step I, then one round of Step II; ``shared_branches`` makes both
+    branches one encoder."""
     senior_ground, senior_drone, senior_log = peerlearn.train_senior(
         split, cfg, shared_branches=shared_branches)
     junior_ground, junior_drone, junior_log = peerlearn.train_junior(
         split, (senior_ground, senior_drone), cfg, shared_branches=shared_branches)
-    for round_idx in range(1, cfg.peer_iterations):
-        senior_ground, senior_drone = junior_ground, junior_drone
-        junior_ground, junior_drone, junior_log = peerlearn.train_junior(
-            split, (senior_ground, senior_drone), cfg, shared_branches=shared_branches,
-            round_tag=f".round{round_idx}")
     logs = {"senior": senior_log, "junior": junior_log}
     return (senior_ground, senior_drone), (junior_ground, junior_drone), logs
 
@@ -234,12 +229,8 @@ def task_report(cfg: RunConfig, records: list[ImageRecord], num_sections: int,
     """Metrics of one task's rankings, with relevance and the gallery size
     taken from ``records``."""
     relevance = relevance_for(records, task, cfg, num_sections)
-    query_view, gallery_view = TASKS[task]
-    gallery_size = sum(1 for r in records if r.view == gallery_view)
-    landmarks = ({r.id: r.landmark for r in records if r.view == query_view}
-                 if cfg.cmc_per_landmark else None)
-    return evalkit.metrics_report(rankings, relevance, gallery_size,
-                                  query_landmarks=landmarks)
+    gallery_size = sum(1 for r in records if r.view == TASKS[task][1])
+    return evalkit.metrics_report(rankings, relevance, gallery_size)
 
 
 def evaluate_mode(cfg: RunConfig, split: DatasetSplit, models: TrainedModels,

@@ -439,6 +439,21 @@ def test_evaluate_mismatched_rankings_exit_with_message(workspace, tmp_path, mod
     assert "no relevant gallery item" in msg
 
 
+def test_evaluate_exits_on_a_query_ranked_in_two_files(workspace, tmp_path):
+    root, cfg = workspace
+    rankings = tmp_path / "rank"
+    assert run(["retrieve", "--config", cfg, "--data", root / "data",
+                "--models", root / "models", "--mode", "diffusion", "--out", rankings]) == 0
+    first = sorted(rankings.glob("ranking-*.txt"))[0]
+    copy = rankings / "ranking-copy.txt"
+    copy.write_bytes(first.read_bytes())
+    with pytest.raises(SystemExit) as err:
+        run(["evaluate", "--config", cfg, "--rankings", rankings,
+             "--data", root / "data" / "test-data.npz", "--task", "ground-satellite"])
+    query = first.read_text().split()[0]
+    assert str(err.value) == f"query {query} is ranked in both {first} and {copy}"
+
+
 def test_config_echo_reproduces_run(workspace, tmp_path):
     root, cfg = workspace
     echoed = root / "data" / "effective-config.txt"
@@ -508,6 +523,14 @@ def test_check_subcommand_passes(capsys):
     assert run(["check", "--grad-seeds", "2", "--graphs", "5"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+@pytest.mark.parametrize("flag, value", [("--grad-seeds", "0"), ("--graphs", "-1")])
+def test_check_refuses_counts_that_check_nothing(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["check", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= 1 (got {value})" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", [["--config", "/nonexistent/cfg.txt"],

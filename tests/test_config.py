@@ -1,7 +1,10 @@
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import plcd
 from plcd.config import RunConfig, format_config, load_config, write_config
 
 
@@ -19,6 +22,16 @@ def test_file_values_and_overrides(tmp_path):
     assert cfg.seed == 7 and cfg.alpha == 0.5 and cfg.scales == (1, 2)
     cfg = load_config(path, overrides={"alpha": "0.25"})
     assert cfg.alpha == 0.25  # flags win over the file
+
+
+def test_key_set_twice_in_a_file_rejected_with_both_lines(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("alpha = 0.5\n# later\nalpha = 0.7\n")
+    with pytest.raises(ValueError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}:3: key 'alpha' already set on line 1"
+    path.write_text("alpha = 0.5\n")
+    assert load_config(path, overrides={"alpha": "0.7"}).alpha == 0.7  # a flag still wins
 
 
 def test_unknown_key_rejected_by_name(tmp_path):
@@ -69,20 +82,13 @@ INVALID_VALUES = [
     ("epochs_senior", "-3", "epochs_senior must be >= 0 (got -3)"),
     ("epochs_junior", "-1", "epochs_junior must be >= 0 (got -1)"),
     ("epochs_patch", "-1", "epochs_patch must be >= 0 (got -1)"),
-    ("num_positives", "-1", "num_positives must be >= 0 (got -1)"),
     ("num_negatives", "0", "num_negatives must be >= 1 (got 0)"),
-    ("peer_iterations", "0", "peer_iterations must be >= 1 (got 0)"),
     ("momentum", "1.0", "momentum must be in [0, 1) (got 1.0)"),
-    ("decay_epoch", "-1", "decay_epoch must be >= 0 (got -1)"),
-    ("decay_factor", "-0.5", "decay_factor must be >= 0 (got -0.5)"),
     ("junior_lr_scale", "-1.0", "junior_lr_scale must be >= 0 (got -1.0)"),
     ("tau", "0.0", "tau must be positive (got 0.0)"),
     ("tau_sweep", "2,0", "tau_sweep values must be positive (got (2.0, 0.0))"),
     ("lambda1", "-1.0", "lambda1 must be >= 0 (got -1.0)"),
     ("batch_streets", "1", "batch_streets must be >= 2 (got 1)"),
-    ("warmup_epochs", "-1", "warmup_epochs must be >= 0 (got -1)"),
-    ("mining_space", "nope", "mining_space must be 'drone' or 'ground' (got 'nope')"),
-    ("junior_init", "other", "junior_init must be 'senior' or 'fresh' (got 'other')"),
     ("margin", "0.0", "margin must be positive (got 0.0)"),
     ("lr_head", "-0.01", "lr_head must be >= 0 (got -0.01)"),
     ("lr_body", "-0.01", "lr_body must be >= 0 (got -0.01)"),
@@ -103,6 +109,12 @@ INVALID_VALUES = [
     ("ground_drone_relevance", "facets",
      "ground_drone_relevance must be 'facet' or 'landmark' (got 'facets')"),
 ]
+# the retired switches, as a parent config wrote them at their one value:
+# each is now an unknown key, whatever its value
+RETIRED = {"num_positives": "0", "warmup_epochs": "0", "mining_space": "drone",
+           "decay_epoch": "40", "decay_factor": "0.1", "peer_iterations": "1",
+           "junior_init": "senior", "cmc_per_landmark": "false"}
+INVALID_VALUES += [(key, raw, f"unknown config key '{key}'") for key, raw in RETIRED.items()]
 
 
 @pytest.mark.parametrize("key, raw, message", INVALID_VALUES,
@@ -123,7 +135,29 @@ def test_format_is_flat_key_value():
 def test_every_checked_field_has_an_invalid_value_row():
     # a new field without a rule (and a row here) fails this test
     checked = {f.name for f in fields(RunConfig) if f.type != "bool"}
-    assert {key for key, _, _ in INVALID_VALUES} == checked
+    assert {key for key, _, _ in INVALID_VALUES} == checked | set(RETIRED)
+
+
+def test_a_config_written_with_the_retired_switches_fails_by_name(tmp_path):
+    # an effective-config.txt written before the retirement: defaults with
+    # the eight retired lines in their places
+    lines = format_config(RunConfig()).splitlines()
+    at = lines.index("tau = 0.1")
+    lines[at:at] = [f"{key} = {raw}" for key, raw in list(RETIRED.items())[:3]]
+    lines += [f"{key} = {raw}" for key, raw in list(RETIRED.items())[3:]]
+    path = tmp_path / "effective-config.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^unknown config key 'num_positives'$"):
+        load_config(path)
+
+
+def test_every_field_is_read_by_the_package():
+    # a field that no module but config reads is a switch no run can use
+    package = Path(plcd.__file__).parent
+    text = "\n".join(p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))
+                     if p.name != "config.py").replace(".width_table_dict()", ".width_table")
+    unread = [f.name for f in fields(RunConfig) if not re.search(rf"\.{f.name}\b", text)]
+    assert unread == []
 
 
 def test_bool_parse_error_is_reported_once():
@@ -138,13 +172,12 @@ NON_DEFAULTS = dict(
     seed=3, num_landmarks=5, num_sections=4, drones_per_landmark=8, grounds_per_landmark=3,
     channels=6, map_side=8, latent_rank=5, basis_density=0.25, noise_sigma=0.35,
     train_fraction=0.6, embed_dim=16, encoder_tanh=False, epochs_senior=2, epochs_junior=3,
-    epochs_patch=4, batch_streets=5, batch_pairs=3, num_negatives=2, num_positives=3,
-    warmup_epochs=1, mining_space="ground", tau=0.1 + 0.2, lambda1=0.5, lambda2=2.5,
-    margin=1 / 3, lr_head=0.02, lr_body=0.0, momentum=0.5, decay_epoch=7, decay_factor=0.5,
-    junior_lr_scale=0.25, peer_iterations=2, junior_init="fresh", student_init="teacher",
+    epochs_patch=4, batch_streets=5, batch_pairs=3, num_negatives=2, tau=0.1 + 0.2,
+    lambda1=0.5, lambda2=2.5, margin=1 / 3, lr_head=0.02, lr_body=0.0, momentum=0.5,
+    junior_lr_scale=0.25, student_init="teacher",
     scales=(1, 2), width_table=((1, 6), (2, 4)), reference_side=8, alpha=0.75, gamma=2.0,
     k_graph=5, k_init=6, max_iters=50, tol=1e-6, closed_form=False, closed_form_cap=500,
-    ground_drone_relevance="landmark", cmc_per_landmark=True, alpha_sweep=(0.25, 0.8),
+    ground_drone_relevance="landmark", alpha_sweep=(0.25, 0.8),
     tau_sweep=(1.0, 0.3),
 )
 

@@ -90,8 +90,7 @@ def test_sgd_two_steps_constant_gradient():
     params = make_params(seed=7)
     w0 = params.weight.copy()
     g = np.ones_like(params.weight)
-    state = enc.new_sgd_state(params, lr_head=0.0, lr_body=0.01, momentum=0.9,
-                              decay_epoch=1000)
+    state = enc.new_sgd_state(params, lr_head=0.0, lr_body=0.01, momentum=0.9)
     for _ in range(2):
         grads = enc.new_grads(params)
         grads.weight += g
@@ -101,26 +100,11 @@ def test_sgd_two_steps_constant_gradient():
     assert np.allclose(state.velocity["weight"], -1.9 * 0.01 * g)
 
 
-def test_lr_decays_once_after_decay_epoch():
-    params = make_params()
-    state = enc.new_sgd_state(params, lr_head=0.01, lr_body=0.001,
-                              momentum=0.0, decay_epoch=40, decay_factor=0.1)
-    state.epoch = 39
-    assert state.rate("weight") == pytest.approx(0.001)
-    assert state.rate("classifier_weight") == pytest.approx(0.01)
-    state.epoch = 40
-    assert state.rate("weight") == pytest.approx(0.0001)
-    assert state.rate("classifier_weight") == pytest.approx(0.001)
-    state.epoch = 90  # multiplied once, not per epoch
-    assert state.rate("weight") == pytest.approx(0.0001)
-
-
 def test_sgd_matches_plain_gd_when_momentum_zero():
     rng = substream(8, "t")
     params = make_params(seed=9)
     reference = params.weight.copy()
-    state = enc.new_sgd_state(params, lr_head=0.05, lr_body=0.05, momentum=0.0,
-                              decay_epoch=1000)
+    state = enc.new_sgd_state(params, lr_head=0.05, lr_body=0.05, momentum=0.0)
     for _ in range(5):
         g = rng.standard_normal(params.weight.shape)
         grads = enc.new_grads(params)
@@ -157,17 +141,15 @@ def test_sgd_rejects_non_finite_gradient():
 def test_sgd_step_matches_the_momentum_formula_bit_for_bit():
     rng = substream(21, "t.sgd")
     params = make_params(seed=22)
-    state = enc.new_sgd_state(params, lr_head=0.03, lr_body=0.007, momentum=0.9,
-                              decay_epoch=2, decay_factor=0.1)
+    state = enc.new_sgd_state(params, lr_head=0.03, lr_body=0.007, momentum=0.9)
     p = {name: getattr(params, name).copy() for name in enc.PARAM_NAMES}
     v = {name: np.zeros_like(arr) for name, arr in p.items()}
-    for epoch in range(4):
-        state.epoch = epoch
+    for _ in range(4):  # the head and body rates stay constant
         grads = _random_grads(params, rng)
         g = {name: arr.copy() for name, arr in grads.arrays().items()}
         enc.sgd_step(params, grads, state)
         for name in enc.PARAM_NAMES:
-            v[name] = 0.9 * v[name] - state.rate(name) * g[name]
+            v[name] = 0.9 * v[name] - (0.03 if name.startswith("classifier") else 0.007) * g[name]
             p[name] += v[name]
             assert getattr(params, name).tobytes() == p[name].tobytes(), name
             assert state.velocity[name].tobytes() == v[name].tobytes(), name

@@ -327,18 +327,6 @@ def test_metrics_invariant_under_gallery_permutation():
         evalkit.mean_average_precision([shuffled], relevance)
 
 
-def test_per_landmark_averaging_flag():
-    rankings = [make_ranking(1, [(10, 0.9), (11, 0.8)]),
-                make_ranking(2, [(11, 0.9), (10, 0.8)]),
-                make_ranking(3, [(10, 0.9), (11, 0.8)])]
-    relevance = {1: {10}, 2: {10}, 3: {11}}
-    # per query: hits at K=1 are [1, 0, 0] -> 1/3
-    assert evalkit.cmc_at_k(rankings, relevance, 1) == pytest.approx(1 / 3)
-    # landmarks: queries 1,2 -> landmark A (hits 0.5), query 3 -> B (0.0)
-    landmarks = {1: 100, 2: 100, 3: 200}
-    assert evalkit.cmc_at_k(rankings, relevance, 1, landmarks) == pytest.approx(0.25)
-
-
 def test_metrics_report_json_keys():
     rankings = [make_ranking(1, [(10, 0.9), (11, 0.8)])]
     report = evalkit.metrics_report(rankings, {1: {10}}, gallery_size=2)

@@ -94,8 +94,7 @@ def test_patch_loss_decreases_when_trained_alone():
     cache = rmac.PooledCache(grid, map_shape)
     pooled = cache.stack(drones)
     teacher_patches = rmac.region_embed(teacher, cache.blocks(teacher), pooled)[:, 1:]
-    state = enc.new_sgd_state(student, lr_head=0.0, lr_body=1e-3, momentum=0.0,
-                              decay_epoch=10_000)
+    state = enc.new_sgd_state(student, lr_head=0.0, lr_body=1e-3, momentum=0.0)
     values = []
     for _ in range(20):
         descs = rmac.region_embed(student, cache.blocks(student), pooled)

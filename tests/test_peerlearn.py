@@ -52,15 +52,14 @@ def _mining_fixture(noise=0.0):
     return anchor, positives, negatives
 
 
-def reference_miner(anchor, positive_batch, negative_batch, ground_params, drone_params,
-                    num_negatives, space="drone", feature_fn=enc.embed_records):
+def reference_miner(anchor, positive_batch, negative_batch, drone_params, num_negatives,
+                    feature_fn=enc.embed_records):
     """The per-anchor miner ``mine_rows`` replaced, kept as its reference:
     ``feature_fn(params, records)`` gives each anchor's rows on their own
-    (the anchor by the drone branch in drone space), which are normalized
+    (the anchor by the drone branch: drone space), which are normalized
     and scored by a row-wise ``einsum``; ties break on the lowest record id.
     Returns (positive, negatives)."""
-    anchor_params = drone_params if space == "drone" else ground_params
-    a = enc.unit_rows(feature_fn(anchor_params, [anchor]))[0]
+    a = enc.unit_rows(feature_fn(drone_params, [anchor]))[0]
     candidates = enc.unit_rows(feature_fn(drone_params, positive_batch + negative_batch))
     sims = -np.einsum("ij,j->i", candidates, a)
     ids = np.array([r.id for r in positive_batch + negative_batch])
@@ -81,10 +80,10 @@ def mine_one(anchor_row, positives, negatives, candidate_rows, num_negatives):
     return candidates[best[0]], [candidates[j] for j in hardest[0][live[0]]]
 
 
-def mine_embedded(anchor, positives, negatives, ground, drone, num_negatives, space="drone"):
-    """``mine_one`` on whole-image embeddings, the rows the per-anchor miner
-    embedded by default."""
-    anchor_row = enc.embed_records(drone if space == "drone" else ground, [anchor])[0]
+def mine_embedded(anchor, positives, negatives, drone, num_negatives):
+    """``mine_one`` on whole-image embeddings in drone space, the rows the
+    per-anchor miner embedded by default."""
+    anchor_row = enc.embed_records(drone, [anchor])[0]
     return mine_one(anchor_row, positives, negatives,
                     enc.embed_records(drone, positives + negatives), num_negatives)
 
@@ -93,7 +92,7 @@ def test_mining_noise_free_picks_visible_facet_with_identity_encoders():
     anchor, positives, negatives = _mining_fixture(noise=0.0)
     input_dim = anchor.featmap.size
     params = identity_params(input_dim)
-    positive, _ = mine_embedded(anchor, positives, negatives, params, params, 2)
+    positive, _ = mine_embedded(anchor, positives, negatives, params, 2)
     assert positive.section == ds.infer_visible_facet(anchor, 6)
 
 
@@ -101,9 +100,8 @@ def test_mining_noise_free_exact_for_random_untrained_encoders():
     # the same map through any single projection keeps identical records tied
     anchor, positives, negatives = _mining_fixture(noise=0.0)
     input_dim = anchor.featmap.size
-    ground = enc.init_params("ground", 8, input_dim, 2, substream(1, "a"))
     drone = enc.init_params("drone", 8, input_dim, 2, substream(2, "b"))
-    positive, _ = mine_embedded(anchor, positives, negatives, ground, drone, 2, space="drone")
+    positive, _ = mine_embedded(anchor, positives, negatives, drone, 2)
     assert positive.section == ds.infer_visible_facet(anchor, 6)
 
 
@@ -112,7 +110,7 @@ def test_mining_all_ties_selects_lowest_id():
     input_dim = anchor.featmap.size
     zero = identity_params(input_dim)
     zero.weight = np.zeros_like(zero.weight)
-    positive, mined = mine_embedded(anchor, positives, negatives, zero, zero, 2)
+    positive, mined = mine_embedded(anchor, positives, negatives, zero, 2)
     assert positive.id == min(p.id for p in positives)
     assert [n.id for n in mined] == sorted(n.id for n in negatives)[:2]
 
@@ -233,9 +231,8 @@ def step_feature(step):
     return feature
 
 
-@pytest.mark.parametrize("space", ["drone", "ground"])
 @pytest.mark.parametrize("shared", [False, True])
-def test_step_miner_matches_the_per_anchor_reference(space, shared):
+def test_step_miner_matches_the_per_anchor_reference(shared):
     split = tiny_split(noise=0.2, landmarks=6)
     cfg = tiny_cfg()
     ctx = peerlearn.build_context(split)
@@ -248,38 +245,37 @@ def test_step_miner_matches_the_per_anchor_reference(space, shared):
     # batch, so every pool holds each of its drones twice
     entries = [(a, ds.draw_per_section(ctx.drones, ctx.sections, a.landmark, rng))
                for a in ctx.grounds]
-    step = peerlearn._Step([ground] if shared else [ground, drone], cache, entries, space)
+    step = peerlearn._Step([ground] if shared else [ground, drone], cache, entries, True)
     best, hardest, live = step.mine(cfg.num_negatives)
     feature = step_feature(step)
     for i, (anchor, positives) in enumerate(entries):
         negatives = batch_negatives(entries, anchor)
         want_positive, want_negatives = reference_miner(
-            anchor, positives, negatives, ground, drone,
-            min(cfg.num_negatives, len(negatives)), space, feature)
+            anchor, positives, negatives, drone, min(cfg.num_negatives, len(negatives)),
+            feature)
         assert step.candidates[best[i]] is want_positive
         assert [step.candidates[j].id for j in hardest[i][live[i]]] == [
             r.id for r in want_negatives]
     assert len({r.id for r in step.candidates}) < len(step.candidates)
 
 
-@pytest.mark.parametrize("mining_space, junior",
-                         [(None, False), ("drone", False), ("ground", True)])
-def test_draw_follows_each_step_rule_in_batch_order(mining_space, junior):
+@pytest.mark.parametrize("mining, junior", [(False, False), (True, False), (True, True)])
+def test_draw_follows_each_step_rule_in_batch_order(mining, junior):
     # Step I takes the miner's picks, or draws a positive then a negative
-    # permutation per anchor; Step II keeps the mined negatives and draws a
-    # positive then its doublet's sections
+    # permutation per anchor; Step II keeps the mined negatives, draws a
+    # positive and takes every section as its doublet
     split = tiny_split(noise=0.2, landmarks=6)
-    cfg = tiny_cfg(num_positives=2)
+    cfg = tiny_cfg()
     ctx = peerlearn.build_context(split)
     ground, drone = peerlearn._init_pair(ctx, cfg, "test.draw")
     cache = rmac.PooledCache(rmac.config_grid(cfg, ctx.map_shape), ctx.map_shape)
     rng = substream(3, "test.draw.batch")
     entries = [(a, ds.draw_per_section(ctx.drones, ctx.sections, a.landmark, rng))
                for a in ctx.grounds]
-    step = peerlearn._Step([ground, drone], cache, entries, mining_space)
+    step = peerlearn._Step([ground, drone], cache, entries, mining)
     drawn, replay = substream(2, "draw"), substream(2, "draw")
     positive, negatives, live, doublets = peerlearn._draw(step, cfg, drawn, junior)
-    mined = step.mine(cfg.num_negatives) if mining_space else None
+    mined = step.mine(cfg.num_negatives) if mining else None
     picks = step.candidates
     for i, (anchor, positives) in enumerate(entries):
         got = [picks[j] for j in negatives[i][live[i]]]
@@ -290,8 +286,7 @@ def test_draw_follows_each_step_rule_in_batch_order(mining_space, junior):
             continue
         assert picks[positive[i]] is positives[int(replay.integers(len(positives)))]
         if junior:
-            idx = sorted(replay.permutation(len(positives))[: cfg.num_positives])
-            assert [picks[j] for j in doublets[i]] == [positives[k] for k in idx]
+            assert [picks[j] for j in doublets[i]] == positives
         else:
             pool = batch_negatives(entries, anchor)
             assert got == [pool[k] for k in replay.permutation(len(pool))[: cfg.num_negatives]]
@@ -300,9 +295,10 @@ def test_draw_follows_each_step_rule_in_batch_order(mining_space, junior):
 
 def test_mining_oracle_after_warmup():
     # noise-free: mined positive matches the visible facet on >= 95% of anchors
+    # after one warm-up epoch of random picks
     split = tiny_split(noise=0.0, landmarks=6)
-    cfg = tiny_cfg(epochs_senior=1, warmup_epochs=1)  # one warmup epoch only
-    ground, drone, _ = peerlearn.train_senior(split, cfg)
+    cfg = tiny_cfg(epochs_senior=1)
+    ground, drone, _ = peerlearn.train_senior(split, cfg, mining=False)
     ctx = peerlearn.build_context(split)
     rng = substream(0, "test.orcl")
     hits = total = 0
@@ -310,7 +306,7 @@ def test_mining_oracle_after_warmup():
         positives = ds.draw_per_section(ctx.drones, ctx.sections, anchor.landmark, rng)
         negatives = [d for lm, by in ctx.drones.items() if lm != anchor.landmark
                      for pool in by.values() for d in pool]
-        positive, _ = mine_embedded(anchor, positives, negatives, ground, drone, 2)
+        positive, _ = mine_embedded(anchor, positives, negatives, drone, 2)
         hits += positive.section == ds.infer_visible_facet(anchor, 6)
         total += 1
     assert hits / total >= 0.95
@@ -354,17 +350,9 @@ def test_senior_frozen_through_step_two():
     assert (params_digest(ground), params_digest(drone)) == before
 
 
-def test_junior_fresh_init_differs_from_senior_init():
-    split = tiny_split(noise=0.2)
-    cfg = tiny_cfg(junior_init="fresh", epochs_junior=0)
-    ground, drone, _ = peerlearn.train_senior(split, cfg)
-    jg, jd, _ = peerlearn.train_junior(split, (ground, drone), cfg)
-    assert params_digest(jg) != params_digest(ground)
-
-
 def test_zero_junior_rate_keeps_the_senior_init():
     split = tiny_split(noise=0.2)
-    cfg = tiny_cfg(junior_lr_scale=0.0, junior_init="senior")
+    cfg = tiny_cfg(junior_lr_scale=0.0)
     ground, drone, _ = peerlearn.train_senior(split, cfg)
     jg, jd, log = peerlearn.train_junior(split, (ground, drone), cfg)
     assert log  # the junior took steps, each at rate 0
@@ -640,7 +628,7 @@ def test_batched_step_matches_per_anchor_reference(tanh, kind):
         assert sorted(len(n) for _, n in mined_for.values()) == [6, 6, 8]
 
     frozen = None if senior is None else (*senior, cache.blocks(senior[1]))
-    step = peerlearn._Step(params_list, cache, entries, "drone", frozen)
+    step = peerlearn._Step(params_list, cache, entries, True, frozen)
     neg_rows, live = peerlearn._pad([np.array(step.rows(mined_for[a.id][1]), dtype=int)
                                      for a in anchors])
     peerlearn._hard_terms(step, np.array(step.rows([mined_for[a.id][0] for a in anchors])),
@@ -670,9 +658,9 @@ def test_cached_senior_blocks_match_blocks_rebuilt_every_step(monkeypatch):
 
     step_init = peerlearn._Step.__init__
 
-    def rebuilding(self, params_list, cache, entries, mining_space=None, senior=None):
+    def rebuilding(self, params_list, cache, entries, mining=False, senior=None):
         senior = (*senior[:2], blocks(cache, senior[1]))
-        step_init(self, params_list, cache, entries, mining_space, senior)
+        step_init(self, params_list, cache, entries, mining, senior)
 
     monkeypatch.setattr(peerlearn._Step, "__init__", rebuilding)
     rebuilt = peerlearn.train_junior(split, (sg, sd), cfg)
@@ -682,6 +670,8 @@ def test_cached_senior_blocks_match_blocks_rebuilt_every_step(monkeypatch):
 
 
 def test_anchors_join_the_region_stack_only_for_drone_space_mining():
+    # the miner ranks the anchors in drone space, so a mining step of two
+    # branches embeds them with the drone branch too
     split = tiny_split()
     cfg = tiny_cfg()
     ctx = peerlearn.build_context(split)
@@ -692,13 +682,12 @@ def test_anchors_join_the_region_stack_only_for_drone_space_mining():
                for a in ctx.grounds]
     anchor_ids = {a.id for a, _ in entries}
     drone_ids = {r.id for _, positives in entries for r in positives}
-    for params_list, space, region, whole in (
-            ([ground, drone], "drone", anchor_ids | drone_ids, anchor_ids),
-            ([ground, drone], "ground", drone_ids, anchor_ids),
-            ([ground, drone], None, drone_ids, anchor_ids),
-            ([ground], "drone", drone_ids, anchor_ids | drone_ids),
-            ([ground], None, drone_ids, anchor_ids)):
-        step = peerlearn._Step(params_list, cache, entries, space)
+    for params_list, mining, region, whole in (
+            ([ground, drone], True, anchor_ids | drone_ids, anchor_ids),
+            ([ground, drone], False, drone_ids, anchor_ids),
+            ([ground], True, drone_ids, anchor_ids | drone_ids),
+            ([ground], False, drone_ids, anchor_ids)):
+        step = peerlearn._Step(params_list, cache, entries, mining)
         assert set(step.row) == region and set(step.whole_row) == whole
 
 
