@@ -58,10 +58,12 @@ def _count(raw: str) -> int:
 def _load_cfg(args) -> RunConfig:
     overrides: dict[str, str] = {}
     for item in args.set or []:
-        if "=" not in item:
+        key, sep, value = (part.strip() for part in item.partition("="))
+        if not sep:
             raise SystemExit(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        overrides[key.strip()] = value.strip()
+        if key in overrides:
+            raise SystemExit(f"--set key '{key}' given more than once")
+        overrides[key] = value
     try:
         return load_config(args.config, overrides)
     except (ValueError, OSError) as err:
@@ -140,28 +142,24 @@ def cmd_train_sd(args, cfg: RunConfig) -> None:
 
 
 def cmd_retrieve(args, cfg: RunConfig) -> None:
-    task = pipeline.MODES[args.mode]
-    if args.best_region and task != "ground-drone":
+    if args.best_region and pipeline.MODES[args.mode] != "ground-drone":
         args.error(f"--best-region does not apply to --mode {args.mode}")
-    if args.no_drones and dataspace.DRONE in pipeline.TASKS[task] and not args.dump_embeddings:
-        args.error(f"--no-drones applies to --mode {args.mode} only with --dump-embeddings")
     split = _read_split(args.data / TEST_DATA, cfg, "test")
     dumped = ("junior_ground", "shared") if args.dump_embeddings else ()
     models = _load_models(args.models, cfg, {*pipeline.ENCODERS[args.mode], *dumped})
     try:
-        rankings = pipeline.rankings(cfg, split, models, args.mode, use_drones=not args.no_drones,
-                                     best_region=args.best_region)
+        rankings = pipeline.rankings(cfg, split, models, args.mode, best_region=args.best_region)
     except ValueError as err:
         raise SystemExit(f"retrieve --mode {args.mode} on {args.data}: {err}")
     args.out.mkdir(parents=True, exist_ok=True)
     for ranking in rankings:
         write_ranking(args.out / f"ranking-{ranking.query_id}.txt", ranking)
     if args.dump_embeddings:
-        _dump_embeddings(args.dump_embeddings, split, models, use_drones=not args.no_drones)
+        _dump_embeddings(args.dump_embeddings, split, models)
     print(f"wrote {len(rankings)} ranking files to {args.out}")
 
 
-def _dump_embeddings(path: Path, split, models, use_drones: bool) -> None:
+def _dump_embeddings(path: Path, split, models) -> None:
     """Exchange file, in test-split order: ground and satellite entries keep
     labels; drone reference entries are written with landmark 0 (unlabeled at
     query time). Each view is embedded as one stack, as retrieval embeds it."""
@@ -169,12 +167,12 @@ def _dump_embeddings(path: Path, split, models, use_drones: bool) -> None:
     for view, params in ((dataspace.GROUND, models.junior_ground),
                          (dataspace.SATELLITE, models.shared), (dataspace.DRONE, models.shared)):
         records = [r for r in split.test if r.view == view]
-        if records and (use_drones or view != dataspace.DRONE):
+        if records:
             rows.update(zip([r.id for r in records], enc.embed_records(params, records)))
     path.parent.mkdir(parents=True, exist_ok=True)
     dataspace.write_embeddings(path, [
         (r.id, r.view, 0 if r.view == dataspace.DRONE else r.landmark, rows[r.id])
-        for r in split.test if r.id in rows])
+        for r in split.test])
 
 
 def cmd_evaluate(args, cfg: RunConfig) -> None:
@@ -270,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", type=_out_path, required=True)
     p.add_argument("--mode", required=True, choices=pipeline.MODES)
     p.add_argument("--out", type=_out_path, required=True)
-    p.add_argument("--no-drones", action="store_true",
-                   help="drop the drone reference set (diffusion degenerates)")
     p.add_argument("--best-region", action="store_true",
                    help="ground-drone only: score galleries by their best sub-region")
     p.add_argument("--dump-embeddings", type=_out_path, default=None,

@@ -289,6 +289,9 @@ def read_records(path) -> tuple[list[ImageRecord], int, int]:
     if set(lengths) != {len(values)}:
         raise ValueError(f"{path}: columns ids, views, landmarks, sections hold "
                          f"{', '.join(map(str, lengths))} entries for {len(values)} value maps")
+    ids, uses = np.unique(cols["ids"], return_counts=True)
+    if (uses > 1).any():
+        raise ValueError(f"{path}: record id {ids[np.argmax(uses > 1)]} appears more than once")
     bad = ~np.isfinite(values).all(axis=(1, 2, 3))
     if bad.any():
         raise ValueError(f"{path}: record {cols['ids'][np.argmax(bad)]} has a non-finite value")
@@ -317,22 +320,3 @@ def write_embeddings(path, entries: Sequence[tuple[int, str, int, np.ndarray]]) 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def read_embeddings(path) -> list[tuple[int, str, int, np.ndarray]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(EMB_MAGIC):
-        raise ValueError(f"{path}: missing '{EMB_MAGIC}' header")
-    count, dim = int(lines[0].split()[2]), int(lines[0].split()[3])
-    if len(lines) - 1 != count:
-        raise ValueError(f"{path}: header promises {count} entries, found {len(lines) - 1}")
-    out = []
-    for ln in lines[1:]:
-        tok = ln.split()
-        vec = np.array(tok[3:], dtype=float)
-        if vec.size != dim:
-            raise ValueError(f"{path}: entry {tok[0]} has {vec.size} dims, needs {dim}")
-        if not np.isfinite(vec).all():
-            raise ValueError(f"{path}: entry {tok[0]} has a non-finite value")
-        out.append((int(tok[0]), tok[1], int(tok[2]), vec))
-    return out

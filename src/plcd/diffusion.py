@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import encoder as enc
-from .dataspace import DRONE, SATELLITE
 from .ranking import RankingList, rank_rows
 
 if TYPE_CHECKING:
@@ -33,22 +32,23 @@ if TYPE_CHECKING:
 
 @dataclass
 class TransitionGraph:
-    """Column-stochastic transition matrix plus node bookkeeping.
+    """Column-stochastic transition matrix plus the record id of each node.
 
-    Nodes are ordered drones first, satellites after; ``node_ids`` maps node
-    index to record id.
+    Nodes are ordered drones first, satellites after, so the satellites are
+    the tail nodes ``sat_rows``.
     """
 
     matrix: np.ndarray
-    node_ids: list[int]
-    node_views: list[str]
+    drone_ids: list[int]
+    sat_ids: list[int]
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def satellite_indices(self) -> list[int]:
-        return [i for i, v in enumerate(self.node_views) if v == SATELLITE]
+    @property
+    def sat_rows(self) -> range:
+        return range(len(self.drone_ids), self.size)
 
 
 @dataclass
@@ -127,8 +127,7 @@ def build_graph(drone_embs: np.ndarray, sat_embs: np.ndarray,
     directions and the sum halved in place, which gives (a + a.T) / 2 bit
     for bit.
     """
-    n_drone, n_sat = len(drone_embs), len(sat_embs)
-    n = n_drone + n_sat
+    n = len(drone_embs) + len(sat_embs)
     if n < 2:
         raise ValueError(f"graph needs at least 2 nodes (got {n})")
     if not 1 <= k_graph < n:
@@ -164,9 +163,8 @@ def build_graph(drone_embs: np.ndarray, sat_embs: np.ndarray,
         col_sums[empty] = affinity[:, empty].sum(axis=0)
     affinity /= col_sums
 
-    node_ids = [int(i) for i in drone_ids] + [int(i) for i in sat_ids]
-    node_views = [DRONE] * n_drone + [SATELLITE] * n_sat
-    return TransitionGraph(matrix=affinity, node_ids=node_ids, node_views=node_views)
+    return TransitionGraph(matrix=affinity, drone_ids=[int(i) for i in drone_ids],
+                           sat_ids=[int(i) for i in sat_ids])
 
 
 def init_state(query_embs: Sequence[np.ndarray], drone_gd: np.ndarray,
@@ -264,11 +262,10 @@ def apply_operator(operator: np.ndarray, f0: np.ndarray) -> np.ndarray:
 def rank_satellites(sat_scores: np.ndarray, graph: TransitionGraph,
                     query_ids: Sequence[int]) -> list[RankingList]:
     """``rank_rows`` of each column of ``sat_scores`` (satellite rows, in
-    ``graph.satellite_indices()`` order); an all-zero column is degenerate."""
-    sat_idx = graph.satellite_indices()
-    if not sat_idx:
+    ``graph.sat_rows`` order); an all-zero column is degenerate."""
+    if not graph.sat_ids:
         raise ValueError("graph contains no satellite nodes")
-    return rank_rows(query_ids, [graph.node_ids[i] for i in sat_idx], sat_scores.T,
+    return rank_rows(query_ids, graph.sat_ids, sat_scores.T,
                      degenerate=~sat_scores.any(axis=0))
 
 
@@ -279,13 +276,12 @@ def rank_satellites(sat_scores: np.ndarray, graph: TransitionGraph,
 @dataclass
 class DiffusionIndex:
     """One-time gallery artifacts shared by every query: the sd-space graph
-    and the unit-normalized gd-space drone rows used for walk initialization
-    (empty when there is no graph). ``operators`` memoizes the closed form's
-    satellite-row operator per alpha; the graph never changes once built."""
+    and the unit-normalized gd-space drone rows used for walk initialization.
+    ``operators`` memoizes the closed form's satellite-row operator per
+    alpha; the graph never changes once built."""
 
-    graph: TransitionGraph | None
+    graph: TransitionGraph
     drone_gd: np.ndarray
-    sat_ids: list[int]
     cfg: RunConfig
     operators: dict[float, np.ndarray] = field(default_factory=dict)
 
@@ -293,15 +289,14 @@ class DiffusionIndex:
 def build_index(drone_sd_embs: np.ndarray, sat_sd_embs: np.ndarray,
                 drone_gd_embs: np.ndarray, drone_ids: Sequence[int],
                 sat_ids: Sequence[int], cfg: RunConfig) -> DiffusionIndex:
+    """The index of a gallery; without drone nodes no walk reaches a
+    satellite, so an empty drone set raises."""
     if len(drone_sd_embs) == 0:
-        graph = None  # queries degrade to zero-weight satellite rankings
-        drone_gd = np.empty((0, 0))
-    else:
-        graph = build_graph(drone_sd_embs, sat_sd_embs, drone_ids, sat_ids,
-                            min(cfg.k_graph, len(drone_ids) + len(sat_ids) - 1))
-        drone_gd = _normalized_rows(drone_gd_embs, "drone(gd)")
-    return DiffusionIndex(graph=graph, drone_gd=drone_gd,
-                          sat_ids=[int(i) for i in sat_ids], cfg=cfg)
+        raise ValueError("diffusion needs at least one drone node")
+    graph = build_graph(drone_sd_embs, sat_sd_embs, drone_ids, sat_ids,
+                        min(cfg.k_graph, len(drone_ids) + len(sat_ids) - 1))
+    return DiffusionIndex(graph=graph, drone_gd=_normalized_rows(drone_gd_embs, "drone(gd)"),
+                          cfg=cfg)
 
 
 def query(index: DiffusionIndex, query_ids: Sequence[int],
@@ -311,26 +306,20 @@ def query(index: DiffusionIndex, query_ids: Sequence[int],
     (or walked) together; one query is a batch of one.
 
     Drone reference records enter only through their embeddings; their
-    identity labels are never consulted. With no drone references the walk
-    cannot reach any satellite, and every result is a degenerate
-    (zero-score) ranking ordered by gallery id. An iterative walk that
-    leaves any query unconverged after ``max_iters`` raises instead of
-    ranking it.
+    identity labels are never consulted. An iterative walk that leaves any
+    query unconverged after ``max_iters`` raises instead of ranking it.
     """
     if len(query_ids) != len(query_embs):
         raise ValueError(f"{len(query_ids)} query ids for {len(query_embs)} embeddings")
     cfg = index.cfg
     a = cfg.alpha if alpha is None else alpha
-    if index.graph is None:
-        return rank_rows(query_ids, index.sat_ids,
-                         np.zeros((len(query_ids), len(index.sat_ids))), degenerate=True)
     graph = index.graph
     f0 = init_state(query_embs, index.drone_gd, cfg, graph.size)
-    sat_idx = graph.satellite_indices()
     if cfg.closed_form:
         operator = index.operators.get(a)
         if operator is None:
-            operator = closed_form_operator(graph.matrix, sat_idx, a, cfg.closed_form_cap)
+            operator = closed_form_operator(graph.matrix, graph.sat_rows, a,
+                                            cfg.closed_form_cap)
             index.operators[a] = operator
         scores = apply_operator(operator, f0)
     else:
@@ -339,5 +328,5 @@ def query(index: DiffusionIndex, query_ids: Sequence[int],
             stuck = [int(q) for q, ok in zip(query_ids, walk.column_converged) if not ok]
             raise ValueError(f"walk did not converge within max_iters={cfg.max_iters} "
                              f"for queries {stuck}")
-        scores = walk.state[sat_idx]
+        scores = walk.state[graph.sat_rows]
     return rank_satellites(scores, graph, query_ids)

@@ -104,6 +104,14 @@ def _task_records(split: DatasetSplit, task: str):
     return queries, gallery
 
 
+def _drone_records(split: DatasetSplit) -> list[ImageRecord]:
+    """The test split's drone references, the bridge chain and diffusion cross."""
+    drones = _view_records(split, DRONE)
+    if not drones:
+        raise ValueError("test split has no drone reference records")
+    return drones
+
+
 def _unit_embs(params: enc.EncoderParams, records: list[ImageRecord]) -> np.ndarray:
     return enc.unit_rows(enc.embed_records(params, records))
 
@@ -146,14 +154,13 @@ def drone_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
     return rank_rows(_ids(drones), _ids(sats), scores)
 
 
-def build_diffusion_index(cfg: RunConfig, split: DatasetSplit, models: TrainedModels,
-                          use_drones: bool = True) -> diff.DiffusionIndex:
-    drones = _view_records(split, DRONE) if use_drones else []
-    sats = _view_records(split, SATELLITE)
+def build_diffusion_index(cfg: RunConfig, split: DatasetSplit,
+                          models: TrainedModels) -> diff.DiffusionIndex:
+    drones, sats = _drone_records(split), _view_records(split, SATELLITE)
     return diff.build_index(
-        drone_sd_embs=enc.embed_records(models.shared, drones) if drones else [],
+        drone_sd_embs=enc.embed_records(models.shared, drones),
         sat_sd_embs=enc.embed_records(models.shared, sats),
-        drone_gd_embs=drone_features(cfg, models.junior_drone, drones) if drones else [],
+        drone_gd_embs=drone_features(cfg, models.junior_drone, drones),
         drone_ids=_ids(drones),
         sat_ids=_ids(sats),
         cfg=cfg,
@@ -163,7 +170,6 @@ def build_diffusion_index(cfg: RunConfig, split: DatasetSplit, models: TrainedMo
 def ground_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
                               models: TrainedModels, mode: str,
                               alpha: float | None = None,
-                              use_drones: bool = True,
                               index: diff.DiffusionIndex | None = None,
                               ) -> list[RankingList]:
     if MODES.get(mode) != "ground-satellite":
@@ -172,16 +178,14 @@ def ground_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
     grounds, sats = _task_records(split, "ground-satellite")
     if mode == "diffusion":
         if index is None:
-            index = build_diffusion_index(cfg, split, models, use_drones=use_drones)
+            index = build_diffusion_index(cfg, split, models)
         return diff.query(index, _ids(grounds),
                           enc.embed_records(models.junior_ground, grounds), alpha=alpha)
     queries = _unit_embs(models.junior_ground, grounds)
     if mode == "chain":
         # each query hops to its most similar drone (lowest id on a tie) and
         # ranks by that drone's satellite-drone embedding
-        drones = _view_records(split, DRONE) if use_drones else []
-        if not drones:
-            raise ValueError("chain mode needs drone reference records")
+        drones = _drone_records(split)
         drone_gd = enc.unit_rows(drone_features(cfg, models.junior_drone, drones))
         hops = row_order(cosine_scores(queries, drone_gd), _ids(drones))[:, 0]
         queries = _unit_embs(patchmodel.drone_branch(models.shared), drones)[hops]
@@ -190,8 +194,7 @@ def ground_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
 
 
 def rankings(cfg: RunConfig, split: DatasetSplit, models: TrainedModels, mode: str,
-             alpha: float | None = None, use_drones: bool = True,
-             index: diff.DiffusionIndex | None = None,
+             alpha: float | None = None, index: diff.DiffusionIndex | None = None,
              best_region: bool = False) -> list[RankingList]:
     """One mode's rankings of the test split; an option reaches only the modes
     of the ``*_rankings`` function that takes it."""
@@ -202,8 +205,7 @@ def rankings(cfg: RunConfig, split: DatasetSplit, models: TrainedModels, mode: s
                                      best_region=best_region)
     if MODES[mode] == "drone-satellite":
         return drone_satellite_rankings(cfg, split, models.shared)
-    return ground_satellite_rankings(cfg, split, models, mode, alpha=alpha,
-                                     use_drones=use_drones, index=index)
+    return ground_satellite_rankings(cfg, split, models, mode, alpha=alpha, index=index)
 
 
 def relevance_for(records: list[ImageRecord], task: str, cfg: RunConfig,

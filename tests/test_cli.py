@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from plcd import cli, dataspace, pipeline
+from support import read_embeddings
 
 TINY = {
     "seed": "5",
@@ -62,6 +63,20 @@ def test_gen_data_rejects_unknown_key(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         run(["gen-data", "--config", cfg, "--out", tmp_path / "out"])
     assert "foo" in str(err.value)
+
+
+def test_set_flag_repeating_a_key_exits_naming_it(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 0.5\n")
+
+    def load(*sets):
+        return cli._load_cfg(cli.build_parser().parse_args(
+            ["gen-data", "--config", str(cfg), *sets, "--out", str(tmp_path / "data")]))
+
+    with pytest.raises(SystemExit) as err:
+        load("--set", "alpha=0.7", "--set", "alpha = 0.9")
+    assert str(err.value) == "--set key 'alpha' given more than once"
+    assert load("--set", "alpha=0.7").alpha == 0.7  # a flag still wins over the file
 
 
 def test_bad_config_value_exits_with_its_message(workspace, tmp_path):
@@ -250,29 +265,6 @@ def test_retrieve_deterministic(workspace, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_direct_cosine_ignores_drone_references(workspace, tmp_path):
-    root, cfg = workspace
-    with_d, without_d = tmp_path / "with", tmp_path / "without"
-    assert run(["retrieve", "--config", cfg, "--data", root / "data",
-                "--models", root / "models", "--mode", "direct-cosine",
-                "--out", with_d]) == 0
-    assert run(["retrieve", "--config", cfg, "--data", root / "data",
-                "--models", root / "models", "--mode", "direct-cosine",
-                "--no-drones", "--out", without_d]) == 0
-    for path in with_d.glob("ranking-*.txt"):
-        assert path.read_bytes() == (without_d / path.name).read_bytes()
-
-
-def test_diffusion_without_drones_degenerates(workspace, tmp_path):
-    root, cfg = workspace
-    out = tmp_path / "degenerate"
-    assert run(["retrieve", "--config", cfg, "--data", root / "data",
-                "--models", root / "models", "--mode", "diffusion",
-                "--no-drones", "--out", out]) == 0
-    for path in out.glob("ranking-*.txt"):
-        assert path.read_text().splitlines()[0] == "# degenerate"
-
-
 def test_best_region_mode(workspace, tmp_path):
     root, cfg = workspace
     out = tmp_path / "bestregion"
@@ -296,9 +288,7 @@ def test_mode_and_task_choices_are_the_tables():
 @pytest.mark.parametrize("mode, flags", [
     ("diffusion", ["--best-region"]),
     ("chain", ["--best-region"]),
-    ("drone-satellite", ["--best-region", "--no-drones"]),
-    ("ground-drone", ["--no-drones"]),
-    ("drone-satellite", ["--no-drones"]),
+    ("drone-satellite", ["--best-region"]),
 ])
 def test_retrieve_refuses_flags_its_mode_ignores(workspace, tmp_path, capsys, mode, flags):
     root, cfg = workspace
@@ -312,31 +302,12 @@ def test_retrieve_refuses_flags_its_mode_ignores(workspace, tmp_path, capsys, mo
     assert not out.exists()
 
 
-def test_no_drones_in_a_drone_mode_only_thins_the_dump(workspace, tmp_path):
-    root, cfg = workspace
-    dumps = {}
-    for name, flags in (("full", []), ("thin", ["--no-drones"])):
-        dumps[name] = tmp_path / f"{name}.txt"
-        assert run(["retrieve", "--config", cfg, "--data", root / "data",
-                    "--models", root / "models", "--mode", "ground-drone",
-                    "--dump-embeddings", dumps[name], "--out", tmp_path / name,
-                    *flags]) == 0
-    full = dataspace.read_embeddings(dumps["full"])
-    thin = dataspace.read_embeddings(dumps["thin"])
-    assert {view for _, view, _, _ in full} == {"G", "D", "S"}
-    assert [(i, v) for i, v, _, _ in thin] == [(i, v) for i, v, _, _ in full if v != "D"]
-    names = sorted(p.name for p in (tmp_path / "full").glob("ranking-*.txt"))
-    assert names
-    for name in names:
-        assert (tmp_path / "thin" / name).read_bytes() == \
-            (tmp_path / "full" / name).read_bytes()
-
-
 @pytest.mark.parametrize("mode, flags, dropped", [
-    ("chain", ["--no-drones"], None),
+    ("chain", [], "D"),
     ("ground-drone", [], "D"),
     ("drone-satellite", [], "S"),
     ("diffusion", [], "G"),
+    ("diffusion", [], "D"),
 ])
 def test_retrieve_that_cannot_run_exits_naming_mode_and_data(workspace, tmp_path, mode,
                                                              flags, dropped):
@@ -366,7 +337,6 @@ def test_dump_embeddings_exchange_file(workspace, tmp_path):
     assert run(["retrieve", "--config", cfg, "--data", root / "data",
                 "--models", root / "models", "--mode", "diffusion",
                 "--dump-embeddings", emb, "--out", out]) == 0
-    from plcd.dataspace import read_embeddings
     entries = read_embeddings(emb)
     views = {view for _, view, _, _ in entries}
     assert views == {"G", "D", "S"}
@@ -382,7 +352,7 @@ def test_dump_embeddings_exchange_file(workspace, tmp_path):
 
 
 def test_dump_holds_the_rows_retrieval_ranked(workspace, tmp_path, monkeypatch):
-    from plcd import dataspace, diffusion
+    from plcd import diffusion
     root, cfg = workspace
     seen = {}
     build, query = diffusion.build_index, diffusion.query
@@ -402,7 +372,7 @@ def test_dump_holds_the_rows_retrieval_ranked(workspace, tmp_path, monkeypatch):
     assert run(["retrieve", "--config", cfg, "--data", root / "data",
                 "--models", root / "models", "--mode", "diffusion",
                 "--dump-embeddings", emb, "--out", tmp_path / "gs"]) == 0
-    dumped = {view: {rid: vec for rid, v, _, vec in dataspace.read_embeddings(emb) if v == view}
+    dumped = {view: {rid: vec for rid, v, _, vec in read_embeddings(emb) if v == view}
               for view in ("G", "S", "D")}
     for view, rows in (("G", seen["grounds"]), ("S", seen["sats"]), ("D", seen["drones"])):
         assert sorted(dumped[view]) == sorted(rows)
@@ -595,7 +565,7 @@ def test_dump_embeddings_makes_its_directory(workspace, tmp_path):
     assert run(["retrieve", "--config", cfg, "--data", root / "data",
                 "--models", root / "models", "--mode", "direct-cosine",
                 "--dump-embeddings", emb, "--out", tmp_path / "r"]) == 0
-    assert {view for _, view, _, _ in dataspace.read_embeddings(emb)} == {"G", "D", "S"}
+    assert {view for _, view, _, _ in read_embeddings(emb)} == {"G", "D", "S"}
 
 
 @pytest.mark.parametrize("setting, message", [

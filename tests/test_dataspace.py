@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from plcd import dataspace as ds
 from plcd.config import RunConfig
+from support import read_embeddings
 
 
 def tiny_cfg(**kw):
@@ -193,6 +194,16 @@ def test_read_rejects_malformed_members(tmp_path, case, changes, message):
         ds.read_records(path)
 
 
+def test_read_rejects_a_repeated_record_id(tmp_path):
+    # two queries of one id would share a ranking file, and training keys
+    # pooled rows by id
+    path = tmp_path / "data.npz"
+    ds.write_records(path, [ds.ImageRecord(4, "G", 1, 0, np.ones((1, 1, 2))),
+                            ds.ImageRecord(4, "G", 1, 0, np.zeros((1, 1, 2)))], 1, 6)
+    with pytest.raises(ValueError, match=r"data\.npz: record id 4 appears more than once"):
+        ds.read_records(path)
+
+
 @pytest.mark.parametrize("cut", ["empty", "header", "member", "method", "directory"])
 def test_read_rejects_truncated_and_damaged_files(tmp_path, cut):
     path = tmp_path / "data.npz"
@@ -261,12 +272,13 @@ edge_floats = st.one_of(
 def record_sets(draw):
     n, c, h, w = (draw(st.integers(1, 4)) for _ in range(4))
     values = draw(hnp.arrays(np.float64, (n, c, h, w), elements=edge_floats))
+    ids = draw(st.lists(st.integers(1, 10**12), min_size=n, max_size=n, unique=True))
     records = []
     for i in range(n):
         view = draw(st.sampled_from(ds.VIEWS))
         section = draw(st.integers(1, 6)) if view == ds.DRONE else 0
-        records.append(ds.ImageRecord(draw(st.integers(1, 10**12)), view,
-                                      draw(st.integers(1, 99)), section, values[i]))
+        records.append(ds.ImageRecord(ids[i], view, draw(st.integers(1, 99)), section,
+                                      values[i]))
     return records, draw(st.integers(1, 99)), draw(st.integers(2, 6))
 
 
@@ -311,7 +323,7 @@ def test_embedding_text_keeps_per_value_repr_and_reads_back_bit_exact(tmp_path):
     ds.write_embeddings(tmp_path / "emb.txt", [(3, "S", 2, vec)])
     text = (tmp_path / "emb.txt").read_text(encoding="utf-8")
     assert text.splitlines()[1] == f"3 S 2 {per_value(vec)}"
-    [(_, _, _, loaded_vec)] = ds.read_embeddings(tmp_path / "emb.txt")
+    [(_, _, _, loaded_vec)] = read_embeddings(tmp_path / "emb.txt")
     assert loaded_vec.tobytes() == vec.tobytes()
 
 

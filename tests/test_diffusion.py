@@ -13,6 +13,7 @@ from plcd.checks import random_stochastic_matrix
 from plcd.config import RunConfig
 from plcd.ranking import row_order
 from plcd.seeds import substream
+from support import read_embeddings
 
 
 def dcfg(**kw):
@@ -35,7 +36,7 @@ def test_two_identical_nodes_are_mutual_neighbors():
     e = unit(np.array([1.0, 1.0]))
     graph = diff.build_graph([e], [e.copy()], [1], [2], k_graph=1)
     assert np.allclose(graph.matrix, [[0.0, 1.0], [1.0, 0.0]])
-    assert graph.node_views == ["D", "S"]
+    assert (graph.drone_ids, graph.sat_ids, graph.sat_rows) == ([1], [2], range(1, 2))
 
 
 def test_columns_sum_to_one_on_random_graphs():
@@ -320,7 +321,7 @@ def test_graph_and_operator_bytes_match_the_dense_formulas(kind, n, dim, seed, d
     assert same_bits(graph.matrix, expected)
 
     alpha = data.draw(st.sampled_from([0.5, 0.9, 0.99]), label="alpha")
-    sat_rows = graph.satellite_indices()
+    sat_rows = graph.sat_rows
     systems = []
     solve = np.linalg.solve
     with mock.patch.object(np.linalg, "solve",
@@ -346,7 +347,7 @@ def test_graph_and_operator_stay_within_their_memory_budgets():
         graph_peak = (tracemalloc.get_traced_memory()[1] - held) / square
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        diff.closed_form_operator(graph.matrix, graph.satellite_indices(), 0.9)
+        diff.closed_form_operator(graph.matrix, graph.sat_rows, 0.9)
         operator_peak = (tracemalloc.get_traced_memory()[1] - held) / square
     finally:
         tracemalloc.stop()
@@ -442,7 +443,7 @@ def test_columns_stop_at_their_own_iteration():
     index, queries = retrieval_case(5, n_drone=300, n_sat=80, n_query=200)
     graph = index.graph
     f0 = diff.init_state(queries, index.drone_gd, index.cfg, graph.size)
-    sat_idx, sat_ids = graph.satellite_indices(), index.sat_ids
+    sat_idx, sat_ids = graph.sat_rows, graph.sat_ids
     for alpha in (0.5, 0.9):
         batch = diff.diffuse_iterative(graph.matrix, f0, alpha, 1000, 1e-9)
         assert batch.converged
@@ -530,8 +531,7 @@ def test_nonnegativity_preserved():
 
 
 def test_rank_satellites_orders_and_flags():
-    graph = diff.TransitionGraph(matrix=np.zeros((4, 4)), node_ids=[7, 3, 9, 5],
-                                 node_views=["D", "D", "S", "S"])
+    graph = diff.TransitionGraph(matrix=np.zeros((4, 4)), drone_ids=[7, 3], sat_ids=[9, 5])
     states = np.array([[0.5, 0.0], [0.1, 0.0], [0.2, 0.0], [0.9, 0.0]])
     ranking, degenerate = diff.rank_satellites(states[2:], graph, query_ids=[1, 2])
     assert (ranking.query_id, ranking.gallery_ids) == (1, [5, 9])
@@ -542,8 +542,7 @@ def test_rank_satellites_orders_and_flags():
 
 
 def test_rank_satellites_requires_satellite_nodes():
-    graph = diff.TransitionGraph(matrix=np.zeros((2, 2)), node_ids=[1, 2],
-                                 node_views=["D", "D"])
+    graph = diff.TransitionGraph(matrix=np.zeros((2, 2)), drone_ids=[1, 2], sat_ids=[])
     with pytest.raises(ValueError, match="satellite"):
         diff.rank_satellites(np.zeros((0, 1)), graph, [1])
 
@@ -566,17 +565,11 @@ def test_node_relabeling_leaves_ranking_unchanged():
     assert np.allclose(base.scores, other.scores)
 
 
-def test_query_without_drones_degenerates():
-    rng = substream(13, "diff.nodrone")
-    sats = [rng.standard_normal(4) for _ in range(3)]
-    cfg = dcfg()
-    index = diff.build_index([], sats, [], [], [7, 8, 9], cfg)
-    rankings = diff.query(index, [0, 1], [rng.standard_normal(4) for _ in range(2)])
-    assert [r.query_id for r in rankings] == [0, 1]
-    for ranking in rankings:
-        assert ranking.degenerate
-        assert ranking.gallery_ids == [7, 8, 9]
-        assert all(s == 0.0 for s in ranking.scores)
+def test_index_without_drones_is_refused():
+    # no walk from a ground query reaches a satellite without drone nodes
+    sats = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
+    with pytest.raises(ValueError, match="at least one drone node"):
+        diff.build_index([], sats, [], [], [7, 8, 9], dcfg())
 
 
 def test_query_cache_reuse_is_pure():
@@ -615,11 +608,11 @@ def test_operator_scores_match_a_full_solve(alpha):
     graph = index.graph
     f0 = diff.init_state(queries, index.drone_gd, index.cfg, graph.size)
     full = np.linalg.solve(np.eye(graph.size) - alpha * graph.matrix, f0)
-    sat_idx = graph.satellite_indices()
+    sat_idx = graph.sat_rows
     rankings = diff.query(index, list(range(len(queries))), queries)
     for j, ranking in enumerate(rankings):
         tol = 1e-12 * float(f0[:, j].max()) / (1.0 - alpha)
-        reference = dict(zip([graph.node_ids[i] for i in sat_idx], full[sat_idx, j]))
+        reference = dict(zip(graph.sat_ids, full[sat_idx, j]))
         expected = [reference[g] for g in ranking.gallery_ids]
         assert np.allclose(ranking.scores, expected, rtol=0.0, atol=tol)
         # the same order as the solve's, except among scores tied within tol
@@ -643,7 +636,7 @@ def test_operator_is_solved_once_per_index_and_alpha(monkeypatch):
                         lambda a, b: solves.append(b.shape) or solve(a, b))
     first = diff.query(index, [0, 1], queries[:2])
     diff.query(index, [2, 3, 4], queries[2:5])
-    assert solves == [(index.graph.size, len(index.sat_ids))]
+    assert solves == [(index.graph.size, len(index.graph.sat_ids))]
     diff.query(index, [0], queries[:1], alpha=0.5)
     diff.query(index, [0], queries[:1], alpha=0.5)
     again = diff.query(index, [0, 1], queries[:2])
@@ -763,7 +756,7 @@ def test_embedding_exchange_round_trip(tmp_path):
     ds.write_embeddings(path, entries)
     header = path.read_text().splitlines()[0]
     assert header == "#plcd-emb v1 3 5"
-    loaded = ds.read_embeddings(path)
+    loaded = read_embeddings(path)
     for (rid, view, lm, vec), (rid2, view2, lm2, vec2) in zip(entries, loaded):
         assert (rid, view, lm) == (rid2, view2, lm2)
         assert np.array_equal(vec, vec2)
@@ -775,4 +768,4 @@ def test_embedding_file_rejects_non_finite_values(tmp_path, bad):
     ds.write_embeddings(path, [(1, "G", 4, np.ones(3)), (7, "S", 4, np.ones(3))])
     path.write_text(path.read_text().replace("7 S 4 1.0", f"7 S 4 {bad}"))
     with pytest.raises(ValueError, match=r"emb\.txt: entry 7 has a non-finite value"):
-        ds.read_embeddings(path)
+        read_embeddings(path)

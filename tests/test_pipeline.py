@@ -200,9 +200,10 @@ def test_stacked_modes_match_per_record_reference(request, case, mode):
 
 def test_chain_requires_drones(tiny):
     cfg, split, models = tiny
-    with pytest.raises(ValueError, match="drone"):
-        pipeline.ground_satellite_rankings(cfg, split, models, "chain",
-                                           use_drones=False)
+    no_drones = replace(split, test=[r for r in split.test if r.view != DRONE])
+    for mode in ("chain", "diffusion"):
+        with pytest.raises(ValueError, match="no drone reference records"):
+            pipeline.ground_satellite_rankings(cfg, no_drones, models, mode)
 
 
 # each mode's direct call and the task it is scored on, spelled out here so
