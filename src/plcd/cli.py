@@ -187,7 +187,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> None:
                              f"{first[ranking.query_id]} and {f}")
     split = _read_split(args.data, cfg, "test")
     try:
-        report = pipeline.task_report(cfg, split.test, split.num_sections, rankings, args.task)
+        report = pipeline.task_report(cfg, split.test, rankings, args.task)
     except ValueError as err:
         raise SystemExit(f"rankings in {args.rankings} do not fit task {args.task} "
                          f"on {args.data}: {err}")

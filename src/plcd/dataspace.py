@@ -175,12 +175,11 @@ def generate_synthetic(cfg: RunConfig) -> DatasetSplit:
             facet = int(rng.integers(1, cfg.num_sections + 1))
             emit(GROUND, landmark, facet, proto)
 
-    return split_by_identity(records, cfg.train_fraction, cfg.seed,
-                             num_sections=cfg.num_sections)
+    return split_by_identity(records, cfg.train_fraction, cfg.seed, cfg.num_sections)
 
 
 def split_by_identity(records: list[ImageRecord], train_fraction: float, seed: int,
-                      num_sections: int = 0) -> DatasetSplit:
+                      num_sections: int) -> DatasetSplit:
     """Shuffle identities deterministically; ceil(fraction * C) of them train.
 
     The train count is clamped so both halves stay non-empty.
@@ -197,9 +196,8 @@ def split_by_identity(records: list[ImageRecord], train_fraction: float, seed: i
     train_ids = set(order[:n_train])
     train = [r for r in records if r.landmark in train_ids]
     test = [r for r in records if r.landmark not in train_ids]
-    sections = num_sections or max((r.section for r in records), default=0)
     return DatasetSplit(train=train, test=test,
-                        num_landmarks=len(identities), num_sections=sections)
+                        num_landmarks=len(identities), num_sections=num_sections)
 
 
 def infer_visible_facet(record: ImageRecord, num_sections: int) -> int:

@@ -1,19 +1,15 @@
 """Random-walk re-ranking across the drone/satellite similarity graph.
 
-A column-stochastic transition matrix is built from cosine similarities in
-the satellite-drone embedding space (top-k sparsified, symmetrized, column
-normalized), all inside the one n x n similarity buffer: the neighbors come
-from one partition per row, and the buffer then takes the affinity in place.
-A query starts the walk by placing weight on its nearest drone nodes,
-measured in the ground-drone space; after the walk converges the
-satellite-node weights give the ranking. The walk solves
-f <- alpha * S @ f + (1 - alpha) * f0, either by iteration or via the linear
-system (I - alpha * S) x = f0, which shares its fixed point up to scale.
-Ranking reads only the satellite rows of x, so the closed form solves once
-per graph and alpha for those rows of (I - alpha * S)^-1 and scores every
-later query with one product. Queries come in batches: f0 holds one column
-per query, and one product ranks them all. The iterative walk multiplies a
-block of the columns still walking, which shrinks as columns converge.
+A column-stochastic top-k cosine graph S is built over the drone and
+satellite embeddings of the satellite-drone space. A query seeds the walk
+on its nearest drone nodes, measured in the ground-drone space, and the
+restarted walk f <- alpha * S @ f + (1 - alpha) * f0 ranks the satellites
+by their weight at its fixed point: iterated, or solved as
+(I - alpha * S) x = f0, which shares that fixed point up to scale. A
+``DiffusionIndex`` holds what the gallery fixes (the graph and its
+``k_graph``, the drone seeding rows, the closed form's operator per alpha);
+the config of each ``query`` call sets the walk. Queries come in batches,
+one column of f0 each.
 """
 
 from __future__ import annotations
@@ -275,14 +271,14 @@ def rank_satellites(sat_scores: np.ndarray, graph: TransitionGraph,
 
 @dataclass
 class DiffusionIndex:
-    """One-time gallery artifacts shared by every query: the sd-space graph
-    and the unit-normalized gd-space drone rows used for walk initialization.
-    ``operators`` memoizes the closed form's satellite-row operator per
-    alpha; the graph never changes once built."""
+    """What a gallery fixes, shared by every query: the sd-space graph built
+    at ``k_graph`` and the unit-normalized gd-space drone rows that seed the
+    walk. ``operators`` memoizes the closed form's satellite-row operator per
+    alpha. Each query's config sets the walk itself."""
 
     graph: TransitionGraph
     drone_gd: np.ndarray
-    cfg: RunConfig
+    k_graph: int
     operators: dict[float, np.ndarray] = field(default_factory=dict)
 
 
@@ -296,34 +292,37 @@ def build_index(drone_sd_embs: np.ndarray, sat_sd_embs: np.ndarray,
     graph = build_graph(drone_sd_embs, sat_sd_embs, drone_ids, sat_ids,
                         min(cfg.k_graph, len(drone_ids) + len(sat_ids) - 1))
     return DiffusionIndex(graph=graph, drone_gd=_normalized_rows(drone_gd_embs, "drone(gd)"),
-                          cfg=cfg)
+                          k_graph=cfg.k_graph)
 
 
-def query(index: DiffusionIndex, query_ids: Sequence[int],
-          query_embs: Sequence[np.ndarray],
-          alpha: float | None = None) -> list[RankingList]:
+def query(index: DiffusionIndex, cfg: RunConfig, query_ids: Sequence[int],
+          query_embs: Sequence[np.ndarray]) -> list[RankingList]:
     """Rank the satellite gallery for a batch of ground queries, all solved
-    (or walked) together; one query is a batch of one.
+    (or walked) together; one query is a batch of one. ``cfg`` sets the walk
+    (``alpha``, ``k_init``, ``gamma``, ``closed_form`` with its cap,
+    ``max_iters``, ``tol``); its ``k_graph`` must be the index's. The cap
+    bounds a solve, and a memoized operator runs none, so reusing one for
+    ``alpha`` does not check the cap again.
 
     Drone reference records enter only through their embeddings; their
     identity labels are never consulted. An iterative walk that leaves any
     query unconverged after ``max_iters`` raises instead of ranking it.
     """
+    if cfg.k_graph != index.k_graph:
+        raise ValueError(f"config k_graph={cfg.k_graph} differs from the index's "
+                         f"k_graph={index.k_graph}")
     if len(query_ids) != len(query_embs):
         raise ValueError(f"{len(query_ids)} query ids for {len(query_embs)} embeddings")
-    cfg = index.cfg
-    a = cfg.alpha if alpha is None else alpha
     graph = index.graph
     f0 = init_state(query_embs, index.drone_gd, cfg, graph.size)
     if cfg.closed_form:
-        operator = index.operators.get(a)
+        operator = index.operators.get(cfg.alpha)
         if operator is None:
-            operator = closed_form_operator(graph.matrix, graph.sat_rows, a,
-                                            cfg.closed_form_cap)
-            index.operators[a] = operator
+            operator = index.operators[cfg.alpha] = closed_form_operator(
+                graph.matrix, graph.sat_rows, cfg.alpha, cfg.closed_form_cap)
         scores = apply_operator(operator, f0)
     else:
-        walk = diffuse_iterative(graph.matrix, f0, a, cfg.max_iters, cfg.tol)
+        walk = diffuse_iterative(graph.matrix, f0, cfg.alpha, cfg.max_iters, cfg.tol)
         if not walk.converged:
             stuck = [int(q) for q, ok in zip(query_ids, walk.column_converged) if not ok]
             raise ValueError(f"walk did not converge within max_iters={cfg.max_iters} "

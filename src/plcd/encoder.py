@@ -33,7 +33,7 @@ class EncoderParams:
     bias: np.ndarray              # (dim,)
     classifier_weight: np.ndarray  # (classes, dim)
     classifier_bias: np.ndarray    # (classes,)
-    tanh: bool = False
+    tanh: bool
 
     @property
     def dim(self) -> int:
@@ -58,7 +58,7 @@ INIT_SCALE = 0.25
 
 
 def init_params(role: str, dim: int, input_dim: int, classes: int,
-                rng: np.random.Generator, tanh: bool = False) -> EncoderParams:
+                rng: np.random.Generator, tanh: bool) -> EncoderParams:
     return EncoderParams(
         role=role,
         weight=rng.standard_normal((dim, input_dim)) * INIT_SCALE / np.sqrt(input_dim),
@@ -248,7 +248,7 @@ def save_params(path, params: EncoderParams) -> None:
                         **{name: getattr(params, name) for name in PARAM_NAMES}})
 
 
-def load_params(path, tanh: bool = False) -> EncoderParams:
+def load_params(path, tanh: bool) -> EncoderParams:
     arrays = read_arrays(path, ENC_FORMAT, {"role": ("U", 0), "weight": ("f", 2),
                                             "bias": ("f", 1), "classifier_weight": ("f", 2),
                                             "classifier_bias": ("f", 1)})

@@ -208,7 +208,7 @@ def run_ablation(suite: str, cfg, split=None, models=None) -> AblationResult:
         index = pipeline.build_diffusion_index(cfg, split, models)
         for alpha in cfg.alpha_sweep:
             rows.append((f"alpha={alpha}", pipeline.evaluate_mode(
-                cfg, split, models, "diffusion", alpha=alpha, index=index)))
+                replace(cfg, alpha=alpha), split, models, "diffusion", index=index)))
     elif suite == "tau-sweep":
         # one senior; the junior retrains at each distillation temperature
         # (its drone fills the shared slot, which ground-drone never reads)

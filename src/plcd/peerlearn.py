@@ -32,6 +32,7 @@ from . import encoder as enc
 from . import losses, rmac
 from .dataspace import (GROUND, DatasetSplit, DroneIndex, ImageRecord, draw_per_section,
                         drones_by_section)
+from .ranking import row_order
 from .seeds import substream
 
 if TYPE_CHECKING:
@@ -80,11 +81,11 @@ def mine_rows(anchors: np.ndarray, candidates: np.ndarray, ids: np.ndarray,
     of its landmark) and negative pool (drones of other identities; a drone
     may sit in a pool more than once). Rows are unit-normalized once and
     scored by one ``einsum``, so byte-identical candidates score the same
-    bits wherever they sit; one ``lexsort`` per pick puts the highest score
-    first, breaks ties on the lowest record id (a -0.0 score ties 0.0) and
-    then on position. Returns candidate indices: the positive (m,), the
-    negatives (m, k) with k = min(num_negatives, largest pool) and the (m, k)
-    ``live`` mask of anchors holding fewer than k.
+    bits wherever they sit; each pick is ``row_order`` of the scores, -inf
+    off its mask (highest first, ties on the lowest record id, a -0.0 score
+    tying 0.0, then on position). Returns candidate indices: the positive
+    (m,), the negatives (m, k) with k = min(num_negatives, largest pool) and
+    the (m, k) ``live`` mask of anchors holding fewer than k.
     """
     if num_negatives < 1:
         raise ValueError(f"num_negatives must be >= 1 (got {num_negatives})")
@@ -94,12 +95,11 @@ def mine_rows(anchors: np.ndarray, candidates: np.ndarray, ids: np.ndarray,
         raise ValueError("every anchor needs a non-empty negative pool")
     if (positive & pool).any():
         raise ValueError("positive and pool masks overlap")
-    scores = -np.einsum("md,nd->mn", enc.unit_rows(anchors), enc.unit_rows(candidates))
-    ids = np.broadcast_to(ids, scores.shape)
-    best = np.lexsort((ids, np.where(positive, scores, np.inf)), axis=-1)[:, 0]
+    scores = np.einsum("md,nd->mn", enc.unit_rows(anchors), enc.unit_rows(candidates))
+    best = row_order(np.where(positive, scores, -np.inf), ids)[:, 0]
     sizes = pool.sum(axis=1)
     width = min(num_negatives, int(sizes.max()))
-    hardest = np.lexsort((ids, np.where(pool, scores, np.inf)), axis=-1)[:, :width]
+    hardest = row_order(np.where(pool, scores, -np.inf), ids)[:, :width]
     return best, hardest, np.arange(width) < sizes[:, None]
 
 

@@ -169,7 +169,6 @@ def build_diffusion_index(cfg: RunConfig, split: DatasetSplit,
 
 def ground_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
                               models: TrainedModels, mode: str,
-                              alpha: float | None = None,
                               index: diff.DiffusionIndex | None = None,
                               ) -> list[RankingList]:
     if MODES.get(mode) != "ground-satellite":
@@ -179,8 +178,8 @@ def ground_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
     if mode == "diffusion":
         if index is None:
             index = build_diffusion_index(cfg, split, models)
-        return diff.query(index, _ids(grounds),
-                          enc.embed_records(models.junior_ground, grounds), alpha=alpha)
+        return diff.query(index, cfg, _ids(grounds),
+                          enc.embed_records(models.junior_ground, grounds))
     queries = _unit_embs(models.junior_ground, grounds)
     if mode == "chain":
         # each query hops to its most similar drone (lowest id on a tie) and
@@ -194,7 +193,7 @@ def ground_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
 
 
 def rankings(cfg: RunConfig, split: DatasetSplit, models: TrainedModels, mode: str,
-             alpha: float | None = None, index: diff.DiffusionIndex | None = None,
+             index: diff.DiffusionIndex | None = None,
              best_region: bool = False) -> list[RankingList]:
     """One mode's rankings of the test split; an option reaches only the modes
     of the ``*_rankings`` function that takes it."""
@@ -205,7 +204,7 @@ def rankings(cfg: RunConfig, split: DatasetSplit, models: TrainedModels, mode: s
                                      best_region=best_region)
     if MODES[mode] == "drone-satellite":
         return drone_satellite_rankings(cfg, split, models.shared)
-    return ground_satellite_rankings(cfg, split, models, mode, alpha=alpha, index=index)
+    return ground_satellite_rankings(cfg, split, models, mode, index=index)
 
 
 def relevance_for(records: list[ImageRecord], task: str, cfg: RunConfig,
@@ -226,11 +225,11 @@ def relevance_for(records: list[ImageRecord], task: str, cfg: RunConfig,
     return rel
 
 
-def task_report(cfg: RunConfig, records: list[ImageRecord], num_sections: int,
-                rankings: list[RankingList], task: str) -> evalkit.MetricsReport:
+def task_report(cfg: RunConfig, records: list[ImageRecord], rankings: list[RankingList],
+                task: str) -> evalkit.MetricsReport:
     """Metrics of one task's rankings, with relevance and the gallery size
-    taken from ``records``."""
-    relevance = relevance_for(records, task, cfg, num_sections)
+    taken from ``records`` (their sections counted by ``cfg.num_sections``)."""
+    relevance = relevance_for(records, task, cfg, cfg.num_sections)
     gallery_size = sum(1 for r in records if r.view == TASKS[task][1])
     return evalkit.metrics_report(rankings, relevance, gallery_size)
 
@@ -238,5 +237,5 @@ def task_report(cfg: RunConfig, records: list[ImageRecord], num_sections: int,
 def evaluate_mode(cfg: RunConfig, split: DatasetSplit, models: TrainedModels,
                   mode: str, **options) -> evalkit.MetricsReport:
     """Metrics of ``rankings(cfg, split, models, mode, **options)`` on its task."""
-    return task_report(cfg, split.test, split.num_sections,
-                       rankings(cfg, split, models, mode, **options), MODES[mode])
+    return task_report(cfg, split.test, rankings(cfg, split, models, mode, **options),
+                       MODES[mode])

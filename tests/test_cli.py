@@ -362,9 +362,9 @@ def test_dump_holds_the_rows_retrieval_ranked(workspace, tmp_path, monkeypatch):
         seen["drones"] = dict(zip(kwargs["drone_ids"], kwargs["drone_sd_embs"]))
         return build(*args, **kwargs)
 
-    def capture_query(index, query_ids, query_embs, **kwargs):
+    def capture_query(index, cfg, query_ids, query_embs):
         seen["grounds"] = dict(zip(query_ids, query_embs))
-        return query(index, query_ids, query_embs, **kwargs)
+        return query(index, cfg, query_ids, query_embs)
 
     monkeypatch.setattr(diffusion, "build_index", capture_build)
     monkeypatch.setattr(diffusion, "query", capture_query)

@@ -113,7 +113,7 @@ def test_split_disjoint_over_many_seeds():
     base = ds.generate_synthetic(tiny_cfg(num_landmarks=6))
     records = all_records(base)
     for seed in range(100):
-        split = ds.split_by_identity(records, 0.5, seed)
+        split = ds.split_by_identity(records, 0.5, seed, base.num_sections)
         train_ids = {r.landmark for r in split.train}
         test_ids = {r.landmark for r in split.test}
         assert train_ids and test_ids
@@ -124,7 +124,7 @@ def test_split_needs_two_identities():
     split = ds.generate_synthetic(tiny_cfg())
     one = [r for r in all_records(split) if r.landmark == 1]
     with pytest.raises(ValueError, match="identities"):
-        ds.split_by_identity(one, 0.5, 0)
+        ds.split_by_identity(one, 0.5, 0, split.num_sections)
 
 
 def test_serialization_round_trip(tmp_path, monkeypatch):

@@ -147,11 +147,12 @@ def test_non_finite_embeddings_are_rejected_with_their_index(bad):
         diff.build_graph(good, poisoned, [1, 2], [3, 4], 1)
     with pytest.raises(ValueError, match=r"non-finite embedding at drone\(gd\) index 1"):
         diff.build_index(good, good, poisoned, [1, 2], [3, 4], dcfg(k_graph=1))
-    index = diff.build_index(good, good, good, [1, 2], [3, 4], dcfg(k_graph=1))
+    cfg = dcfg(k_graph=1)
+    index = diff.build_index(good, good, good, [1, 2], [3, 4], cfg)
     with pytest.raises(ValueError, match="non-finite embedding at query index 1"):
-        diff.init_state(poisoned, index.drone_gd, index.cfg, index.graph.size)
+        diff.init_state(poisoned, index.drone_gd, cfg, index.graph.size)
     with pytest.raises(ValueError, match="non-finite embedding at query index 1"):
-        diff.query(index, [10, 11], poisoned)
+        diff.query(index, cfg, [10, 11], poisoned)
 
 
 def test_init_state_weights_and_support():
@@ -440,9 +441,9 @@ def test_columns_stop_at_their_own_iteration():
     # on a retrieval-sized graph a column walked alone takes as many
     # iterations and orders the satellites the same way, though the block
     # product leaves other low bits in its state
-    index, queries = retrieval_case(5, n_drone=300, n_sat=80, n_query=200)
+    index, cfg, queries = retrieval_case(5, n_drone=300, n_sat=80, n_query=200)
     graph = index.graph
-    f0 = diff.init_state(queries, index.drone_gd, index.cfg, graph.size)
+    f0 = diff.init_state(queries, index.drone_gd, cfg, graph.size)
     sat_idx, sat_ids = graph.sat_rows, graph.sat_ids
     for alpha in (0.5, 0.9):
         batch = diff.diffuse_iterative(graph.matrix, f0, alpha, 1000, 1e-9)
@@ -517,7 +518,7 @@ def test_query_reports_unconverged_walks():
     cfg = dcfg(k_graph=3, k_init=2, closed_form=False, max_iters=2)
     index = diff.build_index(drones, sats, drones, list(range(6)), [7, 8, 9], cfg)
     with pytest.raises(ValueError, match=r"max_iters=2 for queries \[40, 41\]"):
-        diff.query(index, [40, 41], [rng.standard_normal(4) for _ in range(2)])
+        diff.query(index, cfg, [40, 41], [rng.standard_normal(4) for _ in range(2)])
 
 
 def test_nonnegativity_preserved():
@@ -555,12 +556,12 @@ def test_node_relabeling_leaves_ranking_unchanged():
     query = rng.standard_normal(4)
     cfg = dcfg(k_graph=4, k_init=3)
     index = diff.build_index(drones, sats, gd, [1, 2, 3, 4, 5, 6], [7, 8, 9], cfg)
-    [base] = diff.query(index, [0], [query])
+    [base] = diff.query(index, cfg, [0], [query])
     perm = [3, 0, 5, 1, 4, 2]
     index2 = diff.build_index([drones[i] for i in perm], sats,
                               [gd[i] for i in perm],
                               [[1, 2, 3, 4, 5, 6][i] for i in perm], [7, 8, 9], cfg)
-    [other] = diff.query(index2, [0], [query])
+    [other] = diff.query(index2, cfg, [0], [query])
     assert base.gallery_ids == other.gallery_ids
     assert np.allclose(base.scores, other.scores)
 
@@ -582,9 +583,9 @@ def test_query_cache_reuse_is_pure():
     shared_index = diff.build_index(drones, sats, gd, [1, 2, 3, 4, 5],
                                     [6, 7, 8], cfg)
     for qid, q in enumerate(queries):
-        [cached] = diff.query(shared_index, [qid], [q])
+        [cached] = diff.query(shared_index, cfg, [qid], [q])
         [rebuilt] = diff.query(diff.build_index(drones, sats, gd, [1, 2, 3, 4, 5],
-                                                [6, 7, 8], cfg), [qid], [q])
+                                                [6, 7, 8], cfg), cfg, [qid], [q])
         assert cached.gallery_ids == rebuilt.gallery_ids
         assert np.allclose(cached.scores, rebuilt.scores)
 
@@ -599,17 +600,17 @@ def retrieval_case(seed, n_drone=120, n_sat=40, n_query=25, dim=6, **cfg_kw):
     cfg = dcfg(**{"k_graph": 8, "k_init": 6, **cfg_kw})
     index = diff.build_index(list(drones), list(sats), list(gd), list(range(n_drone)),
                              list(range(1000, 1000 + n_sat)), cfg)
-    return index, list(rng.standard_normal((n_query, dim)))
+    return index, cfg, list(rng.standard_normal((n_query, dim)))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
 def test_operator_scores_match_a_full_solve(alpha):
-    index, queries = retrieval_case(21, alpha=alpha)
+    index, cfg, queries = retrieval_case(21, alpha=alpha)
     graph = index.graph
-    f0 = diff.init_state(queries, index.drone_gd, index.cfg, graph.size)
+    f0 = diff.init_state(queries, index.drone_gd, cfg, graph.size)
     full = np.linalg.solve(np.eye(graph.size) - alpha * graph.matrix, f0)
     sat_idx = graph.sat_rows
-    rankings = diff.query(index, list(range(len(queries))), queries)
+    rankings = diff.query(index, cfg, list(range(len(queries))), queries)
     for j, ranking in enumerate(rankings):
         tol = 1e-12 * float(f0[:, j].max()) / (1.0 - alpha)
         reference = dict(zip(graph.sat_ids, full[sat_idx, j]))
@@ -620,48 +621,48 @@ def test_operator_scores_match_a_full_solve(alpha):
 
 
 def test_operator_scores_are_bit_identical_batched_and_alone():
-    index, queries = retrieval_case(22)
-    batched = diff.query(index, list(range(len(queries))), queries)
+    index, cfg, queries = retrieval_case(22)
+    batched = diff.query(index, cfg, list(range(len(queries))), queries)
     for qid, (q, ranking) in enumerate(zip(queries, batched)):
-        [alone] = diff.query(index, [qid], [q])
+        [alone] = diff.query(index, cfg, [qid], [q])
         assert alone.gallery_ids == ranking.gallery_ids
         assert alone.scores == ranking.scores
 
 
 def test_operator_is_solved_once_per_index_and_alpha(monkeypatch):
-    index, queries = retrieval_case(23)
+    index, cfg, queries = retrieval_case(23)
     solves = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve",
                         lambda a, b: solves.append(b.shape) or solve(a, b))
-    first = diff.query(index, [0, 1], queries[:2])
-    diff.query(index, [2, 3, 4], queries[2:5])
+    first = diff.query(index, cfg, [0, 1], queries[:2])
+    diff.query(index, cfg, [2, 3, 4], queries[2:5])
     assert solves == [(index.graph.size, len(index.graph.sat_ids))]
-    diff.query(index, [0], queries[:1], alpha=0.5)
-    diff.query(index, [0], queries[:1], alpha=0.5)
-    again = diff.query(index, [0, 1], queries[:2])
-    assert len(solves) == 2 and sorted(index.operators) == [0.5, index.cfg.alpha]
+    diff.query(index, replace(cfg, alpha=0.5), [0], queries[:1])
+    diff.query(index, replace(cfg, alpha=0.5), [0], queries[:1])
+    again = diff.query(index, cfg, [0, 1], queries[:2])
+    assert len(solves) == 2 and sorted(index.operators) == [0.5, cfg.alpha]
     assert [r.scores for r in again] == [r.scores for r in first]
-    walk = replace(index, cfg=replace(index.cfg, closed_form=False), operators={})
-    diff.query(walk, [0], queries[:1])
+    walk = replace(index, operators={})
+    diff.query(walk, replace(cfg, closed_form=False), [0], queries[:1])
     assert len(solves) == 2 and not walk.operators
 
 
 def test_alpha_sweep_on_a_shared_index_equals_fresh_indexes():
-    shared, queries = retrieval_case(24)
+    shared, cfg, queries = retrieval_case(24)
     ids = list(range(len(queries)))
     for alpha in (0.5, 0.7, 0.9):
-        fresh, _ = retrieval_case(24, alpha=alpha)
-        swept = diff.query(shared, ids, queries, alpha=alpha)
-        alone = diff.query(fresh, ids, queries)
+        fresh, fresh_cfg, _ = retrieval_case(24, alpha=alpha)
+        swept = diff.query(shared, replace(cfg, alpha=alpha), ids, queries)
+        alone = diff.query(fresh, fresh_cfg, ids, queries)
         assert [(r.gallery_ids, r.scores) for r in swept] == \
             [(r.gallery_ids, r.scores) for r in alone]
 
 
 def test_query_above_the_cap_raises():
-    index, queries = retrieval_case(25, n_drone=30, n_sat=10, closed_form_cap=39)
+    index, cfg, queries = retrieval_case(25, n_drone=30, n_sat=10, closed_form_cap=39)
     with pytest.raises(ValueError, match="graph size 40 exceeds the direct-solve cap 39"):
-        diff.query(index, [0], queries[:1])
+        diff.query(index, cfg, [0], queries[:1])
     assert not index.operators
 
 
@@ -682,7 +683,7 @@ def small_retrieval(draw):
         k_init=draw(st.integers(1, n_d + 1)), closed_form=draw(st.booleans()))
     index = diff.build_index(drones, sats, gd, list(range(n_d)),
                              list(range(100, 100 + n_s)), cfg)
-    return index, queries
+    return index, cfg, queries
 
 
 @settings(max_examples=150, deadline=None)
@@ -693,15 +694,14 @@ def test_one_batched_call_ranks_like_one_call_per_query(case):
     largest node weight, and the same order except among scores tied within
     that tolerance (duplicated satellites, or unreachable ones that carry
     only rounding noise)."""
-    index, queries = case
-    cfg = index.cfg
+    index, cfg, queries = case
     f0 = diff.init_state(queries, index.drone_gd, cfg, index.graph.size)
     ids = list(range(len(queries)))
-    batched = diff.query(index, ids, queries)
+    batched = diff.query(index, cfg, ids, queries)
     for qid, q, ranking in zip(ids, queries, batched):
         alone_f0 = diff.init_state([q], index.drone_gd, cfg, index.graph.size)
         assert np.array_equal(f0[:, [qid]], alone_f0)
-        [alone] = diff.query(index, [qid], [q])
+        [alone] = diff.query(index, cfg, [qid], [q])
         assert ranking.query_id == alone.query_id
         assert sorted(ranking.gallery_ids) == sorted(alone.gallery_ids)
         tol = 1e-12 * float(f0[:, qid].max()) / (1.0 - cfg.alpha)

@@ -1,9 +1,10 @@
 """The README names only what the package has: the functions of its
-paper-to-code table and the flags of its CLI section."""
+paper-to-code table and the flags and commands of its CLI section."""
 
 import argparse
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 from plcd import cli
@@ -32,3 +33,12 @@ def test_cli_section_names_only_flags_plcd_takes():
              for flag in action.option_strings}
     assert {"--set", "--mode", "--best-region", "--dump-embeddings"} <= named
     assert not named - flags, f"README's CLI section names flags plcd lacks: {sorted(named - flags)}"
+
+
+def test_cli_section_commands_parse():
+    block = _section("CLI").split("```\n")[1].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("plcd ")]
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert [parser.parse_args(argv).command for argv in commands] == list(sub.choices)

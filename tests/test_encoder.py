@@ -50,7 +50,7 @@ def test_forward_identity_weight_returns_flat_map():
     rec = make_record(rng)
     params = enc.EncoderParams(
         role="drone", weight=np.eye(18), bias=np.zeros(18),
-        classifier_weight=np.zeros((3, 18)), classifier_bias=np.zeros(3))
+        classifier_weight=np.zeros((3, 18)), classifier_bias=np.zeros(3), tanh=False)
     assert np.allclose(embed_one(params, rec), rec.featmap.ravel())
 
 
@@ -206,7 +206,7 @@ def test_checkpoint_rejects_non_finite_values(tmp_path, bad):
     bias[0] = float(bad)  # first bias value
     rewrite(path, bias=bias)
     with pytest.raises(ValueError, match=r"enc\.npz: non-finite value in bias"):
-        enc.load_params(path)
+        enc.load_params(path, tanh=False)
 
 
 def test_checkpoint_header_format(tmp_path):
@@ -243,7 +243,7 @@ def test_checkpoint_rejects_malformed_files(tmp_path, case, changes, message):
     else:
         rewrite(path, **changes)
     with pytest.raises(ValueError, match=rf"{case}\.npz: .*{message}"):
-        enc.load_params(path)
+        enc.load_params(path, tanh=False)
 
 
 # finite float64 values, weighted towards the ones a lossy encoding would bend
@@ -258,7 +258,7 @@ def encoder_params(draw):
     shapes = ((dim, input_dim), (dim,), (classes, dim), (classes,))
     arrays = [draw(hnp.arrays(np.float64, shape, elements=edge_floats)) for shape in shapes]
     role = draw(st.sampled_from([enc.ROLE_GROUND, enc.ROLE_DRONE, enc.ROLE_SHARED]))
-    return enc.EncoderParams(role, *arrays)
+    return enc.EncoderParams(role, *arrays, tanh=False)
 
 
 @settings(max_examples=60, deadline=None)
@@ -267,7 +267,7 @@ def test_checkpoint_round_trip_bit_exact_and_rewrite_byte_identical(params):
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.npz", Path(tmp) / "b.npz"
         enc.save_params(first, params)
-        loaded = enc.load_params(first)
+        loaded = enc.load_params(first, tanh=False)
         assert loaded.role == params.role
         for name in enc.PARAM_NAMES:
             assert getattr(loaded, name).tobytes() == getattr(params, name).tobytes()

@@ -32,7 +32,7 @@ def identity_params(input_dim, classes=2):
     return enc.EncoderParams(
         role="drone", weight=np.eye(input_dim), bias=np.zeros(input_dim),
         classifier_weight=np.zeros((classes, input_dim)),
-        classifier_bias=np.zeros(classes))
+        classifier_bias=np.zeros(classes), tanh=False)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def test_mining_noise_free_exact_for_random_untrained_encoders():
     # the same map through any single projection keeps identical records tied
     anchor, positives, negatives = _mining_fixture(noise=0.0)
     input_dim = anchor.featmap.size
-    drone = enc.init_params("drone", 8, input_dim, 2, substream(2, "b"))
+    drone = enc.init_params("drone", 8, input_dim, 2, substream(2, "b"), tanh=False)
     positive, _ = mine_embedded(anchor, positives, negatives, drone, 2)
     assert positive.section == ds.infer_visible_facet(anchor, 6)
 
@@ -380,7 +380,7 @@ def _grid_and_params(split):
     rec = split.train[0]
     grid = rmac.region_grid(rec.featmap.shape[1], (1, 2),
                             width_table={1: 6, 2: 4}, reference_side=6)
-    params = enc.init_params("drone", 8, rec.featmap.size, 2, substream(3, "gp"))
+    params = enc.init_params("drone", 8, rec.featmap.size, 2, substream(3, "gp"), tanh=False)
     return grid, params
 
 

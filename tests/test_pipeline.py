@@ -47,6 +47,27 @@ def test_diffusion_index_reuse_matches_per_query_build(tiny):
         assert np.allclose(a.scores, b.scores)
 
 
+@pytest.mark.parametrize("change", [{"alpha": 0.5}, {"closed_form": False}, {"k_init": 3},
+                                    {"gamma": 1.0}], ids=lambda c: next(iter(c)))
+def test_prebuilt_index_walks_as_the_call_config_says(tiny, change):
+    cfg, split, models = tiny
+    index = pipeline.build_diffusion_index(cfg, split, models)
+    walk = replace(cfg, **change)
+    on_index = pipeline.ground_satellite_rankings(walk, split, models, "diffusion",
+                                                  index=index)
+    fresh = pipeline.ground_satellite_rankings(walk, split, models, "diffusion")
+    assert [(r.gallery_ids, np.array(r.scores).tobytes()) for r in on_index] == \
+        [(r.gallery_ids, np.array(r.scores).tobytes()) for r in fresh]
+
+
+def test_prebuilt_index_refuses_another_k_graph(tiny):
+    cfg, split, models = tiny
+    index = pipeline.build_diffusion_index(cfg, split, models)
+    with pytest.raises(ValueError, match=r"k_graph=5 differs from the index's k_graph=4"):
+        pipeline.ground_satellite_rankings(replace(cfg, k_graph=5), split, models,
+                                           "diffusion", index=index)
+
+
 def test_query_path_never_reads_drone_landmarks(tiny):
     # relabeling every drone's landmark must not change diffusion rankings
     cfg, split, models = tiny
@@ -107,13 +128,14 @@ def reference_scores(cfg, split, models, mode):
     grounds, drones, sats = (_views(split, v) for v in ("G", "D", "S"))
     jg, jd, shared = models.junior_ground, models.junior_drone, models.shared
     if mode.startswith("diffusion"):
+        diff_cfg = replace(cfg, closed_form=mode == "diffusion-closed")
         index = diff.build_index(
             [_forward(shared, d) for d in drones], [_forward(shared, s) for s in sats],
             [_drone_feature(cfg, jd, d) for d in drones], [d.id for d in drones],
-            [s.id for s in sats], replace(cfg, closed_form=mode == "diffusion-closed"))
+            [s.id for s in sats], diff_cfg)
         out = {}
         for g in grounds:
-            (r,) = diff.query(index, [g.id], [_forward(jg, g)])
+            (r,) = diff.query(index, diff_cfg, [g.id], [_forward(jg, g)])
             out[g.id] = dict(zip(r.gallery_ids, r.scores))
         return out
     if mode == "drone-satellite":
@@ -181,7 +203,8 @@ def untrained():
     split = replace(split, test=split.test + [copy])
     rng = np.random.default_rng(3)
     ground, drone_p, shared = (enc.init_params(role, cfg.embed_dim, drone.featmap.size, 8,
-                                               rng) for role in ("ground", "drone", "satdrone"))
+                                               rng, tanh=False)
+                               for role in ("ground", "drone", "satdrone"))
     models = pipeline.TrainedModels(senior_ground=ground, senior_drone=drone_p,
                                     junior_ground=ground, junior_drone=drone_p,
                                     shared=shared, logs={})
@@ -235,8 +258,7 @@ def test_tables_name_every_mode_and_task():
 def test_evaluate_mode_scores_the_direct_rankings(tiny, mode):
     cfg, split, models = tiny
     task, direct = DIRECT[mode]
-    expected = pipeline.task_report(cfg, split.test, split.num_sections,
-                                    direct(cfg, split, models), task)
+    expected = pipeline.task_report(cfg, split.test, direct(cfg, split, models), task)
     assert (pipeline.evaluate_mode(cfg, split, models, mode).to_json_dict()
             == expected.to_json_dict())
 
@@ -248,7 +270,7 @@ def test_unknown_mode_or_task_names_every_valid_one(tiny):
             (lambda: pipeline.evaluate_mode(cfg, split, models, "bogus"), pipeline.MODES),
             (lambda: pipeline.relevance_for(split.test, "bogus", cfg, split.num_sections),
              pipeline.TASKS),
-            (lambda: pipeline.task_report(cfg, split.test, split.num_sections, [], "bogus"),
+            (lambda: pipeline.task_report(cfg, split.test, [], "bogus"),
              pipeline.TASKS)):
         with pytest.raises(ValueError, match="bogus") as err:
             call()
@@ -305,8 +327,8 @@ def test_alpha_sweep_rows(tiny):
 
 def test_alpha_sweep_shares_one_index(tiny, monkeypatch):
     cfg, split, models = tiny
-    fresh = [(f"alpha={a}", pipeline.evaluate_mode(cfg, split, models, "diffusion",
-                                                   alpha=a).to_json_dict())
+    fresh = [(f"alpha={a}", pipeline.evaluate_mode(replace(cfg, alpha=a), split, models,
+                                                   "diffusion").to_json_dict())
              for a in cfg.alpha_sweep]
     builds = []
     build = pipeline.build_diffusion_index
@@ -365,5 +387,5 @@ def test_cmc_counts_each_query_once():
                 RankingList(2, [101, 100], [0.9, 0.1]),
                 RankingList(3, [101, 100], [0.9, 0.1]),
                 RankingList(4, [101, 100], [0.9, 0.1])]
-    per_query = pipeline.task_report(RunConfig(), records, 6, rankings, "ground-satellite")
+    per_query = pipeline.task_report(RunConfig(), records, rankings, "ground-satellite")
     assert per_query.cmc[1] == 2 / 4
