@@ -10,7 +10,7 @@ import numpy as np
 from . import losses, rmac
 from .config import RunConfig
 from .dataspace import DRONE, GROUND, SATELLITE, DatasetSplit, ImageRecord
-from .diffusion import apply_operator, closed_form_operator, diffuse_iterative
+from .diffusion import _walk_budget, apply_operator, closed_form_operator, diffuse_iterative
 from .encoder import PARAM_NAMES, EncoderParams, check_gradients, init_params, new_grads
 from .patchmodel import _shared_step
 from .peerlearn import _hard_terms, _pad, _soft_terms, _Step, build_context
@@ -290,7 +290,9 @@ def diffusion_oracle(num_graphs: int = 100, max_n: int = 200,
     """Max sup-norm gap, after every state column is normalized to unit sum,
     between the iterative walk and the closed-form operator over all rows,
     and between a multi-column call of each path and its per-column calls
-    (three seed columns per graph)."""
+    (three seed columns per graph). Each walk runs within the budget
+    ``diffusion.query`` derives; a column left unconverged makes the gap
+    infinite."""
     columns = 3
     worst = 0.0
     for trial in range(num_graphs):
@@ -300,12 +302,14 @@ def diffusion_oracle(num_graphs: int = 100, max_n: int = 200,
         matrix = random_stochastic_matrix(n, rng)
         f0 = np.stack([_seed_vector(n, rng) for _ in range(columns)], axis=1)
         tol = 1e-13 * float(f0.max())
-        iterative = diffuse_iterative(matrix, f0, alpha, max_iters=100000, tol=tol).state
+        walks = [diffuse_iterative(matrix, f, alpha, _walk_budget(f, alpha, tol), tol)
+                 for f in (f0, *f0.T)]
+        if not all(walk.converged for walk in walks):
+            return float("inf")
+        iterative = walks[0].state
         operator = closed_form_operator(matrix, range(n), alpha, cap=max_n)
         closed = apply_operator(operator, f0)
-        per_column_iterative = np.stack(
-            [diffuse_iterative(matrix, f0[:, j], alpha, max_iters=100000, tol=tol).state
-             for j in range(columns)], axis=1)
+        per_column_iterative = np.stack([walk.state for walk in walks[1:]], axis=1)
         per_column_closed = np.concatenate(
             [apply_operator(operator, f0[:, [j]]) for j in range(columns)], axis=1)
         unit = [x / x.sum(axis=0) for x in (iterative, closed, per_column_iterative,

@@ -180,17 +180,24 @@ def cmd_evaluate(args, cfg: RunConfig) -> None:
     if not files:
         raise SystemExit(f"no ranking files found in {args.rankings}")
     rankings = [_parse(f, "ranking file", read_ranking) for f in files]
+    split = _read_split(args.data, cfg, "test")
+    misfit = f"rankings in {args.rankings} do not fit task {args.task} on {args.data}"
+    # a ranking over part of the gallery, or another gallery, would be scored
+    # as if it ranked the task's whole gallery
+    gallery = {r.id for r in split.test if r.view == pipeline.TASKS[args.task][1]}
     first: dict[int, Path] = {}  # query id -> the file that ranks it
     for f, ranking in zip(files, rankings):
         if first.setdefault(ranking.query_id, f) != f:
             raise SystemExit(f"query {ranking.query_id} is ranked in both "
                              f"{first[ranking.query_id]} and {f}")
-    split = _read_split(args.data, cfg, "test")
+        if set(ranking.gallery_ids) != gallery:
+            raise SystemExit(f"{misfit}: {f} ranks query {ranking.query_id} over "
+                             f"{len(ranking.gallery_ids)} gallery ids, which are not the "
+                             f"{len(gallery)} of the task's gallery")
     try:
         report = pipeline.task_report(cfg, split.test, rankings, args.task)
     except ValueError as err:
-        raise SystemExit(f"rankings in {args.rankings} do not fit task {args.task} "
-                         f"on {args.data}: {err}")
+        raise SystemExit(f"{misfit}: {err}")
     payload = evalkit.report_to_json(report)
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)

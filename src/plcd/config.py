@@ -61,7 +61,6 @@ class RunConfig:
     gamma: float = 3.0
     k_graph: int = 10
     k_init: int = 20
-    max_iters: int = 1000
     tol: float = 1e-9
     closed_form: bool = True
     closed_form_cap: int = 2000
@@ -121,7 +120,7 @@ _RULES = {
     "junior_lr_scale": _at_least(0), "student_init": _either("teacher", "fresh"),
     "reference_side": _at_least(1),  # before the grid divides by it
     "alpha": _IN_UNIT, "gamma": _at_least(0), "k_graph": _at_least(1),
-    "k_init": _at_least(1), "max_iters": _at_least(1), "tol": _POSITIVE,
+    "k_init": _at_least(1), "tol": _POSITIVE,
     "closed_form_cap": _at_least(2),  # a graph needs two nodes
     "ground_drone_relevance": _either("facet", "landmark"),
     "alpha_sweep": ((lambda vs: all(0 < v < 1 for v in vs)), "values must be in (0, 1)"),

@@ -202,7 +202,7 @@ def diffuse_iterative(matrix: np.ndarray, f0: np.ndarray, alpha: float,
     only where a change lies within that rounding of ``tol``, or two scores
     within it of each other. The columns still walking form one contiguous
     block with their restart terms; a column leaves it, and is written back,
-    when it stops or at ``max_iters``."""
+    when it stops or when the iterations run out."""
     f = np.array(f0, dtype=float).reshape(len(f0), -1)
     cur, restart = f, (1.0 - alpha) * f
     m = f.shape[1]
@@ -229,6 +229,19 @@ def diffuse_iterative(matrix: np.ndarray, f0: np.ndarray, alpha: float,
                            column_converged=converged)
 
 
+def _walk_budget(f0: np.ndarray, alpha: float, tol: float) -> int:
+    """Iterations by which the walk on a column-stochastic, non-negative S
+    stops every column of ``f0``. ``||S v||_1 <= ||v||_1``, the first step
+    is alpha (S f0 - f0) and each later one alpha S times the one before,
+    so the sup-norm step at iteration t is at most 2 alpha^t L, with L the
+    largest column 1-norm of ``f0``: below ``tol`` by iteration
+    1 + floor(ln(tol / 2L) / ln alpha). A zero column stops at iteration 1."""
+    largest = float(np.abs(f0).sum(axis=0).max(initial=0.0))
+    if largest == 0.0:
+        return 1
+    return 1 + max(0, int(np.floor(np.log(tol / (2.0 * largest)) / np.log(alpha))))
+
+
 def closed_form_operator(matrix: np.ndarray, rows: Sequence[int], alpha: float,
                          cap: int = 2000) -> np.ndarray:
     """Rows ``rows`` of (I - alpha * S)^-1, shape (len(rows), n), from one
@@ -237,7 +250,8 @@ def closed_form_operator(matrix: np.ndarray, rows: Sequence[int], alpha: float,
     ``apply_operator(operator, f0)``. Graphs above ``cap`` nodes raise."""
     n = matrix.shape[0]
     if n > cap:
-        raise ValueError(f"graph size {n} exceeds the direct-solve cap {cap}")
+        raise ValueError(f"graph size {n} exceeds the direct-solve cap {cap}; "
+                         "closed_form=false ranks it by the walk")
     picks = np.zeros((n, len(rows)))
     picks[rows, np.arange(len(rows))] = 1.0
     # I - alpha * S in one array, bit for bit np.eye(n) - alpha * matrix:
@@ -300,13 +314,15 @@ def query(index: DiffusionIndex, cfg: RunConfig, query_ids: Sequence[int],
     """Rank the satellite gallery for a batch of ground queries, all solved
     (or walked) together; one query is a batch of one. ``cfg`` sets the walk
     (``alpha``, ``k_init``, ``gamma``, ``closed_form`` with its cap,
-    ``max_iters``, ``tol``); its ``k_graph`` must be the index's. The cap
-    bounds a solve, and a memoized operator runs none, so reusing one for
-    ``alpha`` does not check the cap again.
+    ``tol``); its ``k_graph`` must be the index's. The cap bounds a solve,
+    and a memoized operator runs none, so reusing one for ``alpha`` does
+    not check the cap again.
 
     Drone reference records enter only through their embeddings; their
-    identity labels are never consulted. An iterative walk that leaves any
-    query unconverged after ``max_iters`` raises instead of ranking it.
+    identity labels are never consulted. The iterative walk runs within a
+    budget that ``_walk_budget`` derives from the start vectors, ``alpha``
+    and ``tol``; only rounding could leave a query unconverged within it,
+    and that raises instead of ranking the query.
     """
     if cfg.k_graph != index.k_graph:
         raise ValueError(f"config k_graph={cfg.k_graph} differs from the index's "
@@ -322,10 +338,11 @@ def query(index: DiffusionIndex, cfg: RunConfig, query_ids: Sequence[int],
                 graph.matrix, graph.sat_rows, cfg.alpha, cfg.closed_form_cap)
         scores = apply_operator(operator, f0)
     else:
-        walk = diffuse_iterative(graph.matrix, f0, cfg.alpha, cfg.max_iters, cfg.tol)
+        budget = _walk_budget(f0, cfg.alpha, cfg.tol)
+        walk = diffuse_iterative(graph.matrix, f0, cfg.alpha, budget, cfg.tol)
         if not walk.converged:
             stuck = [int(q) for q, ok in zip(query_ids, walk.column_converged) if not ok]
-            raise ValueError(f"walk did not converge within max_iters={cfg.max_iters} "
-                             f"for queries {stuck}")
+            raise ValueError(f"walk did not converge within its budget of {budget} "
+                             f"iterations for queries {stuck}")
         scores = walk.state[graph.sat_rows]
     return rank_satellites(scores, graph, query_ids)

@@ -29,6 +29,12 @@ def test_diffusion_oracle_small():
     assert checks.diffusion_oracle(num_graphs=10, max_n=50) < 1e-6
 
 
+def test_diffusion_oracle_fails_on_an_unconverged_walk(monkeypatch):
+    # a walk cut off before it stops must not be scored as its limit
+    monkeypatch.setattr(checks, "_walk_budget", lambda f0, alpha, tol: 1)
+    assert checks.diffusion_oracle(num_graphs=3, max_n=50) == float("inf")
+
+
 def test_substreams_are_stable_and_distinct():
     a = substream(1, "x").standard_normal(4)
     b = substream(1, "x").standard_normal(4)

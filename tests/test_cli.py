@@ -390,13 +390,13 @@ def test_evaluate_empty_rankings_dir_fails(workspace, tmp_path):
              "--task", "ground-satellite"])
 
 
-@pytest.mark.parametrize("mode,data,task", [
-    ("ground-drone", "test-data.npz", "ground-satellite"),
-    ("diffusion", "train-data.npz", "ground-satellite"),
-    ("diffusion", "test-data.npz", "drone-satellite"),
+@pytest.mark.parametrize("mode,data,task,detail", [
+    ("ground-drone", "test-data.npz", "ground-satellite", "of the task's gallery"),
+    ("diffusion", "train-data.npz", "ground-satellite", "of the task's gallery"),
+    ("diffusion", "test-data.npz", "drone-satellite", "no relevant gallery item"),
 ], ids=["drone-gallery", "train-data", "drone-queries"])
 def test_evaluate_mismatched_rankings_exit_with_message(workspace, tmp_path, mode, data,
-                                                        task):
+                                                        task, detail):
     root, cfg = workspace
     rankings = tmp_path / "rank"
     assert run(["retrieve", "--config", cfg, "--data", root / "data",
@@ -406,7 +406,28 @@ def test_evaluate_mismatched_rankings_exit_with_message(workspace, tmp_path, mod
              "--data", root / "data" / data, "--task", task])
     msg = str(err.value)
     assert str(rankings) in msg and f"task {task}" in msg
-    assert "no relevant gallery item" in msg
+    assert detail in msg
+
+
+@pytest.mark.parametrize("relevance", ["facet", "landmark"])
+def test_evaluate_refuses_a_ranking_over_part_of_the_gallery(workspace, tmp_path, relevance):
+    # scored as it stands, a cut ranking reads as a ranking of the whole
+    # gallery: with landmark relevance evaluate would report its metrics
+    root, cfg = workspace
+    rankings = tmp_path / "rank"
+    assert run(["retrieve", "--config", cfg, "--data", root / "data",
+                "--models", root / "models", "--mode", "ground-drone", "--out", rankings]) == 0
+    cut = sorted(rankings.glob("ranking-*.txt"))[-1]
+    lines = cut.read_text().splitlines(keepends=True)
+    cut.write_text("".join(lines[:len(lines) // 2]))
+    data = root / "data" / "test-data.npz"
+    with pytest.raises(SystemExit) as err:
+        run(["evaluate", "--config", cfg, "--rankings", rankings, "--data", data,
+             "--task", "ground-drone", "--set", f"ground_drone_relevance={relevance}"])
+    assert str(err.value) == (
+        f"rankings in {rankings} do not fit task ground-drone on {data}: {cut} ranks query "
+        f"{lines[0].split()[0]} over {len(lines) // 2} gallery ids, which are not the "
+        f"{len(lines)} of the task's gallery")
 
 
 def test_evaluate_exits_on_a_query_ranked_in_two_files(workspace, tmp_path):

@@ -104,16 +104,15 @@ INVALID_VALUES = [
     ("k_graph", "0", "k_graph must be >= 1 (got 0)"),
     ("k_init", "0", "k_init must be >= 1 (got 0)"),
     ("tol", "0.0", "tol must be positive (got 0.0)"),
-    ("max_iters", "0", "max_iters must be >= 1 (got 0)"),
     ("closed_form_cap", "1", "closed_form_cap must be >= 2 (got 1)"),
     ("ground_drone_relevance", "facets",
      "ground_drone_relevance must be 'facet' or 'landmark' (got 'facets')"),
 ]
-# the retired switches, as a parent config wrote them at their one value:
+# the retired switches, as a parent config wrote them at their default:
 # each is now an unknown key, whatever its value
 RETIRED = {"num_positives": "0", "warmup_epochs": "0", "mining_space": "drone",
            "decay_epoch": "40", "decay_factor": "0.1", "peer_iterations": "1",
-           "junior_init": "senior", "cmc_per_landmark": "false"}
+           "junior_init": "senior", "cmc_per_landmark": "false", "max_iters": "1000"}
 INVALID_VALUES += [(key, raw, f"unknown config key '{key}'") for key, raw in RETIRED.items()]
 
 
@@ -140,7 +139,7 @@ def test_every_checked_field_has_an_invalid_value_row():
 
 def test_a_config_written_with_the_retired_switches_fails_by_name(tmp_path):
     # an effective-config.txt written before the retirement: defaults with
-    # the eight retired lines in their places
+    # the retired lines in their places
     lines = format_config(RunConfig()).splitlines()
     at = lines.index("tau = 0.1")
     lines[at:at] = [f"{key} = {raw}" for key, raw in list(RETIRED.items())[:3]]
@@ -176,7 +175,7 @@ NON_DEFAULTS = dict(
     lambda1=0.5, lambda2=2.5, margin=1 / 3, lr_head=0.02, lr_body=0.0, momentum=0.5,
     junior_lr_scale=0.25, student_init="teacher",
     scales=(1, 2), width_table=((1, 6), (2, 4)), reference_side=8, alpha=0.75, gamma=2.0,
-    k_graph=5, k_init=6, max_iters=50, tol=1e-6, closed_form=False, closed_form_cap=500,
+    k_graph=5, k_init=6, tol=1e-6, closed_form=False, closed_form_cap=500,
     ground_drone_relevance="landmark", alpha_sweep=(0.25, 0.8),
     tau_sweep=(1.0, 0.3),
 )

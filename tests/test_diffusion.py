@@ -511,14 +511,73 @@ def test_walk_matches_a_per_column_reference(case):
     assert result.column_converged.tolist() == converged
 
 
-def test_query_reports_unconverged_walks():
+def test_query_reports_unconverged_walks(monkeypatch):
+    # the derived budget always suffices in exact arithmetic; a budget of 2
+    # stands in for a walk that rounding keeps from stopping
+    monkeypatch.setattr(diff, "_walk_budget", lambda f0, alpha, tol: 2)
     rng = substream(17, "diff.stuck")
     drones = [rng.standard_normal(4) for _ in range(6)]
     sats = [rng.standard_normal(4) for _ in range(3)]
-    cfg = dcfg(k_graph=3, k_init=2, closed_form=False, max_iters=2)
+    cfg = dcfg(k_graph=3, k_init=2, closed_form=False)
     index = diff.build_index(drones, sats, drones, list(range(6)), [7, 8, 9], cfg)
-    with pytest.raises(ValueError, match=r"max_iters=2 for queries \[40, 41\]"):
+    with pytest.raises(ValueError, match=r"budget of 2 iterations for queries \[40, 41\]"):
         diff.query(index, cfg, [40, 41], [rng.standard_normal(4) for _ in range(2)])
+
+
+@pytest.mark.parametrize("family", ["dense", "sparse", "ring"])
+def test_walk_stops_within_its_derived_budget(family):
+    """The budget holds on slowly mixing graphs too, and it never moves the
+    iteration a column stops at. Columns: uniform seeds, a few seeds as
+    ``init_state`` places them, and a zero column."""
+    for trial in range(12):
+        rng = substream(trial, f"diff.budget.{family}")
+        n = int(rng.integers(5, 120))
+        alpha = (0.5, 0.9, 0.95, 0.99)[trial % 4]
+        matrix = random_stochastic_matrix(n, rng, family=family)
+        f0 = np.zeros((n, 3))
+        f0[:, 0] = rng.uniform(0.0, 1.0, size=n)
+        f0[rng.choice(n, size=4, replace=False), 1] = rng.uniform(0.0, 1.0, size=4)
+        tol = (1e-9, 1e-13 * float(f0.max()))[trial % 2]
+        budget = diff._walk_budget(f0, alpha, tol)
+        walk = diff.diffuse_iterative(matrix, f0, alpha, budget, tol)
+        assert walk.converged
+        assert walk.column_iterations[2] == 1
+        longer = diff.diffuse_iterative(matrix, f0, alpha, 10 * budget, tol)
+        assert np.array_equal(walk.column_iterations, longer.column_iterations)
+
+
+def test_walk_budget_on_hand_checkable_seeds():
+    assert diff._walk_budget(np.zeros((4, 2)), 0.9, 1e-9) == 1
+    assert diff._walk_budget(np.zeros((4, 0)), 0.9, 1e-9) == 1
+    # ln(1e-9 / 2) / ln(0.5) = 30.9: the step at iteration 31 is below tol
+    assert diff._walk_budget(np.array([1.0, 0.0]), 0.5, 1e-9) == 31
+
+
+def test_a_slowly_mixing_walk_runs_to_its_limit():
+    """24 drones and 8 satellites evenly spaced on one circle, each linked to
+    its 2 nearest nodes: at alpha 0.99 the walk needs about 1500 iterations,
+    more than a fixed budget of 1000 gave it. It ranks the satellites as the
+    closed form does, whose scores are the walk's over (1 - alpha)."""
+    theta = 2 * np.pi * np.arange(32) / 32
+    nodes = np.stack([np.cos(theta), np.sin(theta), np.full(32, 0.1)], axis=1)
+    is_sat = np.arange(32) % 4 == 0
+    cfg = dcfg(k_graph=2, k_init=2, alpha=0.99, closed_form=False)
+    index = diff.build_index(nodes[~is_sat], nodes[is_sat], nodes[~is_sat], list(range(24)),
+                             list(range(100, 108)), cfg)
+    theta = 2 * np.pi * (np.arange(5) + 0.3) / 5
+    queries = list(np.stack([np.cos(theta), np.sin(theta), np.full(5, 0.1)], axis=1))
+    ids = list(range(len(queries)))
+    f0 = diff.init_state(queries, index.drone_gd, cfg, index.graph.size)
+    assert diff.diffuse_iterative(index.graph.matrix, f0, cfg.alpha, 10**5,
+                                  cfg.tol).column_iterations.max() > 1000
+    walked = diff.query(index, cfg, ids, queries)
+    solved = diff.query(index, replace(cfg, closed_form=True), ids, queries)
+    tol = 10 * cfg.tol / (1.0 - cfg.alpha)
+    for walk, solve in zip(walked, solved):
+        limit = dict(zip(solve.gallery_ids, (1.0 - cfg.alpha) * np.array(solve.scores)))
+        expected = [limit[g] for g in walk.gallery_ids]
+        assert np.allclose(walk.scores, expected, rtol=0.0, atol=tol)
+        assert all(a >= b - tol for a, b in zip(expected, expected[1:]))
 
 
 def test_nonnegativity_preserved():
@@ -710,9 +769,9 @@ def test_one_batched_call_ranks_like_one_call_per_query(case):
                            rtol=0.0, atol=tol)
         in_batch_order = [score[g] for g in ranking.gallery_ids]
         assert all(a >= b - tol for a, b in zip(in_batch_order, in_batch_order[1:]))
-    walk = diff.diffuse_iterative(index.graph.matrix, f0, cfg.alpha, cfg.max_iters, cfg.tol)
+    walk = diff.diffuse_iterative(index.graph.matrix, f0, cfg.alpha, 1000, cfg.tol)
     per_column = [diff.diffuse_iterative(index.graph.matrix, f0[:, j], cfg.alpha,
-                                         cfg.max_iters, cfg.tol).iterations
+                                         1000, cfg.tol).iterations
                   for j in range(len(queries))]
     assert walk.column_iterations.tolist() == per_column
 
