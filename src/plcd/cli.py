@@ -1,10 +1,10 @@
 """Command-line interface wiring the full pipeline to files.
 
-Subcommands: gen-data, train-gd, train-sd, retrieve, evaluate, ablate, check.
+Subcommands: gen-data, train-gd, train-sd, retrieve, evaluate, ablate.
 Every tunable lives in a flat ``key = value`` config file; any key can also
 be overridden on the command line via ``--set key=value`` (flags win).
-``main`` loads that config once for every stage but ``check`` and echoes it
-into the stage's ``--out`` directory, and rerunning from that file
+``main`` loads that config once for every stage and echoes it into the
+stage's ``--out`` directory, and rerunning from that file
 reproduces the outputs byte for byte. Every path argument resolves under
 ``$PLCD_OUTPUT_ROOT`` when it is set and relative. A split whose maps or
 counts contradict the config exits, and ``retrieve`` reads only the
@@ -18,10 +18,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
 
-from . import checks, dataspace, evalkit, patchmodel, pipeline
+from . import dataspace, evalkit, patchmodel, pipeline
 from . import encoder as enc
 from .config import RunConfig, load_config, write_config
 from .ranking import read_ranking, write_ranking
@@ -46,13 +45,6 @@ def _out_path(raw: str) -> Path:
     if root and not path.is_absolute():
         path = Path(root) / path
     return path
-
-
-def _count(raw: str) -> int:
-    """A ``check`` count's ``type``: an int of at least 1."""
-    if int(raw) < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1 (got {raw})")
-    return int(raw)
 
 
 def _load_cfg(args) -> RunConfig:
@@ -198,6 +190,12 @@ def cmd_evaluate(args, cfg: RunConfig) -> None:
         report = pipeline.task_report(cfg, split.test, rankings, args.task)
     except ValueError as err:
         raise SystemExit(f"{misfit}: {err}")
+    # a query with no ranking file would drop out of every metric's mean
+    queries = {r.id for r in split.test if r.view == pipeline.TASKS[args.task][0]}
+    missing = sorted(queries - first.keys())
+    if missing:
+        raise SystemExit(f"{misfit}: no ranking file for {len(missing)} of the task's "
+                         f"{len(queries)} queries, the first query {missing[0]}")
     payload = evalkit.report_to_json(report)
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -217,23 +215,6 @@ def cmd_ablate(args, cfg: RunConfig) -> None:
         (args.out / f"{args.suite}.csv").write_text(result.to_csv(), encoding="utf-8")
         (args.out / f"{args.suite}.json").write_text(result.to_json(), encoding="utf-8")
     sys.stdout.write(result.to_csv())
-
-
-def cmd_check(args) -> int:
-    started = time.time()
-    failures = 0
-    worst = checks.gradient_suite(num_seeds=args.grad_seeds)
-    for name, err in sorted(worst.items()):
-        ok = err < 1e-4
-        failures += not ok
-        print(f"[{'PASS' if ok else 'FAIL'}] gradient {name}: max rel err {err:.3e}")
-    gap = checks.diffusion_oracle(num_graphs=args.graphs)
-    ok = gap < 1e-6
-    failures += not ok
-    print(f"[{'PASS' if ok else 'FAIL'}] diffusion iterative-vs-solver and "
-          f"batched-vs-per-column gap {gap:.3e}")
-    print(f"checks finished in {time.time() - started:.1f}s")
-    return 1 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,19 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=_out_path, default=None)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("check", help="run the gradient and diffusion oracles")
-    p.add_argument("--grad-seeds", type=_count, default=5)
-    p.add_argument("--graphs", type=_count, default=20)
-
     return parser
 
 
 def main(argv=None) -> int:
-    """One subcommand. Every stage but ``check`` gets the run config loaded
-    here, and a stage given ``--out`` finds it echoed there once it returns."""
+    """One subcommand. Every stage gets the run config loaded here, and a
+    stage given ``--out`` finds it echoed there once it returns."""
     args = build_parser().parse_args(argv)
-    if args.command == "check":
-        return cmd_check(args)
     cfg = _load_cfg(args)
     args.func(args, cfg)
     if args.out:

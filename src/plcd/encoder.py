@@ -207,37 +207,6 @@ def sgd_step(params: EncoderParams, grads: EncoderGrads, state: SgdState) -> Non
 
 
 # ---------------------------------------------------------------------------
-# finite-difference gradient oracle
-# ---------------------------------------------------------------------------
-
-def check_gradients(loss_fn, params: list[np.ndarray], epsilon: float = 1e-6) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``loss_fn(params) -> (value, grads)`` where ``grads`` mirrors ``params``.
-    The error at each coordinate is |analytic - numeric| / max(1, |analytic|).
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive (got {epsilon})")
-    value, grads = loss_fn(params)
-    if not np.isfinite(value):
-        raise ValueError(f"loss is not finite at the given parameters (got {value})")
-    worst = 0.0
-    for arr, g in zip(params, grads):
-        for idx in np.ndindex(arr.shape):
-            keep = arr[idx]
-            arr[idx] = keep + epsilon
-            up, _ = loss_fn(params)
-            arr[idx] = keep - epsilon
-            down, _ = loss_fn(params)
-            arr[idx] = keep
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise ValueError("loss is not finite near the given parameters")
-            numeric = (up - down) / (2.0 * epsilon)
-            worst = max(worst, abs(numeric - g[idx]) / max(1.0, abs(g[idx])))
-    return worst
-
-
-# ---------------------------------------------------------------------------
 # checkpoint serialization: an .npz of the four arrays, ``role`` and a
 # ``format`` tag, written and checked by ``dataspace.write_arrays`` and
 # ``read_arrays``

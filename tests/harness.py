@@ -1,21 +1,47 @@
-"""Self-check harnesses: finite-difference gradient suite (every loss wrt
+"""Self-check harness: finite-difference gradient suite (every loss wrt
 its inputs, plus the region path and whole training steps wrt encoder
 parameters) and the iterative-vs-closed-form agreement oracle for the
-random walk."""
-
-from __future__ import annotations
+random walk. Acceptance criteria 1 and 2 run it; ``test_checks.py`` tests
+it."""
 
 import numpy as np
 
-from . import losses, rmac
-from .config import RunConfig
-from .dataspace import DRONE, GROUND, SATELLITE, DatasetSplit, ImageRecord
-from .diffusion import _walk_budget, apply_operator, closed_form_operator, diffuse_iterative
-from .encoder import PARAM_NAMES, EncoderParams, check_gradients, init_params, new_grads
-from .patchmodel import _shared_step
-from .peerlearn import _hard_terms, _pad, _soft_terms, _Step, build_context
-from .rmac import PooledCache, aggregate_backward, aggregate_feature, region_embed
-from .seeds import substream
+from plcd import losses, rmac
+from plcd.config import RunConfig
+from plcd.dataspace import DRONE, GROUND, SATELLITE, DatasetSplit, ImageRecord
+from plcd.diffusion import _walk_budget, apply_operator, closed_form_operator, diffuse_iterative
+from plcd.encoder import PARAM_NAMES, EncoderParams, init_params, new_grads
+from plcd.patchmodel import _shared_step
+from plcd.peerlearn import _hard_terms, _pad, _soft_terms, _Step, build_context
+from plcd.rmac import PooledCache, aggregate_backward, aggregate_feature, region_embed
+from plcd.seeds import substream
+
+
+def check_gradients(loss_fn, params: list[np.ndarray], epsilon: float = 1e-6) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    ``loss_fn(params) -> (value, grads)`` where ``grads`` mirrors ``params``.
+    The error at each coordinate is |analytic - numeric| / max(1, |analytic|).
+    """
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive (got {epsilon})")
+    value, grads = loss_fn(params)
+    if not np.isfinite(value):
+        raise ValueError(f"loss is not finite at the given parameters (got {value})")
+    worst = 0.0
+    for arr, g in zip(params, grads):
+        for idx in np.ndindex(arr.shape):
+            keep = arr[idx]
+            arr[idx] = keep + epsilon
+            up, _ = loss_fn(params)
+            arr[idx] = keep - epsilon
+            down, _ = loss_fn(params)
+            arr[idx] = keep
+            if not (np.isfinite(up) and np.isfinite(down)):
+                raise ValueError("loss is not finite near the given parameters")
+            numeric = (up - down) / (2.0 * epsilon)
+            worst = max(worst, abs(numeric - g[idx]) / max(1.0, abs(g[idx])))
+    return worst
 
 
 def _loss_cases(rng: np.random.Generator, dim: int = 5):

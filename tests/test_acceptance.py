@@ -13,11 +13,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from plcd import checks, cli, diffusion, evalkit, peerlearn, pipeline, rmac
+from plcd import cli, diffusion, evalkit, peerlearn, pipeline, rmac
 from plcd import encoder as enc
 from plcd.config import RunConfig
 from plcd.seeds import substream
 
+import harness
 from support import params_digest, rank_gallery
 
 SEEDS = (1, 2, 3)
@@ -36,7 +37,7 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_gradient_suite():
     started = time.time()
-    worst = checks.gradient_suite(num_seeds=20)
+    worst = harness.gradient_suite(num_seeds=20)
     elapsed = time.time() - started
     bad = {k: v for k, v in worst.items() if v >= 1e-4}
     report(1, "analytic gradients match central differences",
@@ -51,8 +52,8 @@ def test_criterion_1_gradient_suite():
 
 def test_criterion_2_diffusion_oracle():
     started = time.time()
-    gap = checks.diffusion_oracle(num_graphs=100, max_n=200,
-                                  alphas=(0.5, 0.9, 0.99))
+    gap = harness.diffusion_oracle(num_graphs=100, max_n=200,
+                                   alphas=(0.5, 0.9, 0.99))
     elapsed = time.time() - started
     report(2, "iterative and closed-form walks agree",
            gap < 1e-6 and elapsed < 60.0,

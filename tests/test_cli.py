@@ -445,6 +445,26 @@ def test_evaluate_exits_on_a_query_ranked_in_two_files(workspace, tmp_path):
     assert str(err.value) == f"query {query} is ranked in both {first} and {copy}"
 
 
+def test_evaluate_refuses_rankings_missing_some_queries(workspace, tmp_path):
+    # scored as they stand, the remaining files would report metrics over a
+    # subset of the task's queries
+    root, cfg = workspace
+    rankings = tmp_path / "rank"
+    assert run(["retrieve", "--config", cfg, "--data", root / "data",
+                "--models", root / "models", "--mode", "diffusion", "--out", rankings]) == 0
+    files = {int(f.stem.split("-")[1]): f for f in rankings.glob("ranking-*.txt")}
+    dropped = sorted(files)[1:3]
+    for query in dropped:
+        files[query].unlink()
+    data = root / "data" / "test-data.npz"
+    with pytest.raises(SystemExit) as err:
+        run(["evaluate", "--config", cfg, "--rankings", rankings, "--data", data,
+             "--task", "ground-satellite"])
+    assert str(err.value) == (
+        f"rankings in {rankings} do not fit task ground-satellite on {data}: no ranking "
+        f"file for 2 of the task's {len(files)} queries, the first query {dropped[0]}")
+
+
 def test_config_echo_reproduces_run(workspace, tmp_path):
     root, cfg = workspace
     echoed = root / "data" / "effective-config.txt"
@@ -508,30 +528,6 @@ def test_output_root_env(tmp_path, monkeypatch):
     cfg = write_tiny_config(tmp_path / "run.cfg")
     assert run(["gen-data", "--config", cfg, "--out", "nested/data"]) == 0
     assert (tmp_path / "nested" / "data" / "train-data.npz").exists()
-
-
-def test_check_subcommand_passes(capsys):
-    assert run(["check", "--grad-seeds", "2", "--graphs", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "[PASS]" in out and "[FAIL]" not in out
-
-
-@pytest.mark.parametrize("flag, value", [("--grad-seeds", "0"), ("--graphs", "-1")])
-def test_check_refuses_counts_that_check_nothing(flag, value, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["check", flag, value])
-    assert exc.value.code == 2
-    assert f"argument {flag}: must be >= 1 (got {value})" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flag", [["--config", "/nonexistent/cfg.txt"],
-                                  ["--set", "no_such_key=1"]], ids=["config", "set"])
-def test_check_takes_no_config(flag, capsys):
-    # the oracles read no run config: argparse rejects the flags
-    with pytest.raises(SystemExit) as exc:
-        run(["check", *flag, "--grad-seeds", "1", "--graphs", "2"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_ablate_writes_tables(workspace, tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -157,6 +158,33 @@ def test_every_field_is_read_by_the_package():
                      if p.name != "config.py").replace(".width_table_dict()", ".width_table")
     unread = [f.name for f in fields(RunConfig) if not re.search(rf"\.{f.name}\b", text)]
     assert unread == []
+
+
+def test_every_definition_is_referenced_by_the_package():
+    # a helper that only tests call belongs with the tests
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(Path(plcd.__file__).parent.glob("*.py"))}
+    used = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}", m.name) for m in node.body
+                            if isinstance(m, ast.FunctionDef)]
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id) for target in targets for t in ast.walk(target)
+                            if isinstance(t, ast.Name)]
+    dead = [f"{owner}.{name}" for owner, name in defined
+            if name not in used and not name.startswith("__")]
+    assert dead == []
 
 
 def test_bool_parse_error_is_reported_once():

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from plcd import dataspace as ds
 from plcd import diffusion as diff
-from plcd.checks import random_stochastic_matrix
 from plcd.config import RunConfig
 from plcd.ranking import row_order
 from plcd.seeds import substream
+from harness import random_stochastic_matrix
 from support import read_embeddings
 
 

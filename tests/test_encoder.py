@@ -13,6 +13,7 @@ from plcd import rmac
 from plcd.dataspace import DRONE, ImageRecord
 from plcd.seeds import substream
 
+from harness import check_gradients
 from support import params_digest
 
 
@@ -153,22 +154,6 @@ def test_sgd_step_matches_the_momentum_formula_bit_for_bit():
             p[name] += v[name]
             assert getattr(params, name).tobytes() == p[name].tobytes(), name
             assert state.velocity[name].tobytes() == v[name].tobytes(), name
-
-
-def test_check_gradients_quadratic():
-    rng = substream(10, "t")
-    p = rng.standard_normal(7)
-
-    def loss_fn(params):
-        (x,) = params
-        return 0.5 * float(x @ x), [x.copy()]
-
-    assert enc.check_gradients(loss_fn, [p], epsilon=1e-6) < 1e-8
-
-
-def test_check_gradients_rejects_bad_epsilon():
-    with pytest.raises(ValueError, match="epsilon"):
-        enc.check_gradients(lambda p: (0.0, [np.zeros(1)]), [np.zeros(1)], epsilon=0.0)
 
 
 def test_checkpoint_round_trip(tmp_path, monkeypatch):
@@ -506,6 +491,6 @@ def test_normalized_embed_backward_matches_fd():
                                             grads.classifier_weight, grads.classifier_bias]
 
     p = make_params(tanh=True)
-    err = enc.check_gradients(
+    err = check_gradients(
         loss_fn, [p.weight, p.bias, p.classifier_weight, p.classifier_bias], 1e-6)
     assert err < 1e-6

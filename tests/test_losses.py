@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from plcd import losses
-from plcd.encoder import check_gradients
 from plcd.seeds import substream
+
+from harness import check_gradients
 
 
 def _one(v):
