@@ -123,8 +123,10 @@ _RULES = {
     "k_init": _at_least(1), "tol": _POSITIVE,
     "closed_form_cap": _at_least(2),  # a graph needs two nodes
     "ground_drone_relevance": _either("facet", "landmark"),
-    "alpha_sweep": ((lambda vs: all(0 < v < 1 for v in vs)), "values must be in (0, 1)"),
-    "tau_sweep": ((lambda vs: all(v > 0 for v in vs)), "values must be positive"),
+    "alpha_sweep": ((lambda vs: vs and all(0 < v < 1 for v in vs)),
+                    "must be one or more values in (0, 1)"),
+    "tau_sweep": ((lambda vs: vs and all(v > 0 for v in vs)),
+                  "must be one or more positive values"),
 }
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}

@@ -6,10 +6,9 @@ on its nearest drone nodes, measured in the ground-drone space, and the
 restarted walk f <- alpha * S @ f + (1 - alpha) * f0 ranks the satellites
 by their weight at its fixed point: iterated, or solved as
 (I - alpha * S) x = f0, which shares that fixed point up to scale. A
-``DiffusionIndex`` holds what the gallery fixes (the graph and its
-``k_graph``, the drone seeding rows, the closed form's operator per alpha);
-the config of each ``query`` call sets the walk. Queries come in batches,
-one column of f0 each.
+``DiffusionIndex`` holds what the gallery fixes, and no drone ids; the
+config of each ``query`` call sets the walk. Queries come in batches, one
+column of f0 each.
 """
 
 from __future__ import annotations
@@ -24,27 +23,6 @@ from .ranking import RankingList, rank_rows
 
 if TYPE_CHECKING:
     from .config import RunConfig
-
-
-@dataclass
-class TransitionGraph:
-    """Column-stochastic transition matrix plus the record id of each node.
-
-    Nodes are ordered drones first, satellites after, so the satellites are
-    the tail nodes ``sat_rows``.
-    """
-
-    matrix: np.ndarray
-    drone_ids: list[int]
-    sat_ids: list[int]
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def sat_rows(self) -> range:
-        return range(len(self.drone_ids), self.size)
 
 
 @dataclass
@@ -106,10 +84,9 @@ def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
     return cols
 
 
-def build_graph(drone_embs: np.ndarray, sat_embs: np.ndarray,
-                drone_ids: Sequence[int], sat_ids: Sequence[int],
-                k_graph: int) -> TransitionGraph:
-    """Top-k cosine graph over drones + satellites, symmetrized, column-stochastic.
+def build_graph(node_embs: np.ndarray, k_graph: int) -> np.ndarray:
+    """Column-stochastic matrix of the symmetrized top-k cosine graph over
+    the rows of ``node_embs``, one node each.
 
     Equal similarities keep the lower node index first, also between
     byte-identical nodes, whose similarities are made exactly equal. Negative
@@ -117,20 +94,17 @@ def build_graph(drone_embs: np.ndarray, sat_embs: np.ndarray,
     all-zero falls back to uniform 1/k over that node's k nearest neighbors
     regardless of sign, so every column sums to one.
 
-    The node rows come in as two stacks, and the graph is built inside the
-    one n x n similarity buffer: once the neighbors are picked, the buffer
-    is zeroed and takes the affinity, each pick added onto zeros in both
-    directions and the sum halved in place, which gives (a + a.T) / 2 bit
-    for bit.
+    The graph is built inside the one n x n similarity buffer: once the
+    neighbors are picked, the buffer is zeroed and takes the affinity, each
+    pick added onto zeros in both directions and the sum halved in place,
+    which gives (a + a.T) / 2 bit for bit.
     """
-    n = len(drone_embs) + len(sat_embs)
+    n = len(node_embs)
     if n < 2:
         raise ValueError(f"graph needs at least 2 nodes (got {n})")
     if not 1 <= k_graph < n:
         raise ValueError(f"k_graph must be in [1, {n - 1}] (got {k_graph})")
-    emb = _normalized_rows(np.concatenate(
-        [np.asarray(part, dtype=float) for part in (drone_embs, sat_embs) if len(part)]),
-        "graph node")
+    emb = _normalized_rows(node_embs, "graph node")
     sims = emb @ emb.T
     # The product can round byte-identical nodes differently; every column
     # is read from the lowest index of its node's identical rows, so copies
@@ -158,9 +132,7 @@ def build_graph(drone_embs: np.ndarray, sat_embs: np.ndarray,
         affinity[neighbors[empty], empty[:, None]] = 1.0 / k_graph
         col_sums[empty] = affinity[:, empty].sum(axis=0)
     affinity /= col_sums
-
-    return TransitionGraph(matrix=affinity, drone_ids=[int(i) for i in drone_ids],
-                           sat_ids=[int(i) for i in sat_ids])
+    return affinity
 
 
 def init_state(query_embs: Sequence[np.ndarray], drone_gd: np.ndarray,
@@ -269,13 +241,11 @@ def apply_operator(operator: np.ndarray, f0: np.ndarray) -> np.ndarray:
     return np.einsum("sn,qn->sq", operator, np.ascontiguousarray(f0.T))
 
 
-def rank_satellites(sat_scores: np.ndarray, graph: TransitionGraph,
+def rank_satellites(sat_scores: np.ndarray, sat_ids: Sequence[int],
                     query_ids: Sequence[int]) -> list[RankingList]:
-    """``rank_rows`` of each column of ``sat_scores`` (satellite rows, in
-    ``graph.sat_rows`` order); an all-zero column is degenerate."""
-    if not graph.sat_ids:
-        raise ValueError("graph contains no satellite nodes")
-    return rank_rows(query_ids, graph.sat_ids, sat_scores.T,
+    """``rank_rows`` of each column of ``sat_scores`` (one row per satellite,
+    in ``sat_ids`` order); an all-zero column is degenerate."""
+    return rank_rows(query_ids, sat_ids, sat_scores.T,
                      degenerate=~sat_scores.any(axis=0))
 
 
@@ -285,27 +255,42 @@ def rank_satellites(sat_scores: np.ndarray, graph: TransitionGraph,
 
 @dataclass
 class DiffusionIndex:
-    """What a gallery fixes, shared by every query: the sd-space graph built
-    at ``k_graph`` and the unit-normalized gd-space drone rows that seed the
-    walk. ``operators`` memoizes the closed form's satellite-row operator per
-    alpha. Each query's config sets the walk itself."""
+    """What a gallery fixes, shared by every query: the sd-space graph's
+    column-stochastic ``matrix`` built at ``k_graph`` over the drone nodes,
+    then the satellite nodes; the satellite ids, in node order; and the
+    unit-normalized gd-space drone rows that seed the walk, one per drone
+    node. ``operators`` memoizes the closed form's satellite-row operator
+    per alpha. Each query's config sets the walk itself."""
 
-    graph: TransitionGraph
+    matrix: np.ndarray
+    sat_ids: list[int]
     drone_gd: np.ndarray
     k_graph: int
     operators: dict[float, np.ndarray] = field(default_factory=dict)
 
+    @property
+    def sat_rows(self) -> range:
+        return range(len(self.drone_gd), len(self.matrix))
+
 
 def build_index(drone_sd_embs: np.ndarray, sat_sd_embs: np.ndarray,
-                drone_gd_embs: np.ndarray, drone_ids: Sequence[int],
-                sat_ids: Sequence[int], cfg: RunConfig) -> DiffusionIndex:
-    """The index of a gallery; without drone nodes no walk reaches a
-    satellite, so an empty drone set raises."""
+                drone_gd_embs: np.ndarray, sat_ids: Sequence[int],
+                cfg: RunConfig) -> DiffusionIndex:
+    """The index of a gallery, its nodes the drones and then the satellites.
+    Without drone nodes no walk reaches a satellite, and without satellite
+    nodes there is nothing to rank, so an empty set of either raises; so
+    does a gd-space stack without one row per drone node."""
     if len(drone_sd_embs) == 0:
         raise ValueError("diffusion needs at least one drone node")
-    graph = build_graph(drone_sd_embs, sat_sd_embs, drone_ids, sat_ids,
-                        min(cfg.k_graph, len(drone_ids) + len(sat_ids) - 1))
-    return DiffusionIndex(graph=graph, drone_gd=_normalized_rows(drone_gd_embs, "drone(gd)"),
+    if len(sat_sd_embs) == 0:
+        raise ValueError("diffusion needs at least one satellite node")
+    if len(drone_gd_embs) != len(drone_sd_embs):
+        raise ValueError(f"{len(drone_gd_embs)} gd-space drone rows for "
+                         f"{len(drone_sd_embs)} drone nodes")
+    nodes = np.concatenate((drone_sd_embs, sat_sd_embs))
+    return DiffusionIndex(matrix=build_graph(nodes, min(cfg.k_graph, len(nodes) - 1)),
+                          sat_ids=[int(i) for i in sat_ids],
+                          drone_gd=_normalized_rows(drone_gd_embs, "drone(gd)"),
                           k_graph=cfg.k_graph)
 
 
@@ -318,31 +303,30 @@ def query(index: DiffusionIndex, cfg: RunConfig, query_ids: Sequence[int],
     and a memoized operator runs none, so reusing one for ``alpha`` does
     not check the cap again.
 
-    Drone reference records enter only through their embeddings; their
-    identity labels are never consulted. The iterative walk runs within a
-    budget that ``_walk_budget`` derives from the start vectors, ``alpha``
-    and ``tol``; only rounding could leave a query unconverged within it,
-    and that raises instead of ranking the query.
+    Drone reference records enter only through their embeddings: the index
+    holds no drone ids. The iterative walk runs within a budget that
+    ``_walk_budget`` derives from the start vectors, ``alpha`` and ``tol``;
+    only rounding could leave a query unconverged within it, and that
+    raises instead of ranking the query.
     """
     if cfg.k_graph != index.k_graph:
         raise ValueError(f"config k_graph={cfg.k_graph} differs from the index's "
                          f"k_graph={index.k_graph}")
     if len(query_ids) != len(query_embs):
         raise ValueError(f"{len(query_ids)} query ids for {len(query_embs)} embeddings")
-    graph = index.graph
-    f0 = init_state(query_embs, index.drone_gd, cfg, graph.size)
+    f0 = init_state(query_embs, index.drone_gd, cfg, len(index.matrix))
     if cfg.closed_form:
         operator = index.operators.get(cfg.alpha)
         if operator is None:
             operator = index.operators[cfg.alpha] = closed_form_operator(
-                graph.matrix, graph.sat_rows, cfg.alpha, cfg.closed_form_cap)
+                index.matrix, index.sat_rows, cfg.alpha, cfg.closed_form_cap)
         scores = apply_operator(operator, f0)
     else:
         budget = _walk_budget(f0, cfg.alpha, cfg.tol)
-        walk = diffuse_iterative(graph.matrix, f0, cfg.alpha, budget, cfg.tol)
+        walk = diffuse_iterative(index.matrix, f0, cfg.alpha, budget, cfg.tol)
         if not walk.converged:
             stuck = [int(q) for q, ok in zip(query_ids, walk.column_converged) if not ok]
             raise ValueError(f"walk did not converge within its budget of {budget} "
                              f"iterations for queries {stuck}")
-        scores = walk.state[graph.sat_rows]
-    return rank_satellites(scores, graph, query_ids)
+        scores = walk.state[index.sat_rows]
+    return rank_satellites(scores, index.sat_ids, query_ids)

@@ -119,8 +119,8 @@ def reports_to_csv(rows: Sequence[tuple[str, MetricsReport]]) -> str:
 # ablation suites
 # ---------------------------------------------------------------------------
 
-ABLATION_SUITES = ("mapping-methods", "with-without-drone", "peer-steps",
-                   "one-vs-two-branch", "alpha-sweep", "tau-sweep")
+ABLATION_SUITES = ("mapping-methods", "peer-steps", "one-vs-two-branch",
+                   "alpha-sweep", "tau-sweep")
 
 
 @dataclass
@@ -163,8 +163,7 @@ def run_ablation(suite: str, cfg, split=None, models=None) -> AblationResult:
     ``cfg`` is a RunConfig; ``split``/``models`` can be passed to reuse a
     trained pipeline, otherwise training runs in place with the config seed.
     This is the one place that builds the paper's comparison rows: the
-    acceptance criteria read the ``mapping-methods`` and ``peer-steps`` rows,
-    and ``with-without-drone`` renames the mapping rows.
+    acceptance criteria read the ``mapping-methods`` and ``peer-steps`` rows.
     """
     from . import peerlearn, pipeline  # local import: pipeline builds on these metrics
 
@@ -178,14 +177,9 @@ def run_ablation(suite: str, cfg, split=None, models=None) -> AblationResult:
         models = pipeline.train_all(cfg, split)
 
     rows: list[tuple[str, MetricsReport]] = []
-    if suite in ("mapping-methods", "with-without-drone"):
+    if suite == "mapping-methods":
         for mode in ("direct-cosine", "chain", "diffusion"):
             rows.append((mode, pipeline.evaluate_mode(cfg, split, models, mode)))
-        if suite == "with-without-drone":
-            by_mode = dict(rows)
-            rows = [("diffusion+drones", by_mode["diffusion"]),
-                    ("chain+drones", by_mode["chain"]),
-                    ("direct-cosine-no-drones", by_mode["direct-cosine"])]
     elif suite == "peer-steps":
         # the plain two-branch baseline: Step I's budget without mining
         base_ground, base_drone, _ = peerlearn.train_senior(split, cfg, mining=False)
@@ -211,11 +205,10 @@ def run_ablation(suite: str, cfg, split=None, models=None) -> AblationResult:
                 replace(cfg, alpha=alpha), split, models, "diffusion", index=index)))
     elif suite == "tau-sweep":
         # one senior; the junior retrains at each distillation temperature
-        # (its drone fills the shared slot, which ground-drone never reads)
         senior = peerlearn.train_senior(split, cfg)[:2]
         for tau in cfg.tau_sweep:
             junior = peerlearn.train_junior(split, senior, replace(cfg, tau=tau))[:2]
-            pair = pipeline.TrainedModels(*senior, *junior, shared=junior[1], logs={})
+            pair = pipeline.TrainedModels(*senior, *junior)
             rows.append((f"tau={tau}", pipeline.evaluate_mode(cfg, split, pair, "ground-drone")))
 
     return AblationResult(suite=suite, rows=rows, signs=pairwise_signs(rows))

@@ -353,14 +353,15 @@ def train_senior(split: DatasetSplit, cfg: RunConfig, mining: bool = True,
 
 
 def train_junior(split: DatasetSplit, senior: tuple[enc.EncoderParams, enc.EncoderParams],
-                 cfg: RunConfig, shared_branches: bool = False):
+                 cfg: RunConfig):
     """Step II, one round: the junior starts from copies of the read-only
-    senior pair and trains at Step I's rates times ``junior_lr_scale``.
-    Returns (ground, drone, log)."""
+    senior pair and trains at Step I's rates times ``junior_lr_scale``. A
+    senior whose two branches are one parameter set gives a junior whose
+    branches are one too. Returns (ground, drone, log)."""
     ctx = build_context(split)
     senior_ground, senior_drone = senior
     ground_params = senior_ground.copy()
-    drone_params = ground_params if shared_branches else senior_drone.copy()
+    drone_params = ground_params if senior_ground is senior_drone else senior_drone.copy()
     log = _train_pair(ctx, cfg, ground_params, drone_params,
                       substream(cfg.seed, "peerlearn.junior"), cfg.epochs_junior,
                       cfg.junior_lr_scale, mining=True, senior=(senior_ground, senior_drone))

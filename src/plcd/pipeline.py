@@ -65,7 +65,7 @@ def train_ground_drone(cfg: RunConfig, split: DatasetSplit, shared_branches: boo
     senior_ground, senior_drone, senior_log = peerlearn.train_senior(
         split, cfg, shared_branches=shared_branches)
     junior_ground, junior_drone, junior_log = peerlearn.train_junior(
-        split, (senior_ground, senior_drone), cfg, shared_branches=shared_branches)
+        split, (senior_ground, senior_drone), cfg)
     logs = {"senior": senior_log, "junior": junior_log}
     return (senior_ground, senior_drone), (junior_ground, junior_drone), logs
 
@@ -161,7 +161,6 @@ def build_diffusion_index(cfg: RunConfig, split: DatasetSplit,
         drone_sd_embs=enc.embed_records(models.shared, drones),
         sat_sd_embs=enc.embed_records(models.shared, sats),
         drone_gd_embs=drone_features(cfg, models.junior_drone, drones),
-        drone_ids=_ids(drones),
         sat_ids=_ids(sats),
         cfg=cfg,
     )

@@ -6,7 +6,6 @@ module-scoped fixture. Run with ``pytest tests/test_acceptance.py -s`` to see
 the per-criterion lines.
 """
 
-import math
 import time
 from dataclasses import replace
 
@@ -14,7 +13,6 @@ import numpy as np
 import pytest
 
 from plcd import cli, diffusion, evalkit, peerlearn, pipeline, rmac
-from plcd import encoder as enc
 from plcd.config import RunConfig
 from plcd.seeds import substream
 

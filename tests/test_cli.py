@@ -356,10 +356,15 @@ def test_dump_holds_the_rows_retrieval_ranked(workspace, tmp_path, monkeypatch):
     root, cfg = workspace
     seen = {}
     build, query = diffusion.build_index, diffusion.query
+    # the index holds no drone ids: its drone rows come in the test split's
+    # drone order
+    records = dataspace.read_records(root / "data" / "test-data.npz")[0]
+    drone_ids = [r.id for r in records if r.view == dataspace.DRONE]
 
     def capture_build(*args, **kwargs):
         seen["sats"] = dict(zip(kwargs["sat_ids"], kwargs["sat_sd_embs"]))
-        seen["drones"] = dict(zip(kwargs["drone_ids"], kwargs["drone_sd_embs"]))
+        assert len(kwargs["drone_sd_embs"]) == len(drone_ids)
+        seen["drones"] = dict(zip(drone_ids, kwargs["drone_sd_embs"]))
         return build(*args, **kwargs)
 
     def capture_query(index, cfg, query_ids, query_embs):

@@ -87,7 +87,8 @@ INVALID_VALUES = [
     ("momentum", "1.0", "momentum must be in [0, 1) (got 1.0)"),
     ("junior_lr_scale", "-1.0", "junior_lr_scale must be >= 0 (got -1.0)"),
     ("tau", "0.0", "tau must be positive (got 0.0)"),
-    ("tau_sweep", "2,0", "tau_sweep values must be positive (got (2.0, 0.0))"),
+    ("tau_sweep", "2,0", "tau_sweep must be one or more positive values (got (2.0, 0.0))"),
+    ("tau_sweep", "", "tau_sweep must be one or more positive values (got ())"),
     ("lambda1", "-1.0", "lambda1 must be >= 0 (got -1.0)"),
     ("batch_streets", "1", "batch_streets must be >= 2 (got 1)"),
     ("margin", "0.0", "margin must be positive (got 0.0)"),
@@ -101,7 +102,9 @@ INVALID_VALUES = [
     ("reference_side", "0", "reference_side must be >= 1 (got 0)"),
     ("alpha", "1.0", "alpha must be in (0, 1) (got 1.0)"),
     ("gamma", "-1.0", "gamma must be >= 0 (got -1.0)"),
-    ("alpha_sweep", "0.5,1.5", "alpha_sweep values must be in (0, 1) (got (0.5, 1.5))"),
+    ("alpha_sweep", "0.5,1.5",
+     "alpha_sweep must be one or more values in (0, 1) (got (0.5, 1.5))"),
+    ("alpha_sweep", "", "alpha_sweep must be one or more values in (0, 1) (got ())"),
     ("k_graph", "0", "k_graph must be >= 1 (got 0)"),
     ("k_init", "0", "k_init must be >= 1 (got 0)"),
     ("tol", "0.0", "tol must be positive (got 0.0)"),
@@ -118,7 +121,8 @@ INVALID_VALUES += [(key, raw, f"unknown config key '{key}'") for key, raw in RET
 
 
 @pytest.mark.parametrize("key, raw, message", INVALID_VALUES,
-                         ids=[key for key, _, _ in INVALID_VALUES])
+                         ids=[key if raw else f"{key}-empty"
+                              for key, raw, _ in INVALID_VALUES])
 def test_invalid_value_rejected_with_its_message(key, raw, message):
     with pytest.raises(ValueError) as err:
         load_config(None, {key: raw})

@@ -34,9 +34,9 @@ def closed_form(matrix, f0, alpha, cap=2000):
 
 def test_two_identical_nodes_are_mutual_neighbors():
     e = unit(np.array([1.0, 1.0]))
-    graph = diff.build_graph([e], [e.copy()], [1], [2], k_graph=1)
-    assert np.allclose(graph.matrix, [[0.0, 1.0], [1.0, 0.0]])
-    assert (graph.drone_ids, graph.sat_ids, graph.sat_rows) == ([1], [2], range(1, 2))
+    index = diff.build_index([e], [e.copy()], [e], [2], dcfg(k_graph=1))
+    assert np.allclose(index.matrix, [[0.0, 1.0], [1.0, 0.0]])
+    assert (index.sat_ids, index.sat_rows) == ([2], range(1, 2))
 
 
 def test_columns_sum_to_one_on_random_graphs():
@@ -46,12 +46,11 @@ def test_columns_sum_to_one_on_random_graphs():
         drones = [rng.standard_normal(6) for _ in range(n_d)]
         sats = [rng.standard_normal(6) for _ in range(n_s)]
         k = int(rng.integers(1, n_d + n_s - 1))
-        graph = diff.build_graph(drones, sats, list(range(n_d)),
-                                 list(range(100, 100 + n_s)), k)
-        sums = graph.matrix.sum(axis=0)
+        matrix = diff.build_graph(drones + sats, k)
+        sums = matrix.sum(axis=0)
         assert np.allclose(sums, 1.0, atol=1e-9)
-        assert np.all(graph.matrix >= 0.0)
-        assert np.allclose(np.diag(graph.matrix), 0.0)
+        assert np.all(matrix >= 0.0)
+        assert np.allclose(np.diag(matrix), 0.0)
 
 
 def _brute_force_matrix(embs, k):
@@ -80,8 +79,7 @@ def test_build_graph_matches_brute_force():
     rng = substream(7, "diff.brute")
     embs = [rng.standard_normal(5) for _ in range(5)]
     k = 2
-    graph = diff.build_graph(embs[:3], embs[3:], [0, 1, 2], [3, 4], k)
-    assert np.allclose(graph.matrix, _brute_force_matrix(embs, k))
+    assert np.allclose(diff.build_graph(embs, k), _brute_force_matrix(embs, k))
 
 
 def test_build_graph_exact_ties_match_brute_force():
@@ -91,10 +89,10 @@ def test_build_graph_exact_ties_match_brute_force():
     e = np.eye(3)
     embs = [e[0], e[1], e[0].copy(), e[0] + e[1], -e[0], e[2], e[1].copy(), e[2].copy()]
     for k in range(1, len(embs)):
-        graph = diff.build_graph(embs[:5], embs[5:], list(range(5)), [5, 6, 7], k)
+        matrix = diff.build_graph(embs, k)
         expected = _brute_force_matrix(embs, k)
-        assert np.array_equal(graph.matrix > 0.0, expected > 0.0), k
-        assert np.allclose(graph.matrix, expected), k
+        assert np.array_equal(matrix > 0.0, expected > 0.0), k
+        assert np.allclose(matrix, expected), k
 
 
 def test_byte_identical_nodes_tie_exactly_in_gemm_tail_columns():
@@ -107,12 +105,11 @@ def test_byte_identical_nodes_tie_exactly_in_gemm_tail_columns():
     copies = [0, 317, 633, 949]
     emb[copies] = hub
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-    graph = diff.build_graph(list(emb[:900]), list(emb[900:]), list(range(900)),
-                             list(range(900, 950)), k_graph=2)
+    matrix = diff.build_graph(emb, k_graph=2)
     others = [i for i in range(950) if i not in copies]
-    assert not graph.matrix[np.ix_(others, [633, 949])].any()
-    assert (graph.matrix[others, 0] > 0.0).all()
-    assert same_bits(graph.matrix, dense_graph_matrix(diff._normalized_rows(emb, "graph node"), 2))
+    assert not matrix[np.ix_(others, [633, 949])].any()
+    assert (matrix[others, 0] > 0.0).all()
+    assert same_bits(matrix, dense_graph_matrix(diff._normalized_rows(emb, "graph node"), 2))
 
 
 @settings(max_examples=300, deadline=None)
@@ -136,7 +133,7 @@ def test_top_k_picks_the_first_k_of_a_stable_descending_sort(data):
 
 def test_build_graph_rejects_zero_norm():
     with pytest.raises(ValueError, match="zero-norm"):
-        diff.build_graph([np.zeros(3)], [np.ones(3)], [1], [2], 1)
+        diff.build_graph([np.zeros(3), np.ones(3)], 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -144,13 +141,13 @@ def test_non_finite_embeddings_are_rejected_with_their_index(bad):
     good = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     poisoned = [good[0], np.array([bad, 1.0])]
     with pytest.raises(ValueError, match="non-finite embedding at graph node index 3"):
-        diff.build_graph(good, poisoned, [1, 2], [3, 4], 1)
+        diff.build_graph(good + poisoned, 1)
     with pytest.raises(ValueError, match=r"non-finite embedding at drone\(gd\) index 1"):
-        diff.build_index(good, good, poisoned, [1, 2], [3, 4], dcfg(k_graph=1))
+        diff.build_index(good, good, poisoned, [3, 4], dcfg(k_graph=1))
     cfg = dcfg(k_graph=1)
-    index = diff.build_index(good, good, good, [1, 2], [3, 4], cfg)
+    index = diff.build_index(good, good, good, [3, 4], cfg)
     with pytest.raises(ValueError, match="non-finite embedding at query index 1"):
-        diff.init_state(poisoned, index.drone_gd, cfg, index.graph.size)
+        diff.init_state(poisoned, index.drone_gd, cfg, len(index.matrix))
     with pytest.raises(ValueError, match="non-finite embedding at query index 1"):
         diff.query(index, cfg, [10, 11], poisoned)
 
@@ -316,22 +313,21 @@ def test_graph_and_operator_bytes_match_the_dense_formulas(kind, n, dim, seed, d
     nodes = graph_nodes(kind, n, dim, rng)
     n_drone = int(rng.integers(1, n))
     k = data.draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)), label="k_graph")
-    graph = diff.build_graph(nodes[:n_drone], nodes[n_drone:], range(n_drone),
-                             range(n_drone, n), k)
+    matrix = diff.build_graph(nodes, k)
     expected = dense_graph_matrix(diff._normalized_rows(nodes, "graph node"), k)
-    assert same_bits(graph.matrix, expected)
+    assert same_bits(matrix, expected)
 
     alpha = data.draw(st.sampled_from([0.5, 0.9, 0.99]), label="alpha")
-    sat_rows = graph.sat_rows
+    sat_rows = range(n_drone, n)
     systems = []
     solve = np.linalg.solve
     with mock.patch.object(np.linalg, "solve",
                            side_effect=lambda a, b: systems.append(a) or solve(a, b)):
-        operator = diff.closed_form_operator(graph.matrix, sat_rows, alpha)
+        operator = diff.closed_form_operator(matrix, sat_rows, alpha)
     # I - alpha * S itself, so a flipped zero sign shows even where the
     # solve would hide it
-    assert same_bits(systems[0], (np.eye(n) - alpha * graph.matrix).T)
-    assert same_bits(operator, dense_closed_form_operator(graph.matrix, sat_rows, alpha))
+    assert same_bits(systems[0], (np.eye(n) - alpha * matrix).T)
+    assert same_bits(operator, dense_closed_form_operator(matrix, sat_rows, alpha))
 
 
 def test_graph_and_operator_stay_within_their_memory_budgets():
@@ -344,11 +340,11 @@ def test_graph_and_operator_stay_within_their_memory_budgets():
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        graph = diff.build_graph(nodes[:900], nodes[900:], range(900), range(900, n), 10)
+        matrix = diff.build_graph(nodes, 10)
         graph_peak = (tracemalloc.get_traced_memory()[1] - held) / square
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        diff.closed_form_operator(graph.matrix, graph.sat_rows, 0.9)
+        diff.closed_form_operator(matrix, range(900, n), 0.9)
         operator_peak = (tracemalloc.get_traced_memory()[1] - held) / square
     finally:
         tracemalloc.stop()
@@ -442,14 +438,13 @@ def test_columns_stop_at_their_own_iteration():
     # iterations and orders the satellites the same way, though the block
     # product leaves other low bits in its state
     index, cfg, queries = retrieval_case(5, n_drone=300, n_sat=80, n_query=200)
-    graph = index.graph
-    f0 = diff.init_state(queries, index.drone_gd, cfg, graph.size)
-    sat_idx, sat_ids = graph.sat_rows, graph.sat_ids
+    f0 = diff.init_state(queries, index.drone_gd, cfg, len(index.matrix))
+    sat_idx, sat_ids = index.sat_rows, index.sat_ids
     for alpha in (0.5, 0.9):
-        batch = diff.diffuse_iterative(graph.matrix, f0, alpha, 1000, 1e-9)
+        batch = diff.diffuse_iterative(index.matrix, f0, alpha, 1000, 1e-9)
         assert batch.converged
         for j in range(0, 200, 10):
-            alone = diff.diffuse_iterative(graph.matrix, f0[:, j], alpha, 1000, 1e-9)
+            alone = diff.diffuse_iterative(index.matrix, f0[:, j], alpha, 1000, 1e-9)
             assert alone.iterations == batch.column_iterations[j]
             assert np.array_equal(row_order(alone.state[sat_idx][None], sat_ids),
                                   row_order(batch.state[sat_idx, j][None], sat_ids))
@@ -519,7 +514,7 @@ def test_query_reports_unconverged_walks(monkeypatch):
     drones = [rng.standard_normal(4) for _ in range(6)]
     sats = [rng.standard_normal(4) for _ in range(3)]
     cfg = dcfg(k_graph=3, k_init=2, closed_form=False)
-    index = diff.build_index(drones, sats, drones, list(range(6)), [7, 8, 9], cfg)
+    index = diff.build_index(drones, sats, drones, [7, 8, 9], cfg)
     with pytest.raises(ValueError, match=r"budget of 2 iterations for queries \[40, 41\]"):
         diff.query(index, cfg, [40, 41], [rng.standard_normal(4) for _ in range(2)])
 
@@ -562,13 +557,13 @@ def test_a_slowly_mixing_walk_runs_to_its_limit():
     nodes = np.stack([np.cos(theta), np.sin(theta), np.full(32, 0.1)], axis=1)
     is_sat = np.arange(32) % 4 == 0
     cfg = dcfg(k_graph=2, k_init=2, alpha=0.99, closed_form=False)
-    index = diff.build_index(nodes[~is_sat], nodes[is_sat], nodes[~is_sat], list(range(24)),
+    index = diff.build_index(nodes[~is_sat], nodes[is_sat], nodes[~is_sat],
                              list(range(100, 108)), cfg)
     theta = 2 * np.pi * (np.arange(5) + 0.3) / 5
     queries = list(np.stack([np.cos(theta), np.sin(theta), np.full(5, 0.1)], axis=1))
     ids = list(range(len(queries)))
-    f0 = diff.init_state(queries, index.drone_gd, cfg, index.graph.size)
-    assert diff.diffuse_iterative(index.graph.matrix, f0, cfg.alpha, 10**5,
+    f0 = diff.init_state(queries, index.drone_gd, cfg, len(index.matrix))
+    assert diff.diffuse_iterative(index.matrix, f0, cfg.alpha, 10**5,
                                   cfg.tol).column_iterations.max() > 1000
     walked = diff.query(index, cfg, ids, queries)
     solved = diff.query(index, replace(cfg, closed_form=True), ids, queries)
@@ -591,20 +586,13 @@ def test_nonnegativity_preserved():
 
 
 def test_rank_satellites_orders_and_flags():
-    graph = diff.TransitionGraph(matrix=np.zeros((4, 4)), drone_ids=[7, 3], sat_ids=[9, 5])
-    states = np.array([[0.5, 0.0], [0.1, 0.0], [0.2, 0.0], [0.9, 0.0]])
-    ranking, degenerate = diff.rank_satellites(states[2:], graph, query_ids=[1, 2])
+    sat_scores = np.array([[0.2, 0.0], [0.9, 0.0]])
+    ranking, degenerate = diff.rank_satellites(sat_scores, [9, 5], query_ids=[1, 2])
     assert (ranking.query_id, ranking.gallery_ids) == (1, [5, 9])
     assert not ranking.degenerate
     assert degenerate.query_id == 2
     assert degenerate.degenerate
     assert degenerate.gallery_ids == [5, 9]  # id tie rule
-
-
-def test_rank_satellites_requires_satellite_nodes():
-    graph = diff.TransitionGraph(matrix=np.zeros((2, 2)), drone_ids=[1, 2], sat_ids=[])
-    with pytest.raises(ValueError, match="satellite"):
-        diff.rank_satellites(np.zeros((0, 1)), graph, [1])
 
 
 def test_node_relabeling_leaves_ranking_unchanged():
@@ -614,12 +602,11 @@ def test_node_relabeling_leaves_ranking_unchanged():
     gd = [rng.standard_normal(4) for _ in range(6)]
     query = rng.standard_normal(4)
     cfg = dcfg(k_graph=4, k_init=3)
-    index = diff.build_index(drones, sats, gd, [1, 2, 3, 4, 5, 6], [7, 8, 9], cfg)
+    index = diff.build_index(drones, sats, gd, [7, 8, 9], cfg)
     [base] = diff.query(index, cfg, [0], [query])
     perm = [3, 0, 5, 1, 4, 2]
     index2 = diff.build_index([drones[i] for i in perm], sats,
-                              [gd[i] for i in perm],
-                              [[1, 2, 3, 4, 5, 6][i] for i in perm], [7, 8, 9], cfg)
+                              [gd[i] for i in perm], [7, 8, 9], cfg)
     [other] = diff.query(index2, cfg, [0], [query])
     assert base.gallery_ids == other.gallery_ids
     assert np.allclose(base.scores, other.scores)
@@ -629,7 +616,23 @@ def test_index_without_drones_is_refused():
     # no walk from a ground query reaches a satellite without drone nodes
     sats = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
     with pytest.raises(ValueError, match="at least one drone node"):
-        diff.build_index([], sats, [], [], [7, 8, 9], dcfg())
+        diff.build_index([], sats, [], [7, 8, 9], dcfg())
+
+
+def test_index_without_satellites_is_refused():
+    drones = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    with pytest.raises(ValueError, match="at least one satellite node"):
+        diff.build_index(drones, [], drones, [], dcfg(k_graph=1))
+
+
+def test_index_refuses_seeding_rows_that_miss_drone_nodes():
+    # one gd-space row per drone node, or the walk seeds the wrong nodes
+    rng = substream(18, "diff.seed_rows")
+    drones = [rng.standard_normal(4) for _ in range(4)]
+    sats = [rng.standard_normal(4) for _ in range(3)]
+    for gd in (drones[:3], drones + [sats[0]]):
+        with pytest.raises(ValueError, match=f"{len(gd)} gd-space drone rows for 4 drone nodes"):
+            diff.build_index(drones, sats, gd, [7, 8, 9], dcfg(k_graph=2))
 
 
 def test_query_cache_reuse_is_pure():
@@ -639,12 +642,11 @@ def test_query_cache_reuse_is_pure():
     gd = [rng.standard_normal(4) for _ in range(5)]
     cfg = dcfg(k_graph=3, k_init=2)
     queries = [rng.standard_normal(4) for _ in range(4)]
-    shared_index = diff.build_index(drones, sats, gd, [1, 2, 3, 4, 5],
-                                    [6, 7, 8], cfg)
+    shared_index = diff.build_index(drones, sats, gd, [6, 7, 8], cfg)
     for qid, q in enumerate(queries):
         [cached] = diff.query(shared_index, cfg, [qid], [q])
-        [rebuilt] = diff.query(diff.build_index(drones, sats, gd, [1, 2, 3, 4, 5],
-                                                [6, 7, 8], cfg), cfg, [qid], [q])
+        [rebuilt] = diff.query(diff.build_index(drones, sats, gd, [6, 7, 8], cfg),
+                               cfg, [qid], [q])
         assert cached.gallery_ids == rebuilt.gallery_ids
         assert np.allclose(cached.scores, rebuilt.scores)
 
@@ -657,7 +659,7 @@ def retrieval_case(seed, n_drone=120, n_sat=40, n_query=25, dim=6, **cfg_kw):
     sats[5] = sats[2]
     gd = rng.standard_normal((n_drone, dim))
     cfg = dcfg(**{"k_graph": 8, "k_init": 6, **cfg_kw})
-    index = diff.build_index(list(drones), list(sats), list(gd), list(range(n_drone)),
+    index = diff.build_index(list(drones), list(sats), list(gd),
                              list(range(1000, 1000 + n_sat)), cfg)
     return index, cfg, list(rng.standard_normal((n_query, dim)))
 
@@ -665,14 +667,14 @@ def retrieval_case(seed, n_drone=120, n_sat=40, n_query=25, dim=6, **cfg_kw):
 @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99])
 def test_operator_scores_match_a_full_solve(alpha):
     index, cfg, queries = retrieval_case(21, alpha=alpha)
-    graph = index.graph
-    f0 = diff.init_state(queries, index.drone_gd, cfg, graph.size)
-    full = np.linalg.solve(np.eye(graph.size) - alpha * graph.matrix, f0)
-    sat_idx = graph.sat_rows
+    n = len(index.matrix)
+    f0 = diff.init_state(queries, index.drone_gd, cfg, n)
+    full = np.linalg.solve(np.eye(n) - alpha * index.matrix, f0)
+    sat_idx = index.sat_rows
     rankings = diff.query(index, cfg, list(range(len(queries))), queries)
     for j, ranking in enumerate(rankings):
         tol = 1e-12 * float(f0[:, j].max()) / (1.0 - alpha)
-        reference = dict(zip(graph.sat_ids, full[sat_idx, j]))
+        reference = dict(zip(index.sat_ids, full[sat_idx, j]))
         expected = [reference[g] for g in ranking.gallery_ids]
         assert np.allclose(ranking.scores, expected, rtol=0.0, atol=tol)
         # the same order as the solve's, except among scores tied within tol
@@ -696,7 +698,7 @@ def test_operator_is_solved_once_per_index_and_alpha(monkeypatch):
                         lambda a, b: solves.append(b.shape) or solve(a, b))
     first = diff.query(index, cfg, [0, 1], queries[:2])
     diff.query(index, cfg, [2, 3, 4], queries[2:5])
-    assert solves == [(index.graph.size, len(index.graph.sat_ids))]
+    assert solves == [(len(index.matrix), len(index.sat_ids))]
     diff.query(index, replace(cfg, alpha=0.5), [0], queries[:1])
     diff.query(index, replace(cfg, alpha=0.5), [0], queries[:1])
     again = diff.query(index, cfg, [0, 1], queries[:2])
@@ -740,8 +742,7 @@ def small_retrieval(draw):
     cfg = dcfg(
         alpha=draw(st.sampled_from([0.5, 0.9])), k_graph=draw(st.integers(1, n_d + n_s - 1)),
         k_init=draw(st.integers(1, n_d + 1)), closed_form=draw(st.booleans()))
-    index = diff.build_index(drones, sats, gd, list(range(n_d)),
-                             list(range(100, 100 + n_s)), cfg)
+    index = diff.build_index(drones, sats, gd, list(range(100, 100 + n_s)), cfg)
     return index, cfg, queries
 
 
@@ -754,11 +755,11 @@ def test_one_batched_call_ranks_like_one_call_per_query(case):
     that tolerance (duplicated satellites, or unreachable ones that carry
     only rounding noise)."""
     index, cfg, queries = case
-    f0 = diff.init_state(queries, index.drone_gd, cfg, index.graph.size)
+    f0 = diff.init_state(queries, index.drone_gd, cfg, len(index.matrix))
     ids = list(range(len(queries)))
     batched = diff.query(index, cfg, ids, queries)
     for qid, q, ranking in zip(ids, queries, batched):
-        alone_f0 = diff.init_state([q], index.drone_gd, cfg, index.graph.size)
+        alone_f0 = diff.init_state([q], index.drone_gd, cfg, len(index.matrix))
         assert np.array_equal(f0[:, [qid]], alone_f0)
         [alone] = diff.query(index, cfg, [qid], [q])
         assert ranking.query_id == alone.query_id
@@ -769,8 +770,8 @@ def test_one_batched_call_ranks_like_one_call_per_query(case):
                            rtol=0.0, atol=tol)
         in_batch_order = [score[g] for g in ranking.gallery_ids]
         assert all(a >= b - tol for a, b in zip(in_batch_order, in_batch_order[1:]))
-    walk = diff.diffuse_iterative(index.graph.matrix, f0, cfg.alpha, 1000, cfg.tol)
-    per_column = [diff.diffuse_iterative(index.graph.matrix, f0[:, j], cfg.alpha,
+    walk = diff.diffuse_iterative(index.matrix, f0, cfg.alpha, 1000, cfg.tol)
+    per_column = [diff.diffuse_iterative(index.matrix, f0[:, j], cfg.alpha,
                                          1000, cfg.tol).iterations
                   for j in range(len(queries))]
     assert walk.column_iterations.tolist() == per_column
@@ -785,12 +786,11 @@ def test_satellite_weight_iff_reachable():
         sats = [rng.standard_normal(4) for _ in range(n_s)]
         gd = [rng.standard_normal(4) for _ in range(n_d)]
         cfg = dcfg(k_graph=2, k_init=2)
-        index = diff.build_index(drones, sats, gd, list(range(n_d)),
-                                 list(range(10, 10 + n_s)), cfg)
+        index = diff.build_index(drones, sats, gd, list(range(10, 10 + n_s)), cfg)
         query = rng.standard_normal(4)
-        f0 = diff.init_state([query], index.drone_gd, cfg, index.graph.size)[:, 0]
-        state = closed_form(index.graph.matrix, f0, cfg.alpha)
-        adjacency = index.graph.matrix > 0
+        f0 = diff.init_state([query], index.drone_gd, cfg, len(index.matrix))[:, 0]
+        state = closed_form(index.matrix, f0, cfg.alpha)
+        adjacency = index.matrix > 0
         frontier = set(np.nonzero(f0 > 0)[0])
         seen = set(frontier)
         while frontier:
@@ -799,7 +799,7 @@ def test_satellite_weight_iff_reachable():
                 nxt |= set(np.nonzero(adjacency[:, i])[0])
             frontier = nxt - seen
             seen |= nxt
-        for node in range(index.graph.size):
+        for node in range(len(index.matrix)):
             if node in seen:
                 assert state[node] > 0.0
             else:
