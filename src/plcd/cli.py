@@ -35,6 +35,9 @@ CHECKPOINTS = {
     "junior_drone": "junior-drone.npz",
     "shared": "satdrone.npz",
 }
+ROLES = {"senior_ground": enc.ROLE_GROUND, "senior_drone": enc.ROLE_DRONE,
+         "junior_ground": enc.ROLE_GROUND, "junior_drone": enc.ROLE_DRONE,
+         "shared": enc.ROLE_SHARED}  # field -> the role its checkpoint stores
 
 
 def _out_path(raw: str) -> Path:
@@ -93,10 +96,17 @@ def _read_split(path: Path, cfg: RunConfig, part: str) -> dataspace.DatasetSplit
 
 def _load_models(models_dir: Path, cfg: RunConfig, wanted: set[str]) -> pipeline.TrainedModels:
     """The checkpoints of the ``wanted`` ``TrainedModels`` fields; every other
-    encoder stays unset."""
-    return pipeline.TrainedModels(**{
-        attr: _parse(models_dir / name, "checkpoint", enc.load_params, tanh=cfg.encoder_tanh)
-        for attr, name in CHECKPOINTS.items() if attr in wanted})
+    encoder stays unset. A checkpoint whose stored role is not its field's
+    exits: a swapped or copied file would rank with the wrong branch."""
+    models = {}
+    for attr, name in CHECKPOINTS.items():
+        if attr in wanted:
+            path, role = models_dir / name, ROLES[attr]
+            models[attr] = _parse(path, "checkpoint", enc.load_params, tanh=cfg.encoder_tanh)
+            if models[attr].role != role:
+                raise SystemExit(f"{path}: checkpoint for role {role!r} stores role "
+                                 f"{models[attr].role!r}")
+    return pipeline.TrainedModels(**models)
 
 
 def _write_log(path: Path, lines: list[str]) -> None:

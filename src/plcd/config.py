@@ -54,8 +54,6 @@ class RunConfig:
     student_init: str = "fresh"  # or "teacher"
     # region grid
     scales: tuple[int, ...] = (1, 2, 3)
-    width_table: tuple[tuple[int, int], ...] = ((1, 12), (2, 9), (3, 7), (4, 5))
-    reference_side: int = 12
     # diffusion
     alpha: float = 0.9
     gamma: float = 3.0
@@ -69,9 +67,6 @@ class RunConfig:
     # sweeps
     alpha_sweep: tuple[float, ...] = (0.5, 0.7, 0.9, 0.95, 0.99)
     tau_sweep: tuple[float, ...] = (2.0, 0.5, 0.1, 0.05, 0.01)
-
-    def width_table_dict(self) -> dict[int, int]:
-        return dict(self.width_table)
 
     def __post_init__(self) -> None:
         """Every value is checked here, once: a RunConfig that exists is valid.
@@ -88,7 +83,7 @@ class RunConfig:
         if not all(zone.any() for zone in facet_zones(self.num_sections, self.map_side)):
             raise ValueError(f"map_side={self.map_side} too small to host {self.num_sections} "
                              "facet wedges (some wedge would be empty)")
-        region_grid(self.map_side, self.scales, self.width_table_dict(), self.reference_side)
+        region_grid(self.map_side, self.scales)
 
 
 def _at_least(bound: int):
@@ -118,7 +113,6 @@ _RULES = {
     "lr_head": _at_least(0), "lr_body": _at_least(0),  # a rate of 0 freezes a set
     "momentum": ((lambda v: 0 <= v < 1), "must be in [0, 1)"),
     "junior_lr_scale": _at_least(0), "student_init": _either("teacher", "fresh"),
-    "reference_side": _at_least(1),  # before the grid divides by it
     "alpha": _IN_UNIT, "gamma": _at_least(0), "k_graph": _at_least(1),
     "k_init": _at_least(1), "tol": _POSITIVE,
     "closed_form_cap": _at_least(2),  # a graph needs two nodes
@@ -138,11 +132,6 @@ def _parse_bool(raw: str) -> bool:
     return _BOOLS[raw.lower()]
 
 
-def _pair(item: str) -> tuple[int, int]:
-    left, right = item.split(":")
-    return int(left), int(right)
-
-
 def _tuple_codec(parse, text):
     """Comma-separated items, each parsed and formatted by the item codec."""
     return (lambda raw: tuple(parse(t) for t in raw.split(",") if t.strip()),
@@ -158,7 +147,6 @@ _CODECS = {
     "str": (str, str),
     "tuple[int, ...]": _tuple_codec(int, str),
     "tuple[float, ...]": _tuple_codec(*_FLOAT),
-    "tuple[tuple[int, int], ...]": _tuple_codec(_pair, lambda p: f"{p[0]}:{p[1]}"),
 }
 _FIELD_CODECS = {f.name: _CODECS[f.type] for f in fields(RunConfig)}
 

@@ -279,7 +279,8 @@ def build_index(drone_sd_embs: np.ndarray, sat_sd_embs: np.ndarray,
     """The index of a gallery, its nodes the drones and then the satellites.
     Without drone nodes no walk reaches a satellite, and without satellite
     nodes there is nothing to rank, so an empty set of either raises; so
-    does a gd-space stack without one row per drone node."""
+    does a gd-space stack without one row per drone node, or an id list
+    without one id per satellite node."""
     if len(drone_sd_embs) == 0:
         raise ValueError("diffusion needs at least one drone node")
     if len(sat_sd_embs) == 0:
@@ -287,6 +288,8 @@ def build_index(drone_sd_embs: np.ndarray, sat_sd_embs: np.ndarray,
     if len(drone_gd_embs) != len(drone_sd_embs):
         raise ValueError(f"{len(drone_gd_embs)} gd-space drone rows for "
                          f"{len(drone_sd_embs)} drone nodes")
+    if len(sat_ids) != len(sat_sd_embs):
+        raise ValueError(f"{len(sat_ids)} satellite ids for {len(sat_sd_embs)} satellite nodes")
     nodes = np.concatenate((drone_sd_embs, sat_sd_embs))
     return DiffusionIndex(matrix=build_graph(nodes, min(cfg.k_graph, len(nodes) - 1)),
                           sat_ids=[int(i) for i in sat_ids],

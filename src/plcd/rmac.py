@@ -1,11 +1,11 @@
 """Multi-scale rigid-grid regions, per-region max pooling, and the region
 descriptor path built on them.
 
-At scale ``l`` the grid places ``l x l`` square regions whose top-left
-corners sit on a uniform lattice. Region widths come from a configurable
-table (defaults reproduce the 12/9/7/5 progression on a 12-cell map, scaled
-proportionally for other sides); scales without a table entry fall back to
-``round(2 * side / (l + 1))``. Pooling reads a whole map stack
+At scale ``l`` the grid places ``l x l`` square regions of a square map
+whose top-left corners sit on a uniform lattice. Region widths follow one
+fixed rule: 12/9/7/5 cells at scales 1-4 on a 12-cell map, scaled in
+proportion to the map side, and R-MAC's ``round(2 * side / (l + 1))``
+beyond scale 4; a run sets only ``scales``. Pooling reads a whole map stack
 position-major, one max reduction per region over contiguous (n, c) planes.
 
 Region descriptors share an encoder's whole-image parameters: a region's
@@ -40,8 +40,7 @@ from .encoder import EncoderGrads, EncoderParams, unit_rows
 if TYPE_CHECKING:
     from .config import RunConfig
 
-DEFAULT_WIDTH_TABLE: dict[int, int] = {1: 12, 2: 9, 3: 7, 4: 5}
-REFERENCE_SIDE = 12
+WIDTHS_AT_12 = {1: 12, 2: 9, 3: 7, 4: 5}  # scale -> region width on a 12-cell map
 
 
 @dataclass(frozen=True)
@@ -59,12 +58,9 @@ def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-def region_width(side: int, scale: int, width_table: dict[int, int] | None = None,
-                 reference_side: int = REFERENCE_SIDE) -> int:
-    table = DEFAULT_WIDTH_TABLE if width_table is None else width_table
-    if scale in table:
-        base = table[scale]
-        width = base if side == reference_side else _round_half_up(base * side / reference_side)
+def region_width(side: int, scale: int) -> int:
+    if scale in WIDTHS_AT_12:
+        width = _round_half_up(WIDTHS_AT_12[scale] * side / 12)
     else:
         width = _round_half_up(2 * side / (scale + 1))
     if not 1 <= width <= side:
@@ -81,18 +77,9 @@ def _offsets(side: int, width: int, scale: int) -> list[int]:
     return [_round_half_up(i * (side - width) / (scale - 1)) for i in range(scale)]
 
 
-def region_grid(map_shape: int | tuple[int, int], scales: Iterable[int],
-                width_table: dict[int, int] | None = None,
-                reference_side: int = REFERENCE_SIDE) -> list[Region]:
-    """Regions for all scales, ordered by ascending scale then row-major centers.
-
-    ``map_shape`` is either a square side or (height, width); rectangular maps
-    apply the width rule per axis.
-    """
-    if isinstance(map_shape, tuple):
-        height, width = map_shape
-    else:
-        height = width = int(map_shape)
+def region_grid(side: int, scales: Iterable[int]) -> list[Region]:
+    """Regions of a ``side x side`` map for all scales, ordered by ascending
+    scale then row-major centers."""
     scales = sorted(set(int(l) for l in scales))
     if not scales:
         raise ValueError("scales must be non-empty")
@@ -100,18 +87,20 @@ def region_grid(map_shape: int | tuple[int, int], scales: Iterable[int],
         raise ValueError(f"scales must be >= 1 (got {min(scales)})")
     regions: list[Region] = []
     for scale in scales:
-        w = region_width(width, scale, width_table, reference_side)
-        h = region_width(height, scale, width_table, reference_side)
-        for y0 in _offsets(height, h, scale):
-            for x0 in _offsets(width, w, scale):
-                regions.append(Region(scale=scale, x0=x0, y0=y0, width=w, height=h))
+        width = region_width(side, scale)
+        offsets = _offsets(side, width, scale)
+        regions += [Region(scale=scale, x0=x0, y0=y0, width=width, height=width)
+                    for y0 in offsets for x0 in offsets]
     return regions
 
 
 def config_grid(cfg: RunConfig, map_shape: tuple[int, int, int]) -> list[Region]:
-    """The grid a run config sets for (channels, height, width) maps."""
-    return region_grid((map_shape[1], map_shape[2]), cfg.scales, cfg.width_table_dict(),
-                       cfg.reference_side)
+    """The grid a run config sets, the one it checked at load; (channels,
+    height, width) maps of another shape than ``map_side`` square raise."""
+    if map_shape[1:] != (cfg.map_side, cfg.map_side):
+        raise ValueError(f"maps are {map_shape[1]}x{map_shape[2]} but the run config's "
+                         f"map_side is {cfg.map_side}")
+    return region_grid(cfg.map_side, cfg.scales)
 
 
 def _window(region: Region, map_shape: tuple[int, int, int]) -> tuple[slice, slice]:

@@ -156,7 +156,7 @@ def _region_cases(rng: np.random.Generator):
     """Parameter-level cases: ``weight`` and ``bias`` of a tiny tanh encoder
     through the batched region path, as the trainers chain it."""
     map_shape, n, dim = (2, 3, 3), 3, 4
-    grid = rmac.region_grid(3, (1, 2), width_table={1: 3, 2: 2}, reference_side=3)
+    grid = rmac.region_grid(3, (1, 2))
     cache = PooledCache(grid, map_shape)
     pooled = rng.standard_normal((n, len(grid) + 1, map_shape[0]))
     rows = np.ascontiguousarray((pooled - pooled.mean(axis=-1, keepdims=True)).transpose(1, 0, 2))
@@ -203,7 +203,7 @@ def _step_cases(rng: np.random.Generator):
     encoder. Mining is a discrete choice, so the mined triplets are fixed."""
     map_shape, dim, classes = (2, 3, 3), 3, 2
     input_dim = int(np.prod(map_shape))
-    grid = rmac.region_grid(3, (1, 2), width_table={1: 3, 2: 2}, reference_side=3)
+    grid = rmac.region_grid(3, (1, 2))
     cache = PooledCache(grid, map_shape)
 
     def record(rid, view, landmark, section=0):

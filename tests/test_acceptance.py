@@ -127,9 +127,7 @@ def test_criterion_4_metric_oracle():
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_rmac_geometry():
-    grid = rmac.region_grid(12, (1, 2, 3, 4),
-                            width_table={1: 12, 2: 9, 3: 7, 4: 5},
-                            reference_side=12)
+    grid = rmac.region_grid(12, (1, 2, 3, 4))
     count_ok = len(grid) == 30
     widths_ok = {r.scale: (r.width, r.height) for r in grid} == {
         1: (12, 12), 2: (9, 9), 3: (7, 7), 4: (5, 5)}

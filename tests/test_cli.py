@@ -100,9 +100,8 @@ def test_bad_config_value_exits_with_its_message(workspace, tmp_path):
 
 
 @pytest.mark.parametrize("setting, message", [
-    ("reference_side=0", "reference_side must be >= 1 (got 0)"),
     ("scales=0", "scales must be >= 1 (got 0)"),
-    ("width_table=1:0", "width rule gives 0 for scale 1 on side 6"),
+    ("scales=24", "width rule gives 0 for scale 24 on side 6"),
     ("closed_form_cap=0", "closed_form_cap must be >= 2 (got 0)"),
 ])
 def test_values_later_stages_cannot_use_exit_at_load(tmp_path, setting, message):
@@ -579,6 +578,28 @@ def test_ground_drone_dump_needs_the_shared_checkpoint(workspace, tmp_path):
              "--out", tmp_path / "gd"])
     assert "satdrone.npz" in str(err.value)
     assert not (tmp_path / "gd.txt").exists()
+
+
+@pytest.mark.parametrize("mode, swaps, expected, stored", [
+    ("ground-drone", (("junior_ground", "junior_drone"), ("junior_drone", "junior_ground")),
+     "ground", "drone"),
+    ("diffusion", (("junior_ground", "shared"),), "ground", "satdrone"),
+    ("drone-satellite", (("shared", "senior_drone"),), "satdrone", "drone"),
+], ids=["swapped-juniors", "satdrone-as-ground", "drone-as-shared"])
+def test_retrieve_exits_on_a_checkpoint_of_another_role(workspace, tmp_path, mode, swaps,
+                                                        expected, stored):
+    # a swapped or copied checkpoint loads fine but ranks with the wrong branch
+    root, cfg = workspace
+    models = _copy_checkpoints(root, tmp_path / "models", cli.CHECKPOINTS)
+    for attr, source in swaps:
+        (models / cli.CHECKPOINTS[attr]).write_bytes(
+            (root / "models" / cli.CHECKPOINTS[source]).read_bytes())
+    with pytest.raises(SystemExit) as err:
+        run(["retrieve", "--config", cfg, "--data", root / "data", "--models", models,
+             "--mode", mode, "--out", tmp_path / "r"])
+    path = models / cli.CHECKPOINTS[swaps[0][0]]
+    assert str(err.value) == f"{path}: checkpoint for role {expected!r} stores role {stored!r}"
+    assert not (tmp_path / "r").exists()
 
 
 def test_dump_embeddings_makes_its_directory(workspace, tmp_path):

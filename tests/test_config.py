@@ -56,15 +56,6 @@ def test_malformed_line_reports_location(tmp_path):
         load_config(path)
 
 
-def test_width_table_parse_and_format(tmp_path):
-    cfg = load_config(None, overrides={"width_table": "1:6,2:4"})
-    assert cfg.width_table == ((1, 6), (2, 4))
-    assert cfg.width_table_dict() == {1: 6, 2: 4}
-    path = tmp_path / "run.cfg"
-    write_config(path, cfg)
-    assert load_config(path).width_table == ((1, 6), (2, 4))
-
-
 # key, bad raw value, the message it is rejected with
 INVALID_VALUES = [
     ("num_landmarks", "1", "num_landmarks must be >= 2 (got 1)"),
@@ -98,8 +89,6 @@ INVALID_VALUES = [
     ("batch_pairs", "1", "batch_pairs must be >= 2 (got 1)"),
     ("student_init", "x", "student_init must be 'teacher' or 'fresh' (got 'x')"),
     ("scales", "0", "scales must be >= 1 (got 0)"),
-    ("width_table", "1:0", "width rule gives 0 for scale 1 on side 6; must be within [1, 6]"),
-    ("reference_side", "0", "reference_side must be >= 1 (got 0)"),
     ("alpha", "1.0", "alpha must be in (0, 1) (got 1.0)"),
     ("gamma", "-1.0", "gamma must be >= 0 (got -1.0)"),
     ("alpha_sweep", "0.5,1.5",
@@ -116,7 +105,8 @@ INVALID_VALUES = [
 # each is now an unknown key, whatever its value
 RETIRED = {"num_positives": "0", "warmup_epochs": "0", "mining_space": "drone",
            "decay_epoch": "40", "decay_factor": "0.1", "peer_iterations": "1",
-           "junior_init": "senior", "cmc_per_landmark": "false", "max_iters": "1000"}
+           "junior_init": "senior", "cmc_per_landmark": "false", "max_iters": "1000",
+           "width_table": "1:12,2:9,3:7,4:5", "reference_side": "12"}
 INVALID_VALUES += [(key, raw, f"unknown config key '{key}'") for key, raw in RETIRED.items()]
 
 
@@ -159,7 +149,7 @@ def test_every_field_is_read_by_the_package():
     # a field that no module but config reads is a switch no run can use
     package = Path(plcd.__file__).parent
     text = "\n".join(p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))
-                     if p.name != "config.py").replace(".width_table_dict()", ".width_table")
+                     if p.name != "config.py")
     unread = [f.name for f in fields(RunConfig) if not re.search(rf"\.{f.name}\b", text)]
     assert unread == []
 
@@ -206,7 +196,7 @@ NON_DEFAULTS = dict(
     epochs_patch=4, batch_streets=5, batch_pairs=3, num_negatives=2, tau=0.1 + 0.2,
     lambda1=0.5, lambda2=2.5, margin=1 / 3, lr_head=0.02, lr_body=0.0, momentum=0.5,
     junior_lr_scale=0.25, student_init="teacher",
-    scales=(1, 2), width_table=((1, 6), (2, 4)), reference_side=8, alpha=0.75, gamma=2.0,
+    scales=(1, 2), alpha=0.75, gamma=2.0,
     k_graph=5, k_init=6, tol=1e-6, closed_form=False, closed_form_cap=500,
     ground_drone_relevance="landmark", alpha_sweep=(0.25, 0.8),
     tau_sweep=(1.0, 0.3),

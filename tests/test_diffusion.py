@@ -635,6 +635,16 @@ def test_index_refuses_seeding_rows_that_miss_drone_nodes():
             diff.build_index(drones, sats, gd, [7, 8, 9], dcfg(k_graph=2))
 
 
+def test_index_refuses_ids_that_miss_satellite_nodes():
+    # one id per satellite node, or the first query fails to rank the gallery
+    rng = substream(18, "diff.sat_ids")
+    drones = [rng.standard_normal(4) for _ in range(4)]
+    sats = [rng.standard_normal(4) for _ in range(3)]
+    for ids in ([7, 8], [7, 8, 9, 10]):
+        with pytest.raises(ValueError, match=f"^{len(ids)} satellite ids for 3 satellite nodes$"):
+            diff.build_index(drones, sats, drones, ids, dcfg(k_graph=2))
+
+
 def test_query_cache_reuse_is_pure():
     rng = substream(14, "diff.pure")
     drones = [rng.standard_normal(4) for _ in range(5)]

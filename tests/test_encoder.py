@@ -333,8 +333,7 @@ def _region_fixture(tanh, n=7, map_shape=(4, 6, 6), dim=5):
     """(cache, cells per region, raw pooled (n, k, c), the cache's centered
     (k, n, c) rows, params, rng) for ``n`` random records."""
     rng = substream(13, "t.region")
-    grid = rmac.region_grid(6, (1, 2, 3), width_table={1: 6, 2: 4, 3: 3},
-                            reference_side=6)
+    grid = rmac.region_grid(6, (1, 2, 3))
     cache = rmac.PooledCache(grid, map_shape)
     cells_list = [np.arange(36)] + [rmac.region_cells(r, map_shape) for r in grid]
     records = [make_record(rng, map_shape, rid=i) for i in range(n)]

@@ -89,8 +89,7 @@ def test_patch_loss_decreases_when_trained_alone():
                               substream(33, "student"), tanh=True)
     drones = [r for r in split.train if r.view == ds.DRONE][:4]
     map_shape = drones[0].featmap.shape
-    grid = rmac.region_grid(map_shape[1], (1, 2), width_table={1: 6, 2: 4},
-                            reference_side=6)
+    grid = rmac.region_grid(map_shape[1], (1, 2))
     cache = rmac.PooledCache(grid, map_shape)
     pooled = cache.stack(drones)
     teacher_patches = rmac.region_embed(teacher, cache.blocks(teacher), pooled)[:, 1:]

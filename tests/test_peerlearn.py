@@ -378,8 +378,7 @@ def test_training_log_format():
 
 def _grid_and_params(split):
     rec = split.train[0]
-    grid = rmac.region_grid(rec.featmap.shape[1], (1, 2),
-                            width_table={1: 6, 2: 4}, reference_side=6)
+    grid = rmac.region_grid(rec.featmap.shape[1], (1, 2))
     params = enc.init_params("drone", 8, rec.featmap.size, 2, substream(3, "gp"), tanh=False)
     return grid, params
 

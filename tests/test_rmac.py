@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from plcd import encoder as enc
 from plcd import rmac
+from plcd.config import RunConfig
 from plcd.dataspace import DRONE, ImageRecord
 
 
@@ -49,15 +50,19 @@ def test_width_rule_fallback():
 
 
 def test_width_rule_error():
-    with pytest.raises(ValueError, match="width rule"):
-        rmac.region_width(4, 1, width_table={1: 99}, reference_side=4)
+    # R-MAC's rule rounds to 0 once the scale outgrows the side
+    with pytest.raises(ValueError, match=r"^width rule gives 0 for scale 24 on side 6; "):
+        rmac.region_width(6, 24)
 
 
-def test_rectangular_maps_apply_rule_per_axis():
-    grid = rmac.region_grid((6, 12), (2,))
-    for r in grid:
-        assert r.width == 9 and r.height == rmac.region_width(6, 2)
-        assert r.x0 + r.width <= 12 and r.y0 + r.height <= 6
+@pytest.mark.parametrize("height, width", [(8, 8), (6, 8)])
+def test_config_grid_refuses_maps_of_another_side(height, width):
+    # the grid a stage pools with is the one the config checked at load
+    cfg = RunConfig()
+    assert rmac.config_grid(cfg, (4, 6, 6)) == rmac.region_grid(6, cfg.scales)
+    with pytest.raises(ValueError) as err:
+        rmac.config_grid(cfg, (4, height, width))
+    assert str(err.value) == f"maps are {height}x{width} but the run config's map_side is 6"
 
 
 def reference_pool(fm, region):
@@ -108,7 +113,7 @@ def test_pool_regions_matches_per_region_reference(shape):
     rng = np.random.default_rng(6)
     maps = rng.standard_normal((7, 4, *shape))
     maps[3] = maps[1]  # a duplicated map pools to the same rows
-    grid = rmac.region_grid(shape, (1, 2, 3, 4))
+    grid = rmac.region_grid(min(shape), (1, 2, 3, 4))
     pooled = rmac.pool_regions(maps, grid)
     assert pooled.shape == (7, 1 + len(grid), 4)
     for fm, rows in zip(maps, pooled):
@@ -135,7 +140,7 @@ def test_pool_regions_bit_identical_on_any_stack(height, width, n, channels, lay
             .transpose(2, 3, 0, 1)
     else:
         maps = maps[:, :channels].copy()
-    grid = rmac.region_grid((height, width), (1, 2, 3), width_table={})
+    grid = rmac.region_grid(min(height, width), (1, 2, 3))
     pooled = rmac.pool_regions(maps, grid)
     for fm, rows in zip(np.ascontiguousarray(maps), pooled):  # a record's map
         expected = np.stack([fm.max(axis=(1, 2))] + [reference_pool(fm, r) for r in grid])
