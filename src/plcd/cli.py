@@ -136,7 +136,11 @@ def cmd_train_gd(args, cfg: RunConfig) -> None:
 def cmd_train_sd(args, cfg: RunConfig) -> None:
     split = _read_split(args.data / TRAIN_DATA, cfg, "train")
     teacher = _load_models(args.models, cfg, {"junior_drone"}).junior_drone
-    shared, log = patchmodel.train_satellite_drone(split, teacher, cfg)
+    try:
+        shared, log = patchmodel.train_satellite_drone(split, teacher, cfg)
+    except ValueError as err:
+        raise SystemExit(f"train-sd on {args.data} with teacher "
+                         f"{args.models / CHECKPOINTS['junior_drone']}: {err}")
     args.out.mkdir(parents=True, exist_ok=True)
     enc.save_params(args.out / CHECKPOINTS["shared"], shared)
     _write_log(args.out / "train-sd.log", log)

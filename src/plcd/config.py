@@ -51,7 +51,6 @@ class RunConfig:
     lr_body: float = 0.01
     momentum: float = 0.9
     junior_lr_scale: float = 0.1
-    student_init: str = "fresh"  # or "teacher"
     # region grid
     scales: tuple[int, ...] = (1, 2, 3)
     # diffusion
@@ -61,7 +60,6 @@ class RunConfig:
     k_init: int = 20
     tol: float = 1e-9
     closed_form: bool = True
-    closed_form_cap: int = 2000
     # evaluation
     ground_drone_relevance: str = "facet"  # or "landmark"
     # sweeps
@@ -112,10 +110,9 @@ _RULES = {
     "lambda1": _at_least(0), "lambda2": _at_least(0), "margin": _POSITIVE,
     "lr_head": _at_least(0), "lr_body": _at_least(0),  # a rate of 0 freezes a set
     "momentum": ((lambda v: 0 <= v < 1), "must be in [0, 1)"),
-    "junior_lr_scale": _at_least(0), "student_init": _either("teacher", "fresh"),
+    "junior_lr_scale": _at_least(0),
     "alpha": _IN_UNIT, "gamma": _at_least(0), "k_graph": _at_least(1),
     "k_init": _at_least(1), "tol": _POSITIVE,
-    "closed_form_cap": _at_least(2),  # a graph needs two nodes
     "ground_drone_relevance": _either("facet", "landmark"),
     "alpha_sweep": ((lambda vs: vs and all(0 < v < 1 for v in vs)),
                     "must be one or more values in (0, 1)"),

@@ -24,6 +24,11 @@ from .ranking import RankingList, rank_rows
 if TYPE_CHECKING:
     from .config import RunConfig
 
+# Largest graph the closed form solves: its dense n x n system grows with
+# the square of the node count. Larger graphs need the walk
+# (``closed_form=false``).
+CLOSED_FORM_CAP = 2000
+
 
 @dataclass
 class DiffusionResult:
@@ -215,7 +220,7 @@ def _walk_budget(f0: np.ndarray, alpha: float, tol: float) -> int:
 
 
 def closed_form_operator(matrix: np.ndarray, rows: Sequence[int], alpha: float,
-                         cap: int = 2000) -> np.ndarray:
+                         cap: int = CLOSED_FORM_CAP) -> np.ndarray:
     """Rows ``rows`` of (I - alpha * S)^-1, shape (len(rows), n), from one
     solve of the transposed system with one right-hand side per row; the
     solution x of (I - alpha * S) x = f0 at those rows is then
@@ -301,10 +306,11 @@ def query(index: DiffusionIndex, cfg: RunConfig, query_ids: Sequence[int],
           query_embs: Sequence[np.ndarray]) -> list[RankingList]:
     """Rank the satellite gallery for a batch of ground queries, all solved
     (or walked) together; one query is a batch of one. ``cfg`` sets the walk
-    (``alpha``, ``k_init``, ``gamma``, ``closed_form`` with its cap,
-    ``tol``); its ``k_graph`` must be the index's. The cap bounds a solve,
-    and a memoized operator runs none, so reusing one for ``alpha`` does
-    not check the cap again.
+    (``alpha``, ``k_init``, ``gamma``, ``closed_form``, ``tol``); its
+    ``k_graph`` must be the index's. The closed form refuses a graph above
+    ``CLOSED_FORM_CAP`` nodes. The cap bounds a solve, and a memoized
+    operator runs none, so reusing one for ``alpha`` does not check the cap
+    again.
 
     Drone reference records enter only through their embeddings: the index
     holds no drone ids. The iterative walk runs within a budget that
@@ -322,7 +328,7 @@ def query(index: DiffusionIndex, cfg: RunConfig, query_ids: Sequence[int],
         operator = index.operators.get(cfg.alpha)
         if operator is None:
             operator = index.operators[cfg.alpha] = closed_form_operator(
-                index.matrix, index.sat_rows, cfg.alpha, cfg.closed_form_cap)
+                index.matrix, index.sat_rows, cfg.alpha, CLOSED_FORM_CAP)
         scores = apply_operator(operator, f0)
     else:
         budget = _walk_budget(f0, cfg.alpha, cfg.tol)

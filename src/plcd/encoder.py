@@ -47,9 +47,8 @@ class EncoderParams:
     def classes(self) -> int:
         return self.classifier_weight.shape[0]
 
-    def copy(self, role: str | None = None) -> "EncoderParams":
-        return replace(self, role=self.role if role is None else role,
-                       **{name: getattr(self, name).copy() for name in PARAM_NAMES})
+    def copy(self) -> "EncoderParams":
+        return replace(self, **{name: getattr(self, name).copy() for name in PARAM_NAMES})
 
 
 # Keeps typical squared distances between fresh embeddings O(1); larger

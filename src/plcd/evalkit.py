@@ -1,8 +1,9 @@
 """Retrieval metrics (CMC@K, CMC@1%, mAP) and ablation harnesses.
 
-Metric internals accumulate with plain Python floats in ranking order so an
-independent recount that walks raw score matrices in the same order can be
-compared bit for bit.
+``metrics_report`` walks each ranking once, for its first relevant position
+and its AP, and derives every figure from those. It accumulates with plain
+Python floats in ranking order, so an independent recount that walks raw
+score matrices in the same order can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -35,62 +36,33 @@ class MetricsReport:
         }
 
 
-def _check_relevance(rankings: Sequence[RankingList],
-                     relevance: Mapping[int, set]) -> None:
-    for r in rankings:
-        relevant = relevance.get(r.query_id)
-        if not relevant:
-            raise ValueError(f"query {r.query_id} has no relevant gallery item")
-
-
-def cmc_at_k(rankings: Sequence[RankingList], relevance: Mapping[int, set],
-             k: int) -> float:
-    """Fraction of queries whose top-k contains a relevant item, each query
-    counted once whatever its landmark."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1 (got {k})")
-    _check_relevance(rankings, relevance)
-    hits = []
-    for r in rankings:
-        relevant = relevance[r.query_id]
-        hits.append(1.0 if any(g in relevant for g in r.gallery_ids[:k]) else 0.0)
-    return sum(hits) / len(hits)
-
-
-def cmc_at_1pct(rankings: Sequence[RankingList], relevance: Mapping[int, set],
-                gallery_size: int) -> float:
-    """CMC@K with K = ceil(1% of the gallery size), so K is always >= 1."""
-    if gallery_size < 1:
-        raise ValueError(f"gallery_size must be >= 1 (got {gallery_size})")
-    return cmc_at_k(rankings, relevance, math.ceil(0.01 * gallery_size))
-
-
-def average_precision(ranking: RankingList, relevant: set) -> float:
-    hits = 0
-    terms = []
-    for pos, gid in enumerate(ranking.gallery_ids, start=1):
-        if gid in relevant:
-            hits += 1
-            terms.append(hits / pos)
-    if not terms:
-        raise ValueError(f"query {ranking.query_id} has no relevant gallery item")
-    return sum(terms) / len(terms)
-
-
-def mean_average_precision(rankings: Sequence[RankingList],
-                           relevance: Mapping[int, set]) -> float:
-    _check_relevance(rankings, relevance)
-    aps = [average_precision(r, relevance[r.query_id]) for r in rankings]
-    return sum(aps) / len(aps)
-
-
 def metrics_report(rankings: Sequence[RankingList], relevance: Mapping[int, set],
                    gallery_size: int, ks: Sequence[int] = (1, 5, 10)) -> MetricsReport:
-    cmc = {k: cmc_at_k(rankings, relevance, min(k, gallery_size)) for k in ks}
+    """CMC@k for each k in ``ks``, CMC@1% and mAP, from one walk over each
+    ranking. A query counts towards CMC@k once, when its first relevant item
+    sits at a position <= k (k capped at the gallery size); CMC@1% takes
+    k = ceil(1% of the gallery size), so k >= 1. A query's AP sums
+    hits/position over its relevant positions in ranking order. A query
+    whose ranking holds no relevant item raises."""
+    if gallery_size < 1:
+        raise ValueError(f"gallery_size must be >= 1 (got {gallery_size})")
+    firsts, aps = [], []
+    for r in rankings:
+        relevant = relevance.get(r.query_id) or ()
+        positions = [pos for pos, gid in enumerate(r.gallery_ids, start=1) if gid in relevant]
+        if not positions:
+            raise ValueError(f"query {r.query_id} has no relevant gallery item")
+        firsts.append(positions[0])
+        aps.append(sum(hits / pos for hits, pos in enumerate(positions, start=1))
+                   / len(positions))
+
+    def cmc(k: int) -> float:
+        return sum(1 for first in firsts if first <= k) / len(firsts)
+
     return MetricsReport(
-        cmc=cmc,
-        cmc_at_1pct=cmc_at_1pct(rankings, relevance, gallery_size),
-        mean_ap=mean_average_precision(rankings, relevance),
+        cmc={k: cmc(min(k, gallery_size)) for k in ks},
+        cmc_at_1pct=cmc(math.ceil(0.01 * gallery_size)),
+        mean_ap=sum(aps) / len(aps),
         num_queries=len(rankings),
     )
 

@@ -28,19 +28,12 @@ if TYPE_CHECKING:
     from .config import RunConfig
 
 
-def drone_branch(params: enc.EncoderParams) -> enc.EncoderParams:
-    """Drone-side view of the shared encoder (same object as the satellite side)."""
-    return params
-
-
-def satellite_branch(params: enc.EncoderParams) -> enc.EncoderParams:
-    """Satellite-side view of the shared encoder (same object as the drone side)."""
-    return params
-
-
 def train_satellite_drone(split: DatasetSplit, teacher: enc.EncoderParams,
                           cfg: RunConfig):
-    """Train the shared encoder; the teacher is read-only.
+    """Train the shared encoder; the teacher is read-only. A teacher whose
+    input size is not the data's, or whose dimension is not
+    ``cfg.embed_dim``, raises before training: the student could not match
+    its regions.
 
     Returns (shared_params, log_lines); the log columns are
     ``epoch step loss_triplet loss_patch total``.
@@ -56,13 +49,12 @@ def train_satellite_drone(split: DatasetSplit, teacher: enc.EncoderParams,
 
     map_shape = next(iter(satellites.values())).featmap.shape
     input_dim = int(np.prod(map_shape))
-    if cfg.student_init == "teacher":
-        params = teacher.copy(role=enc.ROLE_SHARED)
-    else:
-        params = enc.init_params(enc.ROLE_SHARED, cfg.embed_dim, input_dim,
-                                 teacher.classes,
-                                 substream(cfg.seed, "patchmodel.init"),
-                                 cfg.encoder_tanh)
+    if (teacher.input_dim, teacher.dim) != (input_dim, cfg.embed_dim):
+        raise ValueError(f"teacher maps {teacher.input_dim} inputs to {teacher.dim} "
+                         f"dimensions, but the data's maps hold {input_dim} values and "
+                         f"the run config's embed_dim is {cfg.embed_dim}")
+    params = enc.init_params(enc.ROLE_SHARED, cfg.embed_dim, input_dim, teacher.classes,
+                             substream(cfg.seed, "patchmodel.init"), cfg.encoder_tanh)
     rng = substream(cfg.seed, "patchmodel.train")
     state = enc.new_sgd_state(params, cfg.lr_head, cfg.lr_body, cfg.momentum)
     cache = rmac.PooledCache(rmac.config_grid(cfg, map_shape), map_shape)

@@ -149,8 +149,7 @@ def ground_drone_rankings(cfg: RunConfig, split: DatasetSplit,
 def drone_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
                              shared: enc.EncoderParams) -> list[RankingList]:
     drones, sats = _task_records(split, "drone-satellite")
-    scores = cosine_scores(_unit_embs(patchmodel.drone_branch(shared), drones),
-                           _unit_embs(patchmodel.satellite_branch(shared), sats))
+    scores = cosine_scores(_unit_embs(shared, drones), _unit_embs(shared, sats))
     return rank_rows(_ids(drones), _ids(sats), scores)
 
 
@@ -186,8 +185,8 @@ def ground_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
         drones = _drone_records(split)
         drone_gd = enc.unit_rows(drone_features(cfg, models.junior_drone, drones))
         hops = row_order(cosine_scores(queries, drone_gd), _ids(drones))[:, 0]
-        queries = _unit_embs(patchmodel.drone_branch(models.shared), drones)[hops]
-    gallery = _unit_embs(patchmodel.satellite_branch(models.shared), sats)
+        queries = _unit_embs(models.shared, drones)[hops]
+    gallery = _unit_embs(models.shared, sats)
     return rank_rows(_ids(grounds), _ids(sats), cosine_scores(queries, gallery))
 
 

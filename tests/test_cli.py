@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from plcd import cli, dataspace, pipeline
+from plcd import encoder as enc
+from plcd.seeds import substream
 from support import read_embeddings
 
 TINY = {
@@ -102,7 +104,7 @@ def test_bad_config_value_exits_with_its_message(workspace, tmp_path):
 @pytest.mark.parametrize("setting, message", [
     ("scales=0", "scales must be >= 1 (got 0)"),
     ("scales=24", "width rule gives 0 for scale 24 on side 6"),
-    ("closed_form_cap=0", "closed_form_cap must be >= 2 (got 0)"),
+    ("closed_form_cap=0", "unknown config key 'closed_form_cap'"),
 ])
 def test_values_later_stages_cannot_use_exit_at_load(tmp_path, setting, message):
     # these once passed gen-data and died with a traceback in training or retrieval
@@ -600,6 +602,30 @@ def test_retrieve_exits_on_a_checkpoint_of_another_role(workspace, tmp_path, mod
     path = models / cli.CHECKPOINTS[swaps[0][0]]
     assert str(err.value) == f"{path}: checkpoint for role {expected!r} stores role {stored!r}"
     assert not (tmp_path / "r").exists()
+
+
+def test_train_sd_exits_on_a_teacher_that_does_not_fit(workspace, tmp_path):
+    # once a traceback from the patch loss: the 8-d juniors against a 16-d
+    # student, and a teacher of 99 inputs against 4x6x6 maps
+    root, cfg = workspace
+    teacher = root / "models" / cli.CHECKPOINTS["junior_drone"]
+    with pytest.raises(SystemExit) as err:
+        run(["train-sd", "--config", cfg, "--set", "embed_dim=16", "--data", root / "data",
+             "--models", root / "models", "--out", tmp_path / "sd"])
+    assert str(err.value) == (
+        f"train-sd on {root / 'data'} with teacher {teacher}: teacher maps 144 inputs to "
+        "8 dimensions, but the data's maps hold 144 values and the run config's "
+        "embed_dim is 16")
+    models = tmp_path / "models"
+    models.mkdir()
+    enc.save_params(models / cli.CHECKPOINTS["junior_drone"], enc.init_params(
+        enc.ROLE_DRONE, 8, 99, 4, substream(0, "test.teacher"), tanh=True))
+    with pytest.raises(SystemExit) as err:
+        run(["train-sd", "--config", cfg, "--data", root / "data",
+             "--models", models, "--out", tmp_path / "sd"])
+    assert str(models / cli.CHECKPOINTS["junior_drone"]) in str(err.value)
+    assert "teacher maps 99 inputs to 8 dimensions" in str(err.value)
+    assert not (tmp_path / "sd").exists()
 
 
 def test_dump_embeddings_makes_its_directory(workspace, tmp_path):

@@ -87,7 +87,6 @@ INVALID_VALUES = [
     ("lr_body", "-0.01", "lr_body must be >= 0 (got -0.01)"),
     ("lambda2", "-1.0", "lambda2 must be >= 0 (got -1.0)"),
     ("batch_pairs", "1", "batch_pairs must be >= 2 (got 1)"),
-    ("student_init", "x", "student_init must be 'teacher' or 'fresh' (got 'x')"),
     ("scales", "0", "scales must be >= 1 (got 0)"),
     ("alpha", "1.0", "alpha must be in (0, 1) (got 1.0)"),
     ("gamma", "-1.0", "gamma must be >= 0 (got -1.0)"),
@@ -97,7 +96,6 @@ INVALID_VALUES = [
     ("k_graph", "0", "k_graph must be >= 1 (got 0)"),
     ("k_init", "0", "k_init must be >= 1 (got 0)"),
     ("tol", "0.0", "tol must be positive (got 0.0)"),
-    ("closed_form_cap", "1", "closed_form_cap must be >= 2 (got 1)"),
     ("ground_drone_relevance", "facets",
      "ground_drone_relevance must be 'facet' or 'landmark' (got 'facets')"),
 ]
@@ -106,7 +104,8 @@ INVALID_VALUES = [
 RETIRED = {"num_positives": "0", "warmup_epochs": "0", "mining_space": "drone",
            "decay_epoch": "40", "decay_factor": "0.1", "peer_iterations": "1",
            "junior_init": "senior", "cmc_per_landmark": "false", "max_iters": "1000",
-           "width_table": "1:12,2:9,3:7,4:5", "reference_side": "12"}
+           "width_table": "1:12,2:9,3:7,4:5", "reference_side": "12",
+           "student_init": "fresh", "closed_form_cap": "2000"}
 INVALID_VALUES += [(key, raw, f"unknown config key '{key}'") for key, raw in RETIRED.items()]
 
 
@@ -195,9 +194,9 @@ NON_DEFAULTS = dict(
     train_fraction=0.6, embed_dim=16, encoder_tanh=False, epochs_senior=2, epochs_junior=3,
     epochs_patch=4, batch_streets=5, batch_pairs=3, num_negatives=2, tau=0.1 + 0.2,
     lambda1=0.5, lambda2=2.5, margin=1 / 3, lr_head=0.02, lr_body=0.0, momentum=0.5,
-    junior_lr_scale=0.25, student_init="teacher",
+    junior_lr_scale=0.25,
     scales=(1, 2), alpha=0.75, gamma=2.0,
-    k_graph=5, k_init=6, tol=1e-6, closed_form=False, closed_form_cap=500,
+    k_graph=5, k_init=6, tol=1e-6, closed_form=False,
     ground_drone_relevance="landmark", alpha_sweep=(0.25, 0.8),
     tau_sweep=(1.0, 0.3),
 )

@@ -730,8 +730,9 @@ def test_alpha_sweep_on_a_shared_index_equals_fresh_indexes():
             [(r.gallery_ids, r.scores) for r in alone]
 
 
-def test_query_above_the_cap_raises():
-    index, cfg, queries = retrieval_case(25, n_drone=30, n_sat=10, closed_form_cap=39)
+def test_query_above_the_cap_raises(monkeypatch):
+    monkeypatch.setattr(diff, "CLOSED_FORM_CAP", 39)
+    index, cfg, queries = retrieval_case(25, n_drone=30, n_sat=10)
     with pytest.raises(ValueError, match="graph size 40 exceeds the direct-solve cap 39"):
         diff.query(index, cfg, [0], queries[:1])
     assert not index.operators

@@ -194,45 +194,44 @@ def test_read_ranking_compares_ids_and_ranks_as_integers(tmp_path):
 
 def test_cmc_rank_three_hand_case():
     r = make_ranking(1, [(10, 0.9), (11, 0.8), (12, 0.7), (13, 0.6), (14, 0.5)])
-    relevance = {1: {12}}
-    assert evalkit.cmc_at_k([r], relevance, 1) == 0.0
-    assert evalkit.cmc_at_k([r], relevance, 2) == 0.0
-    assert evalkit.cmc_at_k([r], relevance, 3) == 1.0
-    assert evalkit.cmc_at_k([r], relevance, 5) == 1.0
+    report = evalkit.metrics_report([r], {1: {12}}, 5, ks=(1, 2, 3, 5))
+    assert report.cmc == {1: 0.0, 2: 0.0, 3: 1.0, 5: 1.0}
 
 
 def test_cmc_perfect_rankings():
     rankings = [make_ranking(q, [(q * 10, 1.0), (q * 10 + 1, 0.5)])
                 for q in (1, 2, 3)]
     relevance = {q: {q * 10} for q in (1, 2, 3)}
-    for k in (1, 2):
-        assert evalkit.cmc_at_k(rankings, relevance, k) == 1.0
+    assert evalkit.metrics_report(rankings, relevance, 2, ks=(1, 2)).cmc == {1: 1.0, 2: 1.0}
 
 
 def test_cmc_monotone_in_k():
     rng = substream(0, "eval.monotone")
     rankings, relevance = _random_instance(rng, queries=30, gallery=15)
-    values = [evalkit.cmc_at_k(rankings, relevance, k) for k in range(1, 16)]
+    cmc = evalkit.metrics_report(rankings, relevance, 15, ks=range(1, 16)).cmc
+    values = [cmc[k] for k in range(1, 16)]
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert values[-1] == 1.0  # every query has a relevant item
 
 
 def test_cmc_requires_relevant_items():
     r = make_ranking(1, [(2, 0.5)])
-    with pytest.raises(ValueError, match="no relevant"):
-        evalkit.cmc_at_k([r], {1: set()}, 1)
+    with pytest.raises(ValueError, match="query 1 has no relevant gallery item"):
+        evalkit.metrics_report([r], {1: set()}, 1)
+    with pytest.raises(ValueError, match="gallery_size must be >= 1 \\(got 0\\)"):
+        evalkit.metrics_report([r], {1: {2}}, 0)
 
 
 def test_cmc_at_1pct_k_rule():
     r = make_ranking(1, [(10, 0.9), (11, 0.8)])
-    relevance = {1: {10}}
+    relevance = {1: {11}}  # first hit at position 2
     assert math.ceil(0.01 * 951) == 10
-    assert evalkit.cmc_at_1pct([r], relevance, 951) == 1.0  # K=10 > list is fine
+    assert evalkit.metrics_report([r], relevance, 951).cmc_at_1pct == 1.0  # K=10 > list is fine
     # gallery of 100 -> K = 1 exactly; gallery below 100 -> K = 1 too
-    assert evalkit.cmc_at_1pct([r], relevance, 100) == \
-        evalkit.cmc_at_k([r], relevance, 1)
-    assert evalkit.cmc_at_1pct([r], relevance, 40) == \
-        evalkit.cmc_at_k([r], relevance, 1)
+    for gallery_size in (100, 40):
+        report = evalkit.metrics_report([r], relevance, gallery_size)
+        assert report.cmc_at_1pct == report.cmc[1] == 0.0
+    assert evalkit.metrics_report([r], relevance, 101).cmc_at_1pct == 1.0  # K = 2
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +240,14 @@ def test_cmc_at_1pct_k_rule():
 
 def test_ap_hand_case_five_sixths():
     r = make_ranking(1, [(10, 0.9), (11, 0.8), (12, 0.7), (13, 0.6)])
-    ap = evalkit.average_precision(r, {10, 12})
+    ap = evalkit.metrics_report([r], {1: {10, 12}}, 4).mean_ap
     assert ap == (1.0 / 1.0 + 2.0 / 3.0) / 2.0  # bit-exact same-order arithmetic
     assert ap == pytest.approx(5.0 / 6.0, abs=1e-12)
 
 
 def test_map_all_relevant_first():
     r = make_ranking(1, [(10, 0.9), (11, 0.8), (12, 0.7)])
-    assert evalkit.mean_average_precision([r], {1: {10, 11}}) == 1.0
+    assert evalkit.metrics_report([r], {1: {10, 11}}, 3).mean_ap == 1.0
 
 
 def _random_instance(rng, queries, gallery):
@@ -263,14 +262,15 @@ def _random_instance(rng, queries, gallery):
     return rankings, relevance
 
 
-def _brute_force_metrics(score_rows, relevance, k):
-    """Independent recount walking the raw score matrix per query.
+def _brute_force_metrics(score_rows, relevance, ks):
+    """Independent recount walking the raw score matrix per query: CMC at
+    each k of ``ks``, and mAP.
 
     Ranks come from pairwise comparisons with the (score desc, id asc) tie
     rule; AP accumulates with the same float arithmetic order as the metric
     implementation so values can be compared exactly.
     """
-    cmc_hits = []
+    cmc_hits = {k: [] for k in ks}
     aps = []
     for qid, (ids, scores) in score_rows.items():
         relevant = relevance[qid]
@@ -284,10 +284,11 @@ def _brute_force_metrics(score_rows, relevance, k):
                     rank += 1
             ranks[gid] = rank
         rel_ranks = sorted(ranks[g] for g in relevant)
-        cmc_hits.append(1.0 if rel_ranks and rel_ranks[0] <= k else 0.0)
+        for k in ks:
+            cmc_hits[k].append(1.0 if rel_ranks and rel_ranks[0] <= k else 0.0)
         terms = [(i + 1) / rank for i, rank in enumerate(rel_ranks)]
         aps.append(sum(terms) / len(terms))
-    return sum(cmc_hits) / len(cmc_hits), sum(aps) / len(aps)
+    return {k: sum(hits) / len(hits) for k, hits in cmc_hits.items()}, sum(aps) / len(aps)
 
 
 def test_metrics_match_brute_force_recount():
@@ -295,7 +296,6 @@ def test_metrics_match_brute_force_recount():
     for trial in range(50):
         queries = int(rng.integers(2, 10))
         gallery = int(rng.integers(3, 20))
-        k = int(rng.integers(1, gallery + 1))
         score_rows = {}
         rankings = []
         relevance = {}
@@ -308,9 +308,13 @@ def test_metrics_match_brute_force_recount():
             n_rel = int(rng.integers(1, gallery + 1))
             relevance[q] = set(int(i) for i in rng.choice(ids, size=n_rel,
                                                           replace=False))
-        cmc_oracle, map_oracle = _brute_force_metrics(score_rows, relevance, k)
-        assert evalkit.cmc_at_k(rankings, relevance, k) == cmc_oracle
-        assert evalkit.mean_average_precision(rankings, relevance) == map_oracle
+        # every k of one report, and CMC@1%, against one recount
+        ks = range(1, gallery + 1)
+        report = evalkit.metrics_report(rankings, relevance, gallery, ks=ks)
+        cmc_oracle, map_oracle = _brute_force_metrics(score_rows, relevance, ks)
+        assert report.cmc == cmc_oracle
+        assert report.cmc_at_1pct == cmc_oracle[math.ceil(0.01 * gallery)]
+        assert report.mean_ap == map_oracle
 
 
 def test_metrics_invariant_under_gallery_permutation():
@@ -323,8 +327,8 @@ def test_metrics_invariant_under_gallery_permutation():
     perm = list(rng.permutation(gallery))
     shuffled = rank_gallery(0, [ids[i] for i in perm], [scores[i] for i in perm])
     assert base.gallery_ids == shuffled.gallery_ids
-    assert evalkit.mean_average_precision([base], relevance) == \
-        evalkit.mean_average_precision([shuffled], relevance)
+    assert evalkit.metrics_report([base], relevance, gallery) == \
+        evalkit.metrics_report([shuffled], relevance, gallery)
 
 
 def test_metrics_report_json_keys():

@@ -20,8 +20,7 @@ def tiny_split(noise=0.2, seed=11):
 
 def tiny_cfg(**kw):
     defaults = dict(embed_dim=8, epochs_patch=2, batch_pairs=2, margin=0.3,
-                    seed=9, scales=(1, 2), encoder_tanh=True, lr_body=0.001,
-                    student_init="teacher")
+                    seed=9, scales=(1, 2), encoder_tanh=True, lr_body=0.001)
     defaults.update(kw)
     return RunConfig(**defaults)
 
@@ -32,31 +31,12 @@ def make_teacher(split, seed=21):
                            substream(seed, "teacher"), tanh=True)
 
 
-def test_branches_share_one_parameter_object():
-    split = tiny_split()
-    teacher = make_teacher(split)
-    shared, _ = patchmodel.train_satellite_drone(split, teacher, tiny_cfg())
-    assert patchmodel.drone_branch(shared) is patchmodel.satellite_branch(shared)
-    d = patchmodel.drone_branch(shared)
-    s = patchmodel.satellite_branch(shared)
-    assert params_digest(d) == params_digest(s)
-
-
 def test_teacher_untouched_by_training():
     split = tiny_split()
     teacher = make_teacher(split)
     before = params_digest(teacher)
     patchmodel.train_satellite_drone(split, teacher, tiny_cfg())
     assert params_digest(teacher) == before
-
-
-def test_student_init_from_teacher_zero_patch_loss_at_step_zero():
-    split = tiny_split()
-    teacher = make_teacher(split)
-    _, log = patchmodel.train_satellite_drone(
-        split, teacher, tiny_cfg(student_init="teacher", epochs_patch=1))
-    first_patch = float(log[0].split()[3])
-    assert first_patch == pytest.approx(0.0, abs=1e-18)
 
 
 def test_lambda_zero_is_pure_triplet():
