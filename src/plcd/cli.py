@@ -124,7 +124,10 @@ def cmd_gen_data(args, cfg: RunConfig) -> None:
 
 def cmd_train_gd(args, cfg: RunConfig) -> None:
     split = _read_split(args.data / TRAIN_DATA, cfg, "train")
-    senior, junior, logs = pipeline.train_ground_drone(cfg, split)
+    try:
+        senior, junior, logs = pipeline.train_ground_drone(cfg, split)
+    except enc.TrainingDiverged as err:
+        raise SystemExit(f"train-gd on {args.data}: {err}")
     args.out.mkdir(parents=True, exist_ok=True)
     for name, params in zip(CHECKPOINTS.values(), (*senior, *junior)):  # shared is train-sd's
         enc.save_params(args.out / name, params)
@@ -138,7 +141,7 @@ def cmd_train_sd(args, cfg: RunConfig) -> None:
     teacher = _load_models(args.models, cfg, {"junior_drone"}).junior_drone
     try:
         shared, log = patchmodel.train_satellite_drone(split, teacher, cfg)
-    except ValueError as err:
+    except (ValueError, enc.TrainingDiverged) as err:
         raise SystemExit(f"train-sd on {args.data} with teacher "
                          f"{args.models / CHECKPOINTS['junior_drone']}: {err}")
     args.out.mkdir(parents=True, exist_ok=True)
@@ -222,7 +225,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> None:
 def cmd_ablate(args, cfg: RunConfig) -> None:
     try:
         result = evalkit.run_ablation(args.suite, cfg)
-    except ValueError as err:
+    except (ValueError, enc.TrainingDiverged) as err:
         raise SystemExit(str(err))
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)

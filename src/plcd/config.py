@@ -112,7 +112,9 @@ _RULES = {
     "momentum": ((lambda v: 0 <= v < 1), "must be in [0, 1)"),
     "junior_lr_scale": _at_least(0),
     "alpha": _IN_UNIT, "gamma": _at_least(0), "k_graph": _at_least(1),
-    "k_init": _at_least(1), "tol": _POSITIVE,
+    # tol's floor stays clear of rounding: a float walk's step stops shrinking
+    # there (trained graphs met tol 1e-16, not 1e-17 at alpha 0.9) and the walk fails
+    "k_init": _at_least(1), "tol": _at_least(1e-12),
     "ground_drone_relevance": _either("facet", "landmark"),
     "alpha_sweep": ((lambda vs: vs and all(0 < v < 1 for v in vs)),
                     "must be one or more values in (0, 1)"),

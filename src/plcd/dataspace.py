@@ -184,11 +184,7 @@ def split_by_identity(records: list[ImageRecord], train_fraction: float, seed: i
 
     The train count is clamped so both halves stay non-empty.
     """
-    if not 0 < train_fraction < 1:
-        raise ValueError(f"train_fraction must be in (0, 1) (got {train_fraction})")
     identities = sorted({r.landmark for r in records})
-    if len(identities) < 2:
-        raise ValueError(f"need at least 2 identities to split (got {len(identities)})")
     rng = substream(seed, "dataspace.split")
     order = [identities[i] for i in rng.permutation(len(identities))]
     n_train = math.ceil(train_fraction * len(identities))

@@ -105,10 +105,6 @@ def build_graph(node_embs: np.ndarray, k_graph: int) -> np.ndarray:
     which gives (a + a.T) / 2 bit for bit.
     """
     n = len(node_embs)
-    if n < 2:
-        raise ValueError(f"graph needs at least 2 nodes (got {n})")
-    if not 1 <= k_graph < n:
-        raise ValueError(f"k_graph must be in [1, {n - 1}] (got {k_graph})")
     emb = _normalized_rows(node_embs, "graph node")
     sims = emb @ emb.T
     # The product can round byte-identical nodes differently; every column
@@ -149,8 +145,6 @@ def init_state(query_embs: Sequence[np.ndarray], drone_gd: np.ndarray,
     ``drone_gd`` holds the unit-normalized drone rows, as ``DiffusionIndex``
     stores them. A zero query is left unnormalized and seeds nothing.
     """
-    if len(drone_gd) == 0:
-        raise ValueError("init_state needs at least one drone node")
     queries = np.array(query_embs, dtype=float, ndmin=2)
     _reject_non_finite(queries, "query")
     queries = enc.unit_rows(queries)

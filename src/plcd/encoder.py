@@ -172,7 +172,7 @@ class SgdState:
 
     lr_head: float
     lr_body: float
-    momentum: float = 0.9
+    momentum: float
     velocity: dict[str, np.ndarray] = field(default_factory=dict)
 
     def rate(self, name: str) -> float:
@@ -180,11 +180,33 @@ class SgdState:
 
 
 def new_sgd_state(params: EncoderParams, lr_head: float, lr_body: float,
-                  momentum: float = 0.9) -> SgdState:
-    if not 0 <= momentum < 1:
-        raise ValueError(f"momentum must be in [0, 1) (got {momentum})")
+                  momentum: float) -> SgdState:
+    """Zero velocities for ``params``; the rates and ``momentum`` arrive
+    checked by ``RunConfig``."""
     return SgdState(lr_head=lr_head, lr_body=lr_body, momentum=momentum,
                     velocity=new_grads(params).arrays())
+
+
+class TrainingDiverged(RuntimeError):
+    """A training stage's step loss, or a parameter after its last update,
+    is not finite."""
+
+    def __init__(self, stage: str, epoch: int, step: int, what: str):
+        super().__init__(f"{stage} diverged at epoch {epoch} step {step}: {what}")
+
+
+def check_last_update(stage: str, last: tuple[int, int] | None,
+                      params_list: list[EncoderParams]) -> None:
+    """Raise ``TrainingDiverged`` if ``stage``'s last update, at (epoch, step)
+    ``last``, left a parameter non-finite; every earlier update meets the
+    next step's loss check. ``last`` is None when the stage made no update."""
+    if last is None:
+        return
+    for params in params_list:
+        for name in PARAM_NAMES:
+            if not np.isfinite(getattr(params, name)).all():
+                raise TrainingDiverged(stage, *last, f"non-finite value in '{name}' of "
+                                       f"encoder role {params.role}")
 
 
 def sgd_step(params: EncoderParams, grads: EncoderGrads, state: SgdState) -> None:

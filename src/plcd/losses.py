@@ -6,16 +6,13 @@ gradients of their sum with respect to its direct inputs (embeddings,
 logits or scores); trainers scale those by their own averaging and chain
 them into parameter gradients. Softmax-style terms are computed through a
 row-wise log-sum-exp so large squared distances or sharp temperatures
-cannot overflow.
+cannot overflow. Hyperparameters (``tau``, ``margin``) arrive checked by
+``RunConfig``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-class TrainingDiverged(RuntimeError):
-    """A trainer's step loss is not finite."""
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
@@ -81,8 +78,6 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
     Returns (values (n,), grad wrt logits = softmax(logits) - one_hot(labels)).
     """
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("cross_entropy got non-finite logits")
     rows = np.arange(len(logits))
     lse = _logsumexp(logits)
     grad = np.exp(logits - lse[:, None])
@@ -102,8 +97,6 @@ def similarity_log_probs(anchors: np.ndarray, entries: np.ndarray,
     positive image of anchor i, its whole descriptor then its region
     descriptors.
     """
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive (got {tau})")
     if entries.shape[1] < 1:
         raise ValueError("similarity_log_probs needs at least one entry per anchor")
     scaled = np.einsum("nkd,nd->nk", entries, anchors) / tau
@@ -123,12 +116,6 @@ def soft_loss(senior: np.ndarray, junior: np.ndarray):
             f"similarity distributions disagree in length ({senior.shape} vs {junior.shape})")
     senior_probs = np.exp(senior)
     return -np.sum(senior_probs * junior, axis=1), np.exp(junior) - senior_probs
-
-
-def joint_gd_loss(hard_value: float, soft_value: float, lambda1: float) -> float:
-    if lambda1 < 0:
-        raise ValueError(f"lambda1 must be >= 0 (got {lambda1})")
-    return hard_value + lambda1 * soft_value
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +148,6 @@ def semi_hard_triplet_loss(anchors: np.ndarray, positive_idx: np.ndarray,
     Returns (values (n,), grads) with grads keys ``anchors`` (n, d) and
     ``gallery`` (g, d); gallery gradients accumulate over anchors.
     """
-    if margin <= 0:
-        raise ValueError(f"margin must be positive (got {margin})")
     if len(gallery) < 2:
         raise ValueError("semi_hard_triplet_loss needs a non-empty negative pool")
     if len(anchors) != len(positive_idx):
@@ -184,9 +169,3 @@ def semi_hard_triplet_loss(anchors: np.ndarray, positive_idx: np.ndarray,
     scatter_add(g_gallery, pick, np.where(active, 2.0 * diffs[rows, pick], 0.0))
     return np.maximum(hinge, 0.0), {"anchors": np.where(active, 2.0 * (n - p), 0.0),
                                     "gallery": g_gallery}
-
-
-def joint_sd_loss(triplet_value: float, patch_value: float, lambda2: float) -> float:
-    if lambda2 < 0:
-        raise ValueError(f"lambda2 must be >= 0 (got {lambda2})")
-    return triplet_value + lambda2 * patch_value

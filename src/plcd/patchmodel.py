@@ -33,7 +33,8 @@ def train_satellite_drone(split: DatasetSplit, teacher: enc.EncoderParams,
     """Train the shared encoder; the teacher is read-only. A teacher whose
     input size is not the data's, or whose dimension is not
     ``cfg.embed_dim``, raises before training: the student could not match
-    its regions.
+    its regions. A non-finite loss or gradient, or a non-finite parameter at
+    the end, raises ``enc.TrainingDiverged``.
 
     Returns (shared_params, log_lines); the log columns are
     ``epoch step loss_triplet loss_patch total``.
@@ -59,7 +60,9 @@ def train_satellite_drone(split: DatasetSplit, teacher: enc.EncoderParams,
     state = enc.new_sgd_state(params, cfg.lr_head, cfg.lr_body, cfg.momentum)
     cache = rmac.PooledCache(rmac.config_grid(cfg, map_shape), map_shape)
     frozen = (teacher, cache.blocks(teacher))  # blocks once per run
+    stage = "satellite-drone"
     log: list[str] = []
+    last = None  # (epoch, step) of the last update
 
     for epoch in range(cfg.epochs_patch):
         order = rng.permutation(len(landmarks))
@@ -73,12 +76,16 @@ def train_satellite_drone(split: DatasetSplit, teacher: enc.EncoderParams,
             grads = enc.new_grads(params)
             value_triplet, value_patch = _shared_step(
                 params, frozen, drone_recs, sat_recs, cache, cfg, grads)
-            total = losses.joint_sd_loss(value_triplet, value_patch, cfg.lambda2)
+            total = value_triplet + cfg.lambda2 * value_patch
             if not np.isfinite(total):
-                raise losses.TrainingDiverged(
-                    f"non-finite loss {total} at epoch {epoch} step {step}")
-            enc.sgd_step(params, grads, state)
+                raise enc.TrainingDiverged(stage, epoch, step, f"non-finite loss {total}")
+            try:
+                enc.sgd_step(params, grads, state)
+            except ValueError as err:  # a non-finite gradient under a finite loss
+                raise enc.TrainingDiverged(stage, epoch, step, str(err)) from None
+            last = epoch, step
             log.append(f"{epoch} {step} {value_triplet:.6f} {value_patch:.6f} {total:.6f}")
+    enc.check_last_update(stage, last, [params])
     return params, log
 
 

@@ -87,8 +87,6 @@ def mine_rows(anchors: np.ndarray, candidates: np.ndarray, ids: np.ndarray,
     (m,), the negatives (m, k) with k = min(num_negatives, largest pool) and
     the (m, k) ``live`` mask of anchors holding fewer than k.
     """
-    if num_negatives < 1:
-        raise ValueError(f"num_negatives must be >= 1 (got {num_negatives})")
     if not positive.any(axis=1).all():
         raise ValueError("every anchor needs a positive candidate")
     if not pool.any(axis=1).all():
@@ -294,7 +292,9 @@ def _train_pair(ctx, cfg, ground_params, drone_params, rng, epochs: int,
     """The loop both training steps share. Per batch: one ``_Step``, which
     mines when ``mining``; one ``_draw`` (Step II when ``senior`` is given);
     one stacked call per objective; one step backward and one SGD step per
-    parameter set, at a constant rate. Returns the log lines."""
+    parameter set, at a constant rate. A non-finite loss or gradient, or a
+    non-finite parameter at the end, raises ``enc.TrainingDiverged``.
+    Returns the log lines."""
     cache = rmac.PooledCache(rmac.config_grid(cfg, ctx.map_shape), ctx.map_shape)
     if senior is not None:  # frozen, so its weight blocks serve every step
         senior = (*senior, cache.blocks(senior[1]))
@@ -302,7 +302,9 @@ def _train_pair(ctx, cfg, ground_params, drone_params, rng, epochs: int,
     params_list = [ground_params] if shared else [ground_params, drone_params]
     states = [enc.new_sgd_state(p, cfg.lr_head * rate_scale, cfg.lr_body * rate_scale,
                                 cfg.momentum) for p in params_list]
+    stage = "Step I" if senior is None else "Step II"
     log: list[str] = []
+    last = None  # (epoch, step) of the last update
     for epoch in range(epochs):
         for step_idx, entries in enumerate(_epoch_batches(ctx, cfg, rng)):
             # ``step`` holds the previous step until this one is built, so its
@@ -319,15 +321,19 @@ def _train_pair(ctx, cfg, ground_params, drone_params, rng, epochs: int,
             soft = 0.0
             if senior is not None:
                 soft = _soft_terms(step, step.cand_rows[doublets], cfg.tau, cfg.lambda1).mean()
-            total = losses.joint_gd_loss(hard, soft, cfg.lambda1)
+            total = hard + cfg.lambda1 * soft
             if not np.isfinite(total):
-                raise losses.TrainingDiverged(
-                    f"non-finite loss {total} at epoch {epoch} step {step_idx}")
+                raise enc.TrainingDiverged(stage, epoch, step_idx, f"non-finite loss {total}")
             step.backward()
-            for params, grads, state in zip(params_list, step.grads, states):
-                enc.scale_grads(grads, 1.0 / len(step.anchors))
-                enc.sgd_step(params, grads, state)
+            try:
+                for params, grads, state in zip(params_list, step.grads, states):
+                    enc.scale_grads(grads, 1.0 / len(step.anchors))
+                    enc.sgd_step(params, grads, state)
+            except ValueError as err:  # a non-finite gradient under a finite loss
+                raise enc.TrainingDiverged(stage, epoch, step_idx, str(err)) from None
+            last = epoch, step_idx
             log.append(f"{epoch} {step_idx} {hard:.6f} {soft:.6f} {total:.6f}")
+    enc.check_last_update(stage, last, params_list)
     return log
 
 

@@ -275,8 +275,6 @@ def _descriptor_blocks(params: EncoderParams, grid: list[Region], records: list[
     one position-major stack (``pooled_stack``). A lone trailing record
     joins the block before it: a one-row product takes numpy's vector path,
     whose low bits differ from every stacked one."""
-    if not grid:
-        raise ValueError("region descriptors need a non-empty grid")
     rows = pooled_stack(grid, records)
     blocks = PooledCache(grid, records[0].featmap.shape).blocks(params)
     starts = list(range(0, len(records), RETRIEVAL_BLOCK))

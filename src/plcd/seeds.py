@@ -14,8 +14,6 @@ import numpy as np
 
 def substream(seed: int, name: str) -> np.random.Generator:
     """Return a generator keyed by (seed, name), stable across runs and platforms."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative (got {seed})")
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in (0, 4, 8, 12)]
     return np.random.default_rng(np.random.SeedSequence([int(seed), *words]))

@@ -106,7 +106,7 @@ def _loss_cases(rng: np.random.Generator, dim: int = 5):
         a, p, negs, lg, entries = params
         hard_value, hard_grads = hard(a, p, negs, lg)
         soft_value, (g_anchors_soft, g_entries) = soft(a, entries)
-        value = losses.joint_gd_loss(hard_value, soft_value, lambda1)
+        value = hard_value + lambda1 * soft_value
         return value, [hard_grads[0] + lambda1 * g_anchors_soft, *hard_grads[1:],
                        lambda1 * g_entries]
 
@@ -141,7 +141,7 @@ def _loss_cases(rng: np.random.Generator, dim: int = 5):
         a, gallery, student_p = params
         t_value, t_grads = triplet(a, gallery)
         p_values, p_grad = losses.patch_mse_loss(teacher, student_p)
-        value = losses.joint_sd_loss(t_value, p_values.sum(), lambda2)
+        value = t_value + lambda2 * p_values.sum()
         return value, [*t_grads, lambda2 * p_grad]
 
     cases.append(("joint-satellite-drone", joint_sd_fn,

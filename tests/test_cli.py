@@ -679,3 +679,81 @@ def test_evaluate_echoes_a_config_that_reproduces_it(workspace, tmp_path):
     assert run(["evaluate", "--config", echoed, "--rankings", rankings,
                 "--data", test_data, "--task", "ground-drone", "--out", second]) == 0
     assert (second / "metrics.json").read_bytes() == (first / "metrics.json").read_bytes()
+
+
+def _train_args(command, root, cfg, settings, out):
+    """``command`` on the workspace with ``--set`` for each of ``settings``."""
+    args = [command, "--config", cfg, *[a for s in settings for a in ("--set", s)]]
+    if command == "ablate":
+        return args + ["--suite", "mapping-methods", "--out", out]
+    if command == "train-sd":
+        args += ["--models", root / "models"]
+    return args + ["--data", root / "data", "--out", out]
+
+
+# Each once ended otherwise: a traceback from cross_entropy's logits check,
+# from sgd_step's gradient check or from the trainers' loss check, or, when
+# the stage's only update went non-finite, exit 0 with a checkpoint that
+# retrieve refuses. At TINY, every stage takes one step per epoch.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy notes each overflow
+@pytest.mark.parametrize("command, settings, where, what", [
+    ("train-gd", ["lr_head=1e308"], "Step I diverged at epoch 1 step 0",
+     "non-finite gradient"),
+    ("train-gd", ["lr_head=1e308", "lr_body=1e308", "epochs_senior=1", "epochs_junior=0"],
+     "Step I diverged at epoch 0 step 0", "non-finite value"),
+    ("train-gd", ["lr_head=1e308", "lr_body=1e308", "junior_lr_scale=1", "epochs_senior=0",
+                  "epochs_junior=1"], "Step II diverged at epoch 0 step 0", "non-finite value"),
+    ("train-gd", ["tau=5e-324"], "Step II diverged at epoch 0 step 0", "non-finite loss"),
+    ("train-sd", ["margin=1e308"], "satellite-drone diverged at epoch 0 step 0",
+     "non-finite loss"),
+    ("train-sd", ["lr_body=1e308", "lambda2=10", "epochs_patch=1"],
+     "satellite-drone diverged at epoch 0 step 0", "non-finite value"),
+    ("ablate", ["lr_head=1e308", "lr_body=1e308"], "Step I diverged at epoch 1 step 0",
+     "non-finite value"),
+], ids=["gd-gradient", "gd-last-senior-update", "gd-last-junior-update", "gd-loss",
+        "sd-loss", "sd-last-update", "ablate"])
+def test_diverging_training_exits_naming_stage_epoch_and_step(workspace, tmp_path, command,
+                                                             settings, where, what):
+    root, cfg = workspace
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        run(_train_args(command, root, cfg, settings, out))
+    prefix = {"train-gd": f"train-gd on {root / 'data'}: ",
+              "train-sd": f"train-sd on {root / 'data'} with teacher "
+                          f"{root / 'models' / cli.CHECKPOINTS['junior_drone']}: ",
+              "ablate": ""}[command]
+    assert str(err.value).startswith(f"{prefix}{where}: {what}")
+    assert not out.exists()
+
+
+# each training rate and weight at 1e308 and at the smallest value its rule
+# accepts, and momentum also at the largest float below 1
+_SMALLEST = {"tau": "5e-324", "margin": "5e-324"}
+EDGE_VALUES = [(command, key, value)
+               for command, keys in (
+                   ("train-gd", ("lr_head", "lr_body", "tau", "lambda1", "momentum",
+                                 "junior_lr_scale")),
+                   ("train-sd", ("lr_head", "lr_body", "lambda2", "margin", "momentum")))
+               for key in keys
+               for value in ("1e308", _SMALLEST.get(key, "0"),
+                             *([repr(np.nextafter(1.0, 0.0))] if key == "momentum" else []))]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy notes each overflow
+@pytest.mark.parametrize("command, key, value", EDGE_VALUES,
+                         ids=[f"{c}-{k}-{v}" for c, k, v in EDGE_VALUES])
+def test_training_at_edge_values_exits_or_writes_loadable_checkpoints(workspace, tmp_path,
+                                                                      command, key, value):
+    root, cfg = workspace
+    out = tmp_path / "out"
+    try:
+        code = run(_train_args(command, root, cfg, [f"{key}={value}"], out))
+    except SystemExit as err:  # a message (exit status 1) or a usage error
+        assert err.code == 2 or (isinstance(err.code, str) and err.code)
+        assert not out.exists()
+        return
+    assert code == 0
+    checkpoints = sorted(out.glob("*.npz"))
+    assert checkpoints
+    for path in checkpoints:
+        enc.load_params(path, tanh=True)

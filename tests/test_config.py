@@ -95,7 +95,7 @@ INVALID_VALUES = [
     ("alpha_sweep", "", "alpha_sweep must be one or more values in (0, 1) (got ())"),
     ("k_graph", "0", "k_graph must be >= 1 (got 0)"),
     ("k_init", "0", "k_init must be >= 1 (got 0)"),
-    ("tol", "0.0", "tol must be positive (got 0.0)"),
+    ("tol", "1e-13", "tol must be >= 1e-12 (got 1e-13)"),
     ("ground_drone_relevance", "facets",
      "ground_drone_relevance must be 'facet' or 'landmark' (got 'facets')"),
 ]

@@ -120,13 +120,6 @@ def test_split_disjoint_over_many_seeds():
         assert not (train_ids & test_ids)
 
 
-def test_split_needs_two_identities():
-    split = ds.generate_synthetic(tiny_cfg())
-    one = [r for r in all_records(split) if r.landmark == 1]
-    with pytest.raises(ValueError, match="identities"):
-        ds.split_by_identity(one, 0.5, 0, split.num_sections)
-
-
 def test_serialization_round_trip(tmp_path, monkeypatch):
     split = ds.generate_synthetic(tiny_cfg(noise_sigma=0.4))
     path = tmp_path / "data.npz"

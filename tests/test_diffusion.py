@@ -233,11 +233,6 @@ def test_init_state_selects_like_a_stable_argsort(data):
     assert same_bits(f0, reference_init_state(queries, drone_gd, cfg, total))
 
 
-def test_init_state_requires_drones():
-    with pytest.raises(ValueError, match="drone"):
-        diff.init_state(np.ones(2), [], dcfg(), 3)
-
-
 # ---------------------------------------------------------------------------
 # byte oracles: the dense graph and operator formulas the one-buffer build
 # replaced

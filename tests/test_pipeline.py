@@ -10,8 +10,6 @@ from plcd.config import RunConfig
 from plcd.dataspace import DRONE, GROUND, SATELLITE, ImageRecord
 from plcd.ranking import RankingList
 
-from support import params_digest
-
 
 @pytest.fixture(scope="module")
 def tiny():
