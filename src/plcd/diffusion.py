@@ -29,6 +29,10 @@ if TYPE_CHECKING:
 # (``closed_form=false``).
 CLOSED_FORM_CAP = 2000
 
+# Largest walk budget a query accepts: alpha near 1 derives budgets that no
+# walk ends (about 2e17 iterations at alpha 0.9999999999999999).
+WALK_BUDGET_CAP = 100_000
+
 
 @dataclass
 class DiffusionResult:
@@ -308,9 +312,10 @@ def query(index: DiffusionIndex, cfg: RunConfig, query_ids: Sequence[int],
 
     Drone reference records enter only through their embeddings: the index
     holds no drone ids. The iterative walk runs within a budget that
-    ``_walk_budget`` derives from the start vectors, ``alpha`` and ``tol``;
-    only rounding could leave a query unconverged within it, and that
-    raises instead of ranking the query.
+    ``_walk_budget`` derives from the start vectors, ``alpha`` and ``tol``,
+    and refuses one above ``WALK_BUDGET_CAP`` before it iterates; only
+    rounding could leave a query unconverged within it, and that raises
+    instead of ranking the query.
     """
     if cfg.k_graph != index.k_graph:
         raise ValueError(f"config k_graph={cfg.k_graph} differs from the index's "
@@ -326,6 +331,11 @@ def query(index: DiffusionIndex, cfg: RunConfig, query_ids: Sequence[int],
         scores = apply_operator(operator, f0)
     else:
         budget = _walk_budget(f0, cfg.alpha, cfg.tol)
+        if budget > WALK_BUDGET_CAP:
+            raise ValueError(f"the walk at alpha={cfg.alpha} and tol={cfg.tol} derives a "
+                             f"budget of {budget} iterations, above the cap of "
+                             f"{WALK_BUDGET_CAP}; lower alpha, raise tol or use the "
+                             f"closed form")
         walk = diffuse_iterative(index.matrix, f0, cfg.alpha, budget, cfg.tol)
         if not walk.converged:
             stuck = [int(q) for q, ok in zip(query_ids, walk.column_converged) if not ok]

@@ -153,13 +153,8 @@ def classifier_backward(params: EncoderParams, emb: np.ndarray, g_logits: np.nda
     return g_logits @ params.classifier_weight
 
 
-def scale_grads(grads: EncoderGrads, factor: float) -> None:
-    for g in grads.arrays().values():
-        g *= factor
-
-
 # ---------------------------------------------------------------------------
-# SGD with momentum
+# SGD with momentum, and the stage loop around it
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -188,25 +183,11 @@ def new_sgd_state(params: EncoderParams, lr_head: float, lr_body: float,
 
 
 class TrainingDiverged(RuntimeError):
-    """A training stage's step loss, or a parameter after its last update,
-    is not finite."""
+    """A training stage's step loss or gradient, or a parameter after its
+    last update, is not finite."""
 
     def __init__(self, stage: str, epoch: int, step: int, what: str):
         super().__init__(f"{stage} diverged at epoch {epoch} step {step}: {what}")
-
-
-def check_last_update(stage: str, last: tuple[int, int] | None,
-                      params_list: list[EncoderParams]) -> None:
-    """Raise ``TrainingDiverged`` if ``stage``'s last update, at (epoch, step)
-    ``last``, left a parameter non-finite; every earlier update meets the
-    next step's loss check. ``last`` is None when the stage made no update."""
-    if last is None:
-        return
-    for params in params_list:
-        for name in PARAM_NAMES:
-            if not np.isfinite(getattr(params, name)).all():
-                raise TrainingDiverged(stage, *last, f"non-finite value in '{name}' of "
-                                       f"encoder role {params.role}")
 
 
 def sgd_step(params: EncoderParams, grads: EncoderGrads, state: SgdState) -> None:
@@ -225,6 +206,62 @@ def sgd_step(params: EncoderParams, grads: EncoderGrads, state: SgdState) -> Non
         g *= state.rate(name)
         v -= g
         getattr(params, name)[...] += v
+
+
+class Stage:
+    """The loop around a training stage's step bodies, used as a context
+    manager: ``chunks`` batches, ``update`` checks the step loss, steps each
+    parameter set and logs ``epoch step term_a term_b total``, and a clean
+    exit checks the parameters the last update left. Each check turns a
+    non-finite value into one ``TrainingDiverged`` naming the stage, epoch
+    and step, so numpy's floating-point warnings, which would only repeat
+    it, are off inside."""
+
+    def __init__(self, name: str, params_list: list[EncoderParams], lr_head: float,
+                 lr_body: float, momentum: float):
+        self.name, self.params_list, self.log = name, params_list, []
+        self.states = [new_sgd_state(p, lr_head, lr_body, momentum) for p in params_list]
+        self.at = self.last = None  # (epoch, step) of the current chunk, of the last update
+        self.quiet = np.errstate(all="ignore")
+
+    def chunks(self, items: list, batch: int, epochs: int, rng: np.random.Generator):
+        """Each epoch's ``rng.permutation`` of ``items`` cut into chunks of
+        ``batch``, skipping a chunk of fewer than 2 (it has no in-batch
+        negative)."""
+        for epoch in range(epochs):
+            order = rng.permutation(len(items))
+            for step, start in enumerate(range(0, len(order), batch)):
+                chunk = [items[i] for i in order[start : start + batch]]
+                if len(chunk) >= 2:
+                    self.at = epoch, step
+                    yield chunk
+
+    def update(self, term_a: float, term_b: float, total: float,
+               grads_list: list[EncoderGrads]) -> None:
+        if not np.isfinite(total):
+            raise TrainingDiverged(self.name, *self.at, f"non-finite loss {total}")
+        for params, grads, state in zip(self.params_list, grads_list, self.states):
+            try:
+                sgd_step(params, grads, state)
+            except ValueError as err:  # a non-finite gradient under a finite loss
+                raise TrainingDiverged(self.name, *self.at, str(err)) from None
+        self.last = self.at
+        self.log.append(f"{self.at[0]} {self.at[1]} {term_a:.6f} {term_b:.6f} {total:.6f}")
+
+    def __enter__(self) -> "Stage":
+        self.quiet.__enter__()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.quiet.__exit__(*exc)
+        if exc[0] is not None or self.last is None:
+            return
+        # every earlier update met the next step's loss check
+        for params in self.params_list:
+            for name in PARAM_NAMES:
+                if not np.isfinite(getattr(params, name)).all():
+                    raise TrainingDiverged(self.name, *self.last, f"non-finite value in "
+                                           f"'{name}' of encoder role {params.role}")
 
 
 # ---------------------------------------------------------------------------

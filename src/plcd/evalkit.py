@@ -154,7 +154,8 @@ def run_ablation(suite: str, cfg, split=None, models=None) -> AblationResult:
             rows.append((mode, pipeline.evaluate_mode(cfg, split, models, mode)))
     elif suite == "peer-steps":
         # the plain two-branch baseline: Step I's budget without mining
-        base_ground, base_drone, _ = peerlearn.train_senior(split, cfg, mining=False)
+        base_ground, base_drone, _ = peerlearn.train_senior(
+            split, cfg, mining=False, stage="Step I of the no-mining baseline")
         for name, ground, drone, best_region in (
                 ("two-branch", base_ground, base_drone, False),
                 ("two-branch+S", models.senior_ground, models.senior_drone, False),
@@ -179,7 +180,8 @@ def run_ablation(suite: str, cfg, split=None, models=None) -> AblationResult:
         # one senior; the junior retrains at each distillation temperature
         senior = peerlearn.train_senior(split, cfg)[:2]
         for tau in cfg.tau_sweep:
-            junior = peerlearn.train_junior(split, senior, replace(cfg, tau=tau))[:2]
+            junior = peerlearn.train_junior(split, senior, replace(cfg, tau=tau),
+                                            f"Step II at tau={tau}")[:2]
             pair = pipeline.TrainedModels(*senior, *junior)
             rows.append((f"tau={tau}", pipeline.evaluate_mode(cfg, split, pair, "ground-drone")))
 

@@ -29,12 +29,11 @@ if TYPE_CHECKING:
 
 
 def train_satellite_drone(split: DatasetSplit, teacher: enc.EncoderParams,
-                          cfg: RunConfig):
-    """Train the shared encoder; the teacher is read-only. A teacher whose
-    input size is not the data's, or whose dimension is not
-    ``cfg.embed_dim``, raises before training: the student could not match
-    its regions. A non-finite loss or gradient, or a non-finite parameter at
-    the end, raises ``enc.TrainingDiverged``.
+                          cfg: RunConfig, stage: str = "satellite-drone"):
+    """Train the shared encoder in ``enc.Stage`` ``stage``; the teacher is
+    read-only. A teacher whose input size is not the data's, or whose
+    dimension is not ``cfg.embed_dim``, raises before training: the student
+    could not match its regions.
 
     Returns (shared_params, log_lines); the log columns are
     ``epoch step loss_triplet loss_patch total``.
@@ -57,36 +56,18 @@ def train_satellite_drone(split: DatasetSplit, teacher: enc.EncoderParams,
     params = enc.init_params(enc.ROLE_SHARED, cfg.embed_dim, input_dim, teacher.classes,
                              substream(cfg.seed, "patchmodel.init"), cfg.encoder_tanh)
     rng = substream(cfg.seed, "patchmodel.train")
-    state = enc.new_sgd_state(params, cfg.lr_head, cfg.lr_body, cfg.momentum)
     cache = rmac.PooledCache(rmac.config_grid(cfg, map_shape), map_shape)
     frozen = (teacher, cache.blocks(teacher))  # blocks once per run
-    stage = "satellite-drone"
-    log: list[str] = []
-    last = None  # (epoch, step) of the last update
-
-    for epoch in range(cfg.epochs_patch):
-        order = rng.permutation(len(landmarks))
-        for step, start in enumerate(range(0, len(order), cfg.batch_pairs)):
-            chunk = [landmarks[i] for i in order[start : start + cfg.batch_pairs]]
-            if len(chunk) < 2:
-                continue
+    with enc.Stage(stage, [params], cfg.lr_head, cfg.lr_body, cfg.momentum) as run:
+        for chunk in run.chunks(landmarks, cfg.batch_pairs, cfg.epochs_patch, rng):
             drone_recs = [r for lm in chunk for r in draw_per_section(drones, sections, lm, rng)]
             sat_recs = [satellites[lm] for lm in chunk]
-
             grads = enc.new_grads(params)
             value_triplet, value_patch = _shared_step(
                 params, frozen, drone_recs, sat_recs, cache, cfg, grads)
-            total = value_triplet + cfg.lambda2 * value_patch
-            if not np.isfinite(total):
-                raise enc.TrainingDiverged(stage, epoch, step, f"non-finite loss {total}")
-            try:
-                enc.sgd_step(params, grads, state)
-            except ValueError as err:  # a non-finite gradient under a finite loss
-                raise enc.TrainingDiverged(stage, epoch, step, str(err)) from None
-            last = epoch, step
-            log.append(f"{epoch} {step} {value_triplet:.6f} {value_patch:.6f} {total:.6f}")
-    enc.check_last_update(stage, last, [params])
-    return params, log
+            run.update(value_triplet, value_patch, value_triplet + cfg.lambda2 * value_patch,
+                       [grads])
+    return params, run.log
 
 
 def _shared_step(params, teacher, drone_recs, sat_recs, cache, cfg, grads):

@@ -229,17 +229,6 @@ def _soft_terms(step: _Step, rows: np.ndarray, tau: float, lambda1: float) -> np
     return values
 
 
-def _epoch_batches(ctx, cfg, rng):
-    """Yield lists of (anchor, positive_batch) with per-batch drone pools."""
-    order = rng.permutation(len(ctx.grounds))
-    for start in range(0, len(order), cfg.batch_streets):
-        chunk = [ctx.grounds[i] for i in order[start : start + cfg.batch_streets]]
-        if len(chunk) < 2:
-            continue  # a lone anchor has no in-batch negatives
-        yield [(anchor, draw_per_section(ctx.drones, ctx.sections, anchor.landmark, rng))
-               for anchor in chunk]
-
-
 def _init_pair(ctx, cfg, stream_prefix):
     """The two branches start independent: cross-branch similarity begins at
     chance and only the consistency pull aligns the spaces, so retrieval
@@ -288,25 +277,22 @@ def _draw(step: _Step, cfg: RunConfig, rng, junior: bool):
 
 
 def _train_pair(ctx, cfg, ground_params, drone_params, rng, epochs: int,
-                rate_scale: float, mining: bool, senior=None) -> list[str]:
-    """The loop both training steps share. Per batch: one ``_Step``, which
-    mines when ``mining``; one ``_draw`` (Step II when ``senior`` is given);
-    one stacked call per objective; one step backward and one SGD step per
-    parameter set, at a constant rate. A non-finite loss or gradient, or a
-    non-finite parameter at the end, raises ``enc.TrainingDiverged``.
-    Returns the log lines."""
+                rate_scale: float, mining: bool, stage: str, senior=None) -> list[str]:
+    """The step body both training steps run in ``enc.Stage`` ``stage``. Per
+    batch: one ``_Step``, which mines when ``mining``; one ``_draw`` (Step II
+    when ``senior`` is given); one stacked call per objective; one step
+    backward and one update per parameter set, at a constant rate. Returns
+    the log lines."""
     cache = rmac.PooledCache(rmac.config_grid(cfg, ctx.map_shape), ctx.map_shape)
     if senior is not None:  # frozen, so its weight blocks serve every step
         senior = (*senior, cache.blocks(senior[1]))
     shared = drone_params is ground_params
     params_list = [ground_params] if shared else [ground_params, drone_params]
-    states = [enc.new_sgd_state(p, cfg.lr_head * rate_scale, cfg.lr_body * rate_scale,
-                                cfg.momentum) for p in params_list]
-    stage = "Step I" if senior is None else "Step II"
-    log: list[str] = []
-    last = None  # (epoch, step) of the last update
-    for epoch in range(epochs):
-        for step_idx, entries in enumerate(_epoch_batches(ctx, cfg, rng)):
+    with enc.Stage(stage, params_list, cfg.lr_head * rate_scale, cfg.lr_body * rate_scale,
+                   cfg.momentum) as run:
+        for chunk in run.chunks(ctx.grounds, cfg.batch_streets, epochs, rng):
+            entries = [(anchor, draw_per_section(ctx.drones, ctx.sections, anchor.landmark, rng))
+                       for anchor in chunk]
             # ``step`` holds the previous step until this one is built, so its
             # buffers are freed only after the new ones are allocated. Freeing
             # each step at its end lets glibc trim the heap top: a default
@@ -321,24 +307,16 @@ def _train_pair(ctx, cfg, ground_params, drone_params, rng, epochs: int,
             soft = 0.0
             if senior is not None:
                 soft = _soft_terms(step, step.cand_rows[doublets], cfg.tau, cfg.lambda1).mean()
-            total = hard + cfg.lambda1 * soft
-            if not np.isfinite(total):
-                raise enc.TrainingDiverged(stage, epoch, step_idx, f"non-finite loss {total}")
             step.backward()
-            try:
-                for params, grads, state in zip(params_list, step.grads, states):
-                    enc.scale_grads(grads, 1.0 / len(step.anchors))
-                    enc.sgd_step(params, grads, state)
-            except ValueError as err:  # a non-finite gradient under a finite loss
-                raise enc.TrainingDiverged(stage, epoch, step_idx, str(err)) from None
-            last = epoch, step_idx
-            log.append(f"{epoch} {step_idx} {hard:.6f} {soft:.6f} {total:.6f}")
-    enc.check_last_update(stage, last, params_list)
-    return log
+            for grads in step.grads:  # the step loss is the mean over the anchors
+                for g in grads.arrays().values():
+                    g *= 1.0 / len(step.anchors)
+            run.update(hard, soft, hard + cfg.lambda1 * soft, step.grads)
+    return run.log
 
 
 def train_senior(split: DatasetSplit, cfg: RunConfig, mining: bool = True,
-                 shared_branches: bool = False):
+                 shared_branches: bool = False, stage: str = "Step I"):
     """Step I. Returns (ground_params, drone_params, log_lines).
 
     The miner picks every step's triplets in drone space from the first
@@ -346,7 +324,8 @@ def train_senior(split: DatasetSplit, cfg: RunConfig, mining: bool = True,
     ``mining=False`` trains the same two-branch architecture with a random
     positive and random negatives instead of mined ones (the plain
     baseline); ``shared_branches=True`` makes both branches one parameter
-    set (the one-common-model baseline).
+    set (the one-common-model baseline). ``stage`` names the training in a
+    ``enc.TrainingDiverged`` message.
     """
     ctx = build_context(split)
     ground_params, drone_params = _init_pair(ctx, cfg, "peerlearn.init.senior")
@@ -354,21 +333,23 @@ def train_senior(split: DatasetSplit, cfg: RunConfig, mining: bool = True,
         drone_params = ground_params
     rng = substream(cfg.seed, "peerlearn.senior")
     log = _train_pair(ctx, cfg, ground_params, drone_params, rng, cfg.epochs_senior, 1.0,
-                      mining)
+                      mining, stage)
     return ground_params, drone_params, log
 
 
 def train_junior(split: DatasetSplit, senior: tuple[enc.EncoderParams, enc.EncoderParams],
-                 cfg: RunConfig):
+                 cfg: RunConfig, stage: str = "Step II"):
     """Step II, one round: the junior starts from copies of the read-only
     senior pair and trains at Step I's rates times ``junior_lr_scale``. A
     senior whose two branches are one parameter set gives a junior whose
-    branches are one too. Returns (ground, drone, log)."""
+    branches are one too. ``stage`` names the training in a
+    ``enc.TrainingDiverged`` message. Returns (ground, drone, log)."""
     ctx = build_context(split)
     senior_ground, senior_drone = senior
     ground_params = senior_ground.copy()
     drone_params = ground_params if senior_ground is senior_drone else senior_drone.copy()
     log = _train_pair(ctx, cfg, ground_params, drone_params,
                       substream(cfg.seed, "peerlearn.junior"), cfg.epochs_junior,
-                      cfg.junior_lr_scale, mining=True, senior=(senior_ground, senior_drone))
+                      cfg.junior_lr_scale, mining=True, stage=stage,
+                      senior=(senior_ground, senior_drone))
     return ground_params, drone_params, log

@@ -59,13 +59,17 @@ def make_split(cfg: RunConfig) -> DatasetSplit:
     return generate_synthetic(cfg)
 
 
+def _stage(name: str, shared_branches: bool) -> str:
+    return f"{name} of the one-model baseline" if shared_branches else name
+
+
 def train_ground_drone(cfg: RunConfig, split: DatasetSplit, shared_branches: bool = False):
     """Step I, then one round of Step II; ``shared_branches`` makes both
     branches one encoder."""
     senior_ground, senior_drone, senior_log = peerlearn.train_senior(
-        split, cfg, shared_branches=shared_branches)
+        split, cfg, shared_branches=shared_branches, stage=_stage("Step I", shared_branches))
     junior_ground, junior_drone, junior_log = peerlearn.train_junior(
-        split, (senior_ground, senior_drone), cfg)
+        split, (senior_ground, senior_drone), cfg, _stage("Step II", shared_branches))
     logs = {"senior": senior_log, "junior": junior_log}
     return (senior_ground, senior_drone), (junior_ground, junior_drone), logs
 
@@ -73,7 +77,8 @@ def train_ground_drone(cfg: RunConfig, split: DatasetSplit, shared_branches: boo
 def train_all(cfg: RunConfig, split: DatasetSplit,
               shared_branches: bool = False) -> TrainedModels:
     (sg, sd), (jg, jd), logs = train_ground_drone(cfg, split, shared_branches)
-    shared, logs["satdrone"] = patchmodel.train_satellite_drone(split, jd, cfg)
+    shared, logs["satdrone"] = patchmodel.train_satellite_drone(
+        split, jd, cfg, _stage("satellite-drone", shared_branches))
     return TrainedModels(senior_ground=sg, senior_drone=sd, junior_ground=jg,
                          junior_drone=jd, shared=shared, logs=logs)
 

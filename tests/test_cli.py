@@ -1,11 +1,17 @@
 import argparse
+import io
 import json
+import os
+import shutil
+import subprocess
+import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plcd import cli, dataspace, pipeline
+from plcd import cli, dataspace, diffusion, pipeline
 from plcd import encoder as enc
 from plcd.seeds import substream
 from support import read_embeddings
@@ -27,6 +33,10 @@ TINY = {
     "k_graph": "4",
     "k_init": "4",
 }
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+BELOW_ONE = repr(float(np.nextafter(1.0, 0.0)))  # the largest float below 1
 
 
 def write_tiny_config(path: Path) -> Path:
@@ -215,6 +225,59 @@ def test_corrupt_inputs_exit_naming_the_path(workspace, tmp_path):
     assert str(old) in str(err.value) and "not a zip archive" in str(err.value)
 
 
+def _zip_structure(data: bytes) -> list[int]:
+    """Offsets of an archive's bytes outside its members' data: the local
+    headers and, after the last member, the central directory."""
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        infos = archive.infolist()
+    offsets, end = [], 0
+    for info in infos:
+        at = info.header_offset
+        start = (at + 30 + int.from_bytes(data[at + 26 : at + 28], "little")
+                 + int.from_bytes(data[at + 28 : at + 30], "little"))
+        offsets += range(at, start)
+        end = max(end, start + info.compress_size)
+    return offsets + list(range(end, len(data)))
+
+
+def test_a_flipped_byte_exits_naming_the_file_or_changes_nothing(workspace, tmp_path):
+    """One byte flipped at each of 32 seeded positions of a checkpoint and
+    of the test split, half of them in the zip structure: retrieve exits
+    naming the file, or ranks byte for byte as on the undamaged files (zip
+    CRC-32 covers the member data; header timestamps are not checked)."""
+    root, cfg = workspace
+    data, models = tmp_path / "data", tmp_path / "models"
+    shutil.copytree(root / "data", data)
+    shutil.copytree(root / "models", models)
+
+    def retrieve(out):
+        code = run(["retrieve", "--config", cfg, "--data", data, "--models", models,
+                    "--mode", "diffusion", "--out", out])
+        assert code == 0
+        return {f.name: f.read_bytes() for f in out.glob("ranking-*.txt")}
+
+    expected = retrieve(tmp_path / "undamaged")
+    rng = substream(32, "t.byte-flip")
+    exits = 0
+    for path in (models / "satdrone.npz", data / "test-data.npz"):
+        original = path.read_bytes()
+        structure = _zip_structure(original)
+        spots = [*rng.choice(structure, 16, replace=False),
+                 *rng.choice(len(original), 16, replace=False)]
+        for trial, spot in enumerate(spots):
+            damaged = bytearray(original)
+            damaged[spot] ^= int(rng.integers(1, 256))
+            path.write_bytes(damaged)
+            out = tmp_path / f"{path.stem}-{trial}"
+            try:
+                assert retrieve(out) == expected, f"byte {spot} of {path}"
+            except SystemExit as err:
+                assert str(path) in str(err), f"byte {spot} of {path}: {err}"
+                exits += 1
+        path.write_bytes(original)
+    assert exits  # a flip in member data always fails its CRC
+
+
 def test_subcommands_read_only_the_split_they_use(workspace, tmp_path):
     # train-gd reads only the train file, retrieve only the test file
     root, cfg = workspace
@@ -328,6 +391,25 @@ def test_retrieve_that_cannot_run_exits_naming_mode_and_data(workspace, tmp_path
              "--mode", mode, "--out", out, *flags])
     msg = str(err.value)
     assert f"--mode {mode}" in msg and str(data) in msg
+    assert not out.exists()
+
+
+def test_retrieve_refuses_a_walk_that_would_not_end(workspace, tmp_path, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(diffusion, "diffuse_iterative", no_walk)
+    root, cfg = workspace
+    out = tmp_path / "r"
+    with pytest.raises(SystemExit) as err:
+        run(["retrieve", "--config", cfg, "--set", "closed_form=false", "--set",
+             f"alpha={BELOW_ONE}", "--data", root / "data", "--models", root / "models",
+             "--mode", "diffusion", "--out", out])
+    msg = str(err.value)
+    assert msg.startswith(f"retrieve --mode diffusion on {root / 'data'}: the walk at "
+                          f"alpha={BELOW_ONE} and tol=1e-09 derives a budget of ")
+    assert msg.endswith("iterations, above the cap of 100000; lower alpha, raise tol or "
+                        "use the closed form")
     assert not out.exists()
 
 
@@ -682,10 +764,12 @@ def test_evaluate_echoes_a_config_that_reproduces_it(workspace, tmp_path):
 
 
 def _train_args(command, root, cfg, settings, out):
-    """``command`` on the workspace with ``--set`` for each of ``settings``."""
+    """``command`` on the workspace with ``--set`` for each of ``settings``;
+    ``ablate`` runs the suite named after it, ``mapping-methods`` by default."""
+    command, *suite = command.split()
     args = [command, "--config", cfg, *[a for s in settings for a in ("--set", s)]]
     if command == "ablate":
-        return args + ["--suite", "mapping-methods", "--out", out]
+        return args + ["--suite", *(suite or ["mapping-methods"]), "--out", out]
     if command == "train-sd":
         args += ["--models", root / "models"]
     return args + ["--data", root / "data", "--out", out]
@@ -694,8 +778,9 @@ def _train_args(command, root, cfg, settings, out):
 # Each once ended otherwise: a traceback from cross_entropy's logits check,
 # from sgd_step's gradient check or from the trainers' loss check, or, when
 # the stage's only update went non-finite, exit 0 with a checkpoint that
-# retrieve refuses. At TINY, every stage takes one step per epoch.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy notes each overflow
+# retrieve refuses. At TINY, every stage takes one step per epoch. numpy's
+# overflow warnings, which pytest's settings turn into errors, stay inside
+# the stage.
 @pytest.mark.parametrize("command, settings, where, what", [
     ("train-gd", ["lr_head=1e308"], "Step I diverged at epoch 1 step 0",
      "non-finite gradient"),
@@ -710,10 +795,12 @@ def _train_args(command, root, cfg, settings, out):
      "satellite-drone diverged at epoch 0 step 0", "non-finite value"),
     ("ablate", ["lr_head=1e308", "lr_body=1e308"], "Step I diverged at epoch 1 step 0",
      "non-finite value"),
+    ("ablate tau-sweep", ["tau_sweep=1.0,5e-324"],
+     "Step II at tau=5e-324 diverged at epoch 0 step 0", "non-finite loss"),
 ], ids=["gd-gradient", "gd-last-senior-update", "gd-last-junior-update", "gd-loss",
-        "sd-loss", "sd-last-update", "ablate"])
-def test_diverging_training_exits_naming_stage_epoch_and_step(workspace, tmp_path, command,
-                                                             settings, where, what):
+        "sd-loss", "sd-last-update", "ablate", "ablate-tau-sweep"])
+def test_diverging_training_exits_naming_stage_epoch_and_step(workspace, tmp_path, capsys,
+                                                             command, settings, where, what):
     root, cfg = workspace
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as err:
@@ -721,9 +808,22 @@ def test_diverging_training_exits_naming_stage_epoch_and_step(workspace, tmp_pat
     prefix = {"train-gd": f"train-gd on {root / 'data'}: ",
               "train-sd": f"train-sd on {root / 'data'} with teacher "
                           f"{root / 'models' / cli.CHECKPOINTS['junior_drone']}: ",
-              "ablate": ""}[command]
+              "ablate": ""}[command.split()[0]]
     assert str(err.value).startswith(f"{prefix}{where}: {what}")
+    assert "Warning" not in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_diverging_training_prints_one_line(workspace, tmp_path):
+    root, cfg = workspace
+    args = _train_args("train-gd", root, cfg, ["lr_head=1e308", "lr_body=1e308"],
+                       tmp_path / "out")
+    done = subprocess.run([sys.executable, "-m", "plcd.cli", *map(str, args)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"train-gd on {root / 'data'}: Step I diverged")
+    assert done.stderr.count("\n") == 1
 
 
 # each training rate and weight at 1e308 and at the smallest value its rule
@@ -736,10 +836,9 @@ EDGE_VALUES = [(command, key, value)
                    ("train-sd", ("lr_head", "lr_body", "lambda2", "margin", "momentum")))
                for key in keys
                for value in ("1e308", _SMALLEST.get(key, "0"),
-                             *([repr(np.nextafter(1.0, 0.0))] if key == "momentum" else []))]
+                             *([BELOW_ONE] if key == "momentum" else []))]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy notes each overflow
 @pytest.mark.parametrize("command, key, value", EDGE_VALUES,
                          ids=[f"{c}-{k}-{v}" for c, k, v in EDGE_VALUES])
 def test_training_at_edge_values_exits_or_writes_loadable_checkpoints(workspace, tmp_path,

@@ -733,6 +733,26 @@ def test_query_above_the_cap_raises(monkeypatch):
     assert not index.operators
 
 
+def test_query_refuses_a_walk_budget_above_its_cap(monkeypatch):
+    """Alpha just below 1 derives a budget no walk ends; the query refuses
+    it before the first iteration, and the closed form still ranks."""
+    def no_walk(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(diff, "diffuse_iterative", no_walk)
+    index, cfg, queries = retrieval_case(26)
+    alpha = float(np.nextafter(1.0, 0.0))
+    walk = replace(cfg, alpha=alpha, closed_form=False)
+    budget = diff._walk_budget(diff.init_state(queries[:1], index.drone_gd, walk,
+                                               len(index.matrix)), alpha, walk.tol)
+    assert budget > diff.WALK_BUDGET_CAP
+    with pytest.raises(ValueError, match=rf"alpha={alpha!r} and tol={walk.tol!r} derives a "
+                                         rf"budget of {budget} iterations, above the cap "
+                                         rf"of {diff.WALK_BUDGET_CAP}"):
+        diff.query(index, walk, [0], queries[:1])
+    assert len(diff.query(index, replace(walk, closed_form=True), [0], queries[:1])) == 1
+
+
 @st.composite
 def small_retrieval(draw):
     """A small index and query batch. Embeddings come from a coarse integer
