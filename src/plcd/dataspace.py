@@ -20,6 +20,7 @@ miner has to rediscover.
 
 from __future__ import annotations
 
+import functools
 import math
 import zipfile
 from dataclasses import dataclass
@@ -109,16 +110,20 @@ def center_zone(map_side: int) -> np.ndarray:
     return mask
 
 
-def facet_zones(num_sections: int, map_side: int) -> list[np.ndarray]:
-    """Boolean (side, side) masks, one angular wedge of the outer ring per
-    drone direction section."""
+@functools.cache
+def facet_zones(num_sections: int, map_side: int) -> tuple[np.ndarray, ...]:
+    """Read-only boolean (side, side) masks, one angular wedge of the outer
+    ring per drone direction section; built once per (sections, side)."""
     center = center_zone(map_side)
     mid = (map_side - 1) / 2.0
     ys, xs = np.mgrid[0:map_side, 0:map_side]
     angles = np.arctan2(ys - mid, xs - mid)  # [-pi, pi)
     sector = np.floor(num_sections * (angles + math.pi) / (2 * math.pi)).astype(int)
     sector = np.clip(sector, 0, num_sections - 1)
-    return [(~center) & (sector == s) for s in range(num_sections)]
+    zones = tuple((~center) & (sector == s) for s in range(num_sections))
+    for zone in zones:
+        zone.flags.writeable = False
+    return zones
 
 
 def exposure_masks(cfg: RunConfig) -> list[np.ndarray]:
@@ -126,7 +131,7 @@ def exposure_masks(cfg: RunConfig) -> list[np.ndarray]:
     entry 0 the satellite's (the center block), entry ``s`` that of a drone
     or ground record in section ``s`` (the center plus wedge ``s``)."""
     center = center_zone(cfg.map_side)
-    zones = [np.zeros_like(center)] + facet_zones(cfg.num_sections, cfg.map_side)
+    zones = [np.zeros_like(center), *facet_zones(cfg.num_sections, cfg.map_side)]
     shape = (cfg.channels, cfg.map_side, cfg.map_side)
     return [np.broadcast_to((center | zone).astype(float), shape).copy() for zone in zones]
 

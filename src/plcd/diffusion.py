@@ -13,6 +13,7 @@ column of f0 each.
 
 from __future__ import annotations
 
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -277,25 +278,29 @@ class DiffusionIndex:
 
 
 def build_index(drone_sd_embs: np.ndarray, sat_sd_embs: np.ndarray,
-                drone_gd_embs: np.ndarray, sat_ids: Sequence[int],
+                drone_gd_embs: np.ndarray | Future, sat_ids: Sequence[int],
                 cfg: RunConfig) -> DiffusionIndex:
     """The index of a gallery, its nodes the drones and then the satellites.
     Without drone nodes no walk reaches a satellite, and without satellite
     nodes there is nothing to rank, so an empty set of either raises; so
-    does a gd-space stack without one row per drone node, or an id list
-    without one id per satellite node."""
+    does an id list without one id per satellite node, or a gd-space stack
+    without one row per drone node. The gd-space rows are read only once
+    the graph is built, so they may come as a future still being computed
+    elsewhere; its failure raises here."""
     if len(drone_sd_embs) == 0:
         raise ValueError("diffusion needs at least one drone node")
     if len(sat_sd_embs) == 0:
         raise ValueError("diffusion needs at least one satellite node")
-    if len(drone_gd_embs) != len(drone_sd_embs):
-        raise ValueError(f"{len(drone_gd_embs)} gd-space drone rows for "
-                         f"{len(drone_sd_embs)} drone nodes")
     if len(sat_ids) != len(sat_sd_embs):
         raise ValueError(f"{len(sat_ids)} satellite ids for {len(sat_sd_embs)} satellite nodes")
     nodes = np.concatenate((drone_sd_embs, sat_sd_embs))
-    return DiffusionIndex(matrix=build_graph(nodes, min(cfg.k_graph, len(nodes) - 1)),
-                          sat_ids=[int(i) for i in sat_ids],
+    matrix = build_graph(nodes, min(cfg.k_graph, len(nodes) - 1))
+    if isinstance(drone_gd_embs, Future):
+        drone_gd_embs = drone_gd_embs.result()
+    if len(drone_gd_embs) != len(drone_sd_embs):
+        raise ValueError(f"{len(drone_gd_embs)} gd-space drone rows for "
+                         f"{len(drone_sd_embs)} drone nodes")
+    return DiffusionIndex(matrix=matrix, sat_ids=[int(i) for i in sat_ids],
                           drone_gd=_normalized_rows(drone_gd_embs, "drone(gd)"),
                           k_graph=cfg.k_graph)
 

@@ -20,6 +20,7 @@ Each view is embedded as one stack, every non-diffusion mode scores as one
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -160,14 +161,21 @@ def drone_satellite_rankings(cfg: RunConfig, split: DatasetSplit,
 
 def build_diffusion_index(cfg: RunConfig, split: DatasetSplit,
                           models: TrainedModels) -> diff.DiffusionIndex:
+    """The test split's diffusion index. The gd-space drone features, which
+    only seed the walk, are computed on one worker thread while this thread
+    embeds the sd-space nodes and builds their graph. Each side runs its own
+    numpy calls on its own arrays, so the index has the bits of a serial
+    build; the worker ends before this returns or raises."""
     drones, sats = _drone_records(split), _view_records(split, SATELLITE)
-    return diff.build_index(
-        drone_sd_embs=enc.embed_records(models.shared, drones),
-        sat_sd_embs=enc.embed_records(models.shared, sats),
-        drone_gd_embs=drone_features(cfg, models.junior_drone, drones),
-        sat_ids=_ids(sats),
-        cfg=cfg,
-    )
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        drone_gd = worker.submit(drone_features, cfg, models.junior_drone, drones)
+        return diff.build_index(
+            drone_sd_embs=enc.embed_records(models.shared, drones),
+            sat_sd_embs=enc.embed_records(models.shared, sats),
+            drone_gd_embs=drone_gd,
+            sat_ids=_ids(sats),
+            cfg=cfg,
+        )
 
 
 def ground_satellite_rankings(cfg: RunConfig, split: DatasetSplit,

@@ -12,12 +12,12 @@ Region descriptors share an encoder's whole-image parameters: a region's
 centered pooled channel vector is spread evenly over that region's cells and
 sent through the identical affine map, so a checkpoint holds no extra
 tensors. ``pooled_stack`` pools and centers a record list straight into
-one position-major (k, n, channels) stack; retrieval pools a whole gallery
-that way. ``PooledCache`` keeps each record's rows from it for training, so
-a record is pooled once (maps never change). Its fixed (k, h*w) averaging
-matrix folds the encoder weight into contiguous (k, channels, dim) blocks
-(``PooledCache.blocks``, built once per step for a trained encoder and once
-per run for a frozen one) and folds the stack's (k, dim, channels) gradient
+one position-major (k, n, channels) stack; retrieval pools a gallery that
+way, one block of records at a time. ``PooledCache`` keeps each record's
+rows from it for training, so a record is pooled once (maps never change).
+Its fixed (k, h*w) averaging matrix folds the encoder weight into
+contiguous (k, channels, dim) blocks (``PooledCache.blocks``, built once per
+step for a trained encoder and once per run for a frozen one) and folds the stack's (k, dim, channels) gradient
 back (``PooledCache.backward``); ``region_embed`` is one batched product
 over those operands. A drone-branch image feature is the mean of a record's unit
 region descriptors (``aggregate_feature``). Step II's soft loss, the
@@ -264,24 +264,25 @@ def aggregate_backward(descs: np.ndarray, norms: np.ndarray, g_feats: np.ndarray
     g_descs += rows
 
 
-# Records per region forward at retrieval time: bounds the (n, k, dim)
-# descriptor stack and its temporaries for large galleries.
+# Records per region pooling and forward at retrieval time: bounds the
+# pooled rows, the (n, k, dim) descriptor stack and their temporaries for
+# large galleries.
 RETRIEVAL_BLOCK = 128
 
 
 def _descriptor_blocks(params: EncoderParams, grid: list[Region], records: list[ImageRecord]):
     """Region descriptors (b, k, dim) of ``records``, one block at a time,
-    from the centered pooled rows of the whole list, pooled straight into
-    one position-major stack (``pooled_stack``). A lone trailing record
-    joins the block before it: a one-row product takes numpy's vector path,
-    whose low bits differ from every stacked one."""
-    rows = pooled_stack(grid, records)
+    each block's records pooled straight into their own position-major stack
+    (``pooled_stack``; pooling and centering are per record, so the rows
+    have the bits of one whole-list stack). A lone trailing record joins the
+    block before it: a one-row product takes numpy's vector path, whose low
+    bits differ from every stacked one."""
     blocks = PooledCache(grid, records[0].featmap.shape).blocks(params)
     starts = list(range(0, len(records), RETRIEVAL_BLOCK))
     if len(starts) > 1 and starts[-1] == len(records) - 1:
         starts.pop()
     for start, stop in zip(starts, starts[1:] + [len(records)]):
-        yield region_embed(params, blocks, rows[:, start:stop])
+        yield region_embed(params, blocks, pooled_stack(grid, records[start:stop]))
 
 
 def drone_features(params: EncoderParams, grid: list[Region],

@@ -6,6 +6,7 @@ module-scoped fixture. Run with ``pytest tests/test_acceptance.py -s`` to see
 the per-criterion lines.
 """
 
+import multiprocessing
 import time
 from dataclasses import replace
 
@@ -154,27 +155,35 @@ def test_criterion_5_rmac_geometry():
 # 6-8. directional reproductions on trained pipelines
 # ---------------------------------------------------------------------------
 
+def train_seed(seed: int) -> tuple[dict, float]:
+    """Default config at ``seed``: full training plus the ablation rows the
+    criteria read, and the seconds training and the mapping rows took. The
+    peer-step rows use landmark relevance; training never reads it, so the
+    base model trains as at the default config."""
+    cfg = replace(RunConfig(), seed=seed)
+    split = pipeline.make_split(cfg)
+    started = time.time()
+    models = pipeline.train_all(cfg, split)
+    mapping = evalkit.run_ablation("mapping-methods", cfg, split, models)
+    core_elapsed = time.time() - started
+    landmark_cfg = replace(cfg, ground_drone_relevance="landmark")
+    peer = evalkit.run_ablation("peer-steps", landmark_cfg, split, models)
+    names = ("base", "senior", "junior", "junior+B")
+    return {"ground_satellite": dict(mapping.rows),
+            "peer_steps": {name: report for name, (_, report)
+                           in zip(names, peer.rows, strict=True)}}, core_elapsed
+
+
 @pytest.fixture(scope="module")
 def trained_runs():
-    """Default config, seeds 1-3: full training plus the ablation rows the
-    criteria read. The peer-step rows use landmark relevance; training never
-    reads it, so the base model trains as at the default config."""
-    runs = {}
-    core_elapsed = 0.0
-    for seed in SEEDS:
-        cfg = replace(RunConfig(), seed=seed)
-        split = pipeline.make_split(cfg)
-        started = time.time()
-        models = pipeline.train_all(cfg, split)
-        mapping = evalkit.run_ablation("mapping-methods", cfg, split, models)
-        core_elapsed += time.time() - started
-        landmark_cfg = replace(cfg, ground_drone_relevance="landmark")
-        peer = evalkit.run_ablation("peer-steps", landmark_cfg, split, models)
-        names = ("base", "senior", "junior", "junior+B")
-        runs[seed] = {"ground_satellite": dict(mapping.rows),
-                      "peer_steps": {name: report for name, (_, report)
-                                     in zip(names, peer.rows, strict=True)}}
-    runs["core_elapsed"] = core_elapsed
+    """``train_seed`` for seeds 1-3, in two fresh processes with one BLAS
+    thread each."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("OPENBLAS_NUM_THREADS", "1")
+        with multiprocessing.get_context("spawn").Pool(2) as pool:
+            trained = pool.map(train_seed, SEEDS)
+    runs = {seed: run for seed, (run, _) in zip(SEEDS, trained)}
+    runs["core_elapsed"] = sum(elapsed for _, elapsed in trained)
     return runs
 
 

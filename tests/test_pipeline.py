@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -216,6 +217,56 @@ def test_stacked_modes_match_per_record_reference(request, case, mode):
     cfg, split, models = request.getfixturevalue(case)
     rankings = stacked_rankings(cfg, split, models, mode)
     assert_orders_match(rankings, reference_scores(cfg, split, models, mode))
+
+
+def serial_index(cfg, split, models):
+    """``build_diffusion_index`` composed on one thread, its parts in order."""
+    drones = [r for r in split.test if r.view == DRONE]
+    sats = [r for r in split.test if r.view == SATELLITE]
+    return diff.build_index(
+        drone_sd_embs=enc.embed_records(models.shared, drones),
+        sat_sd_embs=enc.embed_records(models.shared, sats),
+        drone_gd_embs=pipeline.drone_features(cfg, models.junior_drone, drones),
+        sat_ids=[s.id for s in sats], cfg=cfg)
+
+
+@pytest.mark.parametrize("case", ["tiny", "untrained"])
+def test_diffusion_index_matches_the_serial_build(request, monkeypatch, case):
+    cfg, split, models = request.getfixturevalue(case)
+    if case == "untrained":
+        # blocks of 8 drones, the last full one followed by a lone drone
+        monkeypatch.setattr(rmac, "RETRIEVAL_BLOCK", 8)
+        drones = [r.id for r in split.test if r.view == DRONE]
+        dropped = set(drones[8 * ((len(drones) - 1) // 8) + 1:])
+        split = replace(split, test=[r for r in split.test if r.id not in dropped])
+        assert sum(r.view == DRONE for r in split.test) % 8 == 1
+    threads = threading.active_count()
+    index = pipeline.build_diffusion_index(cfg, split, models)
+    assert threading.active_count() == threads
+    serial = serial_index(cfg, split, models)
+    assert index.matrix.tobytes() == serial.matrix.tobytes()
+    assert index.drone_gd.tobytes() == serial.drone_gd.tobytes()
+    assert (index.sat_ids, index.k_graph, index.operators) == \
+        (serial.sat_ids, serial.k_graph, serial.operators)
+
+
+@pytest.mark.parametrize("encoder", ["junior_drone", "shared"])
+def test_diffusion_index_failure_reaches_the_caller(tiny, encoder):
+    # a mismatched junior drone fails on the worker thread, a mismatched
+    # shared encoder on the calling one; either way the serial message
+    # reaches the caller and no thread is left behind
+    cfg, split, models = tiny
+    other = enc.init_params(getattr(models, encoder).role, cfg.embed_dim,
+                            getattr(models, encoder).input_dim + 4, 8,
+                            np.random.default_rng(0), tanh=False)
+    models = replace(models, **{encoder: other})
+    with pytest.raises(ValueError) as serial:
+        serial_index(cfg, split, models)
+    threads = threading.active_count()
+    with pytest.raises(ValueError) as threaded:
+        pipeline.build_diffusion_index(cfg, split, models)
+    assert threading.active_count() == threads
+    assert str(threaded.value) == str(serial.value)
 
 
 def test_chain_requires_drones(tiny):
