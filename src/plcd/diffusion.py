@@ -8,12 +8,16 @@ by their weight at its fixed point: iterated, or solved as
 (I - alpha * S) x = f0, which shares that fixed point up to scale. A
 ``DiffusionIndex`` holds what the gallery fixes, and no drone ids; the
 config of each ``query`` call sets the walk. Queries come in batches, one
-column of f0 each.
+column of f0 each; where OpenBLAS runs one thread, the iterated walk runs
+two fixed halves of a batch's columns on two threads.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future
+import contextvars
+import ctypes
+import functools
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -168,24 +172,86 @@ def init_state(query_embs: Sequence[np.ndarray], drone_gd: np.ndarray,
     return f0
 
 
+@functools.cache
+def _blas_thread_getter():
+    """OpenBLAS's thread-count getter, looked up once in numpy's core
+    extension module, whose symbol search reaches the OpenBLAS numpy loaded;
+    None where that library exports none."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_"):
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter
+    return None
+
+
+def _blas_threads() -> int:
+    """OpenBLAS's current thread count, 0 where it cannot be read."""
+    getter = _blas_thread_getter()
+    return 0 if getter is None else getter()
+
+
 def diffuse_iterative(matrix: np.ndarray, f0: np.ndarray, alpha: float,
                       max_iters: int, tol: float) -> DiffusionResult:
-    """Fixed-point iteration of the restarted walk on every column of ``f0``
-    at once. Each column stops at its own first iteration whose sup-norm
-    change is below ``tol``. A block product sums in another order than a
-    one-column product, so a column's state can differ in its low bits from
-    a walk on that column alone. Its count and its ranking order can differ
-    only where a change lies within that rounding of ``tol``, or two scores
-    within it of each other. The columns still walking form one contiguous
-    block with their restart terms; a column leaves it, and is written back,
-    when it stops or when the iterations run out."""
-    f = np.array(f0, dtype=float).reshape(len(f0), -1)
+    """Fixed-point iteration of the restarted walk on every column of ``f0``.
+    Each column stops at its own first iteration whose sup-norm change is
+    below ``tol``. A block product sums in another order than a one-column
+    product, so a column's state can differ in its low bits from a walk on
+    that column alone. Its count and its ranking order can differ only where
+    a change lies within that rounding of ``tol``, or two scores within it
+    of each other.
+
+    Where OpenBLAS runs one thread, a product leaves the second core idle:
+    the columns are then cut into two contiguous halves (the first one
+    column longer on an odd count), the second walked on one helper thread
+    while the calling thread walks the first. At any other thread count, or
+    where the count cannot be read, or for one column, all columns walk as
+    one block. The halves are fixed, so the bits depend on the inputs and
+    the BLAS thread count only. A failure in either half raises here, and
+    the helper has ended before this returns or raises."""
+    f = np.asarray(f0, dtype=float).reshape(len(f0), -1)
+    m = f.shape[1]
+    if m > 1 and _blas_threads() == 1:
+        half = (m + 1) // 2
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            # the caller's context carries numpy's floating-point error state
+            second = worker.submit(contextvars.copy_context().run, _walk,
+                                   matrix, f[:, half:], alpha, max_iters, tol)
+            first = _walk(matrix, f[:, :half], alpha, max_iters, tol)
+            second = second.result()
+        result = DiffusionResult(
+            state=np.hstack((first.state, second.state)),
+            column_iterations=np.concatenate((first.column_iterations,
+                                              second.column_iterations)),
+            column_converged=np.concatenate((first.column_converged,
+                                             second.column_converged)))
+    else:
+        result = _walk(matrix, f, alpha, max_iters, tol)
+    if f0.ndim == 1:
+        result.state = result.state[:, 0]
+    return result
+
+
+def _walk(matrix: np.ndarray, f0: np.ndarray, alpha: float, max_iters: int,
+          tol: float) -> DiffusionResult:
+    """``diffuse_iterative`` on the columns of a 2-D ``f0`` as one block.
+    The columns still walking form one contiguous block with their restart
+    terms; a column leaves it, and is written back, when it stops or when
+    the iterations run out. Without a column no product runs."""
+    f = np.array(f0, dtype=float)
     cur, restart = f, (1.0 - alpha) * f
     m = f.shape[1]
     iterations = np.full(m, max_iters)
     converged = np.zeros(m, dtype=bool)
     active = np.arange(m)
     for it in range(1, max_iters + 1):
+        if not active.size:
+            break
         nxt = matrix @ cur
         nxt *= alpha
         nxt += restart
@@ -197,12 +263,8 @@ def diffuse_iterative(matrix: np.ndarray, f0: np.ndarray, alpha: float,
             iterations[active[done]] = it
             converged[active[done]] = True
             active, cur, restart = active[~done], cur[:, ~done], restart[:, ~done]
-            if not active.size:
-                break
     f[:, active] = cur
-    state = f[:, 0] if f0.ndim == 1 else f
-    return DiffusionResult(state=state, column_iterations=iterations,
-                           column_converged=converged)
+    return DiffusionResult(state=f, column_iterations=iterations, column_converged=converged)
 
 
 def _walk_budget(f0: np.ndarray, alpha: float, tol: float) -> int:

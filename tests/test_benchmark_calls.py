@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from plcd import dataspace
+from plcd import dataspace, diffusion
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TINY = {"num_landmarks": "8", "epochs_senior": "1", "epochs_junior": "1",
@@ -74,3 +74,27 @@ def test_traced_cli_chain_pass_completes(tmp_path):
     ]
     metrics = layers.per_layer_metrics(tracer, 0.0, 0.0, wl.check(tally))
     assert metrics["peerlearn.miner_hit_ratio.base"]["value"] == 0
+
+
+def test_traced_sweep_sees_one_walk_per_alpha_when_it_splits(tmp_path, monkeypatch):
+    """At one BLAS thread the walk runs its second half on a helper thread
+    that calls nothing the tracer wraps: each alpha is still one
+    ``diffuse_iterative`` span, with the one-block walk's iterations, and no
+    span is left open."""
+    wl = workloads.SweepIterative(1, tmp_path, TINY)
+    wl.setup()
+    iterations = {}
+    for threads in (2, 1):
+        monkeypatch.setattr(diffusion, "_blas_threads", lambda: threads)
+        tracer = tracing.Tracer("test")
+        layers.install(tracer, dataspace.infer_visible_facet, wl.cfg.num_sections)
+        tally = workloads.Tally()
+        try:
+            wl.run_pass(tally, tracer)
+        finally:
+            tracer.unwrap()
+        assert tally.failed == 0, tally.problems
+        assert tracer.calls["diffusion.diffuse_iterative"] == len(wl.cfg.alpha_sweep)
+        assert tracer._stack == []
+        iterations[threads] = tracer.counters["walk_iterations"]
+    assert iterations[1] == iterations[2] > 0

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -445,28 +446,32 @@ def test_columns_stop_at_their_own_iteration():
                                   row_order(batch.state[sat_idx, j][None], sat_ids))
 
 
-def reference_walk(matrix, f0, alpha, max_iters, tol):
+def reference_walk(matrix, f0, alpha, max_iters, tol, threads):
     """The restarted walk, each column with its own state, stopping
     iteration and flag. The product is taken on the block of columns still
-    walking, the same block ``diffuse_iterative`` multiplies, so BLAS sums
+    walking in each half that ``diffuse_iterative`` walks on its own at
+    ``threads`` BLAS threads, the same block it multiplies, so BLAS sums
     every entry in the same order."""
     f = np.array(f0, dtype=float).reshape(len(f0), -1)
-    restart = [(1.0 - alpha) * f[:, j] for j in range(f.shape[1])]
-    iterations, converged = [max_iters] * f.shape[1], [False] * f.shape[1]
-    walking = list(range(f.shape[1]))
-    for it in range(1, max_iters + 1):
-        if not walking:
-            break
-        product = matrix @ f[:, walking]
-        still = []
-        for j, column in zip(walking, product.T):
-            nxt = alpha * column + restart[j]
-            if np.max(np.abs(nxt - f[:, j])) < tol:
-                iterations[j], converged[j] = it, True
-            else:
-                still.append(j)
-            f[:, j] = nxt
-        walking = still
+    m = f.shape[1]
+    half = (m + 1) // 2 if m > 1 and threads == 1 else m
+    restart = [(1.0 - alpha) * f[:, j] for j in range(m)]
+    iterations, converged = [max_iters] * m, [False] * m
+    for block in (range(half), range(half, m)):
+        walking = list(block)
+        for it in range(1, max_iters + 1):
+            if not walking:
+                break
+            product = matrix @ f[:, walking]
+            still = []
+            for j, column in zip(walking, product.T):
+                nxt = alpha * column + restart[j]
+                if np.max(np.abs(nxt - f[:, j])) < tol:
+                    iterations[j], converged[j] = it, True
+                else:
+                    still.append(j)
+                f[:, j] = nxt
+            walking = still
     return f[:, 0] if f0.ndim == 1 else f, iterations, converged
 
 
@@ -493,12 +498,97 @@ def walk_case(draw):
 @settings(max_examples=300, deadline=None)
 @given(walk_case())
 def test_walk_matches_a_per_column_reference(case):
+    """Both block layouts: two halves at one BLAS thread, one block at two."""
     matrix, f0, alpha, max_iters, tol = case
-    result = diff.diffuse_iterative(matrix, f0, alpha, max_iters, tol)
-    state, iterations, converged = reference_walk(matrix, f0, alpha, max_iters, tol)
-    assert same_bits(result.state, state)
-    assert result.column_iterations.tolist() == iterations
-    assert result.column_converged.tolist() == converged
+    for threads in (1, 2):
+        with mock.patch.object(diff, "_blas_threads", lambda: threads):
+            result = diff.diffuse_iterative(matrix, f0, alpha, max_iters, tol)
+        state, iterations, converged = reference_walk(matrix, f0, alpha, max_iters, tol,
+                                                      threads)
+        assert same_bits(result.state, state)
+        assert result.column_iterations.tolist() == iterations
+        assert result.column_converged.tolist() == converged
+
+
+def walk_blocks(monkeypatch, threads):
+    """Force the BLAS thread probe to ``threads`` and record each block
+    ``diffuse_iterative`` walks: its column count, whether it ran on the
+    calling thread, and the live thread count."""
+    blocks, walk = [], diff._walk
+
+    def recorded(matrix, f0, *args):
+        blocks.append((f0.shape[1], threading.current_thread() is threading.main_thread(),
+                       threading.active_count()))
+        return walk(matrix, f0, *args)
+
+    monkeypatch.setattr(diff, "_walk", recorded)
+    if threads is not None:
+        monkeypatch.setattr(diff, "_blas_threads", lambda: threads)
+    return blocks
+
+
+def test_walk_splits_its_columns_only_at_one_blas_thread(monkeypatch):
+    matrix = random_stochastic_matrix(12, substream(3, "diff.split"))
+    f0 = substream(4, "diff.split").uniform(0.0, 1.0, size=(12, 5))
+    before = threading.active_count()
+    blocks = walk_blocks(monkeypatch, 1)
+    diff.diffuse_iterative(matrix, f0, 0.9, 500, 1e-9)
+    # the first half takes the odd column and walks on the calling thread
+    assert sorted(blocks) == [(2, False, before + 1), (3, True, before + 1)]
+    assert threading.active_count() == before
+    blocks.clear()
+    monkeypatch.setattr(diff, "_blas_threads", lambda: 2)
+    diff.diffuse_iterative(matrix, f0, 0.9, 500, 1e-9)
+    assert blocks == [(5, True, before)]
+
+
+@pytest.mark.parametrize("f0", [np.full((12, 1), 0.5), np.full(12, 0.5)])
+def test_one_column_never_starts_a_thread(monkeypatch, f0):
+    matrix = random_stochastic_matrix(12, substream(5, "diff.split"))
+    before = threading.active_count()
+    blocks = walk_blocks(monkeypatch, 1)
+    result = diff.diffuse_iterative(matrix, f0, 0.9, 500, 1e-9)
+    assert blocks == [(1, True, before)]
+    assert result.state.shape == f0.shape
+    assert threading.active_count() == before
+
+
+def test_a_failure_in_the_helpers_half_reaches_the_caller(monkeypatch):
+    """Only the second half holds an infinite start value, so only the
+    helper thread meets inf - inf; it runs under the caller's numpy error
+    state and raises the serial walk's error."""
+    matrix = random_stochastic_matrix(6, substream(6, "diff.split"))
+    f0 = np.full((6, 4), 0.25)
+    f0[2, 3] = np.inf
+    messages = []
+    for threads in (2, 1):
+        monkeypatch.setattr(diff, "_blas_threads", lambda: threads)
+        before = threading.active_count()
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError) as err:
+            diff.diffuse_iterative(matrix, f0, 0.9, 50, 1e-9)
+        messages.append(str(err.value))
+        assert threading.active_count() == before
+    assert messages[0] == messages[1]
+
+
+def test_a_missing_blas_symbol_walks_one_block(monkeypatch):
+    monkeypatch.setattr(diff.ctypes, "CDLL", lambda path: object())
+    assert diff._blas_thread_getter.__wrapped__() is None
+    monkeypatch.setattr(diff, "_blas_thread_getter", lambda: None)
+    assert diff._blas_threads() == 0
+    blocks = walk_blocks(monkeypatch, None)
+    matrix = random_stochastic_matrix(12, substream(7, "diff.split"))
+    diff.diffuse_iterative(matrix, np.full((12, 4), 0.5), 0.9, 500, 1e-9)
+    assert [cols for cols, _, _ in blocks] == [4]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_walk_without_columns_runs_no_product(monkeypatch, threads):
+    # the matrix is never multiplied: None @ anything would raise
+    monkeypatch.setattr(diff, "_blas_threads", lambda: threads)
+    result = diff.diffuse_iterative(None, np.zeros((300, 0)), 0.9, 100_000, 1e-9)
+    assert result.state.shape == (300, 0)
+    assert result.iterations == 0 and result.converged
 
 
 def test_query_reports_unconverged_walks(monkeypatch):
